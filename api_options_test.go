@@ -1,6 +1,7 @@
 package firmres
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,16 +63,21 @@ func TestWithModelFileOption(t *testing.T) {
 	if len(report.Messages) == 0 {
 		t.Error("no messages with model file")
 	}
-	// A missing model file silently falls back to the keyword classifier.
-	if _, err := AnalyzeImage(packedDevice(t, 5),
-		WithModelFile(filepath.Join(t.TempDir(), "missing.gob"))); err != nil {
-		t.Errorf("missing model file should fall back, got %v", err)
+	// A missing or corrupt model file is a configuration error, never a
+	// silent fallback to the keyword classifier.
+	missing := filepath.Join(t.TempDir(), "missing.gob")
+	if _, err := AnalyzeImage(packedDevice(t, 5), WithModelFile(missing)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing model file: err = %v, want os.ErrNotExist", err)
 	}
-	// A corrupt model file also falls back.
 	bad := filepath.Join(t.TempDir(), "bad.gob")
-	os.WriteFile(bad, []byte("not a model"), 0o644)
-	if _, err := AnalyzeImage(packedDevice(t, 5), WithModelFile(bad)); err != nil {
-		t.Errorf("corrupt model file should fall back, got %v", err)
+	if err := os.WriteFile(bad, []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeImage(packedDevice(t, 5), WithModelFile(bad)); err == nil {
+		t.Error("corrupt model file accepted")
+	}
+	if _, _, err := CachedReport(packedDevice(t, 5), WithModelFile(bad), WithCache(t.TempDir())); err == nil {
+		t.Error("CachedReport accepted a corrupt model file")
 	}
 }
 

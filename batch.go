@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"firmres/internal/errdefs"
 	"firmres/internal/obs"
@@ -47,11 +46,6 @@ type BatchSummary struct {
 	Messages    int // reconstructed messages across all reports
 	Flagged     int // messages the form check marked
 	Diagnostics int // lint findings across all reports
-	// StageTotals sums each pipeline stage's wall-clock time across every
-	// per-image report — the corpus-level §V-E breakdown the per-image
-	// StageTimings used to be silently dropped from. Nil when no image
-	// produced a report.
-	StageTotals map[string]time.Duration `json:",omitempty"`
 	// Metrics merges every report's WithMetrics snapshot (counters and
 	// histogram components sum per key). Nil without WithMetrics.
 	Metrics map[string]int64 `json:",omitempty"`
@@ -87,10 +81,6 @@ type BatchReport struct {
 // ctx (wrapping ErrStageTimeout and the context error).
 func AnalyzeImages(ctx context.Context, imgs [][]byte, opts ...Option) (*BatchReport, error) {
 	cfg := newConfig(opts)
-	// Corpus runs release each image's facts store once its report is
-	// built, so finished images don't pin per-function solutions for the
-	// rest of the sweep (facts.Program.Release).
-	cfg.opts.ReleaseFacts = true
 	cfg.observe(len(imgs))
 	rn, err := cfg.runner()
 	if err != nil {
@@ -110,7 +100,6 @@ func AnalyzeImages(ctx context.Context, imgs [][]byte, opts ...Option) (*BatchRe
 // same contract as AnalyzeImages; unreadable files fail per-image.
 func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchReport, error) {
 	cfg := newConfig(opts)
-	cfg.opts.ReleaseFacts = true // same store trim as AnalyzeImages
 	cfg.observe(len(paths))
 	rn, err := cfg.runner()
 	if err != nil {
@@ -199,12 +188,6 @@ func batchReport(results []ImageResult, cacheStats *CacheStats) *BatchReport {
 			s.Probe.Invalid += p.Counts[ProbeInvalid]
 			s.Probe.Failed += p.Counts[ProbeFailed]
 			s.Probe.Vulnerable += p.Vulnerable
-		}
-		for stage, d := range r.StageTimings {
-			if s.StageTotals == nil {
-				s.StageTotals = make(map[string]time.Duration, len(r.StageTimings))
-			}
-			s.StageTotals[stage] += d
 		}
 		s.Metrics = obs.MergeSnapshots(s.Metrics, r.Metrics)
 	}

@@ -25,16 +25,10 @@ func packCorpus(t *testing.T, ids []int) [][]byte {
 	return imgs
 }
 
-// marshalBatch renders a batch report with wall-clock timings stripped, the
-// projection that must be byte-identical at any worker count.
+// marshalBatch renders a batch report, which must be byte-identical at any
+// worker count.
 func marshalBatch(t *testing.T, br *BatchReport) string {
 	t.Helper()
-	for i := range br.Images {
-		if br.Images[i].Report != nil {
-			br.Images[i].Report.StageTimings = nil
-		}
-	}
-	br.Summary.StageTotals = nil
 	out, err := json.MarshalIndent(br, "", "  ")
 	if err != nil {
 		t.Fatal(err)

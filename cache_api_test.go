@@ -66,13 +66,9 @@ func TestCacheColdWarmIdentical(t *testing.T) {
 		t.Errorf("accumulated stats = %+v, want 1 hit", st)
 	}
 
-	// Timings are embedded in the entry, so all three reports agree only
-	// after stripping the cold run's wall clock the same way goldens do —
-	// except cold and warm, which share the entry's timings verbatim.
 	if got, want := marshalReport(t, warm), marshalReport(t, cold); got != want {
 		t.Errorf("warm report diverged from cold:\n%s\nvs\n%s", clip(got), clip(want))
 	}
-	warm.StageTimings, cold.StageTimings, uncached.StageTimings = nil, nil, nil
 	if got, want := marshalReport(t, warm), marshalReport(t, uncached); got != want {
 		t.Errorf("cached report diverged from uncached:\n%s\nvs\n%s", clip(got), clip(want))
 	}
@@ -158,7 +154,6 @@ func TestCacheCorruptEntryForcesReanalysis(t *testing.T) {
 	if st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("stats = %+v, want 1 error + 1 miss", st)
 	}
-	fresh.StageTimings, recomputed.StageTimings = nil, nil
 	if got, want := marshalReport(t, recomputed), marshalReport(t, fresh); got != want {
 		t.Errorf("re-analysis after corruption diverged:\n%s\nvs\n%s", clip(got), clip(want))
 	}

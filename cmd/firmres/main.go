@@ -41,7 +41,10 @@
 // the concurrent probers per device.
 //
 // Observability: -trace prints the hierarchical span tree of the run to
-// stderr; -trace-json writes the same spans as Chrome trace_event JSON
+// stderr; -timings prints, once the run ends, the per-stage wall-clock
+// totals summed from the stage spans of the analyses the run executed (a
+// report served from -cache ran no stage and adds nothing); -trace-json
+// writes the same spans as Chrome trace_event JSON
 // (chrome://tracing, Perfetto); -metrics writes the aggregated work
 // counters in Prometheus text format; -progress reports per-image progress
 // on stderr; -pprof with a ':' in its value serves net/http/pprof on that
@@ -63,6 +66,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"firmres"
@@ -125,7 +129,7 @@ func run() int {
 	flag.BoolVar(&opts.lintJSON, "lint-json", false,
 		"emit lint diagnostics as a SARIF 2.1.0 document instead of the text report (implies -lint)")
 	flag.BoolVar(&opts.timings, "timings", false,
-		"print the per-stage timing breakdown in the text report")
+		"print the run's per-stage wall-clock totals to stderr when the run ends")
 	flag.BoolVar(&opts.stripped, "stripped", false,
 		"force symbol recovery for stripped firmware (auto-detected for binaries without symbol tables)")
 	flag.BoolVar(&opts.probe, "probe", false,
@@ -188,7 +192,7 @@ func run() int {
 		defer stop()
 	}
 	sink := newObsSink(opts)
-	defer sink.finish()
+	defer sink.finish(os.Stderr)
 	if opts.jobs != 1 {
 		return runBatch(os.Stdout, flag.Args(), opts, *keepGoing, sink)
 	}
@@ -215,12 +219,13 @@ func run() int {
 	return exit
 }
 
-// obsSink accumulates the run's observability outputs — one trace and one
-// merged metrics snapshot across every analyzed image — and writes them
-// when the run finishes.
+// obsSink accumulates the run's observability outputs — one trace, one
+// set of stage totals, and one merged metrics snapshot across every
+// analyzed image — and writes them when the run finishes.
 type obsSink struct {
 	opts       options
 	trace      *firmres.Trace
+	timer      *stageTimer // nil without -timings
 	metrics    map[string]int64
 	cacheStats firmres.CacheStats // accumulated across every Analyze call
 }
@@ -230,7 +235,38 @@ func newObsSink(opts options) *obsSink {
 	if opts.trace || opts.traceJSON != "" {
 		s.trace = firmres.NewTrace()
 	}
+	if opts.timings {
+		s.timer = &stageTimer{totals: map[string]time.Duration{}}
+		for _, name := range firmres.StageNames() {
+			s.timer.totals[name] = 0
+		}
+	}
 	return s
+}
+
+// stageTimer is the -timings Observer: it sums the duration of every stage
+// span the run opens. A report served from the cache opens none.
+type stageTimer struct {
+	mu     sync.Mutex
+	totals map[string]time.Duration // pre-keyed with firmres.StageNames()
+	call   int                      // the newest Analyze call
+}
+
+// callTimer is one Analyze call's Observer. A -trace recorder keeps every
+// earlier call's observers attached, so only the newest call's counts.
+type callTimer struct {
+	t    *stageTimer
+	call int
+}
+
+func (c callTimer) SpanStart(firmres.SpanEvent) {}
+
+func (c callTimer) SpanEnd(ev firmres.SpanEvent) {
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	if _, stage := c.t.totals[ev.Name]; stage && c.call == c.t.call {
+		c.t.totals[ev.Name] += ev.Duration()
+	}
 }
 
 // options returns the analysis options the sink needs threaded into every
@@ -244,6 +280,12 @@ func (s *obsSink) options(batch bool) []firmres.Option {
 	var out []firmres.Option
 	if s.trace != nil {
 		out = append(out, firmres.WithTrace(s.trace))
+	}
+	if t := s.timer; t != nil {
+		t.mu.Lock()
+		t.call++
+		out = append(out, firmres.WithObserver(callTimer{t: t, call: t.call}))
+		t.mu.Unlock()
 	}
 	if s.opts.metricsPath != "" {
 		out = append(out, firmres.WithMetrics())
@@ -266,12 +308,21 @@ func (s *obsSink) merge(m map[string]int64) {
 	s.metrics = firmres.MergeMetrics(s.metrics, m)
 }
 
-// finish writes the collected trace and metrics to their destinations.
-func (s *obsSink) finish() {
+// finish writes the collected trace tree and stage timings to w and the
+// file exports to their destinations.
+func (s *obsSink) finish(w io.Writer) {
 	if s.trace != nil && s.opts.trace {
-		if err := s.trace.WriteTree(os.Stderr); err != nil {
+		if err := s.trace.WriteTree(w); err != nil {
 			fmt.Fprintf(os.Stderr, "firmres: trace: %v\n", err)
 		}
+	}
+	if t := s.timer; t != nil {
+		t.mu.Lock()
+		fmt.Fprintln(w, "== stage timings (stages this run executed)")
+		for _, name := range firmres.StageNames() {
+			fmt.Fprintf(w, "   %-24s %v\n", name, t.totals[name])
+		}
+		t.mu.Unlock()
 	}
 	if s.trace != nil && s.opts.traceJSON != "" {
 		if err := writeFile(s.opts.traceJSON, s.trace.WriteChromeTrace); err != nil {
@@ -335,12 +386,6 @@ func runBatch(w io.Writer, paths []string, opts options, keepGoing bool, sink *o
 			}
 		} else if partial && exit == exitOK {
 			exit = exitPartial
-		}
-	}
-	if opts.timings && len(br.Summary.StageTotals) > 0 {
-		fmt.Fprintf(w, "== batch stage totals (%d report(s))\n", br.Summary.Reports)
-		for _, name := range firmres.StageNames() {
-			fmt.Fprintf(w, "   %-24s %v\n", name, br.Summary.StageTotals[name])
 		}
 	}
 	return exit
@@ -505,12 +550,6 @@ func printReport(w io.Writer, path string, r *firmres.Report, opts options) {
 			for _, leak := range o.Leaks {
 				fmt.Fprintf(w, "         %s\n", leak)
 			}
-		}
-	}
-	if opts.timings {
-		fmt.Fprintf(w, "   stage timings:\n")
-		for _, name := range firmres.StageNames() {
-			fmt.Fprintf(w, "     %-24s %v\n", name, r.StageTimings[name])
 		}
 	}
 	if r.Partial() {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,16 +128,95 @@ func TestAnalyzeLintSARIFOutput(t *testing.T) {
 	}
 }
 
-func TestAnalyzeTimingsFlag(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 5), options{timings: true}, nil); err != nil {
-		t.Fatalf("analyze -timings: %v", err)
+// timingsFooter runs analyses through one -timings sink and returns the
+// footer's duration for each stage.
+func timingsFooter(t *testing.T, opts options, run func(io.Writer, options, *obsSink)) map[string]string {
+	t.Helper()
+	opts.timings = true
+	sink := newObsSink(opts)
+	var out, footer bytes.Buffer
+	run(&out, opts, sink)
+	if strings.Contains(out.String(), "stage timings") {
+		t.Errorf("wall-clock leaked into the report: %q", out.String())
 	}
-	text := out.String()
-	for _, want := range []string{"stage timings:", "pinpoint-executables", "lint-passes"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("timings output lacks %q: %q", want, text)
+	sink.finish(&footer)
+	got := map[string]string{}
+	for _, line := range strings.Split(footer.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			got[f[0]] = f[1]
 		}
+	}
+	return got
+}
+
+// TestAnalyzeTimingsFlag runs a -j 2 batch, whose stage spans end on many
+// goroutines at once.
+func TestAnalyzeTimingsFlag(t *testing.T) {
+	paths := []string{writeImage(t, 5), writeImage(t, 17)}
+	got := timingsFooter(t, options{jobs: 2, lint: true}, func(w io.Writer, opts options, sink *obsSink) {
+		if exit := runBatch(w, paths, opts, false, sink); exit != exitOK {
+			t.Errorf("runBatch exit = %d", exit)
+		}
+	})
+	if len(got) != len(firmres.StageNames()) || got["lint-passes"] == "0s" || got["probe-replay"] != "0s" {
+		t.Errorf("footer = %v, want every stage, lint timed, probe not run", got)
+	}
+}
+
+// TestAnalyzeTimingsWarmCache: -timings sums the stages this run executed,
+// so a run served from the cache reports no stage time instead of
+// replaying the durations of the run that filled the cache.
+func TestAnalyzeTimingsWarmCache(t *testing.T) {
+	path := writeImage(t, 5)
+	analyzeOne := func(w io.Writer, opts options, sink *obsSink) {
+		if _, err := analyze(w, path, opts, sink); err != nil {
+			t.Errorf("analyze: %v", err)
+		}
+	}
+	opts := options{cacheDir: t.TempDir()}
+	if cold := timingsFooter(t, opts, analyzeOne); cold["pinpoint-executables"] == "0s" {
+		t.Errorf("cold run timed no pinpoint: %v", cold)
+	}
+	warm := timingsFooter(t, opts, analyzeOne)
+	for _, name := range firmres.StageNames() {
+		if warm[name] != "0s" {
+			t.Errorf("warm run reports %q for %s, but no stage ran", warm[name], name)
+		}
+	}
+}
+
+// TestAnalyzeTimingsWithTrace: a -trace recorder keeps every earlier
+// Analyze call's observers attached, yet each image's stage spans must be
+// counted once.
+func TestAnalyzeTimingsWithTrace(t *testing.T) {
+	path, opts := writeImage(t, 5), options{trace: true, timings: true}
+	sink := newObsSink(opts)
+	for i := 0; i < 3; i++ {
+		if _, err := analyze(io.Discard, path, opts, sink); err != nil {
+			t.Fatalf("analyze: %v", err)
+		}
+	}
+	var out bytes.Buffer
+	sink.finish(&out)
+	var traced, footer time.Duration // tree lines read "name (1.2ms)"
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || f[0] != "pinpoint-executables" {
+			continue
+		}
+		d, err := time.ParseDuration(strings.Trim(f[1], "()"))
+		switch {
+		case err != nil:
+			t.Fatalf("line %q: %v", line, err)
+		case strings.HasPrefix(f[1], "("):
+			traced += d
+		default:
+			footer = d
+		}
+	}
+	// The tree rounds to the microsecond; a double count adds a whole image.
+	if traced == 0 || footer > traced*5/4 {
+		t.Errorf("footer pinpoint = %v, trace tree sum = %v", footer, traced)
 	}
 }
 

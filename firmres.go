@@ -106,7 +106,6 @@ type Report struct {
 	Executable    string // identified device-cloud executable path
 	Messages      []Message
 	ClusterCounts map[string]int // "0.5"/"0.6"/"0.7" -> delimiter clusters; nil without sprintf
-	StageTimings  map[string]time.Duration
 	// Metrics is the work-derived counter/histogram snapshot of the
 	// analysis; populated only under WithMetrics. Keys are Prometheus-style
 	// (`taint_mfts_total`, `facts_requests_total{artifact="cfg"}`,
@@ -170,8 +169,8 @@ func (r *Report) Partial() bool { return len(r.Errors) > 0 }
 // Labels lists the semantic classes in canonical order.
 func Labels() []string { return append([]string(nil), semantics.Labels...) }
 
-// StageNames lists the pipeline stage names in execution order — the keys
-// of Report.StageTimings.
+// StageNames lists the pipeline stage names in execution order — the names
+// of the per-stage spans an Observer sees under each "image" span.
 func StageNames() []string {
 	stages := core.Stages()
 	out := make([]string, len(stages))
@@ -237,17 +236,22 @@ func WithKeywordClassifier() Option {
 }
 
 // WithModelFile selects a trained TextCNN semantics classifier loaded from
-// a model file produced by the training harness.
+// a model file produced by the training harness. A model file that cannot
+// be opened or decoded fails the analysis with a configuration error.
 func WithModelFile(path string) Option {
 	return func(c *config) {
 		f, err := os.Open(path)
 		if err != nil {
-			return // fall back to the default classifier
+			c.err = fmt.Errorf("firmres: model file: %w", err)
+			return
 		}
 		defer f.Close()
-		if model, err := nn.Load(f); err == nil {
-			c.opts.Classifier = &semantics.ModelClassifier{Model: model}
+		model, err := nn.Load(f)
+		if err != nil {
+			c.err = fmt.Errorf("firmres: model file %s: %w", path, err)
+			return
 		}
+		c.opts.Classifier = &semantics.ModelClassifier{Model: model}
 	}
 }
 
@@ -284,16 +288,6 @@ func WithWorkers(n int) Option {
 		c.workers = n
 		c.opts.Workers = n
 	}
-}
-
-// WithReleaseFacts frees each image's program-facts store (per-function
-// CFG, def-use, constant propagation) as soon as its report is built, the
-// same lifetime trim the batch functions apply between corpus images. Use
-// it for long-running processes — analysis services, daemons — where many
-// sequential AnalyzeImage calls must not accumulate per-image artifacts.
-// The option never changes report contents or the cache key.
-func WithReleaseFacts() Option {
-	return func(c *config) { c.opts.ReleaseFacts = true }
 }
 
 // WithLint enables the lint-pass stage: pluggable checkers run over every
@@ -388,11 +382,10 @@ func AnalyzeFileContext(ctx context.Context, path string, opts ...Option) (*Repo
 
 func reportOf(res *core.Result) *Report {
 	r := &Report{
-		Device:       res.Device,
-		Version:      res.Version,
-		Executable:   res.Executable,
-		StageTimings: map[string]time.Duration{},
-		Metrics:      res.Metrics,
+		Device:     res.Device,
+		Version:    res.Version,
+		Executable: res.Executable,
+		Metrics:    res.Metrics,
 	}
 	if res.Probe != nil {
 		r.Probe = probeReportOf(res.Probe)
@@ -418,9 +411,6 @@ func reportOf(res *core.Result) *Report {
 			})
 		}
 		r.Recovery = rec
-	}
-	for s := core.StagePinpoint; s < core.Stage(len(res.Timing)); s++ {
-		r.StageTimings[s.String()] = res.Timing[s]
 	}
 	if res.ClusterCounts != nil {
 		r.ClusterCounts = map[string]int{}

@@ -15,8 +15,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden end-to-end reports")
 
 // goldenRecord is the stable projection of one device's analysis: the full
-// report with wall-clock timings stripped, or the fatal outcome for images
-// with no device-cloud executable (script-only devices 21-22).
+// report, or the fatal outcome for images with no device-cloud executable
+// (script-only devices 21-22).
 type goldenRecord struct {
 	Device  int     `json:"device"`
 	Outcome string  `json:"outcome"` // "report" or "no-device-cloud-executable"
@@ -37,7 +37,6 @@ func goldenRecordFor(t *testing.T, id int) *goldenRecord {
 	report, err := AnalyzeImage(img.Pack(), WithLint())
 	switch {
 	case err == nil:
-		report.StageTimings = nil // wall-clock, never golden
 		rec.Outcome = "report"
 		rec.Report = report
 	case errors.Is(err, ErrNoDeviceCloudExecutable):
@@ -111,7 +110,6 @@ func TestGoldenReportsCached(t *testing.T) {
 					WithLint(), WithCache(dir), WithCacheStats(&st))
 				switch {
 				case err == nil:
-					report.StageTimings = nil
 					rec.Outcome = "report"
 					rec.Report = report
 				case errors.Is(err, ErrNoDeviceCloudExecutable):

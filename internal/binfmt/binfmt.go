@@ -190,19 +190,6 @@ func (b *Binary) InData(addr uint32) bool {
 	return addr >= b.DataBase && addr < b.DataBase+uint32(len(b.Data))
 }
 
-// DataAt returns up to n bytes of the data segment starting at addr.
-func (b *Binary) DataAt(addr uint32, n int) ([]byte, error) {
-	if !b.InData(addr) {
-		return nil, fmt.Errorf("binfmt: address %#x outside data segment", addr)
-	}
-	off := int(addr - b.DataBase)
-	end := off + n
-	if end > len(b.Data) {
-		end = len(b.Data)
-	}
-	return b.Data[off:end], nil
-}
-
 // StringAt reads a NUL-terminated string from the data segment at addr.
 func (b *Binary) StringAt(addr uint32) (string, bool) {
 	if !b.InData(addr) {

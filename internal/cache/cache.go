@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"firmres/internal/atomicfile"
 	"firmres/internal/errdefs"
 )
 
@@ -111,9 +112,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats snapshots the handle's counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
@@ -154,22 +152,10 @@ func (c *Cache) Get(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Put writes the entry for key atomically (temp file + rename) and then
+// Put writes the entry for key atomically (atomicfile.Write) and then
 // enforces the MaxBytes budget by evicting least-recently-used entries.
 func (c *Cache) Put(key string, val []byte) error {
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeEntry(val)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err := atomicfile.Write(c.path(key), encodeEntry(val)); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	c.evict()

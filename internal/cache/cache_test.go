@@ -237,6 +237,10 @@ func TestClearRemovesOnlyEntries(t *testing.T) {
 	if _, err := os.Stat(bystander); err != nil {
 		t.Errorf("Clear touched a non-entry file: %v", err)
 	}
+	// Clear keeps non-entry files, so this also shows Put left no temp file.
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Errorf("directory after Clear holds %d files (%v), want only the bystander", len(ents), err)
+	}
 }
 
 func TestOpenCreatesDir(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/cloud"
@@ -28,14 +27,8 @@ import (
 	"firmres/internal/taint"
 )
 
-// errStageDegraded is the internal marker runStage returns when a stage was
-// abandoned (budget timeout or panic) but the failure was recorded on the
-// result and the analysis should continue with whatever earlier stages
-// recovered.
-var errStageDegraded = errors.New("core: stage degraded")
-
 // runStage executes one pipeline stage under the caller's context plus the
-// configured per-stage budget, with panic recovery.
+// configured per-stage budget, with panic recovery, inside the stage's span.
 //
 // The stage body runs in its own goroutine and must not mutate shared state
 // directly: it returns a commit closure that runStage invokes only when the
@@ -47,16 +40,17 @@ var errStageDegraded = errors.New("core: stage degraded")
 // goroutine and lands in the recover below, and cancellation stops the pool
 // from claiming new work.
 //
-// Return values: nil when the stage committed; errStageDegraded when the
-// stage timed out or panicked and the failure was appended to res.Errors;
-// a fatal error when the caller's own context expired (wrapped in
-// errdefs.ErrStageTimeout) or the stage body reported one.
+// runStage is the one place that tells a degraded stage from a fatal one. A
+// stage that timed out or panicked while the caller's context is live is
+// appended to res.Errors and runStage returns nil: the analysis continues
+// on whatever earlier stages recovered. The error return means the
+// analysis must stop — the caller's context expired (wrapped in
+// errdefs.ErrStageTimeout) or the stage body reported a fatal error.
 func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(context.Context) (func(), error)) error {
-	start := time.Now()
-	// Stage span: a child of the image span the caller put on ctx. The
-	// stage body receives the span through its context, so inner-loop
-	// grandchildren (taint sites, lint functions, ...) nest under it. The
-	// span's extent is exactly the interval Result.Timing records.
+	// Stage span: a child of the image span the caller put on ctx, and the
+	// stage's only wall-clock record. The stage body receives the span
+	// through its context, so inner-loop grandchildren (taint sites, lint
+	// functions, ...) nest under it.
 	sp := obs.FromContext(ctx).Child(s.String())
 	defer sp.End()
 	stageCtx, cancel := ctx, func() {}
@@ -81,49 +75,39 @@ func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(c
 		done <- outcome{commit: commit, err: err}
 	}()
 
+	var err error
 	select {
 	case out := <-done:
-		res.Timing[s] = time.Since(start)
 		// Apply whatever the stage recovered even when it also reports an
 		// error: pinpoint records skipped executables alongside a fatal
 		// "nothing found".
 		if out.commit != nil {
 			out.commit()
 		}
-		if out.err != nil {
-			degradable := errors.Is(out.err, errdefs.ErrStagePanic) ||
-				errors.Is(out.err, errdefs.ErrStageTimeout)
-			if degradable && ctx.Err() == nil {
-				if errors.Is(out.err, errdefs.ErrStagePanic) {
-					sp.SetStatus("panic")
-				} else {
-					sp.SetStatus("timeout")
-				}
-				res.Errors = append(res.Errors, errdefs.AnalysisError{Stage: s.String(), Err: out.err})
-				return errStageDegraded
-			}
-			sp.SetStatus("fatal")
-			if ctx.Err() != nil && degradable {
-				return fmt.Errorf("core: %w: %s: %w", errdefs.ErrStageTimeout, s, ctx.Err())
-			}
-			return out.err
-		}
-		return nil
+		err = out.err
 	case <-stageCtx.Done():
-		res.Timing[s] = time.Since(start)
-		if err := ctx.Err(); err != nil {
-			// The caller's context died, not just this stage's budget:
-			// fatal for the whole analysis.
-			sp.SetStatus("fatal")
-			return fmt.Errorf("core: %w: %s: %w", errdefs.ErrStageTimeout, s, err)
-		}
-		sp.SetStatus("timeout")
-		res.Errors = append(res.Errors, errdefs.AnalysisError{
-			Stage: s.String(),
-			Err:   fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, stageCtx.Err()),
-		})
-		return errStageDegraded
+		err = fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, stageCtx.Err())
 	}
+	if err == nil {
+		return nil
+	}
+	degradable := errors.Is(err, errdefs.ErrStagePanic) || errors.Is(err, errdefs.ErrStageTimeout)
+	switch {
+	case !degradable:
+		sp.SetStatus("fatal")
+		return err
+	case ctx.Err() != nil:
+		// The caller's context died, not just this stage's budget: fatal
+		// for the whole analysis.
+		sp.SetStatus("fatal")
+		return fmt.Errorf("core: %w: %s: %w", errdefs.ErrStageTimeout, s, ctx.Err())
+	case errors.Is(err, errdefs.ErrStagePanic):
+		sp.SetStatus("panic")
+	default:
+		sp.SetStatus("timeout")
+	}
+	res.Errors = append(res.Errors, errdefs.AnalysisError{Stage: s.String(), Err: err})
+	return nil
 }
 
 // AnalyzeImageContext runs the pipeline over one unpacked firmware image
@@ -168,48 +152,52 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 	}
 	workers := parallel.CPUWorkers(p.opts.Workers)
 
-	// Stage 1: pinpoint the device-cloud executable. Corrupt or panicking
-	// candidates are skipped per-executable; only a complete sweep that
-	// finds nothing is fatal. The winner's facts store carries every
-	// per-function artifact identification computed into the later stages.
-	var prog *pcode.Program
-	var fx *facts.Program
-	if p.opts.ReleaseFacts {
-		// Opt-in store trim (Options.ReleaseFacts): once this image's
-		// analysis has quiesced — every stage done, the report built —
-		// the winner's facts store would only pin dead per-function
-		// solutions for the rest of the batch.
-		defer func() {
-			if fx != nil {
-				fx.Release()
-			}
-		}()
-	}
-	err = p.runStage(ctx, res, StagePinpoint, func(sctx context.Context) (func(), error) {
-		cand, skips, err := p.pinpoint(sctx, met, img)
-		return func() {
-			res.Errors = append(res.Errors, skips...)
-			if cand != nil {
-				prog, fx = cand.prog, cand.fx
-				res.Executable, res.Handlers = cand.path, cand.handlers
-				res.Recovery = cand.rec
-			}
-		}, err
-	})
-	switch {
-	case err == nil, errors.Is(err, errStageDegraded):
-	default:
-		return res, err
-	}
+	// What each stage hands to the later ones. Only stage commits write
+	// these, so an abandoned stage leaves them as the last committed stage
+	// did.
+	var (
+		prog      *pcode.Program
+		fx        *facts.Program
+		mfts      []*taint.MFT
+		trees     []*mft.Tree
+		allSlices [][]slices.Slice
+		infos     [][]fields.SliceInfo
+	)
+	// The winner's facts store carries every per-function artifact
+	// identification computed into the later stages. Nothing reads it once
+	// the analysis returns, so it is released here instead of pinning dead
+	// per-function solutions for the rest of a batch.
+	defer func() {
+		if fx != nil {
+			fx.Release()
+		}
+	}()
 
-	// Stage 2: identify message fields (backward taint, MFT construction).
-	// Delivery sites are traced concurrently through the shared facts
-	// store; the split trees are then simplified and sliced per-message.
-	var mfts []*taint.MFT
-	var trees []*mft.Tree
-	var allSlices [][]slices.Slice
-	if prog != nil {
-		err = p.runStage(ctx, res, StageFields, func(sctx context.Context) (func(), error) {
+	stages := []struct {
+		stage Stage
+		runs  func() bool // nil: the stage always runs
+		body  func(context.Context) (func(), error)
+	}{
+		// Stage 1: pinpoint the device-cloud executable. Corrupt or
+		// panicking candidates are skipped per-executable; only a complete
+		// sweep that finds nothing is fatal.
+		{StagePinpoint, nil, func(sctx context.Context) (func(), error) {
+			cand, skips, err := p.pinpoint(sctx, met, img)
+			return func() {
+				res.Errors = append(res.Errors, skips...)
+				if cand != nil {
+					prog, fx = cand.prog, cand.fx
+					res.Executable, res.Handlers = cand.path, cand.handlers
+					res.Recovery = cand.rec
+				}
+			}, err
+		}},
+
+		// Stage 2: identify message fields (backward taint, MFT
+		// construction). Delivery sites are traced concurrently through the
+		// shared facts store; the split trees are then simplified and sliced
+		// per-message.
+		{StageFields, func() bool { return prog != nil }, func(sctx context.Context) (func(), error) {
 			engine := taint.NewEngineFacts(fx, p.opts.Taint)
 			var ms []*taint.MFT
 			for _, m := range engine.AnalyzeContext(sctx, workers) {
@@ -232,108 +220,98 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 			if sctx.Err() != nil {
 				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
 			}
-			return func() { mfts, trees, allSlices = ms, ts, sls }, nil
-		})
-		if err != nil && !errors.Is(err, errStageDegraded) {
-			return res, err
-		}
-	}
+			return func() {
+				mfts, trees, allSlices = ms, ts, sls
+				// One slot per tree even if recover-semantics degrades, so
+				// concatenate-fields builds every message unlabelled.
+				infos = make([][]fields.SliceInfo, len(ts))
+			}, nil
+		}},
 
-	// Stage 3: recover field semantics. Per-message classification fans
-	// out; the classifier must be safe for concurrent use (see Options).
-	infos := make([][]fields.SliceInfo, len(trees))
-	err = p.runStage(ctx, res, StageSemantics, func(sctx context.Context) (func(), error) {
-		classify := semantics.Observed(p.opts.Classifier, met)
-		out := make([][]fields.SliceInfo, len(trees))
-		parallel.ForEach(sctx, workers, len(trees), func(i int) {
-			sp := obs.StartChild(sctx, "classify")
-			sp.AddString("fn", mfts[i].Site.Fn.Name())
-			sp.AddInt("slices", len(allSlices[i]))
-			for _, s := range allSlices[i] {
-				label, conf := classify.Classify(s)
-				out[i] = append(out[i], fields.SliceInfo{Slice: s, Label: label, Confidence: conf})
-			}
-			sp.End()
-		})
-		if sctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-		}
-		counts := p.clusterCounts(mfts)
-		return func() { infos, res.ClusterCounts = out, counts }, nil
-	})
-	if err != nil && !errors.Is(err, errStageDegraded) {
-		return res, err
-	}
-
-	// Stage 4: concatenate fields into messages. Each tree is built by one
-	// worker (fields.Build inverts the tree in place); the shared resolver
-	// is read-only. Config files the resolver had to skip are recorded as
-	// degradation notes.
-	err = p.runStage(ctx, res, StageConcat, func(sctx context.Context) (func(), error) {
-		resolver, notes := ResolverFromImageNotes(img)
-		msgs := make([]MessageResult, len(trees))
-		parallel.ForEach(sctx, workers, len(trees), func(i int) {
-			sp := obs.StartChild(sctx, "build-message")
-			sp.AddString("fn", mfts[i].Site.Fn.Name())
-			msgs[i] = MessageResult{
-				MFT: mfts[i], Tree: trees[i], Slices: allSlices[i],
-				Infos: infos[i], Message: fields.Build(trees[i], infos[i], resolver),
-			}
-			met.Histogram("fields_per_message").Observe(int64(len(msgs[i].Message.Fields)))
-			for _, fl := range msgs[i].Message.Fields {
-				met.Counter("message_fields_total", "label", fl.Semantics).Inc()
-			}
-			sp.AddInt("fields", len(msgs[i].Message.Fields))
-			sp.End()
-		})
-		if sctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-		}
-		return func() {
-			res.Errors = append(res.Errors, notes...)
-			res.Messages = msgs
-		}, nil
-	})
-	if err != nil && !errors.Is(err, errStageDegraded) {
-		return res, err
-	}
-
-	// Stage 5: check message forms.
-	err = p.runStage(ctx, res, StageFormCheck, func(sctx context.Context) (func(), error) {
-		findings := make([]formcheck.Finding, len(res.Messages))
-		parallel.ForEach(sctx, workers, len(res.Messages), func(i int) {
-			mr := &res.Messages[i]
-			sp := obs.StartChild(sctx, "check-form")
-			sp.AddString("fn", mr.Message.Function)
-			if mr.Message.Discarded {
-				sp.SetStatus("discarded")
+		// Stage 3: recover field semantics. Per-message classification fans
+		// out; the classifier must be safe for concurrent use (see Options).
+		{StageSemantics, nil, func(sctx context.Context) (func(), error) {
+			classify := semantics.Observed(p.opts.Classifier, met)
+			out := make([][]fields.SliceInfo, len(trees))
+			parallel.ForEach(sctx, workers, len(trees), func(i int) {
+				sp := obs.StartChild(sctx, "classify")
+				sp.AddString("fn", mfts[i].Site.Fn.Name())
+				sp.AddInt("slices", len(allSlices[i]))
+				for _, s := range allSlices[i] {
+					label, conf := classify.Classify(s)
+					out[i] = append(out[i], fields.SliceInfo{Slice: s, Label: label, Confidence: conf})
+				}
 				sp.End()
-				return
+			})
+			if sctx.Err() != nil {
+				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
 			}
-			findings[i] = formcheck.Check(mr.Message, img)
-			if findings[i].Verdict.Flawed() {
-				met.Counter("formcheck_flagged_total", "verdict", findings[i].Verdict.String()).Inc()
-			}
-			sp.End()
-		})
-		if sctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-		}
-		return func() {
-			for i := range res.Messages {
-				res.Messages[i].Finding = findings[i]
-			}
-		}, nil
-	})
-	if err != nil && !errors.Is(err, errStageDegraded) {
-		return res, err
-	}
+			counts := p.clusterCounts(mfts)
+			return func() { infos, res.ClusterCounts = out, counts }, nil
+		}},
 
-	// Stage 6: lint passes over the lifted executable (opt-in), reading the
-	// same facts the taint stage populated. An invalid rule selection is a
-	// configuration error, not a degradation.
-	if prog != nil && p.opts.Lint {
-		err = p.runStage(ctx, res, StageLint, func(sctx context.Context) (func(), error) {
+		// Stage 4: concatenate fields into messages. Each tree is built by
+		// one worker (fields.Build inverts the tree in place); the shared
+		// resolver is read-only. Config files the resolver had to skip are
+		// recorded as degradation notes.
+		{StageConcat, nil, func(sctx context.Context) (func(), error) {
+			resolver, notes := ResolverFromImageNotes(img)
+			msgs := make([]MessageResult, len(trees))
+			parallel.ForEach(sctx, workers, len(trees), func(i int) {
+				sp := obs.StartChild(sctx, "build-message")
+				sp.AddString("fn", mfts[i].Site.Fn.Name())
+				msgs[i] = MessageResult{
+					MFT: mfts[i], Tree: trees[i], Slices: allSlices[i],
+					Infos: infos[i], Message: fields.Build(trees[i], infos[i], resolver),
+				}
+				met.Histogram("fields_per_message").Observe(int64(len(msgs[i].Message.Fields)))
+				for _, fl := range msgs[i].Message.Fields {
+					met.Counter("message_fields_total", "label", fl.Semantics).Inc()
+				}
+				sp.AddInt("fields", len(msgs[i].Message.Fields))
+				sp.End()
+			})
+			if sctx.Err() != nil {
+				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
+			}
+			return func() {
+				res.Errors = append(res.Errors, notes...)
+				res.Messages = msgs
+			}, nil
+		}},
+
+		// Stage 5: check message forms.
+		{StageFormCheck, nil, func(sctx context.Context) (func(), error) {
+			findings := make([]formcheck.Finding, len(res.Messages))
+			parallel.ForEach(sctx, workers, len(res.Messages), func(i int) {
+				mr := &res.Messages[i]
+				sp := obs.StartChild(sctx, "check-form")
+				sp.AddString("fn", mr.Message.Function)
+				if mr.Message.Discarded {
+					sp.SetStatus("discarded")
+					sp.End()
+					return
+				}
+				findings[i] = formcheck.Check(mr.Message, img)
+				if findings[i].Verdict.Flawed() {
+					met.Counter("formcheck_flagged_total", "verdict", findings[i].Verdict.String()).Inc()
+				}
+				sp.End()
+			})
+			if sctx.Err() != nil {
+				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
+			}
+			return func() {
+				for i := range res.Messages {
+					res.Messages[i].Finding = findings[i]
+				}
+			}, nil
+		}},
+
+		// Stage 6: lint passes over the lifted executable (opt-in), reading
+		// the same facts the taint stage populated. An invalid rule
+		// selection is a configuration error, not a degradation.
+		{StageLint, func() bool { return prog != nil && p.opts.Lint }, func(sctx context.Context) (func(), error) {
 			runner, err := lint.NewRunner(p.opts.LintRules)
 			if err != nil {
 				return nil, err
@@ -343,20 +321,16 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
 			}
 			return func() { res.Diagnostics = diags }, nil
-		})
-		if err != nil && !errors.Is(err, errStageDegraded) {
-			return res, err
-		}
-	}
+		}},
 
-	// Stage 7: probe replay (opt-in). Every reconstructed message is
-	// replayed against a simulated cloud and terminally classified; a device
-	// with no known cloud spec degrades with a note instead of failing. The
-	// probe package guarantees a fully classified report even when the stage
-	// budget expires mid-fleet (unprobed messages land as
-	// probe-failed/stage-timeout), so the commit is unconditional.
-	if p.opts.Probe != nil {
-		err = p.runStage(ctx, res, StageProbe, func(sctx context.Context) (func(), error) {
+		// Stage 7: probe replay (opt-in). Every reconstructed message is
+		// replayed against a simulated cloud and terminally classified; a
+		// device with no known cloud spec degrades with a note instead of
+		// failing. The probe package guarantees a fully classified report
+		// even when the stage budget expires mid-fleet (unprobed messages
+		// land as probe-failed/stage-timeout), so the commit is
+		// unconditional.
+		{StageProbe, func() bool { return p.opts.Probe != nil }, func(sctx context.Context) (func(), error) {
 			po := *p.opts.Probe
 			po.Metrics = met
 			var spec *cloud.Spec
@@ -380,8 +354,13 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				return func() { res.Errors = append(res.Errors, note) }, nil
 			}
 			return func() { res.Probe = rep }, nil
-		})
-		if err != nil && !errors.Is(err, errStageDegraded) {
+		}},
+	}
+	for _, st := range stages {
+		if st.runs != nil && !st.runs() {
+			continue // a stage that does not run opens no span
+		}
+		if err := p.runStage(ctx, res, st.stage, st.body); err != nil {
 			return res, err
 		}
 	}

@@ -1,8 +1,9 @@
 // Package core orchestrates the FIRMRES pipeline (paper Fig. 3): pinpoint
 // the device-cloud executable, identify message fields by backward taint,
 // recover field semantics over code slices, concatenate fields into
-// messages, and check message forms — with per-stage timing matching the
-// §V-E breakdown.
+// messages, and check message forms. Each stage runs inside an obs span
+// named after it (the §V-E breakdown); spans are the pipeline's only
+// wall-clock record, so a Result depends on the image and options alone.
 package core
 
 import (
@@ -33,9 +34,9 @@ import (
 // the whole persistent cache at once. Bump it whenever any stage's logic
 // changes in a way that can alter a Report — new checkers, taint channel
 // changes, classifier dictionary edits, message rendering tweaks.
-const PipelineVersion = "v5"
+const PipelineVersion = "v6"
 
-// Stage identifies one pipeline stage for the timing breakdown.
+// Stage identifies one pipeline stage; its String names the stage span.
 type Stage int
 
 // Pipeline stages, in execution order (§V-E names).
@@ -81,31 +82,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Timing is the per-stage wall-clock breakdown of one analysis.
-type Timing [numStages]time.Duration
-
-// Total sums the stage durations.
-func (t Timing) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range t {
-		sum += d
-	}
-	return sum
-}
-
-// Share returns each stage's fraction of the total.
-func (t Timing) Share() [numStages]float64 {
-	var out [numStages]float64
-	total := t.Total()
-	if total == 0 {
-		return out
-	}
-	for i, d := range t {
-		out[i] = float64(d) / float64(total)
-	}
-	return out
-}
-
 // MessageResult bundles everything the pipeline derives for one message.
 type MessageResult struct {
 	MFT     *taint.MFT
@@ -146,7 +122,6 @@ type Result struct {
 	// Options.Stripped forced the pass and it had work to do). Nil for
 	// symbol-full runs, keeping their reports byte-identical.
 	Recovery *strip.Stats
-	Timing   Timing
 	// Metrics is the snapshot of the work-derived counters and histograms
 	// one analysis collected; populated only when Options.Metrics is set.
 	// Every value derives from the work performed, never from scheduling,
@@ -205,7 +180,7 @@ type Options struct {
 	// (per-candidate pinpointing, per-site taint, per-message simplify /
 	// classify / build / form-check, per-function lint). Nil disables
 	// tracing at the cost of a nil check per span site. The stage spans
-	// cover exactly the intervals Result.Timing records.
+	// are the only record of how long each stage took.
 	Obs *obs.Recorder
 	// Metrics enables the work-derived counter/histogram snapshot in
 	// Result.Metrics (see there for the determinism contract).
@@ -215,13 +190,6 @@ type Options struct {
 	// classified for exploitability. Nil (the default) skips the stage
 	// entirely, leaving the report byte-identical to a probe-less build.
 	Probe *probe.Options
-	// ReleaseFacts releases the winning executable's facts store once the
-	// image's analysis completes (facts.Program.Release): single-flight
-	// artifact builds otherwise pin every requested function's
-	// CFG/def-use/constprop solution for as long as anything references
-	// the store. Batch runners set it so long corpus sweeps don't
-	// accumulate dead stores; it never affects the report.
-	ReleaseFacts bool
 	// Stripped forces the symbol-free recovery pass (internal/strip) on
 	// every candidate executable before lifting. The pass also runs
 	// automatically on binaries that arrive without function symbols or
@@ -249,9 +217,8 @@ func (o Options) withDefaults() Options {
 // entry. Defaults are applied first, so the zero value and an explicitly
 // spelled-out default configuration fingerprint identically.
 //
-// Deliberately excluded: Workers (reports are worker-count-invariant), Obs
-// (span recording never changes the report), and ReleaseFacts (a
-// memory-lifetime knob, applied only after the report is complete).
+// Deliberately excluded: Workers (reports are worker-count-invariant) and
+// Obs (span recording never changes the report).
 // Included even though they only matter under degradation: StageTimeout,
 // because a budgeted run can legitimately produce a different (partial)
 // report than an unbudgeted one.

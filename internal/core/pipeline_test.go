@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"firmres/internal/corpus"
 	"firmres/internal/errdefs"
+	"firmres/internal/obs"
 	"firmres/internal/semantics"
 )
 
@@ -92,18 +94,32 @@ func TestPipelineRejectsScriptOnlyDevice(t *testing.T) {
 	}
 }
 
+// TestPipelineTimingPopulated: stage timing lives in the stage spans, one
+// child of the image span per stage that ran, nested inside it.
 func TestPipelineTimingPopulated(t *testing.T) {
-	_, res := analyzeDevice(t, 5)
-	if res.Timing.Total() <= 0 {
-		t.Error("timing not recorded")
+	img, err := corpus.BuildImage(corpus.Device(5))
+	if err != nil {
+		t.Fatalf("BuildImage: %v", err)
 	}
-	shares := res.Timing.Share()
-	var sum float64
-	for _, s := range shares {
-		sum += s
+	rec := obs.NewRecorder()
+	if _, err := New(Options{Obs: rec}).AnalyzeImage(img); err != nil {
+		t.Fatalf("AnalyzeImage: %v", err)
 	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("shares sum to %v", sum)
+	spans := rec.Spans() // start order: the image span comes first
+	image, ran := spans[0], map[string]bool{}
+	var sum time.Duration
+	for _, sp := range spans {
+		if sp.Parent == image.ID {
+			ran[sp.Name] = true
+			sum += sp.Duration()
+		}
+	}
+	// Lint and probe are opt-in: they open no span on this run.
+	if image.Name != "image" || len(ran) != 5 || ran[StageLint.String()] || ran[StageProbe.String()] {
+		t.Errorf("image span %q has stage spans %v, want the five default stages", image.Name, ran)
+	}
+	if sum <= 0 || sum > image.Duration() {
+		t.Errorf("stage spans sum to %v, image span %v", sum, image.Duration())
 	}
 }
 

@@ -150,15 +150,6 @@ type DeviceSpec struct {
 	Messages []MessageSpec
 }
 
-// PlantedLeaves sums the predicted real-field leaves over all messages.
-func (d *DeviceSpec) PlantedLeaves() int {
-	total := 0
-	for _, m := range d.Messages {
-		total += m.LeafCount()
-	}
-	return total
-}
-
 // tableI is the device list of Table I. Redacted models are reproduced with
 // the paper's "***" marker replaced by a deterministic pseudonym.
 var tableI = []struct {

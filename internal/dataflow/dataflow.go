@@ -46,11 +46,6 @@ func New(fn *pcode.Function, g *cfg.Graph) *DefUse {
 	return du
 }
 
-// SlotVarnode returns the synthetic varnode for stack slot at SP+off.
-func SlotVarnode(off uint32) pcode.Varnode {
-	return pcode.Varnode{Space: pcode.SpaceRAM, Offset: uint64(off), Size: 4}
-}
-
 // collectDefs numbers every definition. STOREs to resolvable stack slots
 // define the slot's synthetic location.
 func (du *DefUse) collectDefs() {

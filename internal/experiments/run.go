@@ -16,6 +16,7 @@ import (
 	"firmres/internal/corpus"
 	"firmres/internal/image"
 	"firmres/internal/nn"
+	"firmres/internal/obs"
 	"firmres/internal/semantics"
 	"firmres/internal/slices"
 )
@@ -77,6 +78,9 @@ type Run struct {
 	Model   *nn.Model
 	ValAcc  float64
 	TestAcc float64
+	// Spans records every device's analysis; Perf reads the §V-E stage
+	// breakdown from its stage spans.
+	Spans *obs.Recorder
 }
 
 // Close releases every device's cloud.
@@ -91,9 +95,9 @@ func (r *Run) Close() {
 // simulated vendor cloud.
 func NewRun(cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults()
-	run := &Run{Cfg: cfg}
+	run := &Run{Cfg: cfg, Spans: obs.NewRecorder()}
 
-	var opts core.Options
+	opts := core.Options{Obs: run.Spans}
 	if cfg.UseModel {
 		model, valAcc, testAcc, err := TrainClassifier(cfg)
 		if err != nil {

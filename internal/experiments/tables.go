@@ -256,25 +256,40 @@ type PerfResult struct {
 	PerDevice  map[int]time.Duration
 }
 
-// Perf aggregates the pipeline's stage timing over a run.
+// Perf aggregates the stage spans of the devices the run analyzed: the
+// stage spans are the direct children of each device's "image" span.
 func Perf(run *Run) *PerfResult {
 	out := &PerfResult{PerDevice: map[int]time.Duration{}}
-	var totals [5]time.Duration
+	ids := map[string]int{} // device name -> corpus ID
 	for _, dr := range run.Devices {
-		if dr.Result == nil {
+		if dr.Result != nil {
+			ids[dr.Image.Device] = dr.Spec.ID
+		}
+	}
+	images := map[int64]int{} // image span ID -> corpus ID
+	var totals [5]time.Duration
+	// Spans come in start order, so an image span precedes its stages.
+	for _, sp := range run.Spans.Spans() {
+		if id, ok := ids[sp.Attr("device")]; ok && sp.Name == "image" {
+			images[sp.ID] = id
+		}
+		id, ok := images[sp.Parent]
+		if !ok {
 			continue
 		}
-		t := dr.Result.Timing
-		total := t.Total()
-		out.PerDevice[dr.Spec.ID] = total
+		out.PerDevice[id] += sp.Duration()
+		for s := range totals {
+			if sp.Name == core.Stage(s).String() {
+				totals[s] += sp.Duration()
+			}
+		}
+	}
+	for _, total := range out.PerDevice {
 		if out.MinTotal == 0 || total < out.MinTotal {
 			out.MinTotal = total
 		}
 		if total > out.MaxTotal {
 			out.MaxTotal = total
-		}
-		for s := 0; s < 5; s++ {
-			totals[s] += t[core.Stage(s)]
 		}
 	}
 	var grand time.Duration
@@ -282,7 +297,7 @@ func Perf(run *Run) *PerfResult {
 		grand += d
 	}
 	if grand > 0 {
-		for s := 0; s < 5; s++ {
+		for s := range totals {
 			out.StageShare[s] = float64(totals[s]) / float64(grand)
 		}
 	}

@@ -133,12 +133,6 @@ func (p *Program) Func(fn *pcode.Function) *Func {
 	return f
 }
 
-// StringAt resolves a data address to a rodata string. Writable buffers
-// (whose first byte is often NUL) are rejected via the data-symbol kind.
-func (p *Program) StringAt(addr uint32) (string, bool) {
-	return stringAt(p.prog.Bin, addr)
-}
-
 func stringAt(bin *binfmt.Binary, addr uint32) (string, bool) {
 	sym, ok := bin.DataSymAt(addr)
 	if !ok || sym.Kind != binfmt.DataString {
@@ -219,7 +213,8 @@ func (f *Func) Idom() []int {
 	return f.idom
 }
 
-// StringAt resolves a data address to a rodata string (see Program.StringAt).
+// StringAt resolves a data address to a rodata string. Writable buffers
+// (whose first byte is often NUL) are rejected via the data-symbol kind.
 func (f *Func) StringAt(addr uint32) (string, bool) {
 	return stringAt(f.Prog.Bin, addr)
 }

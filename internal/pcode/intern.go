@@ -72,12 +72,6 @@ func (f *Function) LocID(v Varnode) LocID {
 // [0, NumLocs).
 func (f *Function) NumLocs() int { return len(f.locs) }
 
-// LocIsRAM reports whether the interned location lives in the RAM space
-// (a resolved stack slot).
-func (f *Function) LocIsRAM(id LocID) bool {
-	return id >= 0 && f.locs[id].Space == SpaceRAM
-}
-
 // RAMLocs returns the IDs of every interned RAM-space location. Callers
 // must not mutate the returned slice.
 func (f *Function) RAMLocs() []LocID { return f.ramIDs }

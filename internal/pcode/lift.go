@@ -37,19 +37,6 @@ func (f *Function) Name() string { return f.Sym.Name }
 // Addr returns the function's entry address.
 func (f *Function) Addr() uint32 { return f.Sym.Addr }
 
-// OpsAt returns the slice of ops lifted from the machine instruction at addr.
-func (f *Function) OpsAt(addr uint32) []Op {
-	start, ok := f.opIdx[addr]
-	if !ok {
-		return nil
-	}
-	end := start
-	for end < len(f.Ops) && f.Ops[end].Addr == addr {
-		end++
-	}
-	return f.Ops[start:end]
-}
-
 // OpIndexAt returns the index of the first op at a machine address.
 func (f *Function) OpIndexAt(addr uint32) (int, bool) {
 	i, ok := f.opIdx[addr]

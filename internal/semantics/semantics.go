@@ -55,45 +55,14 @@ func LabelIndex(label string) int {
 	return -1
 }
 
-// EnrichOp renders one P-Code op in the semantic-enriched representation of
-// §IV-C: operator name followed by (Datatype, Name/Constant, NodeID)
-// operand tuples resolved against the binary's symbol information.
-func EnrichOp(bin *binfmt.Binary, fn *pcode.Function, op *pcode.Op) string {
-	var b strings.Builder
-	b.WriteString(op.Code.String())
-	if op.Call != nil && op.Call.Name != "" {
-		b.WriteString(" (Fun, ")
-		b.WriteString(op.Call.Name)
-		b.WriteString(")")
-	}
-	if op.HasOut {
-		b.WriteString(" ")
-		appendVarnode(&b, bin, fn, op.Output)
-		b.WriteString(" =")
-	}
-	for i, in := range op.Inputs {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString(" ")
-		appendVarnode(&b, bin, fn, in)
-	}
-	return b.String()
-}
-
-// enrichVarnode renders a single operand tuple.
-func enrichVarnode(bin *binfmt.Binary, fn *pcode.Function, v pcode.Varnode) string {
-	var b strings.Builder
-	appendVarnode(&b, bin, fn, v)
-	return b.String()
-}
-
 // appendHex writes lower-case unpadded hex, the %x rendering.
 func appendHex(b *strings.Builder, x uint64) {
 	b.WriteString(strconv.FormatUint(x, 16))
 }
 
-// appendVarnode is enrichVarnode writing into a builder. Renderings run
+// appendVarnode renders one operand tuple of the §IV-C semantic-enriched
+// representation — (Datatype, Name/Constant, NodeID) resolved against the
+// binary's symbol information — into a builder. Renderings run
 // once per op per image but that made fmt the hottest call under the
 // classifier, so the formats are spelled out with strconv; output is
 // byte-identical to the fmt.Sprintf originals (goldens pin this).

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"firmres/internal/atomicfile"
 	"firmres/internal/errdefs"
 )
 
@@ -199,7 +200,7 @@ func (q *Queue) resume() error {
 	return nil
 }
 
-// persist journals one job atomically (temp file + rename).
+// persist journals one job atomically.
 func (q *Queue) persist(j *Job) error {
 	data, err := json.Marshal(j)
 	if err != nil {
@@ -208,22 +209,10 @@ func (q *Queue) persist(j *Job) error {
 	return atomicWrite(filepath.Join(q.dir, "jobs", j.ID+".json"), data)
 }
 
-// atomicWrite lands data at path via a same-directory temp file + rename,
-// so no reader ever sees a partial file.
+// atomicWrite is atomicfile.Write with the package's error prefix: no
+// reader ever sees a partial file.
 func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := atomicfile.Write(path, data); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil

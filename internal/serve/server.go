@@ -67,8 +67,8 @@ type Config struct {
 	// MaxImageBytes caps a submission body; <= 0 selects the default.
 	MaxImageBytes int64
 	// AnalysisOptions configures every job's analysis (lint, stripped
-	// mode, stage timeout, ...). The cache, metrics, facts-release, and
-	// progress options are added by the server — do not pass them here.
+	// mode, stage timeout, ...). The cache, metrics, and progress options
+	// are added by the server — do not pass them here.
 	AnalysisOptions []firmres.Option
 }
 
@@ -192,10 +192,10 @@ func (s *Server) onTransition(j Job) {
 }
 
 // analysisOptions assembles one job's options: the configured analysis
-// shape plus the server-owned cache, lifetime, and metrics plumbing.
+// shape plus the server-owned cache and metrics plumbing.
 func (s *Server) analysisOptions(stats *firmres.CacheStats) []firmres.Option {
 	opts := append([]firmres.Option{}, s.cfg.AnalysisOptions...)
-	opts = append(opts, firmres.WithReleaseFacts(), firmres.WithMetrics())
+	opts = append(opts, firmres.WithMetrics())
 	if s.cfg.CacheDir != "" {
 		opts = append(opts, firmres.WithCache(s.cfg.CacheDir))
 		if stats != nil {

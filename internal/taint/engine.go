@@ -2,7 +2,6 @@ package taint
 
 import (
 	"context"
-	"fmt"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/callgraph"
@@ -502,9 +501,4 @@ func loadBase(fn *pcode.Function, loadIdx int) (pcode.Varnode, bool) {
 		return pcode.Varnode{}, false
 	}
 	return ea.Inputs[0], true
-}
-
-// NewMFTError annotates engine failures with the delivery site.
-func NewMFTError(site pcode.CallSite, err error) error {
-	return fmt.Errorf("taint: tracing %s at %#x: %w", site.Fn.Name(), site.Fn.Ops[site.OpIdx].Addr, err)
 }

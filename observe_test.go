@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"firmres/internal/faultinject"
 	"firmres/internal/obs"
@@ -58,7 +59,6 @@ func TestGoldenReportsTraced(t *testing.T) {
 				if report.Metrics == nil {
 					t.Error("WithMetrics produced a nil Report.Metrics")
 				}
-				report.StageTimings = nil
 				report.Metrics = nil // observability extras, never golden
 				rec.Outcome = "report"
 				rec.Report = report
@@ -105,15 +105,14 @@ func TestGoldenReportsTraced(t *testing.T) {
 // and at least one inner-loop grandchild per stage that has one.
 func TestTraceSpansCoverEveryStage(t *testing.T) {
 	var col spanCollector
-	report, err := AnalyzeImage(packedDevice(t, 17), WithLint(), WithProbe(), WithObserver(&col))
-	if err != nil {
+	if _, err := AnalyzeImage(packedDevice(t, 17), WithLint(), WithProbe(), WithObserver(&col)); err != nil {
 		t.Fatalf("AnalyzeImage: %v", err)
 	}
 	names := col.names()
 	if names["image"] != 1 {
 		t.Fatalf("image spans = %d, want 1", names["image"])
 	}
-	for stage := range report.StageTimings {
+	for _, stage := range StageNames() {
 		if names[stage] != 1 {
 			t.Errorf("stage %q spans = %d, want 1", stage, names[stage])
 		}
@@ -189,26 +188,34 @@ func TestBatchMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBatchStageTotals checks the summary keeps the per-stage wall-clock
-// breakdown that used to be silently dropped: StageTotals must equal the
-// sum of every report's StageTimings.
-func TestBatchStageTotals(t *testing.T) {
-	br, err := AnalyzeImages(context.Background(), packCorpus(t, []int{17, 2}), WithLint())
+// TestBatchStageSpanSums: the corpus-level §V-E breakdown is the per-stage
+// sum of the stage spans an Observer sees under the image spans. Probe is
+// off, so it opens none.
+func TestBatchStageSpanSums(t *testing.T) {
+	var col spanCollector
+	br, err := AnalyzeImages(context.Background(), packCorpus(t, []int{17, 2}),
+		WithLint(), WithObserver(&col))
 	if err != nil {
 		t.Fatalf("AnalyzeImages: %v", err)
 	}
-	if len(br.Summary.StageTotals) == 0 {
-		t.Fatal("Summary.StageTotals is empty")
+	if n := col.names()["image"]; n != br.Summary.Reports {
+		t.Errorf("image spans = %d, want one per report (%d)", n, br.Summary.Reports)
 	}
-	for stage, total := range br.Summary.StageTotals {
-		var want int64
-		for _, res := range br.Images {
-			if res.Report != nil {
-				want += res.Report.StageTimings[stage].Nanoseconds()
-			}
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	images := map[int64]bool{}
+	for _, e := range col.spans {
+		images[e.ID] = e.Name == "image"
+	}
+	sums := map[string]time.Duration{}
+	for _, e := range col.spans {
+		if images[e.Parent] {
+			sums[e.Name] += e.Duration()
 		}
-		if total.Nanoseconds() != want {
-			t.Errorf("StageTotals[%q] = %d ns, want %d ns", stage, total.Nanoseconds(), want)
+	}
+	for _, stage := range StageNames() {
+		if _, ran := sums[stage]; ran != (stage != "probe-replay") {
+			t.Errorf("stage %q summed = %v, ran = %v", stage, sums[stage], ran)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 # suites, and a short fuzz pass over the two hostile-input parsers.
 # CI fans the same gate out across parallel matrix legs:
 #
-#   check.sh static   gofmt, go.mod tidy drift, vet, build
+#   check.sh static   gofmt, go.mod tidy drift, vet, build, firmbench2
 #   check.sh race     -race suite + targeted concurrency gates
 #   check.sh suites   goldens, alloc/precision gates, stripped F1, fuzz
 #
@@ -53,6 +53,11 @@ leg_static() {
 
 	echo "== go build"
 	go build ./...
+
+	echo "== firmbench2 (separate module over this checkout: vet + tests)"
+	# The root build never compiles the benchmark module, so a root API
+	# change that breaks it would otherwise surface only at benchmark time.
+	(cd firmbench2 && go vet ./... && go test ./...)
 }
 
 leg_race() {

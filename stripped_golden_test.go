@@ -30,7 +30,6 @@ func strippedGoldenRecordFor(t *testing.T, id int) *goldenRecord {
 	report, err := AnalyzeImage(img.Pack(), WithLint(), WithStrippedMode())
 	switch {
 	case err == nil:
-		report.StageTimings = nil
 		rec.Outcome = "report"
 		rec.Report = report
 	case errors.Is(err, ErrNoDeviceCloudExecutable):
