@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"firmres/internal/binfmt"
+	"firmres/internal/facts"
 	"firmres/internal/identify"
 	"firmres/internal/image"
 	"firmres/internal/isa"
@@ -102,7 +103,7 @@ func dumpBinary(bin *binfmt.Binary, showPcode, showIdentify bool) error {
 		return nil
 	}
 
-	enricher := semantics.NewEnricher(bin)
+	enricher := semantics.NewEnricher(facts.New(prog))
 	for _, fn := range prog.Funcs {
 		fmt.Printf("\n%s (arity %d, %d bytes @%#x):\n",
 			fn.Name(), fn.Sym.NumParams, fn.Sym.Size, fn.Addr())

@@ -230,13 +230,16 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 
 		// Stage 3: recover field semantics. Per-message classification fans
 		// out; the classifier must be safe for concurrent use (see Options).
+		// It enriches through the winner's facts store, and its enrichment
+		// is dropped when the stage ends.
 		{StageSemantics, nil, func(sctx context.Context) (func(), error) {
-			classify := semantics.Observed(p.opts.Classifier, met)
+			classify := semantics.Observed(semantics.Bind(p.opts.Classifier, fx), met)
 			out := make([][]fields.SliceInfo, len(trees))
 			parallel.ForEach(sctx, workers, len(trees), func(i int) {
 				sp := obs.StartChild(sctx, "classify")
 				sp.AddString("fn", mfts[i].Site.Fn.Name())
 				sp.AddInt("slices", len(allSlices[i]))
+				out[i] = make([]fields.SliceInfo, 0, len(allSlices[i]))
 				for _, s := range allSlices[i] {
 					label, conf := classify.Classify(s)
 					out[i] = append(out[i], fields.SliceInfo{Slice: s, Label: label, Confidence: conf})

@@ -33,8 +33,12 @@ type DefUse struct {
 // New computes the reaching-definitions solution for fn over its CFG.
 func New(fn *pcode.Function, g *cfg.Graph) *DefUse {
 	du := &DefUse{
-		Fn:      fn,
-		G:       g,
+		Fn: fn,
+		G:  g,
+		// Nearly every op defines a location, so the op count is a tight
+		// bound on the def tables.
+		defOps:  make([]int32, 0, len(fn.Ops)),
+		defLoc:  make([]pcode.LocID, 0, len(fn.Ops)),
 		defsAt:  make([]int32, len(fn.Ops)),
 		locDefs: make([][]int32, fn.NumLocs()),
 	}

@@ -16,17 +16,33 @@ type Shape struct {
 
 // SigIndex groups the extern signature database by Shape. Within a group,
 // signatures keep Table order, which doubles as the deterministic
-// tie-breaker for behavioral matching.
+// tie-breaker for behavioral matching. An index is immutable once built,
+// and its methods return copies, so one index can serve every caller in a
+// process.
 type SigIndex struct {
 	byShape map[Shape][]Sig
+	// oneArity holds, per fixed-arity shape, the candidate list of an
+	// import observed at that single arity: the shape's group and the
+	// variadic group of the same result use, merged in Table order.
+	oneArity map[Shape][]Sig
 }
 
 // NewSigIndex builds the name-blind index over the full extern Table.
 func NewSigIndex() *SigIndex {
-	ix := &SigIndex{byShape: make(map[Shape][]Sig)}
+	ix := &SigIndex{byShape: make(map[Shape][]Sig), oneArity: make(map[Shape][]Sig)}
 	for _, s := range Table {
 		k := Shape{NumParams: s.NumParams, HasResult: s.HasResult}
 		ix.byShape[k] = append(ix.byShape[k], s)
+	}
+	for k := range ix.byShape {
+		if k.NumParams == Variadic {
+			continue
+		}
+		for _, s := range Table {
+			if s.HasResult == k.HasResult && (s.NumParams == k.NumParams || s.NumParams == Variadic) {
+				ix.oneArity[k] = append(ix.oneArity[k], s)
+			}
+		}
 	}
 	return ix
 }
@@ -60,7 +76,7 @@ func (ix *SigIndex) Shapes() []Shape {
 // Group returns the signatures registered under one exact shape, in Table
 // order.
 func (ix *SigIndex) Group(k Shape) []Sig {
-	return ix.byShape[k]
+	return append([]Sig(nil), ix.byShape[k]...)
 }
 
 // Candidates returns every signature compatible with the observed callsite
@@ -78,22 +94,13 @@ func (ix *SigIndex) Candidates(arities []int, hasResult bool) []Sig {
 	if len(arities) == 0 {
 		return nil
 	}
-	distinct := map[int]bool{}
-	for _, a := range arities {
-		distinct[a] = true
+	single := true
+	for _, a := range arities[1:] {
+		single = single && a == arities[0]
 	}
-	var out []Sig
-	if len(distinct) == 1 {
-		for a := range distinct {
-			out = append(out, ix.byShape[Shape{NumParams: a, HasResult: hasResult}]...)
-		}
+	sigs := ix.byShape[Shape{NumParams: Variadic, HasResult: hasResult}]
+	if one, ok := ix.oneArity[Shape{NumParams: arities[0], HasResult: hasResult}]; ok && single {
+		sigs = one
 	}
-	out = append(out, ix.byShape[Shape{NumParams: Variadic, HasResult: hasResult}]...)
-	// Restore global Table order across the merged groups.
-	pos := make(map[string]int, len(Table))
-	for i, s := range Table {
-		pos[s.Name] = i
-	}
-	sort.SliceStable(out, func(i, j int) bool { return pos[out[i].Name] < pos[out[j].Name] })
-	return out
+	return append([]Sig(nil), sigs...)
 }

@@ -176,3 +176,72 @@ func TestCandidatesTableOrder(t *testing.T) {
 		t.Errorf("variadic/fixed interleave = %v, want %v", seen, want)
 	}
 }
+
+// candidatesReference is the per-call definition of Candidates: the
+// compatible signatures, filtered straight from Table (hence in Table
+// order).
+func candidatesReference(arities []int, hasResult bool) []Sig {
+	if len(arities) == 0 {
+		return nil
+	}
+	distinct := map[int]bool{}
+	for _, a := range arities {
+		distinct[a] = true
+	}
+	var out []Sig
+	for _, s := range Table {
+		if s.HasResult != hasResult {
+			continue
+		}
+		if s.NumParams == Variadic || (len(distinct) == 1 && distinct[s.NumParams]) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestCandidatesMatchReference compares the precomputed candidate lists
+// with the reference over every single arity from 0 to 8 (fixed shapes
+// with and without signatures), repeated arities, and mixed arities.
+func TestCandidatesMatchReference(t *testing.T) {
+	ix := NewSigIndex()
+	var cases [][]int
+	for a := 0; a <= 8; a++ {
+		cases = append(cases, []int{a}, []int{a, a, a}, []int{a, a + 1})
+	}
+	for _, arities := range cases {
+		for _, hasResult := range []bool{false, true} {
+			got := ix.Candidates(arities, hasResult)
+			want := candidatesReference(arities, hasResult)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Candidates(%v, %v) = %v, want %v", arities, hasResult, names(got), names(want))
+			}
+		}
+	}
+}
+
+// TestSigIndexResultsAreCopies: the index is shared process-wide, so a
+// caller that mutates a returned slice must not change what the next
+// caller sees.
+func TestSigIndexResultsAreCopies(t *testing.T) {
+	ix := NewSigIndex()
+	clobber := func(sigs []Sig) {
+		for i := range sigs {
+			sigs[i] = Sig{Name: "clobbered"}
+		}
+	}
+	for _, arities := range [][]int{{2}, {2, 3}, {7}} {
+		want := names(ix.Candidates(arities, true))
+		clobber(ix.Candidates(arities, true))
+		if got := names(ix.Candidates(arities, true)); !reflect.DeepEqual(got, want) {
+			t.Errorf("Candidates(%v) after mutating a result = %v, want %v", arities, got, want)
+		}
+	}
+	for _, k := range ix.Shapes() {
+		want := names(ix.Group(k))
+		clobber(ix.Group(k))
+		if got := names(ix.Group(k)); !reflect.DeepEqual(got, want) {
+			t.Errorf("Group(%+v) after mutating a result = %v, want %v", k, got, want)
+		}
+	}
+}

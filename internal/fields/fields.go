@@ -1,8 +1,8 @@
 // Package fields concatenates identified message fields into reconstructed
-// device-cloud messages (paper §IV-D): it groups code slices by their MFT,
-// discards trees whose communication address is LAN-local, infers the
-// message format from the inverted simplified tree, and renders a concrete
-// message that can be sent to the cloud.
+// device-cloud messages (paper §IV-D): it matches code slices to their
+// MFT's paths by path hash, discards trees whose communication address is
+// LAN-local, infers the message format from the inverted simplified tree,
+// and renders a concrete message that can be sent to the cloud.
 package fields
 
 import (
@@ -113,28 +113,6 @@ func (r *MapResolver) Resolve(leaf *taint.Node) (string, bool) {
 	return v, ok
 }
 
-// Group assigns code slices to their MFTs by matching path hashes against
-// each tree (§IV-D field grouping). Slices whose hash matches no tree are
-// returned in the second result.
-func Group(trees []*mft.Tree, sls []slices.Slice) (map[*mft.Tree][]slices.Slice, []slices.Slice) {
-	hashOwner := map[uint64]*mft.Tree{}
-	for _, tr := range trees {
-		for _, p := range tr.Paths() {
-			hashOwner[p.Hash] = tr
-		}
-	}
-	grouped := make(map[*mft.Tree][]slices.Slice, len(trees))
-	var orphans []slices.Slice
-	for _, s := range sls {
-		if tr, ok := hashOwner[s.PathHash]; ok {
-			grouped[tr] = append(grouped[tr], s)
-		} else {
-			orphans = append(orphans, s)
-		}
-	}
-	return grouped, orphans
-}
-
 // Build reconstructs the message of one simplified tree. The tree is
 // inverted internally if it has not been already; infos carry the recovered
 // semantics per path hash.
@@ -162,7 +140,8 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 
 	// LAN filter: a tree whose Address-labelled slices contain a LAN IP
 	// string constant is local communication, not device-cloud (§IV-D).
-	for _, p := range tree.Paths() {
+	paths := tree.Paths()
+	for _, p := range paths {
 		info, ok := byHash[p.Hash]
 		if !ok || info.Label != "Address" {
 			continue
@@ -177,7 +156,10 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 	}
 
 	// Fields in concatenation order (tree is inverted).
-	for _, p := range tree.Paths() {
+	if len(paths) > 0 {
+		m.Fields = make([]Field, 0, len(paths))
+	}
+	for _, p := range paths {
 		leaf := p.Leaf().Orig
 		f := Field{
 			Source:     leaf.Kind,

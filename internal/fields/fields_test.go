@@ -213,36 +213,6 @@ func TestIsLANAddress(t *testing.T) {
 	}
 }
 
-func TestGroupAssignsSlicesToTrees(t *testing.T) {
-	tree := buildTree(t, func(a *asm.Assembler) {
-		buf := a.Bytes("msg", make([]byte, 64))
-		f := a.Func("f", 0, true)
-		f.LA(isa.R1, buf)
-		f.LAStr(isa.R2, "a=%s")
-		f.LAStr(isa.R3, "one")
-		f.CallImport("sprintf", 3)
-		f.Mov(isa.R2, isa.R1)
-		f.LI(isa.R1, 5)
-		f.LI(isa.R3, 8)
-		f.CallImport("SSL_write", 3)
-		f.Ret()
-	})
-	sls := slices.Generate(tree)
-	grouped, orphans := Group([]*mft.Tree{tree}, sls)
-	if len(orphans) != 0 {
-		t.Errorf("%d orphan slices", len(orphans))
-	}
-	if len(grouped[tree]) != len(sls) {
-		t.Errorf("grouped %d of %d slices", len(grouped[tree]), len(sls))
-	}
-	// A foreign slice must be orphaned.
-	foreign := slices.Slice{PathHash: 0xdeadbeef}
-	_, orphans = Group([]*mft.Tree{tree}, []slices.Slice{foreign})
-	if len(orphans) != 1 {
-		t.Error("foreign slice not orphaned")
-	}
-}
-
 func TestHMACRendering(t *testing.T) {
 	tree := buildTree(t, func(a *asm.Assembler) {
 		sig := a.Bytes("sigbuf", make([]byte, 32))

@@ -1,8 +1,8 @@
 // Package mft implements the Message Field Tree transformations of paper
 // §IV-C/§IV-D: path enumeration and hashing (for field grouping),
 // simplification (keep only branching nodes and leaves, Fig. 5), inversion
-// (recover field concatenation order from the backward-built tree), message
-// splitting at wrapper forks, and semantic annotation.
+// (recover field concatenation order from the backward-built tree), and
+// message splitting at wrapper forks.
 package mft
 
 import (
@@ -14,9 +14,8 @@ import (
 // SNode is a node of the simplified tree. It references the original MFT
 // node so downstream stages keep full context.
 type SNode struct {
-	Orig       *taint.Node
-	Annotation string // recovered field semantics, attached by Annotate
-	Children   []*SNode
+	Orig     *taint.Node
+	Children []*SNode
 }
 
 // Leaf reports whether the node is a field source.
@@ -194,17 +193,6 @@ func hashPath(nodes []*SNode) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// Annotate attaches recovered field semantics to the leaf of each path,
-// keyed by path hash (§IV-D: "we add the annotation of the identified
-// semantics of the field as a new leaf node to the corresponding path").
-func (t *Tree) Annotate(semantics map[uint64]string) {
-	for _, p := range t.Paths() {
-		if label, ok := semantics[p.Hash]; ok {
-			p.Leaf().Annotation = label
-		}
-	}
 }
 
 // Split divides an MFT into one MFT per message-construction context. A

@@ -139,21 +139,6 @@ func TestPathsNumberedAndHashed(t *testing.T) {
 	}
 }
 
-func TestAnnotate(t *testing.T) {
-	tr := Simplify(strcatMessage(t))
-	paths := tr.Paths()
-	sem := map[uint64]string{paths[0].Hash: "Dev-Identifier"}
-	tr.Annotate(sem)
-	if got := paths[0].Leaf().Annotation; got != "Dev-Identifier" {
-		t.Errorf("annotation = %q", got)
-	}
-	for _, p := range paths[1:] {
-		if p.Leaf().Annotation != "" {
-			t.Errorf("unannotated path got %q", p.Leaf().Annotation)
-		}
-	}
-}
-
 func TestSplitWrapperFanOut(t *testing.T) {
 	a := asm.New("t")
 	w := a.Func("cloud_send", 1, true)

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -23,6 +24,35 @@ func TestTokenize(t *testing.T) {
 	for _, tt := range tests {
 		if got := Tokenize(tt.in); !reflect.DeepEqual(got, tt.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
+
+// TestByteTokenizerMatchesTokenize pins the allocation-free byte form to
+// Tokenize on crafted and random text: mixed case, digits, kept and
+// dropped punctuation, non-ASCII bytes, and tokens longer than any earlier
+// one (so the lower-casing buffer is reused and regrown).
+func TestByteTokenizerMatchesTokenize(t *testing.T) {
+	cases := []string{
+		"", "cJSON_AddStringToObject", "&sn=%s", "MAC_ADDR",
+		`CALL (Fun, nvram_get) (Local, R1, v401000_1) = (Cons, "deviceSecretKEY")`,
+		"héllo wörld ÄÖÜ", "aVeryLongMixedCaseIdentifierThatKeepsGoingAndGoing x Y",
+	}
+	alphabet := []byte("aZm09_ =&?%/:{}\"\xc3\xa9;(),Q")
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 300; n++ {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(b))
+	}
+	var z ByteTokenizer
+	for _, text := range cases {
+		var got []string
+		z.Each([]byte(text), func(tok []byte) { got = append(got, string(tok)) })
+		if want := Tokenize(text); !reflect.DeepEqual(got, want) {
+			t.Errorf("ByteTokenizer(%q) = %q, Tokenize = %q", text, got, want)
 		}
 	}
 }

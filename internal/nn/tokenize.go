@@ -19,68 +19,106 @@ func Tokenize(text string) []string {
 	return TokenizeAppend(nil, text)
 }
 
-// punctTokens holds the kept punctuation marks as preallocated one-byte
-// strings (indexed by byte) so emitting them never allocates or hashes.
-var punctTokens = func() (t [256]string) {
-	for _, c := range []byte{'=', '&', '?', '%', '/', ':', '{', '}', '"'} {
-		t[c] = string([]byte{c})
-	}
-	return
-}()
-
 // TokenizeAppend is Tokenize appending into dst, reusing its capacity —
 // the allocation-lean form for hot loops that tokenize many short
 // renderings. Tokens that are already lower-case in text are returned as
 // substrings aliasing it (strings are immutable, so sharing is safe);
 // only mixed-case tokens allocate for their lower-cased copy.
-//
-// The scan is byte-wise but exactly matches the rune-wise definition:
-// every byte of a non-ASCII rune falls into the separator class, just as
-// the whole rune does.
 func TokenizeAppend(dst []string, text string) []string {
-	out := dst
-	start := -1       // start offset of the current token, -1 when none
-	hasUpper := false // current token needs lower-casing
-	prevLower := false
-	flush := func(end int) {
-		if start >= 0 {
-			tok := text[start:end]
-			if hasUpper {
-				tok = strings.ToLower(tok)
-			}
-			out = append(out, tok)
+	for i := 0; ; {
+		start, end, upper, ok := nextToken(text, i)
+		if !ok {
+			return dst
 		}
-		start = -1
-		hasUpper = false
+		tok := text[start:end]
+		if upper {
+			tok = strings.ToLower(tok)
+		}
+		dst = append(dst, tok)
+		i = end
 	}
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		switch {
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			if start < 0 {
-				start = i
+}
+
+// ByteTokenizer tokenizes byte text exactly as TokenizeAppend tokenizes
+// the same text as a string, without allocating: tokens are handed out as
+// byte slices, lower-cased into a buffer the tokenizer reuses across
+// calls. Not safe for concurrent use.
+type ByteTokenizer struct {
+	lower []byte
+}
+
+// Each calls fn with every token of text in order. A token aliases text or
+// the tokenizer's buffer, so it is only valid during the call.
+func (z *ByteTokenizer) Each(text []byte, fn func(tok []byte)) {
+	for i := 0; ; {
+		start, end, upper, ok := nextToken(text, i)
+		if !ok {
+			return
+		}
+		tok := text[start:end]
+		if upper {
+			// Tokens are ASCII letters and digits (every other byte
+			// separates), so byte-wise lower-casing equals strings.ToLower.
+			z.lower = append(z.lower[:0], tok...)
+			for j, c := range z.lower {
+				if c >= 'A' && c <= 'Z' {
+					z.lower[j] = c + 'a' - 'A'
+				}
 			}
+			tok = z.lower
+		}
+		fn(tok)
+		i = end
+	}
+}
+
+// punct marks the punctuation bytes kept as one-byte tokens.
+var punct = func() (t [256]bool) {
+	for _, c := range []byte{'=', '&', '?', '%', '/', ':', '{', '}', '"'} {
+		t[c] = true
+	}
+	return
+}()
+
+// nextToken is the one tokenizer behind TokenizeAppend and ByteTokenizer:
+// it finds the first token of text at or after offset i and returns its
+// byte range [start, end) and whether it holds upper-case letters to
+// lower; ok is false when no token is left. Scanning resumes at end.
+//
+// A token is a run of ASCII letters and digits, split where an upper-case
+// letter follows a lower-case one (camelCase); a kept punctuation mark is
+// a token of its own; every other byte separates. The scan is byte-wise
+// but exactly matches the rune-wise definition: every byte of a non-ASCII
+// rune falls into the separator class, just as the whole rune does.
+func nextToken[T string | []byte](text T, i int) (start, end int, upper, ok bool) {
+	for ; i < len(text); i++ {
+		c := text[i]
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+			break
+		}
+		if punct[c] {
+			return i, i + 1, false, true
+		}
+	}
+	if i == len(text) {
+		return 0, 0, false, false
+	}
+	start = i
+	prevLower := false
+	for ; i < len(text); i++ {
+		switch c := text[i]; {
+		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
 			prevLower = c >= 'a' && c <= 'z'
 		case c >= 'A' && c <= 'Z':
 			if prevLower {
-				flush(i)
+				return start, i, upper, true
 			}
-			if start < 0 {
-				start = i
-			}
-			hasUpper = true
-			prevLower = false
+			upper = true
 		default:
-			flush(i)
-			prevLower = false
-			// Keep a few semantically loaded punctuation marks as tokens.
-			if p := punctTokens[c]; p != "" {
-				out = append(out, p)
-			}
+			return start, i, upper, true
 		}
 	}
-	flush(len(text))
-	return out
+	return start, i, upper, true
 }
 
 // Vocab maps tokens to embedding indexes. Index 0 is padding, index 1 is

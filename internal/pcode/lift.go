@@ -20,8 +20,8 @@ import (
 type Function struct {
 	Sym    binfmt.FuncSym
 	Ops    []Op
-	opIdx  map[uint32]int // machine address -> index of first op at that address
-	nextID uint64         // unique-space allocator state
+	opAt   []int32 // instruction slot -> index of the first op at that address
+	nextID uint64  // unique-space allocator state
 
 	inSlab []Varnode // backing storage every op's Inputs slice is carved from
 
@@ -37,10 +37,16 @@ func (f *Function) Name() string { return f.Sym.Name }
 // Addr returns the function's entry address.
 func (f *Function) Addr() uint32 { return f.Sym.Addr }
 
-// OpIndexAt returns the index of the first op at a machine address.
+// OpIndexAt returns the index of the first op at a machine address. A NOP
+// lifts to no op, so its address maps to the next op's index (len(Ops)
+// after a trailing NOP). Addresses before the entry, past the end or
+// between instruction boundaries have no index.
 func (f *Function) OpIndexAt(addr uint32) (int, bool) {
-	i, ok := f.opIdx[addr]
-	return i, ok
+	off := addr - f.Sym.Addr
+	if addr < f.Sym.Addr || off%isa.InstrSize != 0 || off/isa.InstrSize >= uint32(len(f.opAt)) {
+		return 0, false
+	}
+	return int(f.opAt[off/isa.InstrSize]), true
 }
 
 // Params returns the varnodes holding the function's incoming parameters
@@ -133,13 +139,13 @@ func Lift(bin *binfmt.Binary, fn binfmt.FuncSym) (*Function, error) {
 	f := &Function{
 		Sym:    fn,
 		Ops:    make([]Op, 0, nops),
-		opIdx:  make(map[uint32]int, len(instrs)),
+		opAt:   make([]int32, len(instrs)),
 		inSlab: make([]Varnode, 0, nins),
 		locIdx: make(map[uint64]LocID, nops),
 	}
 	for i, in := range instrs {
 		addr := fn.Addr + uint32(i*isa.InstrSize)
-		f.opIdx[addr] = len(f.Ops)
+		f.opAt[i] = int32(len(f.Ops))
 		if err := f.liftInstr(bin, addr, in); err != nil {
 			return nil, fmt.Errorf("pcode: lifting %q at %#x: %w", fn.Name, addr, err)
 		}

@@ -42,9 +42,11 @@ func (s Space) String() string {
 }
 
 // Varnode is one operand: an address-space slot of a given byte size.
+// Offset comes first so the two byte-sized fields share one word: every op
+// and op input of a lifted program is a Varnode.
 type Varnode struct {
-	Space  Space
 	Offset uint64
+	Space  Space
 	Size   uint8
 }
 
@@ -156,15 +158,16 @@ type CallTarget struct {
 	HasResult bool
 }
 
-// Op is one P-Code operation.
+// Op is one P-Code operation. Fields are ordered so that the small ones
+// share a word (64 bytes per op instead of 88).
 type Op struct {
-	Addr   uint32 // address of the originating machine instruction
-	Seq    int    // ordinal within the instruction's expansion
-	Code   OpCode
-	Output Varnode // zero Varnode when the op has no output
-	HasOut bool
 	Inputs []Varnode
 	Call   *CallTarget // non-nil for CALL/CALLIND
+	Output Varnode     // zero Varnode when the op has no output
+	Seq    int         // ordinal within the instruction's expansion
+	Addr   uint32      // address of the originating machine instruction
+	Code   OpCode
+	HasOut bool
 }
 
 // BranchTarget returns the destination address of a BRANCH/CBRANCH op.

@@ -8,16 +8,17 @@ import (
 	"firmres/internal/nn"
 	"firmres/internal/pcode"
 	"firmres/internal/slices"
-	"firmres/internal/taint"
 )
 
 // The keyword-dictionary classifier runs on every slice of every message,
-// which made tokenizing the full enriched slice text the hottest loop of
-// the pipeline. This file is the allocation-free fast path: the 53
-// dictionary keywords fit in a uint64, so "which keywords appear in this
-// token stream" becomes a bitmask, scoring becomes popcount against a
-// per-label mask, and each op's token mask is computed once and cached in
-// the Enricher alongside its rendering.
+// so its fast path never builds slice text. The 53 dictionary keywords fit
+// in a uint64: "which keywords appear in this token stream" becomes a
+// bitmask and scoring becomes popcount against a per-label mask. Each op a
+// slice steps through is rendered once into a pooled buffer, tokenized
+// there by nn.ByteTokenizer (the tokenizer behind nn.Tokenize), and folded
+// into an opTok summary kept in the Enricher's dense per-function array;
+// the text itself is dropped. Summaries therefore come from exactly the
+// text Slice emits.
 //
 // Equivalence with the reference present-set scorer (scoreInto/pickLabel,
 // kept for ClassifyTokens and as the oracle in tests) rests on two facts
@@ -26,23 +27,31 @@ import (
 //     tokenizing the " ; "-joined slice text yields exactly the
 //     concatenation of the per-segment token streams;
 //   - compound (adjacent-pair) keywords can therefore only form inside a
-//     segment — cached per op — or across a segment boundary, which the
-//     classifier stitches from the cached last/first tokens.
+//     segment — summarized per op — or across a segment boundary, which the
+//     classifier stitches from the keyword fragments each summary records
+//     at its ends.
 
-// kwBits maps each dictionary keyword to its bit; kwPairs maps every
-// two-way split of a keyword to the same bit, so an adjacent token pair
-// (a, b) with a+b == keyword is found without concatenating strings.
-// labelMasks maps each label to the OR of its keywords' bits.
+// kwBits maps each dictionary keyword to its bit; labelMasks maps each
+// label to the OR of its keywords' bits.
+//
+// Compounds: every proper prefix and every proper suffix of a keyword has
+// a fragment ID (0 means "not a fragment"), and pairBits maps
+// prefixID<<16|suffixID to the bit of the keyword the two fragments join
+// into. An adjacent token pair (a, b) with a+b == keyword is then found by
+// integer lookups without concatenating, and an op summary records its end
+// tokens as two small IDs.
 var (
 	kwBits     map[string]uint64
-	kwPairs    map[[2]string]uint64
 	labelMasks map[string]uint64
+
+	prefixIDs, suffixIDs map[string]uint16
+	pairBits             map[uint32]uint64
 
 	// Lookup prefilters: most tokens in rendered slices are hex node ids
 	// and register names that can never be keywords, so a byte-indexed
 	// first-letter test and a length bound skip the map hash for them.
-	// A pair's left half starts with its keyword's first byte, so the
-	// same table filters pair lookups.
+	// A keyword prefix starts with its keyword's first byte, so the same
+	// table filters prefix lookups.
 	kwFirstByte [256]bool
 	kwMinLen    int
 	kwMaxLen    int
@@ -61,8 +70,18 @@ func init() {
 		panic("semantics: dictPriority out of sync with numDictLabels/signatureIdx")
 	}
 	kwBits = make(map[string]uint64)
-	kwPairs = make(map[[2]string]uint64)
 	labelMasks = make(map[string]uint64)
+	prefixIDs = make(map[string]uint16)
+	suffixIDs = make(map[string]uint16)
+	pairBits = make(map[uint32]uint64)
+	fragment := func(ids map[string]uint16, s string) uint32 {
+		id, ok := ids[s]
+		if !ok {
+			id = uint16(len(ids) + 1)
+			ids[s] = id
+		}
+		return uint32(id)
+	}
 	next := 0
 	kwMinLen = 1 << 30
 	for _, label := range dictPriority {
@@ -79,132 +98,147 @@ func init() {
 				kwMinLen = min(kwMinLen, len(kw))
 				kwMaxLen = max(kwMaxLen, len(kw))
 				for i := 1; i < len(kw); i++ {
-					kwPairs[[2]string{kw[:i], kw[i:]}] |= b
+					pairBits[fragment(prefixIDs, kw[:i])<<16|fragment(suffixIDs, kw[i:])] |= b
 				}
 			}
 			labelMasks[label] |= b
 		}
 	}
+	if len(prefixIDs) > 0xffff || len(suffixIDs) > 0xffff {
+		panic("semantics: keyword fragments exceed 16-bit IDs")
+	}
 }
 
 // kwLookup is kwBits behind the prefilters.
-func kwLookup(t string) uint64 {
+func kwLookup(t []byte) uint64 {
 	if len(t) < kwMinLen || len(t) > kwMaxLen || !kwFirstByte[t[0]] {
 		return 0
 	}
-	return kwBits[t]
+	return kwBits[string(t)]
 }
 
-// kwPairLookup is kwPairs behind the prefilters: the pair can only split
-// a keyword if the joint length fits and the left half starts one.
-func kwPairLookup(a, b string) uint64 {
-	if n := len(a) + len(b); n < kwMinLen || n > kwMaxLen || !kwFirstByte[a[0]] {
+// prefixID is the fragment ID of t as a keyword prefix, 0 if it is none.
+func prefixID(t []byte) uint16 {
+	if len(t) >= kwMaxLen || !kwFirstByte[t[0]] {
 		return 0
 	}
-	return kwPairs[[2]string{a, b}]
+	return prefixIDs[string(t)]
 }
 
-// tokensMask folds a token sequence into its keyword bitmask: unigram
-// hits plus adjacent-pair compounds, exactly the present-set scoreInto
-// builds.
-func tokensMask(tokens []string) uint64 {
-	var m uint64
-	for i, t := range tokens {
-		m |= kwLookup(t)
-		if i > 0 {
-			m |= kwPairLookup(tokens[i-1], t)
-		}
+// suffixID is the fragment ID of t as a keyword suffix, 0 if it is none.
+func suffixID(t []byte) uint16 {
+	if len(t) >= kwMaxLen {
+		return 0
 	}
-	return m
+	return suffixIDs[string(t)]
 }
 
-// opTok is the cached token summary of one rendered op segment: its
-// keyword mask and the first/last tokens for stitching boundary pairs.
-// first == "" marks a segment with no tokens at all.
+// pairBit is the bit of the keyword a prefix and a suffix fragment join
+// into, 0 if they join into none.
+func pairBit(prefix, suffix uint16) uint64 {
+	if prefix == 0 || suffix == 0 {
+		return 0
+	}
+	return pairBits[uint32(prefix)<<16|uint32(suffix)]
+}
+
+// opTok is the keyword summary of one rendered segment: its keyword mask,
+// plus the fragment IDs of its first token (as a suffix) and of its last
+// token (as a prefix) for stitching compounds across segment boundaries.
 type opTok struct {
-	mask        uint64
-	first, last string
+	mask   uint64
+	first  uint16 // suffixID of the first token
+	last   uint16 // prefixID of the last token
+	tokens bool   // the segment has at least one token
+	done   bool   // computed: the Enricher's per-op arrays start zeroed
 }
 
-func summarize(tokens []string) opTok {
-	if len(tokens) == 0 {
-		return opTok{}
+// stitch accumulates segment summaries in text order, adding the
+// compounds that form across segment boundaries. A segment with no tokens
+// is invisible to its neighbours, as in the joined text.
+type stitch struct {
+	mask uint64
+	last uint16
+}
+
+func (st *stitch) add(t opTok) {
+	if !t.tokens {
+		return
 	}
-	return opTok{mask: tokensMask(tokens), first: tokens[0], last: tokens[len(tokens)-1]}
+	st.mask |= t.mask | pairBit(st.last, t.first)
+	st.last = t.last
 }
 
-// tokScratch pools transient token slices: opTokens and contextMask only
-// need the mask and the first/last tokens, so the slice itself never
-// escapes a call. Entries are cleared before pooling so pooled capacity
-// does not pin token strings.
-var tokScratch = sync.Pool{New: func() any { s := make([]string, 0, 64); return &s }}
+// renderBuf is the scratch a classification renders and tokenizes
+// segments in. Pooled, so summarizing an op allocates nothing once the
+// buffers have grown.
+type renderBuf struct {
+	text []byte
+	z    nn.ByteTokenizer
+}
 
-// summarizeText tokenizes one segment through the pool.
-func summarizeText(text string) opTok {
-	sp := tokScratch.Get().(*[]string)
-	toks := nn.TokenizeAppend((*sp)[:0], text)
-	t := summarize(toks)
-	clear(toks)
-	*sp = toks[:0]
-	tokScratch.Put(sp)
+var renderPool = sync.Pool{New: func() any { return new(renderBuf) }}
+
+// summarize folds one segment, rendered into rb.text (text is the
+// possibly grown buffer, which rb keeps), into its summary: unigram hits
+// plus adjacent-pair compounds, exactly the present set scoreInto builds.
+func (rb *renderBuf) summarize(text []byte) opTok {
+	rb.text = text
+	t := opTok{done: true}
+	rb.z.Each(text, func(tok []byte) {
+		t.mask |= kwLookup(tok)
+		if !t.tokens {
+			t.first, t.tokens = suffixID(tok), true
+		} else if t.last != 0 {
+			t.mask |= pairBit(t.last, suffixID(tok))
+		}
+		t.last = prefixID(tok)
+	})
 	return t
 }
 
-// opTokens returns the cached token summary of the op at opIdx, computing
-// it from the (also cached) rendering on first use.
-func (e *Enricher) opTokens(fn *pcode.Function, opIdx int) opTok {
-	key := opKey{fn.Addr(), opIdx}
+// textMask is the keyword mask of a string tokenized on its own.
+func (rb *renderBuf) textMask(s string) uint64 {
+	return rb.summarize(append(rb.text[:0], s...)).mask
+}
+
+// opTokens returns the summary of the op at opIdx, rendering it into rb
+// on first use. Two goroutines missing the same op both compute the same
+// summary; the def-use request behind it is single-flight per function.
+func (e *Enricher) opTokens(rb *renderBuf, fn *pcode.Function, opIdx int) opTok {
 	e.mu.Lock()
-	t, ok := e.toks[key]
+	fe := e.function(fn)
+	t := fe.toks[opIdx]
 	e.mu.Unlock()
-	if ok {
+	if t.done {
 		return t
 	}
-	t = summarizeText(e.Op(fn, opIdx))
+	t = rb.summarize(e.appendOp(rb.text[:0], fn, opIdx))
 	e.mu.Lock()
-	e.toks[key] = t
+	fe.toks[opIdx] = t
 	e.mu.Unlock()
 	return t
 }
 
 // contextMask computes the keyword bitmask of the full enriched slice
 // text (what tokenizing Slice(s) and folding would produce) without
-// building or tokenizing that text: per-op masks come from the cache, and
-// only the short KEY/SRC header segments are tokenized per call.
-func (e *Enricher) contextMask(s slices.Slice) uint64 {
-	var mask uint64
-	prevLast := ""
-	seg := func(t opTok) {
-		if t.first == "" {
-			return
-		}
-		mask |= t.mask
-		if prevLast != "" {
-			mask |= kwPairLookup(prevLast, t.first)
-		}
-		prevLast = t.last
-	}
+// building that text: op summaries come from the per-function arrays, and
+// only the short KEY/SRC header segments are rendered per call.
+func (e *Enricher) contextMask(rb *renderBuf, s slices.Slice) uint64 {
+	var st stitch
 	if s.KeyHint != "" {
-		seg(summarizeText("KEY " + s.KeyHint))
+		st.add(rb.summarize(appendKeySegment(rb.text[:0], s)))
 	}
 	if s.Leaf != nil {
-		leaf := s.Leaf.Orig
-		src := "SRC " + leaf.Kind.String()
-		if leaf.Key != "" {
-			src += " " + leaf.Key
-		}
-		if leaf.Kind == taint.LeafString {
-			src += " " + fmt.Sprintf("%q", leaf.StrVal)
-		}
-		seg(summarizeText(src))
+		st.add(rb.summarize(appendSourceSegment(rb.text[:0], s)))
 	}
 	for _, step := range s.Steps {
 		if step.OpIdx < 0 || step.OpIdx >= len(step.Fn.Ops) {
 			continue
 		}
-		seg(e.opTokens(step.Fn, step.OpIdx))
+		st.add(e.opTokens(rb, step.Fn, step.OpIdx))
 	}
-	return mask
+	return st.mask
 }
 
 // maskScores accumulates popcount scoring of one mask at a weight.

@@ -3,23 +3,28 @@ package semantics
 import (
 	"math/rand"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/mft"
 	"firmres/internal/nn"
+	"firmres/internal/obs"
 	"firmres/internal/pcode"
 	"firmres/internal/slices"
 	"firmres/internal/taint"
 )
 
 // classifyReference is the pre-bitmask keyword classifier: present-set
-// scoring over the tokenized slice text. The fast path in Classify must
-// be score-for-score identical to this.
-func classifyReference(c *KeywordClassifier, s slices.Slice) (string, float64) {
+// scoring over the tokenized full slice text, rendered by a fresh Enricher
+// that shares no cache with the classifier under test. The fast path in
+// Classify must be score-for-score identical to this.
+func classifyReference(s slices.Slice) (string, float64) {
 	scores := map[string]float64{}
-	scoreInto(scores, c.pool.tokens(s), 1)
+	scoreInto(scores, nn.Tokenize(NewEnricher(s.MFT.Facts).Slice(s)), 1)
 	scoreInto(scores, nn.Tokenize(s.KeyHint), 3)
 	if s.Leaf != nil {
 		leaf := s.Leaf.Orig
@@ -37,6 +42,13 @@ func classifyReference(c *KeywordClassifier, s slices.Slice) (string, float64) {
 // buildCryptoSlices assembles a message whose secret field runs through
 // hmac_sha256, exercising the crypto-step bonus and the Signature label.
 func buildCryptoSlices(t *testing.T) []slices.Slice {
+	t.Helper()
+	return cryptoSlices(t, nil)
+}
+
+// cryptoSlices is buildCryptoSlices traced through a facts store that
+// records its traffic into met (nil: none).
+func cryptoSlices(t *testing.T, met *obs.Metrics) []slices.Slice {
 	t.Helper()
 	a := asm.New("t")
 	buf := a.Bytes("msgbuf", make([]byte, 128))
@@ -69,7 +81,7 @@ func buildCryptoSlices(t *testing.T) []slices.Slice {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog, facts.WithMetrics(met)), taint.Options{}).Analyze()
 	if len(mfts) == 0 {
 		t.Fatal("no MFTs")
 	}
@@ -89,14 +101,56 @@ func TestClassifyMatchesReference(t *testing.T) {
 		t.Fatalf("only %d slices; want a richer corpus", len(all))
 	}
 	kc := &KeywordClassifier{}
-	ref := &KeywordClassifier{}
 	for i, s := range all {
 		gotL, gotC := kc.Classify(s)
-		wantL, wantC := classifyReference(ref, s)
+		wantL, wantC := classifyReference(s)
 		if gotL != wantL || gotC != wantC {
 			t.Errorf("slice %d: Classify = (%q, %v), reference = (%q, %v)",
 				i, gotL, gotC, wantL, wantC)
 		}
+	}
+}
+
+// TestBoundClassifyConcurrent: workers racing over the same ops of one
+// analysis get the reference labels, and the facts store sees exactly the
+// def-use requests of a sequential run, because the request is
+// single-flight per function.
+func TestBoundClassifyConcurrent(t *testing.T) {
+	const key = `facts_requests_total{artifact="defuse"}`
+	run := func(workers int) int64 {
+		met := obs.NewMetrics()
+		all := cryptoSlices(t, met)
+		traced := met.Snapshot()[key]
+		c := Bind(&KeywordClassifier{}, all[0].MFT.Facts)
+		got := make([][]string, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, s := range all {
+					label, _ := c.Classify(s)
+					got[w] = append(got[w], label)
+				}
+			}(w)
+		}
+		wg.Wait()
+		requests := met.Snapshot()[key] - traced
+		for w := range got {
+			for i, s := range all {
+				if want, _ := classifyReference(s); got[w][i] != want {
+					t.Errorf("worker %d of %d, slice %d: label %q, reference %q", w, workers, i, got[w][i], want)
+				}
+			}
+		}
+		return requests
+	}
+	seq := run(1)
+	if seq == 0 {
+		t.Fatal("classification made no def-use request; the test exercises nothing")
+	}
+	if par := run(8); par != seq {
+		t.Errorf("def-use requests: %d with 8 workers, %d with 1", par, seq)
 	}
 }
 
@@ -106,11 +160,11 @@ func TestClassifyMatchesReference(t *testing.T) {
 // boundaries included.
 func TestContextMaskMatchesSliceTokens(t *testing.T) {
 	all := append(buildSlices(t), buildCryptoSlices(t)...)
-	kc := &KeywordClassifier{}
+	rb := new(renderBuf)
 	for i, s := range all {
-		e := kc.pool.forSlice(s)
-		got := e.contextMask(s)
-		want := tokensMask(nn.Tokenize(e.Slice(s)))
+		e := NewEnricher(s.MFT.Facts)
+		got := e.contextMask(rb, s)
+		want := referenceMask(nn.Tokenize(e.Slice(s)))
 		if got != want {
 			t.Errorf("slice %d: contextMask = %#x, tokensMask(full text) = %#x\ntext: %s",
 				i, got, want, e.Slice(s))
@@ -118,9 +172,24 @@ func TestContextMaskMatchesSliceTokens(t *testing.T) {
 	}
 }
 
+// referenceMask is the keyword mask of a token stream by definition: the
+// bit of every token and of every adjacent pair's concatenation.
+func referenceMask(tokens []string) uint64 {
+	var m uint64
+	for i, t := range tokens {
+		m |= kwBits[t]
+		if i > 0 {
+			m |= kwBits[tokens[i-1]+t]
+		}
+	}
+	return m
+}
+
 // TestTokensMaskMatchesScoreInto cross-checks mask scoring against the
 // present-set scorer on crafted and randomized token streams, covering
-// unigram hits, compound pairs, duplicates, and misses.
+// unigram hits, compound pairs, duplicates, and misses. The streams are
+// joined with spaces and summarized as text, which tokenizes back into
+// the same stream.
 func TestTokensMaskMatchesScoreInto(t *testing.T) {
 	cases := [][]string{
 		{},
@@ -145,10 +214,11 @@ func TestTokensMaskMatchesScoreInto(t *testing.T) {
 		}
 		cases = append(cases, toks)
 	}
+	rb := new(renderBuf)
 	for i, toks := range cases {
 		want := map[string]float64{}
 		scoreInto(want, toks, 1)
-		mask := tokensMask(toks)
+		mask := rb.textMask(strings.Join(toks, " "))
 		for li, label := range dictPriority {
 			got := float64(popcount(mask & labelMasks[label]))
 			if got != want[label] {
@@ -169,7 +239,8 @@ func popcount(m uint64) int {
 
 // TestKeywordBitsCoverDictionary sanity-checks the init-built tables:
 // every dictionary keyword has a bit, every bit is in its label's mask,
-// and every split pair maps back to the keyword's bit.
+// and every split into a prefix and a suffix fragment maps back to the
+// keyword's bit.
 func TestKeywordBitsCoverDictionary(t *testing.T) {
 	total := 0
 	for _, label := range dictPriority {
@@ -183,7 +254,7 @@ func TestKeywordBitsCoverDictionary(t *testing.T) {
 				t.Errorf("keyword %q bit missing from label %s mask", kw, label)
 			}
 			for i := 1; i < len(kw); i++ {
-				if kwPairs[[2]string{kw[:i], kw[i:]}]&b == 0 {
+				if pairBit(prefixIDs[kw[:i]], suffixIDs[kw[i:]])&b == 0 {
 					t.Errorf("split (%q,%q) missing bit of %q", kw[:i], kw[i:], kw)
 				}
 			}

@@ -15,12 +15,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"firmres/internal/binfmt"
-	"firmres/internal/cfg"
 	"firmres/internal/dataflow"
+	"firmres/internal/facts"
 	"firmres/internal/nn"
 	"firmres/internal/obs"
 	"firmres/internal/pcode"
@@ -55,185 +54,167 @@ func LabelIndex(label string) int {
 	return -1
 }
 
-// appendHex writes lower-case unpadded hex, the %x rendering.
-func appendHex(b *strings.Builder, x uint64) {
-	b.WriteString(strconv.FormatUint(x, 16))
-}
-
-// appendVarnode renders one operand tuple of the §IV-C semantic-enriched
+// appendVarnode appends one operand tuple of the §IV-C semantic-enriched
 // representation — (Datatype, Name/Constant, NodeID) resolved against the
-// binary's symbol information — into a builder. Renderings run
-// once per op per image but that made fmt the hottest call under the
-// classifier, so the formats are spelled out with strconv; output is
-// byte-identical to the fmt.Sprintf originals (goldens pin this).
-func appendVarnode(b *strings.Builder, bin *binfmt.Binary, fn *pcode.Function, v pcode.Varnode) {
+// binary's symbol information — to b. Ops render into a reused buffer,
+// so the formats are spelled out with strconv appends instead of fmt;
+// output is byte-identical to the fmt.Sprintf originals (goldens pin
+// this).
+func appendVarnode(b []byte, bin *binfmt.Binary, fn *pcode.Function, v pcode.Varnode) []byte {
 	switch v.Space {
 	case pcode.SpaceConst:
 		addr := uint32(v.Offset)
 		if bin.InData(addr) {
 			if s, ok := bin.StringAt(addr); ok {
-				b.WriteString("(Cons, ")
-				b.WriteString(strconv.Quote(s))
-				b.WriteString(")")
-				return
+				b = append(b, "(Cons, "...)
+				b = strconv.AppendQuote(b, s)
+				return append(b, ')')
 			}
 			if sym, ok := bin.DataSymAt(addr); ok && sym.Name != "" {
-				b.WriteString("(DataPtr, ")
-				b.WriteString(sym.Name)
-				b.WriteString(", v")
-				appendHex(b, uint64(sym.Addr))
-				b.WriteString(")")
-				return
+				b = append(b, "(DataPtr, "...)
+				b = append(b, sym.Name...)
+				b = append(b, ", v"...)
+				b = strconv.AppendUint(b, uint64(sym.Addr), 16)
+				return append(b, ')')
 			}
-			b.WriteString("(DataPtr, data_")
-			appendHex(b, uint64(addr))
-			b.WriteString(", v")
-			appendHex(b, uint64(addr))
-			b.WriteString(")")
-			return
+			b = append(b, "(DataPtr, data_"...)
+			b = strconv.AppendUint(b, uint64(addr), 16)
+			b = append(b, ", v"...)
+			b = strconv.AppendUint(b, uint64(addr), 16)
+			return append(b, ')')
 		}
-		b.WriteString("(Cons, 0x")
-		appendHex(b, v.Offset)
-		b.WriteString(")")
+		b = append(b, "(Cons, 0x"...)
+		b = strconv.AppendUint(b, v.Offset, 16)
+		return append(b, ')')
 	case pcode.SpaceReg:
 		r, _ := v.Reg()
 		if lv, ok := bin.VarName(fn.Addr(), r); ok {
-			kind := "Local"
 			if lv.Kind == binfmt.VarParam {
-				kind = "Param"
+				b = append(b, "(Param, "...)
+			} else {
+				b = append(b, "(Local, "...)
 			}
-			b.WriteString("(")
-			b.WriteString(kind)
-			b.WriteString(", ")
-			b.WriteString(lv.Name)
+			b = append(b, lv.Name...)
 		} else {
-			b.WriteString("(Local, ")
-			b.WriteString(r.String())
+			b = append(b, "(Local, "...)
+			b = append(b, r.String()...)
 		}
-		b.WriteString(", v")
-		appendHex(b, uint64(fn.Addr()))
-		b.WriteString("_")
-		b.WriteString(strconv.Itoa(int(r)))
-		b.WriteString(")")
+		b = append(b, ", v"...)
+		b = strconv.AppendUint(b, uint64(fn.Addr()), 16)
+		b = append(b, '_')
+		b = strconv.AppendInt(b, int64(r), 10)
+		return append(b, ')')
 	case pcode.SpaceUnique:
-		b.WriteString("(Local, tmp_")
-		appendHex(b, v.Offset)
-		b.WriteString(", u")
-		appendHex(b, v.Offset)
-		b.WriteString(")")
+		b = append(b, "(Local, tmp_"...)
+		b = strconv.AppendUint(b, v.Offset, 16)
+		b = append(b, ", u"...)
+		b = strconv.AppendUint(b, v.Offset, 16)
+		return append(b, ')')
 	default:
-		b.WriteString("(DataPtr, ram_")
-		appendHex(b, v.Offset)
-		b.WriteString(", r")
-		appendHex(b, v.Offset)
-		b.WriteString(")")
+		b = append(b, "(DataPtr, ram_"...)
+		b = strconv.AppendUint(b, v.Offset, 16)
+		b = append(b, ", r"...)
+		b = strconv.AppendUint(b, v.Offset, 16)
+		return append(b, ')')
 	}
 }
 
-// Enricher renders ops with decompiler-style argument folding: a callsite
-// argument register whose reaching definition is a copy of a named variable
-// or a constant is rendered as that variable or constant, the way Ghidra's
-// decompiler presents callsites. Safe for concurrent use: the caches are
-// mutex-guarded, and a cache miss is computed outside the lock (the
-// underlying solutions are pure), so two goroutines may redundantly compute
-// but never corrupt an entry.
+// Enricher renders the ops of one executable with decompiler-style
+// argument folding: a callsite argument register whose reaching
+// definition is a copy of a named variable or a constant is rendered as
+// that variable or constant, the way Ghidra's decompiler presents
+// callsites.
+//
+// An Enricher belongs to one analysis. It folds through the def-use
+// solutions of the facts store the analysis traced its MFTs through, and
+// caches only one keyword summary per rendered op (keywords.go); op text
+// is rendered on demand. Safe for concurrent use.
 type Enricher struct {
-	bin *binfmt.Binary
+	fx *facts.Program
 
-	mu   sync.Mutex
-	dus  map[uint32]*dataflow.DefUse
-	ops  map[opKey]string // rendered-op cache: slices share construction steps
-	toks map[opKey]opTok  // keyword-mask cache over the rendered ops (keywords.go)
+	mu    sync.Mutex
+	funcs map[*pcode.Function]*funcEnrichment
 }
 
-type opKey struct {
-	fnAddr uint32
-	opIdx  int
+// funcEnrichment is an Enricher's state for one function.
+type funcEnrichment struct {
+	// duOnce makes the def-use request to the facts store single-flight,
+	// so the store's request counters do not depend on how classification
+	// was scheduled.
+	duOnce sync.Once
+	du     *dataflow.DefUse
+	toks   []opTok // per op index, guarded by Enricher.mu
 }
 
-// NewEnricher builds an enricher for one binary.
-func NewEnricher(bin *binfmt.Binary) *Enricher {
-	return &Enricher{
-		bin:  bin,
-		dus:  make(map[uint32]*dataflow.DefUse),
-		ops:  make(map[opKey]string),
-		toks: make(map[opKey]opTok),
-	}
+// NewEnricher builds an enricher over the facts store of one executable.
+func NewEnricher(fx *facts.Program) *Enricher {
+	return &Enricher{fx: fx, funcs: make(map[*pcode.Function]*funcEnrichment)}
 }
 
-func (e *Enricher) du(fn *pcode.Function) *dataflow.DefUse {
-	e.mu.Lock()
-	d, ok := e.dus[fn.Addr()]
-	e.mu.Unlock()
-	if ok {
-		return d
+// function returns fn's state, creating it on first use. The caller holds
+// e.mu.
+func (e *Enricher) function(fn *pcode.Function) *funcEnrichment {
+	fe, ok := e.funcs[fn]
+	if !ok {
+		fe = &funcEnrichment{toks: make([]opTok, len(fn.Ops))}
+		e.funcs[fn] = fe
 	}
-	d = dataflow.New(fn, cfg.Build(fn))
-	e.mu.Lock()
-	if prev, ok := e.dus[fn.Addr()]; ok {
-		d = prev // another goroutine won the race; share its solution
-	} else {
-		e.dus[fn.Addr()] = d
-	}
-	e.mu.Unlock()
-	return d
+	return fe
+}
+
+// defUse returns fn's reaching-definitions solution from the facts store.
+func (e *Enricher) defUse(fe *funcEnrichment, fn *pcode.Function) *dataflow.DefUse {
+	fe.duOnce.Do(func() { fe.du = e.fx.Func(fn).DefUse() })
+	return fe.du
 }
 
 // Op renders the op at opIdx within fn, folding callsite arguments.
-// Renderings are cached: the slices of one message share most steps.
 func (e *Enricher) Op(fn *pcode.Function, opIdx int) string {
-	key := opKey{fn.Addr(), opIdx}
-	e.mu.Lock()
-	s, ok := e.ops[key]
-	e.mu.Unlock()
-	if ok {
-		return s
-	}
-	s = e.renderOp(fn, opIdx)
-	e.mu.Lock()
-	e.ops[key] = s
-	e.mu.Unlock()
-	return s
+	return string(e.appendOp(nil, fn, opIdx))
 }
 
-func (e *Enricher) renderOp(fn *pcode.Function, opIdx int) string {
+// appendOp appends the rendering of the op at opIdx within fn to b.
+func (e *Enricher) appendOp(b []byte, fn *pcode.Function, opIdx int) []byte {
+	e.mu.Lock()
+	fe := e.function(fn)
+	e.mu.Unlock()
+	bin := e.fx.Prog().Bin
 	op := &fn.Ops[opIdx]
-	var b strings.Builder
-	b.WriteString(op.Code.String())
+	b = append(b, op.Code.String()...)
 	if op.Call != nil && op.Call.Name != "" {
-		b.WriteString(" (Fun, ")
-		b.WriteString(op.Call.Name)
-		b.WriteString(")")
+		b = append(b, " (Fun, "...)
+		b = append(b, op.Call.Name...)
+		b = append(b, ')')
 	}
 	if op.HasOut {
-		b.WriteString(" ")
-		appendVarnode(&b, e.bin, fn, op.Output)
-		b.WriteString(" =")
+		b = append(b, ' ')
+		b = appendVarnode(b, bin, fn, op.Output)
+		b = append(b, " ="...)
 	}
 	for i, in := range op.Inputs {
 		if i > 0 {
-			b.WriteString(",")
+			b = append(b, ',')
 		}
-		b.WriteString(" ")
-		appendVarnode(&b, e.bin, fn, e.foldOperand(fn, opIdx, in))
+		b = append(b, ' ')
+		b = appendVarnode(b, bin, fn, e.foldOperand(fe, fn, opIdx, in))
 	}
-	return b.String()
+	return b
 }
 
 // foldOperand resolves an operand through single-copy reaching definitions
 // to its named or constant source.
-func (e *Enricher) foldOperand(fn *pcode.Function, opIdx int, v pcode.Varnode) pcode.Varnode {
+func (e *Enricher) foldOperand(fe *funcEnrichment, fn *pcode.Function, opIdx int, v pcode.Varnode) pcode.Varnode {
 	cur := v
 	for hop := 0; hop < 8; hop++ {
 		if cur.IsConst() {
 			break
 		}
 		if r, ok := cur.Reg(); ok {
-			if _, named := e.bin.VarName(fn.Addr(), r); named {
+			if _, named := e.fx.Prog().Bin.VarName(fn.Addr(), r); named {
 				break
 			}
 		}
-		defs := e.du(fn).ReachingDefs(opIdx, cur)
+		defs := e.defUse(fe, fn).ReachingDefs(opIdx, cur)
 		if len(defs) != 1 {
 			break
 		}
@@ -247,42 +228,62 @@ func (e *Enricher) foldOperand(fn *pcode.Function, opIdx int, v pcode.Varnode) p
 	return cur
 }
 
+// appendKeySegment appends the key-hint segment of a slice's rendering:
+// nothing when the slice has no key hint.
+func appendKeySegment(b []byte, s slices.Slice) []byte {
+	if s.KeyHint == "" {
+		return b
+	}
+	b = append(b, "KEY "...)
+	return append(b, s.KeyHint...)
+}
+
+// appendSourceSegment appends the leaf-source segment of a slice's
+// rendering: nothing when the slice has no leaf.
+func appendSourceSegment(b []byte, s slices.Slice) []byte {
+	if s.Leaf == nil {
+		return b
+	}
+	leaf := s.Leaf.Orig
+	b = append(b, "SRC "...)
+	b = append(b, leaf.Kind.String()...)
+	if leaf.Key != "" {
+		b = append(b, ' ')
+		b = append(b, leaf.Key...)
+	}
+	if leaf.Kind == taint.LeafString {
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, leaf.StrVal)
+	}
+	return b
+}
+
 // Slice renders the full enriched code context of a slice: the key hint,
 // the leaf source description, then every step op in order. This is the
 // text fed to the classifiers. Field-local signal comes first because
 // classifier inputs are truncated to a fixed token length and the key hint
 // and source description are the most discriminative part of the context.
 func (e *Enricher) Slice(s slices.Slice) string {
-	var b strings.Builder
+	var b []byte
 	if s.KeyHint != "" {
-		fmt.Fprintf(&b, "KEY %s ; ", s.KeyHint)
+		b = append(appendKeySegment(b, s), " ; "...)
 	}
 	if s.Leaf != nil {
-		leaf := s.Leaf.Orig
-		fmt.Fprintf(&b, "SRC %s", leaf.Kind)
-		if leaf.Key != "" {
-			fmt.Fprintf(&b, " %s", leaf.Key)
-		}
-		if leaf.Kind == taint.LeafString {
-			fmt.Fprintf(&b, " %q", leaf.StrVal)
-		}
-		b.WriteString(" ; ")
+		b = append(appendSourceSegment(b, s), " ; "...)
 	}
 	for _, step := range s.Steps {
 		if step.OpIdx < 0 || step.OpIdx >= len(step.Fn.Ops) {
 			continue
 		}
-		b.WriteString(e.Op(step.Fn, step.OpIdx))
-		b.WriteString(" ; ")
+		b = append(e.appendOp(b, step.Fn, step.OpIdx), " ; "...)
 	}
-	return b.String()
+	return string(b)
 }
 
-// EnrichSlice renders a slice's enriched context with a fresh enricher.
-// Pipelines that enrich many slices of one binary should reuse an Enricher
-// (its def-use solutions are cached per function).
+// EnrichSlice renders a slice's enriched context with a fresh enricher
+// over the facts store its MFT was traced through.
 func EnrichSlice(s slices.Slice) string {
-	return NewEnricher(s.MFT.Prog.Bin).Slice(s)
+	return NewEnricher(s.MFT.Facts).Slice(s)
 }
 
 // Tokens tokenizes the enriched representation of a slice.
@@ -290,40 +291,56 @@ func Tokens(s slices.Slice) []string {
 	return nn.Tokenize(EnrichSlice(s))
 }
 
-// enricherPool caches one Enricher per binary for a classifier instance.
-// Safe for concurrent use, so the classifiers embedding it satisfy the
-// Classifier concurrency contract.
-type enricherPool struct {
-	mu    sync.Mutex
-	cache map[*binfmt.Binary]*Enricher
+// lastEnricher is a bundled classifier's own enrichment cache: the
+// Enricher of the facts store it classified last. Slices reach a
+// classifier used directly grouped by analysis, so one slot serves them,
+// and it holds at most one analysis's enrichment. Safe for concurrent
+// use.
+type lastEnricher struct {
+	mu sync.Mutex
+	e  *Enricher
 }
 
-func (p *enricherPool) forSlice(s slices.Slice) *Enricher {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cache == nil {
-		p.cache = make(map[*binfmt.Binary]*Enricher)
+func (l *lastEnricher) get(s slices.Slice) *Enricher {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.e == nil || l.e.fx != s.MFT.Facts {
+		l.e = NewEnricher(s.MFT.Facts)
 	}
-	bin := s.MFT.Prog.Bin
-	e, ok := p.cache[bin]
-	if !ok {
-		e = NewEnricher(bin)
-		p.cache[bin] = e
-	}
-	return e
+	return l.e
 }
 
-// tokens tokenizes a slice reusing the pool's enricher.
-func (p *enricherPool) tokens(s slices.Slice) []string {
-	return nn.Tokenize(p.forSlice(s).Slice(s))
+// enriching is implemented by the bundled classifiers: they classify a
+// slice through an Enricher.
+type enriching interface {
+	classifyWith(e *Enricher, s slices.Slice) (string, float64)
 }
+
+// Bind returns c classifying through a fresh Enricher over fx, the facts
+// store of the analysis whose slices it will see, in place of the
+// classifier's own cache. The enrichment lives as long as the returned
+// value, so an analysis that drops it when its semantics stage ends keeps
+// nothing behind. Classifiers that do not enrich are returned unchanged.
+func Bind(c Classifier, fx *facts.Program) Classifier {
+	if ec, ok := c.(enriching); ok {
+		return bound{c: ec, e: NewEnricher(fx)}
+	}
+	return c
+}
+
+type bound struct {
+	c enriching
+	e *Enricher
+}
+
+func (b bound) Classify(s slices.Slice) (string, float64) { return b.c.classifyWith(b.e, s) }
 
 // Classifier assigns one of the seven labels to a slice. Implementations
 // must be safe for concurrent Classify calls: the pipeline's semantics
 // stage classifies messages on a worker pool. Both bundled classifiers
-// (KeywordClassifier, ModelClassifier) satisfy this — their shared
-// enrichment caches are mutex-guarded and TextCNN inference allocates its
-// forward state per call.
+// (KeywordClassifier, ModelClassifier) satisfy this — the Enricher is
+// mutex-guarded and TextCNN inference allocates its forward state per
+// call.
 type Classifier interface {
 	Classify(s slices.Slice) (label string, confidence float64)
 }
@@ -352,9 +369,11 @@ func (o observed) Classify(s slices.Slice) (string, float64) {
 
 // KeywordClassifier is the dictionary heuristic of §V-C ("we define a
 // simple dictionary for each primitive for regular matching of keywords").
-// The zero value is ready to use; it caches enrichment state per binary.
+// The zero value is ready to use. Used directly, it keeps the enrichment
+// of the last facts store its slices came from; Bind gives one analysis
+// its own.
 type KeywordClassifier struct {
-	pool enricherPool
+	last lastEnricher
 }
 
 var _ Classifier = (*KeywordClassifier)(nil)
@@ -399,19 +418,25 @@ var dictPriority = []string{
 // slice context, because a multi-field construction step (one sprintf
 // formatting several fields) bleeds every field's identifiers into every
 // slice.
-// It scores on the keyword bitmasks of keywords.go — per-op masks are
-// cached in the enricher, so classifying a slice touches no slice text at
+// It scores on the keyword bitmasks of keywords.go — per-op summaries are
+// cached in the enricher, so classifying a slice builds no slice text at
 // all — which is score-for-score identical to running scoreInto over the
 // tokenized Slice text (the equivalence test pins this).
 func (c *KeywordClassifier) Classify(s slices.Slice) (string, float64) {
+	return c.classifyWith(c.last.get(s), s)
+}
+
+func (c *KeywordClassifier) classifyWith(e *Enricher, s slices.Slice) (string, float64) {
+	rb := renderPool.Get().(*renderBuf)
+	defer renderPool.Put(rb)
 	var scores [numDictLabels]float64
-	maskScores(scores[:], c.pool.forSlice(s).contextMask(s), 1)
-	maskScores(scores[:], tokensMask(nn.Tokenize(s.KeyHint)), 3)
+	maskScores(scores[:], e.contextMask(rb, s), 1)
+	maskScores(scores[:], rb.textMask(s.KeyHint), 3)
 	if s.Leaf != nil {
 		leaf := s.Leaf.Orig
-		maskScores(scores[:], tokensMask(nn.Tokenize(leaf.Key)), 3)
+		maskScores(scores[:], rb.textMask(leaf.Key), 3)
 		if leaf.Kind == taint.LeafString {
-			maskScores(scores[:], tokensMask(nn.Tokenize(leaf.StrVal)), 3)
+			maskScores(scores[:], rb.textMask(leaf.StrVal), 3)
 		}
 	}
 	// A key-derivation call on the construction path dominates the source
@@ -487,17 +512,22 @@ func pickLabel(scores map[string]float64) (string, float64) {
 	return best, bestScore / (bestScore + 1)
 }
 
-// ModelClassifier wraps a trained TextCNN.
+// ModelClassifier wraps a trained TextCNN. Like KeywordClassifier, used
+// directly it keeps the enrichment of the last facts store it saw.
 type ModelClassifier struct {
 	Model *nn.Model
-	pool  enricherPool
+	last  lastEnricher
 }
 
 var _ Classifier = (*ModelClassifier)(nil)
 
 // Classify runs the model over the slice's enriched tokens.
 func (c *ModelClassifier) Classify(s slices.Slice) (string, float64) {
-	return c.Model.PredictLabel(c.pool.tokens(s))
+	return c.classifyWith(c.last.get(s), s)
+}
+
+func (c *ModelClassifier) classifyWith(e *Enricher, s slices.Slice) (string, float64) {
+	return c.Model.PredictLabel(nn.Tokenize(e.Slice(s)))
 }
 
 // Fingerprint hashes the serialized model weights, so the analysis cache

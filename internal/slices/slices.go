@@ -232,22 +232,35 @@ func SplitFormat(format string) []Part {
 //
 // where L_common is the length of the longest common subsequence.
 func Similarity(a, b string) float64 {
+	var rows []int
+	return similarity(a, b, &rows)
+}
+
+// similarity is Similarity computing the LCS in *rows, which Cluster keeps
+// across its pairwise comparisons.
+func similarity(a, b string, rows *[]int) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	return 2 * float64(lcs(a, b)) / float64(len(a)+len(b))
+	return 2 * float64(lcs(a, b, rows)) / float64(len(a)+len(b))
 }
 
-// lcs computes the longest-common-subsequence length with a rolling row.
-func lcs(a, b string) int {
+// lcs computes the longest-common-subsequence length with two rolling rows
+// carved from *rows, which is grown to fit and kept for the next call.
+func lcs(a, b string, rows *[]int) int {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	n := len(b) + 1
+	if cap(*rows) < 2*n {
+		*rows = make([]int, 2*n)
+	}
+	buf := (*rows)[:2*n]
+	clear(buf)
+	prev, cur := buf[:n], buf[n:]
 	for i := 1; i <= len(a); i++ {
 		for j := 1; j <= len(b); j++ {
 			if a[i-1] == b[j-1] {
@@ -286,9 +299,10 @@ func Cluster(items []string, threshold float64) [][]string {
 		return x
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
+	var rows []int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if Similarity(items[i], items[j]) >= threshold {
+			if similarity(items[i], items[j], &rows) >= threshold {
 				union(i, j)
 			}
 		}

@@ -21,7 +21,6 @@ package strip
 
 import (
 	"fmt"
-	"sort"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/isa"
@@ -88,7 +87,8 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 		return nil
 	}
 
-	seeds := map[int]bool{0: true}
+	seeds := make([]bool, n)
+	seeds[0] = true
 	for i := 0; i < n; i++ {
 		if !ts.valid[i] {
 			continue
@@ -110,8 +110,9 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 	}
 
 	var regions []region
+	g := &grower{ts: ts, seeds: seeds, stamp: make([]uint32, n)}
 	for {
-		regions = growAll(ts, seeds)
+		regions = g.growAll(regions[:0])
 		gap := firstUnclaimed(regions, n)
 		if gap < 0 {
 			break
@@ -136,41 +137,58 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 	return syms
 }
 
-// growAll grows every seed and returns the claimed regions in address order.
-func growAll(ts *textScan, seeds map[int]bool) []region {
-	order := make([]int, 0, len(seeds))
-	for s := range seeds {
-		order = append(order, s)
-	}
-	sort.Ints(order)
+// grower grows seeds into regions. Its scratch is reused across every
+// walk of one recovery: a slot is visited in the current walk when its
+// stamp equals gen, so starting a walk is one increment, not a fresh set.
+type grower struct {
+	ts    *textScan
+	seeds []bool // per slot: proven function entry
+	stamp []uint32
+	gen   uint32
+	work  []int
+}
 
-	regions := make([]region, 0, len(order))
-	for i, s := range order {
-		next := len(ts.instrs)
-		if i+1 < len(order) {
-			next = order[i+1]
+// growAll grows every seed and appends the claimed regions to regions in
+// address order.
+func (g *grower) growAll(regions []region) []region {
+	for s, next := g.nextSeed(0), 0; s >= 0; s = next {
+		next = g.nextSeed(s + 1)
+		end := len(g.ts.instrs)
+		if next >= 0 {
+			end = next
 		}
-		regions = append(regions, grow(ts, seeds, s, next))
+		regions = append(regions, g.grow(s, end))
 	}
 	return regions
 }
 
+// nextSeed returns the first seed slot at or after from, or -1.
+func (g *grower) nextSeed(from int) int {
+	for s := from; s < len(g.seeds); s++ {
+		if g.seeds[s] {
+			return s
+		}
+	}
+	return -1
+}
+
 // grow walks the CFG from seed and returns its contiguous extent, clamped to
 // the next seed.
-func grow(ts *textScan, seeds map[int]bool, seed, next int) region {
-	visited := map[int]bool{}
-	work := []int{seed}
+func (g *grower) grow(seed, next int) region {
+	ts := g.ts
+	g.gen++
+	work := append(g.work[:0], seed)
 	max := seed
 	push := func(s int) {
 		// Another seed is another function: a branch or fallthrough onto it
 		// is a tail call / boundary, never a body extension.
-		if s < 0 || s >= len(ts.instrs) || visited[s] || (s != seed && seeds[s]) {
+		if s < 0 || s >= len(ts.instrs) || g.stamp[s] == g.gen || (s != seed && g.seeds[s]) {
 			return
 		}
-		visited[s] = true
+		g.stamp[s] = g.gen
 		work = append(work, s)
 	}
-	visited[seed] = true
+	g.stamp[seed] = g.gen
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -193,6 +211,7 @@ func grow(ts *textScan, seeds map[int]bool, seed, next int) region {
 			push(s + 1)
 		}
 	}
+	g.work = work
 	end := max + 1
 	if end > next {
 		end = next

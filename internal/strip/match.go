@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/externs"
@@ -713,6 +714,10 @@ func (m *matcher) rank(ix *externs.SigIndex, ob importObs) []candScore {
 	return out
 }
 
+// sigIndex is the name-blind signature index, built on first use and
+// shared by every stripped binary of the process (it is immutable).
+var sigIndex = sync.OnceValue(externs.NewSigIndex)
+
 // matchExterns identifies every nameless import of bin by behavioral
 // signature and writes the winning names (and their true prototypes) back
 // into the import table, recording per-binding confidence in st.
@@ -724,7 +729,7 @@ func (m *matcher) rank(ix *externs.SigIndex, ob importObs) []candScore {
 func matchExterns(bin *binfmt.Binary, ts *textScan, h Hints, st *Stats) {
 	m := gather(bin, ts)
 	m.hints = h
-	ix := externs.NewSigIndex()
+	ix := sigIndex()
 
 	ranked := make([]scored, 0, len(bin.Imports))
 	for i := range bin.Imports {

@@ -189,7 +189,7 @@ func (e *Engine) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgS
 		argNode.Children = e.trace(st, cs.Fn, cs.OpIdx, v, ctx, 0)
 		root.Children = append(root.Children, argNode)
 	}
-	return &MFT{Prog: e.prog, Site: cs, Deliver: deliver, Root: root}
+	return &MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: deliver, Root: root}
 }
 
 // traceCtx links a callee analysis back to the callsite it descended from.

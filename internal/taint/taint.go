@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"firmres/internal/facts"
 	"firmres/internal/pcode"
 )
 
@@ -133,7 +134,11 @@ func (n *Node) Label() string {
 // MFT is one Message Field Tree: the backward dataflow from a delivery
 // callsite to the sources of the message fields.
 type MFT struct {
-	Prog    *pcode.Program
+	Prog *pcode.Program
+	// Facts is the store the tree was traced through. Later stages read
+	// the per-function solutions it already holds (semantics enrichment
+	// folds operands through its def-use) instead of recomputing them.
+	Facts   *facts.Program
 	Site    pcode.CallSite // the delivery callsite (taint source)
 	Deliver string         // delivery function name (SSL_write, ...)
 	Context string         // construction context (caller chain suffix), "" when local

@@ -79,11 +79,14 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path at 0 allocs, per-MFT taint budget)"
+	echo "== allocation gates (obs disabled path at 0 allocs, per-MFT taint budget, crawl bytes per image, no per-image retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
+	go test -run 'TestCrawlAllocBudget' .
+	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
+	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
 
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
