@@ -1,0 +1,182 @@
+package firmres
+
+// The analysis engine. Everything that depends only on the options — the
+// configured pipeline, the span sinks, the options fingerprint and, with
+// WithCache, the open cache handle — lives in an Analyzer, built once. A
+// long-running service keeps one for the life of the process, so every
+// call shares one cache handle and its single-flight; the package-level
+// Analyze* functions and CachedReport each build a one-shot Analyzer, so
+// there is one analysis path.
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+
+	"firmres/internal/cache"
+	"firmres/internal/core"
+	"firmres/internal/errdefs"
+	"firmres/internal/image"
+	"firmres/internal/obs"
+)
+
+// Analyzer analyzes packed firmware images under one fixed set of
+// options. It is safe for concurrent use and meant to be shared: with
+// WithCache all calls go through one cache handle, so concurrent calls for
+// the same image bytes compute the report once.
+type Analyzer struct {
+	pl    *core.Pipeline
+	rec   *obs.Recorder // the options' trace and observers; nil when none
+	cache *cache.Cache  // nil without WithCache
+	fp    string        // options fingerprint, the options half of cache keys
+}
+
+// NewAnalyzer builds an Analyzer from the options. A configuration error —
+// an unreadable model file, an unknown probe chaos mode, a cache directory
+// that cannot be created — fails here, not on the first analysis. Sinks
+// attached with WithTrace, WithObserver or WithProgress see the spans of
+// every call. WithCacheStats does not apply; read CacheStats instead.
+func NewAnalyzer(opts ...Option) (*Analyzer, error) {
+	return newConfig(opts).analyzer(0)
+}
+
+// analyzer builds the Analyzer for a run of totalImages images, 0 when
+// unknown; the count only sizes the progress reporter's ETA.
+func (c *config) analyzer(totalImages int) (*Analyzer, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	a := &Analyzer{rec: c.recorder(totalImages)}
+	opts := c.opts
+	opts.Obs = a.rec
+	a.pl = core.New(opts)
+	if c.cacheDir != "" {
+		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes))
+		if err != nil {
+			return nil, fmt.Errorf("firmres: %w", err)
+		}
+		a.cache, a.fp = cc, c.opts.Fingerprint()
+	}
+	return a, nil
+}
+
+// finish folds a one-shot Analyzer's cache counters into the
+// WithCacheStats accumulator and returns them (nil without WithCache).
+func (c *config) finish(a *Analyzer) *CacheStats {
+	if a.cache == nil {
+		return nil
+	}
+	cs := a.CacheStats()
+	if c.cacheStats != nil {
+		c.cacheStats.add(cs)
+	}
+	return &cs
+}
+
+// Analyze analyzes one packed image under ctx, with the contract of
+// AnalyzeImageContext. It also returns the report's canonical JSON, which
+// is json.Marshal of the report and under WithCache byte for byte the cache
+// entry's payload, so a caller that stores or serves the report never
+// encodes it again; and whether the cache answered, from disk or from a
+// concurrent call's computation. A non-nil o also receives this call's
+// spans.
+func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *Report, js []byte, hit bool, err error) {
+	rep, js, hit, err = a.analyze(ctx, data, o)
+	if err != nil || js != nil {
+		return rep, js, hit, err
+	}
+	if js, err = json.Marshal(rep); err != nil {
+		return nil, nil, false, fmt.Errorf("firmres: report encode: %w", err)
+	}
+	return rep, js, hit, nil
+}
+
+// analyze runs one image, through the cache when enabled. js is the cache
+// payload, nil without WithCache: the batch functions never encode.
+func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer) (*Report, []byte, bool, error) {
+	pl, rec := a.pl, a.rec
+	if o != nil {
+		rec = obs.Tee(rec, observerAdapter{o: o})
+		pl = pl.Observed(rec)
+	}
+	if a.cache == nil {
+		rep, err := analyzeFresh(ctx, pl, data)
+		return rep, nil, false, err
+	}
+	key := cache.KeyOf(data, a.fp)
+	sp := rec.StartSpan(nil, "cache", obs.String("key", key[:16]))
+	defer sp.End()
+	// Single-flight get-or-compute: concurrent calls handed the same image
+	// bytes block here and share one computation. The computing caller
+	// keeps its in-memory report (no round trip); everyone else decodes the
+	// serialized bytes — tests pin both renderings identical.
+	var fresh *Report
+	js, hit, err := a.cache.Do(key, func() ([]byte, error) {
+		rep, err := analyzeFresh(ctx, pl, data)
+		if err != nil {
+			return nil, err
+		}
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			return nil, fmt.Errorf("firmres: cache encode: %w", err)
+		}
+		fresh = rep
+		return buf, nil
+	})
+	if err != nil {
+		sp.SetStatus("fatal: " + errdefs.Kind(err))
+		return nil, nil, false, err
+	}
+	if !hit {
+		sp.SetStatus("miss")
+		return fresh, js, false, nil
+	}
+	sp.SetStatus("hit")
+	rep, err := decodeReport(js)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return rep, js, true, nil
+}
+
+// analyzeFresh is the uncached path: unpack and run the full pipeline.
+func analyzeFresh(ctx context.Context, pl *core.Pipeline, data []byte) (*Report, error) {
+	img, err := image.Unpack(data)
+	if err != nil {
+		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrCorruptImage, err)
+	}
+	res, err := pl.AnalyzeImageContext(ctx, img)
+	if err != nil {
+		return nil, err
+	}
+	return reportOf(res), nil
+}
+
+// Cached returns the canonical JSON of data's report when the cache holds
+// a verified entry for it, without analyzing: the fast path for a service
+// that answers a submission before spending a worker on it. An entry that
+// fails its checksum or is not valid JSON is a miss; a corrupt one is
+// deleted and counted in CacheStats().Errors. A probe is not an analysis,
+// so a hit is not counted. Without WithCache every probe misses.
+func (a *Analyzer) Cached(data []byte) ([]byte, bool) {
+	if a.cache == nil {
+		return nil, false
+	}
+	js, err := a.cache.Get(cache.KeyOf(data, a.fp))
+	if err != nil || js == nil || !json.Valid(js) {
+		return nil, false
+	}
+	return js, true
+}
+
+// CacheStats snapshots the counters of the Analyzer's cache handle since
+// it was built: the hits and misses of Analyze calls, evictions, and the
+// corrupt entries analyses and Cached probes discarded. Zero without
+// WithCache.
+func (a *Analyzer) CacheStats() CacheStats {
+	if a.cache == nil {
+		return CacheStats{}
+	}
+	s := a.cache.Stats()
+	return CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Errors: s.Errors}
+}

@@ -81,27 +81,25 @@ type BatchReport struct {
 // ctx (wrapping ErrStageTimeout and the context error).
 func AnalyzeImages(ctx context.Context, imgs [][]byte, opts ...Option) (*BatchReport, error) {
 	cfg := newConfig(opts)
-	cfg.observe(len(imgs))
-	rn, err := cfg.runner()
+	a, err := cfg.analyzer(len(imgs))
 	if err != nil {
 		return nil, err
 	}
 	results := make([]ImageResult, len(imgs))
 	parallel.ForEach(ctx, parallel.CPUWorkers(cfg.workers), len(imgs), func(i int) {
-		results[i] = analyzeBatchImage(ctx, rn, fmt.Sprintf("image[%d]", i), imgs[i])
+		results[i] = analyzeBatchImage(ctx, a, fmt.Sprintf("image[%d]", i), imgs[i])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrStageTimeout, err)
 	}
-	return batchReport(results, rn.finish()), nil
+	return batchReport(results, cfg.finish(a)), nil
 }
 
 // AnalyzePaths analyzes firmware image files on disk as one batch, with the
 // same contract as AnalyzeImages; unreadable files fail per-image.
 func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchReport, error) {
 	cfg := newConfig(opts)
-	cfg.observe(len(paths))
-	rn, err := cfg.runner()
+	a, err := cfg.analyzer(len(paths))
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +113,12 @@ func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchRe
 			}
 			return
 		}
-		results[i] = analyzeBatchImage(ctx, rn, paths[i], data)
+		results[i] = analyzeBatchImage(ctx, a, paths[i], data)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrStageTimeout, err)
 	}
-	return batchReport(results, rn.finish()), nil
+	return batchReport(results, cfg.finish(a)), nil
 }
 
 // AnalyzeDir analyzes every regular file directly under dir (sorted by
@@ -141,12 +139,12 @@ func AnalyzeDir(ctx context.Context, dir string, opts ...Option) (*BatchReport, 
 	return AnalyzePaths(ctx, paths, opts...)
 }
 
-// analyzeBatchImage runs the shared runner over one packed image — through
-// the persistent cache when enabled — folding fatal failures into the
-// result slot.
-func analyzeBatchImage(ctx context.Context, rn *runner, path string, data []byte) ImageResult {
+// analyzeBatchImage runs the batch's Analyzer over one packed image —
+// through the persistent cache when enabled — folding fatal failures into
+// the result slot.
+func analyzeBatchImage(ctx context.Context, a *Analyzer, path string, data []byte) ImageResult {
 	out := ImageResult{Path: path}
-	rep, err := rn.analyzeData(ctx, data)
+	rep, _, _, err := a.analyze(ctx, data, nil)
 	if err != nil {
 		out.Kind, out.Error, out.Err = errdefs.Kind(err), err.Error(), err
 		return out

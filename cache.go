@@ -11,15 +11,11 @@ package firmres
 // single-flight so one image is never computed twice in a run.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
 	"firmres/internal/cache"
-	"firmres/internal/core"
 	"firmres/internal/errdefs"
-	"firmres/internal/image"
-	"firmres/internal/obs"
 )
 
 // CacheStats counts one run's persistent-cache activity. Batch runs report
@@ -70,7 +66,9 @@ func WithCacheMaxBytes(n int64) Option {
 }
 
 // WithCacheStats accumulates the run's cache counters into st (added to,
-// not overwritten, so one accumulator can span several Analyze calls).
+// not overwritten, so one accumulator can span several Analyze calls). It
+// applies to the package-level functions; an Analyzer reports its
+// counters through its CacheStats method instead.
 func WithCacheStats(st *CacheStats) Option {
 	return func(c *config) { c.cacheStats = st }
 }
@@ -82,21 +80,18 @@ func WithCacheStats(st *CacheStats) Option {
 // (nil, false, nil) on a miss — a corrupt entry reads as a miss here and is
 // healed by the next full analysis. The options must include WithCache;
 // without it every probe is a miss. Probes do not touch the hit/miss
-// counters (WithCacheStats accounting belongs to analyses).
+// counters (WithCacheStats accounting belongs to analyses). A service
+// probing repeatedly keeps one Analyzer and calls its Cached method.
 func CachedReport(data []byte, opts ...Option) (*Report, bool, error) {
-	cfg := newConfig(opts)
-	rn, err := cfg.runner()
+	a, err := newConfig(opts).analyzer(1)
 	if err != nil {
 		return nil, false, err
 	}
-	if rn.cache == nil {
+	js, ok := a.Cached(data)
+	if !ok {
 		return nil, false, nil
 	}
-	val, err := rn.cache.Get(cache.KeyOf(data, rn.fp))
-	if err != nil || val == nil {
-		return nil, false, nil
-	}
-	rep, err := decodeReport(val)
+	rep, err := decodeReport(js)
 	if err != nil {
 		return nil, false, nil
 	}
@@ -111,97 +106,6 @@ func ClearCache(dir string) error {
 		return fmt.Errorf("firmres: %w", err)
 	}
 	return cc.Clear()
-}
-
-// runner is the per-Analyze-call execution state: the configured pipeline
-// plus, with WithCache, the cache handle and the options fingerprint half
-// of the key. Batch calls share one runner across all images, so its
-// single-flight spans the whole batch.
-type runner struct {
-	cfg   *config
-	pl    *core.Pipeline
-	cache *cache.Cache // nil when caching is disabled
-	fp    string       // options fingerprint (with cache only)
-}
-
-func (c *config) runner() (*runner, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	r := &runner{cfg: c, pl: core.New(c.opts)}
-	if c.cacheDir != "" {
-		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes))
-		if err != nil {
-			return nil, fmt.Errorf("firmres: %w", err)
-		}
-		r.cache = cc
-		r.fp = c.opts.Fingerprint()
-	}
-	return r, nil
-}
-
-// analyzeData analyzes one packed image, through the cache when enabled.
-func (r *runner) analyzeData(ctx context.Context, data []byte) (*Report, error) {
-	if r.cache == nil {
-		return r.analyzeFresh(ctx, data)
-	}
-	key := cache.KeyOf(data, r.fp)
-	sp := r.cfg.opts.Obs.StartSpan(nil, "cache", obs.String("key", key[:16]))
-	defer sp.End()
-	// Single-flight get-or-compute: concurrent batch workers handed the
-	// same image bytes block here and share one computation. The computing
-	// caller keeps its in-memory report (no round trip); everyone else
-	// decodes the serialized bytes — tests pin both renderings identical.
-	var fresh *Report
-	val, hit, err := r.cache.Do(key, func() ([]byte, error) {
-		rep, err := r.analyzeFresh(ctx, data)
-		if err != nil {
-			return nil, err
-		}
-		buf, err := json.Marshal(rep)
-		if err != nil {
-			return nil, fmt.Errorf("firmres: cache encode: %w", err)
-		}
-		fresh = rep
-		return buf, nil
-	})
-	if err != nil {
-		sp.SetStatus("fatal: " + errdefs.Kind(err))
-		return nil, err
-	}
-	if !hit {
-		sp.SetStatus("miss")
-		return fresh, nil
-	}
-	sp.SetStatus("hit")
-	return decodeReport(val)
-}
-
-// analyzeFresh is the uncached path: unpack and run the full pipeline.
-func (r *runner) analyzeFresh(ctx context.Context, data []byte) (*Report, error) {
-	img, err := image.Unpack(data)
-	if err != nil {
-		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrCorruptImage, err)
-	}
-	res, err := r.pl.AnalyzeImageContext(ctx, img)
-	if err != nil {
-		return nil, err
-	}
-	return reportOf(res), nil
-}
-
-// finish folds the run's cache counters into the WithCacheStats accumulator
-// and returns them (nil when caching was disabled).
-func (r *runner) finish() *CacheStats {
-	if r.cache == nil {
-		return nil
-	}
-	s := r.cache.Stats()
-	cs := CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Errors: s.Errors}
-	if r.cfg.cacheStats != nil {
-		r.cfg.cacheStats.add(cs)
-	}
-	return &cs
 }
 
 // cachedErr rehydrates a deserialized AnalysisError's cause: it renders the

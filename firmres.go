@@ -356,13 +356,13 @@ func AnalyzeImage(data []byte, opts ...Option) (*Report, error) {
 // options and pipeline version; cached and fresh reports are identical.
 func AnalyzeImageContext(ctx context.Context, data []byte, opts ...Option) (*Report, error) {
 	cfg := newConfig(opts)
-	cfg.observe(1)
-	rn, err := cfg.runner()
+	a, err := cfg.analyzer(1)
 	if err != nil {
 		return nil, err
 	}
-	defer rn.finish()
-	return rn.analyzeData(ctx, data)
+	defer cfg.finish(a)
+	rep, _, _, err := a.analyze(ctx, data, nil)
+	return rep, err
 }
 
 // AnalyzeFile analyzes a firmware image file on disk.

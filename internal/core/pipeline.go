@@ -265,6 +265,14 @@ func New(opts Options) *Pipeline {
 	return &Pipeline{opts: opts.withDefaults()}
 }
 
+// Observed returns a copy of p whose spans go to rec, so one configured
+// pipeline serves callers that each watch their own analyses.
+func (p *Pipeline) Observed(rec *obs.Recorder) *Pipeline {
+	q := *p
+	q.opts.Obs = rec
+	return &q
+}
+
 // ErrNoDeviceCloudExecutable is reported (wrapped) when no binary in the
 // image contains an asynchronous request handler — script-only devices.
 // It aliases the errdefs taxonomy sentinel.

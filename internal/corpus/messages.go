@@ -21,6 +21,18 @@ func Devices() []*DeviceSpec {
 // Device synthesizes one device by Table I ID (1-22).
 func Device(id int) *DeviceSpec { return deviceSpec(id) }
 
+// DeviceByIdentity synthesizes the device whose report identity — Device
+// "<vendor> <model>" and Version — matches a Table I row, or returns nil.
+// Only the matching row is synthesized.
+func DeviceByIdentity(device, version string) *DeviceSpec {
+	for _, row := range tableI {
+		if version == row.version && device == row.vendor+" "+row.model {
+			return deviceSpec(row.id)
+		}
+	}
+	return nil
+}
+
 func deviceSpec(id int) *DeviceSpec {
 	row := tableI[id-1]
 	d := &DeviceSpec{

@@ -17,15 +17,46 @@ import (
 // is byte-identical at any worker count.
 type Metrics struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	counters map[instKey]*Counter
+	hists    map[instKey]*Histogram
+}
+
+// maxKeyPairs is how many label pairs an instKey holds inline: the most any
+// instrument in this repository carries is two.
+const maxKeyPairs = 3
+
+// instKey identifies an instrument without rendering it: the name and the
+// label pairs sorted by label key, so looking up an existing instrument
+// allocates nothing. Identities with more than maxKeyPairs pairs key by
+// their rendered text in name instead.
+type instKey struct {
+	name   string
+	labels [2 * maxKeyPairs]string
+}
+
+// keyOf builds the lookup key for one identity (see Key for the labels).
+func keyOf(name string, labels []string) instKey {
+	n := len(labels) / 2
+	if n > maxKeyPairs {
+		return instKey{name: Key(name, labels...)}
+	}
+	k := instKey{name: name}
+	copy(k.labels[:], labels[:2*n])
+	// Insertion sort by label key: a handful of pairs, no allocation.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && k.labels[2*j] < k.labels[2*j-2]; j-- {
+			k.labels[2*j], k.labels[2*j-2] = k.labels[2*j-2], k.labels[2*j]
+			k.labels[2*j+1], k.labels[2*j-1] = k.labels[2*j-1], k.labels[2*j+1]
+		}
+	}
+	return k
 }
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters: map[string]*Counter{},
-		hists:    map[string]*Histogram{},
+		counters: map[instKey]*Counter{},
+		hists:    map[instKey]*Histogram{},
 	}
 }
 
@@ -58,18 +89,19 @@ func Key(name string, labels ...string) string {
 	return b.String()
 }
 
-// Counter returns the named counter, creating it on first use. Nil-safe:
-// a nil registry returns a nil (no-op) counter.
+// Counter returns the named counter, creating it on first use; only the
+// creating call renders its key. Nil-safe: a nil registry returns a nil
+// (no-op) counter.
 func (m *Metrics) Counter(name string, labels ...string) *Counter {
 	if m == nil {
 		return nil
 	}
-	key := Key(name, labels...)
+	k := keyOf(name, labels)
 	m.mu.Lock()
-	c, ok := m.counters[key]
+	c, ok := m.counters[k]
 	if !ok {
-		c = &Counter{}
-		m.counters[key] = c
+		c = &Counter{key: Key(name, labels...)}
+		m.counters[k] = c
 	}
 	m.mu.Unlock()
 	return c
@@ -81,12 +113,12 @@ func (m *Metrics) Histogram(name string, labels ...string) *Histogram {
 	if m == nil {
 		return nil
 	}
-	key := Key(name, labels...)
+	k := keyOf(name, labels)
 	m.mu.Lock()
-	h, ok := m.hists[key]
+	h, ok := m.hists[k]
 	if !ok {
-		h = &Histogram{}
-		m.hists[key] = h
+		h = &Histogram{key: Key(name, labels...)}
+		m.hists[k] = h
 	}
 	m.mu.Unlock()
 	return h
@@ -102,11 +134,11 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.counters)+4*len(m.hists))
-	for key, c := range m.counters {
-		out[key] = c.v.Load()
+	for _, c := range m.counters {
+		out[c.key] = c.v.Load()
 	}
-	for key, h := range m.hists {
-		name, labels := splitKey(key)
+	for _, h := range m.hists {
+		name, labels := splitKey(h.key)
 		count, sum, min, max := h.stats()
 		out[name+"_count"+labels] = count
 		if count > 0 {
@@ -166,7 +198,10 @@ func histComponent(key, suffix string) bool {
 }
 
 // Counter is a monotonically increasing integer. Nil-safe methods.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v   atomic.Int64
+	key string // rendered identity (Key)
+}
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
@@ -190,6 +225,7 @@ func (c *Counter) Value() int64 {
 // integer values — all order-independent, hence deterministic at any
 // worker count. Nil-safe methods.
 type Histogram struct {
+	key      string // rendered identity (Key)
 	mu       sync.Mutex
 	count    int64
 	sum      int64

@@ -80,27 +80,31 @@ type Observer interface {
 }
 
 // Recorder collects the spans of one analysis run. Safe for concurrent
-// use; the zero value is not valid, use NewRecorder. A nil *Recorder is a
-// valid no-op sink.
+// use; build one with NewRecorder or Tee. A nil *Recorder is a valid
+// no-op sink.
 type Recorder struct {
+	up     *Recorder // Tee: the recorder each span is handed on to
+	keep   bool      // retain finished spans for Spans (NewRecorder)
 	nextID atomic.Int64
 
-	mu        sync.Mutex
-	spans     []SpanData // finished spans, completion order
-	observers []Observer
+	observers []Observer // fixed at construction
+
+	mu    sync.Mutex
+	spans []SpanData // finished spans, completion order
 }
 
-// NewRecorder builds an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder builds an empty recorder that keeps every finished span for
+// Spans.
+func NewRecorder() *Recorder { return &Recorder{keep: true} }
 
-// AddObserver attaches a sink notified on every span start and end.
-func (r *Recorder) AddObserver(o Observer) {
-	if r == nil || o == nil {
-		return
-	}
-	r.mu.Lock()
-	r.observers = append(r.observers, o)
-	r.mu.Unlock()
+// Tee returns a recorder that notifies observers of every span started
+// through it and then hands the span on to up, which numbers it and keeps
+// or forwards it as one of its own. The tee keeps no span list, so with a
+// nil up it is an observer-only recorder: Spans stays empty while the
+// observers see every start and end. A per-call tee lets one caller watch
+// its own spans on a recorder others share.
+func Tee(up *Recorder, observers ...Observer) *Recorder {
+	return &Recorder{up: up, observers: observers[:len(observers):len(observers)]}
 }
 
 // StartSpan opens a span under parent (nil parent = root). A nil receiver
@@ -112,7 +116,7 @@ func (r *Recorder) StartSpan(parent *Span, name string, attrs ...Attr) *Span {
 	s := &Span{
 		rec: r,
 		data: SpanData{
-			ID:    r.nextID.Add(1),
+			ID:    r.newID(),
 			Name:  name,
 			Attrs: attrs,
 			Start: time.Now(),
@@ -125,28 +129,41 @@ func (r *Recorder) StartSpan(parent *Span, name string, attrs ...Attr) *Span {
 	return s
 }
 
+// newID numbers a span from the last recorder of the tee chain, so IDs
+// are unique among every span that reaches it.
+func (r *Recorder) newID() int64 {
+	for r.up != nil {
+		r = r.up
+	}
+	return r.nextID.Add(1)
+}
+
 func (r *Recorder) notifyStart(d SpanData) {
-	r.mu.Lock()
-	obs := r.observers
-	r.mu.Unlock()
-	for _, o := range obs {
-		o.SpanStart(d)
+	for ; r != nil; r = r.up {
+		for _, o := range r.observers {
+			o.SpanStart(d)
+		}
 	}
 }
 
-// finish records a completed span and notifies observers.
+// finish records a completed span and notifies observers, along the whole
+// tee chain.
 func (r *Recorder) finish(d SpanData) {
-	r.mu.Lock()
-	r.spans = append(r.spans, d)
-	obs := r.observers
-	r.mu.Unlock()
-	for _, o := range obs {
-		o.SpanEnd(d)
+	for ; r != nil; r = r.up {
+		if r.keep {
+			r.mu.Lock()
+			r.spans = append(r.spans, d)
+			r.mu.Unlock()
+		}
+		for _, o := range r.observers {
+			o.SpanEnd(d)
+		}
 	}
 }
 
 // Spans returns a copy of every finished span, ordered by start time (ties
-// by ID), so exports are stable regardless of completion order.
+// by ID), so exports are stable regardless of completion order. A Tee
+// keeps no spans: its Spans is empty.
 func (r *Recorder) Spans() []SpanData {
 	if r == nil {
 		return nil

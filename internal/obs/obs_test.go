@@ -101,7 +101,6 @@ func TestNilSafety(t *testing.T) {
 	if got := rec.Spans(); got != nil {
 		t.Fatalf("nil recorder has spans: %v", got)
 	}
-	rec.AddObserver(nil)
 
 	var m *Metrics
 	m.Counter("c", "k", "v").Add(3)
@@ -158,6 +157,37 @@ func TestKeySortsLabels(t *testing.T) {
 	}
 }
 
+// TestLabelOrderSharesInstrument: the registry keys instruments by their
+// sorted labels, so any label order reaches one instrument, rendered as Key
+// renders it — with more pairs than an inline key holds too.
+func TestLabelOrderSharesInstrument(t *testing.T) {
+	m := NewMetrics()
+	m.Counter("c", "b", "2", "a", "1").Inc()
+	m.Counter("c", "a", "1", "b", "2").Add(2)
+	m.Histogram("h", "y", "1", "x", "0").Observe(4)
+	m.Histogram("h", "x", "0", "y", "1").Observe(6)
+	wide := []string{"d", "4", "c", "3", "b", "2", "a", "1"}
+	m.Counter("w", wide...).Inc()
+	m.Counter("w", "a", "1", "b", "2", "c", "3", "d", "4").Inc()
+	want := map[string]int64{
+		`c{a="1",b="2"}`:             3,
+		`h_count{x="0",y="1"}`:       2,
+		`h_sum{x="0",y="1"}`:         10,
+		`h_min{x="0",y="1"}`:         4,
+		`h_max{x="0",y="1"}`:         6,
+		`w{a="1",b="2",c="3",d="4"}`: 2,
+	}
+	got := m.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+}
+
 func TestMergeSnapshots(t *testing.T) {
 	got := MergeSnapshots(nil, map[string]int64{"a": 1})
 	got = MergeSnapshots(got, map[string]int64{"a": 2, "b": 3})
@@ -170,23 +200,64 @@ func TestMergeSnapshots(t *testing.T) {
 }
 
 // TestObserverSeesAllEvents checks that an attached observer receives one
-// start and one end per span, under concurrency.
+// start and one end per span, under concurrency, whether the tee hands the
+// spans on to a keeping recorder or is observer-only and keeps none.
 func TestObserverSeesAllEvents(t *testing.T) {
-	var mu sync.Mutex
-	starts, ends := 0, 0
-	rec := NewRecorder()
-	rec.AddObserver(funcObserver{
-		start: func(SpanData) { mu.Lock(); starts++; mu.Unlock() },
-		end:   func(SpanData) { mu.Lock(); ends++; mu.Unlock() },
-	})
-	root := rec.StartSpan(nil, "image")
-	ctx := ContextWith(context.Background(), root)
-	parallel.ForEach(ctx, 4, 32, func(i int) {
-		StartChild(ctx, "item").End()
-	})
-	root.End()
-	if starts != 33 || ends != 33 {
-		t.Fatalf("observer saw %d starts, %d ends; want 33 each", starts, ends)
+	for _, tc := range []struct {
+		name string
+		up   *Recorder
+		kept int
+	}{
+		{"keeping", NewRecorder(), 33},
+		{"observer-only", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			starts, ends := 0, 0
+			rec := Tee(tc.up, funcObserver{
+				start: func(SpanData) { mu.Lock(); starts++; mu.Unlock() },
+				end:   func(SpanData) { mu.Lock(); ends++; mu.Unlock() },
+			})
+			root := rec.StartSpan(nil, "image")
+			ctx := ContextWith(context.Background(), root)
+			parallel.ForEach(ctx, 4, 32, func(i int) {
+				StartChild(ctx, "item").End()
+			})
+			root.End()
+			if starts != 33 || ends != 33 {
+				t.Fatalf("observer saw %d starts, %d ends; want 33 each", starts, ends)
+			}
+			if n := len(rec.Spans()); n != 0 {
+				t.Errorf("tee kept %d spans, want 0", n)
+			}
+			if n := len(tc.up.Spans()); n != tc.kept {
+				t.Errorf("upstream recorder kept %d spans, want %d", n, tc.kept)
+			}
+		})
+	}
+}
+
+// TestTeeSharesUpstreamIDs: spans started through two tees of one recorder
+// land there with distinct IDs, and each tee's observer sees only its own.
+func TestTeeSharesUpstreamIDs(t *testing.T) {
+	up := NewRecorder()
+	var a, b []int64
+	ta := Tee(up, funcObserver{start: func(SpanData) {}, end: func(d SpanData) { a = append(a, d.ID) }})
+	tb := Tee(up, funcObserver{start: func(SpanData) {}, end: func(d SpanData) { b = append(b, d.ID) }})
+	ra := ta.StartSpan(nil, "image")
+	rb := tb.StartSpan(nil, "image")
+	ra.Child("stage").End()
+	rb.End()
+	ra.End()
+	if len(a) != 2 || len(b) != 1 {
+		t.Fatalf("tee observers saw %d and %d spans, want 2 and 1", len(a), len(b))
+	}
+	ids := map[int64]bool{}
+	for _, sp := range up.Spans() {
+		ids[sp.ID] = true
+	}
+	if len(ids) != 3 {
+		t.Errorf("upstream kept %d distinct span IDs, want 3", len(ids))
 	}
 }
 
@@ -197,8 +268,7 @@ func (f funcObserver) SpanEnd(d SpanData)   { f.end(d) }
 
 func TestProgressOutput(t *testing.T) {
 	var buf strings.Builder
-	rec := NewRecorder()
-	rec.AddObserver(NewProgress(&buf, 2))
+	rec := Tee(nil, NewProgress(&buf, 2))
 	for _, dev := range []string{"dev_a", "dev_b"} {
 		img := rec.StartSpan(nil, "image", String("device", dev))
 		img.Child("pinpoint-executables").End()
@@ -209,5 +279,14 @@ func TestProgressOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestProgressOpenEnded(t *testing.T) {
+	var buf strings.Builder
+	rec := Tee(nil, NewProgress(&buf, 0))
+	rec.StartSpan(nil, "image", String("device", "dev_a")).End()
+	if out := buf.String(); !strings.HasPrefix(out, "progress: 1 images  dev_a done in") {
+		t.Errorf("open-ended progress line = %q", out)
 	}
 }

@@ -32,7 +32,8 @@ type activeImage struct {
 	start  time.Time
 }
 
-// NewProgress builds a progress reporter for a run of total images.
+// NewProgress builds a progress reporter for a run of total images; 0
+// means the total is unknown, and lines carry no percentage or ETA.
 func NewProgress(w io.Writer, total int) *Progress {
 	return &Progress{
 		w:      w,
@@ -77,9 +78,10 @@ func (p *Progress) SpanEnd(d SpanData) {
 // lineLocked renders one completion line; p.mu must be held.
 func (p *Progress) lineLocked(img *activeImage, d SpanData) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "progress: %d/%d images", p.done, p.total)
 	if p.total > 0 {
-		fmt.Fprintf(&b, " (%d%%)", p.done*100/p.total)
+		fmt.Fprintf(&b, "progress: %d/%d images (%d%%)", p.done, p.total, p.done*100/p.total)
+	} else { // open-ended: a long-lived Analyzer has no total
+		fmt.Fprintf(&b, "progress: %d images", p.done)
 	}
 	fmt.Fprintf(&b, "  %s done in %v", img.device, d.Duration().Round(time.Millisecond))
 	if d.Status != "" {

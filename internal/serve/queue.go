@@ -416,8 +416,10 @@ func (q *Queue) Dequeue(ctx context.Context) (Job, bool) {
 
 // Complete records a terminal success: the result is persisted first, then
 // the journal flips to done, so a crash between the two re-runs the job
-// rather than leaving a done job with no report.
-func (q *Queue) Complete(id string, result []byte) error {
+// rather than leaving a done job with no report. cacheHit records that the
+// cache answered the worker; it lands in the same journal write and the
+// same terminal transition.
+func (q *Queue) Complete(id string, result []byte, cacheHit bool) error {
 	if err := atomicWrite(q.resultPath(id), result); err != nil {
 		return err
 	}
@@ -428,6 +430,7 @@ func (q *Queue) Complete(id string, result []byte) error {
 		return fmt.Errorf("serve: complete %s: %w", id, errdefs.ErrJobNotFound)
 	}
 	j.State = StateDone
+	j.CacheHit = cacheHit
 	j.ErrorKind, j.Error = "", ""
 	j.FinishedAt = time.Now().UTC()
 	q.running--

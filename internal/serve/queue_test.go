@@ -200,7 +200,7 @@ func TestQueueCompleteAndResultRoundTrip(t *testing.T) {
 	if _, ok := q.Dequeue(context.Background()); !ok {
 		t.Fatal("dequeue: closed")
 	}
-	if err := q.Complete(id, []byte(`{"ok":true}`)); err != nil {
+	if err := q.Complete(id, []byte(`{"ok":true}`), false); err != nil {
 		t.Fatal(err)
 	}
 	j, _ := q.Get(id)
@@ -212,8 +212,48 @@ func TestQueueCompleteAndResultRoundTrip(t *testing.T) {
 		t.Errorf("result = %q, %v", res, err)
 	}
 	// Terminal-state sanity: double completion is an error, not a rewrite.
-	if err := q.Complete(id, []byte("x")); !errors.Is(err, errdefs.ErrJobNotFound) {
+	if err := q.Complete(id, []byte("x"), false); !errors.Is(err, errdefs.ErrJobNotFound) {
 		t.Errorf("double complete err = %v, want ErrJobNotFound", err)
+	}
+}
+
+// TestQueueCompleteCacheHitOneTransition: a worker answered by the cache
+// completes with the flag in the one journal write and the one terminal
+// transition, and a resumed queue still shows it.
+func TestQueueCompleteCacheHitOneTransition(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var terminal []Job
+	q, err := OpenQueue(dir, QueueConfig{OnTransition: func(j Job) {
+		if j.State.Terminal() {
+			mu.Lock()
+			terminal = append(terminal, j)
+			mu.Unlock()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := enqueueN(t, q, 0)[0]
+	if _, ok := q.Dequeue(context.Background()); !ok {
+		t.Fatal("dequeue: closed")
+	}
+	if err := q.Complete(id, []byte(`{"ok":true}`), true); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if len(terminal) != 1 || !terminal[0].CacheHit {
+		t.Errorf("terminal transitions = %+v, want one carrying cache_hit", terminal)
+	}
+	mu.Unlock()
+	q.Close()
+
+	resumed, err := OpenQueue(dir, QueueConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := resumed.Get(id); err != nil || j.State != StateDone || !j.CacheHit {
+		t.Errorf("resumed job = %+v, %v; want done with cache_hit", j, err)
 	}
 }
 
@@ -270,7 +310,7 @@ func TestQueueConcurrentSubmitDrain(t *testing.T) {
 				mu.Lock()
 				processed[j.ID]++
 				mu.Unlock()
-				if err := q.Complete(j.ID, []byte("{}")); err != nil {
+				if err := q.Complete(j.ID, []byte("{}"), false); err != nil {
 					t.Errorf("complete: %v", err)
 				}
 			}
@@ -400,7 +440,7 @@ func TestQueueResumeDemotesDoneJobMissingResult(t *testing.T) {
 	if _, ok := q.Dequeue(context.Background()); !ok {
 		t.Fatal("dequeue: closed")
 	}
-	if err := q.Complete(id, []byte(`{"ok":true}`)); err != nil {
+	if err := q.Complete(id, []byte(`{"ok":true}`), false); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
@@ -464,7 +504,7 @@ func TestQueueTerminalRetentionPrunes(t *testing.T) {
 		if !ok {
 			t.Fatal("dequeue: closed")
 		}
-		if err := q.Complete(j.ID, []byte("{}")); err != nil {
+		if err := q.Complete(j.ID, []byte("{}"), false); err != nil {
 			t.Fatal(err)
 		}
 	}

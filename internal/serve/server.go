@@ -17,6 +17,7 @@ package serve
 // runs analysis on the request goroutine — workers own all compute.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -41,6 +42,11 @@ import (
 // DefaultMaxImageBytes caps one submission's body; the corpus images are
 // tens of kilobytes, real-world firmware tens of megabytes.
 const DefaultMaxImageBytes = 64 << 20
+
+// bodyPresize caps the buffer a submission's Content-Length reserves before
+// any byte arrives: the header is the client's claim, so a body past the
+// cap grows the buffer only as it actually arrives.
+const bodyPresize = 1 << 20
 
 // ssePollInterval bounds how long an SSE stream can outlive its job: the
 // hub is lossy for slow consumers, so the events handler re-reads the
@@ -75,6 +81,7 @@ type Config struct {
 // Server is one FirmServe instance: queue + worker fleet + HTTP handler.
 type Server struct {
 	cfg Config
+	an  *firmres.Analyzer // the one analyzer every job and prehit probe uses
 	q   *Queue
 	lim *limiter
 	hub *hub
@@ -83,11 +90,13 @@ type Server struct {
 	metrics  *obs.Metrics // serve-side counters and histograms
 	latency  *obs.Histogram
 	draining atomic.Bool
+	// prehits counts submissions answered by a cache probe: cache hits the
+	// analyzer's handle never counts, because a probe is not an analysis.
+	prehits atomic.Int64
 
-	// analysis-side aggregates, merged per finished job
-	aggMu      sync.Mutex
-	reportAgg  map[string]int64
-	cacheStats firmres.CacheStats
+	// merged Report.Metrics of every finished job
+	aggMu     sync.Mutex
+	reportAgg map[string]int64
 
 	workersStop context.CancelFunc
 	workersDone chan struct{}
@@ -95,8 +104,9 @@ type Server struct {
 	workerCount int
 }
 
-// New opens the queue (resuming its journal) and assembles the server.
-// Call Start to launch the worker fleet.
+// New builds the analyzer, so a bad analysis configuration fails here,
+// opens the queue (resuming its journal) and assembles the server. Call
+// Start to launch the worker fleet.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: Config.DataDir is required")
@@ -104,8 +114,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxImageBytes <= 0 {
 		cfg.MaxImageBytes = DefaultMaxImageBytes
 	}
+	opts := append([]firmres.Option{firmres.WithMetrics()}, cfg.AnalysisOptions...)
+	if cfg.CacheDir != "" {
+		opts = append(opts, firmres.WithCache(cfg.CacheDir))
+	}
+	an, err := firmres.NewAnalyzer(opts...)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s := &Server{
 		cfg:         cfg,
+		an:          an,
 		lim:         newLimiter(cfg.RatePerSec, cfg.Burst),
 		hub:         newHub(),
 		metrics:     obs.NewMetrics(),
@@ -191,20 +210,6 @@ func (s *Server) onTransition(j Job) {
 	s.hub.publish(j.ID, Event{Type: "state", Job: &job})
 }
 
-// analysisOptions assembles one job's options: the configured analysis
-// shape plus the server-owned cache and metrics plumbing.
-func (s *Server) analysisOptions(stats *firmres.CacheStats) []firmres.Option {
-	opts := append([]firmres.Option{}, s.cfg.AnalysisOptions...)
-	opts = append(opts, firmres.WithMetrics())
-	if s.cfg.CacheDir != "" {
-		opts = append(opts, firmres.WithCache(s.cfg.CacheDir))
-		if stats != nil {
-			opts = append(opts, firmres.WithCacheStats(stats))
-		}
-	}
-	return opts
-}
-
 // process runs one claimed job to a terminal state (or a journaled retry).
 func (s *Server) process(ctx context.Context, job Job) {
 	start := time.Now()
@@ -215,52 +220,20 @@ func (s *Server) process(ctx context.Context, job Job) {
 		_, _ = s.q.Fail(job.ID, err)
 		return
 	}
-	var stats firmres.CacheStats
-	opts := append(s.analysisOptions(&stats), firmres.WithObserver(&stageObserver{s: s, jobID: job.ID}))
-	rep, err := firmres.AnalyzeImageContext(ctx, data, opts...)
+	rep, js, hit, err := s.an.Analyze(ctx, data, &stageObserver{s: s, jobID: job.ID})
 	s.latency.Observe(time.Since(start).Milliseconds())
-	s.mergeAnalysis(rep, stats)
 	if err != nil {
 		if retrying, _ := s.q.Fail(job.ID, err); retrying {
 			s.metrics.Counter("serve_retries_total").Inc()
 		}
 		return
 	}
-	buf, err := json.Marshal(rep)
-	if err != nil {
-		_, _ = s.q.Fail(job.ID, fmt.Errorf("serve: report encode: %w", err))
-		return
-	}
-	if err := s.q.Complete(job.ID, buf); err == nil && stats.Hits > 0 {
-		s.markCacheHit(job.ID)
-	}
-}
-
-// markCacheHit flags a job whose worker was answered from the cache, so
-// clients (and the soak gate) can count warm-round hits per job.
-func (s *Server) markCacheHit(id string) {
-	s.q.mu.Lock()
-	if j, ok := s.q.jobs[id]; ok && !j.CacheHit {
-		j.CacheHit = true
-		_ = s.q.persist(j)
-	}
-	s.q.mu.Unlock()
-}
-
-// mergeAnalysis folds one job's analysis metrics and cache counters into
-// the server-lifetime aggregates.
-func (s *Server) mergeAnalysis(rep *firmres.Report, stats firmres.CacheStats) {
 	s.aggMu.Lock()
-	if rep != nil {
-		s.reportAgg = firmres.MergeMetrics(s.reportAgg, rep.Metrics)
-	}
-	s.cacheStats = firmres.CacheStats{
-		Hits:      s.cacheStats.Hits + stats.Hits,
-		Misses:    s.cacheStats.Misses + stats.Misses,
-		Evictions: s.cacheStats.Evictions + stats.Evictions,
-		Errors:    s.cacheStats.Errors + stats.Errors,
-	}
+	s.reportAgg = firmres.MergeMetrics(s.reportAgg, rep.Metrics)
 	s.aggMu.Unlock()
+	// A failed result write leaves the job running, as a crash would; the
+	// next boot's resume scan re-runs it.
+	_ = s.q.Complete(job.ID, js, hit)
 }
 
 // stageObserver forwards finished pipeline-stage spans of one job as SSE
@@ -307,8 +280,10 @@ func (s *Server) Snapshot() map[string]int64 {
 	} else {
 		snap["serve_draining"] = 0
 	}
+	cs := s.an.CacheStats()
+	cs.Hits += s.prehits.Load()
+	snap = obs.MergeSnapshots(snap, cs.Snapshot())
 	s.aggMu.Lock()
-	snap = obs.MergeSnapshots(snap, s.cacheStats.Snapshot())
 	snap = obs.MergeSnapshots(snap, s.reportAgg)
 	s.aggMu.Unlock()
 	return snap
@@ -322,12 +297,13 @@ type apiError struct {
 	Kind  string `json:"kind,omitempty"`
 }
 
+// writeJSON writes v as one line of compact JSON, the body of every JSON
+// route. A json.RawMessage member (a job's report) is copied through as it
+// is: stored reports are already compact json.Marshal output.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -379,8 +355,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, errdefs.ErrRateLimited)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxImageBytes)
-	data, err := io.ReadAll(body)
+	data, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxImageBytes),
+		min(r.ContentLength, s.cfg.MaxImageBytes, bodyPresize))
 	if err != nil {
 		s.countSubmission("invalid")
 		var tooBig *http.MaxBytesError
@@ -420,28 +396,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache prehit: a warm FirmCache answers without spending a queue slot
-	// or a worker. The probe is a pure disk read.
-	if s.cfg.CacheDir != "" {
-		if rep, hit, _ := firmres.CachedReport(data, s.analysisOptions(nil)...); hit {
-			buf, err := json.Marshal(rep)
-			if err == nil {
-				job, deduped, err := s.q.EnqueueDone(digest, data, tenant, priority, buf)
-				if err == nil {
-					if deduped {
-						s.countSubmission("deduped")
-						writeJSON(w, http.StatusOK, submitResponse{Job: job, Deduped: true})
-						return
-					}
-					s.countSubmission("cache_hit")
-					s.aggMu.Lock()
-					s.cacheStats.Hits++
-					s.aggMu.Unlock()
-					writeJSON(w, http.StatusCreated, submitResponse{Job: job})
-					return
-				}
+	// or a worker. The probe is a pure disk read, and the verified payload
+	// is stored as the job's result unchanged.
+	if js, hit := s.an.Cached(data); hit {
+		job, deduped, err := s.q.EnqueueDone(digest, data, tenant, priority, js)
+		if err == nil {
+			if deduped {
+				s.countSubmission("deduped")
+				writeJSON(w, http.StatusOK, submitResponse{Job: job, Deduped: true})
+				return
 			}
-			// Fall through to the ordinary enqueue path on any error.
+			s.countSubmission("cache_hit")
+			s.prehits.Add(1)
+			writeJSON(w, http.StatusCreated, submitResponse{Job: job})
+			return
 		}
+		// Fall through to the ordinary enqueue path on any error.
 	}
 
 	job, deduped, err := s.q.Enqueue(digest, data, tenant, priority)
@@ -467,6 +437,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countSubmission("accepted")
 	writeJSON(w, http.StatusAccepted, submitResponse{Job: job})
+}
+
+// readBody reads a request body into a buffer presized to size bytes, plus
+// room for the read that sees EOF; the buffer grows past that only as
+// data arrives.
+func readBody(body io.Reader, size int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 // jobResponse is a job plus its report once done.

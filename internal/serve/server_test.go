@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -22,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"firmres"
 	"firmres/internal/corpus"
 )
 
@@ -371,5 +373,136 @@ func TestServerSSEFallsBackToPollingOnMissedTerminalEvent(t *testing.T) {
 		}
 	case <-time.After(10 * ssePollInterval):
 		t.Fatal("SSE stream hung after the terminal transition was never evented")
+	}
+}
+
+// fetchJob GETs one job and returns the raw response body.
+func fetchJob(t *testing.T, s *Server, id string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+id, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET job %s: %d %s", id, rec.Code, rec.Body.String())
+	}
+	return rec.Body.Bytes()
+}
+
+// TestJobReportVerbatim: the report a client fetches is, byte for byte,
+// the job's result file, the cache payload, and json.Marshal of the same
+// analysis run directly — for a job a worker computed and for a job the
+// cache answered at submission.
+func TestJobReportVerbatim(t *testing.T) {
+	cacheDir := t.TempDir()
+	img := deviceImage(t, 6)
+	rep, err := firmres.AnalyzeImage(img, firmres.WithLint(), firmres.WithMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MaxInflight: 1, CacheDir: cacheDir, AnalysisOptions: []firmres.Option{firmres.WithLint()}}
+
+	fresh := newTestServer(t, cfg)
+	fresh.Start()
+	defer fresh.Queue().Close()
+	_, first := submit(t, fresh, img, nil)
+	awaitTerminal(t, fresh, first.ID)
+
+	prehit := newTestServer(t, cfg)
+	rec, second := submit(t, prehit, img, nil)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("warm-cache submit = %d, want 201", rec.Code)
+	}
+
+	an, err := firmres.NewAnalyzer(firmres.WithLint(), firmres.WithMetrics(), firmres.WithCache(cacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := an.Cached(img)
+	if !ok {
+		t.Fatal("no cache entry for the analyzed image")
+	}
+	if !bytes.Equal(payload, want) {
+		t.Error("cache payload differs from json.Marshal of AnalyzeImage")
+	}
+	for _, c := range []struct {
+		name string
+		s    *Server
+		id   string
+	}{{"fresh", fresh, first.ID}, {"prehit", prehit, second.ID}} {
+		var got struct {
+			Report json.RawMessage `json:"report"`
+		}
+		if err := json.Unmarshal(fetchJob(t, c.s, c.id), &got); err != nil {
+			t.Fatal(err)
+		}
+		result, err := c.s.Queue().Result(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(result, want) {
+			t.Errorf("%s: result file differs from json.Marshal of AnalyzeImage", c.name)
+		}
+		if !bytes.Equal(got.Report, result) {
+			t.Errorf("%s: fetched report differs from the result file:\n%s", c.name, clipBytes(got.Report))
+		}
+	}
+}
+
+func clipBytes(b []byte) string {
+	if len(b) > 400 {
+		return string(b[:400]) + "..."
+	}
+	return string(b)
+}
+
+// TestServerWorkerCacheHitTerminalEvent: a job whose worker is answered by
+// the cache announces cache_hit in its terminal event.
+func TestServerWorkerCacheHitTerminalEvent(t *testing.T) {
+	cacheDir := t.TempDir()
+	img := deviceImage(t, 4)
+	s := newTestServer(t, Config{MaxInflight: 1, CacheDir: cacheDir})
+	_, resp := submit(t, s, img, nil) // cold cache: queued, not a prehit
+	if resp.State != StateQueued {
+		t.Fatalf("submission state = %s, want queued", resp.State)
+	}
+	an, err := firmres.NewAnalyzer(firmres.WithMetrics(), firmres.WithCache(cacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := an.Analyze(context.Background(), img, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	events, cancel := s.hub.subscribe(resp.ID)
+	defer cancel()
+	s.Start()
+	defer s.Queue().Close()
+	timeout := time.After(30 * time.Second)
+	for {
+		select {
+		case ev := <-events:
+			if ev.Type != "state" || !ev.Job.State.Terminal() {
+				continue
+			}
+			if ev.Job.State != StateDone || !ev.Job.CacheHit {
+				t.Errorf("terminal event = %s cache_hit=%v, want done with cache_hit", ev.Job.State, ev.Job.CacheHit)
+			}
+			return
+		case <-timeout:
+			t.Fatal("no terminal event")
+		}
+	}
+}
+
+// TestServerRejectsBadAnalysisOptions: a configuration error in the
+// analysis options fails New instead of failing every job.
+func TestServerRejectsBadAnalysisOptions(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.gob")
+	_, err := New(Config{DataDir: t.TempDir(), AnalysisOptions: []firmres.Option{firmres.WithModelFile(missing)}})
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("New with a missing model file: err = %v, want os.ErrNotExist", err)
 	}
 }

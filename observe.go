@@ -46,9 +46,9 @@ type Observer interface {
 // classification, per-function lint). Pass it with WithTrace, run the
 // analysis, then export.
 //
-// A Trace may span several Analyze calls (their images all land in the same
-// recorder), but attach WithObserver / WithProgress sinks on only one of
-// them — each call adds its sinks to the shared recorder.
+// A Trace may span several Analyze calls and Analyzers: their images all
+// land in it, while the WithObserver / WithProgress sinks of each call see
+// only that call's spans.
 type Trace struct {
 	rec *obs.Recorder
 }
@@ -145,21 +145,24 @@ func eventOf(d obs.SpanData) SpanEvent {
 func (a observerAdapter) SpanStart(d obs.SpanData) { a.o.SpanStart(eventOf(d)) }
 func (a observerAdapter) SpanEnd(d obs.SpanData)   { a.o.SpanEnd(eventOf(d)) }
 
-// observe assembles the span recorder for one Analyze call from the
-// configured sinks. totalImages sizes the progress reporter's ETA.
-func (c *config) observe(totalImages int) {
-	if c.trace == nil && len(c.observers) == 0 && c.progressW == nil {
-		return
-	}
-	rec := obs.NewRecorder()
+// recorder assembles the span recorder the options ask for: the trace's,
+// teed to the observers and the progress reporter when there are any; an
+// observer-only recorder, which keeps no spans, when there is no trace; nil
+// when there is no sink. totalImages sizes the progress reporter's ETA.
+func (c *config) recorder(totalImages int) *obs.Recorder {
+	var up *obs.Recorder
 	if c.trace != nil {
-		rec = c.trace.rec
+		up = c.trace.rec
 	}
+	var sinks []obs.Observer
 	for _, o := range c.observers {
-		rec.AddObserver(observerAdapter{o: o})
+		sinks = append(sinks, observerAdapter{o: o})
 	}
 	if c.progressW != nil {
-		rec.AddObserver(obs.NewProgress(c.progressW, totalImages))
+		sinks = append(sinks, obs.NewProgress(c.progressW, totalImages))
 	}
-	c.opts.Obs = rec
+	if len(sinks) == 0 {
+		return up
+	}
+	return obs.Tee(up, sinks...)
 }

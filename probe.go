@@ -104,10 +104,8 @@ func ensureProbe(c *config) *probe.Options {
 // corpusSpecFor resolves the simulated-cloud spec for a corpus device by
 // its report identity.
 func corpusSpecFor(device, version string) *cloud.Spec {
-	for _, d := range corpus.Devices() {
-		if device == d.Vendor+" "+d.Model && version == d.Version {
-			return corpus.CloudSpec(d)
-		}
+	if d := corpus.DeviceByIdentity(device, version); d != nil {
+		return corpus.CloudSpec(d)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -183,5 +184,28 @@ func TestProbeBatchSummary(t *testing.T) {
 	}
 	if s.Granted+s.Denied+s.Invalid+s.Failed != s.Probed {
 		t.Errorf("rollup classes do not sum to probed: %+v", s)
+	}
+}
+
+// TestCorpusSpecForMatchesTableI: the probe stage's spec lookup resolves
+// every corpus device's report identity to that device's cloud spec, and
+// an identity outside Table I to none.
+func TestCorpusSpecForMatchesTableI(t *testing.T) {
+	for id := 1; id <= 22; id++ {
+		d := corpus.Device(id)
+		got := corpusSpecFor(d.Vendor+" "+d.Model, d.Version)
+		if want := corpus.CloudSpec(d); !reflect.DeepEqual(got, want) {
+			t.Errorf("device %d: spec lookup diverged from CloudSpec(Device(%d))", id, id)
+		}
+	}
+	d := corpus.Device(5)
+	for _, ident := range [][2]string{
+		{"Acme Router9000", "1.0"},
+		{d.Vendor + " " + d.Model, d.Version + "-rc1"},
+		{d.Vendor + d.Model, d.Version},
+	} {
+		if got := corpusSpecFor(ident[0], ident[1]); got != nil {
+			t.Errorf("unknown identity %q %q resolved to device %d", ident[0], ident[1], got.DeviceID)
+		}
 	}
 }

@@ -68,7 +68,7 @@ leg_race() {
 	go test -race ./internal/parallel
 
 	echo "== persistent cache (cold/warm goldens byte-identical, single-flight under -race)"
-	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight' .
+	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
 
 	echo "== job queue (concurrent submit/drain storm, crash-resume) under -race"
 	go test -race -run 'TestQueueConcurrentSubmitDrain|TestQueueCrashResumeReplaysExactlyOnce' ./internal/serve
@@ -79,12 +79,13 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path at 0 allocs, per-MFT taint budget, crawl bytes per image, no per-image retention)"
+	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe spec lookup, firmserve handler bytes, no per-image retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
-	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs' ./internal/obs
+	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget' .
+	go test -run 'TestCrawlAllocBudget|TestCorpusSpecForAllocBound' .
+	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
 
