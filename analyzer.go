@@ -149,7 +149,9 @@ func analyzeFresh(ctx context.Context, pl *core.Pipeline, data []byte) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	return reportOf(res), nil
+	rep := reportOf(res)
+	res.Release()
+	return rep, nil
 }
 
 // Cached returns the canonical JSON of data's report when the cache holds

@@ -6,35 +6,29 @@ package firmres
 
 import (
 	"context"
+	"runtime"
 	"runtime/metrics"
 	"testing"
 
-	"firmres/internal/corpus"
+	"firmres/internal/parallel"
 )
 
 // crawlAllocBudget is the committed ceiling on heap bytes allocated per
 // image by a cold -j 1 sweep of the crawl set. The measured cost is about
-// 0.62 MB; the headroom absorbs runtime-version drift, not regressions —
-// blowing the budget means a cold-path structure (a per-call map, a
-// string per op, a solution the facts store already holds) is being
-// rebuilt per call.
-const crawlAllocBudget = 0.85e6
+// 0.48 MB, lifted programs recycled through the pipeline's pool; the
+// headroom absorbs runtime-version drift, not regressions — blowing the
+// budget means a cold-path structure (a per-call map, a string per op, a
+// solution the facts store already holds, a lifted program nobody
+// releases) is being rebuilt per call.
+const crawlAllocBudget = 0.60e6
 
 // crawlSet packs the crawl workload's images: the 22 corpus devices and
 // their 22 stripped twins.
 func crawlSet(t testing.TB) [][]byte {
 	t.Helper()
 	var imgs [][]byte
-	for id := 1; id <= 22; id++ {
-		img, err := corpus.BuildImage(corpus.Device(id))
-		if err != nil {
-			t.Fatalf("BuildImage(%d): %v", id, err)
-		}
-		twin, err := corpus.BuildStrippedImage(corpus.Device(id))
-		if err != nil {
-			t.Fatalf("BuildStrippedImage(%d): %v", id, err)
-		}
-		imgs = append(imgs, img.Pack(), twin.Pack())
+	for _, g := range goldenCrawlSet(t) {
+		imgs = append(imgs, g.data)
 	}
 	return imgs
 }
@@ -68,5 +62,44 @@ func TestCrawlAllocBudget(t *testing.T) {
 	t.Logf("crawl: %.0f B/image over %d images (budget %.0f)", perImage, len(imgs), crawlAllocBudget)
 	if perImage > crawlAllocBudget {
 		t.Errorf("cold crawl sweep allocates %.0f B/image, budget %.0f", perImage, crawlAllocBudget)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects. Two collections flush
+// the sync.Pool victim caches, so pooled scratch does not count.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestAnalyzerRetentionBound runs the crawl set through one Analyzer on
+// two workers and requires the live heap to stay within 1 MB of its
+// starting level while the Analyzer stays reachable: its pool keeps the
+// storage of the programs that were live at once, and nothing else of
+// the analyses survives them.
+func TestAnalyzerRetentionBound(t *testing.T) {
+	const budget = 1 << 20
+	imgs := crawlSet(t)
+	cfg := newConfig([]Option{WithLint(), WithStrippedMode(), WithWorkers(2)})
+	a, err := cfg.analyzer(len(imgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before := liveHeap()
+	parallel.ForEach(ctx, 2, len(imgs), func(i int) {
+		analyzeBatchImage(ctx, a, "", imgs[i])
+	})
+	after := liveHeap()
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(imgs)
+
+	grown := int64(after) - int64(before)
+	t.Logf("live heap grew %d B over %d images (budget %d)", grown, len(imgs), budget)
+	if grown > budget {
+		t.Errorf("live heap grew %d B after the crawl set, budget %d: the Analyzer keeps more than its pool", grown, budget)
 	}
 }

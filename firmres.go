@@ -380,6 +380,15 @@ func AnalyzeFileContext(ctx context.Context, path string, opts ...Option) (*Repo
 	return AnalyzeImageContext(ctx, data, opts...)
 }
 
+// presized returns an empty slice with room for n elements, or nil when n
+// is 0: an empty list in a report stays nil, so it still encodes as null.
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 func reportOf(res *core.Result) *Report {
 	r := &Report{
 		Device:     res.Device,
@@ -400,6 +409,7 @@ func reportOf(res *core.Result) *Report {
 			Confidence:       res.Recovery.Confidence,
 			Notes:            res.Recovery.Notes,
 		}
+		rec.Bindings = presized[RecoveryBinding](len(res.Recovery.Bindings))
 		for _, b := range res.Recovery.Bindings {
 			rec.Bindings = append(rec.Bindings, RecoveryBinding{
 				Import:     b.Import,
@@ -418,6 +428,7 @@ func reportOf(res *core.Result) *Report {
 			r.ClusterCounts[fmt.Sprintf("%.1f", thd)] = n
 		}
 	}
+	r.Errors = presized[AnalysisError](len(res.Errors))
 	for _, ae := range res.Errors {
 		r.Errors = append(r.Errors, AnalysisError{
 			Stage:  ae.Stage,
@@ -442,6 +453,7 @@ func reportOf(res *core.Result) *Report {
 		}
 		return a.Detail < b.Detail
 	})
+	r.Diagnostics = presized[Diagnostic](len(res.Diagnostics))
 	for _, d := range res.Diagnostics {
 		r.Diagnostics = append(r.Diagnostics, Diagnostic{
 			Rule:       d.Rule,
@@ -454,6 +466,7 @@ func reportOf(res *core.Result) *Report {
 		})
 	}
 	core.SortMessagesByFunction(res.Messages)
+	r.Messages = presized[Message](len(res.Messages))
 	for i := range res.Messages {
 		mr := &res.Messages[i]
 		msg := Message{
@@ -473,6 +486,7 @@ func reportOf(res *core.Result) *Report {
 			msg.Detail = mr.Message.Reason
 			msg.Verdict = "discarded"
 		}
+		msg.Fields = presized[Field](len(mr.Message.Fields))
 		for _, f := range mr.Message.Fields {
 			msg.Fields = append(msg.Fields, Field{
 				Key:        f.Key,

@@ -86,6 +86,9 @@ func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(c
 		}
 		err = out.err
 	case <-stageCtx.Done():
+		// The stage goroutine runs on over the lifted program, so the
+		// result must keep it (see Result.Release).
+		res.abandoned = true
 		err = fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, stageCtx.Err())
 	}
 	if err == nil {
@@ -187,6 +190,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				res.Errors = append(res.Errors, skips...)
 				if cand != nil {
 					prog, fx = cand.prog, cand.fx
+					res.prog, res.pool = cand.prog, p.pool
 					res.Executable, res.Handlers = cand.path, cand.handlers
 					res.Recovery = cand.rec
 				}
@@ -431,6 +435,13 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 			best = s.cand
 		}
 	}
+	// Pinpoint owns every candidate but the winner: nothing reads a loser
+	// after selection, so its storage goes back to the pool.
+	for _, s := range slots {
+		if s.cand != nil && s.cand != best {
+			p.pool.Release(s.cand.prog)
+		}
+	}
 	if best == nil {
 		return nil, skips, fmt.Errorf("core: %q: %w", img.Device, ErrNoDeviceCloudExecutable)
 	}
@@ -479,7 +490,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 		}
 		sp.End()
 	}
-	prog, err := pcode.LiftProgram(bin)
+	prog, err := p.pool.LiftProgram(bin)
 	if err != nil {
 		return nil, &errdefs.AnalysisError{
 			Stage: StagePinpoint.String(), Path: f.Path,
@@ -489,6 +500,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 	fx := facts.New(prog, facts.WithMetrics(met))
 	idRes := identify.Analyze(prog, identify.WithMinScore(p.opts.MinScore), identify.WithFacts(fx))
 	if !idRes.IsDeviceCloud {
+		p.pool.Release(prog)
 		return nil, nil
 	}
 	score := 0.0

@@ -23,6 +23,8 @@ import (
 	"firmres/internal/mft"
 	"firmres/internal/nvram"
 	"firmres/internal/obs"
+	"firmres/internal/parallel"
+	"firmres/internal/pcode"
 	"firmres/internal/semantics"
 	"firmres/internal/slices"
 	"firmres/internal/strip"
@@ -131,6 +133,26 @@ type Result struct {
 	// degrading gracefully: skipped executables, timed-out stages,
 	// recovered panics. Empty for a clean run.
 	Errors []errdefs.AnalysisError
+
+	prog      *pcode.Program // the executable's lifted program, handed back by Release
+	pool      *pcode.Pool    // the pipeline's free list prog came from
+	abandoned bool           // a stage outlived its budget and may still read prog
+}
+
+// Release hands the executable's lifted program back to the pipeline,
+// which recycles its storage for later analyses. Call it once the Result
+// has been rendered: afterwards Handlers and the MFT, Tree, Slices and
+// Infos of every message refer to storage another analysis may overwrite.
+// Release does nothing when the analysis abandoned a stage, whose
+// goroutine may still be reading the program; it is safe to call more
+// than once, and a Result that is never released just leaves its program
+// to the garbage collector.
+func (r *Result) Release() {
+	if r.abandoned {
+		return
+	}
+	r.pool.Release(r.prog)
+	r.prog = nil
 }
 
 // Partial reports whether the analysis degraded: some work was skipped or
@@ -258,11 +280,21 @@ func (o Options) Fingerprint() string {
 // Pipeline runs the FIRMRES analysis.
 type Pipeline struct {
 	opts Options
+	// pool recycles lifted programs: pinpoint's losers at once, the
+	// winner when its Result is released. Observed copies share it, so it
+	// lives as long as the configured pipeline.
+	pool *pcode.Pool
 }
 
 // New builds a pipeline.
 func New(opts Options) *Pipeline {
-	return &Pipeline{opts: opts.withDefaults()}
+	// An analysis holds one program per pinpoint worker plus the
+	// device-cloud candidate pinpoint keeps until selection; the pool keeps
+	// that many for the next analysis. Programs beyond it — concurrent
+	// analyses, images with more device-cloud candidates — go to the
+	// garbage collector, so what the pool retains is set by the options,
+	// not by the largest image seen.
+	return &Pipeline{opts: opts.withDefaults(), pool: pcode.NewPool(parallel.CPUWorkers(opts.Workers) + 1)}
 }
 
 // Observed returns a copy of p whose spans go to rec, so one configured
@@ -272,6 +304,9 @@ func (p *Pipeline) Observed(rec *obs.Recorder) *Pipeline {
 	q.opts.Obs = rec
 	return &q
 }
+
+// Pool returns the free list the pipeline lifts executables through.
+func (p *Pipeline) Pool() *pcode.Pool { return p.pool }
 
 // ErrNoDeviceCloudExecutable is reported (wrapped) when no binary in the
 // image contains an asynchronous request handler — script-only devices.

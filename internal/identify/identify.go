@@ -278,7 +278,7 @@ func parsingFactor(ff *facts.Func, in pcode.CallSite) float64 {
 					// Pointer-based load: tainted pointer taints the value.
 					src = tainted[key(op.Inputs[0])]
 					if !src {
-						if base, ok := loadBase(f, i); ok {
+						if base, ok := f.LoadBase(i); ok {
 							src = tainted[key(base)]
 						}
 					}
@@ -345,20 +345,6 @@ func isFoldedConstant(f *pcode.Function, du *dataflow.DefUse, useIdx int, v pcod
 		}
 	}
 	return true
-}
-
-// loadBase recovers the base operand of a LOAD's effective-address
-// computation (INT_ADD(base, const) emitted by the lifter for the same
-// instruction).
-func loadBase(f *pcode.Function, loadIdx int) (pcode.Varnode, bool) {
-	if loadIdx == 0 {
-		return pcode.Varnode{}, false
-	}
-	ea := &f.Ops[loadIdx-1]
-	if !ea.HasOut || ea.Output != f.Ops[loadIdx].Inputs[0] || ea.Code != pcode.INT_ADD {
-		return pcode.Varnode{}, false
-	}
-	return ea.Inputs[0], true
 }
 
 // isAsync walks the chain of direct callers above the function containing

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
 )
@@ -307,5 +308,48 @@ func TestAddressTakenButAlsoCalled(t *testing.T) {
 		if handler.Async {
 			t.Error("directly-called handler classified asynchronous")
 		}
+	}
+}
+
+// TestParsingFactorPointerLoadFromGlobal: a byte loaded through a pointer
+// to a global table is not request data, however the pointer is formed,
+// so the predicate comparing it with a request byte counts one request
+// operand of two. With a second, request-versus-constant predicate P_f is
+// 2/3.
+func TestParsingFactorPointerLoadFromGlobal(t *testing.T) {
+	a := asm.New("cloudd")
+	table := a.Bytes("table", []byte("GET"))
+	parse := a.Func("parse_request", 1, true)
+	fail := parse.NewLabel()
+	parse.LB(isa.R2, isa.R1, 0) // request byte
+	parse.LA(isa.R4, table)
+	parse.LB(isa.R5, isa.R4, 0) // table byte, through an untainted pointer
+	parse.Bne(isa.R2, isa.R5, fail)
+	parse.LB(isa.R6, isa.R1, 1)
+	parse.LI(isa.R7, 'E')
+	parse.Bne(isa.R6, isa.R7, fail)
+	parse.LI(isa.R1, 1)
+	parse.Ret()
+	parse.Bind(fail)
+	parse.LI(isa.R1, 0)
+	parse.Ret()
+	m := a.Func("main", 0, true)
+	m.Call("parse_request")
+	m.Ret()
+	bin, err := a.Link()
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	prog, err := pcode.LiftProgram(bin)
+	if err != nil {
+		t.Fatalf("LiftProgram: %v", err)
+	}
+	fn, _ := prog.FuncByName("parse_request")
+	caller, _ := prog.FuncByName("main")
+	fx := facts.New(prog)
+	// The recv callsite lies outside parse_request, so its parameters seed
+	// the taint.
+	if got := parsingFactor(fx.Func(fn), pcode.CallSite{Fn: caller}); got != 2.0/3.0 {
+		t.Errorf("P_f = %v, want 2/3", got)
 	}
 }

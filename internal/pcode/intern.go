@@ -36,7 +36,7 @@ func locOf(v Varnode) Loc { return Loc{Space: v.Space, Offset: v.Offset} }
 func locKey(l Loc) uint64 { return uint64(l.Space)<<32 | l.Offset }
 
 // internLoc assigns (or returns) the dense ID of a location. Lift-time
-// only: the tables are immutable once Lift returns, which is what makes
+// only: the tables are immutable once lifting returns, which is what makes
 // concurrent LocID lookups from analysis workers safe.
 func (f *Function) internLoc(l Loc) LocID {
 	if l.Offset > 0xffffffff {
@@ -56,7 +56,7 @@ func (f *Function) internLoc(l Loc) LocID {
 
 // LocID returns the dense ID of v's location, or NoLoc when the function
 // never defines it (such a location can carry no definitions and no
-// constant state). Safe for concurrent use after Lift.
+// constant state). Safe for concurrent use after lifting.
 func (f *Function) LocID(v Varnode) LocID {
 	if v.Offset > 0xffffffff {
 		return NoLoc // interned locations always have 32-bit offsets
@@ -97,10 +97,10 @@ func (f *Function) SlotLocAt(opIdx int) LocID {
 	return f.slotLoc[opIdx]
 }
 
-// resolveSlots precomputes the per-op stack-slot table after all ops are
+// resolveSlots fills the per-op stack-slot table after all ops are
 // emitted, interning each resolved slot's RAM location.
 func (f *Function) resolveSlots() {
-	f.slotLoc = make([]LocID, len(f.Ops))
+	f.slotLoc = f.slotLoc[:len(f.Ops)]
 	for i := range f.slotLoc {
 		f.slotLoc[i] = NoLoc
 	}

@@ -11,19 +11,18 @@ import (
 
 // Function is the lifted P-Code listing of one machine function.
 //
-// Memory discipline: Lift sizes Ops exactly and carves every op's Inputs
-// out of one shared per-function slab (inSlab), so a function costs a
-// fixed handful of allocations instead of one per op. The slab and the
-// interning tables (locIdx/locs/ramIDs/slotLoc, see intern.go) are
-// written only during Lift; afterwards the whole struct is immutable, so
-// analysis workers may read it concurrently without locks.
+// Memory discipline: a function owns no arrays of its own. Its ops, their
+// inputs and call targets, and its op-index and slot tables are carved out
+// of its program's slabs, which lifting sizes exactly before the first
+// function is lifted; so a whole program costs a handful of allocations,
+// and none when a Pool recycles it. The interning tables (locIdx/locs/
+// ramIDs, see intern.go) belong to the function and are kept across reuse.
+// Everything is written only during lifting; afterwards the struct is
+// immutable, so analysis workers may read it concurrently without locks.
 type Function struct {
-	Sym    binfmt.FuncSym
-	Ops    []Op
-	opAt   []int32 // instruction slot -> index of the first op at that address
-	nextID uint64  // unique-space allocator state
-
-	inSlab []Varnode // backing storage every op's Inputs slice is carved from
+	Sym  binfmt.FuncSym
+	Ops  []Op
+	opAt []int32 // instruction slot -> index of the first op at that address
 
 	locIdx  map[uint64]LocID // packed location (locKey) -> dense ID (defined locations + slots)
 	locs    []Loc            // dense ID -> location
@@ -59,104 +58,211 @@ func (f *Function) Params() []Varnode {
 	return out
 }
 
-func (f *Function) unique() Varnode {
-	f.nextID++
-	return Varnode{Space: SpaceUnique, Offset: f.nextID, Size: 4}
+// LoadBase recovers the base operand of the LOAD at loadIdx: the first
+// input of the INT_ADD(base, const) the lifter emitted just before it for
+// the same instruction. The second result is false when the op before is
+// not that address computation.
+func (f *Function) LoadBase(loadIdx int) (Varnode, bool) {
+	if loadIdx <= 0 || loadIdx >= len(f.Ops) {
+		return Varnode{}, false
+	}
+	ea, load := &f.Ops[loadIdx-1], &f.Ops[loadIdx]
+	if !ea.HasOut || len(load.Inputs) == 0 || ea.Output != load.Inputs[0] || ea.Code != INT_ADD {
+		return Varnode{}, false
+	}
+	return ea.Inputs[0], true
 }
 
-// in1/in2 carve an op's input slice off the per-function slab,
-// capacity-clamped so nothing can append through into a neighbour. A slab
-// regrowth leaves previously carved slices pointing at the old array,
-// which stays valid — slices are never re-derived from the slab.
-func (f *Function) in1(a Varnode) []Varnode {
-	n := len(f.inSlab)
-	f.inSlab = append(f.inSlab, a)
-	return f.inSlab[n : n+1 : n+1]
+// size counts the P-Code expansion of a stretch of decoded code: ops,
+// instruction slots and call targets exactly, op inputs as an upper bound.
+type size struct{ instrs, ops, ins, calls int }
+
+func (s *size) add(t size) {
+	s.instrs += t.instrs
+	s.ops += t.ops
+	s.ins += t.ins
+	s.calls += t.calls
 }
 
-func (f *Function) in2(a, b Varnode) []Varnode {
-	n := len(f.inSlab)
-	f.inSlab = append(f.inSlab, a, b)
-	return f.inSlab[n : n+2 : n+2]
-}
-
-// liftScratch pools the per-Lift decode buffer: instructions are consumed
-// while emitting ops and nothing retains them, so the buffer recycles
-// across functions and batch images.
-var liftScratch = sync.Pool{New: func() any { return new(scratch) }}
-
-type scratch struct{ instrs []isa.Instruction }
-
-// sizeOf returns the exact op count and an input-count upper bound for one
-// instruction's P-Code expansion, letting Lift pre-size the op slice and
-// input slab instead of growing them.
-func sizeOf(in isa.Instruction) (ops, ins int) {
+// sizeOf returns the ops, inputs and call targets of one instruction's
+// P-Code expansion, letting lifting carve exact slab shares instead of
+// growing slices.
+func sizeOf(in isa.Instruction) size {
 	switch in.Op {
 	case isa.OpNop:
-		return 0, 0
+		return size{}
 	case isa.OpLI, isa.OpLA, isa.OpMov, isa.OpJmp:
-		return 1, 1
+		return size{ops: 1, ins: 1}
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
 		isa.OpXor, isa.OpShl, isa.OpShr, isa.OpAddI:
-		return 1, 2
+		return size{ops: 1, ins: 2}
 	case isa.OpLW, isa.OpLB:
-		return 2, 3
+		return size{ops: 2, ins: 3}
 	case isa.OpSW, isa.OpSB:
-		return 2, 4
+		return size{ops: 2, ins: 4}
 	case isa.OpBeq, isa.OpBne, isa.OpBlt:
-		return 2, 4
+		return size{ops: 2, ins: 4}
 	case isa.OpBge:
-		return 3, 5
+		return size{ops: 3, ins: 5}
 	case isa.OpCall, isa.OpCallI:
-		return 1, isa.NumArgRegs
+		return size{ops: 1, ins: isa.NumArgRegs, calls: 1}
 	case isa.OpCallR:
-		return 1, 1 + int(in.Rd)
+		return size{ops: 1, ins: 1 + int(in.Rd), calls: 1}
 	case isa.OpRet:
-		return 1, 1
+		return size{ops: 1, ins: 1}
 	}
-	return 1, 2 // unsupported opcodes fail during lifting anyway
+	return size{ops: 1, ins: 2} // unsupported opcodes fail during lifting anyway
 }
 
-// Lift translates the machine code of fn into P-Code.
-func Lift(bin *binfmt.Binary, fn binfmt.FuncSym) (*Function, error) {
-	if fn.Size == 0 || fn.End() > bin.TextBase+uint32(len(bin.Text)) {
-		return nil, fmt.Errorf("pcode: function %q out of range", fn.Name)
+// slabs is the storage a program's functions are carved from. Lifting
+// sizes every slab once, before the first function is carved, so a slab
+// never moves while slices into it are live; a recycled program reuses
+// each array that is large enough.
+type slabs struct {
+	ops   []Op
+	ins   []Varnode
+	opAt  []int32
+	slots []LocID
+	calls []CallTarget
+}
+
+// reset empties the slabs for a program of size n.
+func (s *slabs) reset(n size) {
+	s.ops = fit(s.ops, n.ops)
+	s.ins = fit(s.ins, n.ins)
+	s.opAt = fit(s.opAt, n.instrs)
+	s.slots = fit(s.slots, n.ops)
+	s.calls = fit(s.calls, n.calls)
+}
+
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
 	}
-	body := bin.Text[fn.Addr-bin.TextBase : fn.End()-bin.TextBase]
-	sc := liftScratch.Get().(*scratch)
-	defer liftScratch.Put(sc)
-	instrs, err := isa.DecodeAppend(sc.instrs[:0], body)
+	return s[:0]
+}
+
+// take carves the next n elements off a slab, capacity-clamped so nothing
+// can append through into a neighbour.
+func take[T any](s *[]T, n int) []T {
+	i := len(*s)
+	*s = (*s)[:i+n]
+	return (*s)[i : i+n : i+n]
+}
+
+// liftScratch pools the decode buffer: instructions are consumed while
+// emitting ops and nothing retains them, so the buffer recycles across
+// binaries and images.
+var liftScratch = sync.Pool{New: func() any { return new(scratch) }}
+
+type scratch struct {
+	instrs []isa.Instruction
+	sizes  []size // per decoded function
+}
+
+// decode appends the instructions of fn's body to sc and records their
+// size.
+func (sc *scratch) decode(bin *binfmt.Binary, fn binfmt.FuncSym) error {
+	if fn.Size == 0 || fn.End() > bin.TextBase+uint32(len(bin.Text)) {
+		return fmt.Errorf("pcode: function %q out of range", fn.Name)
+	}
+	start := len(sc.instrs)
+	instrs, err := isa.DecodeAppend(sc.instrs, bin.Text[fn.Addr-bin.TextBase:fn.End()-bin.TextBase])
 	sc.instrs = instrs // keep the grown buffer pooled either way
 	if err != nil {
-		return nil, fmt.Errorf("pcode: lifting %q: %w", fn.Name, err)
+		return fmt.Errorf("pcode: lifting %q: %w", fn.Name, err)
 	}
-	nops, nins := 0, 0
-	for _, in := range instrs {
-		o, i := sizeOf(in)
-		nops += o
-		nins += i
+	n := size{instrs: len(instrs) - start}
+	for _, in := range instrs[start:] {
+		n.add(sizeOf(in))
 	}
-	f := &Function{
-		Sym:    fn,
-		Ops:    make([]Op, 0, nops),
-		opAt:   make([]int32, len(instrs)),
-		inSlab: make([]Varnode, 0, nins),
-		locIdx: make(map[uint64]LocID, nops),
+	sc.sizes = append(sc.sizes, n)
+	return nil
+}
+
+// Lift translates the machine code of fn into P-Code, in storage of its
+// own.
+func Lift(bin *binfmt.Binary, fn binfmt.FuncSym) (*Function, error) {
+	sc := liftScratch.Get().(*scratch)
+	defer liftScratch.Put(sc)
+	sc.instrs, sc.sizes = sc.instrs[:0], sc.sizes[:0]
+	if err := sc.decode(bin, fn); err != nil {
+		return nil, err
 	}
+	var s slabs
+	s.reset(sc.sizes[0])
+	f := new(Function)
+	if err := f.lift(bin, fn, sc.instrs, sc.sizes[0], &s); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// lift fills f with the P-Code of fn, whose decoded instructions and size
+// are given, carving its arrays off s. A recycled f keeps its interning
+// tables' storage.
+func (f *Function) lift(bin *binfmt.Binary, fn binfmt.FuncSym, instrs []isa.Instruction, n size, s *slabs) error {
+	f.Sym = fn
+	f.Ops = take(&s.ops, n.ops)[:0]
+	f.opAt = take(&s.opAt, n.instrs)
+	f.slotLoc = take(&s.slots, n.ops)
+	f.locs, f.ramIDs = f.locs[:0], f.ramIDs[:0]
+	if f.locIdx == nil {
+		f.locIdx = make(map[uint64]LocID, n.ops)
+	} else {
+		clear(f.locIdx)
+	}
+	l := lifter{f: f, bin: bin, ins: take(&s.ins, n.ins)[:0], calls: take(&s.calls, n.calls)[:0]}
 	for i, in := range instrs {
 		addr := fn.Addr + uint32(i*isa.InstrSize)
 		f.opAt[i] = int32(len(f.Ops))
-		if err := f.liftInstr(bin, addr, in); err != nil {
-			return nil, fmt.Errorf("pcode: lifting %q at %#x: %w", fn.Name, addr, err)
+		if err := l.liftInstr(addr, in); err != nil {
+			return fmt.Errorf("pcode: lifting %q at %#x: %w", fn.Name, addr, err)
 		}
 	}
 	f.resolveSlots()
-	return f, nil
+	return nil
+}
+
+// lifter is the lift-time state of one function: cursors into its shares
+// of the input and call-target slabs, and the unique-space allocator.
+type lifter struct {
+	f      *Function
+	bin    *binfmt.Binary
+	ins    []Varnode
+	calls  []CallTarget
+	nextID uint64
+}
+
+func (l *lifter) unique() Varnode {
+	l.nextID++
+	return Varnode{Space: SpaceUnique, Offset: l.nextID, Size: 4}
+}
+
+// in1/in2 carve an op's input slice off the function's input share,
+// capacity-clamped so nothing can append through into a neighbour.
+func (l *lifter) in1(a Varnode) []Varnode {
+	n := len(l.ins)
+	l.ins = append(l.ins, a)
+	return l.ins[n : n+1 : n+1]
+}
+
+func (l *lifter) in2(a, b Varnode) []Varnode {
+	n := len(l.ins)
+	l.ins = append(l.ins, a, b)
+	return l.ins[n : n+2 : n+2]
+}
+
+// call stores a call target in the function's call-target share.
+func (l *lifter) call(ct CallTarget) *CallTarget {
+	l.calls = append(l.calls, ct)
+	return &l.calls[len(l.calls)-1]
 }
 
 // emit appends an op, stamping address and sequence number and interning
 // the defined location.
-func (f *Function) emit(addr uint32, op Op) {
+func (l *lifter) emit(addr uint32, op Op) {
+	f := l.f
 	op.Addr = addr
 	// Sequence number within the instruction expansion.
 	if n := len(f.Ops); n > 0 && f.Ops[n-1].Addr == addr {
@@ -168,13 +274,13 @@ func (f *Function) emit(addr uint32, op Op) {
 	f.Ops = append(f.Ops, op)
 }
 
-func (f *Function) liftInstr(bin *binfmt.Binary, addr uint32, in isa.Instruction) error {
+func (l *lifter) liftInstr(addr uint32, in isa.Instruction) error {
 	rd := Register(in.Rd)
 	rs1 := Register(in.Rs1)
 	rs2 := Register(in.Rs2)
 
 	binop := func(code OpCode) {
-		f.emit(addr, Op{Code: code, Output: rd, HasOut: true, Inputs: f.in2(rs1, rs2)})
+		l.emit(addr, Op{Code: code, Output: rd, HasOut: true, Inputs: l.in2(rs1, rs2)})
 	}
 
 	switch in.Op {
@@ -184,11 +290,11 @@ func (f *Function) liftInstr(bin *binfmt.Binary, addr uint32, in isa.Instruction
 		return nil
 
 	case isa.OpLI, isa.OpLA:
-		f.emit(addr, Op{Code: COPY, Output: rd, HasOut: true,
-			Inputs: f.in1(Constant(uint64(uint32(in.Imm)), 4))})
+		l.emit(addr, Op{Code: COPY, Output: rd, HasOut: true,
+			Inputs: l.in1(Constant(uint64(uint32(in.Imm)), 4))})
 
 	case isa.OpMov:
-		f.emit(addr, Op{Code: COPY, Output: rd, HasOut: true, Inputs: f.in1(rs1)})
+		l.emit(addr, Op{Code: COPY, Output: rd, HasOut: true, Inputs: l.in1(rs1)})
 
 	case isa.OpAdd:
 		binop(INT_ADD)
@@ -210,99 +316,98 @@ func (f *Function) liftInstr(bin *binfmt.Binary, addr uint32, in isa.Instruction
 		binop(INT_RIGHT)
 
 	case isa.OpAddI:
-		f.emit(addr, Op{Code: INT_ADD, Output: rd, HasOut: true,
-			Inputs: f.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
+		l.emit(addr, Op{Code: INT_ADD, Output: rd, HasOut: true,
+			Inputs: l.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
 
 	case isa.OpLW, isa.OpLB:
 		size := uint8(4)
 		if in.Op == isa.OpLB {
 			size = 1
 		}
-		ea := f.unique()
-		f.emit(addr, Op{Code: INT_ADD, Output: ea, HasOut: true,
-			Inputs: f.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
+		ea := l.unique()
+		l.emit(addr, Op{Code: INT_ADD, Output: ea, HasOut: true,
+			Inputs: l.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
 		dst := rd
 		dst.Size = size
-		f.emit(addr, Op{Code: LOAD, Output: dst, HasOut: true, Inputs: f.in1(ea)})
+		l.emit(addr, Op{Code: LOAD, Output: dst, HasOut: true, Inputs: l.in1(ea)})
 
 	case isa.OpSW, isa.OpSB:
 		size := uint8(4)
 		if in.Op == isa.OpSB {
 			size = 1
 		}
-		ea := f.unique()
-		f.emit(addr, Op{Code: INT_ADD, Output: ea, HasOut: true,
-			Inputs: f.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
+		ea := l.unique()
+		l.emit(addr, Op{Code: INT_ADD, Output: ea, HasOut: true,
+			Inputs: l.in2(rs1, Constant(uint64(uint32(in.Imm)), 4))})
 		src := rs2
 		src.Size = size
-		f.emit(addr, Op{Code: STORE, Inputs: f.in2(ea, src)})
+		l.emit(addr, Op{Code: STORE, Inputs: l.in2(ea, src)})
 
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 		target := Constant(uint64(uint32(in.Imm)), 4)
-		pred := f.unique()
+		pred := l.unique()
 		pred.Size = 1
 		switch in.Op {
 		case isa.OpBeq:
-			f.emit(addr, Op{Code: INT_EQUAL, Output: pred, HasOut: true, Inputs: f.in2(rs1, rs2)})
+			l.emit(addr, Op{Code: INT_EQUAL, Output: pred, HasOut: true, Inputs: l.in2(rs1, rs2)})
 		case isa.OpBne:
-			f.emit(addr, Op{Code: INT_NOTEQUAL, Output: pred, HasOut: true, Inputs: f.in2(rs1, rs2)})
+			l.emit(addr, Op{Code: INT_NOTEQUAL, Output: pred, HasOut: true, Inputs: l.in2(rs1, rs2)})
 		case isa.OpBlt:
-			f.emit(addr, Op{Code: INT_SLESS, Output: pred, HasOut: true, Inputs: f.in2(rs1, rs2)})
+			l.emit(addr, Op{Code: INT_SLESS, Output: pred, HasOut: true, Inputs: l.in2(rs1, rs2)})
 		case isa.OpBge:
-			lt := f.unique()
+			lt := l.unique()
 			lt.Size = 1
-			f.emit(addr, Op{Code: INT_SLESS, Output: lt, HasOut: true, Inputs: f.in2(rs1, rs2)})
-			f.emit(addr, Op{Code: BOOL_NEGATE, Output: pred, HasOut: true, Inputs: f.in1(lt)})
+			l.emit(addr, Op{Code: INT_SLESS, Output: lt, HasOut: true, Inputs: l.in2(rs1, rs2)})
+			l.emit(addr, Op{Code: BOOL_NEGATE, Output: pred, HasOut: true, Inputs: l.in1(lt)})
 		}
-		f.emit(addr, Op{Code: CBRANCH, Inputs: f.in2(target, pred)})
+		l.emit(addr, Op{Code: CBRANCH, Inputs: l.in2(target, pred)})
 
 	case isa.OpJmp:
-		f.emit(addr, Op{Code: BRANCH,
-			Inputs: f.in1(Constant(uint64(uint32(in.Imm)), 4))})
+		l.emit(addr, Op{Code: BRANCH,
+			Inputs: l.in1(Constant(uint64(uint32(in.Imm)), 4))})
 
 	case isa.OpCall:
-		callee, ok := bin.FuncAt(uint32(in.Imm))
+		callee, ok := l.bin.FuncAt(uint32(in.Imm))
 		if !ok {
 			return fmt.Errorf("call to unmapped address %#x", uint32(in.Imm))
 		}
-		f.emitCall(addr, &CallTarget{
+		l.emitCall(addr, l.call(CallTarget{
 			Kind: CallLocal, Addr: callee.Addr, Name: callee.Name,
 			Arity: callee.NumParams, HasResult: callee.HasResult,
-		})
+		}))
 
 	case isa.OpCallI:
 		idx := int(in.Imm)
-		if idx < 0 || idx >= len(bin.Imports) {
+		if idx < 0 || idx >= len(l.bin.Imports) {
 			return fmt.Errorf("import index %d out of range", idx)
 		}
-		imp := bin.Imports[idx]
+		imp := l.bin.Imports[idx]
 		arity := int(in.Rs1)
 		if imp.NumParams != externs.Variadic {
 			arity = imp.NumParams
 		}
-		f.emitCall(addr, &CallTarget{
+		l.emitCall(addr, l.call(CallTarget{
 			Kind: CallImported, Import: idx, Name: imp.Name,
 			Arity: arity, HasResult: imp.HasResult,
-		})
+		}))
 
 	case isa.OpCallR:
 		arity := int(in.Rd)
-		ct := &CallTarget{Kind: CallIndirect, Arity: arity, HasResult: true}
-		start := len(f.inSlab)
-		f.inSlab = append(f.inSlab, rs1)
+		start := len(l.ins)
+		l.ins = append(l.ins, rs1)
 		for i := 0; i < arity; i++ {
-			f.inSlab = append(f.inSlab, Register(isa.ArgReg(i)))
+			l.ins = append(l.ins, Register(isa.ArgReg(i)))
 		}
-		inputs := f.inSlab[start:len(f.inSlab):len(f.inSlab)]
-		f.emit(addr, Op{Code: CALLIND, Output: Register(isa.R1), HasOut: true,
-			Inputs: inputs, Call: ct})
+		l.emit(addr, Op{Code: CALLIND, Output: Register(isa.R1), HasOut: true,
+			Inputs: l.ins[start:len(l.ins):len(l.ins)],
+			Call:   l.call(CallTarget{Kind: CallIndirect, Arity: arity, HasResult: true})})
 
 	case isa.OpRet:
 		var inputs []Varnode
-		if f.Sym.HasResult {
-			inputs = f.in1(Register(isa.R1))
+		if l.f.Sym.HasResult {
+			inputs = l.in1(Register(isa.R1))
 		}
-		f.emit(addr, Op{Code: RETURN, Inputs: inputs})
+		l.emit(addr, Op{Code: RETURN, Inputs: inputs})
 
 	default:
 		return fmt.Errorf("unsupported opcode %s", in.Op)
@@ -312,15 +417,15 @@ func (f *Function) liftInstr(bin *binfmt.Binary, addr uint32, in isa.Instruction
 
 // emitCall materializes a CALL op with argument registers as inputs and R1
 // as output when the callee produces a result.
-func (f *Function) emitCall(addr uint32, ct *CallTarget) {
-	start := len(f.inSlab)
+func (l *lifter) emitCall(addr uint32, ct *CallTarget) {
+	start := len(l.ins)
 	for i := 0; i < ct.Arity && i < isa.NumArgRegs; i++ {
-		f.inSlab = append(f.inSlab, Register(isa.ArgReg(i)))
+		l.ins = append(l.ins, Register(isa.ArgReg(i)))
 	}
-	op := Op{Code: CALL, Inputs: f.inSlab[start:len(f.inSlab):len(f.inSlab)], Call: ct}
+	op := Op{Code: CALL, Inputs: l.ins[start:len(l.ins):len(l.ins)], Call: ct}
 	if ct.HasResult {
 		op.Output = Register(isa.R1)
 		op.HasOut = true
 	}
-	f.emit(addr, op)
+	l.emit(addr, op)
 }

@@ -306,3 +306,34 @@ func TestLiftRejectsCorruptFunction(t *testing.T) {
 		t.Error("Lift accepted out-of-range function")
 	}
 }
+
+// TestLoadBase recovers the base register of a pointer load, and rejects
+// an op that is not one: the first op of a function, and an op after an
+// INT_ADD that has no input to compare against (a void RETURN).
+func TestLoadBase(t *testing.T) {
+	a := asm.New("t")
+	f := a.Func("f", 1, false)
+	f.LW(isa.R2, isa.R1, 8)
+	f.AddI(isa.R3, isa.R3, 4)
+	f.Ret()
+	bin, err := a.Link()
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	fn, err := Lift(bin, bin.Funcs[0])
+	if err != nil {
+		t.Fatalf("Lift: %v", err)
+	}
+	// Ops: 0 INT_ADD (ea = R1 + 8), 1 LOAD, 2 INT_ADD (R3 += 4), 3 RETURN.
+	if len(fn.Ops) != 4 || fn.Ops[1].Code != LOAD || fn.Ops[3].Code != RETURN || len(fn.Ops[3].Inputs) != 0 {
+		t.Fatalf("unexpected lift: %v", fn.Ops)
+	}
+	if base, ok := fn.LoadBase(1); !ok || base != Register(isa.R1) {
+		t.Errorf("LoadBase(LOAD) = %v, %t; want %v", base, ok, Register(isa.R1))
+	}
+	for _, idx := range []int{0, 3, 4} {
+		if base, ok := fn.LoadBase(idx); ok {
+			t.Errorf("LoadBase(%d) = %v, want none", idx, base)
+		}
+	}
+}

@@ -1,0 +1,156 @@
+package pcode_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"firmres/internal/binfmt"
+	"firmres/internal/corpus"
+	"firmres/internal/image"
+	"firmres/internal/isa"
+	"firmres/internal/pcode"
+	"firmres/internal/strip"
+)
+
+// corpusBinaries returns every binary executable of the 22 corpus images
+// and their 22 stripped twins, the stripped ones recovered as the pipeline
+// recovers them before lifting.
+func corpusBinaries(t *testing.T) []*binfmt.Binary {
+	t.Helper()
+	var bins []*binfmt.Binary
+	for id := 1; id <= 22; id++ {
+		full, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildImage(%d): %v", id, err)
+		}
+		twin, err := corpus.BuildStrippedImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildStrippedImage(%d): %v", id, err)
+		}
+		for _, img := range []*image.Image{full, twin} {
+			for _, f := range img.Executables() {
+				if !f.IsBinary() {
+					continue
+				}
+				bin, err := binfmt.Unmarshal(f.Data)
+				if err != nil {
+					t.Fatalf("Unmarshal(%s): %v", f.Path, err)
+				}
+				if strip.Needed(bin) {
+					strip.Recover(bin, strip.Hints{})
+				}
+				bins = append(bins, bin)
+			}
+		}
+	}
+	return bins
+}
+
+// TestRecycledLiftMatchesFresh lifts every corpus binary through one Pool,
+// releasing each program before the next lift, and requires each recycled
+// program to equal a fresh LiftProgram of the same binary. The binaries
+// alternate between the largest and the smallest left, so every lift
+// reuses storage a larger or a smaller program left behind.
+func TestRecycledLiftMatchesFresh(t *testing.T) {
+	bins := corpusBinaries(t)
+	sort.SliceStable(bins, func(i, j int) bool { return len(bins[i].Text) < len(bins[j].Text) })
+	order := make([]*binfmt.Binary, 0, len(bins))
+	for lo, hi := 0, len(bins)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, bins[hi])
+		if lo < hi {
+			order = append(order, bins[lo])
+		}
+	}
+
+	pool := pcode.NewPool(1)
+	for round := 0; round < 2; round++ {
+		for _, bin := range order {
+			want, err := pcode.LiftProgram(bin)
+			if err != nil {
+				t.Fatalf("LiftProgram(%s): %v", bin.Name, err)
+			}
+			got, err := pool.LiftProgram(bin)
+			if err != nil {
+				t.Fatalf("Pool.LiftProgram(%s): %v", bin.Name, err)
+			}
+			comparePrograms(t, bin.Name, got, want)
+			pool.Release(got)
+		}
+	}
+}
+
+// comparePrograms requires two lifts of one binary to be indistinguishable
+// through every accessor the analyses use.
+func comparePrograms(t *testing.T, name string, got, want *pcode.Program) {
+	t.Helper()
+	if got.Bin != want.Bin || len(got.Funcs) != len(want.Funcs) {
+		t.Fatalf("%s: program shape differs: %d funcs, want %d", name, len(got.Funcs), len(want.Funcs))
+	}
+	for i, wf := range want.Funcs {
+		gf := got.Funcs[i]
+		where := name + "/" + wf.Name()
+		if gf.Sym != wf.Sym {
+			t.Fatalf("%s: symbol %+v, want %+v", where, gf.Sym, wf.Sym)
+		}
+		if byAddr, ok := got.FuncAt(wf.Addr()); !ok || byAddr != gf {
+			t.Errorf("%s: FuncAt does not return the function", where)
+		}
+		if byName, ok := got.FuncByName(wf.Name()); !ok || byName != gf {
+			t.Errorf("%s: FuncByName does not return the function", where)
+		}
+		if !reflect.DeepEqual(gf.Ops, wf.Ops) {
+			t.Fatalf("%s: ops differ from a fresh lift", where)
+		}
+		for addr := wf.Addr(); addr < wf.Sym.End(); addr += isa.InstrSize {
+			gi, gok := gf.OpIndexAt(addr)
+			wi, wok := wf.OpIndexAt(addr)
+			if gi != wi || gok != wok {
+				t.Errorf("%s: OpIndexAt(%#x) = %d,%t, want %d,%t", where, addr, gi, gok, wi, wok)
+			}
+		}
+		if gf.NumLocs() != wf.NumLocs() || !reflect.DeepEqual(gf.RAMLocs(), wf.RAMLocs()) {
+			t.Errorf("%s: interning differs: %d locs %v, want %d locs %v",
+				where, gf.NumLocs(), gf.RAMLocs(), wf.NumLocs(), wf.RAMLocs())
+		}
+		for j := range wf.Ops {
+			gs, gok := gf.SlotAt(j)
+			ws, wok := wf.SlotAt(j)
+			if gs != ws || gok != wok {
+				t.Errorf("%s: SlotAt(%d) = %v,%t, want %v,%t", where, j, gs, gok, ws, wok)
+			}
+			op := &wf.Ops[j]
+			for _, v := range append([]pcode.Varnode{op.Output}, op.Inputs...) {
+				if g, w := gf.LocID(v), wf.LocID(v); g != w {
+					t.Errorf("%s: LocID(%v) = %d, want %d", where, v, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestPoolLiftErrorMatchesFresh lifts a corrupt binary through a Pool: the
+// error is the one a fresh lift reports, and the next lift, which reuses
+// the failed lift's storage, still equals a fresh one.
+func TestPoolLiftErrorMatchesFresh(t *testing.T) {
+	bins := corpusBinaries(t)
+	good := bins[0]
+	bad := *good
+	bad.Funcs = append([]binfmt.FuncSym(nil), good.Funcs...)
+	bad.Funcs[len(bad.Funcs)-1].Size = 1 << 20 // beyond the text section
+
+	pool := pcode.NewPool(1)
+	_, wantErr := pcode.LiftProgram(&bad)
+	if _, err := pool.LiftProgram(&bad); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("Pool.LiftProgram(corrupt) error = %v, want %v", err, wantErr)
+	}
+	got, err := pool.LiftProgram(good)
+	if err != nil {
+		t.Fatalf("Pool.LiftProgram: %v", err)
+	}
+	want, err := pcode.LiftProgram(good)
+	if err != nil {
+		t.Fatalf("LiftProgram: %v", err)
+	}
+	comparePrograms(t, good.Name, got, want)
+}

@@ -184,3 +184,35 @@ func TestTrainModelRejectsBadInput(t *testing.T) {
 		t.Error("TrainModel accepted unknown label")
 	}
 }
+
+// TestModelClassifierFingerprint: the fingerprint is a function of the
+// model's weights. The same weights, also in another Model value, give the
+// same key; one changed weight or another seed gives a different key.
+func TestModelClassifierFingerprint(t *testing.T) {
+	vocab := nn.BuildVocab([][]string{{"mac", "serial", "token", "nonce"}}, 1)
+	labels := []string{"Identity", "Credential"}
+	cfg := nn.Config{EmbedDim: 4, Filters: 3, Widths: []int{2}, MaxLen: 6, Seed: 5}
+	m := nn.NewModel(cfg, vocab, labels)
+	fp := (&ModelClassifier{Model: m}).Fingerprint()
+	if again := (&ModelClassifier{Model: m}).Fingerprint(); again != fp {
+		t.Fatalf("same model, two keys: %s and %s", fp, again)
+	}
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatalf("Clone: %v", err)
+	}
+	if got := (&ModelClassifier{Model: clone}).Fingerprint(); got != fp {
+		t.Errorf("cloned weights key %s, want %s", got, fp)
+	}
+	clone.FCB[0] += 0.5
+	if got := (&ModelClassifier{Model: clone}).Fingerprint(); got == fp {
+		t.Error("a changed weight kept the key")
+	}
+	cfg.Seed = 6
+	if got := (&ModelClassifier{Model: nn.NewModel(cfg, vocab, labels)}).Fingerprint(); got == fp {
+		t.Error("a model initialized from another seed shares the key")
+	}
+	if got := (&ModelClassifier{}).Fingerprint(); got == fp {
+		t.Error("a classifier without a model shares a trained model's key")
+	}
+}

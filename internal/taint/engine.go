@@ -305,7 +305,7 @@ func (e *Engine) traceDef(st *traceState, fn *pcode.Function, useIdx, def int, c
 			return e.trace(st, fn, def, slot, ctx, depth+1)
 		}
 		// Pointer-based load: over-taint through the base pointer.
-		if base, ok := loadBase(fn, def); ok {
+		if base, ok := fn.LoadBase(def); ok {
 			return e.trace(st, fn, def, base, ctx, depth+1)
 		}
 		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def}}
@@ -489,16 +489,4 @@ func (e *Engine) argString(fn *pcode.Function, callIdx, argIdx int) string {
 		}
 	}
 	return ""
-}
-
-func loadBase(fn *pcode.Function, loadIdx int) (pcode.Varnode, bool) {
-	if loadIdx == 0 {
-		return pcode.Varnode{}, false
-	}
-	ea := &fn.Ops[loadIdx-1]
-	if !ea.HasOut || len(fn.Ops[loadIdx].Inputs) == 0 ||
-		ea.Output != fn.Ops[loadIdx].Inputs[0] || ea.Code != pcode.INT_ADD {
-		return pcode.Varnode{}, false
-	}
-	return ea.Inputs[0], true
 }

@@ -541,3 +541,26 @@ func TestMultiHopArgStrings(t *testing.T) {
 		t.Errorf("staged format string not recovered; leaves = %v", leaves)
 	}
 }
+
+// TestPointerLoadTracesBase: a value loaded through a pointer that is not
+// a stack slot is traced on through the pointer, so a field read out of an
+// NVRAM value keeps its NVRAM source instead of becoming unknown.
+func TestPointerLoadTracesBase(t *testing.T) {
+	a := asm.New("t")
+	f := a.Func("f", 0, true)
+	f.LAStr(isa.R1, "device_info")
+	f.CallImport("nvram_get", 1)
+	f.LW(isa.R2, isa.R1, 4) // pointer-based load through the NVRAM value
+	f.LI(isa.R1, 5)
+	f.LI(isa.R3, 4)
+	f.CallImport("SSL_write", 3)
+	f.Ret()
+
+	mfts := analyze(t, a)
+	if len(mfts) != 1 {
+		t.Fatalf("got %d MFTs, want 1", len(mfts))
+	}
+	if leaves := leafSummary(mfts[0]); !contains(leaves, "nvram:device_info") || contains(leaves, "unknown") {
+		t.Errorf("leaves = %v, want the load traced to nvram:device_info", leaves)
+	}
+}

@@ -1,0 +1,138 @@
+package firmres
+
+// Tests for lifted-program recycling: every fresh analysis lifts through
+// the Analyzer's pool and hands the winning program back once its report
+// is built, so nothing a report holds may alias pool storage.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"sync"
+	"testing"
+
+	"firmres/internal/corpus"
+)
+
+// goldenImage is one packed image of the crawl set and its golden file.
+type goldenImage struct {
+	id   int
+	data []byte
+	path string
+	want []byte
+}
+
+// goldenCrawlSet packs the crawl set — the 22 corpus devices and their 22
+// stripped twins — with their golden files. One Analyzer with lint and
+// stripped mode reproduces both golden suites: recovery is a no-op on
+// symbol-full binaries.
+func goldenCrawlSet(t testing.TB) []goldenImage {
+	t.Helper()
+	var set []goldenImage
+	for id := 1; id <= 22; id++ {
+		full, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildImage(%d): %v", id, err)
+		}
+		twin, err := corpus.BuildStrippedImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildStrippedImage(%d): %v", id, err)
+		}
+		set = append(set,
+			goldenImage{id: id, data: full.Pack(), path: goldenPath(id)},
+			goldenImage{id: id, data: twin.Pack(), path: strippedGoldenPath(id)})
+	}
+	for i := range set {
+		want, err := os.ReadFile(set[i].path)
+		if err != nil {
+			t.Fatalf("missing golden file: %v", err)
+		}
+		set[i].want = want
+	}
+	return set
+}
+
+// checkGolden renders one analysis outcome as its golden file does and
+// compares the two. Safe to call from any goroutine.
+func checkGolden(t testing.TB, g goldenImage, rep *Report, err error) {
+	t.Helper()
+	rec := &goldenRecord{Device: g.id}
+	switch {
+	case err == nil:
+		rec.Outcome, rec.Report = "report", rep
+	case errors.Is(err, ErrNoDeviceCloudExecutable):
+		rec.Outcome = "no-device-cloud-executable"
+	default:
+		t.Errorf("%s: %v", g.path, err)
+		return
+	}
+	got, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Errorf("%s: %v", g.path, err)
+		return
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, g.want) {
+		t.Errorf("report diverged from %s:\n%s", g.path, clip(string(got)))
+	}
+}
+
+// TestGoldenReportsScrubbedPool runs the crawl set through one Analyzer
+// whose pool overwrites every released program with garbage, so a report
+// built from a program after its release diverges from its golden. The
+// first image's report is kept and marshalled again once the 43 later
+// analyses have reused its program's storage.
+func TestGoldenReportsScrubbedPool(t *testing.T) {
+	set := goldenCrawlSet(t)
+	a, err := NewAnalyzer(WithLint(), WithStrippedMode(), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.pl.Pool().ScrubReleased()
+	var kept *Report
+	var keptJS []byte
+	for i, g := range set {
+		rep, js, _, err := a.Analyze(context.Background(), g.data, nil)
+		checkGolden(t, g, rep, err)
+		if i == 0 {
+			kept, keptJS = rep, js
+		}
+	}
+	again, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, keptJS) {
+		t.Errorf("a kept report changed after later analyses reused its storage:\nbefore: %s\nafter:  %s",
+			clip(string(keptJS)), clip(string(again)))
+	}
+}
+
+// TestAnalyzerSharedUnderLoad has two goroutines walk the crawl set in
+// opposite orders through one Analyzer, so their analyses release
+// programs to and lift programs from one pool at once. Every report must
+// equal its golden; the race leg runs it with -count=10.
+func TestAnalyzerSharedUnderLoad(t *testing.T) {
+	set := goldenCrawlSet(t)
+	a, err := NewAnalyzer(WithLint(), WithStrippedMode(), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, reverse := range []bool{false, true} {
+		wg.Add(1)
+		go func(reverse bool) {
+			defer wg.Done()
+			for k := range set {
+				g := set[k]
+				if reverse {
+					g = set[len(set)-1-k]
+				}
+				rep, _, _, err := a.Analyze(context.Background(), g.data, nil)
+				checkGolden(t, g, rep, err)
+			}
+		}(reverse)
+	}
+	wg.Wait()
+}

@@ -70,6 +70,9 @@ leg_race() {
 	echo "== persistent cache (cold/warm goldens byte-identical, single-flight under -race)"
 	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
 
+	echo "== lifted-program pool (two goroutines on one Analyzer, goldens byte-identical) under -race"
+	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
+
 	echo "== job queue (concurrent submit/drain storm, crash-resume) under -race"
 	go test -race -run 'TestQueueConcurrentSubmitDrain|TestQueueCrashResumeReplaysExactlyOnce' ./internal/serve
 
@@ -79,12 +82,12 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe spec lookup, firmserve handler bytes, no per-image retention)"
+	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestCorpusSpecForAllocBound' .
+	go test -run 'TestCrawlAllocBudget|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
