@@ -4,16 +4,10 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test check fuzz vet bench cover serve-smoke
+.PHONY: build test check fuzz vet cover serve-smoke
 
 build:
 	$(GO) build ./...
-
-# bench measures corpus-batch throughput (AnalyzeImages at -j 1/2/4/8), the
-# shared-facts single-image win, and — via an untimed instrumented pass —
-# the facts-store hit/miss rate, recording all of it in BENCH_pipeline.json.
-bench:
-	$(GO) run ./cmd/firmbench -out BENCH_pipeline.json
 
 test:
 	$(GO) test ./...

@@ -5,9 +5,11 @@ package firmres
 // `go test -bench=Ablation` records the trade-off next to the timing.
 
 import (
+	"context"
 	"testing"
 
 	"firmres/internal/corpus"
+	"firmres/internal/facts"
 	"firmres/internal/fields"
 	"firmres/internal/mft"
 	"firmres/internal/nn"
@@ -32,6 +34,12 @@ func ablationProgram(b *testing.B, id int) (*corpus.DeviceSpec, *pcode.Program) 
 	return spec, prog
 }
 
+// traceMFTs runs one sequential taint pass over prog through a private
+// facts store.
+func traceMFTs(prog *pcode.Program, opts taint.Options) []*taint.MFT {
+	return taint.NewEngineFacts(facts.New(prog), opts).AnalyzeContext(context.Background(), 1)
+}
+
 // BenchmarkAblationOverTaint compares the paper's over-taint strategy
 // (raw-STORE channel on) against precise taint. Over-taint keeps recall at
 // 100% (no missed fields, §V-C) and pays with the noise false positives;
@@ -49,7 +57,7 @@ func BenchmarkAblationOverTaint(b *testing.B) {
 			var real, noise int
 			for i := 0; i < b.N; i++ {
 				real, noise = 0, 0
-				for _, m := range taint.NewEngine(prog, mode.opts).Analyze() {
+				for _, m := range traceMFTs(prog, mode.opts) {
 					for _, leaf := range m.Fields() {
 						if leaf.Kind == taint.LeafNumeric {
 							noise++
@@ -75,7 +83,7 @@ func BenchmarkAblationOverTaint(b *testing.B) {
 func BenchmarkAblationEnrichment(b *testing.B) {
 	spec, prog := ablationProgram(b, 17)
 	var sls []slices.Slice
-	for _, m := range taint.NewEngine(prog, taint.Options{}).Analyze() {
+	for _, m := range traceMFTs(prog, taint.Options{}) {
 		sls = append(sls, slices.Generate(mft.Simplify(m))...)
 	}
 	score := func(tokens func(slices.Slice) []string) float64 {
@@ -130,7 +138,7 @@ func BenchmarkAblationInversion(b *testing.B) {
 		Config: corpus.CloudConfig(spec).Map(),
 	}
 	build := func(invert bool) (match, total int) {
-		for _, m := range taint.NewEngine(prog, taint.Options{}).Analyze() {
+		for _, m := range traceMFTs(prog, taint.Options{}) {
 			tree := mft.Simplify(m)
 			if !invert {
 				// Claim the tree is already inverted so Build skips the
@@ -186,7 +194,7 @@ func wellOrdered(msg *fields.Message) bool {
 // beyond).
 func BenchmarkAblationClusterThreshold(b *testing.B) {
 	_, prog := ablationProgram(b, 14)
-	subs, _ := slices.FormatSubstrings(taint.NewEngine(prog, taint.Options{}).Analyze())
+	subs, _ := slices.FormatSubstrings(traceMFTs(prog, taint.Options{}))
 	if len(subs) == 0 {
 		b.Fatal("no format substrings")
 	}
@@ -217,7 +225,7 @@ func BenchmarkAblationClassifier(b *testing.B) {
 	}
 	spec, prog := ablationProgram(b, 19)
 	var sls []slices.Slice
-	for _, m := range taint.NewEngine(prog, taint.Options{}).Analyze() {
+	for _, m := range traceMFTs(prog, taint.Options{}) {
 		sls = append(sls, slices.Generate(mft.Simplify(m))...)
 	}
 	evaluate := func(c semantics.Classifier) float64 {
@@ -285,7 +293,7 @@ func trainingExamples() ([]semantics.Example, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range taint.NewEngine(prog, taint.Options{}).Analyze() {
+		for _, m := range traceMFTs(prog, taint.Options{}) {
 			for _, s := range slices.Generate(mft.Simplify(m)) {
 				label, planted := corpus.TruthLabel(spec, s)
 				if !planted {

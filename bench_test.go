@@ -17,6 +17,7 @@ import (
 	"firmres/internal/core"
 	"firmres/internal/corpus"
 	"firmres/internal/experiments"
+	"firmres/internal/facts"
 	"firmres/internal/identify"
 	"firmres/internal/lint"
 	"firmres/internal/mft"
@@ -126,8 +127,7 @@ func BenchmarkTableII_FieldIdentification(b *testing.B) {
 	fields := 0
 	for i := 0; i < b.N; i++ {
 		fields = 0
-		engine := taint.NewEngine(prog, taint.Options{})
-		for _, m := range engine.Analyze() {
+		for _, m := range traceMFTs(prog, taint.Options{}) {
 			fields += len(m.Fields())
 		}
 	}
@@ -146,7 +146,7 @@ func BenchmarkTableII_SemanticsRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	var allSlices []slices.Slice
-	for _, m := range taint.NewEngine(prog, taint.Options{}).Analyze() {
+	for _, m := range traceMFTs(prog, taint.Options{}) {
 		allSlices = append(allSlices, slices.Generate(mft.Simplify(m))...)
 	}
 	b.ResetTimer()
@@ -306,38 +306,6 @@ func BenchmarkScalingByMessages(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeImagesCorpus measures corpus-batch throughput over the
-// full 22-device corpus at several worker counts (the §V-E evaluation at
-// fleet scale). On a single-CPU host every worker count costs the same; on
-// an N-core host the images/sec metric scales with min(N, images).
-// `make bench` runs the cmd/firmbench variant and records the results in
-// BENCH_pipeline.json.
-func BenchmarkAnalyzeImagesCorpus(b *testing.B) {
-	imgs := make([][]byte, 0, 22)
-	for id := 1; id <= 22; id++ {
-		img, err := corpus.BuildImage(corpus.Device(id))
-		if err != nil {
-			b.Fatal(err)
-		}
-		imgs = append(imgs, img.Pack())
-	}
-	for _, j := range []int{1, 2, 4, 8} {
-		j := j
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				br, err := AnalyzeImages(context.Background(), imgs, WithWorkers(j))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if br.Summary.Reports != 20 { // devices 21-22 are script-only
-					b.Fatalf("reports = %d, want 20", br.Summary.Reports)
-				}
-			}
-			b.ReportMetric(float64(len(imgs)*b.N)/b.Elapsed().Seconds(), "images/sec")
-		})
-	}
-}
-
 // BenchmarkLintPipeline measures the lint pass framework — all registered
 // checkers, including the per-function constant-propagation solve — over
 // one lifted device-cloud executable.
@@ -357,7 +325,7 @@ func BenchmarkLintPipeline(b *testing.B) {
 	b.ResetTimer()
 	var findings int
 	for i := 0; i < b.N; i++ {
-		findings = len(runner.Run(prog, "/bin/cloudd"))
+		findings = len(runner.RunFacts(context.Background(), facts.New(prog), "/bin/cloudd", 1))
 	}
 	b.ReportMetric(float64(findings), "findings")
 }

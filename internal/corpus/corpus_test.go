@@ -1,9 +1,11 @@
 package corpus
 
 import (
+	"context"
 	"testing"
 
 	"firmres/internal/binfmt"
+	"firmres/internal/facts"
 	"firmres/internal/identify"
 	"firmres/internal/image"
 	"firmres/internal/pcode"
@@ -185,7 +187,7 @@ func TestTaintRecoversPlantedMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("device %d: lift: %v", id, err)
 		}
-		mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+		mfts := taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 		if got := len(mfts); got != d.TargetMessages {
 			t.Errorf("device %d: taint found %d messages, planted %d", id, got, d.TargetMessages)
 		}

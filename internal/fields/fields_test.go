@@ -1,10 +1,12 @@
 package fields
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/mft"
 	"firmres/internal/pcode"
@@ -25,7 +27,7 @@ func buildTree(t *testing.T, build func(a *asm.Assembler)) *mft.Tree {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 	if len(mfts) != 1 {
 		t.Fatalf("got %d MFTs", len(mfts))
 	}

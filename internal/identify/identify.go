@@ -276,12 +276,11 @@ func parsingFactor(ff *facts.Func, in pcode.CallSite) float64 {
 					src = taintedSlots[slot]
 				} else if len(op.Inputs) >= 1 {
 					// Pointer-based load: tainted pointer taints the value.
+					// A tainted base needs no separate check: the lifter
+					// emits the INT_ADD computing the address just before
+					// the LOAD, and this sweep has just tainted its output
+					// through the default case.
 					src = tainted[key(op.Inputs[0])]
-					if !src {
-						if base, ok := f.LoadBase(i); ok {
-							src = tainted[key(base)]
-						}
-					}
 				}
 				if src && op.HasOut && !tainted[key(op.Output)] {
 					tainted[key(op.Output)] = true

@@ -1,15 +1,22 @@
 package lint_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/corpus"
+	"firmres/internal/facts"
 	"firmres/internal/lint"
 	"firmres/internal/pcode"
 )
+
+// lintProg runs r sequentially over prog through a private facts store.
+func lintProg(r *lint.Runner, prog *pcode.Program, executable string) []lint.Diagnostic {
+	return r.RunFacts(context.Background(), facts.New(prog), executable, 1)
+}
 
 // specFindings derives the diagnostics the message specs themselves imply:
 // a compile-time-constant field whose key classifies as Dev-Secret or
@@ -71,7 +78,7 @@ func TestCorpusSeededFindings(t *testing.T) {
 		}
 
 		got := map[string]bool{}
-		for _, diag := range r.Run(prog, "/bin/cloudd") {
+		for _, diag := range lintProg(r, prog, "/bin/cloudd") {
 			got[diag.Rule+"@"+diag.Function] = true
 		}
 		for k := range want {
@@ -115,7 +122,7 @@ func TestCorpusNegativesClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("device %d %s: %v", d.ID, f.Path, err)
 			}
-			if diags := r.Run(prog, f.Path); len(diags) != 0 {
+			if diags := lintProg(r, prog, f.Path); len(diags) != 0 {
 				for _, diag := range diags {
 					t.Errorf("device %d %s: %s@%s: %s", d.ID, f.Path, diag.Rule, diag.Function, diag.Message)
 				}
@@ -146,7 +153,7 @@ func TestCorpusLintDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out string
-		for _, diag := range r.Run(prog, "/bin/cloudd") {
+		for _, diag := range lintProg(r, prog, "/bin/cloudd") {
 			out += fmt.Sprintf("%s %s %#x %s %v\n", diag.Rule, diag.Function, diag.Addr, diag.Message, diag.Evidence)
 		}
 		return out

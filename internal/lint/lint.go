@@ -22,7 +22,6 @@ import (
 	"firmres/internal/facts"
 	"firmres/internal/obs"
 	"firmres/internal/parallel"
-	"firmres/internal/pcode"
 )
 
 // Severity grades a diagnostic.
@@ -155,14 +154,10 @@ func NewRunner(rules []string) (*Runner, error) {
 	return r, nil
 }
 
-// Run executes every selected checker over every function of prog,
-// stamping, deduplicating, and deterministically sorting the findings.
-func (r *Runner) Run(prog *pcode.Program, executable string) []Diagnostic {
-	return r.RunFacts(context.Background(), facts.New(prog), executable, 1)
-}
-
-// RunFacts is Run reading the per-function artifacts through a shared
-// facts store, checking functions on up to workers goroutines (workers <= 0
+// RunFacts executes every selected checker over every function of fx's
+// program, stamping, deduplicating, and deterministically sorting the
+// findings. It reads the per-function artifacts through the shared facts
+// store and checks functions on up to workers goroutines (workers <= 0
 // selects GOMAXPROCS). The final Dedupe sort makes the output independent
 // of completion order, so any worker count yields identical diagnostics.
 func (r *Runner) RunFacts(ctx context.Context, fx *facts.Program, executable string, workers int) []Diagnostic {

@@ -2,11 +2,13 @@ package lint
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
 )
@@ -34,7 +36,7 @@ func runRules(t *testing.T, prog *pcode.Program, rules ...string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	return r.Run(prog, "/bin/test")
+	return r.RunFacts(context.Background(), facts.New(prog), "/bin/test", 1)
 }
 
 // wantRules asserts the exact (rule, function) multiset of the diagnostics.

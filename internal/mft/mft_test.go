@@ -1,9 +1,11 @@
 package mft
 
 import (
+	"context"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
 	"firmres/internal/taint"
@@ -19,7 +21,7 @@ func analyze(t *testing.T, a *asm.Assembler) []*taint.MFT {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	return taint.NewEngine(prog, taint.Options{}).Analyze()
+	return taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 }
 
 // strcatMessage builds "status=" + "ok" + nvram(uptime) via strcpy/strcat.

@@ -2,16 +2,16 @@
 // fan out on. It is deliberately tiny: deterministic consumers index into
 // pre-sized result slices (one slot per input), so no ordering machinery
 // lives here — only bounded concurrency, cooperative cancellation, and
-// panic propagation that preserves the PR-1 stage-recovery semantics.
+// panic propagation that preserves core's stage-recovery semantics.
 //
-// Scheduling is chunked work-stealing rather than per-task claiming: the
-// input range [0, n) is pre-split into one contiguous range per worker,
-// owners peel chunks off the front of their own range, and idle workers
-// steal the back half of a victim's remainder. Small task bodies therefore
-// amortize coordination over a chunk instead of paying an atomic op per
-// index, while uneven task costs still rebalance. Which worker runs which
-// index remains irrelevant to callers: results land in input-indexed
-// slots, so output is byte-identical at any worker count.
+// Scheduling is one shared atomic counter: each worker claims the next
+// unclaimed index until the range runs out. Every fan-out in the pipeline
+// is small (a handful of pinpoint candidates, a dozen MFTs, a few dozen
+// lint functions per image; one corpus of images per batch), so one
+// atomic add per index is nothing next to the index's work, and an idle
+// worker can always take whatever is left. Which worker runs which index
+// is irrelevant to callers: results land in input-indexed slots, so
+// output is byte-identical at any worker count.
 package parallel
 
 import (
@@ -40,8 +40,8 @@ func Workers(n, items int) int {
 // CPUWorkers resolves a worker-count request for a compute-bound pool:
 // like Workers' n <= 0 default, but additionally clamped to
 // runtime.GOMAXPROCS(0). Goroutines beyond the processor count cannot
-// speed up task bodies that never block and only add scheduling and
-// steal churn — measured as a 5–15% corpus-batch slowdown at -j 8 on a
+// speed up task bodies that never block and only add scheduling
+// churn — measured as a 5–15% corpus-batch slowdown at -j 8 on a
 // single-CPU host. The analysis stages resolve through this; pools whose
 // tasks genuinely block (the probe stage's chaos-delayed replays) keep
 // the caller's count and clamp through Workers alone.
@@ -50,54 +50,6 @@ func CPUWorkers(n int) int {
 		return p
 	}
 	return n
-}
-
-// queue is one worker's share of the input: a single contiguous range
-// [lo, hi) acting as a degenerate deque. The owner takes chunks from the
-// front (take), thieves split off the back half (stealHalf), and a worker
-// whose range drained refills it with stolen work (put). Contiguity is an
-// invariant: both ends shrink toward the middle, so a range never
-// fragments and a mutex-guarded pair of ints is the whole structure.
-type queue struct {
-	mu     sync.Mutex
-	lo, hi int
-}
-
-// take claims a chunk off the front of the owner's range: half the
-// remainder, so claiming cost is logarithmic in the range size while the
-// back half stays available to thieves until the very end.
-func (q *queue) take() (lo, hi int, ok bool) {
-	q.mu.Lock()
-	if q.lo >= q.hi {
-		q.mu.Unlock()
-		return 0, 0, false
-	}
-	lo = q.lo
-	hi = lo + max(1, (q.hi-q.lo)/2)
-	q.lo = hi
-	q.mu.Unlock()
-	return lo, hi, true
-}
-
-// stealHalf splits off the back half of the victim's remaining range.
-func (q *queue) stealHalf() (lo, hi int, ok bool) {
-	q.mu.Lock()
-	if q.lo >= q.hi {
-		q.mu.Unlock()
-		return 0, 0, false
-	}
-	mid := q.lo + (q.hi-q.lo+1)/2
-	lo, hi = mid, q.hi
-	q.hi = mid
-	q.mu.Unlock()
-	return lo, hi, lo < hi
-}
-
-// put refills a drained queue with a stolen range.
-func (q *queue) put(lo, hi int) {
-	q.mu.Lock()
-	q.lo, q.hi = lo, hi
-	q.mu.Unlock()
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
@@ -111,8 +63,8 @@ func (q *queue) put(lo, hi int) {
 // Cancellation is cooperative: once ctx is done, no further index is
 // executed, so callers must treat unfilled result slots as absent (the
 // sequential loops this replaces broke out of their range the same way).
-// The done-check happens before every index, including mid-chunk and
-// mid-steal, so a cancelled pool winds down without finishing its chunks.
+// The done-check happens before every claim, so a cancelled pool winds
+// down after the indices already running.
 //
 // A panic in fn stops the pool from claiming further work and is re-raised
 // on the calling goroutine with the original panic value, so a stage body
@@ -134,67 +86,13 @@ func ForEach(ctx context.Context, workers, n int, fn func(int)) int {
 	}
 
 	var (
-		ran      atomic.Int64
+		next     atomic.Int64 // the next unclaimed index
 		stopped  atomic.Bool
 		panicVal any
 		panicMu  sync.Mutex
 		wg       sync.WaitGroup
 	)
-	// Pre-split [0, n) into one balanced contiguous range per worker.
-	queues := make([]queue, w)
-	for g := 0; g < w; g++ {
-		queues[g].lo = g * n / w
-		queues[g].hi = (g + 1) * n / w
-	}
-
-	// exec runs one claimed chunk, checking for cancellation before every
-	// index. Claimed-but-unrun indices are simply dropped: nobody else will
-	// claim them, and ran does not count them.
-	exec := func(lo, hi int) bool {
-		done := 0
-		for i := lo; i < hi; i++ {
-			if stopped.Load() || (ctx != nil && ctx.Err() != nil) {
-				ran.Add(int64(done))
-				return false
-			}
-			fn(i)
-			done++
-		}
-		ran.Add(int64(done))
-		return true
-	}
-
-	worker := func(self int) {
-		q := &queues[self]
-		for {
-			lo, hi, ok := q.take()
-			if !ok {
-				// Own range drained: scan the other workers for a victim
-				// and steal the back half of its remainder. All queues
-				// empty means every remaining index is already claimed by
-				// an active worker — safe to retire.
-				stole := false
-				for off := 1; off < w && !stole; off++ {
-					if stopped.Load() || (ctx != nil && ctx.Err() != nil) {
-						return
-					}
-					if slo, shi, sok := queues[(self+off)%w].stealHalf(); sok {
-						q.put(slo, shi)
-						stole = true
-					}
-				}
-				if !stole {
-					return
-				}
-				continue
-			}
-			if !exec(lo, hi) {
-				return
-			}
-		}
-	}
-
-	body := func(self int) {
+	body := func() {
 		defer func() {
 			if r := recover(); r != nil {
 				panicMu.Lock()
@@ -205,22 +103,30 @@ func ForEach(ctx context.Context, workers, n int, fn func(int)) int {
 				stopped.Store(true)
 			}
 		}()
-		worker(self)
+		for !stopped.Load() && (ctx == nil || ctx.Err() == nil) {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
 	}
 
 	for g := 1; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body(g)
+			body()
 		}()
 	}
-	body(0) // the calling goroutine is worker 0
+	body() // the calling goroutine is worker 0
 	wg.Wait()
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	return int(ran.Load())
+	// Every claimed index below n ran: nothing stands between a claim and
+	// its fn call.
+	return min(int(next.Load()), n)
 }
 
 // Fleet runs workers long-lived copies of body concurrently and blocks

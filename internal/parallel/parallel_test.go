@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersClamp(t *testing.T) {
@@ -99,47 +100,9 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestQueueTakeAndStealPartitionRange(t *testing.T) {
-	// Front-takes and back-steals must hand out each index exactly once
-	// and keep the range contiguous until it drains.
-	q := &queue{lo: 0, hi: 100}
-	seen := make([]int, 100)
-	steal := false
-	for {
-		var lo, hi int
-		var ok bool
-		if steal {
-			lo, hi, ok = q.stealHalf()
-		} else {
-			lo, hi, ok = q.take()
-		}
-		if !ok {
-			// A failed steal can leave a 1-element remainder for the owner;
-			// only a failed take proves the range is drained.
-			if !steal {
-				break
-			}
-			steal = false
-			continue
-		}
-		steal = !steal
-		if lo >= hi {
-			t.Fatalf("empty claim [%d,%d)", lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
-		}
-	}
-}
-
 func TestForEachUnevenTaskCostsRebalance(t *testing.T) {
 	// The first quarter of the input is expensive; with static partitioning
-	// worker 0 would serialize it. Stealing must still visit every index
+	// worker 0 would serialize it. Claiming must still visit every index
 	// exactly once (the determinism contract) regardless of who ran what.
 	const n = 64
 	counts := make([]atomic.Int32, n)
@@ -168,8 +131,8 @@ func TestForEachRanCountExactWithoutCancel(t *testing.T) {
 }
 
 func TestForEachPanicStopsChunkMates(t *testing.T) {
-	// A panic must halt workers that are mid-chunk: total executed stays
-	// well short of n, and the first panic value is re-raised.
+	// A panic must stop every worker from claiming more: total executed
+	// stays well short of n, and the first panic value is re-raised.
 	const n = 100_000
 	var ran atomic.Int32
 	func() {
@@ -191,10 +154,9 @@ func TestForEachPanicStopsChunkMates(t *testing.T) {
 }
 
 func TestForEachCancelMidStealReturnsPromptly(t *testing.T) {
-	// Cancel while workers are in the steal loop: give one worker all the
-	// work (everyone else's range is empty from the start on a skewed
-	// split) and cancel from inside an early task. ForEach must return
-	// without executing the tail and report ran < n.
+	// Cancel from inside an early task while more workers than processors
+	// are claiming. ForEach must return without executing the tail, and
+	// ran must count exactly the indices that executed.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n = 50_000
@@ -210,6 +172,28 @@ func TestForEachCancelMidStealReturnsPromptly(t *testing.T) {
 	if int(hits.Load()) != ran {
 		t.Errorf("ran=%d disagrees with executed count %d", ran, hits.Load())
 	}
+}
+
+func TestForEachIdleWorkerTakesStrandedIndex(t *testing.T) {
+	// Two workers, three indices: index 0 cannot finish until index 1 has
+	// started, and index 1 cannot finish until index 2 has started. The
+	// worker that finishes index 0 must go on to claim index 2 while the
+	// other is still blocked inside index 1.
+	const n = 3
+	var started [n]chan struct{}
+	for i := range started {
+		started[i] = make(chan struct{})
+	}
+	ForEach(context.Background(), 2, n, func(i int) {
+		close(started[i])
+		if i+1 < n {
+			select {
+			case <-started[i+1]:
+			case <-time.After(2 * time.Second):
+				t.Errorf("index %d waited 2s for index %d to start", i, i+1)
+			}
+		}
+	})
 }
 
 func TestFleetRunsEveryWorker(t *testing.T) {

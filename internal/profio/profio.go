@@ -1,5 +1,5 @@
-// Package profio implements the -pprof flag shared by the CLI binaries
-// (firmres, firmbench). The flag value selects one of two modes:
+// Package profio implements the firmres CLI's -pprof flag. The flag value
+// selects one of two modes:
 //
 //   - a value containing ':' is a listen address — net/http/pprof is
 //     served there for the duration of the run (the interactive mode:

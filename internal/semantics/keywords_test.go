@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -81,7 +82,7 @@ func cryptoSlices(t *testing.T, met *obs.Metrics) []slices.Slice {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngineFacts(facts.New(prog, facts.WithMetrics(met)), taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog, facts.WithMetrics(met)), taint.Options{}).AnalyzeContext(context.Background(), 1)
 	if len(mfts) == 0 {
 		t.Fatal("no MFTs")
 	}

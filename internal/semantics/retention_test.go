@@ -1,6 +1,7 @@
 package semantics_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -48,7 +49,7 @@ func classifyImage(t *testing.T, c semantics.Classifier, img *image.Image) {
 		if !identify.Analyze(prog, identify.WithFacts(fx)).IsDeviceCloud {
 			continue
 		}
-		for _, m := range taint.NewEngineFacts(fx, taint.Options{}).Analyze() {
+		for _, m := range taint.NewEngineFacts(fx, taint.Options{}).AnalyzeContext(context.Background(), 1) {
 			for _, part := range mft.Split(m) {
 				for _, s := range slices.Generate(mft.Simplify(part)) {
 					c.Classify(s)

@@ -1,10 +1,12 @@
 package semantics
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/mft"
 	"firmres/internal/nn"
@@ -46,7 +48,7 @@ func buildSlices(t *testing.T) []slices.Slice {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 	if len(mfts) != 1 {
 		t.Fatalf("got %d MFTs", len(mfts))
 	}

@@ -1,11 +1,13 @@
 package slices
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/mft"
 	"firmres/internal/pcode"
@@ -22,7 +24,7 @@ func analyzeOne(t *testing.T, a *asm.Assembler) *mft.Tree {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 	if len(mfts) != 1 {
 		t.Fatalf("got %d MFTs, want 1", len(mfts))
 	}
@@ -246,7 +248,7 @@ func TestFormatSubstrings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LiftProgram: %v", err)
 	}
-	mfts := taint.NewEngine(prog, taint.Options{}).Analyze()
+	mfts := taint.NewEngineFacts(facts.New(prog), taint.Options{}).AnalyzeContext(context.Background(), 1)
 	subs, sawFormat := FormatSubstrings(mfts)
 	if !sawFormat {
 		t.Fatal("FormatSubstrings reported no format strings")

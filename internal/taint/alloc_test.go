@@ -62,13 +62,13 @@ func TestPerMFTAllocBudget(t *testing.T) {
 	g.Ret()
 
 	prog := liftProgram(t, a)
-	warm := NewEngine(prog, Options{}).Analyze()
+	warm := analyzeProg(prog, Options{})
 	if len(warm) < 2 {
 		t.Fatalf("reference program produced %d MFTs, want >= 2", len(warm))
 	}
 
 	perRun := testing.AllocsPerRun(50, func() {
-		NewEngine(prog, Options{}).Analyze()
+		analyzeProg(prog, Options{})
 	})
 	perMFT := perRun / float64(len(warm))
 	t.Logf("taint: %.0f allocs/run, %.0f allocs per MFT (budget %d)",

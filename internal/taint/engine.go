@@ -52,11 +52,6 @@ type Engine struct {
 	stepsH, frontierH                 *obs.Histogram
 }
 
-// NewEngine prepares an engine for prog with a private facts store.
-func NewEngine(prog *pcode.Program, opts Options) *Engine {
-	return NewEngineFacts(facts.New(prog), opts)
-}
-
 // NewEngineFacts prepares an engine reading through an existing facts
 // store, sharing every per-function artifact already computed for fx's
 // program.
@@ -88,19 +83,14 @@ func (e *Engine) callers(fn *pcode.Function) []callgraph.Edge {
 	return e.fx.CallGraph().Callers(fn)
 }
 
-// Analyze builds one MFT per device-cloud message construction: every
-// delivery callsite, forked per caller when the message buffer arrives
-// through a wrapper parameter.
-func (e *Engine) Analyze() []*MFT {
-	return e.AnalyzeContext(context.Background(), 1)
-}
-
-// AnalyzeContext is Analyze tracing delivery callsites on up to workers
-// goroutines (workers <= 0 selects GOMAXPROCS). Results are collected into
-// per-callsite slots and flattened in program order, so the MFT sequence is
-// identical at any worker count. A cancelled ctx stops claiming new
-// callsites; a panic while tracing is re-raised on the calling goroutine,
-// preserving the stage-recovery semantics of a sequential run.
+// AnalyzeContext builds one MFT per device-cloud message construction:
+// every delivery callsite, forked per caller when the message buffer
+// arrives through a wrapper parameter. It traces delivery callsites on up
+// to workers goroutines (workers <= 0 selects GOMAXPROCS). Results are
+// collected into per-callsite slots and flattened in program order, so the
+// MFT sequence is identical at any worker count. A cancelled ctx stops
+// claiming new callsites; a panic while tracing is re-raised on the calling
+// goroutine, preserving the stage-recovery semantics of a sequential run.
 func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	type site struct {
 		cs   pcode.CallSite

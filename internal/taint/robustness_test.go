@@ -45,7 +45,7 @@ func TestRandomProgramsDoNotPanic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Lift: %v", seed, err)
 		}
-		mfts := NewEngine(prog, Options{MaxDepth: 16, MaxNodes: 256}).Analyze()
+		mfts := analyzeProg(prog, Options{MaxDepth: 16, MaxNodes: 256})
 		if len(mfts) != 1 {
 			t.Fatalf("seed %d: %d MFTs", seed, len(mfts))
 		}
@@ -137,7 +137,7 @@ func TestDeepCallChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lift: %v", err)
 	}
-	mfts := NewEngine(prog, Options{}).Analyze()
+	mfts := analyzeProg(prog, Options{})
 	if len(mfts) != 1 {
 		t.Fatalf("%d MFTs", len(mfts))
 	}
@@ -183,7 +183,7 @@ func TestDiamondReachingDefsProduceAlternatives(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lift: %v", err)
 	}
-	mfts := NewEngine(prog, Options{}).Analyze()
+	mfts := analyzeProg(prog, Options{})
 	got := map[string]bool{}
 	for _, leaf := range mfts[0].Fields() {
 		if leaf.Kind == LeafString {
@@ -221,7 +221,7 @@ func TestNoStoreChannelOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func(opts Options) (numeric int) {
-		for _, m := range NewEngine(prog, opts).Analyze() {
+		for _, m := range analyzeProg(prog, opts) {
 			for _, leaf := range m.Fields() {
 				if leaf.Kind == LeafNumeric {
 					numeric++

@@ -1,10 +1,12 @@
 package taint
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
 )
@@ -24,7 +26,13 @@ func liftProgram(t *testing.T, a *asm.Assembler) *pcode.Program {
 
 func analyze(t *testing.T, a *asm.Assembler) []*MFT {
 	t.Helper()
-	return NewEngine(liftProgram(t, a), Options{}).Analyze()
+	return analyzeProg(liftProgram(t, a), Options{})
+}
+
+// analyzeProg traces every delivery callsite of prog sequentially through
+// a private facts store.
+func analyzeProg(prog *pcode.Program, opts Options) []*MFT {
+	return NewEngineFacts(facts.New(prog), opts).AnalyzeContext(context.Background(), 1)
 }
 
 // leafSummary renders leaves as "kind:value" strings for assertions.
@@ -488,7 +496,7 @@ func TestEngineBudget(t *testing.T) {
 	f.CallImport("SSL_write", 3)
 	f.Ret()
 
-	mfts := NewEngine(liftProgram(t, a), Options{MaxDepth: 8, MaxNodes: 64}).Analyze()
+	mfts := analyzeProg(liftProgram(t, a), Options{MaxDepth: 8, MaxNodes: 64})
 	if len(mfts) == 0 {
 		t.Fatal("no MFTs")
 	}

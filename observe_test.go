@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +156,9 @@ func TestTraceSpansCoverEveryStage(t *testing.T) {
 // TestBatchMetricsDeterministicAcrossWorkers extends the batch determinism
 // contract to Summary.Metrics: every counter and histogram component is
 // work-derived, so the merged snapshot is identical at any worker count.
+// The same exact counts gate facts reuse: the stages share one counted
+// store per image, so most artifact requests are hits, and lint reads
+// through that store, reusing the CFGs taint and identify already built.
 func TestBatchMetricsDeterministicAcrossWorkers(t *testing.T) {
 	ids := make([]int, 0, 22)
 	for id := 1; id <= 22; id++ {
@@ -186,6 +190,39 @@ func TestBatchMetricsDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+
+	noLint, err := AnalyzeImages(context.Background(), imgs, WithMetrics(), WithWorkers(1))
+	if err != nil {
+		t.Fatalf("AnalyzeImages(no lint): %v", err)
+	}
+	const cfgBuilds = `facts_builds_total{artifact="cfg"}`
+	requests := sumMetric(seq.Summary.Metrics, "facts_requests_total")
+	builds := sumMetric(seq.Summary.Metrics, "facts_builds_total")
+	baseRequests := sumMetric(noLint.Summary.Metrics, "facts_requests_total")
+	lintCFGs := seq.Summary.Metrics[cfgBuilds] - noLint.Summary.Metrics[cfgBuilds]
+	lintFns := seq.Summary.Metrics["lint_functions_total"]
+	t.Logf("facts: %d builds / %d requests (%d without lint); lint: %d CFG builds over %d functions",
+		builds, requests, baseRequests, lintCFGs, lintFns)
+	if requests == 0 || builds*10 > requests {
+		t.Errorf("facts store built %d artifacts for %d requests, want at most 10%%", builds, requests)
+	}
+	if requests <= baseRequests {
+		t.Errorf("facts requests with lint = %d, without = %d: lint bypasses the counted store", requests, baseRequests)
+	}
+	if lintCFGs >= lintFns {
+		t.Errorf("lint added %d CFG builds over %d functions: it does not reuse the shared store", lintCFGs, lintFns)
+	}
+}
+
+// sumMetric totals every labelled series of the named metric.
+func sumMetric(m map[string]int64, name string) int64 {
+	var sum int64
+	for k, v := range m {
+		if n, _, _ := strings.Cut(k, "{"); n == name {
+			sum += v
+		}
+	}
+	return sum
 }
 
 // TestBatchStageSpanSums: the corpus-level §V-E breakdown is the per-stage
@@ -251,13 +288,7 @@ func TestFaultInjectionCounters(t *testing.T) {
 				continue
 			}
 			degraded++
-			var counted int64
-			for k, v := range report.Metrics {
-				if name, _ := splitMetricKey(k); name == "errors_total" {
-					counted += v
-				}
-			}
-			if counted != int64(len(report.Errors)) {
+			if counted := sumMetric(report.Metrics, "errors_total"); counted != int64(len(report.Errors)) {
 				t.Errorf("%s seed %d: errors_total sums to %d, report has %d errors\nmetrics: %v",
 					mode, seed, counted, len(report.Errors), report.Metrics)
 			}
@@ -266,14 +297,4 @@ func TestFaultInjectionCounters(t *testing.T) {
 	if degraded == 0 {
 		t.Error("no corruption mode degraded the analysis; counter check never ran")
 	}
-}
-
-// splitMetricKey separates a snapshot key into name and label parts.
-func splitMetricKey(key string) (name, labels string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '{' {
-			return key[:i], key[i:]
-		}
-	}
-	return key, ""
 }

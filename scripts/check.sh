@@ -64,7 +64,7 @@ leg_race() {
 	echo "== go test -race"
 	go test -race ./...
 
-	echo "== scheduler (work stealing: determinism, steal paths, panic, cancellation) under -race"
+	echo "== scheduler (atomic index claiming: determinism, stranded index, panic, cancellation) under -race"
 	go test -race ./internal/parallel
 
 	echo "== persistent cache (cold/warm goldens byte-identical, single-flight under -race)"
