@@ -111,17 +111,17 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer) (*Repor
 	// keeps its in-memory report (no round trip); everyone else decodes the
 	// serialized bytes — tests pin both renderings identical.
 	var fresh *Report
-	js, hit, err := a.cache.Do(key, func() ([]byte, error) {
+	js, hit, err := a.cache.Do(key, func() ([]byte, bool, error) {
 		rep, err := analyzeFresh(ctx, pl, data)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		buf, err := json.Marshal(rep)
 		if err != nil {
-			return nil, fmt.Errorf("firmres: cache encode: %w", err)
+			return nil, false, fmt.Errorf("firmres: cache encode: %w", err)
 		}
 		fresh = rep
-		return buf, nil
+		return buf, cacheable(rep), nil
 	})
 	if err != nil {
 		sp.SetStatus("fatal: " + errdefs.Kind(err))
@@ -137,6 +137,19 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer) (*Repor
 		return nil, nil, false, err
 	}
 	return rep, js, true, nil
+}
+
+// cacheable reports whether rep is a pure function of the image bytes and
+// the options, so the cache may store it: no deadline decided any part of
+// it. A stage that overran its budget or a probe that ran out of attempts
+// depends on the host's load; a recovered panic is deterministic.
+func cacheable(rep *Report) bool {
+	for _, e := range rep.Errors {
+		if e.Kind == errdefs.Kind(errdefs.ErrStageTimeout) {
+			return false
+		}
+	}
+	return rep.Probe == nil || rep.Probe.Counts[ProbeFailed] == 0
 }
 
 // analyzeFresh is the uncached path: unpack and run the full pipeline.

@@ -7,8 +7,11 @@ package firmres
 // read. The key is SHA-256(image) ⊕ core.Options.Fingerprint() (which
 // embeds the pipeline version stamp and excludes worker count — reports are
 // worker-count-invariant); the value is the serialized Report. Failures are
-// never cached, corrupt entries degrade to misses, and concurrent workers
-// single-flight so one image is never computed twice in a run.
+// never cached, nor is a report a deadline decided (a stage that overran
+// its budget, a probe that failed after retries): it depends on the host's
+// load, not only on the key. Corrupt entries degrade to misses, and
+// concurrent workers single-flight so one image is never computed twice in
+// a run.
 
 import (
 	"encoding/json"
@@ -53,7 +56,10 @@ func (s CacheStats) Snapshot() map[string]int64 {
 // byte-identical; any change to the analysis options or to the pipeline
 // version forces a recompute, and a corrupt entry is discarded and
 // recomputed, never trusted. Fatal failures (corrupt image, no device-cloud
-// executable) are not cached.
+// executable) are not cached, and neither is a report a deadline decided:
+// one carrying a stage-timeout error or a probe outcome classified
+// probe-failed. Such a report is returned as usual but counts as a miss,
+// so the next call with the same bytes analyzes again.
 func WithCache(dir string) Option {
 	return func(c *config) { c.cacheDir = dir }
 }

@@ -15,12 +15,13 @@ import (
 
 // crawlAllocBudget is the committed ceiling on heap bytes allocated per
 // image by a cold -j 1 sweep of the crawl set. The measured cost is about
-// 0.48 MB, lifted programs recycled through the pipeline's pool; the
-// headroom absorbs runtime-version drift, not regressions — blowing the
-// budget means a cold-path structure (a per-call map, a string per op, a
-// solution the facts store already holds, a lifted program nobody
-// releases) is being rebuilt per call.
-const crawlAllocBudget = 0.60e6
+// 0.43 MB, lifted programs recycled through the pipeline's pool and each
+// tree's paths enumerated once; the headroom absorbs runtime-version
+// drift, not regressions — blowing the budget means a cold-path structure
+// (a per-call map, a string per op, a solution the facts store already
+// holds, a lifted program nobody releases, a path list walked twice) is
+// being rebuilt per call.
+const crawlAllocBudget = 0.55e6
 
 // crawlSet packs the crawl workload's images: the 22 corpus devices and
 // their 22 stripped twins.

@@ -19,6 +19,10 @@
 //     is surfaced as a note, never a failure.
 //   - Single-flight: concurrent Do calls for one key compute the value
 //     exactly once per process; the other callers block and share it.
+//   - Stored on request: a computed value is written only when the compute
+//     asks for it, so a caller keeps results that depend on more than the
+//     key (a deadline, the host's load) out of the cache. Compute errors
+//     are never written.
 //   - Bounded size: with a MaxBytes budget, Put evicts least-recently-used
 //     entries (mtime order; Get refreshes mtime) until the total fits.
 package cache
@@ -162,14 +166,16 @@ func (c *Cache) Put(key string, val []byte) error {
 	return nil
 }
 
-// Do returns the cached value for key, computing and storing it on a miss.
-// Concurrent Do calls for the same key share one compute: the first caller
-// runs it, the rest block and receive the same bytes (counted as hits — no
-// work was duplicated). compute errors are returned to every waiter and
-// nothing is stored, so failures are never cached. A corrupt on-disk entry
-// degrades to a miss; its error is dropped here (the Errors counter and the
-// deleted entry remain) because the recomputed value supersedes it.
-func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+// Do returns the cached value for key, computing it on a miss and storing
+// it when compute says to. Concurrent Do calls for the same key share one
+// compute: the first caller runs it, the rest block and receive the same
+// bytes (counted as hits — no work was duplicated), stored or not. compute
+// errors are returned to every waiter and nothing is stored, so failures
+// are never cached; neither is a value compute declines to store. A
+// corrupt on-disk entry degrades to a miss; its error is dropped here (the
+// Errors counter and the deleted entry remain) because the recomputed
+// value supersedes it.
+func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error)) (val []byte, hit bool, err error) {
 	c.mu.Lock()
 	if cl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
@@ -198,15 +204,17 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, hit 
 		return data, true, nil
 	}
 	c.misses.Add(1)
-	data, err := compute()
+	data, store, err := compute()
 	if err != nil {
 		finish(nil, err)
 		return nil, false, err
 	}
 	// A Put failure (disk full, read-only dir) must not fail the analysis:
 	// the computed value is still good, it just isn't persisted.
-	if perr := c.Put(key, data); perr != nil {
-		c.errors.Add(1)
+	if store {
+		if perr := c.Put(key, data); perr != nil {
+			c.errors.Add(1)
+		}
 	}
 	finish(data, nil)
 	return data, false, nil

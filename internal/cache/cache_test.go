@@ -122,10 +122,10 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, _, err := c.Do(key, func() ([]byte, error) {
+			val, _, err := c.Do(key, func() ([]byte, bool, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
-				return []byte("value"), nil
+				return []byte("value"), true, nil
 			})
 			if err != nil {
 				t.Errorf("Do: %v", err)
@@ -155,13 +155,36 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 	key := KeyOf([]byte("img"), "fp")
 	boom := errors.New("boom")
-	if _, _, err := c.Do(key, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(key, func() ([]byte, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do error = %v, want boom", err)
 	}
 	// The failure was not persisted: the next Do computes again.
-	val, hit, err := c.Do(key, func() ([]byte, error) { return []byte("ok"), nil })
+	val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("ok"), true, nil })
 	if err != nil || hit || string(val) != "ok" {
 		t.Errorf("Do after failure = (%q, %t, %v), want fresh ok", val, hit, err)
+	}
+}
+
+func TestDoValueNotStored(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	for i := 0; i < 2; i++ {
+		val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("degraded"), false, nil })
+		if err != nil || hit || string(val) != "degraded" {
+			t.Fatalf("Do %d = (%q, %t, %v), want computed degraded", i, val, hit, err)
+		}
+	}
+	if got, err := c.Get(key); got != nil || err != nil {
+		t.Errorf("unstored value on disk: Get = (%q, %v)", got, err)
+	}
+	if n, err := c.SizeBytes(); n != 0 || err != nil {
+		t.Errorf("SizeBytes = (%d, %v), want an empty directory", n, err)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want 2 misses and no hits", s)
 	}
 }
 

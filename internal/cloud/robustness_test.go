@@ -107,7 +107,7 @@ func TestAuditResponse(t *testing.T) {
 		t.Errorf("clean response audited as leaking: %v", got)
 	}
 	// The registration endpoint of the fixed-token flow leaks by design.
-	body := expandResponse("deviceToken={fixed_token}", id)
+	body := responseReplacer(id).Replace("deviceToken={fixed_token}")
 	if got := AuditResponse(body, id); len(got) != 1 {
 		t.Errorf("fixed-token response audit = %v", got)
 	}
@@ -115,7 +115,7 @@ func TestAuditResponse(t *testing.T) {
 
 func TestExpandResponsePlaceholders(t *testing.T) {
 	id := testIdentity()
-	body := expandResponse("t={token} s={secret} m={mac} sn={serial} u={uid} f={fixed_token}", id)
+	body := responseReplacer(id).Replace("t={token} s={secret} m={mac} sn={serial} u={uid} f={fixed_token}")
 	for _, want := range []string{id.BindToken, id.Secret, id.MAC, id.Serial, id.UID, id.FixedToken()} {
 		if !strings.Contains(body, want) {
 			t.Errorf("expansion missing %q in %q", want, body)

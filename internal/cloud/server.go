@@ -48,6 +48,9 @@ type Cloud struct {
 
 	mu    sync.Mutex
 	specs map[int]*Spec
+	// replacers expands each device's response templates; specs are fixed
+	// at New and a strings.Replacer is safe for concurrent use.
+	replacers map[int]*strings.Replacer
 
 	httpLn   net.Listener
 	httpSrv  *http.Server
@@ -68,9 +71,13 @@ type Access struct {
 
 // New builds a cloud for the given specs.
 func New(specs ...*Spec) *Cloud {
-	c := &Cloud{specs: make(map[int]*Spec, len(specs))}
+	c := &Cloud{
+		specs:     make(map[int]*Spec, len(specs)),
+		replacers: make(map[int]*strings.Replacer, len(specs)),
+	}
 	for _, s := range specs {
 		c.specs[s.DeviceID] = s
+		c.replacers[s.DeviceID] = responseReplacer(s.Identity)
 	}
 	return c
 }
@@ -195,14 +202,14 @@ func (c *Cloud) handleHTTP(w http.ResponseWriter, r *http.Request) {
 	if body == "" {
 		body = RespOK
 	}
-	body = expandResponse(body, spec.Identity)
+	body = c.replacers[spec.DeviceID].Replace(body)
 	fmt.Fprint(w, body)
 }
 
-// expandResponse substitutes identity placeholders into a response template
-// (how vulnerable clouds leak per-device material).
-func expandResponse(body string, id Identity) string {
-	replacer := strings.NewReplacer(
+// responseReplacer substitutes identity placeholders into a response
+// template (how vulnerable clouds leak per-device material).
+func responseReplacer(id Identity) *strings.Replacer {
+	return strings.NewReplacer(
 		"{token}", id.BindToken,
 		"{fixed_token}", id.FixedToken(),
 		"{secret}", id.Secret,
@@ -210,7 +217,6 @@ func expandResponse(body string, id Identity) string {
 		"{serial}", id.Serial,
 		"{uid}", id.UID,
 	)
-	return replacer.Replace(body)
 }
 
 // route matches a request to a spec and endpoint: by exact path, or for

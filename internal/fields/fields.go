@@ -133,17 +133,12 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 		tree.Invert()
 	}
 
-	byHash := make(map[uint64]SliceInfo, len(infos))
-	for _, in := range infos {
-		byHash[in.Slice.PathHash] = in
-	}
-
 	// LAN filter: a tree whose Address-labelled slices contain a LAN IP
 	// string constant is local communication, not device-cloud (§IV-D).
 	paths := tree.Paths()
 	for _, p := range paths {
-		info, ok := byHash[p.Hash]
-		if !ok || info.Label != "Address" {
+		info := infoOf(infos, p.Hash)
+		if info == nil || info.Label != "Address" {
 			continue
 		}
 		for _, n := range p.Nodes {
@@ -167,7 +162,7 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 			Value:      renderLeaf(leaf, resolve),
 			Structural: leaf.Kind == taint.LeafString && StructuralString(leaf.StrVal),
 		}
-		if info, ok := byHash[p.Hash]; ok {
+		if info := infoOf(infos, p.Hash); info != nil {
 			f.Semantics = info.Label
 			f.Confidence = info.Confidence
 			f.Key = info.Slice.KeyHint
@@ -182,6 +177,18 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 	m.Format = inferFormat(tree)
 	renderMessage(m, tree, resolve)
 	return m
+}
+
+// infoOf returns the info of the slice cut from the path with the given
+// hash, nil when none was. When several infos share a hash the last one
+// wins. A tree has a handful of paths, so a scan beats building a map.
+func infoOf(infos []SliceInfo, hash uint64) *SliceInfo {
+	for i := len(infos) - 1; i >= 0; i-- {
+		if infos[i].Slice.PathHash == hash {
+			return &infos[i]
+		}
+	}
+	return nil
 }
 
 // inferFormat reads the message format from the tree structure (§IV-D

@@ -269,3 +269,30 @@ func TestBuildEmptyTree(t *testing.T) {
 		t.Error("empty tree not discarded")
 	}
 }
+
+// TestBuildDuplicateHashLaterInfoWins: when two slice infos carry the same
+// path hash, the field takes the later one, as a map keyed by hash would.
+func TestBuildDuplicateHashLaterInfoWins(t *testing.T) {
+	leaf := &taint.Node{Kind: taint.LeafNVRAM, Key: "serial"}
+	arg := &taint.Node{Kind: taint.NodeArg, ArgLabel: "payload", Children: []*taint.Node{leaf}}
+	tree := mft.Simplify(&taint.MFT{Deliver: "SSL_write", Root: &taint.Node{Kind: taint.NodeRoot, Children: []*taint.Node{arg}}})
+	paths := tree.Paths()
+	if len(paths) != 1 {
+		t.Fatalf("%d paths, want 1", len(paths))
+	}
+	h := paths[0].Hash
+	infos := []SliceInfo{
+		{Slice: slices.Slice{PathHash: h, KeyHint: "first"}, Label: semantics.LabelNone, Confidence: 0.1},
+		{Slice: slices.Slice{PathHash: h + 1, KeyHint: "other"}, Label: semantics.LabelBindToken, Confidence: 0.2},
+		{Slice: slices.Slice{PathHash: h, KeyHint: "sn="}, Label: semantics.LabelDevIdentifier, Confidence: 0.9},
+	}
+	msg := Build(tree, infos, nil)
+	if len(msg.Fields) != 1 {
+		t.Fatalf("%d fields, want 1", len(msg.Fields))
+	}
+	f := msg.Fields[0]
+	if f.Semantics != semantics.LabelDevIdentifier || f.Key != "sn=" || f.Confidence != 0.9 {
+		t.Errorf("field = {%q, key %q, conf %v}, want the later info {%q, key %q, conf 0.9}",
+			f.Semantics, f.Key, f.Confidence, semantics.LabelDevIdentifier, "sn=")
+	}
+}

@@ -128,15 +128,16 @@ type storeKey struct {
 
 func (c *deadStoreChecker) Check(fc *FuncContext) []Diagnostic {
 	var out []Diagnostic
+	pending := map[storeKey]int{} // cleared, not rebuilt, at every drop
 	for _, blk := range fc.CFG().Blocks {
-		pending := map[storeKey]int{}
+		clear(pending)
 		for i := blk.Start; i < blk.End; i++ {
 			op := &fc.Fn.Ops[i]
 			switch op.Code {
 			case pcode.STORE:
 				k, ok := c.cellOf(fc, i)
 				if !ok {
-					pending = map[storeKey]int{}
+					clear(pending)
 					continue
 				}
 				if prev, dup := pending[k]; dup {
@@ -156,11 +157,11 @@ func (c *deadStoreChecker) Check(fc *FuncContext) []Diagnostic {
 				if k, ok := c.cellOf(fc, i); ok {
 					delete(pending, k)
 				} else {
-					pending = map[storeKey]int{}
+					clear(pending)
 				}
 			case pcode.CALL, pcode.CALLIND:
 				// The callee may read any buffer reachable through memory.
-				pending = map[storeKey]int{}
+				clear(pending)
 			}
 		}
 	}

@@ -6,6 +6,7 @@
 package mft
 
 import (
+	"slices"
 	"strconv"
 
 	"firmres/internal/taint"
@@ -55,6 +56,8 @@ type Tree struct {
 	Source   *taint.MFT
 	Root     *SNode
 	Inverted bool
+
+	paths []Path // root-to-leaf paths, listed by the first Paths call
 }
 
 // Simplify builds the simplified tree of m: only the root, branching nodes
@@ -94,15 +97,14 @@ func simplifyNode(n *taint.Node) *SNode {
 		cur = cur.Children[0]
 	}
 	out := &SNode{Orig: cur}
-	if cur.Leaf() {
+	if cur.Leaf() || len(cur.Children) == 0 {
+		// A leaf, or a dead interior node (budget-truncated trace): keep
+		// as-is.
 		return out
 	}
-	if !structural(cur) && len(cur.Children) == 0 {
-		// Dead interior node (budget-truncated trace): keep as-is.
-		return out
-	}
-	for _, c := range cur.Children {
-		out.Children = append(out.Children, simplifyNode(c))
+	out.Children = make([]*SNode, len(cur.Children))
+	for i, c := range cur.Children {
+		out.Children[i] = simplifyNode(c)
 	}
 	return out
 }
@@ -110,9 +112,16 @@ func simplifyNode(n *taint.Node) *SNode {
 // Invert reverses the child order at every node. The MFT is built by
 // backward taint analysis, so "early tagged fields are concatenated later
 // into the message" (§IV-D); inversion recovers the true field order.
+// Reversing every node's children reverses the depth-first order of the
+// leaves, so a path list already enumerated is reversed and renumbered in
+// place and stays equal to a fresh enumeration of the inverted tree.
 func (t *Tree) Invert() {
 	invert(t.Root)
 	t.Inverted = !t.Inverted
+	slices.Reverse(t.paths)
+	for i := range t.paths {
+		t.paths[i].ID = i
+	}
 }
 
 func invert(n *SNode) {
@@ -137,62 +146,94 @@ type Path struct {
 // Leaf returns the path's terminal node.
 func (p Path) Leaf() *SNode { return p.Nodes[len(p.Nodes)-1] }
 
-// Paths enumerates and numbers the root-to-leaf paths.
+// Paths returns the root-to-leaf paths, numbered in depth-first order.
+// The first call enumerates and hashes them; later calls return the same
+// list, which Invert keeps in step with the child order. The list and
+// every path's Nodes are shared with the tree: callers must not modify
+// them. Like Invert, Paths is for one goroutine at a time.
 func (t *Tree) Paths() []Path {
-	var out []Path
-	var cur []*SNode
-	var rec func(n *SNode)
-	rec = func(n *SNode) {
-		cur = append(cur, n)
-		if len(n.Children) == 0 {
-			if n.Leaf() {
-				nodes := make([]*SNode, len(cur))
-				copy(nodes, cur)
-				out = append(out, Path{ID: len(out), Hash: hashPath(nodes), Nodes: nodes})
-			}
-		} else {
-			for _, c := range n.Children {
-				rec(c)
-			}
-		}
-		cur = cur[:len(cur)-1]
+	if t.paths == nil && t.Root != nil {
+		t.paths = listPaths(t.Root)
 	}
-	if t.Root != nil {
-		rec(t.Root)
-	}
-	return out
+	return t.paths
 }
 
-// FNV-1a parameters (matching hash/fnv's 64-bit variant); the hash is
-// inlined so hashing a path allocates nothing beyond its labels.
+// pathCount sizes a tree's path list: the paths, the nodes over all of
+// them, and the deepest node.
+type pathCount struct{ paths, nodes, depth int }
+
+func (c *pathCount) walk(n *SNode, depth int) {
+	c.depth = max(c.depth, depth)
+	if len(n.Children) == 0 {
+		if n.Leaf() {
+			c.paths++
+			c.nodes += depth
+		}
+		return
+	}
+	for _, ch := range n.Children {
+		c.walk(ch, depth+1)
+	}
+}
+
+// pathLister fills a presized path list in one depth-first walk, carrying
+// each path's FNV-1a hash down from the root so every node is hashed once
+// per visit.
+type pathLister struct {
+	paths []Path
+	nodes []*SNode // backing array of every path's Nodes
+	stack []*SNode // root to the current node
+	buf   []byte   // one node's hashed bytes
+}
+
+// listPaths enumerates, numbers and hashes the paths under root. Every
+// path's Nodes is a capacity-clamped window of one backing array, whose
+// tail holds the walk's stack.
+func listPaths(root *SNode) []Path {
+	var c pathCount
+	c.walk(root, 1)
+	if c.paths == 0 {
+		return nil
+	}
+	backing := make([]*SNode, c.nodes+c.depth)
+	l := pathLister{
+		paths: make([]Path, 0, c.paths),
+		nodes: backing[:0:c.nodes],
+		stack: backing[c.nodes:c.nodes],
+	}
+	l.walk(root, fnvOffset64)
+	return l.paths
+}
+
+// FNV-1a parameters (matching hash/fnv's 64-bit variant).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+// walk folds n into the hash h of the path so far: its label, a 0 byte,
+// its op index in decimal and a 1 byte (§IV-D "assigns a hash value").
+func (l *pathLister) walk(n *SNode, h uint64) {
+	l.stack = append(l.stack, n)
+	l.buf = append(n.Orig.AppendLabel(l.buf[:0]), 0)
+	l.buf = append(strconv.AppendInt(l.buf, int64(n.Orig.OpIdx), 10), 1)
+	for _, b := range l.buf {
+		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	return h
-}
-
-func hashPath(nodes []*SNode) uint64 {
-	h := uint64(fnvOffset64)
-	var buf [20]byte
-	for _, n := range nodes {
-		h = fnvString(h, n.Orig.Label())
-		h ^= 0
-		h *= fnvPrime64
-		for _, c := range strconv.AppendInt(buf[:0], int64(n.Orig.OpIdx), 10) {
-			h ^= uint64(c)
-			h *= fnvPrime64
+	if len(n.Children) == 0 {
+		if n.Leaf() {
+			lo := len(l.nodes)
+			l.nodes = append(l.nodes, l.stack...)
+			hi := len(l.nodes)
+			l.paths = append(l.paths, Path{ID: len(l.paths), Hash: h, Nodes: l.nodes[lo:hi:hi]})
 		}
-		h ^= 1
-		h *= fnvPrime64
+	} else {
+		for _, c := range n.Children {
+			l.walk(c, h)
+		}
 	}
-	return h
+	l.stack = l.stack[:len(l.stack)-1]
 }
 
 // Split divides an MFT into one MFT per message-construction context. A

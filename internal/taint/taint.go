@@ -111,25 +111,30 @@ func (n *Node) Size() int {
 	return count
 }
 
-// Label renders a short human-readable description of the node. It runs
-// for every node of every path during path hashing, so the renderings are
-// plain concatenations (output identical to the earlier fmt forms).
-func (n *Node) Label() string {
+// AppendLabel appends a short human-readable description of the node to
+// dst and returns the extended buffer. Path hashing renders every node of
+// every tree through it, into one reused buffer.
+func (n *Node) AppendLabel(dst []byte) []byte {
 	switch n.Kind {
 	case NodeCall, NodeReturn:
-		return n.Kind.String() + "(" + n.Callee + ")"
+		dst = append(append(dst, n.Kind.String()...), '(')
+		return append(append(dst, n.Callee...), ')')
 	case NodeArg:
-		return "arg(" + n.ArgLabel + ")"
+		return append(append(append(dst, "arg("...), n.ArgLabel...), ')')
 	case LeafString:
-		return strconv.Quote(n.StrVal)
+		return strconv.AppendQuote(dst, n.StrVal)
 	case LeafNumeric:
-		return "0x" + strconv.FormatUint(n.ConstVal, 16)
+		return strconv.AppendUint(append(dst, "0x"...), n.ConstVal, 16)
 	case LeafNVRAM, LeafConfig, LeafEnv, LeafFile:
-		return n.Kind.String() + "[" + n.Key + "]"
+		dst = append(append(dst, n.Kind.String()...), '[')
+		return append(append(dst, n.Key...), ']')
 	default:
-		return n.Kind.String()
+		return append(dst, n.Kind.String()...)
 	}
 }
+
+// Label renders the node's AppendLabel description as a string.
+func (n *Node) Label() string { return string(n.AppendLabel(nil)) }
 
 // MFT is one Message Field Tree: the backward dataflow from a delivery
 // callsite to the sources of the message fields.
