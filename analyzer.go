@@ -5,8 +5,8 @@ package firmres
 // WithCache, the open cache handle — lives in an Analyzer, built once. A
 // long-running service keeps one for the life of the process, so every
 // call shares one cache handle and its single-flight; the package-level
-// Analyze* functions and CachedReport each build a one-shot Analyzer, so
-// there is one analysis path.
+// Analyze* functions each build a one-shot Analyzer, so there is one
+// analysis path.
 
 import (
 	"context"

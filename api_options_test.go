@@ -76,23 +76,6 @@ func TestWithModelFileOption(t *testing.T) {
 	if _, err := AnalyzeImage(packedDevice(t, 5), WithModelFile(bad)); err == nil {
 		t.Error("corrupt model file accepted")
 	}
-	if _, _, err := CachedReport(packedDevice(t, 5), WithModelFile(bad), WithCache(t.TempDir())); err == nil {
-		t.Error("CachedReport accepted a corrupt model file")
-	}
-}
-
-func TestWithKeywordClassifierExplicit(t *testing.T) {
-	if _, err := AnalyzeImage(packedDevice(t, 5), WithKeywordClassifier()); err != nil {
-		t.Errorf("AnalyzeImage: %v", err)
-	}
-}
-
-func TestWithMinHandlerScore(t *testing.T) {
-	// An impossible threshold filters every handler: identification fails.
-	_, err := AnalyzeImage(packedDevice(t, 5), WithMinHandlerScore(1.1))
-	if err == nil {
-		t.Error("threshold 1.1 still identified a device-cloud executable")
-	}
 }
 
 func TestReportFlaggedDetailSurfaces(t *testing.T) {

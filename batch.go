@@ -86,7 +86,7 @@ func AnalyzeImages(ctx context.Context, imgs [][]byte, opts ...Option) (*BatchRe
 		return nil, err
 	}
 	results := make([]ImageResult, len(imgs))
-	parallel.ForEach(ctx, parallel.CPUWorkers(cfg.workers), len(imgs), func(i int) {
+	parallel.ForEach(ctx, parallel.CPUWorkers(cfg.opts.Workers), len(imgs), func(i int) {
 		results[i] = analyzeBatchImage(ctx, a, fmt.Sprintf("image[%d]", i), imgs[i])
 	})
 	if err := ctx.Err(); err != nil {
@@ -104,7 +104,7 @@ func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchRe
 		return nil, err
 	}
 	results := make([]ImageResult, len(paths))
-	parallel.ForEach(ctx, parallel.CPUWorkers(cfg.workers), len(paths), func(i int) {
+	parallel.ForEach(ctx, parallel.CPUWorkers(cfg.opts.Workers), len(paths), func(i int) {
 		data, err := os.ReadFile(paths[i])
 		if err != nil {
 			results[i] = ImageResult{

@@ -79,31 +79,6 @@ func WithCacheStats(st *CacheStats) Option {
 	return func(c *config) { c.cacheStats = st }
 }
 
-// CachedReport probes the persistent cache for data's report under the
-// effective options without running any analysis: the dedup fast path for
-// services that want to answer a submission from the cache before spending
-// a worker on it. It returns (report, true, nil) on a verified hit and
-// (nil, false, nil) on a miss — a corrupt entry reads as a miss here and is
-// healed by the next full analysis. The options must include WithCache;
-// without it every probe is a miss. Probes do not touch the hit/miss
-// counters (WithCacheStats accounting belongs to analyses). A service
-// probing repeatedly keeps one Analyzer and calls its Cached method.
-func CachedReport(data []byte, opts ...Option) (*Report, bool, error) {
-	a, err := newConfig(opts).analyzer(1)
-	if err != nil {
-		return nil, false, err
-	}
-	js, ok := a.Cached(data)
-	if !ok {
-		return nil, false, nil
-	}
-	rep, err := decodeReport(js)
-	if err != nil {
-		return nil, false, nil
-	}
-	return rep, true, nil
-}
-
 // ClearCache removes every cache entry under dir. Other files in the
 // directory are left alone.
 func ClearCache(dir string) error {

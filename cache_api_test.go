@@ -281,7 +281,7 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 }
 
-func TestCachedReportRehydratesErrors(t *testing.T) {
+func TestDecodeReportRehydratesErrors(t *testing.T) {
 	in := &Report{
 		Device: "d",
 		Errors: []AnalysisError{{
@@ -325,36 +325,46 @@ func TestClearCache(t *testing.T) {
 	}
 }
 
-func TestCachedReportProbe(t *testing.T) {
+// TestAnalyzerCachedProbe: a probe never creates an entry, misses across
+// an option change, and is inert without a cache. What a warm probe serves
+// is TestAnalyzerBytesAreCanonical's.
+func TestAnalyzerCachedProbe(t *testing.T) {
 	data := packedDevice(t, 7)
 	dir := t.TempDir()
+	a, err := NewAnalyzer(WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Cold cache: the probe misses without creating an entry.
-	if rep, hit, err := CachedReport(data, WithCache(dir)); rep != nil || hit || err != nil {
-		t.Fatalf("cold probe = (%v, %v, %v), want (nil, false, nil)", rep, hit, err)
+	if js, hit := a.Cached(data); js != nil || hit {
+		t.Fatalf("cold probe = (%d bytes, %v), want a miss", len(js), hit)
 	}
 	if got := len(cacheEntries(t, dir)); got != 0 {
 		t.Fatalf("probe created %d cache entries", got)
 	}
 
-	want, err := AnalyzeImage(data, WithCache(dir))
-	if err != nil {
+	if _, _, _, err := a.Analyze(context.Background(), data, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, hit, err := CachedReport(data, WithCache(dir))
-	if err != nil || !hit {
-		t.Fatalf("warm probe = (hit=%v, %v), want a hit", hit, err)
-	}
-	if got, wantS := marshalReport(t, rep), marshalReport(t, want); got != wantS {
-		t.Errorf("probed report diverged from analyzed report:\n%s\nvs\n%s", clip(got), clip(wantS))
+	if _, hit := a.Cached(data); !hit {
+		t.Fatal("warm probe missed")
 	}
 
 	// A different option fingerprint is a different key: no hit.
-	if _, hit, _ := CachedReport(data, WithCache(dir), WithLint()); hit {
+	linted, err := NewAnalyzer(WithCache(dir), WithLint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := linted.Cached(data); hit {
 		t.Error("probe hit across an option-fingerprint change")
 	}
 	// No cache configured: the probe is inert.
-	if rep, hit, err := CachedReport(data); rep != nil || hit || err != nil {
-		t.Errorf("cacheless probe = (%v, %v, %v), want (nil, false, nil)", rep, hit, err)
+	bare, err := NewAnalyzer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js, hit := bare.Cached(data); js != nil || hit {
+		t.Errorf("cacheless probe = (%d bytes, %v), want a miss", len(js), hit)
 	}
 }

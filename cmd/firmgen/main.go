@@ -4,7 +4,7 @@
 // With -stripped, a symbol-stripped twin of each image
 // (deviceNN.stripped.img) is written alongside the symbol-full one: every
 // binary executable loses its function symbols, data symbols, local
-// variables, and import names — the input the firmres -stripped recovery
+// variables, and import names — the input the firmres symbol-recovery
 // pass is built for.
 //
 // Usage:

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	firmres [-model file] [-json] [-stage-timeout d] [-keep-going] [-j N]
-//	        [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-stripped]
+//	        [-lint] [-lint-rules r1,r2] [-lint-json] [-timings]
 //	        [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n]
 //	        [-trace] [-trace-json file] [-metrics file] [-progress]
 //	        [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear]
@@ -25,12 +25,11 @@
 // disables caching even when -cache is given. Cached output is
 // byte-identical to a fresh analysis.
 //
-// Stripped firmware: -stripped forces the symbol-recovery pass — function
-// boundaries, string constants, and extern identities are rebuilt before
-// analysis (the pass also engages automatically on binaries that arrive
-// without a symbol table). The report gains a recovery section listing the
-// per-extern bindings and their confidence; -stripped changes the cache key,
-// so symbol-full cached results are never served for a stripped run.
+// Stripped firmware needs no flag: every binary that arrives without
+// function symbols, data symbols or import names gets the symbol-recovery
+// pass before analysis — function boundaries, string constants, and extern
+// identities are rebuilt — and its report gains a recovery section listing
+// the per-extern bindings and their confidence.
 //
 // Probing: -probe replays every reconstructed message against a simulated
 // cloud built from the device's corpus spec and reports per-message
@@ -89,7 +88,6 @@ type options struct {
 	lintRules    string
 	lintJSON     bool
 	timings      bool
-	stripped     bool
 	probe        bool
 	probeChaos   string
 	probeSeed    int64
@@ -130,8 +128,6 @@ func run() int {
 		"emit lint diagnostics as a SARIF 2.1.0 document instead of the text report (implies -lint)")
 	flag.BoolVar(&opts.timings, "timings", false,
 		"print the run's per-stage wall-clock totals to stderr when the run ends")
-	flag.BoolVar(&opts.stripped, "stripped", false,
-		"force symbol recovery for stripped firmware (auto-detected for binaries without symbol tables)")
 	flag.BoolVar(&opts.probe, "probe", false,
 		"replay reconstructed messages against a simulated cloud and report exploitability")
 	flag.StringVar(&opts.probeChaos, "probe-chaos", "",
@@ -177,7 +173,7 @@ func run() int {
 		}
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-stage-timeout d] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-stripped] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
+		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-stage-timeout d] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
 		return exitUsage
 	}
 	if opts.pprofAddr != "" {
@@ -249,23 +245,15 @@ func newObsSink(opts options) *obsSink {
 type stageTimer struct {
 	mu     sync.Mutex
 	totals map[string]time.Duration // pre-keyed with firmres.StageNames()
-	call   int                      // the newest Analyze call
 }
 
-// callTimer is one Analyze call's Observer. A -trace recorder keeps every
-// earlier call's observers attached, so only the newest call's counts.
-type callTimer struct {
-	t    *stageTimer
-	call int
-}
+func (t *stageTimer) SpanStart(firmres.SpanEvent) {}
 
-func (c callTimer) SpanStart(firmres.SpanEvent) {}
-
-func (c callTimer) SpanEnd(ev firmres.SpanEvent) {
-	c.t.mu.Lock()
-	defer c.t.mu.Unlock()
-	if _, stage := c.t.totals[ev.Name]; stage && c.call == c.t.call {
-		c.t.totals[ev.Name] += ev.Duration()
+func (t *stageTimer) SpanEnd(ev firmres.SpanEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, stage := t.totals[ev.Name]; stage {
+		t.totals[ev.Name] += ev.Duration()
 	}
 }
 
@@ -281,11 +269,8 @@ func (s *obsSink) options(batch bool) []firmres.Option {
 	if s.trace != nil {
 		out = append(out, firmres.WithTrace(s.trace))
 	}
-	if t := s.timer; t != nil {
-		t.mu.Lock()
-		t.call++
-		out = append(out, firmres.WithObserver(callTimer{t: t, call: t.call}))
-		t.mu.Unlock()
+	if s.timer != nil {
+		out = append(out, firmres.WithObserver(s.timer))
 	}
 	if s.opts.metricsPath != "" {
 		out = append(out, firmres.WithMetrics())
@@ -413,9 +398,6 @@ func apiOptions(opts options) []firmres.Option {
 		apiOpts = append(apiOpts, firmres.WithLintRules(rules...))
 	} else if opts.lint || opts.lintJSON {
 		apiOpts = append(apiOpts, firmres.WithLint())
-	}
-	if opts.stripped {
-		apiOpts = append(apiOpts, firmres.WithStrippedMode())
 	}
 	if opts.cacheEnabled() {
 		apiOpts = append(apiOpts, firmres.WithCache(opts.cacheDir))

@@ -185,9 +185,10 @@ func TestAnalyzeTimingsWarmCache(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTimingsWithTrace: a -trace recorder keeps every earlier
-// Analyze call's observers attached, yet each image's stage spans must be
-// counted once.
+// TestAnalyzeTimingsWithTrace: with -trace, every Analyze call records into
+// one shared trace while the -timings observer rides along on each call;
+// the footer must count each image's stage spans exactly once, so it
+// agrees with the sum the trace tree shows.
 func TestAnalyzeTimingsWithTrace(t *testing.T) {
 	path, opts := writeImage(t, 5), options{trace: true, timings: true}
 	sink := newObsSink(opts)

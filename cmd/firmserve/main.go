@@ -9,7 +9,7 @@
 //
 //	firmserve [-addr host:port] [-data dir] [-cache dir] [-no-cache]
 //	          [-max-inflight n] [-max-queue n] [-retries n] [-retain n]
-//	          [-rate r] [-burst n] [-stage-timeout d] [-lint] [-stripped]
+//	          [-rate r] [-burst n] [-stage-timeout d] [-lint]
 //	          [-drain-timeout d] [-addr-file path]
 //
 // API:
@@ -63,7 +63,6 @@ func run() int {
 		burst        = flag.Int("burst", 16, "per-tenant burst size")
 		stageTimeout = flag.Duration("stage-timeout", 0, "per-stage analysis budget (0 = unlimited)")
 		lint         = flag.Bool("lint", false, "run the lint passes on every job")
-		stripped     = flag.Bool("stripped", false, "force symbol recovery for stripped firmware")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for inflight jobs on SIGTERM before re-journaling them")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts)")
 	)
@@ -95,9 +94,6 @@ func run() int {
 	}
 	if *lint {
 		cfg.AnalysisOptions = append(cfg.AnalysisOptions, firmres.WithLint())
-	}
-	if *stripped {
-		cfg.AnalysisOptions = append(cfg.AnalysisOptions, firmres.WithStrippedMode())
 	}
 
 	srv, err := serve.New(cfg)

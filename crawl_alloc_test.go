@@ -42,11 +42,11 @@ func heapAllocBytes() uint64 {
 }
 
 // TestCrawlAllocBudget pins the allocation cost of the cold crawl sweep:
-// lint and stripped mode on, no cache, one worker, measured over one
-// AnalyzeImages pass after a warm-up pass has filled the pools.
+// lint on, no cache, one worker, measured over one AnalyzeImages pass
+// after a warm-up pass has filled the pools.
 func TestCrawlAllocBudget(t *testing.T) {
 	imgs := crawlSet(t)
-	opts := []Option{WithLint(), WithStrippedMode(), WithWorkers(1)}
+	opts := []Option{WithLint(), WithWorkers(1)}
 	if _, err := AnalyzeImages(context.Background(), imgs, opts...); err != nil {
 		t.Fatalf("warm-up AnalyzeImages: %v", err)
 	}
@@ -84,7 +84,7 @@ func liveHeap() uint64 {
 func TestAnalyzerRetentionBound(t *testing.T) {
 	const budget = 1 << 20
 	imgs := crawlSet(t)
-	cfg := newConfig([]Option{WithLint(), WithStrippedMode(), WithWorkers(2)})
+	cfg := newConfig([]Option{WithLint(), WithWorkers(2)})
 	a, err := cfg.analyzer(len(imgs))
 	if err != nil {
 		t.Fatal(err)

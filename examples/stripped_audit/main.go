@@ -30,13 +30,13 @@ func main() {
 	fmt.Printf("firmware: %s %s — symbol-full %d bytes, stripped %d bytes\n\n",
 		device.Vendor, device.Model, len(full.Pack()), len(stripped.Pack()))
 
-	// Analyze both. WithStrippedMode forces the recovery pass; it would
-	// also engage automatically on binaries without symbol tables.
+	// Analyze both with the same options: the recovery pass engages by
+	// itself on every binary that is missing a symbol layer.
 	fullReport, err := firmres.AnalyzeImage(full.Pack())
 	if err != nil {
 		log.Fatalf("analyze symbol-full: %v", err)
 	}
-	strippedReport, err := firmres.AnalyzeImage(stripped.Pack(), firmres.WithStrippedMode())
+	strippedReport, err := firmres.AnalyzeImage(stripped.Pack())
 	if err != nil {
 		log.Fatalf("analyze stripped: %v", err)
 	}

@@ -129,10 +129,10 @@ type Report struct {
 	// executable: function boundaries rebuilt, string constants rediscovered,
 	// and extern identities bound by behavioral signature, each binding with
 	// a confidence score. Populated only when the executable arrived
-	// stripped (or WithStrippedMode forced the pass and it had work to do);
-	// symbol-full reports stay byte-identical. When a stripped verdict
-	// diverges from its symbol-full twin, the low-confidence bindings and
-	// notes here are the explanation.
+	// missing a symbol layer and the pass recovered something; symbol-full
+	// reports stay byte-identical. When a stripped verdict diverges from
+	// its symbol-full twin, the low-confidence bindings and notes here are
+	// the explanation.
 	Recovery *RecoveryReport `json:",omitempty"`
 }
 
@@ -147,8 +147,9 @@ type RecoveryBinding struct {
 	Evidence   string  `json:"evidence,omitempty"` // human-readable rationale
 }
 
-// RecoveryReport summarizes the symbol-free recovery pass (WithStrippedMode)
-// over the identified executable.
+// RecoveryReport summarizes the symbol-free recovery pass over the
+// identified executable. The pass runs on every binary missing function
+// symbols, data symbols or import names.
 type RecoveryReport struct {
 	Binary           string            `json:"binary"`
 	FuncsRecovered   int               `json:"funcs_recovered"`
@@ -212,7 +213,6 @@ type Option func(*config)
 type config struct {
 	opts          core.Options
 	err           error // configuration error reported by an Option
-	workers       int
 	trace         *Trace
 	observers     []Observer
 	progressW     io.Writer
@@ -227,12 +227,6 @@ func newConfig(opts []Option) *config {
 		o(&cfg)
 	}
 	return &cfg
-}
-
-// WithKeywordClassifier selects the dictionary-based semantics classifier
-// (the default).
-func WithKeywordClassifier() Option {
-	return func(c *config) { c.opts.Classifier = &semantics.KeywordClassifier{} }
 }
 
 // WithModelFile selects a trained TextCNN semantics classifier loaded from
@@ -260,12 +254,6 @@ func WithModel(model *nn.Model) Option {
 	return func(c *config) { c.opts.Classifier = &semantics.ModelClassifier{Model: model} }
 }
 
-// WithMinHandlerScore sets the minimum string-parsing score a function-call
-// sequence needs to count as a request handler (§IV-A).
-func WithMinHandlerScore(s float64) Option {
-	return func(c *config) { c.opts.MinScore = s }
-}
-
 // WithStageTimeout sets a wall-clock budget for each pipeline stage. A
 // stage exceeding it — a taint blow-up, a pathological classifier — is
 // abandoned and recorded in Report.Errors, and the remaining stages run on
@@ -284,10 +272,7 @@ func WithStageTimeout(d time.Duration) Option {
 // are bounded separately by probe.Options.Probers). Reports are
 // byte-identical at any worker count.
 func WithWorkers(n int) Option {
-	return func(c *config) {
-		c.workers = n
-		c.opts.Workers = n
-	}
+	return func(c *config) { c.opts.Workers = n }
 }
 
 // WithLint enables the lint-pass stage: pluggable checkers run over every
@@ -296,16 +281,15 @@ func WithLint() Option {
 	return func(c *config) { c.opts.Lint = true }
 }
 
-// WithStrippedMode declares the corpus symbol-stripped: every candidate
-// executable runs the symbol-free recovery pass (function-boundary
-// recovery, string rediscovery, signature-based extern identification)
-// before lifting, and the mode is folded into the analysis-cache
-// fingerprint. Binaries that arrive without function symbols or with
-// nameless imports are recovered automatically even without this option;
-// on symbol-full binaries the pass is a no-op, so symbol-full reports are
-// unchanged either way. The pass's outcome is reported in Report.Recovery.
+// WithStrippedMode does nothing. Whether to run the symbol-free recovery
+// pass is a property of each binary: every executable missing function
+// symbols, data symbols or import names is recovered before lifting,
+// whatever the options, and the outcome is reported in Report.Recovery.
+//
+// Deprecated: recovery is derived from the binary; the option is kept only
+// so existing callers compile.
 func WithStrippedMode() Option {
-	return func(c *config) { c.opts.Stripped = true }
+	return func(*config) {}
 }
 
 // WithLintRules enables the lint-pass stage restricted to the named rules.

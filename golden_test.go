@@ -33,8 +33,15 @@ func goldenRecordFor(t *testing.T, id int) *goldenRecord {
 	if err != nil {
 		t.Fatalf("BuildImage(%d): %v", id, err)
 	}
+	return recordOf(t, id, img.Pack(), WithLint())
+}
+
+// recordOf analyzes device id's packed image under opts; any fatal outcome
+// but a missing device-cloud executable fails the test.
+func recordOf(t *testing.T, id int, data []byte, opts ...Option) *goldenRecord {
+	t.Helper()
 	rec := &goldenRecord{Device: id}
-	report, err := AnalyzeImage(img.Pack(), WithLint())
+	report, err := AnalyzeImage(data, opts...)
 	switch {
 	case err == nil:
 		rec.Outcome = "report"

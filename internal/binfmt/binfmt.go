@@ -286,9 +286,9 @@ func (b *Binary) Validate() error {
 
 // SortSymbols orders function and data symbols by address and rebuilds the
 // lookup index; analyses assume this order for binary search and
-// deterministic iteration. Code that mutates Funcs (the stripped-mode
-// recovery pass) must call this afterwards so stale index entries never
-// survive a rewrite.
+// deterministic iteration. Code that mutates Funcs (the symbol-recovery
+// pass) must call this afterwards so stale index entries never survive a
+// rewrite.
 func (b *Binary) SortSymbols() {
 	sort.Slice(b.Funcs, func(i, j int) bool { return b.Funcs[i].Addr < b.Funcs[j].Addr })
 	sort.Slice(b.DataSyms, func(i, j int) bool { return b.DataSyms[i].Addr < b.DataSyms[j].Addr })

@@ -11,9 +11,9 @@ package cloud
 // them. Whether the circuit opens (and how often) depends on how attempts
 // interleave across probers, so failing fast would make the set of
 // affected messages schedule-dependent; waiting keeps the final
-// classification a pure function of each message's own fault schedule. The
-// probe_breaker_open_total counter is therefore the one probe metric
-// explicitly exempt from the snapshot determinism contract.
+// classification a pure function of each message's own fault schedule.
+// For the same reason the open count stays out of metrics snapshots, which
+// are cached with the report; Opens reads it.
 
 import (
 	"context"
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"firmres/internal/errdefs"
-	"firmres/internal/obs"
 )
 
 // Breaker default knobs.
@@ -38,7 +37,6 @@ const (
 type Breaker struct {
 	Threshold int           // consecutive failures that open the circuit (default 5)
 	Cooldown  time.Duration // how long the circuit stays open (default 100ms)
-	Metrics   *obs.Metrics  // optional probe_breaker_open_total sink (nil-safe)
 
 	mu       sync.Mutex
 	failures int
@@ -91,7 +89,6 @@ func (b *Breaker) Do(ctx context.Context, op func(context.Context) error) error 
 		b.until = time.Now().Add(cooldown)
 		b.failures = 0
 		b.opens++
-		b.Metrics.Counter("probe_breaker_open_total").Inc()
 	}
 	return err
 }

@@ -91,6 +91,8 @@ func (o Options) withDefaults() Options {
 // Fingerprint canonically renders every report-affecting option — the
 // probe half of the analysis-cache key. Probers and Metrics are excluded:
 // reports are prober-count-invariant and metrics never change the report.
+// So is a chaos config with no fault enabled: Device installs no chaos
+// layer for it.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	var b strings.Builder
@@ -100,7 +102,7 @@ func (o Options) Fingerprint() string {
 	fmt.Fprintf(&b, "retry=%d/%d/%d/%d/%g;",
 		r.Attempts, int64(r.Base), int64(r.Max), int64(r.Budget), r.Jitter)
 	fmt.Fprintf(&b, "breaker=%d/%d;", o.BreakerThreshold, int64(o.BreakerCooldown))
-	if o.Chaos != nil {
+	if o.Chaos != nil && o.Chaos.Enabled() {
 		fmt.Fprintf(&b, "chaos=%s;", o.Chaos.Fingerprint())
 	}
 	return b.String()
@@ -180,7 +182,6 @@ func Device(ctx context.Context, spec *cloud.Spec, msgs []*fields.Message, img *
 	prober.Breaker = &cloud.Breaker{
 		Threshold: o.BreakerThreshold,
 		Cooldown:  o.BreakerCooldown,
-		Metrics:   o.Metrics,
 	}
 
 	// Concurrent probes of the same MQTT topic could read each other's

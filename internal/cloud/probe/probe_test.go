@@ -292,4 +292,28 @@ func TestFingerprintInvariants(t *testing.T) {
 	if a.Fingerprint() == d.Fingerprint() {
 		t.Error("chaos config must affect the fingerprint")
 	}
+	// A seed with no fault enabled installs no chaos layer, so it cannot
+	// change the report.
+	if e := (probe.Options{Chaos: &chaos.Config{Seed: 9}}); a.Fingerprint() != e.Fingerprint() {
+		t.Error("a chaos config with no fault enabled must fingerprint like no chaos")
+	}
+}
+
+// TestBreakerOpensStayOutOfMetrics: how often the breaker opens depends on
+// how failures interleave across probers, and the metrics snapshot is
+// cached with the report, so the count must not appear in it.
+func TestBreakerOpensStayOutOfMetrics(t *testing.T) {
+	met := obs.NewMetrics()
+	o := fastOptions(3)
+	o.Chaos = &chaos.Config{Seed: 3, DropRate: 1}
+	o.BreakerThreshold = 1
+	o.Metrics = met
+	rep, err := probe.Device(context.Background(), testSpec(), testMessages(), &image.Image{}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTerminal(t, rep, 6)
+	if n, ok := met.Snapshot()[obs.Key("probe_breaker_open_total")]; ok {
+		t.Errorf("probe_breaker_open_total = %d in the metrics snapshot", n)
+	}
 }

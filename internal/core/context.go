@@ -202,7 +202,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// shared facts store; the split trees are then simplified and sliced
 		// per-message.
 		{StageFields, func() bool { return prog != nil }, func(sctx context.Context) (func(), error) {
-			engine := taint.NewEngineFacts(fx, p.opts.Taint)
+			engine := taint.NewEngineFacts(fx, taint.Options{})
 			var ms []*taint.MFT
 			for _, m := range engine.AnalyzeContext(sctx, workers) {
 				ms = append(ms, mft.Split(m)...)
@@ -253,7 +253,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 			if sctx.Err() != nil {
 				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
 			}
-			counts := p.clusterCounts(mfts)
+			counts := clusterCounts(mfts)
 			return func() { infos, res.ClusterCounts = out, counts }, nil
 		}},
 
@@ -383,7 +383,7 @@ type candidate struct {
 	handlers []identify.Handler
 	score    float64
 	// rec is the symbol-free recovery record when this executable arrived
-	// stripped; nil for symbol-full binaries.
+	// missing a symbol layer; nil for symbol-full binaries.
 	rec *strip.Stats
 }
 
@@ -448,9 +448,9 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 	return best, skips, nil
 }
 
-// liftCandidate parses, recovers (when stripped), lifts, and identifies one
-// executable with panic recovery, so a pathological binary is reported as
-// skipped instead of crashing the whole analysis.
+// liftCandidate parses, recovers (when a symbol layer is missing), lifts,
+// and identifies one executable with panic recovery, so a pathological
+// binary is reported as skipped instead of crashing the whole analysis.
 func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image.File, hints strip.Hints) (cand *candidate, skip *errdefs.AnalysisError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -468,17 +468,15 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 			Err: fmt.Errorf("%w: %w: %w", errdefs.ErrExecutableSkipped, errdefs.ErrCorruptBinary, err),
 		}
 	}
-	// Symbol-free recovery: runs when the binary is missing symbol layers
-	// (auto-detection) or the operator declared the corpus stripped. On a
-	// symbol-full binary every recovery analysis is a no-op, so the pass
-	// cannot perturb symbol-full reports.
+	// Symbol-free recovery runs exactly when the binary is missing a symbol
+	// layer, so symbol-full binaries skip it and their reports never change.
 	var rec *strip.Stats
-	if p.opts.Stripped || strip.Needed(bin) {
+	if strip.Needed(bin) {
 		sp := obs.StartChild(ctx, "strip-recover")
 		sp.AddString("path", f.Path)
 		rec = strip.Recover(bin, hints)
 		if rec.FuncsRecovered == 0 && rec.StringsRecovered == 0 && rec.ExternsTotal == 0 {
-			rec = nil // nothing was missing: keep symbol-full results untouched
+			rec = nil // the missing layer held nothing to recover
 			sp.SetStatus("noop")
 		} else {
 			met.Counter("strip_funcs_recovered_total").Add(int64(rec.FuncsRecovered))
@@ -498,7 +496,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 		}
 	}
 	fx := facts.New(prog, facts.WithMetrics(met))
-	idRes := identify.Analyze(prog, identify.WithMinScore(p.opts.MinScore), identify.WithFacts(fx))
+	idRes := identify.Analyze(prog, identify.WithFacts(fx))
 	if !idRes.IsDeviceCloud {
 		p.pool.Release(prog)
 		return nil, nil

@@ -36,7 +36,7 @@ import (
 // the whole persistent cache at once. Bump it whenever any stage's logic
 // changes in a way that can alter a Report — new checkers, taint channel
 // changes, classifier dictionary edits, message rendering tweaks.
-const PipelineVersion = "v6"
+const PipelineVersion = "v7"
 
 // Stage identifies one pipeline stage; its String names the stage span.
 type Stage int
@@ -120,9 +120,9 @@ type Result struct {
 	Probe *probe.Report
 	// Recovery records the symbol-free recovery pass over the identified
 	// executable — functions and strings rebuilt, extern bindings with
-	// confidence — populated only when the executable arrived stripped (or
-	// Options.Stripped forced the pass and it had work to do). Nil for
-	// symbol-full runs, keeping their reports byte-identical.
+	// confidence — populated only when the executable arrived missing a
+	// symbol layer (strip.Needed) and the pass recovered something. Nil
+	// for symbol-full runs, keeping their reports byte-identical.
 	Recovery *strip.Stats
 	// Metrics is the snapshot of the work-derived counters and histograms
 	// one analysis collected; populated only when Options.Metrics is set.
@@ -176,11 +176,6 @@ type Options struct {
 	// be safe for concurrent use when Workers != 1 (both bundled
 	// classifiers are).
 	Classifier semantics.Classifier
-	Taint      taint.Options
-	MinScore   float64 // identification threshold (identify.WithMinScore)
-	// Thresholds for delimiter clustering; defaults to the paper's
-	// 0.5/0.6/0.7.
-	ClusterThresholds []float64
 	// StageTimeout is the per-stage wall-clock budget. A stage exceeding it
 	// is abandoned and recorded in Result.Errors; the remaining stages run
 	// on whatever was recovered. Zero means no per-stage budget.
@@ -212,22 +207,11 @@ type Options struct {
 	// classified for exploitability. Nil (the default) skips the stage
 	// entirely, leaving the report byte-identical to a probe-less build.
 	Probe *probe.Options
-	// Stripped forces the symbol-free recovery pass (internal/strip) on
-	// every candidate executable before lifting. The pass also runs
-	// automatically on binaries that arrive without function symbols or
-	// with nameless imports; the flag exists so operators can declare the
-	// corpus stripped up front, which folds the mode into the cache
-	// fingerprint. On symbol-full binaries the pass is a no-op either way,
-	// so symbol-full reports never change.
-	Stripped bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.Classifier == nil {
 		o.Classifier = &semantics.KeywordClassifier{}
-	}
-	if len(o.ClusterThresholds) == 0 {
-		o.ClusterThresholds = []float64{0.5, 0.6, 0.7}
 	}
 	return o
 }
@@ -252,11 +236,7 @@ func (o Options) Fingerprint() string {
 	if fp, ok := o.Classifier.(interface{ Fingerprint() string }); ok {
 		fmt.Fprintf(&b, "classifier-fp=%s;", fp.Fingerprint())
 	}
-	fmt.Fprintf(&b, "min-score=%g;", o.MinScore)
-	fmt.Fprintf(&b, "cluster-thresholds=%v;", o.ClusterThresholds)
 	fmt.Fprintf(&b, "stage-timeout=%d;", int64(o.StageTimeout))
-	fmt.Fprintf(&b, "taint-max-depth=%d;taint-max-nodes=%d;taint-no-store=%t;",
-		o.Taint.MaxDepth, o.Taint.MaxNodes, o.Taint.NoStoreChannel)
 	fmt.Fprintf(&b, "lint=%t;", o.Lint)
 	if len(o.LintRules) > 0 {
 		rules := append([]string(nil), o.LintRules...)
@@ -268,11 +248,6 @@ func (o Options) Fingerprint() string {
 		// Folded in only when the stage runs, so probe-less cache keys are
 		// unchanged across the probe stage's introduction.
 		fmt.Fprintf(&b, "probe=%s;", o.Probe.Fingerprint())
-	}
-	if o.Stripped {
-		// Same fold-only-when-on rule: symbol-full cache keys stay
-		// byte-identical across the stripped mode's introduction.
-		fmt.Fprintf(&b, "stripped=true;")
 	}
 	return b.String()
 }
@@ -319,18 +294,23 @@ func (p *Pipeline) AnalyzeImage(img *image.Image) (*Result, error) {
 	return p.AnalyzeImageContext(context.Background(), img)
 }
 
+// clusterThresholds are the paper's delimiter-clustering similarity
+// thresholds (§IV-C). They are fixed: a result with cluster counts carries
+// the count at all three, so comparing thresholds takes no second run.
+var clusterThresholds = []float64{0.5, 0.6, 0.7}
+
 // clusterCounts runs the §IV-C delimiter clustering over the executable's
-// format-string substrings at the configured thresholds. Executables that
+// format-string substrings at each of clusterThresholds. Executables that
 // never use formatted-output assembly yield nil (the "-" rows of Table II);
 // FormatSubstrings reports that in its collection pass, so the trees are
 // walked exactly once.
-func (p *Pipeline) clusterCounts(mfts []*taint.MFT) map[float64]int {
+func clusterCounts(mfts []*taint.MFT) map[float64]int {
 	subs, usesSprintf := slices.FormatSubstrings(mfts)
 	if !usesSprintf {
 		return nil
 	}
-	out := make(map[float64]int, len(p.opts.ClusterThresholds))
-	for _, thd := range p.opts.ClusterThresholds {
+	out := make(map[float64]int, len(clusterThresholds))
+	for _, thd := range clusterThresholds {
 		out[thd] = len(slices.Cluster(subs, thd))
 	}
 	return out

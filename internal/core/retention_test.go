@@ -20,10 +20,10 @@ func liveHeap() uint64 {
 }
 
 // TestPipelineRetainsNoEnrichment runs the crawl set (22 devices and their
-// 22 stripped twins, lint and stripped mode) through one Pipeline and
-// requires the live heap to return to its pre-batch level once the results
-// are dropped, while the pipeline and its classifier stay reachable: no
-// per-image enrichment state may outlive the analysis that built it.
+// 22 stripped twins, with lint) through one Pipeline and requires the live
+// heap to return to its pre-batch level once the results are dropped,
+// while the pipeline and its classifier stay reachable: no per-image
+// enrichment state may outlive the analysis that built it.
 func TestPipelineRetainsNoEnrichment(t *testing.T) {
 	const budget = 1 << 20
 	var imgs []*image.Image
@@ -44,7 +44,7 @@ func TestPipelineRetainsNoEnrichment(t *testing.T) {
 			imgs = append(imgs, unpacked)
 		}
 	}
-	p := New(Options{Lint: true, Stripped: true, Workers: 1})
+	p := New(Options{Lint: true, Workers: 1})
 
 	before := liveHeap()
 	for _, img := range imgs {

@@ -53,15 +53,7 @@ type Result struct {
 type Option func(*config)
 
 type config struct {
-	minScore float64
-	fx       *facts.Program
-}
-
-// WithMinScore sets the minimum string-parsing score for a sequence to count
-// as a request handler. The default of 0 keeps every best-in-pair sequence,
-// as in the paper; raising it is the knob the ablation benchmarks use.
-func WithMinScore(s float64) Option {
-	return func(c *config) { c.minScore = s }
+	fx *facts.Program
 }
 
 // WithFacts reads the call graph and per-function artifacts through an
@@ -102,9 +94,6 @@ func Analyze(prog *pcode.Program, opts ...Option) *Result {
 			continue
 		}
 		score, parseFn := scoreSequence(fx, pr.in, seq)
-		if score < cfgOpts.minScore {
-			continue
-		}
 		h := Handler{In: pr.in, Out: pr.out, Sequence: seq, Score: score, ParseFn: parseFn}
 		h.Async, h.Root = isAsync(g, pr.in.Fn)
 		res.Handlers = append(res.Handlers, h)

@@ -205,17 +205,6 @@ func TestIpcExecutableHasNoAnchors(t *testing.T) {
 	}
 }
 
-func TestMinScoreFiltersWeakSequences(t *testing.T) {
-	// The LAN server's parse factor is low (1 request-derived predicate of
-	// 1 total → actually 0.5 of operands); with a threshold of 0.9 the
-	// handler must be filtered out.
-	res := Analyze(syncLanProgram(t), WithMinScore(0.95))
-	if len(res.Handlers) != 0 {
-		t.Errorf("threshold did not filter handlers: %d remain (score %v)",
-			len(res.Handlers), res.Handlers[0].Score)
-	}
-}
-
 func TestParsingFactorDominatedByRequestFields(t *testing.T) {
 	prog := asyncCloudProgram(t)
 	res := Analyze(prog)

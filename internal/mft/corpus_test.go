@@ -70,11 +70,11 @@ func samePaths(t *testing.T, what string, got, want []mft.Path) {
 }
 
 // crawlTrees simplifies every message tree the crawl set produces: the 22
-// corpus devices and their 22 stripped twins, analyzed with lint and
-// stripped mode as the crawl runs them.
+// corpus devices and their 22 stripped twins, analyzed with lint as the
+// crawl runs them.
 func crawlTrees(t *testing.T) []*mft.Tree {
 	t.Helper()
-	pl := core.New(core.Options{Lint: true, Stripped: true, Workers: 1})
+	pl := core.New(core.Options{Lint: true, Workers: 1})
 	var trees []*mft.Tree
 	for id := 1; id <= 22; id++ {
 		for _, build := range []func(*corpus.DeviceSpec) (*image.Image, error){corpus.BuildImage, corpus.BuildStrippedImage} {

@@ -261,4 +261,14 @@ func TestNeeded(t *testing.T) {
 	if Needed(partial) {
 		t.Error("Needed(symbol-full) = true")
 	}
+	partial.Data = []byte("cloud.example.com\x00")
+	if !Needed(partial) { // data symbols missing over a non-empty data segment
+		t.Error("Needed(no data symbols) = false")
+	}
+	if st := Recover(partial, Hints{}); st.StringsRecovered == 0 {
+		t.Errorf("Recover found no strings where Needed said it would: %+v", st)
+	}
+	if Needed(partial) {
+		t.Error("Needed after Recover = true")
+	}
 }

@@ -67,11 +67,11 @@ func histBucket(c float64) string {
 func Recover(bin *binfmt.Binary, h Hints) *Stats {
 	st := &Stats{Binary: bin.Name}
 
-	if len(bin.Funcs) == 0 && len(bin.Text) > 0 {
+	if missingFuncs(bin) {
 		bin.Funcs = recoverBoundaries(bin)
 		st.FuncsRecovered = len(bin.Funcs)
 	}
-	if len(bin.DataSyms) == 0 && len(bin.Data) > 0 {
+	if missingStrings(bin) {
 		bin.DataSyms = recoverStrings(bin)
 		st.StringsRecovered = len(bin.DataSyms)
 	}
@@ -113,11 +113,17 @@ func boundNotesStart(st *Stats) int {
 	return 0
 }
 
-// Needed reports whether a binary is missing any of the symbol layers the
-// pipeline depends on — the auto-detection trigger for stripped mode.
+// Needed reports whether Recover would change bin: it has no function
+// symbols over non-empty text, no data symbols over non-empty data, or an
+// unnamed import. It is the pipeline's only switch for the pass, and it
+// tests the same three conditions Recover acts on.
 func Needed(bin *binfmt.Binary) bool {
-	return len(bin.Funcs) == 0 || anyUnnamed(bin.Imports)
+	return missingFuncs(bin) || missingStrings(bin) || anyUnnamed(bin.Imports)
 }
+
+func missingFuncs(bin *binfmt.Binary) bool { return len(bin.Funcs) == 0 && len(bin.Text) > 0 }
+
+func missingStrings(bin *binfmt.Binary) bool { return len(bin.DataSyms) == 0 && len(bin.Data) > 0 }
 
 func anyUnnamed(imps []binfmt.Import) bool {
 	for _, im := range imps {

@@ -25,9 +25,8 @@ type goldenImage struct {
 }
 
 // goldenCrawlSet packs the crawl set — the 22 corpus devices and their 22
-// stripped twins — with their golden files. One Analyzer with lint and
-// stripped mode reproduces both golden suites: recovery is a no-op on
-// symbol-full binaries.
+// stripped twins — with their golden files. One Analyzer with lint
+// reproduces both golden suites: recovery runs only on the twins.
 func goldenCrawlSet(t testing.TB) []goldenImage {
 	t.Helper()
 	var set []goldenImage
@@ -85,7 +84,7 @@ func checkGolden(t testing.TB, g goldenImage, rep *Report, err error) {
 // analyses have reused its program's storage.
 func TestGoldenReportsScrubbedPool(t *testing.T) {
 	set := goldenCrawlSet(t)
-	a, err := NewAnalyzer(WithLint(), WithStrippedMode(), WithWorkers(2))
+	a, err := NewAnalyzer(WithLint(), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestGoldenReportsScrubbedPool(t *testing.T) {
 // equal its golden; the race leg runs it with -count=10.
 func TestAnalyzerSharedUnderLoad(t *testing.T) {
 	set := goldenCrawlSet(t)
-	a, err := NewAnalyzer(WithLint(), WithStrippedMode(), WithWorkers(2))
+	a, err := NewAnalyzer(WithLint(), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

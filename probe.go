@@ -144,7 +144,8 @@ func ProbeChaosModes() []string { return chaos.Modes() }
 
 // WithProbeSeed enables WithProbe and pins the chaos fault schedule's seed:
 // identical seeds produce byte-identical probe reports. Without
-// WithProbeChaos the seed is recorded but no faults are injected.
+// WithProbeChaos no faults are injected, so the seed changes neither the
+// report nor the cache key.
 func WithProbeSeed(seed int64) Option {
 	return func(c *config) {
 		po := ensureProbe(c)

@@ -98,8 +98,8 @@ leg_suites() {
 	echo "== observability (traced goldens byte-identical, metrics deterministic)"
 	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers' .
 
-	echo "== stripped-mode recovery (goldens, verdict parity, boundary F1 gate)"
-	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity' .
+	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
+	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
 	go test -run 'TestBoundaryRecoveryF1|TestExternBindingAccuracy' ./internal/strip
 
 	echo "== fuzz image.Unpack (${FUZZTIME})"

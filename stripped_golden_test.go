@@ -2,7 +2,6 @@ package firmres
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"firmres/internal/binfmt"
 	"firmres/internal/corpus"
 )
 
@@ -20,24 +20,53 @@ func strippedGoldenPath(id int) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("stripped_device_%02d.json", id))
 }
 
+// strippedGoldenRecordFor analyzes device id's stripped twin with no
+// stripped-mode option: detection alone must engage the recovery pass.
 func strippedGoldenRecordFor(t *testing.T, id int) *goldenRecord {
 	t.Helper()
 	img, err := corpus.BuildStrippedImage(corpus.Device(id))
 	if err != nil {
 		t.Fatalf("BuildStrippedImage(%d): %v", id, err)
 	}
-	rec := &goldenRecord{Device: id}
-	report, err := AnalyzeImage(img.Pack(), WithLint(), WithStrippedMode())
-	switch {
-	case err == nil:
-		rec.Outcome = "report"
-		rec.Report = report
-	case errors.Is(err, ErrNoDeviceCloudExecutable):
-		rec.Outcome = "no-device-cloud-executable"
-	default:
-		t.Fatalf("AnalyzeImage(stripped %d): %v", id, err)
+	return recordOf(t, id, img.Pack(), WithLint())
+}
+
+// TestStrippedModeDerived: whether to run symbol recovery is a property of
+// each binary, not an option. With the data-symbol table dropped from every
+// binary (function symbols and import names kept), WithStrippedMode changes
+// no report, and recovery rebuilds the string constants of every device
+// that has a device-cloud executable.
+func TestStrippedModeDerived(t *testing.T) {
+	for id := 1; id <= 22; id++ {
+		img, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildImage(%d): %v", id, err)
+		}
+		for i := range img.Files {
+			f := &img.Files[i]
+			if !f.IsExec() || !f.IsBinary() {
+				continue
+			}
+			bin, err := binfmt.Unmarshal(f.Data)
+			if err != nil {
+				t.Fatalf("device %02d: %s: %v", id, f.Path, err)
+			}
+			bin.DataSyms = nil
+			f.Data = bin.Marshal()
+		}
+		data := img.Pack()
+		derived := recordOf(t, id, data, WithLint())
+		forced := recordOf(t, id, data, WithLint(), WithStrippedMode())
+		if a, b := marshalReport(t, derived.Report), marshalReport(t, forced.Report); a != b {
+			t.Errorf("device %02d: WithStrippedMode changed the report:\n%s\nvs\n%s", id, clip(a), clip(b))
+		}
+		if id > 20 {
+			continue // script-only devices have no device-cloud executable
+		}
+		if rep := derived.Report; rep == nil || rep.Recovery == nil || rep.Recovery.StringsRecovered == 0 {
+			t.Errorf("device %02d (%s): no strings recovered without WithStrippedMode", id, derived.Outcome)
+		}
 	}
-	return rec
 }
 
 // TestStrippedGoldenReports locks the end-to-end stripped-mode analysis for
