@@ -81,7 +81,7 @@ func (c *config) finish(a *Analyzer) *CacheStats {
 // concurrent call's computation. A non-nil o also receives this call's
 // spans.
 func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *Report, js []byte, hit bool, err error) {
-	rep, js, hit, err = a.analyze(ctx, data, o)
+	rep, js, hit, err = a.analyze(ctx, data, o, true)
 	if err != nil || js != nil {
 		return rep, js, hit, err
 	}
@@ -91,9 +91,13 @@ func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *R
 	return rep, js, hit, nil
 }
 
-// analyze runs one image, through the cache when enabled. js is the cache
-// payload, nil without WithCache: the batch functions never encode.
-func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer) (*Report, []byte, bool, error) {
+// analyze runs one image, through the cache when enabled. Analyze sets
+// keepJSON and gets the cache payload back as js, owned. The callers that
+// keep only the report (the batch functions, AnalyzeImage*) leave it
+// unset and get a nil js: a warm hit is then decoded straight from the
+// cache's pooled read buffer, with no copy of the entry and no pass
+// through single-flight, and only a miss goes on to Do.
+func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSON bool) (*Report, []byte, bool, error) {
 	pl, rec := a.pl, a.rec
 	if o != nil {
 		rec = obs.Tee(rec, observerAdapter{o: o})
@@ -106,6 +110,19 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer) (*Repor
 	key := cache.KeyOf(data, a.fp)
 	sp := rec.StartSpan(nil, "cache", obs.String("key", key[:16]))
 	defer sp.End()
+	if !keepJSON {
+		var rep *Report
+		if hit, err := a.cache.View(key, func(js []byte) (err error) {
+			rep, err = decodeReport(js)
+			return err
+		}); hit {
+			sp.SetStatus("hit")
+			if err != nil {
+				return nil, nil, false, err
+			}
+			return rep, nil, true, nil
+		}
+	}
 	// Single-flight get-or-compute: concurrent calls handed the same image
 	// bytes block here and share one computation. The computing caller
 	// keeps its in-memory report (no round trip); everyone else decodes the

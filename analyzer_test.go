@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,7 +154,9 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 }
 
 // TestAnalyzerCachedRejectsInvalidPayload: an entry whose checksum holds
-// but whose payload is not JSON is a miss for the probe.
+// but whose payload is not JSON is a miss for the probe, and fails an
+// analysis that reads it, whether it reads owned bytes (Analyze) or a
+// lent payload (a batch).
 func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	data := packedDevice(t, 5)
 	dir := t.TempDir()
@@ -166,6 +169,16 @@ func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	}
 	if js, ok := a.Cached(data); ok {
 		t.Errorf("probe accepted a truncated payload: %q", js)
+	}
+	if _, _, _, err := a.Analyze(context.Background(), data, nil); err == nil || !strings.Contains(err.Error(), "cache decode") {
+		t.Errorf("Analyze over a truncated payload: err = %v, want a cache decode failure", err)
+	}
+	br, err := AnalyzeImages(context.Background(), [][]byte{data}, WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := br.Images[0]; res.Report != nil || !strings.Contains(res.Error, "cache decode") {
+		t.Errorf("batch over a truncated payload = %+v, want a cache decode failure", res)
 	}
 }
 

@@ -11,7 +11,11 @@ package firmres
 // its budget, a probe that failed after retries): it depends on the host's
 // load, not only on the key. Corrupt entries degrade to misses, and
 // concurrent workers single-flight so one image is never computed twice in
-// a run.
+// a run. A warm hit costs one verified read and one decode: the batch
+// functions and AnalyzeImage* decode the entry in place from a pooled read
+// buffer (cache.View) and go through single-flight only on a miss;
+// Analyzer.Analyze and Analyzer.Cached hand the report bytes on, so they
+// read into a buffer of their own.
 
 import (
 	"encoding/json"

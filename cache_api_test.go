@@ -205,6 +205,94 @@ func TestCacheBatchSingleFlight(t *testing.T) {
 	}
 }
 
+// goldenDevices returns the golden images of the listed corpus devices,
+// symbols intact, in the order given.
+func goldenDevices(t *testing.T, ids ...int) []goldenImage {
+	t.Helper()
+	byID := map[int]goldenImage{}
+	for _, g := range goldenCrawlSet(t) {
+		if g.path == goldenPath(g.id) {
+			byID[g.id] = g
+		}
+	}
+	out := make([]goldenImage, len(ids))
+	for i, id := range ids {
+		out[i] = byID[id]
+	}
+	return out
+}
+
+// goldenImages returns the packed bytes of each golden image.
+func goldenImages(set []goldenImage) [][]byte {
+	imgs := make([][]byte, len(set))
+	for i, g := range set {
+		imgs[i] = g.data
+	}
+	return imgs
+}
+
+// TestCachedReportsOutliveReadBuffer decodes a warm batch of the corpus
+// out of the cache's pooled read buffers, lets a second warm batch read
+// into the same buffers, and only then checks the first batch's reports
+// against their goldens: a decoded report must own every byte it holds.
+func TestCachedReportsOutliveReadBuffer(t *testing.T) {
+	set := goldenDevices(t, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22)
+	imgs := goldenImages(set)
+	opts := []Option{WithLint(), WithWorkers(1), WithCache(t.TempDir())}
+	ctx := context.Background()
+	if _, err := AnalyzeImages(ctx, imgs, opts...); err != nil {
+		t.Fatal(err)
+	}
+	first, err := AnalyzeImages(ctx, imgs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := AnalyzeImages(ctx, imgs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range []*BatchReport{first, second} {
+		if br.Summary.Cache.Hits != 20 {
+			t.Fatalf("warm pass stats = %+v, want 20 hits", *br.Summary.Cache)
+		}
+	}
+	for i, g := range set {
+		checkGolden(t, g, first.Images[i].Report, first.Images[i].Err)
+	}
+}
+
+// TestCacheWarmBatchConcurrent runs a warm eight-worker batch of eight
+// interleaved copies each of devices 3, 5, 14 and 21, so workers decode
+// different entries out of pooled buffers at once. Every report must
+// equal its golden, and device 21, never cached, must fail as it does
+// cold. The race leg runs it with -count=10.
+func TestCacheWarmBatchConcurrent(t *testing.T) {
+	devices := goldenDevices(t, 3, 5, 14, 21)
+	dir := t.TempDir()
+	ctx := context.Background()
+	if _, err := AnalyzeImages(ctx, goldenImages(devices), WithLint(), WithCache(dir)); err != nil {
+		t.Fatal(err)
+	}
+	var set []goldenImage
+	for i := 0; i < 8; i++ {
+		set = append(set, devices...)
+	}
+	br, err := AnalyzeImages(ctx, goldenImages(set), WithLint(), WithWorkers(8), WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range set {
+		res := br.Images[i]
+		if g.id == 21 && res.Kind != "no-device-cloud-executable" {
+			t.Errorf("image %d (device 21): kind %q, want no-device-cloud-executable", i, res.Kind)
+		}
+		checkGolden(t, g, res.Report, res.Err)
+	}
+	if s := br.Summary.Cache; s.Hits != 24 || s.Errors != 0 {
+		t.Errorf("warm batch stats = %+v, want 24 hits and no errors", *s)
+	}
+}
+
 func TestCacheFailuresNeverCached(t *testing.T) {
 	data := packedDevice(t, 21) // script-only: no device-cloud executable
 	dir := t.TempDir()

@@ -345,7 +345,7 @@ func AnalyzeImageContext(ctx context.Context, data []byte, opts ...Option) (*Rep
 		return nil, err
 	}
 	defer cfg.finish(a)
-	rep, _, _, err := a.analyze(ctx, data, nil)
+	rep, _, _, err := a.analyze(ctx, data, nil, false)
 	return rep, err
 }
 

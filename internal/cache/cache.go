@@ -12,25 +12,38 @@
 // Guarantees:
 //
 //   - Crash safety: entries are written to a temp file and renamed into
-//     place, so readers never observe a half-written value.
-//   - Corruption tolerance: every entry carries a SHA-256 of its payload; a
-//     mismatch (truncation, bit rot, hostile edit) reads as a miss, the bad
-//     entry is deleted, and the error — wrapping errdefs.ErrCacheCorrupt —
-//     is surfaced as a note, never a failure.
-//   - Single-flight: concurrent Do calls for one key compute the value
-//     exactly once per process; the other callers block and share it.
+//     place, so readers never observe a half-written value. The header and
+//     the payload go into that file as they are, without first being
+//     copied into one framed buffer.
+//   - One verified read path: Get, View and Do's disk check all read an
+//     entry whole into a buffer, check its header and SHA-256 without
+//     allocating, and refresh its mtime. A mismatch (truncation, bit rot,
+//     hostile edit) reads as a miss, the bad entry is deleted, and the
+//     error — wrapping errdefs.ErrCacheCorrupt — is surfaced as a note,
+//     never a failure.
+//   - Owned or lent: Get returns a payload the caller owns, in a fresh
+//     buffer of the entry's size. View lends the payload, in a buffer from
+//     a pool, to a callback and recycles the buffer when it returns, so the
+//     callback must not keep the payload or any slice of it.
+//   - Single-flight over computes: concurrent Do calls on one handle that
+//     miss compute the value once; the other callers block and share it.
+//     A warm hit read with View passes through no single-flight at all.
+//     Handles that share a directory share entries, not computes.
 //   - Stored on request: a computed value is written only when the compute
 //     asks for it, so a caller keeps results that depend on more than the
 //     key (a deadline, the host's load) out of the cache. Compute errors
 //     are never written.
 //   - Bounded size: with a MaxBytes budget, Put evicts least-recently-used
-//     entries (mtime order; Get refreshes mtime) until the total fits.
+//     entries (mtime order; every hit refreshes mtime) until the total fits.
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,25 +60,46 @@ import (
 // directory is left alone (sizing, eviction, Clear).
 const entryExt = ".fcache"
 
-// header is the first line of every entry: format magic + payload checksum.
-const headerMagic = "firmcache1"
+const (
+	// headerMagic opens the first line of every entry.
+	headerMagic = "firmcache1"
+	// headerLen is the length of that line: the magic, a space, the
+	// payload's SHA-256 in 64 lower-case hex digits, and a newline.
+	headerLen = len(headerMagic) + 1 + 2*sha256.Size + 1
+	// maxPooled caps the read buffers View returns to its pool, so one
+	// outsized entry does not keep its buffer alive for the process.
+	maxPooled = 1 << 20
+)
+
+var (
+	errBadHeader = errors.New("bad header")
+	errChecksum  = errors.New("checksum mismatch")
+	// errComputePanicked is what the waiters of a compute that never
+	// returned receive.
+	errComputePanicked = fmt.Errorf("cache: %w in a shared compute", errdefs.ErrStagePanic)
+)
+
+// readBufs holds View's read buffers as *[]byte, so handing one back to
+// the pool allocates nothing.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // KeyOf derives the content address for one (image, configuration) pair:
-// SHA-256 over the image digest and the canonical options fingerprint
-// (which embeds the pipeline version stamp). Hex-encoded, safe as a file
-// name.
+// SHA-256 over the image digest, a zero byte and the canonical options
+// fingerprint (which embeds the pipeline version stamp). Hex-encoded, safe
+// as a file name. The hashed message is assembled on the stack, so the key
+// string is the only allocation for any fingerprint that fits.
 func KeyOf(image []byte, fingerprint string) string {
 	imgSum := sha256.Sum256(image)
-	h := sha256.New()
-	h.Write(imgSum[:])
-	h.Write([]byte{0})
-	h.Write([]byte(fingerprint))
-	return hex.EncodeToString(h.Sum(nil))
+	var msg [512]byte
+	sum := sha256.Sum256(append(append(append(msg[:0], imgSum[:]...), 0), fingerprint...))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // Stats is a point-in-time snapshot of one Cache's counters.
 type Stats struct {
-	Hits      int64 // values served from disk or a shared in-flight compute
+	Hits      int64 // values Do or View served from disk, or Do shared from an in-flight compute
 	Misses    int64 // values that had to be computed
 	Evictions int64 // entries removed by the MaxBytes budget
 	Errors    int64 // corrupt entries discarded (each also counted a miss)
@@ -130,36 +164,90 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+entryExt)
 }
 
-// Get reads the entry for key. A clean miss returns (nil, nil); a corrupt
-// entry is deleted and returns (nil, err) with err wrapping
-// errdefs.ErrCacheCorrupt — still a miss, never a failure. A hit refreshes
-// the entry's mtime so eviction approximates LRU. Get does not count
-// hits/misses itself: Do owns the accounting (a raw Get is a probe).
+// Get reads the entry for key into a fresh buffer of the entry's size and
+// returns its payload, which the caller owns. A clean miss returns (nil,
+// nil); a corrupt entry is deleted and returns (nil, err) with err
+// wrapping errdefs.ErrCacheCorrupt — still a miss, never a failure. A hit
+// refreshes the entry's mtime so eviction approximates LRU. Get counts no
+// hit or miss: Do and View own that accounting (a raw Get is a probe).
 func (c *Cache) Get(key string) ([]byte, error) {
+	payload, _, err := c.read(key, nil)
+	return payload, err
+}
+
+// View reads the entry for key into a pooled buffer and, on a hit, lends
+// the payload to fn, recycling the buffer once fn returns: fn must not
+// keep the payload or any slice of it. It reports whether the entry was
+// there and verified, and returns fn's error on a hit. A miss calls no fn
+// and returns (false, nil), or (false, err) for a corrupt entry, which is
+// deleted as by Get. A hit refreshes the entry's mtime and counts in
+// Stats.Hits; a miss counts nothing, since a caller that misses goes on
+// to Do, which does.
+func (c *Cache) View(key string, fn func(payload []byte) error) (hit bool, err error) {
+	bp := readBufs.Get().(*[]byte)
+	payload, buf, err := c.read(key, *bp)
+	if payload != nil {
+		c.hits.Add(1)
+		hit, err = true, fn(payload)
+	}
+	if cap(buf) <= maxPooled {
+		*bp = buf[:0]
+		readBufs.Put(bp)
+	}
+	return hit, err
+}
+
+// read is the one read path. It reads key's entry whole into buf, or into
+// a new buffer of exactly the entry's size when buf is too small, verifies
+// the frame and refreshes the entry's mtime. It returns the payload, which
+// aliases the buffer it also returns. A clean miss returns a nil payload
+// and error; an unreadable entry counts in Errors, and one that fails
+// verification is deleted too, each returning an error that wraps
+// errdefs.ErrCacheCorrupt.
+func (c *Cache) read(key string, buf []byte) (payload, used []byte, err error) {
 	path := c.path(key)
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, buf, nil
 		}
-		c.errors.Add(1)
-		return nil, fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
+		return nil, buf, c.corrupt(key, err)
 	}
-	payload, err := decodeEntry(data)
+	fi, err := f.Stat()
+	if err == nil {
+		if n := int(fi.Size()); cap(buf) < n {
+			buf = make([]byte, n)
+		} else {
+			buf = buf[:n]
+		}
+		_, err = io.ReadFull(f, buf)
+	}
+	f.Close()
 	if err != nil {
-		c.errors.Add(1)
+		return nil, buf, c.corrupt(key, err)
+	}
+	if payload, err = verify(buf); err != nil {
 		os.Remove(path)
-		return nil, fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
+		return nil, buf, c.corrupt(key, err)
 	}
 	now := time.Now()
 	_ = os.Chtimes(path, now, now) // best-effort LRU recency
-	return payload, nil
+	return payload, buf, nil
+}
+
+// corrupt counts an entry that could not be used and wraps its cause.
+func (c *Cache) corrupt(key string, err error) error {
+	c.errors.Add(1)
+	return fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
 }
 
 // Put writes the entry for key atomically (atomicfile.Write) and then
 // enforces the MaxBytes budget by evicting least-recently-used entries.
+// The header is built on the stack and written ahead of val, so the
+// payload is never copied.
 func (c *Cache) Put(key string, val []byte) error {
-	if err := atomicfile.Write(c.path(key), encodeEntry(val)); err != nil {
+	hdr := header(val)
+	if err := atomicfile.Write(c.path(key), hdr[:], val); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	c.evict()
@@ -172,9 +260,11 @@ func (c *Cache) Put(key string, val []byte) error {
 // bytes (counted as hits — no work was duplicated), stored or not. compute
 // errors are returned to every waiter and nothing is stored, so failures
 // are never cached; neither is a value compute declines to store. A
-// corrupt on-disk entry degrades to a miss; its error is dropped here (the
-// Errors counter and the deleted entry remain) because the recomputed
-// value supersedes it.
+// compute that panics releases the key: its waiters get an error wrapping
+// errdefs.ErrStagePanic, the panic goes on up the computing goroutine, and
+// the next Do computes afresh. A corrupt on-disk entry degrades to a miss;
+// its error is dropped here (the Errors counter and the deleted entry
+// remain) because the recomputed value supersedes it.
 func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error)) (val []byte, hit bool, err error) {
 	c.mu.Lock()
 	if cl, ok := c.inflight[key]; ok {
@@ -186,27 +276,26 @@ func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error
 		c.hits.Add(1)
 		return cl.val, true, nil
 	}
-	cl := &call{done: make(chan struct{})}
+	// cl.err stays errComputePanicked unless a return below replaces it.
+	cl := &call{done: make(chan struct{}), err: errComputePanicked}
 	c.inflight[key] = cl
 	c.mu.Unlock()
-
-	finish := func(val []byte, err error) {
-		cl.val, cl.err = val, err
+	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(cl.done)
-	}
+	}()
 
 	if data, _ := c.Get(key); data != nil {
 		c.hits.Add(1)
-		finish(data, nil)
+		cl.val, cl.err = data, nil
 		return data, true, nil
 	}
 	c.misses.Add(1)
 	data, store, err := compute()
 	if err != nil {
-		finish(nil, err)
+		cl.err = err
 		return nil, false, err
 	}
 	// A Put failure (disk full, read-only dir) must not fail the analysis:
@@ -216,7 +305,7 @@ func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error
 			c.errors.Add(1)
 		}
 	}
-	finish(data, nil)
+	cl.val, cl.err = data, nil
 	return data, false, nil
 }
 
@@ -316,38 +405,28 @@ func (c *Cache) evict() {
 	}
 }
 
-// encodeEntry frames a payload with its checksum header:
+// header renders the line that frames payload in its entry:
 //
-//	firmcache1 <hex sha256(payload)>\n<payload>
-func encodeEntry(payload []byte) []byte {
+//	firmcache1 <lower-case hex sha256(payload)>\n<payload>
+func header(payload []byte) (h [headerLen]byte) {
+	copy(h[:], headerMagic)
+	h[len(headerMagic)] = ' '
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s\n", headerMagic, hex.EncodeToString(sum[:]))
-	out := make([]byte, 0, len(header)+len(payload))
-	out = append(out, header...)
-	out = append(out, payload...)
-	return out
+	hex.Encode(h[len(headerMagic)+1:], sum[:])
+	h[headerLen-1] = '\n'
+	return h
 }
 
-// decodeEntry verifies the frame and returns the payload.
-func decodeEntry(data []byte) ([]byte, error) {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
+// verify checks an entry's frame and returns its payload, a subslice of
+// entry, allocating nothing. The header must be exactly the one header
+// renders for the payload: no other spelling of the sum, nothing after it.
+func verify(entry []byte) ([]byte, error) {
+	if len(entry) < headerLen || string(entry[:len(headerMagic)+1]) != headerMagic+" " || entry[headerLen-1] != '\n' {
+		return nil, errBadHeader
 	}
-	if nl < 0 {
-		return nil, fmt.Errorf("missing header")
-	}
-	var magic, sumHex string
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %s", &magic, &sumHex); err != nil || magic != headerMagic {
-		return nil, fmt.Errorf("bad header")
-	}
-	payload := data[nl+1:]
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != sumHex {
-		return nil, fmt.Errorf("checksum mismatch")
+	payload := entry[headerLen:]
+	if want := header(payload); !bytes.Equal(entry[:headerLen], want[:]) {
+		return nil, errChecksum
 	}
 	return payload, nil
 }

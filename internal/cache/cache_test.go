@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +16,27 @@ import (
 
 	"firmres/internal/errdefs"
 )
+
+// readers are the two ways to read an entry, owned and lent; the
+// corruption tests run through both. The View reader copies the lent
+// payload out before the buffer goes back to the pool.
+var readers = []struct {
+	name string
+	read func(c *Cache, key string) ([]byte, error)
+}{
+	{"Get", (*Cache).Get},
+	{"View", func(c *Cache, key string) ([]byte, error) {
+		var got []byte
+		hit, err := c.View(key, func(payload []byte) error {
+			got = append([]byte{}, payload...)
+			return nil
+		})
+		if hit != (got != nil) {
+			return nil, fmt.Errorf("View reported hit=%t but lent %q", hit, got)
+		}
+		return got, err
+	}},
+}
 
 func TestKeyOfDiscriminates(t *testing.T) {
 	base := KeyOf([]byte("image-a"), "fp1")
@@ -26,6 +51,27 @@ func TestKeyOfDiscriminates(t *testing.T) {
 	}
 	if got := KeyOf([]byte("image-a"), "fp2"); got == base {
 		t.Errorf("different fingerprints collided on %s", got)
+	}
+}
+
+// TestKeyOfPinned pins KeyOf to the keys existing cache directories were
+// written under, for a fingerprint that fits KeyOf's stack buffer and one
+// that does not.
+func TestKeyOfPinned(t *testing.T) {
+	img := []byte("firmware image bytes")
+	for _, tc := range []struct{ fp, want string }{
+		{
+			"pipeline=v7;classifier=*semantics.KeywordClassifier;stage-timeout=0;lint=true;metrics=false;",
+			"729add826d5600ca0aeb518b8740ae92955c41cc101c22223c33cc1bfed572e4",
+		},
+		{
+			strings.Repeat("probe=chaos;", 60),
+			"4100dff181821a0ec6d24f311d7a312db706c0ce06b15ec015174210f2b381ee",
+		},
+	} {
+		if got := KeyOf(img, tc.fp); got != tc.want {
+			t.Errorf("KeyOf(%q, %d-byte fingerprint) = %s, want %s", img, len(tc.fp), got, tc.want)
+		}
 	}
 }
 
@@ -52,58 +98,98 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestCorruptEntryIsMissAndDeleted(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyOf([]byte("img"), "fp")
-	if err := c.Put(key, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+entryExt)
-	if err := os.WriteFile(path, []byte("firmcache1 deadbeef\ntampered"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := c.Get(key)
-	if data != nil {
-		t.Errorf("corrupt entry returned data %q", data)
-	}
-	if !errors.Is(err, errdefs.ErrCacheCorrupt) {
-		t.Errorf("err = %v, want ErrCacheCorrupt", err)
-	}
-	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-		t.Errorf("corrupt entry not deleted: stat err = %v", statErr)
-	}
-	if s := c.Stats(); s.Errors != 1 {
-		t.Errorf("Errors = %d, want 1", s.Errors)
-	}
-	// A second Get is a clean miss: the bad entry is gone.
-	if data, err := c.Get(key); err != nil || data != nil {
-		t.Errorf("Get after deletion = (%q, %v), want (nil, nil)", data, err)
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := KeyOf([]byte("img"), "fp")
+			if err := c.Put(key, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, key+entryExt)
+			if err := os.WriteFile(path, []byte("firmcache1 deadbeef\ntampered"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			data, err := r.read(c, key)
+			if data != nil {
+				t.Errorf("corrupt entry returned data %q", data)
+			}
+			if !errors.Is(err, errdefs.ErrCacheCorrupt) {
+				t.Errorf("err = %v, want ErrCacheCorrupt", err)
+			}
+			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+				t.Errorf("corrupt entry not deleted: stat err = %v", statErr)
+			}
+			if s := c.Stats(); s.Errors != 1 || s.Hits != 0 {
+				t.Errorf("stats = %+v, want 1 error and no hit", s)
+			}
+			// A second read is a clean miss: the bad entry is gone.
+			if data, err := r.read(c, key); err != nil || data != nil {
+				t.Errorf("read after deletion = (%q, %v), want (nil, nil)", data, err)
+			}
+		})
 	}
 }
 
 func TestTruncatedEntryIsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := KeyOf([]byte("img"), "fp")
+			if err := c.Put(key, []byte("a long enough payload to truncate")); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, key+entryExt)
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, full[:len(full)-5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.read(c, key); !errors.Is(err, errdefs.ErrCacheCorrupt) {
+				t.Errorf("truncated entry err = %v, want ErrCacheCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestViewLendsPayload checks View's hit, miss and error contract and
+// its accounting: a hit counts, a miss counts nothing and calls no fn.
+func TestViewLendsPayload(t *testing.T) {
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := KeyOf([]byte("img"), "fp")
-	if err := c.Put(key, []byte("a long enough payload to truncate")); err != nil {
+	called := false
+	hit, err := c.View(key, func([]byte) error { called = true; return nil })
+	if hit || err != nil || called {
+		t.Fatalf("View on empty cache = (%t, %v), fn called %t; want a silent miss", hit, err, called)
+	}
+	if err := c.Put(key, []byte("value")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key+entryExt)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	boom := errors.New("boom")
+	for i := 0; i < 3; i++ { // later rounds read into a recycled buffer
+		var got string
+		hit, err = c.View(key, func(payload []byte) error {
+			got = string(payload)
+			return boom
+		})
+		if !hit || !errors.Is(err, boom) || got != "value" {
+			t.Fatalf("View %d = (%t, %v) lending %q, want a hit lending \"value\" with fn's error", i, hit, err, got)
+		}
 	}
-	if err := os.WriteFile(path, full[:len(full)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(key); !errors.Is(err, errdefs.ErrCacheCorrupt) {
-		t.Errorf("truncated entry err = %v, want ErrCacheCorrupt", err)
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 0 || s.Errors != 0 {
+		t.Errorf("stats = %+v, want 3 hits", s)
 	}
 }
 
@@ -145,6 +231,64 @@ func TestDoSingleFlight(t *testing.T) {
 	s := c.Stats()
 	if s.Misses != 1 || s.Hits != workers-1 {
 		t.Errorf("stats = %+v, want 1 miss and %d hits", s, workers-1)
+	}
+}
+
+// TestDoPanicReleasesKey makes a compute panic while another Do waits on
+// it: the panic must reach the computing goroutine with its own value,
+// the waiter must come back with an error wrapping ErrStagePanic or a
+// value it computed itself, and a later Do must not block on the key.
+func TestDoPanicReleasesKey(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	started := make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		<-started
+		switch val, _, err := c.Do(key, func() ([]byte, bool, error) { return []byte("fresh"), true, nil }); {
+		case err != nil && !errors.Is(err, errdefs.ErrStagePanic):
+			waiter <- fmt.Errorf("waiter error %v does not wrap ErrStagePanic", err)
+		case err == nil && string(val) != "fresh":
+			waiter <- fmt.Errorf("waiter got %q, want the value it computed", val)
+		default:
+			waiter <- nil
+		}
+	}()
+	func() {
+		defer func() {
+			if r := recover(); r != "compute exploded" {
+				t.Errorf("recovered %v, want the compute's own panic value", r)
+			}
+		}()
+		c.Do(key, func() ([]byte, bool, error) {
+			close(started)
+			time.Sleep(20 * time.Millisecond) // let the waiter join the call
+			panic("compute exploded")
+		})
+	}()
+	select {
+	case err := <-waiter:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a waiter on the panicking compute is still blocked")
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(key, func() ([]byte, bool, error) { return []byte("second"), true, nil })
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Errorf("Do after the panic: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do after a panicking compute blocked: the key was never released")
 	}
 }
 
@@ -192,7 +336,7 @@ func TestEvictionLRU(t *testing.T) {
 	dir := t.TempDir()
 	// Entries are ~90 bytes framed; cap at three entries' worth.
 	entry := []byte("0123456789012345678901234567890123456789") // 40 B payload
-	framed := len(encodeEntry(entry))
+	framed := headerLen + len(entry)
 	c, err := Open(dir, WithMaxBytes(int64(3*framed)))
 	if err != nil {
 		t.Fatal(err)
@@ -277,20 +421,59 @@ func TestOpenCreatesDir(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeFrame(t *testing.T) {
+// TestEntryFrame checks the writer's frame byte for byte and that the
+// verifier accepts exactly that frame: every other header reads as a
+// corrupt entry, through Get and View alike.
+func TestEntryFrame(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	path := filepath.Join(dir, key+entryExt)
 	for _, payload := range [][]byte{nil, {}, []byte("x"), []byte(fmt.Sprintf("%01000d", 7))} {
-		got, err := decodeEntry(encodeEntry(payload))
+		if err := c.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("decode(encode(%q)): %v", payload, err)
+			t.Fatal(err)
 		}
-		if string(got) != string(payload) {
-			t.Errorf("frame round trip = %q, want %q", got, payload)
+		sum := sha256.Sum256(payload)
+		want := "firmcache1 " + hex.EncodeToString(sum[:]) + "\n" + string(payload)
+		if string(raw) != want {
+			t.Errorf("entry for %d-byte payload = %q, want %q", len(payload), raw, want)
+		}
+		got, err := verify(raw)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("verify(entry of %q) = (%q, %v)", payload, got, err)
 		}
 	}
-	if _, err := decodeEntry([]byte("no newline at all")); err == nil {
-		t.Error("headerless entry decoded")
-	}
-	if _, err := decodeEntry([]byte("wrongmagic abc\npayload")); err == nil {
-		t.Error("bad magic decoded")
+
+	payload := []byte(`{"Device":"d"}`)
+	sum := sha256.Sum256(payload)
+	sumHex := hex.EncodeToString(sum[:])
+	for _, tc := range []struct{ name, entry string }{
+		{"trailing junk", "firmcache1 " + sumHex + " junk\n" + string(payload)},
+		{"upper-case hex", "firmcache1 " + strings.ToUpper(sumHex) + "\n" + string(payload)},
+		{"short sum", "firmcache1 " + sumHex[:63] + "\n" + string(payload)},
+		{"wrong sum", "firmcache1 " + strings.Repeat("0", 64) + "\n" + string(payload)},
+		{"wrong magic", "firmcache2 " + sumHex + "\n" + string(payload)},
+		{"no newline", "firmcache1 " + sumHex},
+		{"empty", ""},
+	} {
+		for _, r := range readers {
+			if err := os.WriteFile(path, []byte(tc.entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			data, err := r.read(c, key)
+			if data != nil || !errors.Is(err, errdefs.ErrCacheCorrupt) {
+				t.Errorf("%s via %s = (%q, %v), want a corrupt miss", tc.name, r.name, data, err)
+			}
+			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+				t.Errorf("%s via %s: entry not deleted", tc.name, r.name)
+			}
+		}
 	}
 }

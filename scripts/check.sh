@@ -67,8 +67,10 @@ leg_race() {
 	echo "== scheduler (atomic index claiming: determinism, stranded index, panic, cancellation) under -race"
 	go test -race ./internal/parallel
 
-	echo "== persistent cache (cold/warm goldens byte-identical, single-flight under -race)"
+	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8) under -race"
 	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
+	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
+	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent' .
 
 	echo "== lifted-program pool (two goroutines on one Analyzer, goldens byte-identical) under -race"
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
@@ -82,12 +84,13 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
+	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, warm cache-hit bytes per image, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestCrawlAllocBudget|TestCacheHitAllocBudget|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
