@@ -11,6 +11,7 @@ package firmres
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"firmres/internal/cache"
@@ -127,19 +128,36 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 	// bytes block here and share one computation. The computing caller
 	// keeps its in-memory report (no round trip); everyone else decodes the
 	// serialized bytes — tests pin both renderings identical.
-	var fresh *Report
-	js, hit, err := a.cache.Do(key, func() ([]byte, bool, error) {
-		rep, err := analyzeFresh(ctx, pl, data)
-		if err != nil {
-			return nil, false, err
+	var (
+		fresh *Report
+		js    []byte
+		hit   bool
+		err   error
+	)
+	for {
+		computed := false
+		js, hit, err = a.cache.Do(key, func() ([]byte, bool, error) {
+			computed = true
+			rep, err := analyzeFresh(ctx, pl, data)
+			if err != nil {
+				return nil, false, err
+			}
+			buf, err := json.Marshal(rep)
+			if err != nil {
+				return nil, false, fmt.Errorf("firmres: cache encode: %w", err)
+			}
+			fresh = rep
+			return buf, cacheable(rep), nil
+		})
+		// Do hands every waiter the computing call's error. The end of that
+		// call's context is not this call's failure: while this call's own
+		// context is live it goes round again, and computes if no other
+		// call is in flight. Deterministic failures are still shared.
+		if computed || ctx.Err() != nil ||
+			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			break
 		}
-		buf, err := json.Marshal(rep)
-		if err != nil {
-			return nil, false, fmt.Errorf("firmres: cache encode: %w", err)
-		}
-		fresh = rep
-		return buf, cacheable(rep), nil
-	})
+	}
 	if err != nil {
 		sp.SetStatus("fatal: " + errdefs.Kind(err))
 		return nil, nil, false, err
@@ -158,14 +176,10 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 
 // cacheable reports whether rep is a pure function of the image bytes and
 // the options, so the cache may store it: no deadline decided any part of
-// it. A stage that overran its budget or a probe that ran out of attempts
-// depends on the host's load; a recovered panic is deterministic.
+// it. A probe that ran out of attempts depends on the host's load; a
+// recovered panic is deterministic. An analysis the caller's context cut
+// short is fatal and never reaches here.
 func cacheable(rep *Report) bool {
-	for _, e := range rep.Errors {
-		if e.Kind == errdefs.Kind(errdefs.ErrStageTimeout) {
-			return false
-		}
-	}
 	return rep.Probe == nil || rep.Probe.Counts[ProbeFailed] == 0
 }
 
@@ -176,12 +190,11 @@ func analyzeFresh(ctx context.Context, pl *core.Pipeline, data []byte) (*Report,
 		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrCorruptImage, err)
 	}
 	res, err := pl.AnalyzeImageContext(ctx, img)
+	defer res.Release()
 	if err != nil {
 		return nil, err
 	}
-	rep := reportOf(res)
-	res.Release()
-	return rep, nil
+	return reportOf(res), nil
 }
 
 // Cached returns the canonical JSON of data's report when the cache holds

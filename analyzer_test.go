@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"firmres/internal/cache"
 )
@@ -94,6 +95,95 @@ func TestAnalyzerSingleFlight(t *testing.T) {
 	}
 	if n := pinpoints.Load(); n != 1 {
 		t.Errorf("pinpoint-executables spans = %d, want 1", n)
+	}
+}
+
+// TestAnalyzerLeaderCancelSparesFollower runs two calls for the same bytes
+// on one Analyzer at once, the way TestAnalyzerSingleFlight does, and the
+// computing call cancels its own context as its pinpoint stage starts. The
+// cancellation is that call's failure alone: the other call, whose context
+// stays live, must compute the report itself instead of inheriting it.
+func TestAnalyzerLeaderCancelSparesFollower(t *testing.T) {
+	data := packedDevice(t, 5)
+	a, err := NewAnalyzer(WithLint(), WithCache(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AnalyzeImage(data, WithLint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJS, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entered sync.WaitGroup
+	entered.Add(2)
+	bothIn := make(chan struct{})
+	go func() {
+		entered.Wait()
+		close(bothIn)
+	}()
+	var leader atomic.Int32 // 1 + the index of the call that cancelled itself
+
+	type result struct {
+		js  []byte
+		hit bool
+		err error
+	}
+	results := make([]result, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		o := flightObserver{
+			start: func(e SpanEvent) {
+				switch e.Name {
+				case "cache":
+					entered.Done()
+				case "pinpoint-executables":
+					<-bothIn
+					if leader.CompareAndSwap(0, int32(i+1)) {
+						// Let the other call reach single-flight and wait
+						// on this computation before it fails. Nothing
+						// signals that wait, so this is a sleep; a call
+						// that arrives later computes on its own, and the
+						// assertions below hold either way.
+						time.Sleep(20 * time.Millisecond)
+						cancel()
+					}
+				}
+			},
+			end: func(SpanEvent) {},
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, js, hit, err := a.Analyze(ctx, data, o)
+			results[i] = result{js, hit, err}
+		}(i)
+	}
+	wg.Wait()
+
+	l := int(leader.Load()) - 1
+	if l < 0 {
+		t.Fatal("no call started a pinpoint stage")
+	}
+	if err := results[l].err; !errors.Is(err, ErrStageTimeout) || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call: err = %v, want ErrStageTimeout wrapping context.Canceled", err)
+	}
+	f := results[1-l]
+	if f.err != nil {
+		t.Fatalf("live call failed with the other call's cancellation: %v", f.err)
+	}
+	if f.hit {
+		t.Error("live call reported a hit, but nothing was cached before it computed")
+	}
+	if !bytes.Equal(f.js, wantJS) {
+		t.Error("live call's report differs from a fresh analysis")
+	}
+	if st := a.CacheStats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("cache stats = %+v, want 2 misses (one per computation) and no hit", st)
 	}
 }
 

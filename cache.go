@@ -7,15 +7,16 @@ package firmres
 // read. The key is SHA-256(image) ⊕ core.Options.Fingerprint() (which
 // embeds the pipeline version stamp and excludes worker count — reports are
 // worker-count-invariant); the value is the serialized Report. Failures are
-// never cached, nor is a report a deadline decided (a stage that overran
-// its budget, a probe that failed after retries): it depends on the host's
-// load, not only on the key. Corrupt entries degrade to misses, and
+// never cached — a caller context that ended is one — nor is a report a
+// deadline decided (a probe that failed after retries): it depends on the
+// host's load, not only on the key. Corrupt entries degrade to misses, and
 // concurrent workers single-flight so one image is never computed twice in
-// a run. A warm hit costs one verified read and one decode: the batch
-// functions and AnalyzeImage* decode the entry in place from a pooled read
-// buffer (cache.View) and go through single-flight only on a miss;
-// Analyzer.Analyze and Analyzer.Cached hand the report bytes on, so they
-// read into a buffer of their own.
+// a run; a call whose context is live does not inherit the cancellation of
+// the call that computed for it. A warm hit costs one verified read and one
+// decode: the batch functions and AnalyzeImage* decode the entry in place
+// from a pooled read buffer (cache.View) and go through single-flight only
+// on a miss; Analyzer.Analyze and Analyzer.Cached hand the report bytes on,
+// so they read into a buffer of their own.
 
 import (
 	"encoding/json"
@@ -60,8 +61,8 @@ func (s CacheStats) Snapshot() map[string]int64 {
 // byte-identical; any change to the analysis options or to the pipeline
 // version forces a recompute, and a corrupt entry is discarded and
 // recomputed, never trusted. Fatal failures (corrupt image, no device-cloud
-// executable) are not cached, and neither is a report a deadline decided:
-// one carrying a stage-timeout error or a probe outcome classified
+// executable, a cancelled or expired context) are not cached, and neither
+// is a report a deadline decided: one carrying a probe outcome classified
 // probe-failed. Such a report is returned as usual but counts as a miss,
 // so the next call with the same bytes analyzes again.
 func WithCache(dir string) Option {

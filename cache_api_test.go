@@ -11,10 +11,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func marshalReport(t *testing.T, r *Report) string {
@@ -311,29 +309,35 @@ func TestCacheFailuresNeverCached(t *testing.T) {
 	}
 }
 
-// TestCacheTimeoutReportsNeverCached: a report a stage deadline degraded
-// depends on the host's load, so it is returned but never stored, and the
-// next call with the same bytes analyzes again.
+// TestCacheTimeoutReportsNeverCached: an analysis the caller's context
+// cut short is fatal and leaves no entry, so the next live call with the
+// same bytes analyzes again.
 func TestCacheTimeoutReportsNeverCached(t *testing.T) {
 	data := packedDevice(t, 3)
 	dir := t.TempDir()
 	var st CacheStats
-	opts := []Option{WithCache(dir), WithStageTimeout(50 * time.Microsecond), WithCacheStats(&st)}
-	timedOut := func(e AnalysisError) bool { return e.Kind == "stage-timeout" }
-	for i := 0; i < 2; i++ {
-		rep, err := AnalyzeImage(data, opts...)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if i == 0 && !slices.ContainsFunc(rep.Errors, timedOut) {
-			t.Fatalf("first report has no stage-timeout error (errors %v): the test cannot tell", rep.Errors)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := flightObserver{
+		start: func(e SpanEvent) {
+			if e.Name == "recover-semantics" {
+				cancel()
+			}
+		},
+		end: func(SpanEvent) {},
 	}
-	if st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 2 misses (a timed-out report is recomputed)", st)
+	_, err := AnalyzeImageContext(ctx, data, WithCache(dir), WithCacheStats(&st), WithObserver(cut))
+	if !errors.Is(err, ErrStageTimeout) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrStageTimeout wrapping context.Canceled", err)
 	}
 	if n := len(cacheEntries(t, dir)); n != 0 {
-		t.Errorf("entries = %d, want 0 (a timed-out report must not be cached)", n)
+		t.Errorf("entries = %d, want 0 (a cut-short analysis must not be cached)", n)
+	}
+	if _, err := AnalyzeImage(data, WithCache(dir), WithCacheStats(&st)); err != nil {
+		t.Fatalf("live call: %v", err)
+	}
+	if st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 2 misses (the live call recomputes)", st)
 	}
 }
 
@@ -343,7 +347,6 @@ func TestCacheableRule(t *testing.T) {
 		rep  Report
 		want bool
 	}{
-		{"stage-timeout", Report{Errors: []AnalysisError{{Stage: "identify-fields", Kind: "stage-timeout"}}}, false},
 		{"probe-failed", Report{Probe: &ProbeReport{Probed: 2, Counts: map[string]int{ProbeGranted: 1, ProbeFailed: 1}}}, false},
 		{"stage-panic", Report{Errors: []AnalysisError{{Stage: "check-forms", Kind: "stage-panic"}}}, true},
 		{"clean", Report{Probe: &ProbeReport{Probed: 1, Counts: map[string]int{ProbeDenied: 1}}}, true},

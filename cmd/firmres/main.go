@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	firmres [-model file] [-json] [-stage-timeout d] [-keep-going] [-j N]
+//	firmres [-model file] [-json] [-keep-going] [-j N]
 //	        [-lint] [-lint-rules r1,r2] [-lint-json] [-timings]
 //	        [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n]
 //	        [-trace] [-trace-json file] [-metrics file] [-progress]
@@ -83,7 +83,6 @@ const (
 type options struct {
 	modelPath    string
 	asJSON       bool
-	stageTimeout time.Duration
 	lint         bool
 	lintRules    string
 	lintJSON     bool
@@ -118,8 +117,6 @@ func run() int {
 	var opts options
 	flag.StringVar(&opts.modelPath, "model", "", "trained TextCNN model file (default: keyword classifier)")
 	flag.BoolVar(&opts.asJSON, "json", false, "emit the report as JSON")
-	flag.DurationVar(&opts.stageTimeout, "stage-timeout", 0,
-		"per-stage analysis budget; over-budget stages are skipped and recorded (0 = unlimited)")
 	flag.BoolVar(&opts.lint, "lint", false,
 		"run the lint passes over the identified executable and print diagnostics")
 	flag.StringVar(&opts.lintRules, "lint-rules", "",
@@ -173,7 +170,7 @@ func run() int {
 		}
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-stage-timeout d] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
+		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
 		return exitUsage
 	}
 	if opts.pprofAddr != "" {
@@ -381,9 +378,6 @@ func apiOptions(opts options) []firmres.Option {
 	var apiOpts []firmres.Option
 	if opts.modelPath != "" {
 		apiOpts = append(apiOpts, firmres.WithModelFile(opts.modelPath))
-	}
-	if opts.stageTimeout > 0 {
-		apiOpts = append(apiOpts, firmres.WithStageTimeout(opts.stageTimeout))
 	}
 	if opts.jobs != 1 {
 		apiOpts = append(apiOpts, firmres.WithWorkers(opts.jobs))

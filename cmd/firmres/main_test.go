@@ -268,19 +268,3 @@ func TestAnalyzePartialReportRenders(t *testing.T) {
 		t.Errorf("partial report lost the message table: %q", text)
 	}
 }
-
-// TestAnalyzeStageTimeoutFlag: a pathologically small budget still yields a
-// rendered partial result, never a hang or crash.
-func TestAnalyzeStageTimeoutFlag(t *testing.T) {
-	var out bytes.Buffer
-	partial, err := analyze(&out, writeImage(t, 5), options{stageTimeout: time.Nanosecond}, nil)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	if !partial {
-		t.Error("nanosecond budget produced a clean report")
-	}
-	if !strings.Contains(out.String(), "stage-timeout") {
-		t.Errorf("timeout not rendered: %q", out.String())
-	}
-}

@@ -9,7 +9,7 @@
 //
 //	firmserve [-addr host:port] [-data dir] [-cache dir] [-no-cache]
 //	          [-max-inflight n] [-max-queue n] [-retries n] [-retain n]
-//	          [-rate r] [-burst n] [-stage-timeout d] [-lint]
+//	          [-rate r] [-burst n] [-lint]
 //	          [-drain-timeout d] [-addr-file path]
 //
 // API:
@@ -61,7 +61,6 @@ func run() int {
 		retain       = flag.Int("retain", serve.DefaultMaxTerminal, "finished jobs kept before the oldest (journal, result, unshared blob) are pruned; -1 = unlimited")
 		rate         = flag.Float64("rate", 0, "per-tenant submissions per second (0 = unlimited)")
 		burst        = flag.Int("burst", 16, "per-tenant burst size")
-		stageTimeout = flag.Duration("stage-timeout", 0, "per-stage analysis budget (0 = unlimited)")
 		lint         = flag.Bool("lint", false, "run the lint passes on every job")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for inflight jobs on SIGTERM before re-journaling them")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts)")
@@ -88,9 +87,6 @@ func run() int {
 		if cfg.CacheDir == "" {
 			cfg.CacheDir = filepath.Join(*dataDir, "cache")
 		}
-	}
-	if *stageTimeout > 0 {
-		cfg.AnalysisOptions = append(cfg.AnalysisOptions, firmres.WithStageTimeout(*stageTimeout))
 	}
 	if *lint {
 		cfg.AnalysisOptions = append(cfg.AnalysisOptions, firmres.WithLint())

@@ -54,22 +54,3 @@ func TestAnalyzeImageCorruptWrapsTypedError(t *testing.T) {
 		t.Errorf("err = %v, want ErrCorruptImage", err)
 	}
 }
-
-func TestStageTimeoutProducesPartialReport(t *testing.T) {
-	report, err := AnalyzeImageContext(context.Background(), packedDevice(t, 17),
-		WithStageTimeout(time.Nanosecond))
-	if err != nil {
-		t.Fatalf("AnalyzeImageContext: %v", err)
-	}
-	if !report.Partial() {
-		t.Fatal("nanosecond stage budget produced a clean report")
-	}
-	for _, ae := range report.Errors {
-		if ae.Stage == "" || ae.Kind == "" || ae.Detail == "" {
-			t.Errorf("error entry incomplete: %+v", ae)
-		}
-		if !errors.Is(ae, ErrStageTimeout) && !errors.Is(ae, ErrExecutableSkipped) && !errors.Is(ae, ErrStagePanic) {
-			t.Errorf("error entry outside taxonomy: %+v", ae)
-		}
-	}
-}

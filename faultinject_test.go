@@ -11,11 +11,11 @@ import (
 
 // TestFaultInjectionNeverPanics drives the full public pipeline over every
 // corruption mode at several seeds. Whatever the damage, AnalyzeImageContext
-// must return within its budget with either a typed taxonomy error or a
-// (possibly partial) report — never a panic, never a hang.
+// must return within the caller's deadline with either a typed taxonomy
+// error or a (possibly partial) report — never a panic, never a hang.
 func TestFaultInjectionNeverPanics(t *testing.T) {
 	data := packedDevice(t, 17)
-	const stageBudget = 2 * time.Second
+	const hangBound = 15 * time.Second
 	for _, mode := range faultinject.Modes() {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
@@ -24,13 +24,13 @@ func TestFaultInjectionNeverPanics(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: Corrupt: %v", seed, err)
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 5*stageBudget+5*time.Second)
+				ctx, cancel := context.WithTimeout(context.Background(), hangBound)
 				start := time.Now()
-				report, err := AnalyzeImageContext(ctx, corrupted, WithStageTimeout(stageBudget))
+				report, err := AnalyzeImageContext(ctx, corrupted)
 				elapsed := time.Since(start)
 				cancel()
-				if elapsed > 5*stageBudget+5*time.Second {
-					t.Errorf("seed %d: analysis ran %v, past every budget", seed, elapsed)
+				if elapsed > hangBound {
+					t.Errorf("seed %d: analysis ran %v, past the caller's deadline", seed, elapsed)
 				}
 				switch {
 				case err != nil:
@@ -55,9 +55,9 @@ func TestFaultInjectionNeverPanics(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionSurvivesWithoutBudget repeats the sweep with no stage
-// budget: parser-level corruption must still resolve to typed errors or
-// reports through structural validation alone.
+// TestFaultInjectionSurvivesWithoutBudget repeats the sweep with no
+// deadline at all: parser-level corruption must still resolve to typed
+// errors or reports through structural validation alone.
 func TestFaultInjectionSurvivesWithoutBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long corruption sweep")

@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"firmres/internal/core"
 	"firmres/internal/errdefs"
@@ -75,15 +74,15 @@ type Diagnostic struct {
 	Evidence   []string `json:",omitempty"` // key=value proof fragments
 }
 
-// AnalysisError records one piece of work the pipeline skipped or
-// abandoned while producing a partial Report: a corrupt executable, a
-// timed-out stage, a recovered panic. Err wraps one of the package's
-// sentinel errors, so errors.Is dispatch works; Detail carries the rendered
-// cause for JSON output.
+// AnalysisError records one piece of work the pipeline skipped while
+// producing a partial Report: a corrupt executable, an unparseable config
+// file, a stage that panicked. Err wraps one of the package's sentinel
+// errors, so errors.Is dispatch works; Detail carries the rendered cause
+// for JSON output.
 type AnalysisError struct {
 	Stage  string `json:"stage"`          // pipeline stage ("identify-fields", ...)
 	Path   string `json:"path,omitempty"` // executable involved, "" when stage-wide
-	Kind   string `json:"kind"`           // taxonomy slug ("stage-timeout", ...)
+	Kind   string `json:"kind"`           // taxonomy slug ("stage-panic", ...)
 	Detail string `json:"detail"`         // human-readable cause
 	Err    error  `json:"-"`              // underlying cause for errors.Is / errors.As
 }
@@ -117,8 +116,10 @@ type Report struct {
 	// executable, deduplicated and deterministically ordered. Populated only
 	// when WithLint is set.
 	Diagnostics []Diagnostic `json:",omitempty"`
-	// Errors lists the work the pipeline skipped or abandoned while
-	// degrading gracefully. Empty for a clean run; see Partial.
+	// Errors lists the work the pipeline skipped while degrading
+	// gracefully: skipped executables and config files, panicked stages,
+	// and a probe replay with no cloud to run against. Empty for a clean
+	// run; see Partial.
 	Errors []AnalysisError `json:",omitempty"`
 	// Probe is the §V replay report: every reconstructed message probed
 	// against a simulated cloud and terminally classified. Populated only
@@ -193,9 +194,8 @@ var (
 	// validation (bad magic, checksum mismatch, truncation).
 	ErrCorruptImage = errdefs.ErrCorruptImage
 
-	// ErrStageTimeout marks an analysis stage cancelled by its time budget
-	// or by the caller's context. When the caller's context expired it
-	// also wraps the context error (context.DeadlineExceeded or
+	// ErrStageTimeout marks an analysis stopped because the caller's context
+	// ended. It also wraps the context error (context.DeadlineExceeded or
 	// context.Canceled).
 	ErrStageTimeout = errdefs.ErrStageTimeout
 
@@ -252,14 +252,6 @@ func WithModelFile(path string) Option {
 // WithModel selects an in-memory trained TextCNN classifier.
 func WithModel(model *nn.Model) Option {
 	return func(c *config) { c.opts.Classifier = &semantics.ModelClassifier{Model: model} }
-}
-
-// WithStageTimeout sets a wall-clock budget for each pipeline stage. A
-// stage exceeding it — a taint blow-up, a pathological classifier — is
-// abandoned and recorded in Report.Errors, and the remaining stages run on
-// whatever was recovered. Zero (the default) means no per-stage budget.
-func WithStageTimeout(d time.Duration) Option {
-	return func(c *config) { c.opts.StageTimeout = d }
 }
 
 // WithWorkers bounds the analysis worker pools: batch functions
@@ -328,12 +320,14 @@ func AnalyzeImage(data []byte, opts ...Option) (*Report, error) {
 }
 
 // AnalyzeImageContext analyzes a packed firmware image under ctx. The
-// analysis degrades gracefully: corrupt executables and over-budget stages
-// (see WithStageTimeout) are recorded in Report.Errors while the rest of
-// the pipeline keeps running. The error return is reserved for fatal
-// conditions — a structurally corrupt image (wrapping ErrCorruptImage), an
-// expired or cancelled ctx (wrapping ErrStageTimeout and the context
-// error), or an image with no device-cloud executable.
+// analysis degrades gracefully: corrupt executables and stages that panic
+// are recorded in Report.Errors while the rest of the pipeline keeps
+// running. The error return is reserved for fatal conditions — a
+// structurally corrupt image (wrapping ErrCorruptImage), an expired or
+// cancelled ctx (wrapping ErrStageTimeout and the context error), or an
+// image with no device-cloud executable. ctx is the analysis's one
+// wall-clock bound: a stage it cuts short commits nothing, and no stage
+// work outlives the return.
 //
 // With WithCache the report is served from the persistent result cache
 // when the same image bytes were already analyzed under the same effective
@@ -422,8 +416,9 @@ func reportOf(res *core.Result) *Report {
 			Err:    ae.Err,
 		})
 	}
-	// Degradation order depends on scheduling (which stage hit its budget
-	// first); sort by stable keys so repeated runs render identically.
+	// The pipeline appends degradations in stage order, pinpoint's skips in
+	// file order; sort by stable keys so the rendering does not depend on
+	// the order stages and their pools produce them.
 	sort.Slice(r.Errors, func(i, j int) bool {
 		a, b := r.Errors[i], r.Errors[j]
 		if a.Stage != b.Stage {

@@ -27,25 +27,25 @@ import (
 	"firmres/internal/taint"
 )
 
-// runStage executes one pipeline stage under the caller's context plus the
-// configured per-stage budget, with panic recovery, inside the stage's span.
+// runStage executes one pipeline stage inline under the caller's context,
+// with panic recovery, inside the stage's span.
 //
-// The stage body runs in its own goroutine and must not mutate shared state
-// directly: it returns a commit closure that runStage invokes only when the
-// stage finishes in time. A stage that blows its budget is abandoned — its
-// goroutine keeps running until its own loops notice the cancelled context,
-// but its commit is never applied, so abandoned work cannot race with later
-// stages. Stage bodies that fan out onto worker pools (parallel.ForEach)
-// keep these semantics: a worker panic is re-raised on the stage body's
-// goroutine and lands in the recover below, and cancellation stops the pool
-// from claiming new work.
+// The stage body must not mutate shared state directly: it returns a commit
+// closure that runStage applies only while the caller's context is live, so
+// a stage that panicked or was cut short by cancellation leaves the Result
+// as the last committed stage did. Stage bodies that fan out onto worker
+// pools (parallel.ForEach) keep these semantics: the pool returns only once
+// every claimed index has finished, a worker panic is re-raised on the
+// calling goroutine and lands in the recover below, and cancellation stops
+// the pool from claiming new work. Once runStage returns, nothing the stage
+// started is still running.
 //
 // runStage is the one place that tells a degraded stage from a fatal one. A
-// stage that timed out or panicked while the caller's context is live is
-// appended to res.Errors and runStage returns nil: the analysis continues
-// on whatever earlier stages recovered. The error return means the
-// analysis must stop — the caller's context expired (wrapped in
-// errdefs.ErrStageTimeout) or the stage body reported a fatal error.
+// stage that panicked while the caller's context is live is appended to
+// res.Errors and runStage returns nil: the analysis continues on whatever
+// earlier stages recovered. The error return means the analysis must stop —
+// the caller's context ended (wrapped in errdefs.ErrStageTimeout) or the
+// stage body reported a fatal error.
 func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(context.Context) (func(), error)) error {
 	// Stage span: a child of the image span the caller put on ctx, and the
 	// stage's only wall-clock record. The stage body receives the span
@@ -53,72 +53,45 @@ func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(c
 	// functions, ...) nest under it.
 	sp := obs.FromContext(ctx).Child(s.String())
 	defer sp.End()
-	stageCtx, cancel := ctx, func() {}
-	if p.opts.StageTimeout > 0 {
-		stageCtx, cancel = context.WithTimeout(ctx, p.opts.StageTimeout)
-	}
-	defer cancel()
-	stageCtx = obs.ContextWith(stageCtx, sp)
-
-	type outcome struct {
-		commit func()
-		err    error
-	}
-	done := make(chan outcome, 1)
-	go func() {
+	commit, err := func() (commit func(), err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				done <- outcome{err: fmt.Errorf("%w: %v", errdefs.ErrStagePanic, r)}
+				commit, err = nil, fmt.Errorf("%w: %v", errdefs.ErrStagePanic, r)
 			}
 		}()
-		commit, err := fn(stageCtx)
-		done <- outcome{commit: commit, err: err}
+		return fn(obs.ContextWith(ctx, sp))
 	}()
-
-	var err error
-	select {
-	case out := <-done:
-		// Apply whatever the stage recovered even when it also reports an
-		// error: pinpoint records skipped executables alongside a fatal
-		// "nothing found".
-		if out.commit != nil {
-			out.commit()
-		}
-		err = out.err
-	case <-stageCtx.Done():
-		// The stage goroutine runs on over the lifted program, so the
-		// result must keep it (see Result.Release).
-		res.abandoned = true
-		err = fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, stageCtx.Err())
+	if cerr := ctx.Err(); cerr != nil {
+		// The stage's loops may have stopped early, so what it returned may
+		// be cut short: commit none of it.
+		sp.SetStatus("fatal")
+		return fmt.Errorf("core: %w: %s: %w", errdefs.ErrStageTimeout, s, cerr)
 	}
-	if err == nil {
-		return nil
+	// Apply whatever the stage recovered even when it also reports an
+	// error: pinpoint records skipped executables alongside a fatal
+	// "nothing found".
+	if commit != nil {
+		commit()
 	}
-	degradable := errors.Is(err, errdefs.ErrStagePanic) || errors.Is(err, errdefs.ErrStageTimeout)
 	switch {
-	case !degradable:
-		sp.SetStatus("fatal")
-		return err
-	case ctx.Err() != nil:
-		// The caller's context died, not just this stage's budget: fatal
-		// for the whole analysis.
-		sp.SetStatus("fatal")
-		return fmt.Errorf("core: %w: %s: %w", errdefs.ErrStageTimeout, s, ctx.Err())
+	case err == nil:
+		return nil
 	case errors.Is(err, errdefs.ErrStagePanic):
 		sp.SetStatus("panic")
+		res.Errors = append(res.Errors, errdefs.AnalysisError{Stage: s.String(), Err: err})
+		return nil
 	default:
-		sp.SetStatus("timeout")
+		sp.SetStatus("fatal")
+		return err
 	}
-	res.Errors = append(res.Errors, errdefs.AnalysisError{Stage: s.String(), Err: err})
-	return nil
 }
 
 // AnalyzeImageContext runs the pipeline over one unpacked firmware image
-// under ctx, degrading gracefully: a stage that exceeds Options.StageTimeout
-// or panics is recorded in Result.Errors and the remaining stages run on
-// whatever was recovered. The error return is reserved for fatal conditions
-// — an expired caller context (wrapped in errdefs.ErrStageTimeout) or an
-// image with no device-cloud executable.
+// under ctx, degrading gracefully: a stage that panics is recorded in
+// Result.Errors and the remaining stages run on whatever was recovered. The
+// error return is reserved for fatal conditions — a caller context that
+// ended (wrapped in errdefs.ErrStageTimeout) or an image with no
+// device-cloud executable.
 //
 // Intra-stage work fans out on Options.Workers-bounded pools; every stage
 // collects into input-indexed slots, so the result is identical at any
@@ -134,8 +107,8 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 	ctx = obs.ContextWith(ctx, imgSpan)
 	defer func() {
 		// Degradation accounting happens once, after every stage ran:
-		// errors_total{kind,stage} covers skipped executables, timed-out or
-		// panicked stages, and unparseable config files alike.
+		// errors_total{kind,stage} covers skipped executables, panicked
+		// stages, and unparseable config files alike.
 		for _, ae := range res.Errors {
 			met.Counter("errors_total", "kind", ae.Kind(), "stage", ae.Stage).Inc()
 		}
@@ -156,8 +129,8 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 	workers := parallel.CPUWorkers(p.opts.Workers)
 
 	// What each stage hands to the later ones. Only stage commits write
-	// these, so an abandoned stage leaves them as the last committed stage
-	// did.
+	// these, so a stage that panicked leaves them as the last committed
+	// stage did.
 	var (
 		prog      *pcode.Program
 		fx        *facts.Program
@@ -210,7 +183,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 			met.Counter("mfts_total").Add(int64(len(ms)))
 			ts := make([]*mft.Tree, len(ms))
 			sls := make([][]slices.Slice, len(ms))
-			ran := parallel.ForEach(sctx, workers, len(ms), func(i int) {
+			parallel.ForEach(sctx, workers, len(ms), func(i int) {
 				sp := obs.StartChild(sctx, "mft-simplify")
 				sp.AddString("fn", ms[i].Site.Fn.Name())
 				ts[i] = mft.Simplify(ms[i])
@@ -218,12 +191,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				sp.AddInt("slices", len(sls[i]))
 				sp.End()
 			})
-			if ran < len(ms) {
-				met.Counter("work_abandoned_total", "stage", StageFields.String()).Add(int64(len(ms) - ran))
-			}
-			if sctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-			}
 			return func() {
 				mfts, trees, allSlices = ms, ts, sls
 				// One slot per tree even if recover-semantics degrades, so
@@ -250,9 +217,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				}
 				sp.End()
 			})
-			if sctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-			}
 			counts := clusterCounts(mfts)
 			return func() { infos, res.ClusterCounts = out, counts }, nil
 		}},
@@ -278,9 +242,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				sp.AddInt("fields", len(msgs[i].Message.Fields))
 				sp.End()
 			})
-			if sctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-			}
 			return func() {
 				res.Errors = append(res.Errors, notes...)
 				res.Messages = msgs
@@ -305,9 +266,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				}
 				sp.End()
 			})
-			if sctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-			}
 			return func() {
 				for i := range res.Messages {
 					res.Messages[i].Finding = findings[i]
@@ -324,19 +282,15 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				return nil, err
 			}
 			diags := runner.RunFacts(sctx, fx, res.Executable, workers)
-			if sctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %w", errdefs.ErrStageTimeout, sctx.Err())
-			}
 			return func() { res.Diagnostics = diags }, nil
 		}},
 
 		// Stage 7: probe replay (opt-in). Every reconstructed message is
 		// replayed against a simulated cloud and terminally classified; a
 		// device with no known cloud spec degrades with a note instead of
-		// failing. The probe package guarantees a fully classified report
-		// even when the stage budget expires mid-fleet (unprobed messages
-		// land as probe-failed/stage-timeout), so the commit is
-		// unconditional.
+		// failing. A caller context that ends mid-fleet makes the analysis
+		// fatal in runStage, so the report it would have committed, with
+		// its unprobed remainder back-filled, is dropped.
 		{StageProbe, func() bool { return p.opts.Probe != nil }, func(sctx context.Context) (func(), error) {
 			po := *p.opts.Probe
 			po.Metrics = met

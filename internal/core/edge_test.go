@@ -88,7 +88,7 @@ func TestResolverIgnoresBinaryConfigs(t *testing.T) {
 	img := &image.Image{}
 	img.AddFile("/etc/ssl/cert.pem", 0, []byte("-----BEGIN-----\nnot=a\nkv file"))
 	img.AddFile("/etc/nvram.defaults", 0, []byte("mac=XX\n"))
-	r := ResolverFromImage(img)
+	r, _ := ResolverFromImageNotes(img)
 	if r.NVRAM["mac"] != "XX" {
 		t.Errorf("nvram not parsed: %v", r.NVRAM)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"firmres/internal/cloud/probe"
 	"firmres/internal/errdefs"
@@ -129,34 +128,30 @@ type Result struct {
 	// Every value derives from the work performed, never from scheduling,
 	// so the snapshot is identical at any Workers count.
 	Metrics map[string]int64
-	// Errors records the work the pipeline skipped or abandoned while
-	// degrading gracefully: skipped executables, timed-out stages,
-	// recovered panics. Empty for a clean run.
+	// Errors records the work the pipeline skipped while degrading
+	// gracefully: skipped executables and config files, recovered panics.
+	// Empty for a clean run.
 	Errors []errdefs.AnalysisError
 
-	prog      *pcode.Program // the executable's lifted program, handed back by Release
-	pool      *pcode.Pool    // the pipeline's free list prog came from
-	abandoned bool           // a stage outlived its budget and may still read prog
+	prog *pcode.Program // the executable's lifted program, handed back by Release
+	pool *pcode.Pool    // the pipeline's free list prog came from
 }
 
 // Release hands the executable's lifted program back to the pipeline,
 // which recycles its storage for later analyses. Call it once the Result
 // has been rendered: afterwards Handlers and the MFT, Tree, Slices and
 // Infos of every message refer to storage another analysis may overwrite.
-// Release does nothing when the analysis abandoned a stage, whose
-// goroutine may still be reading the program; it is safe to call more
-// than once, and a Result that is never released just leaves its program
-// to the garbage collector.
+// Every stage has returned by the time the analysis does, so nothing else
+// reads the program and Release always recycles it, after a fatal error
+// too. It is safe to call more than once, and a Result that is never
+// released just leaves its program to the garbage collector.
 func (r *Result) Release() {
-	if r.abandoned {
-		return
-	}
 	r.pool.Release(r.prog)
 	r.prog = nil
 }
 
-// Partial reports whether the analysis degraded: some work was skipped or
-// abandoned and recorded in Errors.
+// Partial reports whether the analysis degraded: some work was skipped and
+// recorded in Errors.
 func (r *Result) Partial() bool { return len(r.Errors) > 0 }
 
 // FlaggedMessages returns the messages the form check marked.
@@ -176,10 +171,6 @@ type Options struct {
 	// be safe for concurrent use when Workers != 1 (both bundled
 	// classifiers are).
 	Classifier semantics.Classifier
-	// StageTimeout is the per-stage wall-clock budget. A stage exceeding it
-	// is abandoned and recorded in Result.Errors; the remaining stages run
-	// on whatever was recovered. Zero means no per-stage budget.
-	StageTimeout time.Duration
 	// Workers bounds the intra-stage worker pools: candidate executables
 	// are lifted, delivery sites traced, and per-message work (simplify,
 	// classify, concatenate, form-check) processed on up to Workers
@@ -225,9 +216,6 @@ func (o Options) withDefaults() Options {
 //
 // Deliberately excluded: Workers (reports are worker-count-invariant) and
 // Obs (span recording never changes the report).
-// Included even though they only matter under degradation: StageTimeout,
-// because a budgeted run can legitimately produce a different (partial)
-// report than an unbudgeted one.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	var b strings.Builder
@@ -236,7 +224,6 @@ func (o Options) Fingerprint() string {
 	if fp, ok := o.Classifier.(interface{ Fingerprint() string }); ok {
 		fmt.Fprintf(&b, "classifier-fp=%s;", fp.Fingerprint())
 	}
-	fmt.Fprintf(&b, "stage-timeout=%d;", int64(o.StageTimeout))
 	fmt.Fprintf(&b, "lint=%t;", o.Lint)
 	if len(o.LintRules) > 0 {
 		rules := append([]string(nil), o.LintRules...)
@@ -289,7 +276,7 @@ func (p *Pipeline) Pool() *pcode.Pool { return p.pool }
 var ErrNoDeviceCloudExecutable = errdefs.ErrNoDeviceCloudExecutable
 
 // AnalyzeImage runs the full pipeline over one unpacked firmware image with
-// no deadline. See AnalyzeImageContext for budget-aware analysis.
+// no deadline. See AnalyzeImageContext for cancellable analysis.
 func (p *Pipeline) AnalyzeImage(img *image.Image) (*Result, error) {
 	return p.AnalyzeImageContext(context.Background(), img)
 }
@@ -316,21 +303,15 @@ func clusterCounts(mfts []*taint.MFT) map[float64]int {
 	return out
 }
 
-// ResolverFromImage builds the field-source resolver for message rendering:
-// NVRAM values from /etc/nvram.defaults, configuration values from every
-// other /etc key=value file, and file contents from the image tree. Parse
-// failures are dropped silently; ResolverFromImageNotes reports them.
-func ResolverFromImage(img *image.Image) *fields.MapResolver {
-	r, _ := ResolverFromImageNotes(img)
-	return r
-}
-
-// ResolverFromImageNotes is ResolverFromImage plus a degradation note for
-// every config-shaped file that failed nvram.Parse. Files with no key=value
-// line at all (certificates, hosts, shell fragments) are not configuration
-// stores and are skipped without a note; a file that does carry key=value
-// lines but fails to parse loses real resolver values, and the analysis
-// must say so instead of silently rendering fields as dynamic.
+// ResolverFromImageNotes builds the field-source resolver for message
+// rendering — NVRAM values from /etc/nvram.defaults, configuration values
+// from every other /etc key=value file, and file contents from the image
+// tree — plus a degradation note for every config-shaped file that failed
+// nvram.Parse. Files with no key=value line at all (certificates, hosts,
+// shell fragments) are not configuration stores and are skipped without a
+// note; a file that does carry key=value lines but fails to parse loses
+// real resolver values, and the analysis must say so instead of silently
+// rendering fields as dynamic.
 func ResolverFromImageNotes(img *image.Image) (*fields.MapResolver, []errdefs.AnalysisError) {
 	r := &fields.MapResolver{
 		NVRAM:  map[string]string{},

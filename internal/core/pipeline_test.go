@@ -171,7 +171,7 @@ func TestResolverFromImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildImage: %v", err)
 	}
-	r := ResolverFromImage(img)
+	r, _ := ResolverFromImageNotes(img)
 	if r.NVRAM["mac"] != d.Identity.MAC {
 		t.Errorf("NVRAM mac = %q", r.NVRAM["mac"])
 	}

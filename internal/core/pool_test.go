@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/errdefs"
 	"firmres/internal/image"
 	"firmres/internal/pcode"
-	"firmres/internal/slices"
 )
 
 // liftAnyBinary lifts the first binary executable of img through the
@@ -58,42 +56,29 @@ func TestReleaseRecyclesWinner(t *testing.T) {
 	}
 }
 
-// gateClassifier blocks every classification until release is closed, so
-// the semantics stage outlives any budget.
-type gateClassifier struct{ release chan struct{} }
-
-func (c *gateClassifier) Classify(slices.Slice) (string, float64) {
-	<-c.release
-	return "None", 0
-}
-
-// TestAbandonedStageKeepsProgram: once a stage is abandoned its goroutine
-// runs on over the lifted program, so releasing the Result must not hand
-// the program to the pool.
-func TestAbandonedStageKeepsProgram(t *testing.T) {
+// TestPanickedStageReleasesProgram: stages run inline, so once the
+// analysis returns nothing reads the lifted program, even after a
+// recovered panic degraded a stage, and Release recycles it.
+func TestPanickedStageReleasesProgram(t *testing.T) {
 	img := buildImage(t, 17)
-	gate := &gateClassifier{release: make(chan struct{})}
-	defer close(gate.release)
-	// The budget only has to outlast pinpointing and taint on one small
-	// image, also under the race detector.
-	p := New(Options{Classifier: gate, StageTimeout: 2 * time.Second})
+	p := New(Options{Classifier: panicClassifier{}})
 	res, err := p.AnalyzeImageContext(context.Background(), img)
 	if err != nil {
 		t.Fatalf("AnalyzeImageContext: %v", err)
 	}
-	var abandoned bool
+	var panicked bool
 	for _, ae := range res.Errors {
-		if ae.Stage == StageSemantics.String() && errors.Is(ae.Err, errdefs.ErrStageTimeout) {
-			abandoned = true
+		if ae.Stage == StageSemantics.String() && errors.Is(ae.Err, errdefs.ErrStagePanic) {
+			panicked = true
 		}
 	}
 	prog := res.prog
-	if !abandoned || prog == nil {
-		t.Fatalf("want an abandoned semantics stage over a pinpointed program; errors %v, program %v", res.Errors, prog != nil)
+	if !panicked || prog == nil {
+		t.Fatalf("want a panicked semantics stage over a pinpointed program; errors %v, program %v", res.Errors, prog != nil)
 	}
 	res.Release()
-	if got := liftAnyBinary(t, p, img); got == prog {
-		t.Fatal("Release recycled a program an abandoned stage is still reading")
+	if got := liftAnyBinary(t, p, img); got != prog {
+		t.Fatal("Release did not recycle the program of an analysis with a panicked stage")
 	}
 }
 

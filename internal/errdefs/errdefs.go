@@ -23,11 +23,11 @@ var (
 	// that could not be parsed or lifted.
 	ErrCorruptBinary = errors.New("corrupt executable")
 
-	// ErrStageTimeout marks a pipeline stage cancelled because it exceeded
-	// its time budget (or because the caller's context expired). It wraps
-	// the context error, so errors.Is(err, context.DeadlineExceeded) also
-	// holds for deadline-driven cancellations.
-	ErrStageTimeout = errors.New("analysis stage exceeded its budget")
+	// ErrStageTimeout marks an analysis stopped because the caller's
+	// context ended. It wraps the context error, so errors.Is(err,
+	// context.DeadlineExceeded) or errors.Is(err, context.Canceled) also
+	// holds. The stage that was running commits nothing.
+	ErrStageTimeout = errors.New("analysis stopped: the caller's context ended")
 
 	// ErrStagePanic marks a pipeline stage aborted by a recovered panic.
 	ErrStagePanic = errors.New("analysis stage panicked")
@@ -121,13 +121,13 @@ var sentinels = []struct {
 }
 
 // transients lists the sentinels whose failures are schedule- or
-// environment-dependent rather than properties of the input: a stage that
-// ran out of budget on a loaded box, a simulated cloud that could not bind
-// a listener, a cache entry that rotted on disk. Re-running the same work
-// can succeed, so the service layer's retry policy dispatches on this set.
-// Deterministic input failures (corrupt image, no device-cloud executable)
-// are deliberately absent — retrying them burns a worker to reach the same
-// verdict.
+// environment-dependent rather than properties of the input: an analysis
+// whose context ended (a drained worker, a deadline on a loaded box), a
+// simulated cloud that could not bind a listener, a cache entry that
+// rotted on disk. Re-running the same work can succeed, so the service
+// layer's retry policy dispatches on this set. Deterministic input
+// failures (corrupt image, no device-cloud executable) are deliberately
+// absent — retrying them burns a worker to reach the same verdict.
 var transients = map[error]bool{
 	ErrStageTimeout:     true,
 	ErrStagePanic:       true,
@@ -175,8 +175,8 @@ func Sentinel(kind string) error {
 	return nil
 }
 
-// AnalysisError records one piece of work the pipeline skipped or
-// abandoned while producing a partial result.
+// AnalysisError records one piece of work the pipeline skipped while
+// producing a partial result.
 type AnalysisError struct {
 	Stage string // pipeline stage the failure occurred in
 	Path  string // executable or file involved, "" when stage-wide

@@ -30,8 +30,8 @@ func buildTree(spans []SpanData) *spanTree {
 		if _, ok := t.byID[s.Parent]; s.Parent != 0 && ok {
 			t.children[s.Parent] = append(t.children[s.Parent], s)
 		} else {
-			// True roots, plus orphans whose parent never finished (an
-			// abandoned stage): surfaced at top level rather than dropped.
+			// True roots, plus orphans whose parent had not finished when
+			// the spans were read: surfaced at top level rather than dropped.
 			t.roots = append(t.roots, s)
 		}
 	}

@@ -48,7 +48,7 @@ type SpanData struct {
 	Parent int64
 	Name   string
 	Attrs  []Attr
-	Status string // "" = ok; "partial", "skipped", "timeout", "fatal: <kind>", ...
+	Status string // "" = ok; "partial", "skipped", "panic", "fatal: <kind>", ...
 	Start  time.Time
 	End    time.Time // zero in SpanStart notifications
 }

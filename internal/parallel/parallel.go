@@ -1,8 +1,11 @@
 // Package parallel provides the bounded worker pool the pipeline stages
 // fan out on. It is deliberately tiny: deterministic consumers index into
-// pre-sized result slices (one slot per input), so no ordering machinery
-// lives here — only bounded concurrency, cooperative cancellation, and
-// panic propagation that preserves core's stage-recovery semantics.
+// pre-sized result slices (one slot per input), so ForEach returns nothing
+// and no ordering machinery lives here — only bounded concurrency,
+// cooperative cancellation, and panic propagation that preserves core's
+// stage-recovery semantics. A pool returns only when every index it
+// claimed has finished, so no work outlives the call that started it; core
+// relies on that to run its stages inline.
 //
 // Scheduling is one shared atomic counter: each worker claims the next
 // unclaimed index until the range runs out. Every fan-out in the pipeline
@@ -54,11 +57,8 @@ func CPUWorkers(n int) int {
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
 // (Workers-clamped; the calling goroutine participates as one of them).
-// It blocks until every claimed index finishes and returns the number of
-// indices that ran — n on a clean pass, fewer when cancellation stopped
-// the pool from claiming the rest. The count feeds the observability
-// layer's abandoned-work metrics; callers that predate it simply ignore
-// the return value.
+// It returns only once every claimed index has finished, so no fn call
+// outlives it.
 //
 // Cancellation is cooperative: once ctx is done, no further index is
 // executed, so callers must treat unfilled result slots as absent (the
@@ -70,19 +70,16 @@ func CPUWorkers(n int) int {
 // on the calling goroutine with the original panic value, so a stage body
 // running under core's runStage degrades exactly as a sequential panic
 // would. Only the first panic is kept.
-func ForEach(ctx context.Context, workers, n int, fn func(int)) int {
+func ForEach(ctx context.Context, workers, n int, fn func(int)) {
 	if n <= 0 {
-		return 0
+		return
 	}
 	w := Workers(workers, n)
 	if w == 1 {
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return i
-			}
+		for i := 0; i < n && (ctx == nil || ctx.Err() == nil); i++ {
 			fn(i)
 		}
-		return n
+		return
 	}
 
 	var (
@@ -124,9 +121,6 @@ func ForEach(ctx context.Context, workers, n int, fn func(int)) int {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	// Every claimed index below n ran: nothing stands between a claim and
-	// its fn call.
-	return min(int(next.Load()), n)
 }
 
 // Fleet runs workers long-lived copies of body concurrently and blocks

@@ -121,15 +121,6 @@ func TestForEachUnevenTaskCostsRebalance(t *testing.T) {
 	}
 }
 
-func TestForEachRanCountExactWithoutCancel(t *testing.T) {
-	for _, workers := range []int{2, 8} {
-		const n = 237 // deliberately not a multiple of the worker count
-		if ran := ForEach(context.Background(), workers, n, func(int) {}); ran != n {
-			t.Errorf("workers=%d: ran=%d, want %d", workers, ran, n)
-		}
-	}
-}
-
 func TestForEachPanicStopsChunkMates(t *testing.T) {
 	// A panic must stop every worker from claiming more: total executed
 	// stays well short of n, and the first panic value is re-raised.
@@ -155,22 +146,24 @@ func TestForEachPanicStopsChunkMates(t *testing.T) {
 
 func TestForEachCancelMidStealReturnsPromptly(t *testing.T) {
 	// Cancel from inside an early task while more workers than processors
-	// are claiming. ForEach must return without executing the tail, and
-	// ran must count exactly the indices that executed.
+	// are claiming. ForEach must return without executing the tail, and no
+	// index may run after it returns.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n = 50_000
 	var hits atomic.Int32
-	ran := ForEach(ctx, 16, n, func(i int) {
+	ForEach(ctx, 16, n, func(i int) {
 		if hits.Add(1) == 3 {
 			cancel()
 		}
 	})
+	ran := hits.Load()
 	if ran >= n {
-		t.Errorf("ran=%d, want < %d after cancellation", ran, n)
+		t.Errorf("%d of %d indices ran after cancellation", ran, n)
 	}
-	if int(hits.Load()) != ran {
-		t.Errorf("ran=%d disagrees with executed count %d", ran, hits.Load())
+	time.Sleep(5 * time.Millisecond)
+	if late := hits.Load(); late != ran {
+		t.Errorf("%d indices ran after ForEach returned", late-ran)
 	}
 }
 

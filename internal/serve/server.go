@@ -72,9 +72,9 @@ type Config struct {
 	Burst      int
 	// MaxImageBytes caps a submission body; <= 0 selects the default.
 	MaxImageBytes int64
-	// AnalysisOptions configures every job's analysis (lint, stripped
-	// mode, stage timeout, ...). The cache, metrics, and progress options
-	// are added by the server — do not pass them here.
+	// AnalysisOptions configures every job's analysis (lint, classifier
+	// model, ...). The cache, metrics, and progress options are added by
+	// the server — do not pass them here.
 	AnalysisOptions []firmres.Option
 }
 
@@ -167,8 +167,9 @@ func (s *Server) Start() {
 // Drain shuts the service down gracefully: intake stops (submissions get
 // 503, /healthz flips), the queue closes (queued jobs stay journaled for
 // the next boot), and inflight analyses run to completion. ctx bounds the
-// wait; on expiry the workers are cancelled — their jobs fail with a
-// transient stage-timeout, which re-journals them as queued, so even a
+// wait; on expiry the workers are cancelled — each analysis stops inside
+// its current stage and leaves no work running, and its job fails with a
+// transient stage-timeout, which re-journals it as queued, so even a
 // forced drain loses nothing.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)

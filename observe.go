@@ -18,7 +18,7 @@ type SpanEvent struct {
 	ID     int64
 	Parent int64
 	Name   string // "image", stage name, or inner-loop name
-	Status string // "" = ok; "partial", "timeout", "skipped", ...
+	Status string // "" = ok; "partial", "panic", "skipped", ...
 	Start  time.Time
 	End    time.Time
 	Attrs  map[string]string // device, path, fn, ... (nil when none)

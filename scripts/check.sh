@@ -67,6 +67,10 @@ leg_race() {
 	echo "== scheduler (atomic index claiming: determinism, stranded index, panic, cancellation) under -race"
 	go test -race ./internal/parallel
 
+	echo "== stage runner (inline stages: a cancelled stage commits nothing and leaves no work running, a panicked stage still releases its program, a call's cancellation spares its single-flight waiters) under -race"
+	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
+	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
+
 	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8) under -race"
 	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
