@@ -16,10 +16,12 @@ package firmres
 // decode: the batch functions and AnalyzeImage* decode the entry in place
 // from a pooled read buffer (cache.View) and go through single-flight only
 // on a miss; Analyzer.Analyze and Analyzer.Cached hand the report bytes on,
-// so they read into a buffer of their own.
+// so they read into a buffer of their own. Entries are written with
+// json.Marshal and decoded by the one-pass decoder in report_decode.go,
+// which reads exactly what json.Marshal writes and copies every string, so
+// a decoded report outlives the buffer it came from.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"firmres/internal/cache"
@@ -105,11 +107,13 @@ type cachedErr struct {
 func (e cachedErr) Error() string { return e.detail }
 func (e cachedErr) Unwrap() error { return e.sentinel }
 
-// decodeReport deserializes a cached report and rehydrates the error causes
-// JSON cannot carry.
+// decodeReport decodes a cache payload, json.Marshal of a Report, with the
+// one-pass decoder in report_decode.go, and rehydrates the error causes
+// JSON cannot carry. The report owns all of its bytes, so data may be a
+// buffer the cache lends and reuses.
 func decodeReport(data []byte) (*Report, error) {
 	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := unmarshalReport(data, &r); err != nil {
 		return nil, fmt.Errorf("firmres: cache decode: %w", err)
 	}
 	for i := range r.Errors {

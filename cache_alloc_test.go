@@ -12,9 +12,10 @@ import (
 // cacheHitAllocBudget is the committed ceiling on heap bytes allocated per
 // warm cache hit of a one-worker batch: the key, a verified read into a
 // pooled buffer, and the report's decode, which is most of it. The
-// measured cost is about 44 KB; reading each entry into a fresh buffer
-// cost about 63 KB.
-const cacheHitAllocBudget = 0.05e6
+// measured cost is 21.7-23.6 KB with the one-pass decoder; decoding with
+// encoding/json cost about 44 KB, and reading each entry into a fresh
+// buffer as well about 63 KB.
+const cacheHitAllocBudget = 0.03e6
 
 // TestCacheHitAllocBudget pins the allocation cost of a warm re-scan:
 // devices 1-20 (the ones with reports) through AnalyzeImages with lint,

@@ -372,34 +372,6 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 }
 
-func TestDecodeReportRehydratesErrors(t *testing.T) {
-	in := &Report{
-		Device: "d",
-		Errors: []AnalysisError{{
-			Stage:  "identify-fields",
-			Kind:   "stage-timeout",
-			Detail: "analysis stage exceeded its budget: context deadline exceeded",
-		}},
-	}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Errors) != 1 {
-		t.Fatalf("errors = %d, want 1", len(out.Errors))
-	}
-	if !errors.Is(out.Errors[0].Err, ErrStageTimeout) {
-		t.Errorf("rehydrated err = %v, want errors.Is ErrStageTimeout", out.Errors[0].Err)
-	}
-	if got := out.Errors[0].Err.Error(); got != in.Errors[0].Detail {
-		t.Errorf("rehydrated rendering = %q, want %q", got, in.Errors[0].Detail)
-	}
-}
-
 func TestClearCache(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := AnalyzeImage(packedDevice(t, 5), WithCache(dir)); err != nil {

@@ -138,14 +138,15 @@ func printTableIV(run *experiments.Run) error {
 
 func printPerf(run *experiments.Run) {
 	perf := experiments.Perf(run)
-	fmt.Println("\n§V-E — performance breakdown (measured vs paper)")
+	fmt.Println("\n§V-E — performance breakdown (measured vs paper; median of five passes, range of single passes)")
 	names := []string{"pinpoint executables", "identify fields", "recover semantics",
 		"concatenate fields", "detect incorrect forms"}
 	paper := []float64{37.67, 43.83, 3.71, 9.96, 4.81}
 	for i, n := range names {
-		fmt.Printf("  %-24s %6.2f%%   (paper %5.2f%%)\n", n, 100*perf.StageShare[i], paper[i])
+		fmt.Printf("  %-24s %6.2f%%  (%5.2f–%5.2f%%)   (paper %5.2f%%)\n", n,
+			100*perf.StageShare[i], 100*perf.StageMin[i], 100*perf.StageMax[i], paper[i])
 	}
-	fmt.Printf("  per-firmware total: min %v, max %v (paper 154 s – 1472 s on real firmware)\n",
+	fmt.Printf("  per-firmware median total: min %v, max %v (paper 154 s – 1472 s on real firmware)\n",
 		perf.MinTotal, perf.MaxTotal)
 	ids := make([]int, 0, len(perf.PerDevice))
 	for id := range perf.PerDevice {

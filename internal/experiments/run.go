@@ -16,7 +16,6 @@ import (
 	"firmres/internal/corpus"
 	"firmres/internal/image"
 	"firmres/internal/nn"
-	"firmres/internal/obs"
 	"firmres/internal/semantics"
 	"firmres/internal/slices"
 )
@@ -78,9 +77,8 @@ type Run struct {
 	Model   *nn.Model
 	ValAcc  float64
 	TestAcc float64
-	// Spans records every device's analysis; Perf reads the §V-E stage
-	// breakdown from its stage spans.
-	Spans *obs.Recorder
+	// pipeline analyzed the devices; Perf times it over their images again.
+	pipeline *core.Pipeline
 }
 
 // Close releases every device's cloud.
@@ -95,9 +93,9 @@ func (r *Run) Close() {
 // simulated vendor cloud.
 func NewRun(cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults()
-	run := &Run{Cfg: cfg, Spans: obs.NewRecorder()}
+	run := &Run{Cfg: cfg}
 
-	opts := core.Options{Obs: run.Spans}
+	var opts core.Options
 	if cfg.UseModel {
 		model, valAcc, testAcc, err := TrainClassifier(cfg)
 		if err != nil {
@@ -108,10 +106,10 @@ func NewRun(cfg Config) (*Run, error) {
 		run.TestAcc = testAcc
 		opts.Classifier = &semantics.ModelClassifier{Model: model}
 	}
-	pipeline := core.New(opts)
+	run.pipeline = core.New(opts)
 
 	for _, id := range cfg.Devices {
-		dr, err := analyzeDevice(pipeline, id)
+		dr, err := analyzeDevice(run.pipeline, id)
 		if err != nil {
 			run.Close()
 			return nil, err

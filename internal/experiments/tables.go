@@ -9,6 +9,8 @@ import (
 	"firmres/internal/cloud"
 	"firmres/internal/core"
 	"firmres/internal/corpus"
+	"firmres/internal/image"
+	"firmres/internal/obs"
 )
 
 // TableIRow is one device of Table I.
@@ -248,58 +250,109 @@ func paramList(m corpus.MessageSpec) string {
 	return strings.Join(keys, "/")
 }
 
-// PerfResult is the §V-E performance summary.
+// perfPasses is how many timed passes Perf makes over the run's images. A
+// pass over the corpus is short, so one slow span can move a stage's share
+// by ten points; the median of five passes does not follow it.
+const perfPasses = 5
+
+// PerfResult is the §V-E performance summary over perfPasses passes.
 type PerfResult struct {
-	StageShare [5]float64 // fraction of total time per stage
-	MinTotal   time.Duration
-	MaxTotal   time.Duration
-	PerDevice  map[int]time.Duration
+	// StageShare is each stage's median time over the passes, as a fraction
+	// of the sum of the stages' medians, so the shares add up to 1.
+	StageShare [5]float64
+	// StageMin and StageMax are the lowest and highest share of total time
+	// a single pass gave each stage.
+	StageMin, StageMax [5]float64
+	MinTotal           time.Duration // the lowest PerDevice figure
+	MaxTotal           time.Duration // the highest
+	// PerDevice is each analyzed device's median total stage time.
+	PerDevice map[int]time.Duration
 }
 
-// Perf aggregates the stage spans of the devices the run analyzed: the
-// stage spans are the direct children of each device's "image" span.
+// Perf times perfPasses sequential passes over the images the run
+// analyzed, through the run's pipeline with a fresh span recorder per pass.
+// A device's time in a pass is the sum of its stage spans, the direct
+// children of its "image" span.
 func Perf(run *Run) *PerfResult {
-	out := &PerfResult{PerDevice: map[int]time.Duration{}}
 	ids := map[string]int{} // device name -> corpus ID
+	var imgs []*image.Image
 	for _, dr := range run.Devices {
 		if dr.Result != nil {
 			ids[dr.Image.Device] = dr.Spec.ID
+			imgs = append(imgs, dr.Image)
 		}
 	}
-	images := map[int64]int{} // image span ID -> corpus ID
-	var totals [5]time.Duration
-	// Spans come in start order, so an image span precedes its stages.
-	for _, sp := range run.Spans.Spans() {
-		if id, ok := ids[sp.Attr("device")]; ok && sp.Name == "image" {
-			images[sp.ID] = id
+	out := &PerfResult{PerDevice: map[int]time.Duration{}}
+	if len(imgs) == 0 {
+		return out
+	}
+	var stageTimes [5][perfPasses]time.Duration
+	deviceTimes := map[int][]time.Duration{}
+	for pass := 0; pass < perfPasses; pass++ {
+		rec := obs.NewRecorder()
+		pl := run.pipeline.Observed(rec)
+		for _, img := range imgs {
+			// Each image analyzed cleanly through this pipeline in NewRun;
+			// a pass only times it again.
+			res, _ := pl.AnalyzeImage(img)
+			res.Release()
 		}
-		id, ok := images[sp.Parent]
-		if !ok {
-			continue
-		}
-		out.PerDevice[id] += sp.Duration()
-		for s := range totals {
-			if sp.Name == core.Stage(s).String() {
-				totals[s] += sp.Duration()
+		images := map[int64]int{} // image span ID -> corpus ID
+		totals := map[int]time.Duration{}
+		// Spans come in start order, so an image span precedes its stages.
+		for _, sp := range rec.Spans() {
+			if sp.Name == "image" {
+				images[sp.ID] = ids[sp.Attr("device")]
+				continue
+			}
+			id, ok := images[sp.Parent]
+			if !ok {
+				continue
+			}
+			totals[id] += sp.Duration()
+			for s := range stageTimes {
+				if sp.Name == core.Stage(s).String() {
+					stageTimes[s][pass] += sp.Duration()
+				}
 			}
 		}
+		for id, d := range totals {
+			deviceTimes[id] = append(deviceTimes[id], d)
+		}
+		var all time.Duration
+		for s := range stageTimes {
+			all += stageTimes[s][pass]
+		}
+		for s := range stageTimes {
+			share := float64(stageTimes[s][pass]) / float64(all)
+			if pass == 0 || share < out.StageMin[s] {
+				out.StageMin[s] = share
+			}
+			out.StageMax[s] = max(out.StageMax[s], share)
+		}
 	}
-	for _, total := range out.PerDevice {
+	var medians [5]time.Duration
+	var sum time.Duration
+	for s := range stageTimes {
+		medians[s] = median(stageTimes[s][:])
+		sum += medians[s]
+	}
+	for s := range medians {
+		out.StageShare[s] = float64(medians[s]) / float64(sum)
+	}
+	for id, ds := range deviceTimes {
+		total := median(ds)
+		out.PerDevice[id] = total
 		if out.MinTotal == 0 || total < out.MinTotal {
 			out.MinTotal = total
 		}
-		if total > out.MaxTotal {
-			out.MaxTotal = total
-		}
-	}
-	var grand time.Duration
-	for _, d := range totals {
-		grand += d
-	}
-	if grand > 0 {
-		for s := range totals {
-			out.StageShare[s] = float64(totals[s]) / float64(grand)
-		}
+		out.MaxTotal = max(out.MaxTotal, total)
 	}
 	return out
+}
+
+// median returns the middle of ds, sorting it in place.
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }

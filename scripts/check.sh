@@ -3,12 +3,13 @@
 #
 # With no argument every leg runs sequentially: static analysis, a full
 # build, the race-enabled test suite, the targeted golden/precision
-# suites, and a short fuzz pass over the two hostile-input parsers.
+# suites, and a short fuzz pass over the three hostile-input parsers.
 # CI fans the same gate out across parallel matrix legs:
 #
 #   check.sh static   gofmt, go.mod tidy drift, vet, build, firmbench2
 #   check.sh race     -race suite + targeted concurrency gates
-#   check.sh suites   goldens, alloc/precision gates, stripped F1, fuzz
+#   check.sh suites   goldens, alloc/precision gates, stripped F1, report
+#                     decoder, fuzz
 #
 # Pre-merge checks should invoke this (or `make check`, which delegates
 # here); a leg name runs just that slice.
@@ -71,10 +72,10 @@ leg_race() {
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
 	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
 
-	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8) under -race"
+	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers) under -race"
 	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
-	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent' .
+	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
 	echo "== lifted-program pool (two goroutines on one Analyzer, goldens byte-identical) under -race"
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
@@ -109,11 +110,19 @@ leg_suites() {
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
 	go test -run 'TestBoundaryRecoveryF1|TestExternBindingAccuracy' ./internal/strip
 
+	echo "== report decoder (one-pass cache decode matches json.Unmarshal on goldens and generated reports; every truncation is an error)"
+	go test -run 'TestDecodeReportMatchesJSON' .
+
 	echo "== fuzz image.Unpack (${FUZZTIME})"
 	go test -fuzz=FuzzUnpack -fuzztime="${FUZZTIME}" -run='^$' ./internal/image
 
 	echo "== fuzz binfmt.Unmarshal (${FUZZTIME})"
 	go test -fuzz=FuzzUnmarshal -fuzztime="${FUZZTIME}" -run='^$' ./internal/binfmt
+
+	echo "== fuzz the cache report decoder (${FUZZTIME})"
+	# The seeds are 18 KB reports; the default minimization budget would spend
+	# a minute shrinking each new input.
+	go test -fuzz=FuzzDecodeReport -fuzztime="${FUZZTIME}" -fuzzminimizetime=100x -run='^$' .
 }
 
 leg="${1:-all}"
