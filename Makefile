@@ -31,6 +31,9 @@ cover:
 serve-smoke:
 	scripts/serve_smoke.sh
 
+# The decoder's seeds are 18 KB reports; the default minimization budget
+# would spend a minute shrinking each new input.
 fuzz:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) -run='^$$' ./internal/image
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) -run='^$$' ./internal/binfmt
+	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run='^$$' .

@@ -121,6 +121,7 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 			if err != nil {
 				return nil, nil, false, err
 			}
+			sp.AddString("device", rep.Device)
 			return rep, nil, true, nil
 		}
 	}
@@ -171,6 +172,7 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 	if err != nil {
 		return nil, nil, false, err
 	}
+	sp.AddString("device", rep.Device)
 	return rep, js, true, nil
 }
 

@@ -6,6 +6,9 @@ package firmres
 
 import (
 	"context"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -48,5 +51,60 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	t.Logf("cache hits: %.0f B/image over %d passes (budget %.0f)", perImage, passes, cacheHitAllocBudget)
 	if perImage > cacheHitAllocBudget {
 		t.Errorf("warm cache hits allocate %.0f B/image, budget %.0f", perImage, cacheHitAllocBudget)
+	}
+}
+
+// malformedEntryAllocBudget is the ceiling on heap bytes one decode of a
+// malformed payload may allocate before it fails. A list is presized from
+// at most maxPresize elements, 45 KB for 256 Messages, however many commas
+// follow its bracket; uncapped, the Messages payload below allocated
+// 3.2 MB.
+const malformedEntryAllocBudget = 64 << 10
+
+// TestMalformedEntryAllocBound decodes payloads that open a list and then
+// hold 18,000 commas, the Report's messages and one message's fields, as a
+// writer to the cache directory could store them with a valid checksum.
+// Each must fail within the budget. The heap counter counts a small object
+// only once its span leaves the allocating P's cache, so a GC, which
+// flushes those caches, brackets each decode; and it is process-wide, so
+// the least of several decodes is the one nothing else added to.
+func TestMalformedEntryAllocBound(t *testing.T) {
+	const head = `{"Device":"","Version":"","Executable":"","Messages":[`
+	commas := strings.Repeat(",", 18000)
+	payloads := map[string]string{
+		"messages": head + commas + `]}`,
+		"fields": head + `{"Function":"","Context":"","Deliver":"","Format":"","Topic":"",` +
+			`"Path":"","Body":"","Fields":[` + commas + `]}]}`,
+	}
+	for name, payload := range payloads {
+		js := []byte(payload)
+		perDecode := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			before := heapAllocBytes()
+			if _, err := decodeReport(js); err == nil {
+				t.Fatalf("%s: malformed payload decoded", name)
+			}
+			runtime.GC()
+			perDecode = min(perDecode, heapAllocBytes()-before)
+		}
+		t.Logf("%s: %d B per failed decode (budget %d)", name, perDecode, malformedEntryAllocBudget)
+		if perDecode >= malformedEntryAllocBudget {
+			t.Errorf("%s: a failed decode allocates %d B, budget %d", name, perDecode, malformedEntryAllocBudget)
+		}
+	}
+}
+
+// TestValidUTF8KeepsValidInput pins that a report's UTF-8 check costs
+// nothing on valid input: the string, or the slice, comes back as it is.
+func TestValidUTF8KeepsValidInput(t *testing.T) {
+	s := "uid-532729 \ufffd \u00e9"
+	ss := []string{"mac=AA:BB", s}
+	if n := testing.AllocsPerRun(100, func() {
+		if validUTF8(s) != s || &validUTF8s(ss)[0] != &ss[0] {
+			t.Fatal("valid input was not returned as it is")
+		}
+	}); n != 0 {
+		t.Errorf("validUTF8 on valid input: %v allocs, want 0", n)
 	}
 }

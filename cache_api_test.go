@@ -6,13 +6,17 @@ package firmres
 // batch workers must single-flight one image.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"firmres/internal/corpus"
 )
 
 func marshalReport(t *testing.T, r *Report) string {
@@ -71,6 +75,66 @@ func TestCacheColdWarmIdentical(t *testing.T) {
 	}
 	if got, want := marshalReport(t, warm), marshalReport(t, uncached); got != want {
 		t.Errorf("cached report diverged from uncached:\n%s\nvs\n%s", clip(got), clip(want))
+	}
+}
+
+// TestCacheInvalidUTF8ColdWarmIdentical analyzes device 17 with a byte
+// that is not UTF-8 in its device name, and two in the NVRAM value one of
+// its fields reads. json.Marshal writes each such byte as U+FFFD, so a
+// report that kept the bytes, or replaced the run of two with one U+FFFD,
+// would come back from its cache entry as a different report: the cold and
+// the warm report must be deep-equal and marshal to the same bytes.
+func TestCacheInvalidUTF8ColdWarmIdentical(t *testing.T) {
+	img, err := corpus.BuildImage(corpus.Device(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Device = "Cam\xffera"
+	nv, ok := img.File("/etc/nvram.defaults")
+	if !ok {
+		t.Fatal("device 17 has no /etc/nvram.defaults")
+	}
+	nv.Data = bytes.Replace(nv.Data, []byte("uid=uid-"), []byte("uid=uid-\xff\xfe"), 1)
+	data := img.Pack()
+	dir := t.TempDir()
+
+	var st CacheStats
+	cold, err := AnalyzeImage(data, WithCache(dir), WithCacheStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := AnalyzeImage(data, WithCache(dir), WithCacheStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, then 1 hit", st)
+	}
+	if cold.Device != "Cam\ufffdera" {
+		t.Errorf("cold Device = %q, want the invalid byte as U+FFFD", cold.Device)
+	}
+	var uid string
+	for _, f := range cold.Messages[0].Fields {
+		if f.SourceKey == "uid" {
+			uid = f.Value
+		}
+	}
+	if uid != "uid-\ufffd\ufffd532729" {
+		t.Errorf("cold uid field = %q, want each invalid byte as U+FFFD", uid)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("warm report differs from cold:\n%s\nvs\n%s", clip(marshalReport(t, warm)), clip(marshalReport(t, cold)))
+	}
+	cj, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cj, wj) {
+		t.Error("cold and warm reports marshal to different bytes")
 	}
 }
 

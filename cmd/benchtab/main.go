@@ -40,7 +40,6 @@ func run(table int, perf, all, useModel bool) error {
 	if err != nil {
 		return err
 	}
-	defer run.Close()
 
 	if all || table == 1 {
 		printTableI()
@@ -49,9 +48,7 @@ func run(table int, perf, all, useModel bool) error {
 		printTableII(run)
 	}
 	if all || table == 3 {
-		if err := printTableIII(run); err != nil {
-			return err
-		}
+		printTableIII(run)
 	}
 	if all || table == 4 {
 		if err := printTableIV(run); err != nil {
@@ -101,11 +98,8 @@ func printTableII(run *experiments.Run) {
 	fmt.Printf("skipped (script-only, §V-B): %v\n", res.Skipped)
 }
 
-func printTableIII(run *experiments.Run) error {
-	res, err := experiments.TableIII(run)
-	if err != nil {
-		return err
-	}
+func printTableIII(run *experiments.Run) {
+	res := experiments.TableIII(run)
 	fmt.Println("\nTable III — discovered vulnerabilities")
 	fmt.Printf("flagged %d (paper 26), confirmed %d (paper 15), FPs %d (paper 11)\n",
 		res.Flagged, res.Confirmed, res.FalsePositives)
@@ -119,7 +113,6 @@ func printTableIII(run *experiments.Run) error {
 		fmt.Printf("  dev %-2d %-52s%s\n         path %s  params %s\n         %s\n",
 			v.DeviceID, v.Name, known, v.Path, v.Params, v.Note)
 	}
-	return nil
 }
 
 func printTableIV(run *experiments.Run) error {

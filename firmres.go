@@ -26,6 +26,8 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"firmres/internal/core"
 	"firmres/internal/errdefs"
@@ -367,11 +369,45 @@ func presized[T any](n int) []T {
 	return make([]T, 0, n)
 }
 
+// validUTF8 returns s with each byte that is not part of a valid UTF-8
+// sequence replaced by U+FFFD, byte for byte, as json.Marshal writes it. A
+// report holds only valid UTF-8, so it equals what its cache entry decodes
+// to. A valid s comes back as it is, without allocating.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	var b strings.Builder
+	for _, r := range s { // an invalid byte ranges as one utf8.RuneError
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// validUTF8s applies validUTF8 to each of ss. It returns ss itself when
+// every string is valid, and otherwise a copy, so the pipeline's result is
+// never written.
+func validUTF8s(ss []string) []string {
+	for i, s := range ss {
+		if !utf8.ValidString(s) {
+			out := append([]string(nil), ss...)
+			for j := i; j < len(out); j++ {
+				out[j] = validUTF8(out[j])
+			}
+			return out
+		}
+	}
+	return ss
+}
+
+// reportOf converts a pipeline result to its report. Every string the
+// report holds goes through validUTF8; map keys are the code's own
+// identifiers.
 func reportOf(res *core.Result) *Report {
 	r := &Report{
-		Device:     res.Device,
-		Version:    res.Version,
-		Executable: res.Executable,
+		Device:     validUTF8(res.Device),
+		Version:    validUTF8(res.Version),
+		Executable: validUTF8(res.Executable),
 		Metrics:    res.Metrics,
 	}
 	if res.Probe != nil {
@@ -379,23 +415,23 @@ func reportOf(res *core.Result) *Report {
 	}
 	if res.Recovery != nil {
 		rec := &RecoveryReport{
-			Binary:           res.Recovery.Binary,
+			Binary:           validUTF8(res.Recovery.Binary),
 			FuncsRecovered:   res.Recovery.FuncsRecovered,
 			StringsRecovered: res.Recovery.StringsRecovered,
 			ExternsTotal:     res.Recovery.ExternsTotal,
 			ExternsBound:     res.Recovery.ExternsBound,
 			Confidence:       res.Recovery.Confidence,
-			Notes:            res.Recovery.Notes,
+			Notes:            validUTF8s(res.Recovery.Notes),
 		}
 		rec.Bindings = presized[RecoveryBinding](len(res.Recovery.Bindings))
 		for _, b := range res.Recovery.Bindings {
 			rec.Bindings = append(rec.Bindings, RecoveryBinding{
 				Import:     b.Import,
-				Name:       b.Name,
+				Name:       validUTF8(b.Name),
 				Arity:      b.Arity,
 				Sites:      b.Sites,
 				Confidence: b.Confidence,
-				Evidence:   b.Evidence,
+				Evidence:   validUTF8(b.Evidence),
 			})
 		}
 		r.Recovery = rec
@@ -409,10 +445,10 @@ func reportOf(res *core.Result) *Report {
 	r.Errors = presized[AnalysisError](len(res.Errors))
 	for _, ae := range res.Errors {
 		r.Errors = append(r.Errors, AnalysisError{
-			Stage:  ae.Stage,
-			Path:   ae.Path,
-			Kind:   ae.Kind(),
-			Detail: ae.Err.Error(),
+			Stage:  validUTF8(ae.Stage),
+			Path:   validUTF8(ae.Path),
+			Kind:   validUTF8(ae.Kind()),
+			Detail: validUTF8(ae.Err.Error()),
 			Err:    ae.Err,
 		})
 	}
@@ -435,13 +471,13 @@ func reportOf(res *core.Result) *Report {
 	r.Diagnostics = presized[Diagnostic](len(res.Diagnostics))
 	for _, d := range res.Diagnostics {
 		r.Diagnostics = append(r.Diagnostics, Diagnostic{
-			Rule:       d.Rule,
-			Severity:   d.Severity.String(),
-			Executable: d.Executable,
-			Function:   d.Function,
+			Rule:       validUTF8(d.Rule),
+			Severity:   validUTF8(d.Severity.String()),
+			Executable: validUTF8(d.Executable),
+			Function:   validUTF8(d.Function),
 			Addr:       uint64(d.Addr),
-			Message:    d.Message,
-			Evidence:   d.Evidence,
+			Message:    validUTF8(d.Message),
+			Evidence:   validUTF8s(d.Evidence),
 		})
 	}
 	core.SortMessagesByFunction(res.Messages)
@@ -449,31 +485,31 @@ func reportOf(res *core.Result) *Report {
 	for i := range res.Messages {
 		mr := &res.Messages[i]
 		msg := Message{
-			Function:  mr.Message.Function,
-			Context:   mr.Message.Context,
-			Deliver:   mr.Message.Deliver,
-			Format:    mr.Message.Format.String(),
-			Topic:     mr.Message.Topic,
-			Path:      mr.Message.Path,
-			Body:      mr.Message.Body,
+			Function:  validUTF8(mr.Message.Function),
+			Context:   validUTF8(mr.Message.Context),
+			Deliver:   validUTF8(mr.Message.Deliver),
+			Format:    validUTF8(mr.Message.Format.String()),
+			Topic:     validUTF8(mr.Message.Topic),
+			Path:      validUTF8(mr.Message.Path),
+			Body:      validUTF8(mr.Message.Body),
 			Discarded: mr.Message.Discarded,
 			Flagged:   mr.Flagged(),
-			Verdict:   mr.Finding.Verdict.String(),
-			Detail:    mr.Finding.Detail,
+			Verdict:   validUTF8(mr.Finding.Verdict.String()),
+			Detail:    validUTF8(mr.Finding.Detail),
 		}
 		if mr.Message.Discarded {
-			msg.Detail = mr.Message.Reason
+			msg.Detail = validUTF8(mr.Message.Reason)
 			msg.Verdict = "discarded"
 		}
 		msg.Fields = presized[Field](len(mr.Message.Fields))
 		for _, f := range mr.Message.Fields {
 			msg.Fields = append(msg.Fields, Field{
-				Key:        f.Key,
-				Semantics:  f.Semantics,
+				Key:        validUTF8(f.Key),
+				Semantics:  validUTF8(f.Semantics),
 				Confidence: f.Confidence,
-				Source:     f.Source.String(),
-				SourceKey:  f.SourceKey,
-				Value:      f.Value,
+				Source:     validUTF8(f.Source.String()),
+				SourceKey:  validUTF8(f.SourceKey),
+				Value:      validUTF8(f.Value),
 			})
 		}
 		r.Messages = append(r.Messages, msg)

@@ -128,23 +128,15 @@ func RunLeakScope(apps []*App, specs map[int]*corpus.DeviceSpec) Result {
 	return res
 }
 
-// RunAPIScanner replays each app's documented complete messages against the
-// simulated platform cloud and counts the interfaces it can test.
-func RunAPIScanner(apps []*App, probers map[int]*cloud.Prober) (Result, error) {
+// RunAPIScanner replays each app's documented complete messages against a
+// simulated cloud built from its device's spec, one cloud at a time, and
+// counts the interfaces it can test.
+func RunAPIScanner(apps []*App, specs map[int]*corpus.DeviceSpec) (Result, error) {
 	var res Result
 	for _, app := range apps {
-		prober := probers[app.DeviceID]
-		if prober == nil {
-			continue
-		}
-		for _, call := range app.Documented {
-			res.Interfaces++
-			pr, err := prober.Probe(callMessage(call))
-			if err != nil {
-				return res, fmt.Errorf("baselines: device %d replay %s: %w", app.DeviceID, call.Path, err)
-			}
-			if pr.Valid {
-				res.Correct++
+		if spec := specs[app.DeviceID]; spec != nil && len(app.Documented) > 0 {
+			if err := replayDocumented(app, spec, &res); err != nil {
+				return res, err
 			}
 		}
 	}
@@ -152,6 +144,28 @@ func RunAPIScanner(apps []*App, probers map[int]*cloud.Prober) (Result, error) {
 		res.Accuracy = float64(res.Correct) / float64(res.Interfaces)
 	}
 	return res, nil
+}
+
+// replayDocumented starts the cloud of spec and replays app's documented
+// calls against it, counting them into res.
+func replayDocumented(app *App, spec *corpus.DeviceSpec, res *Result) error {
+	c := cloud.New(corpus.CloudSpec(spec))
+	if _, _, err := c.Start(); err != nil {
+		return fmt.Errorf("baselines: device %d cloud: %w", app.DeviceID, err)
+	}
+	defer c.Close()
+	prober := cloud.NewProber(c)
+	for _, call := range app.Documented {
+		res.Interfaces++
+		pr, err := prober.Probe(callMessage(call))
+		if err != nil {
+			return fmt.Errorf("baselines: device %d replay %s: %w", app.DeviceID, call.Path, err)
+		}
+		if pr.Valid {
+			res.Correct++
+		}
+	}
+	return nil
 }
 
 // callMessage converts a documented call into a probe message.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"firmres/internal/cloud"
 	"firmres/internal/corpus"
 )
 
@@ -73,14 +72,8 @@ func TestRunLeakScope(t *testing.T) {
 
 func TestRunAPIScannerReplaysAgainstCloud(t *testing.T) {
 	d := corpus.Device(17)
-	c := cloud.New(corpus.CloudSpec(d))
-	if _, _, err := c.Start(); err != nil {
-		t.Fatalf("cloud: %v", err)
-	}
-	defer c.Close()
-	probers := map[int]*cloud.Prober{17: cloud.NewProber(c)}
 	apps := []*App{AppFor(d)}
-	res, err := RunAPIScanner(apps, probers)
+	res, err := RunAPIScanner(apps, map[int]*corpus.DeviceSpec{17: d})
 	if err != nil {
 		t.Fatalf("RunAPIScanner: %v", err)
 	}

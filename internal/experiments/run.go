@@ -9,11 +9,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"firmres/internal/cloud"
+	"firmres/internal/cloud/probe"
 	"firmres/internal/core"
 	"firmres/internal/corpus"
+	"firmres/internal/fields"
 	"firmres/internal/image"
 	"firmres/internal/nn"
 	"firmres/internal/semantics"
@@ -55,19 +57,10 @@ type DeviceRun struct {
 	Image  *image.Image
 	Result *core.Result // nil when identification failed (script-only)
 	Err    error
-
-	Cloud  *cloud.Cloud
-	Prober *cloud.Prober
-	// Valid marks, per message index in Result.Messages, whether the cloud
-	// understood the probe (§V-C validity).
-	Valid []bool
-}
-
-// Close shuts the device's simulated cloud down.
-func (dr *DeviceRun) Close() {
-	if dr.Cloud != nil {
-		dr.Cloud.Close()
-	}
+	// Outcomes holds the probe replay's outcome of each message, aligned
+	// with Result.Messages: §V-C validity and, for a valid message, §V-D
+	// exploitability.
+	Outcomes []probe.Outcome
 }
 
 // Run holds a full corpus analysis.
@@ -81,16 +74,10 @@ type Run struct {
 	pipeline *core.Pipeline
 }
 
-// Close releases every device's cloud.
-func (r *Run) Close() {
-	for _, dr := range r.Devices {
-		dr.Close()
-	}
-}
-
 // NewRun generates the corpus, optionally trains the classifier, analyzes
-// every device, and probes each reconstructed message against its
-// simulated vendor cloud.
+// every device, and replays each reconstructed message against its
+// simulated vendor cloud with probe.Device, the replay the probe-replay
+// stage runs.
 func NewRun(cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults()
 	run := &Run{Cfg: cfg}
@@ -111,7 +98,6 @@ func NewRun(cfg Config) (*Run, error) {
 	for _, id := range cfg.Devices {
 		dr, err := analyzeDevice(run.pipeline, id)
 		if err != nil {
-			run.Close()
 			return nil, err
 		}
 		run.Devices = append(run.Devices, dr)
@@ -133,19 +119,30 @@ func analyzeDevice(pipeline *core.Pipeline, id int) (*DeviceRun, error) {
 	}
 	dr.Result = res
 
-	c := cloud.New(corpus.CloudSpec(spec))
-	if _, _, err := c.Start(); err != nil {
-		return nil, fmt.Errorf("experiments: device %d cloud: %w", id, err)
-	}
-	dr.Cloud = c
-	dr.Prober = cloud.NewProber(c)
+	// probe.Device sorts its outcomes by (Function, Context); map each back
+	// to its message by that key.
+	type key struct{ fn, ctx string }
+	at := make(map[key]int, len(res.Messages))
+	msgs := make([]*fields.Message, len(res.Messages))
 	for i := range res.Messages {
-		pr, err := dr.Prober.Probe(res.Messages[i].Message)
-		if err != nil {
-			dr.Close()
-			return nil, fmt.Errorf("experiments: device %d probe: %w", id, err)
+		m := res.Messages[i].Message
+		k := key{m.Function, m.Context}
+		if _, dup := at[k]; dup {
+			return nil, fmt.Errorf("experiments: device %d: two messages built by %s in context %q", id, m.Function, m.Context)
 		}
-		dr.Valid = append(dr.Valid, pr.Valid)
+		at[k] = i
+		msgs[i] = m
+	}
+	rep, err := probe.Device(context.TODO(), corpus.CloudSpec(spec), msgs, img, probe.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: device %d probe: %w", id, err)
+	}
+	dr.Outcomes = make([]probe.Outcome, len(msgs))
+	for _, o := range rep.Outcomes {
+		if o.Classification == probe.ClassFailed {
+			return nil, fmt.Errorf("experiments: device %d probe of %s: %s", id, o.Function, o.ErrorKind)
+		}
+		dr.Outcomes[at[key{o.Function, o.Context}]] = o
 	}
 	return dr, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"firmres/internal/baselines"
-	"firmres/internal/cloud"
 	"firmres/internal/corpus"
 )
 
@@ -16,39 +15,29 @@ type TableIVRow struct {
 }
 
 // TableIV reproduces the tool comparison: FIRMRES's statically
-// reconstructed interfaces and accuracy against the dynamic baselines'
-// perfect-by-construction recovery.
+// reconstructed interfaces and accuracy, Table II's valid and identified
+// message totals, against the dynamic baselines' perfect-by-construction
+// recovery.
 func TableIV(run *Run) ([]TableIVRow, error) {
-	identified, valid := 0, 0
+	msgs := TableII(run)
 	specs := map[int]*corpus.DeviceSpec{}
-	probers := map[int]*cloud.Prober{}
 	var apps []*baselines.App
 	for _, dr := range run.Devices {
 		specs[dr.Spec.ID] = dr.Spec
 		apps = append(apps, baselines.AppFor(dr.Spec))
-		if dr.Result == nil {
-			continue
-		}
-		probers[dr.Spec.ID] = dr.Prober
-		identified += len(dr.Result.Messages)
-		for _, v := range dr.Valid {
-			if v {
-				valid++
-			}
-		}
 	}
 	firmres := TableIVRow{
 		Tool:       "FirmRES",
 		Inputs:     "IoT firmware",
 		Targets:    "IoT vendors' clouds",
-		Interfaces: valid,
+		Interfaces: msgs.TotalValid,
 	}
-	if identified > 0 {
-		firmres.Accuracy = float64(valid) / float64(identified)
+	if msgs.TotalIdentified > 0 {
+		firmres.Accuracy = float64(msgs.TotalValid) / float64(msgs.TotalIdentified)
 	}
 
 	leak := baselines.RunLeakScope(apps, specs)
-	scanner, err := baselines.RunAPIScanner(apps, probers)
+	scanner, err := baselines.RunAPIScanner(apps, specs)
 	if err != nil {
 		return nil, err
 	}

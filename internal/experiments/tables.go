@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"firmres/internal/cloud"
 	"firmres/internal/core"
 	"firmres/internal/corpus"
 	"firmres/internal/image"
@@ -111,7 +110,7 @@ func TableII(run *Run) *TableIIResult {
 		row.MsgIdentified = len(dr.Result.Messages)
 		for i := range dr.Result.Messages {
 			mr := &dr.Result.Messages[i]
-			if i < len(dr.Valid) && dr.Valid[i] {
+			if v := dr.Outcomes[i].Validity; v != nil && v.Valid {
 				row.MsgValid++
 				ident, conf, semTotal, semAcc := scoreFields(dr.Spec, mr)
 				row.FieldsIdent += ident
@@ -174,16 +173,17 @@ type VulnRow struct {
 // TableIIIResult aggregates the vulnerability-discovery experiment.
 type TableIIIResult struct {
 	Flagged        int       // messages the form check marked (paper: 26)
-	Confirmed      int       // flagged messages whose attack probe succeeded (paper: 15)
+	Confirmed      int       // flagged messages whose attack replay was granted (paper: 15)
 	FalsePositives int       // flagged but refuted (paper: 11)
 	Vulns          []VulnRow // distinct vulnerable interfaces (paper: 14)
 	KnownVulns     int       // previously-known among them (paper: 1)
 	VulnDevices    int       // devices with at least one vulnerability (paper: 8)
 }
 
-// TableIII probes every flagged message with attacker-obtainable values and
-// confirms vulnerabilities against the seeded cloud ground truth.
-func TableIII(run *Run) (*TableIIIResult, error) {
+// TableIII scores the flagged messages: one is confirmed when the cloud
+// granted its attacker-variant replay and the seeded ground truth marks it
+// vulnerable. NewRun ran that replay for every valid message.
+func TableIII(run *Run) *TableIIIResult {
 	out := &TableIIIResult{}
 	seen := map[string]VulnRow{}
 	devices := map[int]bool{}
@@ -201,13 +201,8 @@ func TableIII(run *Run) (*TableIIIResult, error) {
 				continue
 			}
 			out.Flagged++
-			attack := cloud.AttackerMessage(mr.Message, dr.Image)
-			pr, err := dr.Prober.Probe(attack)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: device %d attack probe: %w", dr.Spec.ID, err)
-			}
 			truth, ok := truthByFn[mr.Message.Function]
-			if pr.Granted && ok && truth.Vuln {
+			if dr.Outcomes[i].Vulnerable && ok && truth.Vuln {
 				out.Confirmed++
 				devices[dr.Spec.ID] = true
 				key := fmt.Sprintf("%d:%s", dr.Spec.ID, truth.Path)
@@ -239,7 +234,7 @@ func TableIII(run *Run) (*TableIIIResult, error) {
 		return out.Vulns[i].Path < out.Vulns[j].Path
 	})
 	out.VulnDevices = len(devices)
-	return out, nil
+	return out
 }
 
 func paramList(m corpus.MessageSpec) string {

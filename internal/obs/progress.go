@@ -48,11 +48,7 @@ func (p *Progress) SpanStart(d SpanData) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if d.Parent == 0 && d.Name == "image" {
-		dev := d.Attr("device")
-		if dev == "" {
-			dev = fmt.Sprintf("image#%d", d.ID)
-		}
-		p.active[d.ID] = &activeImage{device: dev, start: d.Start}
+		p.active[d.ID] = &activeImage{device: deviceOf(d), start: d.Start}
 		return
 	}
 	if img, ok := p.active[d.Parent]; ok {
@@ -60,19 +56,33 @@ func (p *Progress) SpanStart(d SpanData) {
 	}
 }
 
-// SpanEnd emits a progress line when an image completes.
+// SpanEnd emits a progress line when an image completes: its image span
+// ends, or a root cache span ends with status "hit", which answers an
+// image without opening an image span.
 func (p *Progress) SpanEnd(d SpanData) {
 	p.mu.Lock()
 	img, ok := p.active[d.ID]
-	if !ok {
+	switch {
+	case ok:
+		delete(p.active, d.ID)
+	case d.Parent == 0 && d.Name == "cache" && d.Status == "hit":
+		img = &activeImage{device: deviceOf(d)}
+	default:
 		p.mu.Unlock()
 		return
 	}
-	delete(p.active, d.ID)
 	p.done++
 	line := p.lineLocked(img, d)
 	p.mu.Unlock()
 	io.WriteString(p.w, line)
+}
+
+// deviceOf names the image a root span covers by its "device" attribute.
+func deviceOf(d SpanData) string {
+	if dev := d.Attr("device"); dev != "" {
+		return dev
+	}
+	return fmt.Sprintf("image#%d", d.ID)
 }
 
 // lineLocked renders one completion line; p.mu must be held.

@@ -257,6 +257,34 @@ func TestBatchStageSpanSums(t *testing.T) {
 	}
 }
 
+// TestProgressCountsCacheHits: a warm batch opens no image spans, so its
+// progress counts the cache spans that end as hits, one line per image,
+// each naming its device.
+func TestProgressCountsCacheHits(t *testing.T) {
+	imgs := packCorpus(t, []int{1, 2, 3, 4})
+	opts := []Option{WithWorkers(1), WithCache(t.TempDir())}
+	if _, err := AnalyzeImages(context.Background(), imgs, opts...); err != nil {
+		t.Fatalf("cold AnalyzeImages: %v", err)
+	}
+	var out strings.Builder
+	br, err := AnalyzeImages(context.Background(), imgs, append(opts, WithProgress(&out))...)
+	if err != nil {
+		t.Fatalf("warm AnalyzeImages: %v", err)
+	}
+	if br.Summary.Cache.Hits != 4 {
+		t.Fatalf("warm stats = %+v, want every image a hit", *br.Summary.Cache)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[3], "progress: 4/4 images (100%)") {
+		t.Errorf("warm progress printed:\n%s\nwant 4 lines, the last at 4/4", out.String())
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "[hit]") || strings.Contains(l, "image#") {
+			t.Errorf("progress line %q: want a hit that names its device", l)
+		}
+	}
+}
+
 // TestFaultInjectionCounters seeds corruption and checks both counters the
 // observability layer hangs off it: the injector's own trip counter, and
 // the pipeline's per-kind degradation counter in Report.Metrics.

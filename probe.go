@@ -67,26 +67,27 @@ func probeReportOf(rep *probe.Report) *ProbeReport {
 	}
 	for _, o := range rep.Outcomes {
 		po := ProbeOutcome{
-			Function:       o.Function,
-			Context:        o.Context,
-			Transport:      o.Transport,
-			Route:          o.Route,
-			Classification: o.Classification,
+			Function:       validUTF8(o.Function),
+			Context:        validUTF8(o.Context),
+			Transport:      validUTF8(o.Transport),
+			Route:          validUTF8(o.Route),
+			Classification: validUTF8(o.Classification),
 			Vulnerable:     o.Vulnerable,
-			Leaks:          o.Leaks,
-			ErrorKind:      o.ErrorKind,
+			Leaks:          validUTF8s(o.Leaks),
+			ErrorKind:      validUTF8(o.ErrorKind),
 		}
-		if o.Validity != nil {
-			a := ProbeAttempt(*o.Validity)
-			po.Validity = &a
-		}
-		if o.Attack != nil {
-			a := ProbeAttempt(*o.Attack)
-			po.Attack = &a
-		}
+		po.Validity = probeAttemptOf(o.Validity)
+		po.Attack = probeAttemptOf(o.Attack)
 		out.Outcomes = append(out.Outcomes, po)
 	}
 	return out
+}
+
+func probeAttemptOf(a *probe.Attempt) *ProbeAttempt {
+	if a == nil {
+		return nil
+	}
+	return &ProbeAttempt{Class: validUTF8(a.Class), Status: a.Status, Valid: a.Valid, Granted: a.Granted}
 }
 
 // ensureProbe lazily installs the probe stage configuration with the corpus

@@ -6,9 +6,9 @@ package firmres
 // reflection. This decoder reads exactly what json.Marshal writes for a
 // Report in one pass, with no reflection: each struct's fields in
 // declaration order, an omitempty field optional, no whitespace, nothing
-// after the report. Every slice and map is sized from its element count
-// before it is filled, and every string is copied out of the payload, so a
-// decoded report never aliases the buffer the cache lent it.
+// after the report. Every slice and map is sized from its element count,
+// up to a cap, before it is filled, and every string is copied out of the
+// payload, so a decoded report never aliases the buffer the cache lent it.
 //
 // Strings and numbers follow encoding/json's grammar, escapes included. A
 // null gives a nil slice, map or pointer, and [] or {} an empty, non-nil
@@ -104,9 +104,16 @@ func (d *dec) more(end byte, n int) bool {
 	return false
 }
 
+// maxPresize caps the element count count returns. count reads commas
+// before the decode checks the grammar, so without a cap a malformed entry
+// makes one decode allocate a slot for every comma it holds; a longer list
+// grows by append. The longest list in a corpus report has 53 elements.
+const maxPresize = 256
+
 // count returns the number of elements of the array or object that opens
-// at d.i, so what holds them is allocated once. It only skips strings and
-// matches brackets; the decode that follows checks the grammar.
+// at d.i, up to maxPresize, so what holds them is allocated once. It only
+// skips strings and matches brackets; the decode that follows checks the
+// grammar.
 func (d *dec) count() int {
 	n, depth := 0, 0
 	for i := d.i; i < len(d.b); i++ {
@@ -128,7 +135,9 @@ func (d *dec) count() int {
 			}
 		case ',':
 			if depth == 1 {
-				n++
+				if n++; n == maxPresize {
+					return n
+				}
 			}
 		}
 	}

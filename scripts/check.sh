@@ -89,12 +89,12 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, warm cache-hit bytes per image, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
+	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestCacheHitAllocBudget|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestCrawlAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
@@ -103,8 +103,8 @@ leg_suites() {
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
 
-	echo "== observability (traced goldens byte-identical, metrics deterministic)"
-	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers' .
+	echo "== observability (traced goldens byte-identical, metrics deterministic, progress counts cache hits)"
+	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestProgressCountsCacheHits' .
 
 	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
