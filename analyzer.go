@@ -47,10 +47,7 @@ func (c *config) analyzer(totalImages int) (*Analyzer, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	a := &Analyzer{rec: c.recorder(totalImages)}
-	opts := c.opts
-	opts.Obs = a.rec
-	a.pl = core.New(opts)
+	a := &Analyzer{pl: core.New(c.opts), rec: c.recorder(totalImages)}
 	if c.cacheDir != "" {
 		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes))
 		if err != nil {
@@ -80,7 +77,7 @@ func (c *config) finish(a *Analyzer) *CacheStats {
 // entry's payload, so a caller that stores or serves the report never
 // encodes it again; and whether the cache answered, from disk or from a
 // concurrent call's computation. A non-nil o also receives this call's
-// spans.
+// root and stage spans, as an Observer given to NewAnalyzer does.
 func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *Report, js []byte, hit bool, err error) {
 	rep, js, hit, err = a.analyze(ctx, data, o, true)
 	if err != nil || js != nil {
@@ -99,13 +96,12 @@ func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *R
 // cache's pooled read buffer, with no copy of the entry and no pass
 // through single-flight, and only a miss goes on to Do.
 func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSON bool) (*Report, []byte, bool, error) {
-	pl, rec := a.pl, a.rec
+	rec := a.rec
 	if o != nil {
 		rec = obs.Tee(rec, observerAdapter{o: o})
-		pl = pl.Observed(rec)
 	}
 	if a.cache == nil {
-		rep, err := analyzeFresh(ctx, pl, data)
+		rep, err := a.analyzeFresh(ctx, rec, data)
 		return rep, nil, false, err
 	}
 	key := cache.KeyOf(data, a.fp)
@@ -139,7 +135,7 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 		computed := false
 		js, hit, err = a.cache.Do(key, func() ([]byte, bool, error) {
 			computed = true
-			rep, err := analyzeFresh(ctx, pl, data)
+			rep, err := a.analyzeFresh(ctx, rec, data)
 			if err != nil {
 				return nil, false, err
 			}
@@ -185,13 +181,27 @@ func cacheable(rep *Report) bool {
 	return rep.Probe == nil || rep.Probe.Counts[ProbeFailed] == 0
 }
 
-// analyzeFresh is the uncached path: unpack and run the full pipeline.
-func analyzeFresh(ctx context.Context, pl *core.Pipeline, data []byte) (*Report, error) {
+// analyzeFresh is the uncached path: unpack and run the full pipeline
+// inside the image span, a root span of rec. The span opens before the
+// unpack, so a corrupt image ends one too, as fatal; the device and
+// version are known, and added to it, only once the image unpacks.
+func (a *Analyzer) analyzeFresh(ctx context.Context, rec *obs.Recorder, data []byte) (rep *Report, err error) {
+	sp := rec.StartSpan(nil, "image")
+	defer func() {
+		switch {
+		case err != nil:
+			sp.SetStatus("fatal: " + errdefs.Kind(err))
+		case rep.Partial():
+			sp.SetStatus("partial")
+		}
+		sp.End()
+	}()
 	img, err := image.Unpack(data)
 	if err != nil {
 		return nil, fmt.Errorf("firmres: %w: %w", errdefs.ErrCorruptImage, err)
 	}
-	res, err := pl.AnalyzeImageContext(ctx, img)
+	sp.AddAttr(obs.String("device", img.Device), obs.String("version", img.Version))
+	res, err := a.pl.AnalyzeImageContext(obs.ContextWith(ctx, sp), img)
 	defer res.Release()
 	if err != nil {
 		return nil, err

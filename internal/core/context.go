@@ -50,7 +50,7 @@ func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(c
 	// Stage span: a child of the image span the caller put on ctx, and the
 	// stage's only wall-clock record. The stage body receives the span
 	// through its context, so inner-loop grandchildren (taint sites, lint
-	// functions, ...) nest under it.
+	// functions, ...) nest under it when a trace records them.
 	sp := obs.FromContext(ctx).Child(s.String())
 	defer sp.End()
 	commit, err := func() (commit func(), err error) {
@@ -96,15 +96,15 @@ func (p *Pipeline) runStage(ctx context.Context, res *Result, s Stage, fn func(c
 // Intra-stage work fans out on Options.Workers-bounded pools; every stage
 // collects into input-indexed slots, so the result is identical at any
 // worker count.
+//
+// Each stage that runs opens a span under the span ctx carries, the
+// caller's image span; with none, the analysis records no spans.
 func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (res *Result, err error) {
 	res = &Result{Device: img.Device, Version: img.Version}
 	var met *obs.Metrics
 	if p.opts.Metrics {
 		met = obs.NewMetrics()
 	}
-	imgSpan := p.opts.Obs.StartSpan(obs.FromContext(ctx), "image",
-		obs.String("device", img.Device), obs.String("version", img.Version))
-	ctx = obs.ContextWith(ctx, imgSpan)
 	defer func() {
 		// Degradation accounting happens once, after every stage ran:
 		// errors_total{kind,stage} covers skipped executables, panicked
@@ -115,13 +115,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		if met != nil {
 			res.Metrics = met.Snapshot()
 		}
-		switch {
-		case err != nil:
-			imgSpan.SetStatus("fatal: " + errdefs.Kind(err))
-		case res.Partial():
-			imgSpan.SetStatus("partial")
-		}
-		imgSpan.End()
 	}()
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("core: %w: %w", errdefs.ErrStageTimeout, err)

@@ -21,7 +21,6 @@ import (
 	"firmres/internal/lint"
 	"firmres/internal/mft"
 	"firmres/internal/nvram"
-	"firmres/internal/obs"
 	"firmres/internal/parallel"
 	"firmres/internal/pcode"
 	"firmres/internal/semantics"
@@ -183,13 +182,6 @@ type Options struct {
 	// LintRules restricts the lint stage to the named rules; empty means
 	// every registered checker.
 	LintRules []string
-	// Obs receives the pipeline's hierarchical spans: one root span per
-	// image, a child per stage, and grandchildren for the hot inner loops
-	// (per-candidate pinpointing, per-site taint, per-message simplify /
-	// classify / build / form-check, per-function lint). Nil disables
-	// tracing at the cost of a nil check per span site. The stage spans
-	// are the only record of how long each stage took.
-	Obs *obs.Recorder
 	// Metrics enables the work-derived counter/histogram snapshot in
 	// Result.Metrics (see there for the determinism contract).
 	Metrics bool
@@ -214,8 +206,7 @@ func (o Options) withDefaults() Options {
 // entry. Defaults are applied first, so the zero value and an explicitly
 // spelled-out default configuration fingerprint identically.
 //
-// Deliberately excluded: Workers (reports are worker-count-invariant) and
-// Obs (span recording never changes the report).
+// Deliberately excluded: Workers (reports are worker-count-invariant).
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	var b strings.Builder
@@ -243,8 +234,8 @@ func (o Options) Fingerprint() string {
 type Pipeline struct {
 	opts Options
 	// pool recycles lifted programs: pinpoint's losers at once, the
-	// winner when its Result is released. Observed copies share it, so it
-	// lives as long as the configured pipeline.
+	// winner when its Result is released. It lives as long as the
+	// configured pipeline.
 	pool *pcode.Pool
 }
 
@@ -257,14 +248,6 @@ func New(opts Options) *Pipeline {
 	// garbage collector, so what the pool retains is set by the options,
 	// not by the largest image seen.
 	return &Pipeline{opts: opts.withDefaults(), pool: pcode.NewPool(parallel.CPUWorkers(opts.Workers) + 1)}
-}
-
-// Observed returns a copy of p whose spans go to rec, so one configured
-// pipeline serves callers that each watch their own analyses.
-func (p *Pipeline) Observed(rec *obs.Recorder) *Pipeline {
-	q := *p
-	q.opts.Obs = rec
-	return &q
 }
 
 // Pool returns the free list the pipeline lifts executables through.

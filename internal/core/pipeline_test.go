@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -95,15 +96,18 @@ func TestPipelineRejectsScriptOnlyDevice(t *testing.T) {
 }
 
 // TestPipelineTimingPopulated: stage timing lives in the stage spans, one
-// child of the image span per stage that ran, nested inside it.
+// child of the caller's image span per stage that ran, nested inside it.
 func TestPipelineTimingPopulated(t *testing.T) {
 	img, err := corpus.BuildImage(corpus.Device(5))
 	if err != nil {
 		t.Fatalf("BuildImage: %v", err)
 	}
 	rec := obs.NewRecorder()
-	if _, err := New(Options{Obs: rec}).AnalyzeImage(img); err != nil {
-		t.Fatalf("AnalyzeImage: %v", err)
+	sp := rec.StartSpan(nil, "image")
+	_, err = New(Options{}).AnalyzeImageContext(obs.ContextWith(context.Background(), sp), img)
+	sp.End()
+	if err != nil {
+		t.Fatalf("AnalyzeImageContext: %v", err)
 	}
 	spans := rec.Spans() // start order: the image span comes first
 	image, ran := spans[0], map[string]bool{}

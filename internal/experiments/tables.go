@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -285,11 +286,12 @@ func Perf(run *Run) *PerfResult {
 	deviceTimes := map[int][]time.Duration{}
 	for pass := 0; pass < perfPasses; pass++ {
 		rec := obs.NewRecorder()
-		pl := run.pipeline.Observed(rec)
 		for _, img := range imgs {
 			// Each image analyzed cleanly through this pipeline in NewRun;
-			// a pass only times it again.
-			res, _ := pl.AnalyzeImage(img)
+			// a pass only times it again, its stages under an image span.
+			sp := rec.StartSpan(nil, "image", obs.String("device", img.Device))
+			res, _ := run.pipeline.AnalyzeImageContext(obs.ContextWith(context.Background(), sp), img)
+			sp.End()
 			res.Release()
 		}
 		images := map[int64]int{} // image span ID -> corpus ID

@@ -51,6 +51,26 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestObserverOnlyInnerSpanZeroAllocs: below the stages an observer-only
+// tee starts no span, so an inner loop under an observed stage costs what
+// it costs with observability off.
+func TestObserverOnlyInnerSpanZeroAllocs(t *testing.T) {
+	rec := Tee(nil, funcObserver{start: func(SpanData) {}, end: func(SpanData) {}})
+	root := rec.StartSpan(nil, "image")
+	stage := root.Child("stage")
+	ctx := ContextWith(context.Background(), stage)
+	if n := testing.AllocsPerRun(1000, func() {
+		sp := StartChild(ctx, "hot-loop")
+		sp.AddString("fn", "handler")
+		sp.AddInt("slices", 7)
+		sp.End()
+	}); n != 0 {
+		t.Errorf("inner-loop span under an observer-only tee allocates %v per op, want 0", n)
+	}
+	stage.End()
+	root.End()
+}
+
 // TestCounterLookupZeroAllocs: once an instrument exists, looking it up
 // again — labels and all — allocates nothing. A service bumps labelled
 // counters on every request, so rendering the key per call would cost an

@@ -7,9 +7,10 @@
 //
 //   - Spans form a tree (one span per image, child spans per stage,
 //     grandchild spans for hot inner loops). A Recorder collects finished
-//     spans and can replay them as a human-readable tree, a Chrome
-//     trace_event JSON file (chrome://tracing / Perfetto), or to a
-//     user-supplied Observer as they happen.
+//     spans and can replay them as a human-readable tree or a Chrome
+//     trace_event JSON file (chrome://tracing / Perfetto). A Tee hands
+//     the image and stage spans to user-supplied Observers as they
+//     happen; inner-loop spans reach only a keeping Recorder.
 //   - Metrics are named counters and histograms whose snapshots are
 //     deterministic at any worker count: every value is derived from the
 //     work performed (which is schedule-independent), never from the
@@ -71,7 +72,9 @@ func (d SpanData) Attr(key string) string {
 	return ""
 }
 
-// Observer is a sink notified as spans start and end. Implementations must
+// Observer is a sink notified as spans start and end, through a Tee: the
+// root spans and their children (the pipeline's image and cache spans and
+// its stages), not the inner-loop spans below them. Implementations must
 // be safe for concurrent calls: the pipeline starts and ends spans from
 // many goroutines at once.
 type Observer interface {
@@ -97,24 +100,44 @@ type Recorder struct {
 // Spans.
 func NewRecorder() *Recorder { return &Recorder{keep: true} }
 
-// Tee returns a recorder that notifies observers of every span started
-// through it and then hands the span on to up, which numbers it and keeps
-// or forwards it as one of its own. The tee keeps no span list, so with a
-// nil up it is an observer-only recorder: Spans stays empty while the
-// observers see every start and end. A per-call tee lets one caller watch
-// its own spans on a recorder others share.
+// observedDepth is the depth of the deepest span a tee's observers see:
+// the roots (the image and cache spans) are at depth 0 and the pipeline
+// stages under them at 1. Inner-loop spans below the stages reach only a
+// keeping recorder.
+const observedDepth = 1
+
+// Tee returns a recorder that notifies observers of the spans started
+// through it down to observedDepth, and hands every span on to up, which
+// numbers it and keeps or forwards it as one of its own. A deeper span is
+// started on the keeping recorder behind the tee, unseen by its observers;
+// with no keeping recorder behind it, it is not started at all, so an
+// inner loop under an observer-only tee takes the nil-span path and
+// allocates nothing. The tee keeps no span list, so with a nil up it is an
+// observer-only recorder: Spans stays empty. A per-call tee lets one
+// caller watch its own spans on a recorder others share.
 func Tee(up *Recorder, observers ...Observer) *Recorder {
 	return &Recorder{up: up, observers: observers[:len(observers):len(observers)]}
 }
 
-// StartSpan opens a span under parent (nil parent = root). A nil receiver
-// returns a nil span, on which every method is a no-op.
+// StartSpan opens a span under parent (nil parent = root). A nil receiver,
+// or a tee with no keeping recorder behind it asked for a span below
+// observedDepth, returns a nil span, on which every method is a no-op.
 func (r *Recorder) StartSpan(parent *Span, name string, attrs ...Attr) *Span {
+	depth := 0
+	if parent != nil {
+		depth = parent.depth + 1
+	}
+	if depth > observedDepth {
+		for r != nil && !r.keep {
+			r = r.up
+		}
+	}
 	if r == nil {
 		return nil
 	}
 	s := &Span{
-		rec: r,
+		rec:   r,
+		depth: depth,
 		data: SpanData{
 			ID:    r.newID(),
 			Name:  name,
@@ -184,10 +207,11 @@ func (r *Recorder) Spans() []SpanData {
 // until End; Child may be called concurrently from worker goroutines
 // fanning out under it (it only reads the immutable ID).
 type Span struct {
-	rec  *Recorder
-	mu   sync.Mutex
-	data SpanData
-	done atomic.Bool
+	rec   *Recorder
+	depth int // 0 for a root, the parent's plus one below it
+	mu    sync.Mutex
+	data  SpanData
+	done  atomic.Bool
 }
 
 // Child opens a sub-span. Nil-safe.
@@ -290,7 +314,7 @@ func FromContext(ctx context.Context) *Span {
 
 // StartChild opens a child of the context's current span — the one-liner
 // hot inner loops use. Returns nil (a no-op span) when the context carries
-// no span.
+// no span, or when the span's recorder builds none that deep (see Tee).
 func StartChild(ctx context.Context, name string, attrs ...Attr) *Span {
 	return FromContext(ctx).Child(name, attrs...)
 }

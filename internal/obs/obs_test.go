@@ -2,9 +2,13 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"firmres/internal/parallel"
 )
@@ -200,38 +204,64 @@ func TestMergeSnapshots(t *testing.T) {
 }
 
 // TestObserverSeesAllEvents checks that an attached observer receives one
-// start and one end per span, under concurrency, whether the tee hands the
-// spans on to a keeping recorder or is observer-only and keeps none.
+// start and one end per span down to the stages (depth 1), under
+// concurrency, while the inner-loop spans below them reach only a keeping
+// recorder: a tee hands them on to the recorder behind it unseen, and an
+// observer-only tee starts none, so StartChild under one of its stages
+// returns a nil span and allocates nothing.
 func TestObserverSeesAllEvents(t *testing.T) {
+	const stages, items = 4, 8
 	for _, tc := range []struct {
 		name string
 		up   *Recorder
 		kept int
 	}{
-		{"keeping", NewRecorder(), 33},
+		{"keeping", NewRecorder(), 1 + stages + 2*stages*items},
 		{"observer-only", nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
-			starts, ends := 0, 0
+			starts, ends := map[string]int{}, map[string]int{}
 			rec := Tee(tc.up, funcObserver{
-				start: func(SpanData) { mu.Lock(); starts++; mu.Unlock() },
-				end:   func(SpanData) { mu.Lock(); ends++; mu.Unlock() },
+				start: func(d SpanData) { mu.Lock(); starts[d.Name]++; mu.Unlock() },
+				end:   func(d SpanData) { mu.Lock(); ends[d.Name]++; mu.Unlock() },
 			})
 			root := rec.StartSpan(nil, "image")
 			ctx := ContextWith(context.Background(), root)
-			parallel.ForEach(ctx, 4, 32, func(i int) {
-				StartChild(ctx, "item").End()
+			parallel.ForEach(ctx, 4, stages, func(int) {
+				stage := StartChild(ctx, "stage")
+				sctx := ContextWith(ctx, stage)
+				for i := 0; i < items; i++ {
+					item := StartChild(sctx, "item")
+					if (item != nil) != (tc.up != nil) {
+						t.Errorf("grandchild span live = %t, want %t", item != nil, tc.up != nil)
+					}
+					item.Child("sub").End()
+					item.End()
+				}
+				stage.End()
 			})
 			root.End()
-			if starts != 33 || ends != 33 {
-				t.Fatalf("observer saw %d starts, %d ends; want 33 each", starts, ends)
+			want := map[string]int{"image": 1, "stage": stages}
+			if !reflect.DeepEqual(starts, want) || !reflect.DeepEqual(ends, want) {
+				t.Fatalf("observer saw starts %v, ends %v; want %v each", starts, ends, want)
 			}
 			if n := len(rec.Spans()); n != 0 {
 				t.Errorf("tee kept %d spans, want 0", n)
 			}
-			if n := len(tc.up.Spans()); n != tc.kept {
-				t.Errorf("upstream recorder kept %d spans, want %d", n, tc.kept)
+			kept := tc.up.Spans()
+			if len(kept) != tc.kept {
+				t.Errorf("upstream recorder kept %d spans, want %d", len(kept), tc.kept)
+			}
+			byID := map[int64]string{}
+			for _, d := range kept {
+				byID[d.ID] = d.Name
+			}
+			parent := map[string]string{"stage": "image", "item": "stage", "sub": "item"}
+			for _, d := range kept {
+				if d.Name != "image" && byID[d.Parent] != parent[d.Name] {
+					t.Errorf("kept %q span has parent %q, want %q", d.Name, byID[d.Parent], parent[d.Name])
+				}
 			}
 		})
 	}
@@ -289,4 +319,52 @@ func TestProgressOpenEnded(t *testing.T) {
 	if out := buf.String(); !strings.HasPrefix(out, "progress: 1 images  dev_a done in") {
 		t.Errorf("open-ended progress line = %q", out)
 	}
+}
+
+// TestProgressLinesInOrder ends images concurrently into a slow writer:
+// every image gets a line, each numbered one above the line before and
+// naming the device its image span gained after it started, and the
+// writer is never entered by two calls at once.
+func TestProgressLinesInOrder(t *testing.T) {
+	const images = 48
+	w := &slowWriter{}
+	rec := Tee(nil, NewProgress(w, images))
+	parallel.ForEach(context.Background(), 8, images, func(i int) {
+		img := rec.StartSpan(nil, "image")
+		img.Child("pinpoint-executables").End()
+		img.AddAttr(String("device", fmt.Sprintf("dev_%02d", i)))
+		img.End()
+	})
+	if w.overlaps.Load() != 0 {
+		t.Errorf("%d writes overlapped another", w.overlaps.Load())
+	}
+	if len(w.lines) != images {
+		t.Fatalf("wrote %d lines, want %d", len(w.lines), images)
+	}
+	for i, l := range w.lines {
+		var n, total int
+		if _, err := fmt.Sscanf(l, "progress: %d/%d images", &n, &total); err != nil || n != i+1 || !strings.Contains(l, " dev_") {
+			t.Errorf("line %d = %q, want it numbered %d and naming its device", i, l, i+1)
+		}
+	}
+}
+
+// slowWriter records each write after a pause, so a write that starts
+// late but finishes first lands first, as on a slow terminal.
+type slowWriter struct {
+	busy, overlaps atomic.Int32
+	mu             sync.Mutex
+	lines          []string
+}
+
+func (w *slowWriter) Write(b []byte) (int, error) {
+	if w.busy.Add(1) > 1 {
+		w.overlaps.Add(1)
+	}
+	time.Sleep(200 * time.Microsecond)
+	w.mu.Lock()
+	w.lines = append(w.lines, string(b))
+	w.mu.Unlock()
+	w.busy.Add(-1)
+	return len(b), nil
 }

@@ -10,26 +10,24 @@ import (
 )
 
 // Progress renders batch-run progress from span events: images done/total,
-// each worker's current image and stage, per-image wall-clock, and an ETA
+// the stage each in-flight image is in, per-image wall-clock, and an ETA
 // extrapolated from the completed images. It is an Observer — attach it to
 // the run's Recorder and it needs no other wiring.
 //
 // One line is written per completed image (plain lines, not cursor
-// rewrites, so logs captured in CI stay readable).
+// rewrites, so logs captured in CI stay readable), in the order the
+// images completed and by one call at a time, so w need not be safe for
+// concurrent use.
 type Progress struct {
 	w     io.Writer
 	total int
 	start time.Time
 
-	mu     sync.Mutex
-	done   int
-	active map[int64]*activeImage // image span ID → state
-}
-
-type activeImage struct {
-	device string
-	stage  string
-	start  time.Time
+	mu      sync.Mutex
+	done    int
+	active  map[int64]string // image span ID → its current stage
+	pending []string         // rendered lines not yet written, in order
+	writing bool             // a SpanEnd call is writing pending out
 }
 
 // NewProgress builds a progress reporter for a run of total images; 0
@@ -39,7 +37,7 @@ func NewProgress(w io.Writer, total int) *Progress {
 		w:      w,
 		total:  total,
 		start:  time.Now(),
-		active: map[int64]*activeImage{},
+		active: map[int64]string{},
 	}
 }
 
@@ -48,36 +46,51 @@ func (p *Progress) SpanStart(d SpanData) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if d.Parent == 0 && d.Name == "image" {
-		p.active[d.ID] = &activeImage{device: deviceOf(d), start: d.Start}
+		p.active[d.ID] = ""
 		return
 	}
-	if img, ok := p.active[d.Parent]; ok {
-		img.stage = d.Name
+	if _, ok := p.active[d.Parent]; ok {
+		p.active[d.Parent] = d.Name
 	}
 }
 
 // SpanEnd emits a progress line when an image completes: its image span
 // ends, or a root cache span ends with status "hit", which answers an
 // image without opening an image span.
+//
+// Lines are rendered under p.mu and queued; whichever call finds no other
+// writing drains the queue, so lines reach w in render order while p.mu
+// is never held across w.
 func (p *Progress) SpanEnd(d SpanData) {
 	p.mu.Lock()
-	img, ok := p.active[d.ID]
-	switch {
-	case ok:
+	if _, ok := p.active[d.ID]; ok {
 		delete(p.active, d.ID)
-	case d.Parent == 0 && d.Name == "cache" && d.Status == "hit":
-		img = &activeImage{device: deviceOf(d)}
-	default:
+	} else if d.Parent != 0 || d.Name != "cache" || d.Status != "hit" {
 		p.mu.Unlock()
 		return
 	}
 	p.done++
-	line := p.lineLocked(img, d)
+	p.pending = append(p.pending, p.lineLocked(d))
+	if p.writing {
+		p.mu.Unlock()
+		return
+	}
+	p.writing = true
+	for len(p.pending) > 0 {
+		lines := p.pending
+		p.pending = nil
+		p.mu.Unlock()
+		for _, l := range lines {
+			io.WriteString(p.w, l)
+		}
+		p.mu.Lock()
+	}
+	p.writing = false
 	p.mu.Unlock()
-	io.WriteString(p.w, line)
 }
 
-// deviceOf names the image a root span covers by its "device" attribute.
+// deviceOf names the image a root span covers by its "device" attribute,
+// which an image span carries once its image unpacked.
 func deviceOf(d SpanData) string {
 	if dev := d.Attr("device"); dev != "" {
 		return dev
@@ -85,15 +98,16 @@ func deviceOf(d SpanData) string {
 	return fmt.Sprintf("image#%d", d.ID)
 }
 
-// lineLocked renders one completion line; p.mu must be held.
-func (p *Progress) lineLocked(img *activeImage, d SpanData) string {
+// lineLocked renders the completion line of the root span d; p.mu must be
+// held.
+func (p *Progress) lineLocked(d SpanData) string {
 	var b strings.Builder
 	if p.total > 0 {
 		fmt.Fprintf(&b, "progress: %d/%d images (%d%%)", p.done, p.total, p.done*100/p.total)
 	} else { // open-ended: a long-lived Analyzer has no total
 		fmt.Fprintf(&b, "progress: %d images", p.done)
 	}
-	fmt.Fprintf(&b, "  %s done in %v", img.device, d.Duration().Round(time.Millisecond))
+	fmt.Fprintf(&b, "  %s done in %v", deviceOf(d), d.Duration().Round(time.Millisecond))
 	if d.Status != "" {
 		fmt.Fprintf(&b, " [%s]", d.Status)
 	}
@@ -104,12 +118,11 @@ func (p *Progress) lineLocked(img *activeImage, d SpanData) string {
 	}
 	if len(p.active) > 0 {
 		var cur []string
-		for _, a := range p.active {
-			stage := a.stage
+		for _, stage := range p.active {
 			if stage == "" {
 				stage = "starting"
 			}
-			cur = append(cur, a.device+":"+stage)
+			cur = append(cur, stage)
 		}
 		sort.Strings(cur)
 		fmt.Fprintf(&b, "  [active %s]", strings.Join(cur, " "))

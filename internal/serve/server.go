@@ -238,22 +238,17 @@ func (s *Server) process(ctx context.Context, job Job) {
 }
 
 // stageObserver forwards finished pipeline-stage spans of one job as SSE
-// progress events. Stage spans are the direct children of the per-image
-// root span (the span with Parent 0).
+// progress events. An observer sees the root spans (image, cache) and
+// their children, so every span it sees with a parent is a stage.
 type stageObserver struct {
-	s      *Server
-	jobID  string
-	rootID atomic.Int64
+	s     *Server
+	jobID string
 }
 
-func (o *stageObserver) SpanStart(ev firmres.SpanEvent) {
-	if ev.Parent == 0 {
-		o.rootID.Store(ev.ID)
-	}
-}
+func (o *stageObserver) SpanStart(firmres.SpanEvent) {}
 
 func (o *stageObserver) SpanEnd(ev firmres.SpanEvent) {
-	if ev.Parent != o.rootID.Load() || ev.Parent == 0 {
+	if ev.Parent == 0 {
 		return
 	}
 	o.s.hub.publish(o.jobID, Event{

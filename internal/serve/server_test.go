@@ -497,6 +497,44 @@ func TestServerWorkerCacheHitTerminalEvent(t *testing.T) {
 	}
 }
 
+// TestServerProgressEventPerStage: a job's analysis publishes one progress
+// event per stage it ran, each naming its stage, before its terminal state.
+// The server runs neither lint nor probe, so those stages publish none.
+func TestServerProgressEventPerStage(t *testing.T) {
+	s := newTestServer(t, Config{MaxInflight: 1})
+	_, resp := submit(t, s, deviceImage(t, 17), nil)
+	events, cancel := s.hub.subscribe(resp.ID)
+	defer cancel()
+	s.Start()
+	defer s.Queue().Close()
+	stages := map[string]int{}
+	timeout := time.After(30 * time.Second)
+	for {
+		select {
+		case ev := <-events:
+			if ev.Type == "progress" {
+				stages[ev.Stage]++
+				continue
+			}
+			if ev.Type != "state" || !ev.Job.State.Terminal() {
+				continue
+			}
+			want := map[string]int{}
+			for _, name := range firmres.StageNames() {
+				if name != "lint-passes" && name != "probe-replay" {
+					want[name] = 1
+				}
+			}
+			if ev.Job.State != StateDone || fmt.Sprint(stages) != fmt.Sprint(want) {
+				t.Errorf("job %s with progress events %v, want done with %v", ev.Job.State, stages, want)
+			}
+			return
+		case <-timeout:
+			t.Fatal("no terminal event")
+		}
+	}
+}
+
 // TestServerRejectsBadAnalysisOptions: a configuration error in the
 // analysis options fails New instead of failing every job.
 func TestServerRejectsBadAnalysisOptions(t *testing.T) {

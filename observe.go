@@ -17,7 +17,7 @@ import (
 type SpanEvent struct {
 	ID     int64
 	Parent int64
-	Name   string // "image", stage name, or inner-loop name
+	Name   string // "image", "cache", or a stage name
 	Status string // "" = ok; "partial", "panic", "skipped", ...
 	Start  time.Time
 	End    time.Time
@@ -33,8 +33,13 @@ func (e SpanEvent) Duration() time.Duration {
 }
 
 // Observer is a sink notified as analysis spans start and end — the hook
-// for custom dashboards or log streams. Implementations must be safe for
-// concurrent calls: spans start and end on many goroutines at once.
+// for custom dashboards or log streams. It sees the stage-level tree: the
+// root spans, one "image" span per analyzed image (opened before the image
+// unpacks, so its "device" and "version" attributes arrive with its end)
+// and one "cache" span per lookup under WithCache, and a child of the
+// image span per stage that ran. The inner-loop spans below the stages are
+// built only for a Trace. Implementations must be safe for concurrent
+// calls: spans start and end on many goroutines at once.
 type Observer interface {
 	SpanStart(SpanEvent)
 	SpanEnd(SpanEvent)
@@ -44,7 +49,8 @@ type Observer interface {
 // per image, a child span per pipeline stage, and grandchildren for the hot
 // inner loops (per-candidate pinpointing, per-site taint, per-message
 // classification, per-function lint). Pass it with WithTrace, run the
-// analysis, then export.
+// analysis, then export. A Trace is the only sink the inner-loop spans
+// are built for; Observers see the tree down to the stages.
 //
 // A Trace may span several Analyze calls and Analyzers: their images all
 // land in it, while the WithObserver / WithProgress sinks of each call see
@@ -77,7 +83,8 @@ func WithTrace(t *Trace) Option {
 	}
 }
 
-// WithObserver streams span start/end events to o as the analysis runs.
+// WithObserver streams the start and end events of the root and stage
+// spans to o as the analysis runs (see Observer).
 func WithObserver(o Observer) Option {
 	return func(c *config) {
 		if o != nil {
@@ -147,8 +154,9 @@ func (a observerAdapter) SpanEnd(d obs.SpanData)   { a.o.SpanEnd(eventOf(d)) }
 
 // recorder assembles the span recorder the options ask for: the trace's,
 // teed to the observers and the progress reporter when there are any; an
-// observer-only recorder, which keeps no spans, when there is no trace; nil
-// when there is no sink. totalImages sizes the progress reporter's ETA.
+// observer-only recorder, which keeps no spans and starts none below the
+// stages, when there is no trace; nil when there is no sink. totalImages
+// sizes the progress reporter's ETA.
 func (c *config) recorder(totalImages int) *obs.Recorder {
 	var up *obs.Recorder
 	if c.trace != nil {

@@ -102,20 +102,27 @@ func TestGoldenReportsTraced(t *testing.T) {
 }
 
 // TestTraceSpansCoverEveryStage pins the span hierarchy for a device that
-// exercises the full pipeline: the image root, a child per executed stage,
-// and at least one inner-loop grandchild per stage that has one.
+// exercises the full pipeline. The trace records the image root, a child
+// per executed stage, and at least one inner-loop grandchild per stage
+// that has one; an Observer on the same analysis sees the coarse tree, the
+// image root and its stage children, and none of the inner loops.
 func TestTraceSpansCoverEveryStage(t *testing.T) {
+	tr := NewTrace()
 	var col spanCollector
-	if _, err := AnalyzeImage(packedDevice(t, 17), WithLint(), WithProbe(), WithObserver(&col)); err != nil {
+	if _, err := AnalyzeImage(packedDevice(t, 17), WithLint(), WithProbe(), WithTrace(tr), WithObserver(&col)); err != nil {
 		t.Fatalf("AnalyzeImage: %v", err)
 	}
-	names := col.names()
-	if names["image"] != 1 {
-		t.Fatalf("image spans = %d, want 1", names["image"])
+	traced := map[string]int{}
+	spans := tr.rec.Spans()
+	for _, d := range spans {
+		traced[d.Name]++
+	}
+	if traced["image"] != 1 {
+		t.Fatalf("traced image spans = %d, want 1", traced["image"])
 	}
 	for _, stage := range StageNames() {
-		if names[stage] != 1 {
-			t.Errorf("stage %q spans = %d, want 1", stage, names[stage])
+		if traced[stage] != 1 {
+			t.Errorf("traced stage %q spans = %d, want 1", stage, traced[stage])
 		}
 	}
 	for _, inner := range []string{
@@ -128,28 +135,45 @@ func TestTraceSpansCoverEveryStage(t *testing.T) {
 		"lint-fn",       // lint-passes: per function
 		"probe",         // probe-replay: per message probe
 	} {
-		if names[inner] == 0 {
-			t.Errorf("no %q inner-loop span recorded (names: %v)", inner, names)
+		if traced[inner] == 0 {
+			t.Errorf("no %q inner-loop span traced (names: %v)", inner, traced)
 		}
 	}
-
-	// Parentage: exactly one root, everything else links to a seen span.
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	ids := make(map[int64]bool, len(col.spans))
-	roots := 0
-	for _, e := range col.spans {
-		ids[e.ID] = true
+	// Parentage: exactly one root, everything else links to a traced span.
+	ids := make(map[int64]bool, len(spans))
+	for _, d := range spans {
+		ids[d.ID] = true
 	}
-	for _, e := range col.spans {
-		if e.Parent == 0 {
+	roots := 0
+	for _, d := range spans {
+		if d.Parent == 0 {
 			roots++
-		} else if !ids[e.Parent] {
-			t.Errorf("span %q has unknown parent %d", e.Name, e.Parent)
+		} else if !ids[d.Parent] {
+			t.Errorf("span %q has unknown parent %d", d.Name, d.Parent)
 		}
 	}
 	if roots != 1 {
-		t.Errorf("root spans = %d, want 1", roots)
+		t.Errorf("traced root spans = %d, want 1", roots)
+	}
+
+	// The observer: the image root and one child of it per stage.
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	observed := map[string]int{}
+	var root int64
+	for _, e := range col.spans {
+		observed[e.Name]++
+		if e.Parent == 0 {
+			root = e.ID
+		}
+	}
+	if want := len(StageNames()) + 1; observed["image"] != 1 || len(col.spans) != want {
+		t.Fatalf("observer saw %v, want the image span and one per stage (%d spans)", observed, want)
+	}
+	for _, e := range col.spans {
+		if e.Parent != 0 && (e.Parent != root || observed[e.Name] != 1) {
+			t.Errorf("observer saw %q under span %d, want one child of the image span %d per stage", e.Name, e.Parent, root)
+		}
 	}
 }
 
@@ -281,6 +305,67 @@ func TestProgressCountsCacheHits(t *testing.T) {
 	for _, l := range lines {
 		if !strings.Contains(l, "[hit]") || strings.Contains(l, "image#") {
 			t.Errorf("progress line %q: want a hit that names its device", l)
+		}
+	}
+}
+
+// TestProgressCountsCorruptImages: an image that does not unpack still
+// ends a root image span, fatal with its kind and without stages, so a
+// batch's progress reaches N/N; every image that unpacks is named by its
+// device, and its stages are children of its image span.
+func TestProgressCountsCorruptImages(t *testing.T) {
+	good := packCorpus(t, []int{21, 2})
+	imgs := [][]byte{packedDevice(t, 17)[:400], good[0], good[1]}
+	var out strings.Builder
+	var col spanCollector
+	if _, err := AnalyzeImages(context.Background(), imgs,
+		WithWorkers(2), WithProgress(&out), WithObserver(&col)); err != nil {
+		t.Fatalf("AnalyzeImages: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[2], "progress: 3/3 images (100%)") {
+		t.Fatalf("progress printed:\n%s\nwant 3 lines, the last at 3/3", out.String())
+	}
+	corrupt := 0
+	for _, l := range lines {
+		if strings.Contains(l, "[fatal: corrupt-image]") {
+			corrupt++
+		} else if strings.Contains(l, "image#") {
+			t.Errorf("progress line %q: an image that unpacked is not named by its device", l)
+		}
+	}
+	if corrupt != 1 {
+		t.Errorf("progress printed %d corrupt-image lines, want 1:\n%s", corrupt, out.String())
+	}
+
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	images := map[int64]SpanEvent{}
+	stages := map[int64]int{}
+	for _, e := range col.spans {
+		if e.Parent == 0 && e.Name == "image" {
+			images[e.ID] = e
+		}
+	}
+	for _, e := range col.spans {
+		if e.Parent == 0 {
+			continue
+		}
+		if _, ok := images[e.Parent]; !ok {
+			t.Errorf("span %q is not a child of an image span", e.Name)
+		}
+		stages[e.Parent]++
+	}
+	if len(images) != len(imgs) {
+		t.Fatalf("observer saw %d image spans, want %d", len(images), len(imgs))
+	}
+	for id, e := range images {
+		if e.Status == "fatal: corrupt-image" {
+			if e.Attrs["device"] != "" || stages[id] != 0 {
+				t.Errorf("corrupt image span names %q and has %d stages, want neither", e.Attrs["device"], stages[id])
+			}
+		} else if e.Attrs["device"] == "" || stages[id] == 0 {
+			t.Errorf("image span [%s] names %q and has %d stages, want its device and its stages", e.Status, e.Attrs["device"], stages[id])
 		}
 	}
 }

@@ -80,6 +80,9 @@ leg_race() {
 	echo "== lifted-program pool (two goroutines on one Analyzer, goldens byte-identical) under -race"
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
 
+	echo "== progress lines (concurrent image ends into a slow writer stay in order) under -race"
+	go test -race -count=10 -run 'TestProgressLinesInOrder' ./internal/obs
+
 	echo "== job queue (concurrent submit/drain storm, crash-resume) under -race"
 	go test -race -run 'TestQueueConcurrentSubmitDrain|TestQueueCrashResumeReplaysExactlyOnce' ./internal/serve
 
@@ -89,12 +92,12 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
-	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
+	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestCrawlAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
@@ -103,8 +106,8 @@ leg_suites() {
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
 
-	echo "== observability (traced goldens byte-identical, metrics deterministic, progress counts cache hits)"
-	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestProgressCountsCacheHits' .
+	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, progress counts cache hits and corrupt images)"
+	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestProgressCountsCacheHits|TestProgressCountsCorruptImages' .
 
 	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
