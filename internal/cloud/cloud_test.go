@@ -251,6 +251,44 @@ func TestAttackerMessageSubstitution(t *testing.T) {
 	}
 }
 
+// TestAttackerMessageOverlappingSecrets: when one substituted value holds
+// another, the longer one is replaced whole, on every call; in map order
+// the shorter one was sometimes replaced first, leaving
+// "token=ATTACKER-GUESS-SECRET-tok".
+func TestAttackerMessageOverlappingSecrets(t *testing.T) {
+	msg := queryMsg("/api/bind", "secret=s3cr3t&token=s3cr3t-tok",
+		fields.Field{Semantics: semantics.LabelDevSecret, Value: "s3cr3t", Source: taint.LeafNVRAM},
+		fields.Field{Semantics: semantics.LabelBindToken, Value: "s3cr3t-tok", Source: taint.LeafNVRAM},
+	)
+	const want = "secret=ATTACKER-GUESS-SECRET&token=ATTACKER-GUESS-TOKEN"
+	for i := 0; i < 200; i++ {
+		if got := AttackerMessage(msg, &image.Image{}).Body; got != want {
+			t.Fatalf("call %d: attack body %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestAttackerMessageCopiesOnSubstitution: a message with nothing the
+// attacker lacks is its own attack variant; one with a substituted field
+// comes back as a copy, and the original keeps its fields.
+func TestAttackerMessageCopiesOnSubstitution(t *testing.T) {
+	open := queryMsg("/api/crash_report", "uid=uid-778899",
+		fields.Field{Semantics: semantics.LabelDevIdentifier, Value: "uid-778899", Source: taint.LeafNVRAM})
+	if atk := AttackerMessage(open, &image.Image{}); atk != open {
+		t.Errorf("identifier-only message copied: %+v", atk)
+	}
+	guarded := queryMsg("/api/config", "deviceId=dev-1&token=bind-token-xyz",
+		fields.Field{Semantics: semantics.LabelDevIdentifier, Value: "dev-1", Source: taint.LeafNVRAM},
+		fields.Field{Semantics: semantics.LabelBindToken, Value: "bind-token-xyz", Source: taint.LeafNVRAM})
+	atk := AttackerMessage(guarded, &image.Image{})
+	if atk == guarded || atk.Fields[1].Value != "ATTACKER-GUESS-TOKEN" {
+		t.Errorf("attack variant %+v does not carry the guessed token", atk)
+	}
+	if guarded.Fields[1].Value != "bind-token-xyz" {
+		t.Errorf("original field mutated to %q", guarded.Fields[1].Value)
+	}
+}
+
 func TestAttackerKeepsHardcodedSecret(t *testing.T) {
 	img := &image.Image{}
 	img.AddFile("/etc/ssl/device.pem", 0, []byte("SECRETPEM"))

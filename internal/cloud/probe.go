@@ -1,11 +1,12 @@
 package cloud
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -184,7 +185,7 @@ func (p *Prober) probeHTTP(ctx context.Context, msg *fields.Message) (*ProbeResu
 		return nil, fmt.Errorf("cloud: probe: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	raw, err := readBody(resp.Body, resp.ContentLength, 1<<16)
 	if err != nil {
 		// A truncated or stalled body (drops, slow-loris) is transport
 		// weather, not an answer: retry.
@@ -278,7 +279,7 @@ func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResu
 	defer client.Close()
 	deadline := time.Now().Add(timeout)
 	_ = client.SetDeadline(deadline)
-	before := len(p.Cloud.AccessLog())
+	before := p.Cloud.accessCount()
 	if err := client.Publish(msg.Topic, []byte(msg.Body)); err != nil {
 		return nil, err
 	}
@@ -286,21 +287,18 @@ func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResu
 	// decision for every publish it processes — known topic or not — so a
 	// silent deadline here means the publish was lost in transit (a severed
 	// session, a draining broker): transport weather, retry.
-	for time.Now().Before(deadline) {
+	wctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	a, err := p.Cloud.awaitAccess(wctx, before, "mqtt:"+msg.Topic)
+	if err != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cloud: mqtt probe: %w", err)
 		}
-		log := p.Cloud.AccessLog()
-		for _, a := range log[before:] {
-			if a.Endpoint == "mqtt:"+msg.Topic {
-				res := &ProbeResult{Class: a.Class, Granted: a.Granted}
-				res.Valid = UnderstoodResponse(res.Class)
-				return res, nil
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+		return nil, fmt.Errorf("cloud: mqtt probe: no broker decision for topic %q", msg.Topic)
 	}
-	return nil, fmt.Errorf("cloud: mqtt probe: no broker decision for topic %q", msg.Topic)
+	res := &ProbeResult{Class: a.Class, Granted: a.Granted}
+	res.Valid = UnderstoodResponse(res.Class)
+	return res, nil
 }
 
 // mqttClientID picks the device identifier field for the MQTT client ID.
@@ -333,13 +331,17 @@ func mqttPassword(msg *fields.Message) string {
 // secrets, binding tokens, the victim's credentials, and signatures derived
 // from them — is replaced with an attacker-supplied value. Identifiers stay
 // (discoverable via SNMP scans, brute force, or ownership transfer), and
-// firmware-recoverable secrets stay (the hard-coded leak).
+// firmware-recoverable secrets stay (the hard-coded leak). A message with
+// nothing to substitute is returned as is; otherwise the variant is a copy
+// and msg is left untouched. Each substituted value is replaced in the
+// body, path and topic, longer values first (ties by value), so a value
+// that contains another is replaced whole and the variant is the same on
+// every call.
 func AttackerMessage(msg *fields.Message, img *image.Image) *fields.Message {
-	clone := *msg
-	clone.Fields = append([]fields.Field(nil), msg.Fields...)
-	replacements := map[string]string{}
-	for i := range clone.Fields {
-		f := &clone.Fields[i]
+	var clone *fields.Message
+	var subs []substitution
+	for i := range msg.Fields {
+		f := &msg.Fields[i]
 		var substitute string
 		switch f.Semantics {
 		case semantics.LabelDevSecret:
@@ -359,15 +361,45 @@ func AttackerMessage(msg *fields.Message, img *image.Image) *fields.Message {
 		default:
 			continue
 		}
-		if f.Value != "" && f.Value != substitute {
-			replacements[f.Value] = substitute
-			f.Value = substitute
+		if f.Value == "" || f.Value == substitute {
+			continue
+		}
+		if clone == nil {
+			c := *msg
+			c.Fields = append([]fields.Field(nil), msg.Fields...)
+			clone = &c
+		}
+		clone.Fields[i].Value = substitute
+		subs = addSubstitution(subs, f.Value, substitute)
+	}
+	if clone == nil {
+		return msg
+	}
+	slices.SortFunc(subs, func(a, b substitution) int {
+		if c := cmp.Compare(len(b.old), len(a.old)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.old, b.old)
+	})
+	for _, s := range subs {
+		clone.Body = strings.ReplaceAll(clone.Body, s.old, s.sub)
+		clone.Path = strings.ReplaceAll(clone.Path, s.old, s.sub)
+		clone.Topic = strings.ReplaceAll(clone.Topic, s.old, s.sub)
+	}
+	return clone
+}
+
+// substitution replaces one secret value in an attacker variant.
+type substitution struct{ old, sub string }
+
+// addSubstitution records that old becomes sub; a value met again takes
+// its latest substitute.
+func addSubstitution(subs []substitution, old, sub string) []substitution {
+	for i := range subs {
+		if subs[i].old == old {
+			subs[i].sub = sub
+			return subs
 		}
 	}
-	for old, sub := range replacements {
-		clone.Body = strings.ReplaceAll(clone.Body, old, sub)
-		clone.Path = strings.ReplaceAll(clone.Path, old, sub)
-		clone.Topic = strings.ReplaceAll(clone.Topic, old, sub)
-	}
-	return &clone
+	return append(subs, substitution{old, sub})
 }

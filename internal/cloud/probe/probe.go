@@ -22,6 +22,7 @@ package probe
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -174,9 +175,21 @@ func Device(ctx context.Context, spec *cloud.Spec, msgs []*fields.Message, img *
 	}
 	defer c.Close()
 
+	// The fleet owns its transport: it keeps one idle connection per
+	// prober, so no prober re-dials between its exchanges, and sizes its
+	// buffers to the traffic (a probe's request line plus body and a
+	// cloud's answer are a few hundred bytes; a longer one is read or
+	// written in several passes).
+	tr := &http.Transport{
+		MaxIdleConnsPerHost: o.Probers,
+		ReadBufferSize:      1 << 10,
+		WriteBufferSize:     1 << 10,
+	}
+	defer tr.CloseIdleConnections()
 	prober := cloud.NewProber(c,
 		cloud.WithHTTPTimeout(o.AttemptTimeout),
 		cloud.WithRetry(o.Retry))
+	prober.Client.Transport = tr
 	prober.Timeout = o.AttemptTimeout
 	prober.Metrics = o.Metrics
 	prober.Breaker = &cloud.Breaker{

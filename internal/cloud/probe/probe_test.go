@@ -317,3 +317,29 @@ func TestBreakerOpensStayOutOfMetrics(t *testing.T) {
 		t.Errorf("probe_breaker_open_total = %d in the metrics snapshot", n)
 	}
 }
+
+// TestDeviceLeavesNoGoroutines: once Device returns, nothing of its cloud,
+// its broker or its fleet's transport is left running, after a healthy
+// run and after a chaos run whose faults sever connections mid-exchange.
+// The server side of a closed connection winds down on its own, so the
+// check waits a bounded time for the count to settle.
+func TestDeviceLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, o := range []probe.Options{{Probers: 4}, fastOptions(5)} {
+		rep, err := probe.Device(context.Background(), testSpec(), testMessages(), &image.Image{}, o)
+		if err != nil {
+			t.Fatalf("Device: %v", err)
+		}
+		assertTerminal(t, rep, 6)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines running after Device returned, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

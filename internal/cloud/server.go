@@ -1,9 +1,11 @@
 package cloud
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
 	"net"
 	"net/http"
 	"net/url"
@@ -59,6 +61,9 @@ type Cloud struct {
 	mqttAddr string
 
 	accessLog []Access
+	// logged, when non-nil, is closed and cleared when the next access is
+	// recorded; awaitAccess makes it and waits on it.
+	logged chan struct{}
 }
 
 // Access is one observed request, recorded for the experiment harness.
@@ -143,32 +148,56 @@ func (c *Cloud) AccessLog() []Access {
 
 func (c *Cloud) record(a Access) {
 	c.mu.Lock()
-	c.accessLog = append(c.accessLog, a)
+	c.appendAccess(a)
 	c.mu.Unlock()
+}
+
+// appendAccess records an access and wakes every awaitAccess; c.mu must be
+// held.
+func (c *Cloud) appendAccess(a Access) {
+	c.accessLog = append(c.accessLog, a)
+	if c.logged != nil {
+		close(c.logged)
+		c.logged = nil
+	}
+}
+
+// accessCount returns the number of recorded accesses.
+func (c *Cloud) accessCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.accessLog)
+}
+
+// awaitAccess returns the first access to endpoint recorded at index from
+// or later, waiting for the cloud to record one until ctx ends.
+func (c *Cloud) awaitAccess(ctx context.Context, from int, endpoint string) (Access, error) {
+	for {
+		c.mu.Lock()
+		for _, a := range c.accessLog[from:] {
+			if a.Endpoint == endpoint {
+				c.mu.Unlock()
+				return a, nil
+			}
+		}
+		from = len(c.accessLog)
+		if c.logged == nil {
+			c.logged = make(chan struct{})
+		}
+		logged := c.logged
+		c.mu.Unlock()
+		select {
+		case <-logged:
+		case <-ctx.Done():
+			return Access{}, ctx.Err()
+		}
+	}
 }
 
 // handleHTTP routes a request to the owning spec/endpoint and applies its
 // policy.
 func (c *Cloud) handleHTTP(w http.ResponseWriter, r *http.Request) {
-	params := map[string]string{}
-	for k, vs := range r.URL.Query() {
-		if len(vs) > 0 {
-			params[k] = vs[0]
-		}
-	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		raw, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		for k, v := range parseJSONParams(raw) {
-			params[k] = v
-		}
-	} else if err := r.ParseForm(); err == nil {
-		for k, vs := range r.PostForm {
-			if len(vs) > 0 {
-				params[k] = vs[0]
-			}
-		}
-	}
-
+	params := requestParams(r)
 	spec, ep := c.route(r.URL, params)
 	if ep == nil {
 		c.record(Access{Endpoint: r.URL.Path, Class: RespPathNotExist})
@@ -348,37 +377,135 @@ func (c *Cloud) mqttPublish(clientID, topic string, payload []byte) bool {
 				continue
 			}
 			granted := t.Policy.Broken() || c.clientIsDevice(spec, clientID)
-			c.accessLog = append(c.accessLog, Access{
+			class := RespAccessDenied
+			if granted {
+				class = RespOK
+			}
+			c.appendAccess(Access{
 				DeviceID: spec.DeviceID, Endpoint: "mqtt:" + topic,
-				Class:   map[bool]string{true: RespOK, false: RespAccessDenied}[granted],
-				Granted: granted,
+				Class: class, Granted: granted,
 			})
 			return granted
 		}
 	}
-	c.accessLog = append(c.accessLog, Access{Endpoint: "mqtt:" + topic, Class: RespPathNotExist})
+	c.appendAccess(Access{Endpoint: "mqtt:" + topic, Class: RespPathNotExist})
 	return false
 }
 
-// parseJSONParams flattens a JSON object body into string params.
-func parseJSONParams(body []byte) map[string]string {
+// Request body limits: a JSON body is cut at jsonBodyLimit bytes, so a
+// longer one does not parse; a form body longer than formBodyLimit
+// contributes nothing, as http.Request.ParseForm refuses it.
+const (
+	jsonBodyLimit = 1 << 20
+	formBodyLimit = 10 << 20
+)
+
+// requestParams collects a request's parameters, reading its body once
+// and parsing its query and body straight into one map: body over query,
+// and within each the first value of a key wins. A form body counts only
+// when http.Request.ParseForm would accept it and the query together;
+// otherwise the query's well-formed pairs stand alone, as they do beside
+// a JSON body that does not parse.
+func requestParams(r *http.Request) map[string]string {
+	params := make(map[string]string)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+		raw, _ := readBody(r.Body, r.ContentLength, jsonBodyLimit)
+		addJSONParams(params, raw)
+		addForm(params, r.URL.RawQuery)
+		return params
+	}
+	if formBody(r) {
+		raw, err := readBody(r.Body, r.ContentLength, formBodyLimit+1)
+		if err == nil && len(raw) <= formBodyLimit &&
+			addForm(params, string(raw)) && addForm(params, r.URL.RawQuery) {
+			return params
+		}
+		clear(params)
+	}
+	addForm(params, r.URL.RawQuery)
+	return params
+}
+
+// formBody reports whether http.Request.ParseForm would read r's body as
+// a URL-encoded form.
+func formBody(r *http.Request) bool {
+	switch r.Method {
+	case http.MethodPost, http.MethodPut, http.MethodPatch:
+		ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+		return err == nil && ct == "application/x-www-form-urlencoded"
+	}
+	return false
+}
+
+// addForm adds the pairs of a URL-encoded form to params, skipping a key
+// params already holds, and reports whether url.ParseQuery would parse the
+// whole form without error. A malformed pair is skipped, as
+// url.ParseQuery skips it.
+func addForm(params map[string]string, form string) bool {
+	ok := true
+	for form != "" {
+		var pair string
+		pair, form, _ = strings.Cut(form, "&")
+		if strings.Contains(pair, ";") {
+			ok = false
+			continue
+		}
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			ok = false
+			continue
+		}
+		v, err = url.QueryUnescape(v)
+		if err != nil {
+			ok = false
+			continue
+		}
+		if _, seen := params[k]; !seen {
+			params[k] = v
+		}
+	}
+	return ok
+}
+
+// addJSONParams flattens a JSON object body into string params; a body
+// that is not a JSON object adds nothing.
+func addJSONParams(params map[string]string, body []byte) {
 	var obj map[string]any
 	if err := json.Unmarshal(body, &obj); err != nil {
-		return nil
+		return
 	}
-	out := make(map[string]string, len(obj))
 	for k, v := range obj {
 		switch t := v.(type) {
 		case string:
-			out[k] = t
+			params[k] = t
 		case float64:
-			out[k] = strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", t), "0"), ".")
+			params[k] = strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", t), "0"), ".")
 		case bool:
-			out[k] = fmt.Sprintf("%v", t)
+			params[k] = fmt.Sprintf("%v", t)
 		}
 	}
-	return out
 }
+
+// readBody reads at most limit bytes of a body whose declared length is n
+// (-1 when unknown). A declared length within limit and maxPresized is
+// read into one buffer of exactly that size; any other body is read as
+// it arrives, so a lying header cannot make the reader allocate ahead of
+// the bytes.
+func readBody(body io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit || n > maxPresized {
+		return io.ReadAll(io.LimitReader(body, limit))
+	}
+	b := make([]byte, n)
+	m, err := io.ReadFull(body, b)
+	return b[:m], err
+}
+
+// maxPresized caps the buffer readBody sizes from a declared length.
+const maxPresized = 64 << 10
 
 func (c *Cloud) clientIsDevice(spec *Spec, clientID string) bool {
 	for _, v := range spec.Identity.IdentifierValues() {

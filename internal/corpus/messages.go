@@ -21,16 +21,17 @@ func Devices() []*DeviceSpec {
 // Device synthesizes one device by Table I ID (1-22).
 func Device(id int) *DeviceSpec { return deviceSpec(id) }
 
-// DeviceByIdentity synthesizes the device whose report identity — Device
-// "<vendor> <model>" and Version — matches a Table I row, or returns nil.
-// Only the matching row is synthesized.
-func DeviceByIdentity(device, version string) *DeviceSpec {
+// IDByIdentity returns the ID of the Table I row whose report identity —
+// Device "<vendor> <model>" and Version — matches, or 0. It synthesizes
+// nothing and allocates nothing.
+func IDByIdentity(device, version string) int {
 	for _, row := range tableI {
-		if version == row.version && device == row.vendor+" "+row.model {
-			return deviceSpec(row.id)
+		rest, ok := strings.CutPrefix(device, row.vendor)
+		if ok && version == row.version && len(rest) > 0 && rest[0] == ' ' && rest[1:] == row.model {
+			return row.id
 		}
 	}
-	return nil
+	return 0
 }
 
 func deviceSpec(id int) *DeviceSpec {

@@ -150,9 +150,13 @@ type DeviceSpec struct {
 	Messages []MessageSpec
 }
 
+// NumDevices is the number of Table I devices; their IDs run 1 to
+// NumDevices.
+const NumDevices = len(tableI)
+
 // tableI is the device list of Table I. Redacted models are reproduced with
 // the paper's "***" marker replaced by a deterministic pseudonym.
-var tableI = []struct {
+var tableI = [...]struct {
 	id      int
 	vendor  string
 	model   string

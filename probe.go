@@ -13,6 +13,7 @@ package firmres
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"firmres/internal/cloud"
@@ -102,13 +103,26 @@ func ensureProbe(c *config) *probe.Options {
 	return c.opts.Probe
 }
 
-// corpusSpecFor resolves the simulated-cloud spec for a corpus device by
-// its report identity.
+// corpusSpecs holds one simulated-cloud spec per Table I row, built on the
+// row's first lookup and then shared by every analysis of that row, which
+// only reads it (the probe stage, its cloud and its prober never write a
+// spec). It is indexed by row, so identities read from images never add
+// an entry.
+var corpusSpecs [corpus.NumDevices]struct {
+	once sync.Once
+	spec *cloud.Spec
+}
+
+// corpusSpecFor resolves the shared, read-only simulated-cloud spec of a
+// corpus device by its report identity.
 func corpusSpecFor(device, version string) *cloud.Spec {
-	if d := corpus.DeviceByIdentity(device, version); d != nil {
-		return corpus.CloudSpec(d)
+	id := corpus.IDByIdentity(device, version)
+	if id == 0 {
+		return nil
 	}
-	return nil
+	row := &corpusSpecs[id-1]
+	row.once.Do(func() { row.spec = corpus.CloudSpec(corpus.Device(id)) })
+	return row.spec
 }
 
 // WithProbe enables the probe-replay stage: every reconstructed message is

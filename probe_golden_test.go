@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"firmres/internal/cloud"
 	"firmres/internal/corpus"
 )
 
@@ -207,5 +209,55 @@ func TestCorpusSpecForMatchesTableI(t *testing.T) {
 		if got := corpusSpecFor(ident[0], ident[1]); got != nil {
 			t.Errorf("unknown identity %q %q resolved to device %d", ident[0], ident[1], got.DeviceID)
 		}
+	}
+}
+
+// TestCorpusSpecSharedReadOnly: lookups from several goroutines at once
+// all get each row's one shared spec, and a healthy and a chaos probe run
+// of a device, concurrent with each other, leave its spec equal to a
+// freshly built one.
+func TestCorpusSpecSharedReadOnly(t *testing.T) {
+	const lookers = 4
+	got := make([][corpus.NumDevices]*cloud.Spec, lookers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := 1; id <= corpus.NumDevices; id++ {
+				d := corpus.Device(id)
+				got[g][id-1] = corpusSpecFor(d.Vendor+" "+d.Model, d.Version)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < lookers; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("lookups from two goroutines returned different specs")
+		}
+	}
+
+	const id = 17
+	img := packedDevice(t, id)
+	runs := [][]Option{
+		{WithProbe()},
+		{WithProbeChaos("all"), WithProbeSeed(42), WithProbeTimeout(250 * time.Millisecond)},
+	}
+	errs := make([]error, len(runs))
+	for i, opts := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = AnalyzeImage(img, opts...)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("AnalyzeImage: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(got[0][id-1], corpus.CloudSpec(corpus.Device(id))) {
+		t.Errorf("device %d: probe runs changed the shared spec", id)
 	}
 }

@@ -86,18 +86,21 @@ leg_race() {
 	echo "== job queue (concurrent submit/drain storm, crash-resume) under -race"
 	go test -race -run 'TestQueueConcurrentSubmitDrain|TestQueueCrashResumeReplaysExactlyOnce' ./internal/serve
 
-	echo "== probe stage + chaos layer (terminal classification, seed determinism, under -race)"
+	echo "== probe stage + chaos layer (terminal classification, seed determinism, a shared read-only cloud spec, no goroutine left by a fleet, the MQTT decision wait's deadline and cancellation, under -race)"
 	go test -race ./internal/cloud/probe ./internal/cloud/chaos
 	go test -race -run 'TestProbeGoldenReports|TestProbeChaosSeedDeterminism|TestBrokerCloseDuringPublishStorm|TestBackoffSharedRandConcurrent' . ./internal/mqtt ./internal/cloud
+	go test -race -count=10 -run 'TestCorpusSpecSharedReadOnly' .
+	go test -race -count=10 -run 'TestDeviceLeavesNoGoroutines' ./internal/cloud/probe
+	go test -race -count=10 -run 'TestMQTTDecisionWaitEndsAtAttemptDeadline|TestMQTTDecisionWaitEndsOnCancel' ./internal/cloud
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, probe spec lookup, firmserve handler bytes, no per-image retention, program-pool retention)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, program-pool retention)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
