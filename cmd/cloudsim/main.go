@@ -1,6 +1,8 @@
-// Command cloudsim runs the simulated vendor cloud for one or more corpus
-// devices: an HTTP service and an MQTT broker with the seeded access-control
-// policies, printing every access decision.
+// Command cloudsim runs the simulated vendor cloud of one corpus device, or
+// with -all one cloud per device that has one. Each cloud is an HTTP
+// service and an MQTT broker on its own ports with the device's seeded
+// access-control policies; cloudsim prints each cloud's addresses and
+// endpoints, then every access decision labelled with its device.
 //
 // Usage:
 //
@@ -20,7 +22,7 @@ import (
 
 func main() {
 	device := flag.Int("device", 17, "corpus device ID to host (1-20)")
-	all := flag.Bool("all", false, "host every binary device's cloud in one process")
+	all := flag.Bool("all", false, "host every binary device's cloud, each on its own ports")
 	flag.Parse()
 	if err := run(*device, *all); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudsim:", err)
@@ -28,7 +30,15 @@ func main() {
 	}
 }
 
-func run(device int, all bool) error {
+// host is one device's started cloud.
+type host struct {
+	spec  *cloud.Spec
+	cloud *cloud.Cloud
+}
+
+// startFleet starts one cloud per device: every device that has one when
+// all is set, device alone otherwise. On error it closes what it started.
+func startFleet(device int, all bool) ([]host, error) {
 	var specs []*cloud.Spec
 	if all {
 		for _, d := range corpus.Devices() {
@@ -37,32 +47,54 @@ func run(device int, all bool) error {
 			}
 		}
 	} else {
+		if device < 1 || device > corpus.NumDevices {
+			return nil, fmt.Errorf("device %d out of range 1-%d", device, corpus.NumDevices)
+		}
 		d := corpus.Device(device)
 		if d.ScriptOnly {
-			return fmt.Errorf("device %d is script-only and hosts no simulated cloud", device)
+			return nil, fmt.Errorf("device %d is script-only and hosts no simulated cloud", device)
 		}
 		specs = append(specs, corpus.CloudSpec(d))
 	}
-	c := cloud.New(specs...)
-	httpAddr, mqttAddr, err := c.Start()
+	fleet := make([]host, 0, len(specs))
+	for _, s := range specs {
+		c := cloud.New(s)
+		if _, _, err := c.Start(); err != nil {
+			closeFleet(fleet)
+			return nil, fmt.Errorf("device %d: %w", s.DeviceID, err)
+		}
+		fleet = append(fleet, host{spec: s, cloud: c})
+	}
+	return fleet, nil
+}
+
+func closeFleet(fleet []host) {
+	for _, h := range fleet {
+		h.cloud.Close()
+	}
+}
+
+func run(device int, all bool) error {
+	fleet, err := startFleet(device, all)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	fmt.Printf("cloudsim: HTTP on %s, MQTT on %s\n", httpAddr, mqttAddr)
-	for _, s := range specs {
-		for _, ep := range s.Endpoints {
+	defer closeFleet(fleet)
+	for _, h := range fleet {
+		fmt.Printf("cloudsim: device %d: HTTP on %s, MQTT on %s\n",
+			h.spec.DeviceID, h.cloud.Addr(), h.cloud.MQTTAddr())
+		for _, ep := range h.spec.Endpoints {
 			mark := " "
 			if ep.Vulnerable {
 				mark = "!"
 			}
-			fmt.Printf(" %s device %2d  %-45s policy=%s\n", mark, s.DeviceID, ep.Path, ep.Policy)
+			fmt.Printf(" %s %-45s policy=%s\n", mark, ep.Path, ep.Policy)
 		}
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
-	seen := 0
+	seen := make([]int, len(fleet))
 	ticker := time.NewTicker(500 * time.Millisecond)
 	defer ticker.Stop()
 	for {
@@ -71,11 +103,13 @@ func run(device int, all bool) error {
 			fmt.Println("\ncloudsim: shutting down")
 			return nil
 		case <-ticker.C:
-			log := c.AccessLog()
-			for ; seen < len(log); seen++ {
-				a := log[seen]
-				fmt.Printf("access: device=%d endpoint=%s class=%q granted=%v\n",
-					a.DeviceID, a.Endpoint, a.Class, a.Granted)
+			for i, h := range fleet {
+				log := h.cloud.AccessLog()
+				for ; seen[i] < len(log); seen[i]++ {
+					a := log[seen[i]]
+					fmt.Printf("access: device=%d endpoint=%s class=%q granted=%v\n",
+						h.spec.DeviceID, a.Endpoint, a.Class, a.Granted)
+				}
 			}
 		}
 	}

@@ -19,8 +19,8 @@ import (
 	"firmres/internal/taint"
 )
 
-// DefaultHTTPTimeout bounds one HTTP probe attempt when no WithHTTPTimeout
-// option is given.
+// DefaultHTTPTimeout is the Client.Timeout NewProber gives a prober, and
+// bounds an MQTT attempt of a prober whose Client.Timeout is 0.
 const DefaultHTTPTimeout = 5 * time.Second
 
 // ProbeIDHeader carries the probe's unique identity on HTTP attempts so the
@@ -64,45 +64,30 @@ type ProbeResult struct {
 type Prober struct {
 	HTTPAddr string
 	Cloud    *Cloud // for MQTT feedback and in-process experiments
-	Client   *http.Client
-	Retry    Backoff // per-probe retry policy; zero value = defaults
+	// Client sends HTTP attempts. Its Timeout bounds one attempt on either
+	// transport: an HTTP exchange, or an MQTT dial, publish and wait for
+	// the broker's decision (0 means DefaultHTTPTimeout there).
+	Client *http.Client
+	// Retry is the per-probe retry policy; the zero value applies the
+	// defaults. Its Budget caps the total time one Probe call may spend
+	// across attempts.
+	Retry Backoff
 	// Breaker, when non-nil, is the per-cloud circuit breaker every attempt
 	// runs through.
 	Breaker *Breaker
-	// Timeout bounds one MQTT attempt (dial + publish + broker-decision
-	// poll); 0 means DefaultHTTPTimeout. HTTP attempts are bounded by
-	// Client.Timeout.
-	Timeout time.Duration
 	// Metrics receives probe_attempts_total and probe_retries_total;
 	// nil-safe.
 	Metrics *obs.Metrics
 }
 
-// ProberOption configures a Prober.
-type ProberOption func(*Prober)
-
-// WithHTTPTimeout replaces the default per-attempt HTTP timeout.
-func WithHTTPTimeout(d time.Duration) ProberOption {
-	return func(p *Prober) { p.Client.Timeout = d }
-}
-
-// WithRetry replaces the default retry/backoff policy. The policy's Budget
-// caps the total time one Probe call may spend across attempts.
-func WithRetry(b Backoff) ProberOption {
-	return func(p *Prober) { p.Retry = b }
-}
-
-// NewProber targets a started cloud.
-func NewProber(c *Cloud, opts ...ProberOption) *Prober {
-	p := &Prober{
+// NewProber targets a started cloud with the default per-attempt timeout
+// and retry policy; set the fields to change them.
+func NewProber(c *Cloud) *Prober {
+	return &Prober{
 		HTTPAddr: c.Addr(),
 		Cloud:    c,
 		Client:   &http.Client{Timeout: DefaultHTTPTimeout},
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
 // Probe sends a reconstructed message over the transport its delivery
@@ -248,13 +233,13 @@ func classify(status int, body string) string {
 
 // probeMQTT connects as the device (client ID = first identifier-looking
 // field), publishes, and reads the broker's authorization decision from the
-// cloud's access log. One attempt is bounded by Prober.Timeout and the
+// cloud's access log. One attempt is bounded by Client.Timeout and the
 // context's deadline, whichever is tighter.
 func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResult, error) {
 	if p.Cloud == nil {
 		return nil, Permanent(fmt.Errorf("cloud: MQTT probe needs an in-process cloud"))
 	}
-	timeout := p.Timeout
+	timeout := p.Client.Timeout
 	if timeout <= 0 {
 		timeout = DefaultHTTPTimeout
 	}

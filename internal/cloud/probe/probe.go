@@ -186,11 +186,10 @@ func Device(ctx context.Context, spec *cloud.Spec, msgs []*fields.Message, img *
 		WriteBufferSize:     1 << 10,
 	}
 	defer tr.CloseIdleConnections()
-	prober := cloud.NewProber(c,
-		cloud.WithHTTPTimeout(o.AttemptTimeout),
-		cloud.WithRetry(o.Retry))
+	prober := cloud.NewProber(c)
+	prober.Client.Timeout = o.AttemptTimeout
 	prober.Client.Transport = tr
-	prober.Timeout = o.AttemptTimeout
+	prober.Retry = o.Retry
 	prober.Metrics = o.Metrics
 	prober.Breaker = &cloud.Breaker{
 		Threshold: o.BreakerThreshold,

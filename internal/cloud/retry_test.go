@@ -118,17 +118,6 @@ func TestBackoffBudgetCapsTotalTime(t *testing.T) {
 	}
 }
 
-func TestProberOptions(t *testing.T) {
-	c := &Cloud{}
-	p := NewProber(c, WithHTTPTimeout(123*time.Millisecond), WithRetry(fastBackoff(2)))
-	if p.Client.Timeout != 123*time.Millisecond {
-		t.Errorf("timeout = %v", p.Client.Timeout)
-	}
-	if p.Retry.Attempts != 2 {
-		t.Errorf("retry attempts = %d", p.Retry.Attempts)
-	}
-}
-
 func TestProbeRetriesUnreachableCloud(t *testing.T) {
 	p := &Prober{
 		HTTPAddr: "127.0.0.1:1", // reserved port: connection refused

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 
@@ -38,7 +39,8 @@ func UnderstoodResponse(class string) bool {
 	return false
 }
 
-// Cloud hosts the HTTP and MQTT services for a set of device specs.
+// Cloud hosts one device's vendor cloud: an HTTP service and an MQTT
+// broker that apply the access-control policies of the device's spec.
 type Cloud struct {
 	// HTTPMiddleware, when non-nil, wraps the HTTP handler at Start — the
 	// hook the chaos layer uses to inject faults in front of the real
@@ -48,11 +50,12 @@ type Cloud struct {
 	// disruption hook at Start. Set before Start.
 	MQTTChaos mqtt.ChaosFunc
 
-	mu    sync.Mutex
-	specs map[int]*Spec
-	// replacers expands each device's response templates; specs are fixed
-	// at New and a strings.Replacer is safe for concurrent use.
-	replacers map[int]*strings.Replacer
+	// spec, replacer and identifiers are fixed at New, so the handlers
+	// read them without a lock; a strings.Replacer is safe for concurrent
+	// use.
+	spec        *Spec
+	replacer    *strings.Replacer // expands the response templates
+	identifiers []string          // the spec's Identity.IdentifierValues
 
 	httpLn   net.Listener
 	httpSrv  *http.Server
@@ -60,6 +63,7 @@ type Cloud struct {
 	httpAddr string
 	mqttAddr string
 
+	mu        sync.Mutex
 	accessLog []Access
 	// logged, when non-nil, is closed and cleared when the next access is
 	// recorded; awaitAccess makes it and waits on it.
@@ -68,23 +72,18 @@ type Cloud struct {
 
 // Access is one observed request, recorded for the experiment harness.
 type Access struct {
-	DeviceID int
 	Endpoint string
 	Class    string
 	Granted  bool
 }
 
-// New builds a cloud for the given specs.
-func New(specs ...*Spec) *Cloud {
-	c := &Cloud{
-		specs:     make(map[int]*Spec, len(specs)),
-		replacers: make(map[int]*strings.Replacer, len(specs)),
+// New builds the cloud of the device spec describes.
+func New(spec *Spec) *Cloud {
+	return &Cloud{
+		spec:        spec,
+		replacer:    responseReplacer(spec.Identity),
+		identifiers: spec.Identity.IdentifierValues(),
 	}
-	for _, s := range specs {
-		c.specs[s.DeviceID] = s
-		c.replacers[s.DeviceID] = responseReplacer(s.Identity)
-	}
-	return c
 }
 
 // Start launches the HTTP server and MQTT broker on ephemeral localhost
@@ -146,15 +145,10 @@ func (c *Cloud) AccessLog() []Access {
 	return append([]Access(nil), c.accessLog...)
 }
 
+// record appends an access to the log and wakes every awaitAccess.
 func (c *Cloud) record(a Access) {
 	c.mu.Lock()
-	c.appendAccess(a)
-	c.mu.Unlock()
-}
-
-// appendAccess records an access and wakes every awaitAccess; c.mu must be
-// held.
-func (c *Cloud) appendAccess(a Access) {
+	defer c.mu.Unlock()
 	c.accessLog = append(c.accessLog, a)
 	if c.logged != nil {
 		close(c.logged)
@@ -194,11 +188,11 @@ func (c *Cloud) awaitAccess(ctx context.Context, from int, endpoint string) (Acc
 	}
 }
 
-// handleHTTP routes a request to the owning spec/endpoint and applies its
+// handleHTTP routes a request to its endpoint and applies the endpoint's
 // policy.
 func (c *Cloud) handleHTTP(w http.ResponseWriter, r *http.Request) {
 	params := requestParams(r)
-	spec, ep := c.route(r.URL, params)
+	ep := c.route(r.URL, params)
 	if ep == nil {
 		c.record(Access{Endpoint: r.URL.Path, Class: RespPathNotExist})
 		http.Error(w, RespPathNotExist, http.StatusNotFound)
@@ -209,29 +203,29 @@ func (c *Cloud) handleHTTP(w http.ResponseWriter, r *http.Request) {
 		method = http.MethodPost
 	}
 	if r.Method != method {
-		c.record(Access{DeviceID: spec.DeviceID, Endpoint: ep.Path, Class: RespNotSupported})
+		c.record(Access{Endpoint: ep.Path, Class: RespNotSupported})
 		http.Error(w, RespNotSupported, http.StatusMethodNotAllowed)
 		return
 	}
 	for _, p := range ep.Params {
 		if _, ok := params[p]; !ok {
-			c.record(Access{DeviceID: spec.DeviceID, Endpoint: ep.Path, Class: RespBadRequest})
+			c.record(Access{Endpoint: ep.Path, Class: RespBadRequest})
 			http.Error(w, RespBadRequest+": missing "+p, http.StatusBadRequest)
 			return
 		}
 	}
-	if !c.authorize(spec, ep, params) {
-		c.record(Access{DeviceID: spec.DeviceID, Endpoint: ep.Path, Class: RespAccessDenied})
+	if !c.authorize(ep, params) {
+		c.record(Access{Endpoint: ep.Path, Class: RespAccessDenied})
 		http.Error(w, RespAccessDenied, http.StatusForbidden)
 		return
 	}
-	c.record(Access{DeviceID: spec.DeviceID, Endpoint: ep.Path, Class: RespOK, Granted: true})
+	c.record(Access{Endpoint: ep.Path, Class: RespOK, Granted: true})
 	w.WriteHeader(http.StatusOK)
 	body := ep.Response
 	if body == "" {
 		body = RespOK
 	}
-	body = c.replacers[spec.DeviceID].Replace(body)
+	body = c.replacer.Replace(body)
 	fmt.Fprint(w, body)
 }
 
@@ -248,64 +242,62 @@ func responseReplacer(id Identity) *strings.Replacer {
 	)
 }
 
-// route matches a request to a spec and endpoint: by exact path, or for
-// query-style routes ("?m=camera&a=login") by the query parameters named in
-// the route.
-func (c *Cloud) route(u *url.URL, params map[string]string) (*Spec, *Endpoint) {
-	for _, spec := range c.specs {
-		for i := range spec.Endpoints {
-			ep := &spec.Endpoints[i]
-			if strings.HasPrefix(ep.Path, "?") {
-				vals, err := url.ParseQuery(strings.TrimPrefix(ep.Path, "?"))
-				if err != nil {
-					continue
-				}
-				match := true
-				for k, vs := range vals {
-					if params[k] != vs[0] {
-						match = false
-						break
-					}
-				}
-				if match && (u.Path == "/" || u.Path == "") {
-					return spec, ep
-				}
+// route matches a request to the first endpoint, in spec order, with its
+// path: an exact path, or for query-style routes ("?m=camera&a=login") the
+// query parameters named in the route.
+func (c *Cloud) route(u *url.URL, params map[string]string) *Endpoint {
+	for i := range c.spec.Endpoints {
+		ep := &c.spec.Endpoints[i]
+		if strings.HasPrefix(ep.Path, "?") {
+			vals, err := url.ParseQuery(strings.TrimPrefix(ep.Path, "?"))
+			if err != nil {
 				continue
 			}
-			path := ep.Path
-			if i := strings.IndexByte(path, '?'); i >= 0 {
-				path = path[:i]
+			match := true
+			for k, vs := range vals {
+				if params[k] != vs[0] {
+					match = false
+					break
+				}
 			}
-			if u.Path == path {
-				return spec, ep
+			if match && (u.Path == "/" || u.Path == "") {
+				return ep
 			}
+			continue
+		}
+		path := ep.Path
+		if i := strings.IndexByte(path, '?'); i >= 0 {
+			path = path[:i]
+		}
+		if u.Path == path {
+			return ep
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // authorize applies an endpoint's policy to the request parameters.
-func (c *Cloud) authorize(spec *Spec, ep *Endpoint, params map[string]string) bool {
-	id := spec.Identity
+func (c *Cloud) authorize(ep *Endpoint, params map[string]string) bool {
+	id := c.spec.Identity
 	switch ep.Policy {
 	case PolicyOpen:
 		return true
 	case PolicyIdentifierOnly:
-		return matchesIdentifier(id, params)
+		return c.matchesIdentifier(params)
 	case PolicyFixedToken:
-		return matchesIdentifier(id, params) && hasValue(params, id.FixedToken())
+		return c.matchesIdentifier(params) && hasValue(params, id.FixedToken())
 	case PolicyBindToken:
-		return matchesIdentifier(id, params) && hasValue(params, id.BindToken)
+		return c.matchesIdentifier(params) && hasValue(params, id.BindToken)
 	case PolicySignature:
-		return matchesIdentifier(id, params) && hasValue(params, id.Signature())
+		return c.matchesIdentifier(params) && hasValue(params, id.Signature())
 	case PolicyFullCred:
-		return matchesIdentifier(id, params) &&
+		return c.matchesIdentifier(params) &&
 			hasValue(params, id.Secret) &&
 			hasValue(params, id.Username) && hasValue(params, id.Password)
 	case PolicyVerifyCode:
 		// The user-held verification code doubles as the account password in
 		// the simulated identity record.
-		return matchesIdentifier(id, params) && hasValue(params, id.Password)
+		return c.matchesIdentifier(params) && hasValue(params, id.Password)
 	default:
 		return false
 	}
@@ -313,8 +305,8 @@ func (c *Cloud) authorize(spec *Spec, ep *Endpoint, params map[string]string) bo
 
 // matchesIdentifier checks that at least one parameter carries a known
 // identifier of the device.
-func matchesIdentifier(id Identity, params map[string]string) bool {
-	for _, want := range id.IdentifierValues() {
+func (c *Cloud) matchesIdentifier(params map[string]string) bool {
+	for _, want := range c.identifiers {
 		if hasValue(params, want) {
 			return true
 		}
@@ -335,61 +327,47 @@ func hasValue(params map[string]string, want string) bool {
 }
 
 // mqttAuth admits device connections: the client must present a known
-// identifier as the client ID and, for secure specs, the device secret as
-// the password. A spec whose topics are all broken admits identifier-only
+// identifier as the client ID and, for a secure spec, the device secret as
+// the password. A spec with a broken topic admits identifier-only
 // connections (the CVE-2023-2586 pattern: certificates handed out for a
 // serial number).
 func (c *Cloud) mqttAuth(clientID, username, password string) uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, spec := range c.specs {
-		id := spec.Identity
-		known := false
-		for _, v := range id.IdentifierValues() {
-			if clientID == v {
-				known = true
-				break
-			}
-		}
-		if !known {
-			continue
-		}
-		if password == id.Secret {
-			return mqtt.ConnAccepted
-		}
-		for _, t := range spec.Topics {
-			if t.Policy.Broken() {
-				return mqtt.ConnAccepted // broken broker: identifier suffices
-			}
-		}
-		return mqtt.ConnRefusedBadAuth
+	if !c.clientIsDevice(clientID) {
+		return mqtt.ConnRefusedIdentifier
 	}
-	return mqtt.ConnRefusedIdentifier
+	if password == c.spec.Identity.Secret {
+		return mqtt.ConnAccepted
+	}
+	for _, t := range c.spec.Topics {
+		if t.Policy.Broken() {
+			return mqtt.ConnAccepted // broken broker: identifier suffices
+		}
+	}
+	return mqtt.ConnRefusedBadAuth
 }
 
-// mqttPublish authorizes a publish against the owning topic spec.
+// clientIsDevice reports whether clientID is one of the device's
+// identifiers.
+func (c *Cloud) clientIsDevice(clientID string) bool {
+	return slices.Contains(c.identifiers, clientID)
+}
+
+// mqttPublish authorizes a publish against the first topic spec that
+// matches it and records the decision.
 func (c *Cloud) mqttPublish(clientID, topic string, payload []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, spec := range c.specs {
-		for _, t := range spec.Topics {
-			if !mqtt.TopicMatches(t.Topic, topic) {
-				continue
+	a := Access{Endpoint: "mqtt:" + topic, Class: RespPathNotExist}
+	for _, t := range c.spec.Topics {
+		if mqtt.TopicMatches(t.Topic, topic) {
+			a.Granted = t.Policy.Broken() || c.clientIsDevice(clientID)
+			a.Class = RespAccessDenied
+			if a.Granted {
+				a.Class = RespOK
 			}
-			granted := t.Policy.Broken() || c.clientIsDevice(spec, clientID)
-			class := RespAccessDenied
-			if granted {
-				class = RespOK
-			}
-			c.appendAccess(Access{
-				DeviceID: spec.DeviceID, Endpoint: "mqtt:" + topic,
-				Class: class, Granted: granted,
-			})
-			return granted
+			break
 		}
 	}
-	c.appendAccess(Access{Endpoint: "mqtt:" + topic, Class: RespPathNotExist})
-	return false
+	c.record(a)
+	return a.Granted
 }
 
 // Request body limits: a JSON body is cut at jsonBodyLimit bytes, so a
@@ -506,12 +484,3 @@ func readBody(body io.Reader, n, limit int64) ([]byte, error) {
 
 // maxPresized caps the buffer readBody sizes from a declared length.
 const maxPresized = 64 << 10
-
-func (c *Cloud) clientIsDevice(spec *Spec, clientID string) bool {
-	for _, v := range spec.Identity.IdentifierValues() {
-		if clientID == v {
-			return true
-		}
-	}
-	return false
-}

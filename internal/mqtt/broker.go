@@ -14,17 +14,9 @@ import (
 type AuthFunc func(clientID, username, password string) uint8
 
 // PublishFunc authorizes and observes a PUBLISH from an authenticated
-// client; returning false drops the message (no routing). The broker also
-// records the decision for the experiment harness.
+// client; returning false drops the message (no routing). The broker keeps
+// no record of the decision: a caller that needs one records it here.
 type PublishFunc func(clientID, topic string, payload []byte) bool
-
-// PublishRecord is one observed publish attempt.
-type PublishRecord struct {
-	ClientID string
-	Topic    string
-	Payload  []byte
-	Allowed  bool
-}
 
 // Disruption describes the chaos applied to one broker session. The zero
 // value disturbs nothing.
@@ -59,7 +51,6 @@ type Broker struct {
 	mu       sync.Mutex
 	subs     map[string][]*session // topic filter -> sessions
 	conns    map[net.Conn]bool     // every live connection, for shutdown
-	records  []PublishRecord
 	wg       sync.WaitGroup
 	inflight atomic.Int64 // publishes currently being routed
 	closed   bool
@@ -142,13 +133,6 @@ func (b *Broker) Close() error {
 	return err
 }
 
-// Records returns a copy of all observed publish attempts.
-func (b *Broker) Records() []PublishRecord {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]PublishRecord(nil), b.records...)
-}
-
 func (b *Broker) acceptLoop() {
 	defer b.wg.Done()
 	for {
@@ -212,21 +196,16 @@ func (b *Broker) handle(conn net.Conn) {
 		switch p.Type {
 		case PUBLISH:
 			b.inflight.Add(1)
-			allowed := b.OnPub(sess.clientID, p.Topic, p.Payload)
-			b.mu.Lock()
-			b.records = append(b.records, PublishRecord{
-				ClientID: sess.clientID, Topic: p.Topic,
-				Payload: append([]byte(nil), p.Payload...), Allowed: allowed,
-			})
 			var targets []*session
-			if allowed {
+			if b.OnPub(sess.clientID, p.Topic, p.Payload) {
+				b.mu.Lock()
 				for filter, sessions := range b.subs {
 					if TopicMatches(filter, p.Topic) {
 						targets = append(targets, sessions...)
 					}
 				}
+				b.mu.Unlock()
 			}
-			b.mu.Unlock()
 			for _, t := range targets {
 				if t != sess {
 					_ = t.send(&Packet{Type: PUBLISH, Topic: p.Topic, Payload: p.Payload})

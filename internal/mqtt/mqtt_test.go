@@ -2,6 +2,7 @@ package mqtt
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,12 +151,33 @@ func TestBrokerAuthAndRouting(t *testing.T) {
 	}
 }
 
+// TestBrokerPublishAuthorization: the broker asks OnPub once per publish,
+// in order, and routes only the publishes OnPub allows.
 func TestBrokerPublishAuthorization(t *testing.T) {
+	type decision struct {
+		topic   string
+		allowed bool
+	}
+	var mu sync.Mutex
+	var decisions []decision
 	b := NewBroker()
 	b.OnPub = func(clientID, topic string, payload []byte) bool {
-		return topic != "/forbidden"
+		allowed := topic != "/forbidden"
+		mu.Lock()
+		decisions = append(decisions, decision{topic, allowed})
+		mu.Unlock()
+		return allowed
 	}
 	addr := startBroker(t, b)
+
+	sub, err := Dial(addr, "sub", "", "")
+	if err != nil {
+		t.Fatalf("Dial(sub): %v", err)
+	}
+	defer sub.Close()
+	if err := sub.Subscribe("#"); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
 
 	c, err := Dial(addr, "dev", "", "")
 	if err != nil {
@@ -177,15 +199,23 @@ func TestBrokerPublishAuthorization(t *testing.T) {
 		t.Fatalf("ping: %v %v", p, err)
 	}
 
-	recs := b.Records()
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2", len(recs))
+	mu.Lock()
+	got := append([]decision(nil), decisions...)
+	mu.Unlock()
+	want := []decision{{"/forbidden", false}, {"/ok", true}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("decisions = %+v, want %+v", got, want)
 	}
-	if recs[0].Allowed || recs[0].Topic != "/forbidden" {
-		t.Errorf("record 0 = %+v", recs[0])
+
+	// The broker handles one session's publishes in order, so a routed
+	// /forbidden would reach the subscriber before /ok.
+	sub.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	p, err := sub.Receive()
+	if err != nil {
+		t.Fatalf("Receive: %v", err)
 	}
-	if !recs[1].Allowed || recs[1].Topic != "/ok" {
-		t.Errorf("record 1 = %+v", recs[1])
+	if p.Type != PUBLISH || p.Topic != "/ok" || string(p.Payload) != "y" {
+		t.Errorf("subscriber received %+v, want the /ok publish", p)
 	}
 }
 

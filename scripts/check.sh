@@ -86,12 +86,13 @@ leg_race() {
 	echo "== job queue (concurrent submit/drain storm, crash-resume) under -race"
 	go test -race -run 'TestQueueConcurrentSubmitDrain|TestQueueCrashResumeReplaysExactlyOnce' ./internal/serve
 
-	echo "== probe stage + chaos layer (terminal classification, seed determinism, a shared read-only cloud spec, no goroutine left by a fleet, the MQTT decision wait's deadline and cancellation, under -race)"
+	echo "== probe stage + chaos layer (terminal classification, seed determinism, a shared read-only cloud spec, no goroutine left by a fleet, the MQTT decision wait's deadline and cancellation, cloudsim's one cloud per device answering each device alone, under -race)"
 	go test -race ./internal/cloud/probe ./internal/cloud/chaos
 	go test -race -run 'TestProbeGoldenReports|TestProbeChaosSeedDeterminism|TestBrokerCloseDuringPublishStorm|TestBackoffSharedRandConcurrent' . ./internal/mqtt ./internal/cloud
 	go test -race -count=10 -run 'TestCorpusSpecSharedReadOnly' .
 	go test -race -count=10 -run 'TestDeviceLeavesNoGoroutines' ./internal/cloud/probe
 	go test -race -count=10 -run 'TestMQTTDecisionWaitEndsAtAttemptDeadline|TestMQTTDecisionWaitEndsOnCancel' ./internal/cloud
+	go test -race -count=10 -run 'TestFleetAnswersEachDeviceAlone' ./cmd/cloudsim
 }
 
 leg_suites() {
