@@ -63,7 +63,8 @@ func TestDiamondShape(t *testing.T) {
 func TestBlockOf(t *testing.T) {
 	fn := diamond(t)
 	g := Build(fn)
-	for _, b := range g.Blocks {
+	for bi := range g.Blocks {
+		b := &g.Blocks[bi]
 		for i := b.Start; i < b.End; i++ {
 			if got := g.BlockOf(i); got != b {
 				t.Errorf("BlockOf(%d) = block %d, want %d", i, got.ID, b.ID)

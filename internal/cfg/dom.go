@@ -4,9 +4,12 @@ package cfg
 // iterative Cooper–Harvey–Kennedy algorithm over the reverse post-order.
 // The result maps each block ID to its immediate dominator; the entry block
 // maps to itself and unreachable blocks map to -1.
-func (g *Graph) Dominators() []int {
+func (g *Graph) Dominators() []int { return g.DominatorsIn(Heap{}) }
+
+// DominatorsIn is Dominators with the result carved from a.
+func (g *Graph) DominatorsIn(a Alloc) []int {
 	n := len(g.Blocks)
-	idom := make([]int, n)
+	idom := a.Ints(n)
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -15,12 +18,7 @@ func (g *Graph) Dominators() []int {
 	}
 	idom[0] = 0
 
-	rpo := g.ReversePostOrder()
-	rpoNum := make([]int, n)
-	for i, id := range rpo {
-		rpoNum[id] = i
-	}
-
+	rpoNum := g.rpoNum
 	intersect := func(a, b int) int {
 		for a != b {
 			for rpoNum[a] > rpoNum[b] {
@@ -35,8 +33,8 @@ func (g *Graph) Dominators() []int {
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == 0 || !g.EntryReaches(b) {
+		for _, b := range g.rpo[:g.nreach] {
+			if b == 0 {
 				continue
 			}
 			newIdom := -1

@@ -11,126 +11,175 @@
 // location holds a proven compile-time constant. Joins intersect states, so
 // a value is constant at a point only when every executable path agrees on
 // it.
+//
+// Layout: a Result owns no arrays of its own. The block-entry states are
+// carved from one word array, the executable edges are flags in one array
+// aligned with the CFG's predecessor lists, and ValueAt replays into one
+// state the Result keeps and takes with an atomic swap; a query that
+// finds it taken makes its own. Solve allocates the arrays on the heap,
+// while a facts store builds in place (Init) from the slabs of its pooled
+// set, so re-solving the functions of a recycled program allocates
+// nothing.
 package constprop
 
 import (
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"firmres/internal/cfg"
 	"firmres/internal/pcode"
 )
 
-// cell is one location's lattice value: unknown (ok == false) or a proven
-// constant.
-type cell struct {
-	val uint64
-	ok  bool
-}
-
 // state is the dense lattice vector, indexed by the lift-time interned
 // pcode.LocID: the lifter assigns every definable location a dense ID, so
 // the per-op transfer reads and writes array slots instead of hashing map
-// keys, and cloning a state (block entry, ValueAt replay) is one memcpy.
-// A location the function never defines (pcode.NoLoc) is unknown by
-// construction without touching the state at all.
-type state []cell
+// keys. Each word is one location's cell: zero when unknown, otherwise the
+// constant with the known bit set (every value is masked to at most 32
+// bits, so the bit is free). Two states then agree on a location exactly
+// when their words are equal, and cloning a state (block entry, ValueAt
+// replay) is one copy. A location the function never defines (pcode.NoLoc)
+// is unknown by construction without touching the state at all.
+type state []uint64
 
-func newState(n int) state { return make(state, n) }
+const known = 1 << 63
 
 func (st state) get(id pcode.LocID) (uint64, bool) {
 	c := st[id]
-	return c.val, c.ok
+	return c &^ known, c&known != 0
 }
 
-func (st state) set(id pcode.LocID, v uint64) { st[id] = cell{val: v, ok: true} }
+func (st state) set(id pcode.LocID, v uint64) { st[id] = v | known }
 
-func (st state) del(id pcode.LocID) { st[id] = cell{} }
+func (st state) del(id pcode.LocID) { st[id] = 0 }
 
-// Result is the constant-propagation solution of one function.
+// Result is the constant-propagation solution of one function. Its arrays
+// are carved from the cfg.Alloc it was built with.
 type Result struct {
 	Fn *pcode.Function
 	G  *cfg.Graph
 
-	in    []state // per-block state at block entry (nil when unreachable)
-	reach []bool  // per-block executability from the entry
+	nlocs int
+	in    []uint64 // per-block state at block entry, nlocs words apiece
+	reach []int32  // per-block executability from the entry: 1 when reached
 
-	// scratch pools ValueAt replay states: lint checkers and the taint
+	// replay is the ValueAt scratch state: lint checkers and the taint
 	// engine query many points per function, and the replay needs a
-	// mutable copy of the block-entry state each time. Safe under
-	// concurrent queries — each caller takes its own state.
-	scratch sync.Pool
+	// mutable copy of the block-entry state each time. A query takes it
+	// by swapping taken; a query that finds it taken, because another
+	// goroutine is replaying, makes its own.
+	replay state
+	taken  atomic.Bool
 }
 
 // Solve computes the conditional constant-propagation solution for fn over
-// its CFG.
+// its CFG, in storage of its own.
 func Solve(fn *pcode.Function, g *cfg.Graph) *Result {
-	r := &Result{Fn: fn, G: g}
-	r.scratch.New = func() any { s := newState(fn.NumLocs()); return &s }
-	n := len(g.Blocks)
-	r.in = make([]state, n)
-	r.reach = make([]bool, n)
-	if n == 0 {
-		return r
+	r := new(Result)
+	r.Init(fn, g, cfg.Heap{})
+	return r
+}
+
+// Init computes the conditional constant-propagation solution for fn over
+// its CFG into r, carving every array from a: the block-entry states, the
+// meet state and the replay state, which the solve uses as its working
+// state, in one word array; the flags, the executable-edge table and the
+// worklist ring in one int32 array. A block's exit state is not kept: the
+// solve replays it from the block's entry state when a successor meets
+// over it.
+func (r *Result) Init(fn *pcode.Function, g *cfg.Graph, a cfg.Alloc) {
+	r.Fn, r.G, r.nlocs = fn, g, fn.NumLocs()
+	r.taken.Store(false)
+	n, nl := len(g.Blocks), r.nlocs
+	npreds := 0
+	for b := range g.Blocks {
+		npreds += len(g.Blocks[b].Preds)
 	}
+	words := a.Words((n + 2) * nl)
+	r.in, r.replay = words[:n*nl], words[(n+1)*nl:]
+	in, st := state(words[n*nl:(n+1)*nl]), r.replay
+	flags := a.Int32s(5*n + 1 + npreds)
+	r.reach, flags = flags[:n], flags[n:]
+	done, queued, ring, flags := flags[:n], flags[n:2*n], flags[2*n:3*n], flags[3*n:]
+	// Edge p -> b is executable when exec[predAt[b]+k] is set, for the k
+	// with Preds[k] == p.
+	predAt, exec := flags[:n+1], flags[n+1:]
+	for b := range g.Blocks {
+		predAt[b+1] = predAt[b] + int32(len(g.Blocks[b].Preds))
+	}
+	if n == 0 {
+		return
+	}
+	r.reach[0] = 1
 
-	out := make([]state, n)
-	type edge struct{ from, to int }
-	edgeExec := make(map[edge]bool)
-	r.reach[0] = true
-
-	worklist := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
-	for len(worklist) > 0 {
-		b := worklist[0]
-		worklist = worklist[1:]
-		queued[b] = false
-		blk := g.Blocks[b]
+	head, count := 0, 1 // the worklist: a FIFO ring, each block in it at most once
+	ring[0], queued[0] = 0, 1
+	for count > 0 {
+		b := int(ring[head])
+		head, count = (head+1)%n, count-1
+		queued[b] = 0
+		blk := &g.Blocks[b]
 
 		// Meet over the executable incoming edges; the entry block starts
 		// from the empty (everything-unknown) state regardless of back edges.
-		var in state
 		if b == 0 {
-			in = newState(fn.NumLocs())
+			clear(in)
 		} else {
 			first := true
-			for _, p := range blk.Preds {
-				if !edgeExec[edge{p, b}] || out[p] == nil {
+			for k, p := range blk.Preds {
+				if exec[int(predAt[b])+k] == 0 || done[p] == 0 {
 					continue
 				}
 				if first {
-					in = out[p].clone()
+					r.exitState(in, p)
 					first = false
 				} else {
-					in.meet(out[p])
+					r.exitState(st, p)
+					in.meet(st)
 				}
 			}
 			if first {
 				continue // no executable predecessor reached yet
 			}
 		}
-		if out[b] != nil && in.equal(r.in[b]) {
+		entry := r.blockState(r.in, b)
+		if done[b] != 0 && slices.Equal(in, entry) {
 			continue
 		}
-		r.in[b] = in
-
-		st := in.clone()
-		for i := blk.Start; i < blk.End; i++ {
-			r.transfer(st, i)
-		}
-		out[b] = st
+		copy(entry, in)
+		r.exitState(st, b)
+		done[b] = 1
 
 		for _, s := range r.execSuccs(blk, st) {
-			edgeExec[edge{b, s}] = true
-			r.reach[s] = true
-			if !queued[s] {
-				queued[s] = true
-				worklist = append(worklist, s)
+			for k, p := range g.Blocks[s].Preds {
+				if p == b {
+					exec[int(predAt[s])+k] = 1
+					break
+				}
+			}
+			r.reach[s] = 1
+			if queued[s] == 0 {
+				queued[s] = 1
+				ring[(head+count)%n] = int32(s)
+				count++
 			}
 		}
 	}
-	return r
+}
+
+// exitState sets st to block b's state at its exit: its entry state with
+// every op of the block applied.
+func (r *Result) exitState(st state, b int) {
+	copy(st, r.blockState(r.in, b))
+	blk := &r.G.Blocks[b]
+	for i := blk.Start; i < blk.End; i++ {
+		r.transfer(st, i)
+	}
+}
+
+// blockState returns block b's state in states.
+func (r *Result) blockState(states []uint64, b int) state {
+	return states[b*r.nlocs : (b+1)*r.nlocs : (b+1)*r.nlocs]
 }
 
 // execSuccs returns the successors executable from blk given its out-state:
@@ -165,9 +214,9 @@ func (r *Result) execSuccs(blk *cfg.Block, st state) []int {
 		}
 		want = r.G.BlockOf(blk.End).ID
 	}
-	for _, s := range blk.Succs {
+	for k, s := range blk.Succs {
 		if s == want {
-			return []int{want}
+			return blk.Succs[k : k+1]
 		}
 	}
 	return blk.Succs
@@ -277,17 +326,22 @@ func (r *Result) transfer(st state, i int) {
 // constant there or the point is unreachable.
 func (r *Result) ValueAt(opIdx int, v pcode.Varnode) (uint64, bool) {
 	blk := r.G.BlockOf(opIdx)
-	if blk == nil || !r.reach[blk.ID] || r.in[blk.ID] == nil {
+	if blk == nil || r.reach[blk.ID] == 0 {
 		return 0, false
 	}
-	sp := r.scratch.Get().(*state)
-	st := *sp
-	copy(st, r.in[blk.ID])
+	st := r.replay
+	own := r.taken.CompareAndSwap(false, true)
+	if !own {
+		st = make(state, r.nlocs)
+	}
+	copy(st, r.blockState(r.in, blk.ID))
 	for i := blk.Start; i < opIdx; i++ {
 		r.transfer(st, i)
 	}
 	val, ok := r.eval(st, v)
-	r.scratch.Put(sp)
+	if own {
+		r.taken.Store(false)
+	}
 	return val, ok
 }
 
@@ -295,7 +349,7 @@ func (r *Result) ValueAt(opIdx int, v pcode.Varnode) (uint64, bool) {
 // entry under the solved conditional constants.
 func (r *Result) Reachable(opIdx int) bool {
 	blk := r.G.BlockOf(opIdx)
-	return blk != nil && r.reach[blk.ID]
+	return blk != nil && r.reach[blk.ID] != 0
 }
 
 // eval resolves a varnode against the state: constants fold immediately,
@@ -340,32 +394,14 @@ func (r *Result) clobberRAM(st state) {
 	}
 }
 
-func (st state) clone() state {
-	c := make(state, len(st))
-	copy(c, st)
-	return c
-}
-
 // meet intersects st with other in place: only locations constant with the
 // same value on both paths survive.
 func (st state) meet(other state) {
 	for id := range st {
-		if st[id].ok && (!other[id].ok || other[id].val != st[id].val) {
-			st[id] = cell{}
+		if st[id] != other[id] {
+			st[id] = 0
 		}
 	}
-}
-
-func (st state) equal(other state) bool {
-	if len(st) != len(other) {
-		return false
-	}
-	for id := range st {
-		if st[id].ok != other[id].ok || (st[id].ok && st[id].val != other[id].val) {
-			return false
-		}
-	}
-	return true
 }
 
 // fold evaluates a binary P-Code op over 32-bit machine words.

@@ -132,16 +132,6 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		allSlices [][]slices.Slice
 		infos     [][]fields.SliceInfo
 	)
-	// The winner's facts store carries every per-function artifact
-	// identification computed into the later stages. Nothing reads it once
-	// the analysis returns, so it is released here instead of pinning dead
-	// per-function solutions for the rest of a batch.
-	defer func() {
-		if fx != nil {
-			fx.Release()
-		}
-	}()
-
 	stages := []struct {
 		stage Stage
 		runs  func() bool // nil: the stage always runs
@@ -155,8 +145,8 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 			return func() {
 				res.Errors = append(res.Errors, skips...)
 				if cand != nil {
-					prog, fx = cand.prog, cand.fx
-					res.prog, res.pool = cand.prog, p.pool
+					prog, fx = cand.fx.Prog(), cand.fx
+					res.set, res.pool = cand.fx, p.pool
 					res.Executable, res.Handlers = cand.path, cand.handlers
 					res.Recovery = cand.rec
 				}
@@ -322,9 +312,9 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 }
 
 // candidate is one pinpointed device-cloud executable contender, carrying
-// the facts store its identification populated so later stages reuse it.
+// its set: the lifted program and the facts store its identification
+// populated, so later stages reuse it.
 type candidate struct {
-	prog     *pcode.Program
 	fx       *facts.Program
 	path     string
 	handlers []identify.Handler
@@ -383,10 +373,10 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 		}
 	}
 	// Pinpoint owns every candidate but the winner: nothing reads a loser
-	// after selection, so its storage goes back to the pool.
+	// after selection, so its set goes back to the pool.
 	for _, s := range slots {
 		if s.cand != nil && s.cand != best {
-			p.pool.Release(s.cand.prog)
+			p.pool.Release(s.cand.fx)
 		}
 	}
 	if best == nil {
@@ -398,6 +388,8 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 // liftCandidate parses, recovers (when a symbol layer is missing), lifts,
 // and identifies one executable with panic recovery, so a pathological
 // binary is reported as skipped instead of crashing the whole analysis.
+// It lifts into a set from the pipeline's pool and gives the set back at
+// once unless the executable is a device-cloud candidate.
 func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image.File, hints strip.Hints) (cand *candidate, skip *errdefs.AnalysisError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -435,17 +427,16 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 		}
 		sp.End()
 	}
-	prog, err := p.pool.LiftProgram(bin)
+	fx, err := p.pool.Lift(bin, facts.WithMetrics(met))
 	if err != nil {
 		return nil, &errdefs.AnalysisError{
 			Stage: StagePinpoint.String(), Path: f.Path,
 			Err: fmt.Errorf("%w: %w: %w", errdefs.ErrExecutableSkipped, errdefs.ErrCorruptBinary, err),
 		}
 	}
-	fx := facts.New(prog, facts.WithMetrics(met))
-	idRes := identify.Analyze(prog, identify.WithFacts(fx))
+	idRes := identify.Analyze(fx.Prog(), identify.WithFacts(fx))
 	if !idRes.IsDeviceCloud {
-		p.pool.Release(prog)
+		p.pool.Release(fx)
 		return nil, nil
 	}
 	score := 0.0
@@ -454,7 +445,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 			score = h.Score
 		}
 	}
-	return &candidate{prog: prog, fx: fx, path: f.Path, handlers: idRes.Handlers, score: score, rec: rec}, nil
+	return &candidate{fx: fx, path: f.Path, handlers: idRes.Handlers, score: score, rec: rec}, nil
 }
 
 // recoveryHints extracts the image-level key universes that sharpen extern

@@ -14,6 +14,7 @@ import (
 
 	"firmres/internal/cloud/probe"
 	"firmres/internal/errdefs"
+	"firmres/internal/facts"
 	"firmres/internal/fields"
 	"firmres/internal/formcheck"
 	"firmres/internal/identify"
@@ -22,7 +23,6 @@ import (
 	"firmres/internal/mft"
 	"firmres/internal/nvram"
 	"firmres/internal/parallel"
-	"firmres/internal/pcode"
 	"firmres/internal/semantics"
 	"firmres/internal/slices"
 	"firmres/internal/strip"
@@ -132,21 +132,22 @@ type Result struct {
 	// Empty for a clean run.
 	Errors []errdefs.AnalysisError
 
-	prog *pcode.Program // the executable's lifted program, handed back by Release
-	pool *pcode.Pool    // the pipeline's free list prog came from
+	set  *facts.Program // the executable's set: lifted program and facts, handed back by Release
+	pool *facts.Pool    // the pipeline's free list the set came from
 }
 
-// Release hands the executable's lifted program back to the pipeline,
-// which recycles its storage for later analyses. Call it once the Result
-// has been rendered: afterwards Handlers and the MFT, Tree, Slices and
-// Infos of every message refer to storage another analysis may overwrite.
-// Every stage has returned by the time the analysis does, so nothing else
-// reads the program and Release always recycles it, after a fatal error
-// too. It is safe to call more than once, and a Result that is never
-// released just leaves its program to the garbage collector.
+// Release hands the executable's set — its lifted program and the storage
+// of its facts artifacts — back to the pipeline, which recycles it for
+// later analyses. Call it once the Result has been rendered: afterwards
+// Handlers and the MFT, Tree, Slices and Infos of every message refer to
+// storage another analysis may overwrite. Every stage has returned by the
+// time the analysis does, so nothing else reads the set and Release always
+// recycles it, after a fatal error too. It is safe to call more than once,
+// and a Result that is never released just leaves its set to the garbage
+// collector.
 func (r *Result) Release() {
-	r.pool.Release(r.prog)
-	r.prog = nil
+	r.pool.Release(r.set)
+	r.set = nil
 }
 
 // Partial reports whether the analysis degraded: some work was skipped and
@@ -233,25 +234,25 @@ func (o Options) Fingerprint() string {
 // Pipeline runs the FIRMRES analysis.
 type Pipeline struct {
 	opts Options
-	// pool recycles lifted programs: pinpoint's losers at once, the
-	// winner when its Result is released. It lives as long as the
-	// configured pipeline.
-	pool *pcode.Pool
+	// pool recycles sets, each a lifted program with the storage of its
+	// facts artifacts: pinpoint's losers at once, the winner when its
+	// Result is released. It lives as long as the configured pipeline.
+	pool *facts.Pool
 }
 
 // New builds a pipeline.
 func New(opts Options) *Pipeline {
-	// An analysis holds one program per pinpoint worker plus the
-	// device-cloud candidate pinpoint keeps until selection; the pool keeps
-	// that many for the next analysis. Programs beyond it — concurrent
-	// analyses, images with more device-cloud candidates — go to the
-	// garbage collector, so what the pool retains is set by the options,
-	// not by the largest image seen.
-	return &Pipeline{opts: opts.withDefaults(), pool: pcode.NewPool(parallel.CPUWorkers(opts.Workers) + 1)}
+	// An analysis holds one set per pinpoint worker plus the device-cloud
+	// candidate pinpoint keeps until selection; the pool keeps that many
+	// for the next analysis. Sets beyond it — concurrent analyses, images
+	// with more device-cloud candidates — go to the garbage collector, so
+	// what the pool retains is set by the options, not by the largest
+	// image seen.
+	return &Pipeline{opts: opts.withDefaults(), pool: facts.NewPool(parallel.CPUWorkers(opts.Workers) + 1)}
 }
 
 // Pool returns the free list the pipeline lifts executables through.
-func (p *Pipeline) Pool() *pcode.Pool { return p.pool }
+func (p *Pipeline) Pool() *facts.Pool { return p.pool }
 
 // ErrNoDeviceCloudExecutable is reported (wrapped) when no binary in the
 // image contains an asynchronous request handler — script-only devices.
@@ -270,7 +271,8 @@ func (p *Pipeline) AnalyzeImage(img *image.Image) (*Result, error) {
 var clusterThresholds = []float64{0.5, 0.6, 0.7}
 
 // clusterCounts runs the §IV-C delimiter clustering over the executable's
-// format-string substrings at each of clusterThresholds. Executables that
+// format-string substrings at each of clusterThresholds, scoring each pair
+// of substrings once. Executables that
 // never use formatted-output assembly yield nil (the "-" rows of Table II);
 // FormatSubstrings reports that in its collection pass, so the trees are
 // walked exactly once.
@@ -279,9 +281,10 @@ func clusterCounts(mfts []*taint.MFT) map[float64]int {
 	if !usesSprintf {
 		return nil
 	}
+	counts := slices.ClusterCounts(subs, clusterThresholds)
 	out := make(map[float64]int, len(clusterThresholds))
-	for _, thd := range clusterThresholds {
-		out[thd] = len(slices.Cluster(subs, thd))
+	for i, thd := range clusterThresholds {
+		out[thd] = counts[i]
 	}
 	return out
 }

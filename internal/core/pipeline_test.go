@@ -8,8 +8,11 @@ import (
 
 	"firmres/internal/corpus"
 	"firmres/internal/errdefs"
+	"firmres/internal/image"
 	"firmres/internal/obs"
 	"firmres/internal/semantics"
+	"firmres/internal/slices"
+	"firmres/internal/taint"
 )
 
 func analyzeDevice(t *testing.T, id int) (*corpus.DeviceSpec, *Result) {
@@ -80,6 +83,48 @@ func TestPipelineDevice11ZeroClusters(t *testing.T) {
 		if n != 0 {
 			t.Errorf("device 11 threshold %v: %d clusters, want 0 (delimiter-free formats)", thd, n)
 		}
+	}
+}
+
+// TestClusterCountsMatchCrawlSet: over the format substrings of every
+// crawl-set image (the 22 devices and their stripped twins), the pipeline's
+// one-pass ClusterCounts equals a separate Cluster run at each threshold.
+func TestClusterCountsMatchCrawlSet(t *testing.T) {
+	p := New(Options{})
+	thresholds := []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+	sets := 0
+	for id := 1; id <= 22; id++ {
+		full, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildImage(%d): %v", id, err)
+		}
+		twin, err := corpus.BuildStrippedImage(corpus.Device(id))
+		if err != nil {
+			t.Fatalf("BuildStrippedImage(%d): %v", id, err)
+		}
+		for _, img := range []*image.Image{full, twin} {
+			res, err := p.AnalyzeImage(img)
+			if err != nil {
+				continue // the script-only devices
+			}
+			var mfts []*taint.MFT
+			for _, m := range res.Messages {
+				mfts = append(mfts, m.MFT)
+			}
+			subs, _ := slices.FormatSubstrings(mfts)
+			if len(subs) > 1 {
+				sets++
+			}
+			got := slices.ClusterCounts(subs, thresholds)
+			for k, thd := range thresholds {
+				if want := len(slices.Cluster(subs, thd)); got[k] != want {
+					t.Errorf("device %d: ClusterCounts at %v = %d, Cluster gives %d", id, thd, got[k], want)
+				}
+			}
+		}
+	}
+	if sets == 0 {
+		t.Fatal("no crawl-set image has format substrings to cluster")
 	}
 }
 

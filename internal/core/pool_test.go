@@ -7,13 +7,13 @@ import (
 
 	"firmres/internal/binfmt"
 	"firmres/internal/errdefs"
+	"firmres/internal/facts"
 	"firmres/internal/image"
-	"firmres/internal/pcode"
 )
 
 // liftAnyBinary lifts the first binary executable of img through the
-// pipeline's pool; the pool hands out the program released last first.
-func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *pcode.Program {
+// pipeline's pool; the pool hands out the set released last first.
+func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *facts.Program {
 	t.Helper()
 	for _, f := range img.Executables() {
 		if !f.IsBinary() {
@@ -23,18 +23,18 @@ func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *pcode.Program {
 		if err != nil {
 			t.Fatalf("Unmarshal(%s): %v", f.Path, err)
 		}
-		prog, err := p.Pool().LiftProgram(bin)
+		set, err := p.Pool().Lift(bin)
 		if err != nil {
-			t.Fatalf("LiftProgram(%s): %v", f.Path, err)
+			t.Fatalf("Lift(%s): %v", f.Path, err)
 		}
-		return prog
+		return set
 	}
 	t.Fatal("image has no binary executable")
 	return nil
 }
 
-// TestReleaseRecyclesWinner: a released Result hands its program to the
-// next lift, and releasing it twice does not hand it out twice.
+// TestReleaseRecyclesWinner: a released Result hands its set to the next
+// lift, and releasing it twice does not hand it out twice.
 func TestReleaseRecyclesWinner(t *testing.T) {
 	img := buildImage(t, 17)
 	p := New(Options{})
@@ -42,17 +42,17 @@ func TestReleaseRecyclesWinner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeImage: %v", err)
 	}
-	prog := res.prog
-	if prog == nil {
-		t.Fatal("result holds no program")
+	set := res.set
+	if set == nil {
+		t.Fatal("result holds no set")
 	}
 	res.Release()
 	res.Release()
-	if got := liftAnyBinary(t, p, img); got != prog {
-		t.Fatal("released program was not recycled by the next lift")
+	if got := liftAnyBinary(t, p, img); got != set {
+		t.Fatal("released set was not recycled by the next lift")
 	}
-	if got := liftAnyBinary(t, p, img); got == prog {
-		t.Fatal("a program released twice was handed out twice")
+	if got := liftAnyBinary(t, p, img); got == set {
+		t.Fatal("a set released twice was handed out twice")
 	}
 }
 
@@ -72,30 +72,30 @@ func TestPanickedStageReleasesProgram(t *testing.T) {
 			panicked = true
 		}
 	}
-	prog := res.prog
-	if !panicked || prog == nil {
-		t.Fatalf("want a panicked semantics stage over a pinpointed program; errors %v, program %v", res.Errors, prog != nil)
+	set := res.set
+	if !panicked || set == nil {
+		t.Fatalf("want a panicked semantics stage over a pinpointed program; errors %v, set %v", res.Errors, set != nil)
 	}
 	res.Release()
-	if got := liftAnyBinary(t, p, img); got != prog {
-		t.Fatal("Release did not recycle the program of an analysis with a panicked stage")
+	if got := liftAnyBinary(t, p, img); got != set {
+		t.Fatal("Release did not recycle the set of an analysis with a panicked stage")
 	}
 }
 
-// TestPoolKeepsWhatOneAnalysisHolds: the pipeline's pool keeps one
-// program per pinpoint worker plus one, and leaves programs released
-// beyond that to the garbage collector.
+// TestPoolKeepsWhatOneAnalysisHolds: the pipeline's pool keeps one set
+// per pinpoint worker plus one, and leaves sets released beyond that to
+// the garbage collector.
 func TestPoolKeepsWhatOneAnalysisHolds(t *testing.T) {
 	img := buildImage(t, 17)
 	p := New(Options{Workers: 1})
-	released := map[*pcode.Program]bool{}
-	var progs []*pcode.Program
+	released := map[*facts.Program]bool{}
+	var sets []*facts.Program
 	for i := 0; i < 6; i++ {
-		progs = append(progs, liftAnyBinary(t, p, img))
+		sets = append(sets, liftAnyBinary(t, p, img))
 	}
-	for _, prog := range progs {
-		p.Pool().Release(prog)
-		released[prog] = true
+	for _, set := range sets {
+		p.Pool().Release(set)
+		released[set] = true
 	}
 	recycled := 0
 	for i := 0; i < 6; i++ {
@@ -104,6 +104,6 @@ func TestPoolKeepsWhatOneAnalysisHolds(t *testing.T) {
 		}
 	}
 	if recycled != 2 {
-		t.Errorf("pool handed back %d of 6 released programs, want 2 (1 pinpoint worker + 1)", recycled)
+		t.Errorf("pool handed back %d of 6 released sets, want 2 (1 pinpoint worker + 1)", recycled)
 	}
 }

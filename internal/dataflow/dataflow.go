@@ -17,62 +17,83 @@ import (
 	"firmres/internal/pcode"
 )
 
-// DefUse holds the reaching-definitions solution of one function.
+// DefUse holds the reaching-definitions solution of one function. A
+// definition is named by the index of the op that makes it, so the sets
+// have one bit per op and need no numbering table. Its arrays are carved
+// from the cfg.Alloc it was built with: the op and location tables in one
+// int32 array, the definitions grouped by location in another, and the IN,
+// OUT, GEN and KILL sets of every block in one word array.
 type DefUse struct {
-	Fn  *pcode.Function
-	G   *cfg.Graph
-	in  []bitset // per-block IN sets over def indices
-	out []bitset
+	Fn *pcode.Function
+	G  *cfg.Graph
 
-	defOps  []int32       // def index -> op index
-	defLoc  []pcode.LocID // def index -> defined location
-	defsAt  []int32       // op index -> def index, -1 for ops that don't define
-	locDefs [][]int32     // location ID -> def indices
+	words   int      // words per set: one bit per op
+	in, out []uint64 // per-block IN and OUT sets, words apiece
+
+	opLoc   []int32 // op index -> the location it defines, -1 (pcode.NoLoc) for ops that don't define
+	locAt   []int32 // location ID -> its first entry in locDefs; NumLocs+1 entries
+	locDefs []int32 // the defining op indices grouped by location, each group in op order
 }
 
-// New computes the reaching-definitions solution for fn over its CFG.
+// New computes the reaching-definitions solution for fn over its CFG, in
+// storage of its own.
 func New(fn *pcode.Function, g *cfg.Graph) *DefUse {
-	du := &DefUse{
-		Fn: fn,
-		G:  g,
-		// Nearly every op defines a location, so the op count is a tight
-		// bound on the def tables.
-		defOps:  make([]int32, 0, len(fn.Ops)),
-		defLoc:  make([]pcode.LocID, 0, len(fn.Ops)),
-		defsAt:  make([]int32, len(fn.Ops)),
-		locDefs: make([][]int32, fn.NumLocs()),
-	}
-	for i := range du.defsAt {
-		du.defsAt[i] = -1
-	}
-	du.collectDefs()
-	du.solve()
+	du := new(DefUse)
+	du.Init(fn, g, cfg.Heap{})
 	return du
 }
 
-// collectDefs numbers every definition. STOREs to resolvable stack slots
-// define the slot's synthetic location.
-func (du *DefUse) collectDefs() {
-	ops := du.Fn.Ops
-	for i := range ops {
-		op := &ops[i]
-		switch {
-		case op.HasOut:
-			du.addDef(i, du.Fn.LocID(op.Output))
-		case op.Code == pcode.STORE:
-			if slot := du.Fn.SlotLocAt(i); slot != pcode.NoLoc {
-				du.addDef(i, slot)
-			}
-		}
-	}
+// Init computes the reaching-definitions solution for fn over its CFG into
+// du, carving every array from a.
+func (du *DefUse) Init(fn *pcode.Function, g *cfg.Graph, a cfg.Alloc) {
+	*du = DefUse{Fn: fn, G: g}
+	du.collectDefs(a)
+	du.solve(a)
 }
 
-func (du *DefUse) addDef(opIdx int, loc pcode.LocID) {
-	idx := int32(len(du.defOps))
-	du.defOps = append(du.defOps, int32(opIdx))
-	du.defLoc = append(du.defLoc, loc)
-	du.defsAt[opIdx] = idx
-	du.locDefs[loc] = append(du.locDefs[loc], idx)
+// collectDefs records the location every op defines and groups the
+// definitions by location. STOREs to resolvable stack slots define the
+// slot's synthetic location.
+func (du *DefUse) collectDefs(a cfg.Alloc) {
+	ops := du.Fn.Ops
+	nlocs := du.Fn.NumLocs()
+	ndefs := 0
+	tables := a.Int32s(len(ops) + nlocs + 1)
+	du.opLoc, du.locAt = tables[:len(ops)], tables[len(ops):]
+	for i := range ops {
+		op := &ops[i]
+		loc := pcode.NoLoc
+		switch {
+		case op.HasOut:
+			loc = du.Fn.LocID(op.Output)
+		case op.Code == pcode.STORE:
+			loc = du.Fn.SlotLocAt(i)
+		}
+		du.opLoc[i] = int32(loc)
+		if loc != pcode.NoLoc {
+			du.locAt[loc+1]++
+			ndefs++
+		}
+	}
+	for l := 1; l <= nlocs; l++ {
+		du.locAt[l] += du.locAt[l-1]
+	}
+	// locAt[l] serves as location l's fill cursor, which leaves it at the
+	// start of group l+1; shifting the table back restores the starts.
+	du.locDefs = a.Int32s(ndefs)
+	for i, loc := range du.opLoc {
+		if loc >= 0 {
+			du.locDefs[du.locAt[loc]] = int32(i)
+			du.locAt[loc]++
+		}
+	}
+	copy(du.locAt[1:], du.locAt[:nlocs])
+	du.locAt[0] = 0
+}
+
+// defsOf returns the defining op indices of location loc.
+func (du *DefUse) defsOf(loc pcode.LocID) []int32 {
+	return du.locDefs[du.locAt[loc]:du.locAt[loc+1]]
 }
 
 // Slot returns the resolved stack-slot varnode of a LOAD/STORE op, if any.
@@ -80,35 +101,39 @@ func (du *DefUse) Slot(opIdx int) (pcode.Varnode, bool) {
 	return du.Fn.SlotAt(opIdx)
 }
 
-// solve runs the classic iterative reaching-definitions fixpoint.
-func (du *DefUse) solve() {
+// set returns block b's set in sets.
+func (du *DefUse) set(sets []uint64, b int) bitset {
+	return sets[b*du.words : (b+1)*du.words : (b+1)*du.words]
+}
+
+// solve runs the classic iterative reaching-definitions fixpoint, in
+// place: starting from empty sets every IN and OUT only grows, so each
+// round folds the predecessors' OUT sets into IN and recomputes OUT word
+// by word.
+func (du *DefUse) solve(a cfg.Alloc) {
 	nblocks := len(du.G.Blocks)
-	ndefs := len(du.defOps)
-	du.in = make([]bitset, nblocks)
-	du.out = make([]bitset, nblocks)
-	gen := make([]bitset, nblocks)
-	kill := make([]bitset, nblocks)
-	for b := 0; b < nblocks; b++ {
-		du.in[b] = newBitset(ndefs)
-		du.out[b] = newBitset(ndefs)
-		gen[b] = newBitset(ndefs)
-		kill[b] = newBitset(ndefs)
-		blk := du.G.Blocks[b]
+	du.words = (len(du.opLoc) + 63) / 64
+	sets := a.Words(4 * nblocks * du.words)
+	n := nblocks * du.words
+	du.in, du.out = sets[:n], sets[n:2*n]
+	gens, kills := sets[2*n:3*n], sets[3*n:]
+	for b := range du.G.Blocks {
+		gen, kill := du.set(gens, b), du.set(kills, b)
+		blk := &du.G.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			di := du.defsAt[i]
-			if di < 0 {
+			loc := du.opLoc[i]
+			if loc < 0 {
 				continue
 			}
-			loc := du.defLoc[di]
 			// This def kills all other defs of the same location.
-			for _, other := range du.locDefs[loc] {
-				if other != di {
-					gen[b].clear(int(other))
-					kill[b].set(int(other))
+			for _, other := range du.defsOf(pcode.LocID(loc)) {
+				if int(other) != i {
+					gen.clear(int(other))
+					kill.set(int(other))
 				}
 			}
-			gen[b].set(int(di))
-			kill[b].clear(int(di))
+			gen.set(i)
+			kill.clear(i)
 		}
 	}
 
@@ -116,18 +141,18 @@ func (du *DefUse) solve() {
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
-			blk := du.G.Blocks[b]
-			in := newBitset(ndefs)
-			for _, p := range blk.Preds {
-				in.union(du.out[p])
+			in, out := du.set(du.in, b), du.set(du.out, b)
+			for _, p := range du.G.Blocks[b].Preds {
+				if in.union(du.set(du.out, p)) {
+					changed = true
+				}
 			}
-			out := in.clone()
-			out.subtract(kill[b])
-			out.union(gen[b])
-			if !in.equal(du.in[b]) || !out.equal(du.out[b]) {
-				du.in[b] = in
-				du.out[b] = out
-				changed = true
+			gen, kill := du.set(gens, b), du.set(kills, b)
+			for w := range out {
+				if x := in[w]&^kill[w] | gen[w]; x != out[w] {
+					out[w] = x
+					changed = true
+				}
 			}
 		}
 	}
@@ -140,7 +165,7 @@ func (du *DefUse) ReachingDefs(opIdx int, v pcode.Varnode) []int {
 	if loc == pcode.NoLoc {
 		return nil
 	}
-	candidates := du.locDefs[loc]
+	candidates := du.defsOf(loc)
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -149,20 +174,21 @@ func (du *DefUse) ReachingDefs(opIdx int, v pcode.Varnode) []int {
 		return nil
 	}
 	// Walk the block from its start to opIdx, tracking the last local def.
-	lastLocal := int32(-1)
+	lastLocal := -1
 	for i := blk.Start; i < opIdx; i++ {
-		if di := du.defsAt[i]; di >= 0 && du.defLoc[di] == loc {
-			lastLocal = di
+		if pcode.LocID(du.opLoc[i]) == loc {
+			lastLocal = i
 		}
 	}
 	if lastLocal >= 0 {
-		return []int{int(du.defOps[lastLocal])}
+		return []int{lastLocal}
 	}
 	// Otherwise every def of loc in the block's IN set reaches.
+	in := du.set(du.in, blk.ID)
 	var out []int
-	for _, di := range candidates {
-		if du.in[blk.ID].has(int(di)) {
-			out = append(out, int(du.defOps[di]))
+	for _, d := range candidates {
+		if in.has(int(d)) {
+			out = append(out, int(d))
 		}
 	}
 	return out
@@ -176,8 +202,8 @@ func (du *DefUse) DefSites(v pcode.Varnode) []int {
 		return nil
 	}
 	var out []int
-	for _, di := range du.locDefs[loc] {
-		out = append(out, int(du.defOps[di]))
+	for _, d := range du.defsOf(loc) {
+		out = append(out, int(d))
 	}
 	return out
 }
@@ -199,37 +225,20 @@ func (du *DefUse) IsParamLive(opIdx int, v pcode.Varnode) bool {
 // bitset is a fixed-capacity bit vector.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i int)   { b[i/64] |= 1 << (i % 64) }
 func (b bitset) clear(i int) { b[i/64] &^= 1 << (i % 64) }
 func (b bitset) has(i int) bool {
 	return b[i/64]&(1<<(i%64)) != 0
 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-func (b bitset) union(o bitset) {
+// union adds o's members to b and reports whether b grew.
+func (b bitset) union(o bitset) bool {
+	grew := false
 	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-func (b bitset) subtract(o bitset) {
-	for i := range b {
-		b[i] &^= o[i]
-	}
-}
-
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
+		if x := b[i] | o[i]; x != b[i] {
+			b[i] = x
+			grew = true
 		}
 	}
-	return true
+	return grew
 }

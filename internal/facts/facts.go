@@ -8,18 +8,29 @@
 // solution up to three times per function. A facts.Program computes each
 // artifact exactly once via sync.Once single-flight and hands out the
 // shared result, which is safe because every underlying solution is
-// immutable after construction (built fully inside cfg.Build /
-// dataflow.New / constprop.Solve and only queried afterwards).
+// immutable after construction (built fully inside the in-place builds of
+// cfg, dataflow, constprop and callgraph, and only queried afterwards).
 //
-// Ownership rule: a facts.Program is created once per lifted executable
-// (core builds it while pinpointing and threads the winner's store through
-// the taint and lint stages) and may be shared freely across goroutines.
-// Artifacts are never invalidated — a lifted program is immutable, so its
-// facts are too.
+// Handles are a slice indexed by pcode.Function.Index, filled when the
+// store is made, so looking one up takes no lock and reads no map. Every
+// per-function artifact is carved from slabs the store owns (see slabs),
+// and the call graph is rebuilt in arrays of its own.
+//
+// Ownership rule: a store belongs to one lifted executable and lives
+// exactly as long as its program; it may be shared freely across
+// goroutines, and its artifacts are never invalidated. A Pool recycles the
+// two together, as one set: Pool.Lift lifts a binary into a set and
+// returns its store, and the set's one owner hands it back with
+// Pool.Release once nothing reads the program, the store or anything
+// taken from either. After that a store pointer, a handle or a
+// function pointer may name another program, so nothing may cache by one
+// across a release. New builds a store over a program lifted elsewhere,
+// in fresh slabs that are never recycled.
 package facts
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/callgraph"
@@ -62,7 +73,7 @@ func WithMetrics(met *obs.Metrics) Option {
 }
 
 // Program is the artifact store for one lifted executable. Safe for
-// concurrent use; the zero value is not valid, use New.
+// concurrent use; the zero value is not valid, use New or Pool.Lift.
 type Program struct {
 	prog *pcode.Program
 
@@ -70,19 +81,55 @@ type Program struct {
 	reqC, bldC [numArtifacts]*obs.Counter // nil counters are no-ops
 
 	cgOnce sync.Once
-	cg     *callgraph.Graph
+	cg     callgraph.Graph
 
-	mu    sync.Mutex
-	funcs map[uint32]*Func // keyed by function address
+	funcs []Func // the handles, indexed by pcode.Function.Index
+	slabs slabs  // the storage every per-function artifact is carved from
+
+	lifted pcode.Program // a pooled set's program; prog points here
 }
 
 // New builds an empty store for prog; artifacts are computed on first use.
+// Its slabs are fresh, and nothing recycles them.
 func New(prog *pcode.Program, opts ...Option) *Program {
-	p := &Program{prog: prog, funcs: make(map[uint32]*Func, len(prog.Funcs))}
+	p := new(Program)
+	p.init(prog, opts)
+	return p
+}
+
+// init readies p for prog: options applied, one fresh handle per function,
+// and cold slabs sized for the program.
+func (p *Program) init(prog *pcode.Program, opts []Option) {
+	p.prog = prog
 	for _, o := range opts {
 		o(p)
 	}
-	return p
+	n := len(prog.Funcs)
+	if cap(p.funcs) < n {
+		p.funcs = make([]Func, n)
+	}
+	p.funcs = p.funcs[:n]
+	ops, locs := 0, 0
+	for i, fn := range prog.Funcs {
+		p.funcs[i] = Func{Prog: prog, Fn: fn, store: p}
+		ops += len(fn.Ops)
+		locs += fn.NumLocs()
+	}
+	p.slabs.reserve(ops, locs)
+}
+
+// recycle empties a released set for its next program: the handles and
+// metrics are dropped, the call graph keeps its arrays, and the slabs are
+// consolidated. With scrub, everything released is overwritten first.
+func (p *Program) recycle(scrub bool) {
+	p.prog, p.met = nil, nil
+	p.reqC, p.bldC = [numArtifacts]*obs.Counter{}, [numArtifacts]*obs.Counter{}
+	p.cgOnce = sync.Once{}
+	clear(p.funcs[:cap(p.funcs)])
+	if scrub {
+		p.cg = callgraph.Graph{}
+	}
+	p.slabs.recycle(scrub)
 }
 
 // Prog returns the underlying lifted program.
@@ -98,39 +145,20 @@ func (p *Program) CallGraph() *callgraph.Graph {
 	p.reqC[artCallGraph].Inc()
 	p.cgOnce.Do(func() {
 		p.bldC[artCallGraph].Inc()
-		p.cg = callgraph.Build(p.prog)
+		p.cg.Init(p.prog)
 	})
-	return p.cg
+	return &p.cg
 }
 
-// Release drops every per-function artifact handle the store has
-// accumulated, letting the CFG/def-use/constprop solutions of functions
-// that were requested once and never again be collected even while the
-// store itself stays reachable. The single-flight guarantee is scoped by
-// it: artifacts requested after a Release recompute. The caller must
-// ensure no artifact request is in flight and no consumer still holds a
-// *Func it expects to stay coherent with the store — the intended call
-// site is the batch runner between images, after one image's analysis has
-// fully quiesced. The program call graph is deliberately kept: it is one
-// small artifact per executable, not a per-function accumulation.
-func (p *Program) Release() {
-	p.mu.Lock()
-	p.funcs = make(map[uint32]*Func)
-	p.mu.Unlock()
-}
-
-// Func returns the per-function artifact handle for fn, creating it on
-// first request. The handle is shared: two goroutines asking for the same
-// function receive the same *Func, and its artifacts compute single-flight.
+// Func returns the artifact handle of fn. The handle is shared: two
+// goroutines asking for the same function receive the same *Func, and its
+// artifacts compute single-flight. fn must be a function of the store's
+// program; any other is a bug, and Func panics.
 func (p *Program) Func(fn *pcode.Function) *Func {
-	p.mu.Lock()
-	f, ok := p.funcs[fn.Addr()]
-	if !ok {
-		f = &Func{Prog: p.prog, Fn: fn, store: p}
-		p.funcs[fn.Addr()] = f
+	if i := fn.Index(); uint(i) < uint(len(p.funcs)) && p.funcs[i].Fn == fn {
+		return &p.funcs[i]
 	}
-	p.mu.Unlock()
-	return f
+	panic("facts: function " + fn.Name() + " is not of this store's program")
 }
 
 func stringAt(bin *binfmt.Binary, addr uint32) (string, bool) {
@@ -147,28 +175,20 @@ type Func struct {
 	Prog *pcode.Program
 	Fn   *pcode.Function
 
-	store *Program // metric counters; nil for hand-built test handles
+	store *Program // counters and slabs
 
-	cfgOnce sync.Once
-	graph   *cfg.Graph
+	cfgOnce, duOnce, cpOnce, idomOnce sync.Once
 
-	duOnce sync.Once
-	du     *dataflow.DefUse
-
-	cpOnce sync.Once
-	consts *constprop.Result
-
-	idomOnce sync.Once
-	idom     []int
+	graph  cfg.Graph
+	du     dataflow.DefUse
+	consts constprop.Result
+	idom   []int
 }
 
 // count bumps the request counter for one artifact kind and returns the
-// build counter for the once-body. Both are no-ops without a store or
-// metrics registry.
+// build counter for the once-body. Both are no-ops without a metrics
+// registry.
 func (f *Func) count(art int) *obs.Counter {
-	if f.store == nil {
-		return nil
-	}
 	f.store.reqC[art].Inc()
 	return f.store.bldC[art]
 }
@@ -178,9 +198,9 @@ func (f *Func) CFG() *cfg.Graph {
 	bld := f.count(artCFG)
 	f.cfgOnce.Do(func() {
 		bld.Inc()
-		f.graph = cfg.Build(f.Fn)
+		f.graph.Init(f.Fn, &f.store.slabs)
 	})
-	return f.graph
+	return &f.graph
 }
 
 // DefUse returns the function's reaching-definitions solution.
@@ -188,9 +208,9 @@ func (f *Func) DefUse() *dataflow.DefUse {
 	bld := f.count(artDefUse)
 	f.duOnce.Do(func() {
 		bld.Inc()
-		f.du = dataflow.New(f.Fn, f.CFG())
+		f.du.Init(f.Fn, f.CFG(), &f.store.slabs)
 	})
-	return f.du
+	return &f.du
 }
 
 // Consts returns the function's conditional constant-propagation solution.
@@ -198,9 +218,9 @@ func (f *Func) Consts() *constprop.Result {
 	bld := f.count(artConsts)
 	f.cpOnce.Do(func() {
 		bld.Inc()
-		f.consts = constprop.Solve(f.Fn, f.CFG())
+		f.consts.Init(f.Fn, f.CFG(), &f.store.slabs)
 	})
-	return f.consts
+	return &f.consts
 }
 
 // Idom returns the function's immediate-dominator tree.
@@ -208,7 +228,7 @@ func (f *Func) Idom() []int {
 	bld := f.count(artIdom)
 	f.idomOnce.Do(func() {
 		bld.Inc()
-		f.idom = f.CFG().Dominators()
+		f.idom = f.CFG().DominatorsIn(&f.store.slabs)
 	})
 	return f.idom
 }
@@ -238,3 +258,77 @@ func (f *Func) ArgString(opIdx, argIdx int) (string, bool) {
 	}
 	return f.ConstString(opIdx, pcode.Register(isa.ArgReg(argIdx)))
 }
+
+// Pool is the free list of sets. A set is one lifted program plus the
+// storage of all its facts artifacts, recycled together because they live
+// together. A set has exactly one owner, who hands it back with Release
+// once nothing reads the program, the store or anything taken from them;
+// the next Lift reuses the program's slabs, shells and index maps, the
+// store's handles, slabs and call-graph arrays instead of allocating them.
+// The list keeps at most the number of sets the pool was built for
+// (NewPool) and leaves any further release to the garbage collector, so a
+// nil or zero Pool allocates every set and drops released ones. Safe for
+// concurrent use.
+type Pool struct {
+	mu    sync.Mutex
+	free  []*Program
+	max   int
+	scrub atomic.Bool // overwrite released storage (ScrubReleased)
+}
+
+// NewPool returns an empty pool that keeps at most max released sets.
+func NewPool(max int) *Pool { return &Pool{max: max} }
+
+// Lift lifts every function symbol of the binary into a set, recycled when
+// the pool holds one, and returns the set's store over it.
+func (pl *Pool) Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
+	p := pl.get()
+	if err := p.lifted.Lift(bin); err != nil {
+		pl.Release(p)
+		return nil, err
+	}
+	p.init(&p.lifted, opts)
+	return p, nil
+}
+
+func (pl *Pool) get() *Program {
+	if pl != nil {
+		pl.mu.Lock()
+		defer pl.mu.Unlock()
+		if n := len(pl.free); n > 0 {
+			p := pl.free[n-1]
+			pl.free[n-1] = nil
+			pl.free = pl.free[:n-1]
+			return p
+		}
+	}
+	return new(Program)
+}
+
+// Release hands the set of p, a store Lift returned, back for reuse. Only
+// the set's owner may release it, once: nothing may read p, a handle or
+// artifact taken from it, its program, or any function, op, varnode or
+// call target of the program afterwards. A store New built is not a set,
+// and Release ignores it.
+func (pl *Pool) Release(p *Program) {
+	if pl == nil || p == nil || p.prog != &p.lifted {
+		return
+	}
+	scrub := pl.scrub.Load()
+	if scrub {
+		p.lifted.Scrub()
+	}
+	p.lifted.Bin = nil
+	p.recycle(scrub)
+	pl.mu.Lock()
+	if len(pl.free) < pl.max {
+		pl.free = append(pl.free, p)
+	}
+	pl.mu.Unlock()
+}
+
+// ScrubReleased makes Release overwrite each released set's storage with
+// garbage — the program's and every facts artifact's — so a reader that
+// still holds a released set computes nonsense instead of a plausible
+// stale answer. Tests use it to prove that nothing outlives its release.
+func (pl *Pool) ScrubReleased() { pl.scrub.Store(true) }

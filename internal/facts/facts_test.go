@@ -6,6 +6,7 @@ import (
 
 	"firmres/internal/asm"
 	"firmres/internal/isa"
+	"firmres/internal/obs"
 	"firmres/internal/pcode"
 )
 
@@ -88,35 +89,57 @@ func TestFuncHandlesAreDistinctPerFunction(t *testing.T) {
 	}
 }
 
-// TestRelease: releasing the store drops the per-function handles so
-// later requests get fresh ones (the single-flight guarantee is scoped by
-// Release), while the call graph — one small per-program artifact — is
-// deliberately kept.
+// TestRelease: releasing a set hands its store, program and artifact
+// storage to the next Lift, which starts with fresh handles (the
+// single-flight guarantee is scoped by the release) and rebuilds every
+// artifact, call graph included, for the new program; a store New built is
+// not a set, and releasing it recycles nothing.
 func TestRelease(t *testing.T) {
 	prog := twoFuncProg(t)
-	fx := New(prog)
-	fn := prog.Funcs[0]
-
-	before := fx.Func(fn)
-	cfgBefore := before.CFG()
+	pool := NewPool(1)
+	fx, err := pool.Lift(prog.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fx.Func(fx.Prog().Funcs[0])
+	before.CFG()
 	before.Consts()
-	cg := fx.CallGraph()
+	fx.CallGraph()
+	pool.Release(fx)
 
-	fx.Release()
-
-	after := fx.Func(fn)
-	if after == before {
-		t.Fatal("Release kept the old per-function handle")
+	met := obs.NewMetrics()
+	again, err := pool.Lift(prog.Bin, WithMetrics(met))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after.CFG() == cfgBefore {
-		t.Error("Release kept the old CFG solution")
+	if again != fx {
+		t.Fatal("Release did not recycle the set")
 	}
-	if fx.CallGraph() != cg {
-		t.Error("Release dropped the call graph; it should be kept")
+	if other, _ := pool.Lift(prog.Bin); other == again {
+		t.Fatal("a set released once was handed out twice")
+	}
+	h := again.Func(again.Prog().Funcs[0])
+	fresh := New(prog)
+	if got, want := len(h.CFG().Blocks), len(fresh.Func(prog.Funcs[0]).CFG().Blocks); got != want {
+		t.Errorf("recycled CFG has %d blocks, want %d", got, want)
+	}
+	if got, want := len(again.CallGraph().Edges()), len(fresh.CallGraph().Edges()); got != want {
+		t.Errorf("recycled call graph has %d edges, want %d", got, want)
+	}
+	snap := met.Snapshot()
+	for _, art := range []string{"cfg", "callgraph"} {
+		if n := snap[`facts_builds_total{artifact="`+art+`"}`]; n != 1 {
+			t.Errorf("recycled store built %s %d times, want 1", art, n)
+		}
 	}
 	// The refreshed handle still single-flights its own artifacts.
-	if after.Consts() != after.Consts() {
+	if h.Consts() != h.Consts() {
 		t.Error("refreshed handle artifacts are not stable")
+	}
+	pool.Release(again)
+	pool.Release(fresh)
+	if next, err := pool.Lift(prog.Bin); err != nil || next != again {
+		t.Errorf("releasing a New store displaced the recycled set (err %v)", err)
 	}
 }
 

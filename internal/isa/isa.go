@@ -199,23 +199,42 @@ func (in Instruction) Encode(dst []byte) []byte {
 
 // Decode decodes a single instruction from b.
 func Decode(b []byte) (Instruction, error) {
-	if len(b) < InstrSize {
-		return Instruction{}, fmt.Errorf("isa: truncated instruction: %d bytes", len(b))
+	if len(b) >= InstrSize {
+		if in := fields(b); in.valid() {
+			return in, nil
+		}
 	}
-	in := Instruction{
+	return Instruction{}, decodeError(b)
+}
+
+// fields reads the fields of the instruction encoded in b[:InstrSize],
+// without checking them. It and valid are small enough to inline, so a
+// decode loop makes no call per instruction.
+func fields(b []byte) Instruction {
+	_ = b[InstrSize-1]
+	return Instruction{
 		Op:  Opcode(b[0]),
 		Rd:  Reg(b[1]),
 		Rs1: Reg(b[2]),
 		Rs2: Reg(b[3]),
 		Imm: int32(binary.LittleEndian.Uint32(b[4:8])),
 	}
-	if !in.Op.Valid() {
-		return Instruction{}, fmt.Errorf("isa: invalid opcode %d", b[0])
+}
+
+func (in Instruction) valid() bool {
+	return in.Op.Valid() && in.Rd.Valid() && in.Rs1.Valid() && in.Rs2.Valid()
+}
+
+// decodeError describes why b does not decode to an instruction.
+func decodeError(b []byte) error {
+	switch {
+	case len(b) < InstrSize:
+		return fmt.Errorf("isa: truncated instruction: %d bytes", len(b))
+	case !Opcode(b[0]).Valid():
+		return fmt.Errorf("isa: invalid opcode %d", b[0])
+	default:
+		return fmt.Errorf("isa: register index out of range in %s", Opcode(b[0]))
 	}
-	if !in.Rd.Valid() || !in.Rs1.Valid() || !in.Rs2.Valid() {
-		return Instruction{}, fmt.Errorf("isa: register index out of range in %s", in.Op)
-	}
-	return in, nil
 }
 
 // DecodeAll decodes a text segment into instructions. The byte length must be
@@ -238,9 +257,9 @@ func DecodeAppend(dst []Instruction, text []byte) ([]Instruction, error) {
 		dst = grown
 	}
 	for off := 0; off < len(text); off += InstrSize {
-		in, err := Decode(text[off:])
-		if err != nil {
-			return dst, fmt.Errorf("isa: at offset %#x: %w", off, err)
+		in := fields(text[off:])
+		if !in.valid() {
+			return dst, fmt.Errorf("isa: at offset %#x: %w", off, decodeError(text[off:]))
 		}
 		dst = append(dst, in)
 	}

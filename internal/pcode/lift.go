@@ -2,7 +2,6 @@ package pcode
 
 import (
 	"fmt"
-	"sync"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/externs"
@@ -15,14 +14,15 @@ import (
 // inputs and call targets, and its op-index and slot tables are carved out
 // of its program's slabs, which lifting sizes exactly before the first
 // function is lifted; so a whole program costs a handful of allocations,
-// and none when a Pool recycles it. The interning tables (locIdx/locs/
+// and none when Program.Lift recycles it. The interning tables (locIdx/locs/
 // ramIDs, see intern.go) belong to the function and are kept across reuse.
 // Everything is written only during lifting; afterwards the struct is
 // immutable, so analysis workers may read it concurrently without locks.
 type Function struct {
-	Sym  binfmt.FuncSym
-	Ops  []Op
-	opAt []int32 // instruction slot -> index of the first op at that address
+	Sym   binfmt.FuncSym
+	Ops   []Op
+	opAt  []int32 // instruction slot -> index of the first op at that address
+	index int     // position in the program's address-ordered Funcs
 
 	locIdx  map[uint64]LocID // packed location (locKey) -> dense ID (defined locations + slots)
 	locs    []Loc            // dense ID -> location
@@ -35,6 +35,11 @@ func (f *Function) Name() string { return f.Sym.Name }
 
 // Addr returns the function's entry address.
 func (f *Function) Addr() uint32 { return f.Sym.Addr }
+
+// Index returns the function's position in its program's Funcs, a dense
+// index per-function tables are kept by. A function lifted alone has
+// index 0.
+func (f *Function) Index() int { return f.index }
 
 // OpIndexAt returns the index of the first op at a machine address. A NOP
 // lifts to no op, so its address maps to the next op's index (len(Ops)
@@ -73,8 +78,8 @@ func (f *Function) LoadBase(loadIdx int) (Varnode, bool) {
 	return ea.Inputs[0], true
 }
 
-// size counts the P-Code expansion of a stretch of decoded code: ops,
-// instruction slots and call targets exactly, op inputs as an upper bound.
+// size counts the P-Code expansion of a stretch of decoded code: ops, op
+// inputs, instruction slots and call targets.
 type size struct{ instrs, ops, ins, calls int }
 
 func (s *size) add(t size) {
@@ -86,8 +91,9 @@ func (s *size) add(t size) {
 
 // sizeOf returns the ops, inputs and call targets of one instruction's
 // P-Code expansion, letting lifting carve exact slab shares instead of
-// growing slices.
-func sizeOf(in isa.Instruction) size {
+// growing slices. A call's inputs are its argument registers, so its size
+// reads the callee's arity as the lifter does.
+func sizeOf(bin *binfmt.Binary, in isa.Instruction) size {
 	switch in.Op {
 	case isa.OpNop:
 		return size{}
@@ -104,8 +110,18 @@ func sizeOf(in isa.Instruction) size {
 		return size{ops: 2, ins: 4}
 	case isa.OpBge:
 		return size{ops: 3, ins: 5}
-	case isa.OpCall, isa.OpCallI:
-		return size{ops: 1, ins: isa.NumArgRegs, calls: 1}
+	case isa.OpCall:
+		arity := 0
+		if callee, ok := bin.FuncAt(uint32(in.Imm)); ok {
+			arity = callee.NumParams
+		}
+		return size{ops: 1, ins: argRegs(arity), calls: 1}
+	case isa.OpCallI:
+		arity := 0
+		if idx := int(in.Imm); idx >= 0 && idx < len(bin.Imports) {
+			arity = importArity(bin.Imports[idx], in)
+		}
+		return size{ops: 1, ins: argRegs(arity), calls: 1}
 	case isa.OpCallR:
 		return size{ops: 1, ins: 1 + int(in.Rd), calls: 1}
 	case isa.OpRet:
@@ -113,6 +129,18 @@ func sizeOf(in isa.Instruction) size {
 	}
 	return size{ops: 1, ins: 2} // unsupported opcodes fail during lifting anyway
 }
+
+// importArity returns the argument count of a call to imp: its declared
+// arity, or the count the call instruction carries for a variadic import.
+func importArity(imp binfmt.Import, in isa.Instruction) int {
+	if imp.NumParams != externs.Variadic {
+		return imp.NumParams
+	}
+	return int(in.Rs1)
+}
+
+// argRegs returns the argument registers a call of the given arity reads.
+func argRegs(arity int) int { return max(0, min(arity, isa.NumArgRegs)) }
 
 // slabs is the storage a program's functions are carved from. Lifting
 // sizes every slab once, before the first function is carved, so a slab
@@ -150,49 +178,52 @@ func take[T any](s *[]T, n int) []T {
 	return (*s)[i : i+n : i+n]
 }
 
-// liftScratch pools the decode buffer: instructions are consumed while
-// emitting ops and nothing retains them, so the buffer recycles across
-// binaries and images.
-var liftScratch = sync.Pool{New: func() any { return new(scratch) }}
-
+// scratch is the decode buffer of one lift: a function's instructions are
+// consumed while emitting its ops and nothing retains them, so one buffer,
+// as large as the largest function, serves every function and travels
+// with a recycled program to its next lift.
 type scratch struct {
 	instrs []isa.Instruction
-	sizes  []size // per decoded function
+	sizes  []size // per function
 }
 
-// decode appends the instructions of fn's body to sc and records their
-// size.
-func (sc *scratch) decode(bin *binfmt.Binary, fn binfmt.FuncSym) error {
+// decode decodes the instructions of fn's body into the buffer, replacing
+// what it held.
+func (sc *scratch) decode(bin *binfmt.Binary, fn binfmt.FuncSym) ([]isa.Instruction, error) {
 	if fn.Size == 0 || fn.End() > bin.TextBase+uint32(len(bin.Text)) {
-		return fmt.Errorf("pcode: function %q out of range", fn.Name)
+		return nil, fmt.Errorf("pcode: function %q out of range", fn.Name)
 	}
-	start := len(sc.instrs)
-	instrs, err := isa.DecodeAppend(sc.instrs, bin.Text[fn.Addr-bin.TextBase:fn.End()-bin.TextBase])
-	sc.instrs = instrs // keep the grown buffer pooled either way
+	instrs, err := isa.DecodeAppend(sc.instrs[:0], bin.Text[fn.Addr-bin.TextBase:fn.End()-bin.TextBase])
+	sc.instrs = instrs[:0] // keep the grown buffer either way
 	if err != nil {
-		return fmt.Errorf("pcode: lifting %q: %w", fn.Name, err)
+		return nil, fmt.Errorf("pcode: lifting %q: %w", fn.Name, err)
 	}
-	n := size{instrs: len(instrs) - start}
-	for _, in := range instrs[start:] {
-		n.add(sizeOf(in))
+	return instrs, nil
+}
+
+// sizeOfCode returns the size of the P-Code expansion of a function's
+// decoded instructions.
+func sizeOfCode(bin *binfmt.Binary, instrs []isa.Instruction) size {
+	n := size{instrs: len(instrs)}
+	for _, in := range instrs {
+		n.add(sizeOf(bin, in))
 	}
-	sc.sizes = append(sc.sizes, n)
-	return nil
+	return n
 }
 
 // Lift translates the machine code of fn into P-Code, in storage of its
 // own.
 func Lift(bin *binfmt.Binary, fn binfmt.FuncSym) (*Function, error) {
-	sc := liftScratch.Get().(*scratch)
-	defer liftScratch.Put(sc)
-	sc.instrs, sc.sizes = sc.instrs[:0], sc.sizes[:0]
-	if err := sc.decode(bin, fn); err != nil {
+	var sc scratch
+	instrs, err := sc.decode(bin, fn)
+	if err != nil {
 		return nil, err
 	}
+	n := sizeOfCode(bin, instrs)
 	var s slabs
-	s.reset(sc.sizes[0])
+	s.reset(n)
 	f := new(Function)
-	if err := f.lift(bin, fn, sc.instrs, sc.sizes[0], &s); err != nil {
+	if err := f.lift(bin, fn, instrs, n, &s); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -208,7 +239,9 @@ func (f *Function) lift(bin *binfmt.Binary, fn binfmt.FuncSym, instrs []isa.Inst
 	f.slotLoc = take(&s.slots, n.ops)
 	f.locs, f.ramIDs = f.locs[:0], f.ramIDs[:0]
 	if f.locIdx == nil {
-		f.locIdx = make(map[uint64]LocID, n.ops)
+		// A function interns about one location per four ops, plus the
+		// registers it writes.
+		f.locIdx = make(map[uint64]LocID, isa.NumRegs+n.ops/4)
 	} else {
 		clear(f.locIdx)
 	}
@@ -382,13 +415,9 @@ func (l *lifter) liftInstr(addr uint32, in isa.Instruction) error {
 			return fmt.Errorf("import index %d out of range", idx)
 		}
 		imp := l.bin.Imports[idx]
-		arity := int(in.Rs1)
-		if imp.NumParams != externs.Variadic {
-			arity = imp.NumParams
-		}
 		l.emitCall(addr, l.call(CallTarget{
 			Kind: CallImported, Import: idx, Name: imp.Name,
-			Arity: arity, HasResult: imp.HasResult,
+			Arity: importArity(imp, in), HasResult: imp.HasResult,
 		}))
 
 	case isa.OpCallR:

@@ -47,11 +47,11 @@ func corpusBinaries(t *testing.T) []*binfmt.Binary {
 	return bins
 }
 
-// TestRecycledLiftMatchesFresh lifts every corpus binary through one Pool,
-// releasing each program before the next lift, and requires each recycled
-// program to equal a fresh LiftProgram of the same binary. The binaries
-// alternate between the largest and the smallest left, so every lift
-// reuses storage a larger or a smaller program left behind.
+// TestRecycledLiftMatchesFresh lifts every corpus binary into one
+// recycled Program and requires each lift to equal a fresh LiftProgram of
+// the same binary. The binaries alternate between the largest and the
+// smallest left, so every lift reuses storage a larger or a smaller
+// program left behind.
 func TestRecycledLiftMatchesFresh(t *testing.T) {
 	bins := corpusBinaries(t)
 	sort.SliceStable(bins, func(i, j int) bool { return len(bins[i].Text) < len(bins[j].Text) })
@@ -63,19 +63,17 @@ func TestRecycledLiftMatchesFresh(t *testing.T) {
 		}
 	}
 
-	pool := pcode.NewPool(1)
+	got := new(pcode.Program)
 	for round := 0; round < 2; round++ {
 		for _, bin := range order {
 			want, err := pcode.LiftProgram(bin)
 			if err != nil {
 				t.Fatalf("LiftProgram(%s): %v", bin.Name, err)
 			}
-			got, err := pool.LiftProgram(bin)
-			if err != nil {
-				t.Fatalf("Pool.LiftProgram(%s): %v", bin.Name, err)
+			if err := got.Lift(bin); err != nil {
+				t.Fatalf("Program.Lift(%s): %v", bin.Name, err)
 			}
 			comparePrograms(t, bin.Name, got, want)
-			pool.Release(got)
 		}
 	}
 }
@@ -90,6 +88,9 @@ func comparePrograms(t *testing.T, name string, got, want *pcode.Program) {
 	for i, wf := range want.Funcs {
 		gf := got.Funcs[i]
 		where := name + "/" + wf.Name()
+		if gf.Index() != i || wf.Index() != i {
+			t.Errorf("%s: Index() = %d (fresh %d), want its position %d", where, gf.Index(), wf.Index(), i)
+		}
 		if gf.Sym != wf.Sym {
 			t.Fatalf("%s: symbol %+v, want %+v", where, gf.Sym, wf.Sym)
 		}
@@ -129,9 +130,9 @@ func comparePrograms(t *testing.T, name string, got, want *pcode.Program) {
 	}
 }
 
-// TestPoolLiftErrorMatchesFresh lifts a corrupt binary through a Pool: the
-// error is the one a fresh lift reports, and the next lift, which reuses
-// the failed lift's storage, still equals a fresh one.
+// TestPoolLiftErrorMatchesFresh lifts a corrupt binary into a recycled
+// Program: the error is the one a fresh lift reports, and the next lift,
+// which reuses the failed lift's storage, still equals a fresh one.
 func TestPoolLiftErrorMatchesFresh(t *testing.T) {
 	bins := corpusBinaries(t)
 	good := bins[0]
@@ -139,14 +140,13 @@ func TestPoolLiftErrorMatchesFresh(t *testing.T) {
 	bad.Funcs = append([]binfmt.FuncSym(nil), good.Funcs...)
 	bad.Funcs[len(bad.Funcs)-1].Size = 1 << 20 // beyond the text section
 
-	pool := pcode.NewPool(1)
+	got := new(pcode.Program)
 	_, wantErr := pcode.LiftProgram(&bad)
-	if _, err := pool.LiftProgram(&bad); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("Pool.LiftProgram(corrupt) error = %v, want %v", err, wantErr)
+	if err := got.Lift(&bad); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("Program.Lift(corrupt) error = %v, want %v", err, wantErr)
 	}
-	got, err := pool.LiftProgram(good)
-	if err != nil {
-		t.Fatalf("Pool.LiftProgram: %v", err)
+	if err := got.Lift(good); err != nil {
+		t.Fatalf("Program.Lift: %v", err)
 	}
 	want, err := pcode.LiftProgram(good)
 	if err != nil {

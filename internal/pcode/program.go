@@ -1,10 +1,9 @@
 package pcode
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/isa"
@@ -15,40 +14,60 @@ import (
 // for the call graph, the handler identification, and the taint engine.
 type Program struct {
 	Bin    *binfmt.Binary
-	Funcs  []*Function
+	Funcs  []*Function // in address order; Function.Index is the position here
 	byAddr map[uint32]*Function
 	byName map[string]*Function
 
-	fns   []Function // the function shells, in symbol order; Funcs points into it
-	slabs            // the storage every function's arrays are carved from
+	fns     []Function // the function shells, in symbol order; Funcs points into it
+	slabs              // the storage every function's arrays are carved from
+	scratch scratch    // the decode buffers, kept for the next Lift
 }
 
 // LiftProgram lifts every function symbol of the binary into storage of
-// its own: the pool-less case of Pool.LiftProgram.
+// its own: the case of Lift with nothing to recycle.
 func LiftProgram(bin *binfmt.Binary) (*Program, error) {
-	return (*Pool)(nil).LiftProgram(bin)
+	p := new(Program)
+	if err := p.Lift(bin); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Lift lifts every function symbol of the binary into p, reusing the slabs,
+// function shells, index maps and decode scratch an earlier Lift left in
+// p; lifting the same binary again allocates nothing. p's owner calls it
+// only once nothing reads p, its functions, or any op, varnode or call
+// target taken from them any more.
+func (p *Program) Lift(bin *binfmt.Binary) error {
+	if err := p.lift(bin); err != nil {
+		return fmt.Errorf("pcode: program %q: %w", bin.Name, err)
+	}
+	return nil
 }
 
 // lift fills p with the P-Code of every function of bin, reusing the
-// slabs, shells and index maps a recycled p kept.
+// slabs, shells, index maps and decode buffer a recycled p kept.
 func (p *Program) lift(bin *binfmt.Binary) error {
-	sc := liftScratch.Get().(*scratch)
-	defer liftScratch.Put(sc)
-	sc.instrs, sc.sizes = sc.instrs[:0], sc.sizes[:0]
-	if n := instrCount(bin); cap(sc.instrs) < n {
+	sc := &p.scratch
+	sc.sizes = sc.sizes[:0]
+	if n := maxInstrs(bin); cap(sc.instrs) < n {
 		sc.instrs = make([]isa.Instruction, 0, n)
 	}
-	// Decode every function first, so each slab is sized once, exactly. A
-	// function that fails to decode ends the pass, but the functions before
-	// it still lift first, so the error reported is the first in symbol
-	// order.
+	// Size every function first, so each slab is sized once, exactly; the
+	// lift below decodes each function again. A function that fails to
+	// decode ends the pass, but the functions before it still lift first,
+	// so the error reported is the first in symbol order.
 	var total size
 	var decodeErr error
 	for _, sym := range bin.Funcs {
-		if decodeErr = sc.decode(bin, sym); decodeErr != nil {
+		instrs, err := sc.decode(bin, sym)
+		if err != nil {
+			decodeErr = err
 			break
 		}
-		total.add(sc.sizes[len(sc.sizes)-1])
+		n := sizeOfCode(bin, instrs)
+		sc.sizes = append(sc.sizes, n)
+		total.add(n)
 	}
 	p.Bin = bin
 	p.slabs.reset(total)
@@ -66,13 +85,12 @@ func (p *Program) lift(bin *binfmt.Binary) error {
 		clear(p.byAddr)
 		clear(p.byName)
 	}
-	instrs := sc.instrs
 	for i, n := range sc.sizes {
 		sym, f := bin.Funcs[i], &p.fns[i]
-		if err := f.lift(bin, sym, instrs[:n.instrs], n, &p.slabs); err != nil {
+		instrs, _ := sc.decode(bin, sym) // it decoded once already
+		if err := f.lift(bin, sym, instrs, n, &p.slabs); err != nil {
 			return err
 		}
-		instrs = instrs[n.instrs:]
 		p.Funcs = append(p.Funcs, f)
 		p.byAddr[sym.Addr] = f
 		p.byName[sym.Name] = f
@@ -80,89 +98,30 @@ func (p *Program) lift(bin *binfmt.Binary) error {
 	if decodeErr != nil {
 		return decodeErr
 	}
-	sort.Slice(p.Funcs, func(i, j int) bool { return p.Funcs[i].Addr() < p.Funcs[j].Addr() })
+	slices.SortFunc(p.Funcs, func(a, b *Function) int { return cmp.Compare(a.Addr(), b.Addr()) })
+	for i, f := range p.Funcs {
+		f.index = i
+	}
 	return nil
 }
 
-// instrCount returns the number of instructions decoding bin's function
-// symbols takes, capped at the text section's: symbol sizes come from the
-// binary and are not trusted.
-func instrCount(bin *binfmt.Binary) int {
+// maxInstrs returns the instruction count of bin's largest function
+// symbol, capped at the text section's: symbol sizes come from the binary
+// and are not trusted.
+func maxInstrs(bin *binfmt.Binary) int {
 	n := 0
 	for _, sym := range bin.Funcs {
-		n += int(sym.Size / isa.InstrSize)
+		n = max(n, int(sym.Size/isa.InstrSize))
 	}
 	return min(n, len(bin.Text)/isa.InstrSize)
 }
 
-// Pool is a free list of lifted programs. A program it lifts has exactly
-// one owner, who hands it back with Release once nothing reads it any
-// more; the next LiftProgram reuses its slabs, function shells and index
-// maps instead of allocating them. The list keeps at most the number of
-// programs the pool was built for (NewPool) and leaves any further release
-// to the garbage collector, so a nil or zero Pool allocates every program
-// and drops released ones. Safe for concurrent use.
-type Pool struct {
-	mu    sync.Mutex
-	free  []*Program
-	max   int
-	scrub atomic.Bool // overwrite released storage (ScrubReleased)
-}
-
-// NewPool returns an empty pool that keeps at most max released programs.
-func NewPool(max int) *Pool { return &Pool{max: max} }
-
-// LiftProgram lifts every function symbol of the binary, into recycled
-// storage when the pool holds some.
-func (pl *Pool) LiftProgram(bin *binfmt.Binary) (*Program, error) {
-	p := pl.get()
-	if err := p.lift(bin); err != nil {
-		pl.Release(p)
-		return nil, fmt.Errorf("pcode: program %q: %w", bin.Name, err)
-	}
-	return p, nil
-}
-
-func (pl *Pool) get() *Program {
-	if pl != nil {
-		pl.mu.Lock()
-		defer pl.mu.Unlock()
-		if n := len(pl.free); n > 0 {
-			p := pl.free[n-1]
-			pl.free[n-1] = nil
-			pl.free = pl.free[:n-1]
-			return p
-		}
-	}
-	return new(Program)
-}
-
-// Release hands p back for reuse. Only p's owner may release it, once:
-// nothing may read p, its functions, or any op, varnode or call target
-// taken from them afterwards.
-func (pl *Pool) Release(p *Program) {
-	if pl == nil || p == nil {
-		return
-	}
+// Scrub overwrites p's ops, inputs, call targets and tables with garbage
+// and drops its binary, so a reader that still holds p after its owner
+// gave it up computes nonsense instead of a plausible stale answer. Tests
+// use it to prove that nothing outlives a release.
+func (p *Program) Scrub() {
 	p.Bin = nil
-	if pl.scrub.Load() {
-		p.scrubStorage()
-	}
-	pl.mu.Lock()
-	if len(pl.free) < pl.max {
-		pl.free = append(pl.free, p)
-	}
-	pl.mu.Unlock()
-}
-
-// ScrubReleased makes Release overwrite each released program's storage
-// with garbage, so a reader that still holds a released program computes
-// nonsense instead of a plausible stale answer. Tests use it to prove that
-// nothing outlives its release.
-func (pl *Pool) ScrubReleased() { pl.scrub.Store(true) }
-
-// scrubStorage overwrites p's ops, inputs, call targets and tables.
-func (p *Program) scrubStorage() {
 	for i := range p.ops {
 		p.ops[i] = Op{Seq: -1, Addr: 0xdeadbeef, Code: 0xee}
 	}
@@ -177,6 +136,7 @@ func (p *Program) scrubStorage() {
 	for i := range p.fns {
 		f := &p.fns[i]
 		f.Sym.Name = "scrubbed"
+		f.index = -1
 		clear(f.locs)
 		clear(f.ramIDs)
 		clear(f.locIdx)

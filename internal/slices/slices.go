@@ -236,8 +236,8 @@ func Similarity(a, b string) float64 {
 	return similarity(a, b, &rows)
 }
 
-// similarity is Similarity computing the LCS in *rows, which Cluster keeps
-// across its pairwise comparisons.
+// similarity is Similarity computing the LCS in *rows, which
+// pairSimilarities keeps across its pairwise comparisons.
 func similarity(a, b string, rows *[]int) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -280,36 +280,16 @@ func lcs(a, b string, rows *[]int) int {
 // strings join the same cluster when their similarity meets the threshold.
 // Clusters are returned sorted by size (descending), members sorted
 // lexicographically; the §IV-C delimiter identification reads the cluster
-// count at thresholds 0.5/0.6/0.7.
+// count at thresholds 0.5/0.6/0.7 (ClusterCounts).
 func Cluster(items []string, threshold float64) [][]string {
 	n := len(items)
 	if n == 0 {
 		return nil
 	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	var rows []int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if similarity(items[i], items[j], &rows) >= threshold {
-				union(i, j)
-			}
-		}
-	}
+	u := components(n, pairSimilarities(items), threshold)
 	groups := map[int][]string{}
 	for i, s := range items {
-		r := find(i)
+		r := u.find(i)
 		groups[r] = append(groups[r], s)
 	}
 	out := make([][]string, 0, len(groups))
@@ -324,6 +304,71 @@ func Cluster(items []string, threshold float64) [][]string {
 		return out[i][0] < out[j][0]
 	})
 	return out
+}
+
+// ClusterCounts returns len(Cluster(items, t)) for each t of thresholds,
+// scoring each pair once: single-link clusters at t are the connected
+// components of the pairs whose similarity is at least t, so every
+// threshold only re-runs the union-find over the scores.
+func ClusterCounts(items []string, thresholds []float64) []int {
+	counts := make([]int, len(thresholds))
+	if len(items) == 0 {
+		return counts
+	}
+	sims := pairSimilarities(items)
+	for k, t := range thresholds {
+		u := components(len(items), sims, t)
+		for i := range u {
+			if u.find(i) == i {
+				counts[k]++
+			}
+		}
+	}
+	return counts
+}
+
+// pairSimilarities returns the Similarity of every pair i < j of items, in
+// row order: (0,1), (0,2), ..., (1,2), ...
+func pairSimilarities(items []string) []float64 {
+	n := len(items)
+	sims := make([]float64, 0, n*(n-1)/2)
+	var rows []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			sims = append(sims, similarity(items[i], items[j], &rows))
+		}
+	}
+	return sims
+}
+
+// unionFind is a disjoint-set forest over [0, n): u[x] is x's parent.
+type unionFind []int
+
+// components returns the union-find of n items in which every pair whose
+// similarity (pairSimilarities order) meets threshold is joined.
+func components(n int, sims []float64, threshold float64) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = i
+	}
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if sims[k] >= threshold {
+				u[u.find(i)] = u.find(j)
+			}
+			k++
+		}
+	}
+	return u
+}
+
+func (u unionFind) find(x int) int {
+	for u[x] != x {
+		u[x] = u[u[x]]
+		x = u[x]
+	}
+	return x
 }
 
 // FormatSubstrings collects the literal segments of every resolved format

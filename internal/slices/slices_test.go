@@ -3,6 +3,7 @@ package slices
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,31 @@ func TestClusterThresholdMonotonicity(t *testing.T) {
 			t.Errorf("cluster count decreased at threshold %v: %d < %d", thd, n, prev)
 		}
 		prev = n
+	}
+}
+
+// TestClusterCountsMatchesCluster: scoring each pair once and counting
+// components at every threshold gives the cluster count Cluster gives,
+// over seeded random strings drawn from a small alphabet so that pairs
+// land on both sides of every threshold.
+func TestClusterCountsMatchesCluster(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	thresholds := []float64{0, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 1}
+	for trial := 0; trial < 200; trial++ {
+		items := make([]string, rng.Intn(12))
+		for i := range items {
+			b := make([]byte, rng.Intn(7))
+			for j := range b {
+				b[j] = "&=abc:"[rng.Intn(6)]
+			}
+			items[i] = string(b)
+		}
+		got := ClusterCounts(items, thresholds)
+		for k, thd := range thresholds {
+			if want := len(Cluster(items, thd)); got[k] != want {
+				t.Fatalf("ClusterCounts(%q)[%v] = %d, Cluster gives %d clusters", items, thd, got[k], want)
+			}
+		}
 	}
 }
 

@@ -77,8 +77,9 @@ leg_race() {
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
 	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
-	echo "== lifted-program pool (two goroutines on one Analyzer, goldens byte-identical) under -race"
+	echo "== set pool: lifted programs with their facts (two goroutines on one Analyzer, goldens byte-identical; eight goroutines building one recycled store's artifacts at once) under -race"
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
+	go test -race -count=10 -run 'TestRecycledStoreConcurrentArtifacts' ./internal/facts
 
 	echo "== progress lines (concurrent image ends into a slow writer stay in order) under -race"
 	go test -race -count=10 -run 'TestProgressLinesInOrder' ./internal/obs
@@ -96,7 +97,7 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, program-pool retention)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, set-pool retention, a recycled set re-serving a program at 0 allocs)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
@@ -105,6 +106,7 @@ leg_suites() {
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
+	go test -run 'TestRecycledSetZeroAllocs' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
 
 	echo "== lint corpus precision (seeded positives, zero false positives)"
