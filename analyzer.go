@@ -49,7 +49,7 @@ func (c *config) analyzer(totalImages int) (*Analyzer, error) {
 	}
 	a := &Analyzer{pl: core.New(c.opts), rec: c.recorder(totalImages)}
 	if c.cacheDir != "" {
-		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes))
+		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes), cache.WithCheck(checkReport))
 		if err != nil {
 			return nil, fmt.Errorf("firmres: %w", err)
 		}
@@ -108,15 +108,14 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 	sp := rec.StartSpan(nil, "cache", obs.String("key", key[:16]))
 	defer sp.End()
 	if !keepJSON {
+		// A payload that does not decode is a corrupt entry: View deletes
+		// it, counts it and misses, and Do below computes the report again.
 		var rep *Report
-		if hit, err := a.cache.View(key, func(js []byte) (err error) {
+		if hit, _ := a.cache.View(key, func(js []byte) (err error) {
 			rep, err = decodeReport(js)
 			return err
 		}); hit {
 			sp.SetStatus("hit")
-			if err != nil {
-				return nil, nil, false, err
-			}
 			sp.AddString("device", rep.Device)
 			return rep, nil, true, nil
 		}
@@ -212,7 +211,7 @@ func (a *Analyzer) analyzeFresh(ctx context.Context, rec *obs.Recorder, data []b
 // Cached returns the canonical JSON of data's report when the cache holds
 // a verified entry for it, without analyzing: the fast path for a service
 // that answers a submission before spending a worker on it. An entry that
-// fails its checksum or is not valid JSON is a miss; a corrupt one is
+// fails its checksum or does not decode as a report is corrupt: a miss,
 // deleted and counted in CacheStats().Errors. A probe is not an analysis,
 // so a hit is not counted. Without WithCache every probe misses.
 func (a *Analyzer) Cached(data []byte) ([]byte, bool) {
@@ -220,7 +219,7 @@ func (a *Analyzer) Cached(data []byte) ([]byte, bool) {
 		return nil, false
 	}
 	js, err := a.cache.Get(cache.KeyOf(data, a.fp))
-	if err != nil || js == nil || !json.Valid(js) {
+	if err != nil || js == nil {
 		return nil, false
 	}
 	return js, true

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,9 +243,10 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 }
 
 // TestAnalyzerCachedRejectsInvalidPayload: an entry whose checksum holds
-// but whose payload is not JSON is a miss for the probe, and fails an
-// analysis that reads it, whether it reads owned bytes (Analyze) or a
-// lent payload (a batch).
+// but whose payload is not JSON is corrupt: a miss for the probe, and
+// recomputed by an analysis that reads it, whether it reads owned bytes
+// (Analyze) or a lent payload (a batch). Each read deletes the entry and
+// counts it in CacheStats().Errors.
 func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	data := packedDevice(t, 5)
 	dir := t.TempDir()
@@ -254,21 +254,33 @@ func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.cache.Put(cache.KeyOf(data, a.fp), []byte(`{"Device":`)); err != nil {
-		t.Fatal(err)
+	plant := func() {
+		t.Helper()
+		if err := a.cache.Put(cache.KeyOf(data, a.fp), []byte(`{"Device":`)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	plant()
 	if js, ok := a.Cached(data); ok {
 		t.Errorf("probe accepted a truncated payload: %q", js)
 	}
-	if _, _, _, err := a.Analyze(context.Background(), data, nil); err == nil || !strings.Contains(err.Error(), "cache decode") {
-		t.Errorf("Analyze over a truncated payload: err = %v, want a cache decode failure", err)
+	plant()
+	if rep, _, hit, err := a.Analyze(context.Background(), data, nil); err != nil || hit || rep.Device == "" {
+		t.Errorf("Analyze over a truncated payload = (hit %t, %v), want a recomputed report", hit, err)
 	}
+	if st := a.CacheStats(); st.Errors != 2 || st.Hits != 0 {
+		t.Errorf("cache stats = %+v, want the probe's and the analysis's corrupt entries counted", st)
+	}
+	plant()
 	br, err := AnalyzeImages(context.Background(), [][]byte{data}, WithCache(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := br.Images[0]; res.Report != nil || !strings.Contains(res.Error, "cache decode") {
-		t.Errorf("batch over a truncated payload = %+v, want a cache decode failure", res)
+	if res := br.Images[0]; res.Report == nil || res.Err != nil {
+		t.Errorf("batch over a truncated payload = %+v, want a recomputed report", res)
+	}
+	if st := br.Summary.Cache; st.Errors != 1 || st.Misses != 1 {
+		t.Errorf("batch cache stats = %+v, want 1 corrupt entry and 1 miss", st)
 	}
 }
 

@@ -124,3 +124,10 @@ func decodeReport(data []byte) (*Report, error) {
 	}
 	return &r, nil
 }
+
+// checkReport is the cache's payload check: a verified entry whose payload
+// does not decode as a report is corrupt.
+func checkReport(data []byte) error {
+	_, err := decodeReport(data)
+	return err
+}

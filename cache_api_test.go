@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"firmres/internal/cache"
 	"firmres/internal/corpus"
 )
 
@@ -227,6 +228,96 @@ func TestCacheCorruptEntryForcesReanalysis(t *testing.T) {
 	}
 	if st.Hits != 1 {
 		t.Errorf("stats after heal = %+v, want 1 hit", st)
+	}
+}
+
+// TestCacheUndecodableEntryForcesReanalysis: an entry whose checksum
+// matches but whose payload does not decode as a report is corrupt, as
+// one that fails its checksum is. On every read path — a batch hit
+// (AnalyzeImage, AnalyzeImages), FirmServe's Analyze and the Cached probe
+// — it is deleted, counted in CacheStats().Errors and never a hit, and
+// the analyses recompute the report and heal the entry.
+func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
+	data := packedDevice(t, 5)
+	dir := t.TempDir()
+	fresh, err := AnalyzeImage(data, WithLint(), WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalReport(t, fresh)
+	entries := cacheEntries(t, dir)
+	if len(entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(entries))
+	}
+	key := strings.TrimSuffix(filepath.Base(entries[0]), ".fcache")
+	cc, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// plant rewrites the image's entry as a well-framed payload that is
+	// valid JSON but not a report.
+	plant := func() {
+		t.Helper()
+		if err := cc.Put(key, []byte(`{"Device":"x"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	plant()
+	var st CacheStats
+	rep, err := AnalyzeImage(data, WithLint(), WithCache(dir), WithCacheStats(&st))
+	if err != nil {
+		t.Fatalf("AnalyzeImage over an undecodable entry: %v", err)
+	}
+	if got := marshalReport(t, rep); got != want {
+		t.Errorf("re-analysis over an undecodable entry diverged:\n%s\nvs\n%s", clip(got), clip(want))
+	}
+	if st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("AnalyzeImage stats = %+v, want 1 error + 1 miss", st)
+	}
+
+	plant()
+	st = CacheStats{}
+	br, err := AnalyzeImages(context.Background(), [][]byte{data, data}, WithLint(), WithCache(dir), WithCacheStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ir := range br.Images {
+		if ir.Err != nil {
+			t.Fatalf("AnalyzeImages image %d: %v", i, ir.Err)
+		}
+		if got := marshalReport(t, ir.Report); got != want {
+			t.Errorf("AnalyzeImages image %d diverged", i)
+		}
+	}
+	if st.Errors != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("AnalyzeImages stats = %+v, want 1 error, 1 miss and the healed entry's hit", st)
+	}
+
+	a, err := NewAnalyzer(WithLint(), WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant()
+	if js, hit := a.Cached(data); hit {
+		t.Errorf("Cached answered an undecodable entry: %s", clip(string(js)))
+	}
+	if n := len(cacheEntries(t, dir)); n != 0 {
+		t.Errorf("Cached left the undecodable entry in place (%d entries)", n)
+	}
+	plant()
+	rep, js, hit, err := a.Analyze(context.Background(), data, nil)
+	if err != nil || hit {
+		t.Fatalf("Analyze over an undecodable entry = hit %t, %v; want a recomputed miss", hit, err)
+	}
+	if got := marshalReport(t, rep); got != want {
+		t.Errorf("Analyze over an undecodable entry diverged")
+	}
+	if cached, ok := a.Cached(data); !ok || !bytes.Equal(cached, js) {
+		t.Errorf("Cached after the recompute = %t, want the healed entry", ok)
+	}
+	if s := a.CacheStats(); s.Errors != 2 || s.Misses != 1 || s.Hits != 0 {
+		t.Errorf("Analyzer stats = %+v, want 2 errors (Cached, Analyze) + 1 miss", s)
 	}
 }
 

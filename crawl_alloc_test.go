@@ -8,16 +8,20 @@ import (
 	"context"
 	"runtime"
 	"runtime/metrics"
+	"sort"
 	"testing"
 
+	"firmres/internal/binfmt"
+	"firmres/internal/facts"
+	"firmres/internal/image"
 	"firmres/internal/parallel"
 )
 
 // crawlAllocBudget is the committed ceiling on heap bytes allocated per
 // image by a cold -j 1 sweep of the crawl set. The measured cost is about
 // 0.32 MB, each executable's lifted program and facts artifacts recycled
-// together through the pipeline's pool and each tree's paths enumerated
-// once; the headroom absorbs runtime-version drift, not regressions —
+// together through the process's free list of sets and each tree's paths
+// enumerated once; the headroom absorbs runtime-version drift, not regressions —
 // blowing the budget means a cold-path structure (a per-call map, a string
 // per op, a solution the facts store already holds, a set nobody releases,
 // facts built in fresh storage, a path list walked twice) is being rebuilt
@@ -44,7 +48,7 @@ func heapAllocBytes() uint64 {
 
 // TestCrawlAllocBudget pins the allocation cost of the cold crawl sweep:
 // lint on, no cache, one worker, measured over one AnalyzeImages pass
-// after a warm-up pass has filled the pools.
+// after a warm-up pass has filled the free list of sets.
 func TestCrawlAllocBudget(t *testing.T) {
 	imgs := crawlSet(t)
 	opts := []Option{WithLint(), WithWorkers(1)}
@@ -67,8 +71,7 @@ func TestCrawlAllocBudget(t *testing.T) {
 	}
 }
 
-// liveHeap returns the bytes of live heap objects. Two collections flush
-// the sync.Pool victim caches, so pooled scratch does not count.
+// liveHeap returns the bytes of live heap objects after two collections.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -77,31 +80,165 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
+// emptyFreeList takes every set the process's free list holds, lifting
+// the first binary of img into each, and drops them, so that the list is
+// empty and the sets it held are garbage.
+func emptyFreeList(t testing.TB, img []byte) {
+	t.Helper()
+	unpacked, err := image.Unpack(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range unpacked.Executables() {
+		if !f.IsBinary() {
+			continue
+		}
+		bin, err := binfmt.Unmarshal(f.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+			if _, err := facts.Lift(bin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	t.Fatal("image has no binary executable")
+}
+
 // TestAnalyzerRetentionBound runs the crawl set through one Analyzer on
-// two workers and requires the live heap to stay within 1 MB of its
-// starting level while the Analyzer stays reachable: its pool keeps the
-// storage of the programs that were live at once, and nothing else of
-// the analyses survives them.
+// two workers and requires the live heap, once the process's free list of
+// sets is emptied, to stay within 64 KB of its level before the run while
+// the Analyzer stays reachable: the free list keeps the storage of at
+// most GOMAXPROCS+1 sets, and nothing else of the analyses survives them,
+// in the Analyzer or anywhere else. A warm-up pass first builds what the
+// process builds once (the extern signature index, the sets' storage).
 func TestAnalyzerRetentionBound(t *testing.T) {
-	const budget = 1 << 20
+	const budget = 64 << 10
 	imgs := crawlSet(t)
+	ctx := context.Background()
+	if _, err := AnalyzeImages(ctx, imgs, WithLint(), WithWorkers(2)); err != nil {
+		t.Fatal(err)
+	}
 	cfg := newConfig([]Option{WithLint(), WithWorkers(2)})
 	a, err := cfg.analyzer(len(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	emptyFreeList(t, imgs[0])
 	before := liveHeap()
 	parallel.ForEach(ctx, 2, len(imgs), func(i int) {
 		analyzeBatchImage(ctx, a, "", imgs[i])
 	})
+	kept := liveHeap()
+	emptyFreeList(t, imgs[0])
 	after := liveHeap()
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(imgs)
 
 	grown := int64(after) - int64(before)
-	t.Logf("live heap grew %d B over %d images (budget %d)", grown, len(imgs), budget)
+	t.Logf("live heap grew %d B over %d images beyond the free list, which kept %d B (budget %d)",
+		grown, len(imgs), int64(kept)-int64(after), budget)
 	if grown > budget {
-		t.Errorf("live heap grew %d B after the crawl set, budget %d: the Analyzer keeps more than its pool", grown, budget)
+		t.Errorf("live heap grew %d B after the crawl set beyond the free list of sets, budget %d", grown, budget)
+	}
+}
+
+// warmDevices packs devices 1-20, the device-cloud images of the corpus.
+func warmDevices(t *testing.T) [][]byte {
+	imgs := make([][]byte, 20)
+	for i := range imgs {
+		imgs[i] = packedDevice(t, i+1)
+	}
+	return imgs
+}
+
+// medianOf returns the median of xs, reordering them.
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
+// TestOneShotBatchStartsWarm: a one-shot AnalyzeImages call lifts through
+// the process's free list like every other analysis, so it starts with
+// the sets earlier calls grew instead of growing its own. Over devices
+// 1-20 (lint, one worker) it must allocate within 2% per image of a warm
+// long-lived Analyzer on the same images. The passes alternate, and each
+// figure is the median of seven; runtime.ReadMemStats flushes every P's
+// allocation cache, so each small object counts as it is allocated.
+func TestOneShotBatchStartsWarm(t *testing.T) {
+	imgs := warmDevices(t)
+	opts := []Option{WithLint(), WithWorkers(1)}
+	a, err := NewAnalyzer(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const passes = 7
+	var oneShot, warm []float64
+	for pass := -1; pass < passes; pass++ {
+		before := totalAlloc()
+		if _, err := AnalyzeImages(ctx, imgs, opts...); err != nil {
+			t.Fatal(err)
+		}
+		mid := totalAlloc()
+		for _, img := range imgs {
+			if r := analyzeBatchImage(ctx, a, "", img); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		end := totalAlloc()
+		if pass >= 0 {
+			oneShot = append(oneShot, float64(mid-before)/float64(len(imgs)))
+			warm = append(warm, float64(end-mid)/float64(len(imgs)))
+		}
+	}
+	o, w := medianOf(oneShot), medianOf(warm)
+	t.Logf("per image: one-shot AnalyzeImages %.0f B, warm Analyzer %.0f B (%+.1f%%)", o, w, 100*(o-w)/w)
+	if o > 1.02*w {
+		t.Errorf("a one-shot batch allocates %.0f B per image, %.1f%% above a warm Analyzer's %.0f B: it does not start warm",
+			o, 100*(o-w)/w, w)
+	}
+}
+
+// TestWarmAnalysisIgnoresGC: nothing an analysis reuses lives in storage
+// a collection empties, so an analysis through a warm Analyzer allocates
+// within 2% the same bytes whether or not two collections precede it.
+// Each figure is the per-image median of seven passes over devices 1-20
+// (lint, one worker), the two kinds of pass alternating.
+func TestWarmAnalysisIgnoresGC(t *testing.T) {
+	imgs := warmDevices(t)
+	a, err := NewAnalyzer(WithLint(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pass := func(collect bool) float64 {
+		var total uint64
+		for _, img := range imgs {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			before := totalAlloc()
+			if r := analyzeBatchImage(ctx, a, "", img); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			total += totalAlloc() - before
+		}
+		return float64(total) / float64(len(imgs))
+	}
+	pass(false)
+	const passes = 7
+	var plain, collected []float64
+	for i := 0; i < passes; i++ {
+		plain = append(plain, pass(false))
+		collected = append(collected, pass(true))
+	}
+	p, c := medianOf(plain), medianOf(collected)
+	t.Logf("per analysis: %.0f B, %.0f B after two collections (%+.1f%%)", p, c, 100*(c-p)/p)
+	if c > 1.02*p || c < 0.98*p {
+		t.Errorf("an analysis allocates %.0f B after two collections against %.0f B without: storage it reuses is emptied by the collector", c, p)
 	}
 }

@@ -17,10 +17,11 @@
 //     copied into one framed buffer.
 //   - One verified read path: Get, View and Do's disk check all read an
 //     entry whole into a buffer, check its header and SHA-256 without
-//     allocating, and refresh its mtime. A mismatch (truncation, bit rot,
-//     hostile edit) reads as a miss, the bad entry is deleted, and the
-//     error — wrapping errdefs.ErrCacheCorrupt — is surfaced as a note,
-//     never a failure.
+//     allocating, run the payload check (WithCheck; View's callback stands
+//     in for it), and refresh its mtime. A mismatch (truncation, bit rot,
+//     hostile edit) or a payload the check rejects reads as a miss, the
+//     bad entry is deleted, and the error — wrapping
+//     errdefs.ErrCacheCorrupt — is surfaced as a note, never a failure.
 //   - Owned or lent: Get returns a payload the caller owns, in a fresh
 //     buffer of the entry's size. View lends the payload, in a buffer from
 //     a pool, to a callback and recycles the buffer when it returns, so the
@@ -114,6 +115,15 @@ func WithMaxBytes(n int64) Option {
 	return func(c *Cache) { c.maxBytes = n }
 }
 
+// WithCheck sets the check a payload read from disk must pass, beyond its
+// checksum, to be an entry: one that verifies but that the caller cannot
+// use is as corrupt as one that does not verify. Get and Do's disk check
+// run it; View's callback stands in for it. Without it every verified
+// payload is an entry.
+func WithCheck(check func(payload []byte) error) Option {
+	return func(c *Cache) { c.check = check }
+}
+
 // Cache is one handle onto an on-disk cache directory. Safe for concurrent
 // use; multiple handles (or processes) may share a directory — the atomic
 // rename write and checksummed read keep them consistent, though
@@ -121,6 +131,7 @@ func WithMaxBytes(n int64) Option {
 type Cache struct {
 	dir      string
 	maxBytes int64
+	check    func(payload []byte) error // WithCheck; nil accepts every payload
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -171,40 +182,39 @@ func (c *Cache) path(key string) string {
 // refreshes the entry's mtime so eviction approximates LRU. Get counts no
 // hit or miss: Do and View own that accounting (a raw Get is a probe).
 func (c *Cache) Get(key string) ([]byte, error) {
-	payload, _, err := c.read(key, nil)
+	payload, _, err := c.read(key, nil, c.check)
 	return payload, err
 }
 
-// View reads the entry for key into a pooled buffer and, on a hit, lends
-// the payload to fn, recycling the buffer once fn returns: fn must not
-// keep the payload or any slice of it. It reports whether the entry was
-// there and verified, and returns fn's error on a hit. A miss calls no fn
-// and returns (false, nil), or (false, err) for a corrupt entry, which is
-// deleted as by Get. A hit refreshes the entry's mtime and counts in
-// Stats.Hits; a miss counts nothing, since a caller that misses goes on
-// to Do, which does.
+// View reads the entry for key into a pooled buffer and, if it verifies,
+// lends the payload to fn, recycling the buffer once fn returns: fn must
+// not keep the payload or any slice of it. fn stands in for the handle's
+// check, so a payload fn rejects is corrupt. View reports whether fn
+// accepted a verified entry: a hit, which refreshes the entry's mtime and
+// counts in Stats.Hits. A miss returns (false, nil), or (false, err) for a
+// corrupt entry, which is deleted as by Get; it counts nothing, since a
+// caller that misses goes on to Do, which does.
 func (c *Cache) View(key string, fn func(payload []byte) error) (hit bool, err error) {
 	bp := readBufs.Get().(*[]byte)
-	payload, buf, err := c.read(key, *bp)
+	payload, buf, err := c.read(key, *bp, fn)
 	if payload != nil {
 		c.hits.Add(1)
-		hit, err = true, fn(payload)
 	}
 	if cap(buf) <= maxPooled {
 		*bp = buf[:0]
 		readBufs.Put(bp)
 	}
-	return hit, err
+	return payload != nil, err
 }
 
 // read is the one read path. It reads key's entry whole into buf, or into
 // a new buffer of exactly the entry's size when buf is too small, verifies
-// the frame and refreshes the entry's mtime. It returns the payload, which
-// aliases the buffer it also returns. A clean miss returns a nil payload
-// and error; an unreadable entry counts in Errors, and one that fails
-// verification is deleted too, each returning an error that wraps
-// errdefs.ErrCacheCorrupt.
-func (c *Cache) read(key string, buf []byte) (payload, used []byte, err error) {
+// the frame, runs check (nil: none) on the payload and refreshes the
+// entry's mtime. It returns the payload, which aliases the buffer it also
+// returns. A clean miss returns a nil payload and error; an unreadable
+// entry counts in Errors, and one that fails verification or the check is
+// deleted too, each returning an error that wraps errdefs.ErrCacheCorrupt.
+func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (payload, used []byte, err error) {
 	path := c.path(key)
 	f, err := os.Open(path)
 	if err != nil {
@@ -226,7 +236,10 @@ func (c *Cache) read(key string, buf []byte) (payload, used []byte, err error) {
 	if err != nil {
 		return nil, buf, c.corrupt(key, err)
 	}
-	if payload, err = verify(buf); err != nil {
+	if payload, err = verify(buf); err == nil && check != nil {
+		err = check(payload)
+	}
+	if err != nil {
 		os.Remove(path)
 		return nil, buf, c.corrupt(key, err)
 	}

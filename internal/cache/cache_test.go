@@ -162,7 +162,8 @@ func TestTruncatedEntryIsCorrupt(t *testing.T) {
 }
 
 // TestViewLendsPayload checks View's hit, miss and error contract and
-// its accounting: a hit counts, a miss counts nothing and calls no fn.
+// its accounting: a hit counts, a miss counts nothing and calls no fn, and
+// a payload fn rejects is corrupt — a miss, deleted and counted in Errors.
 func TestViewLendsPayload(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -177,19 +178,65 @@ func TestViewLendsPayload(t *testing.T) {
 	if err := c.Put(key, []byte("value")); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("boom")
 	for i := 0; i < 3; i++ { // later rounds read into a recycled buffer
 		var got string
 		hit, err = c.View(key, func(payload []byte) error {
 			got = string(payload)
-			return boom
+			return nil
 		})
-		if !hit || !errors.Is(err, boom) || got != "value" {
-			t.Fatalf("View %d = (%t, %v) lending %q, want a hit lending \"value\" with fn's error", i, hit, err, got)
+		if !hit || err != nil || got != "value" {
+			t.Fatalf("View %d = (%t, %v) lending %q, want a hit lending \"value\"", i, hit, err, got)
 		}
 	}
-	if s := c.Stats(); s.Hits != 3 || s.Misses != 0 || s.Errors != 0 {
-		t.Errorf("stats = %+v, want 3 hits", s)
+	boom := errors.New("boom")
+	hit, err = c.View(key, func([]byte) error { return boom })
+	if hit || !errors.Is(err, boom) || !errors.Is(err, errdefs.ErrCacheCorrupt) {
+		t.Fatalf("View rejecting the payload = (%t, %v), want a corrupt-entry miss wrapping fn's error", hit, err)
+	}
+	if val, err := c.Get(key); val != nil || err != nil {
+		t.Errorf("Get after a rejected payload = (%q, %v), want the entry deleted", val, err)
+	}
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 0 || s.Errors != 1 {
+		t.Errorf("stats = %+v, want 3 hits and 1 error", s)
+	}
+}
+
+// TestCheckRejectsPayload: with WithCheck, a verified entry whose payload
+// the check rejects is corrupt on Get and on Do's disk check — a miss,
+// deleted and counted in Errors — and Do computes the value afresh.
+func TestCheckRejectsPayload(t *testing.T) {
+	bad := errors.New("not a value")
+	c, err := Open(t.TempDir(), WithCheck(func(payload []byte) error {
+		if string(payload) == "bad" {
+			return bad
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	if err := c.Put(key, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	if val, err := c.Get(key); val != nil || !errors.Is(err, bad) || !errors.Is(err, errdefs.ErrCacheCorrupt) {
+		t.Fatalf("Get of a rejected payload = (%q, %v), want a corrupt-entry miss", val, err)
+	}
+	if val, err := c.Get(key); val != nil || err != nil {
+		t.Fatalf("Get after the rejection = (%q, %v), want the entry deleted", val, err)
+	}
+	if err := c.Put(key, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("good"), true, nil })
+	if string(val) != "good" || hit || err != nil {
+		t.Fatalf("Do over a rejected payload = (%q, %t, %v), want the computed value", val, hit, err)
+	}
+	if val, err := c.Get(key); string(val) != "good" || err != nil {
+		t.Errorf("Get after Do = (%q, %v), want the stored value", val, err)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 1 || s.Errors != 2 {
+		t.Errorf("stats = %+v, want 1 miss and 2 errors", s)
 	}
 }
 

@@ -146,7 +146,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 				res.Errors = append(res.Errors, skips...)
 				if cand != nil {
 					prog, fx = cand.fx.Prog(), cand.fx
-					res.set, res.pool = cand.fx, p.pool
+					res.set = cand.fx
 					res.Executable, res.Handlers = cand.path, cand.handlers
 					res.Recovery = cand.rec
 				}
@@ -184,10 +184,10 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 
 		// Stage 3: recover field semantics. Per-message classification fans
 		// out; the classifier must be safe for concurrent use (see Options).
-		// It enriches through the winner's facts store, and its enrichment
-		// is dropped when the stage ends.
+		// It enriches through the winner's facts store, whose set keeps the
+		// enrichment until the Result is released.
 		{StageSemantics, nil, func(sctx context.Context) (func(), error) {
-			classify := semantics.Observed(semantics.Bind(p.opts.Classifier, fx), met)
+			classify := semantics.Observed(p.opts.Classifier, met)
 			out := make([][]fields.SliceInfo, len(trees))
 			parallel.ForEach(sctx, workers, len(trees), func(i int) {
 				sp := obs.StartChild(sctx, "classify")
@@ -373,10 +373,10 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 		}
 	}
 	// Pinpoint owns every candidate but the winner: nothing reads a loser
-	// after selection, so its set goes back to the pool.
+	// after selection, so its set goes back to the free list.
 	for _, s := range slots {
 		if s.cand != nil && s.cand != best {
-			p.pool.Release(s.cand.fx)
+			s.cand.fx.Release()
 		}
 	}
 	if best == nil {
@@ -388,8 +388,8 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 // liftCandidate parses, recovers (when a symbol layer is missing), lifts,
 // and identifies one executable with panic recovery, so a pathological
 // binary is reported as skipped instead of crashing the whole analysis.
-// It lifts into a set from the pipeline's pool and gives the set back at
-// once unless the executable is a device-cloud candidate.
+// It lifts into a set from the process's free list and gives the set back
+// at once unless the executable is a device-cloud candidate.
 func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image.File, hints strip.Hints) (cand *candidate, skip *errdefs.AnalysisError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -427,7 +427,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 		}
 		sp.End()
 	}
-	fx, err := p.pool.Lift(bin, facts.WithMetrics(met))
+	fx, err := facts.Lift(bin, facts.WithMetrics(met))
 	if err != nil {
 		return nil, &errdefs.AnalysisError{
 			Stage: StagePinpoint.String(), Path: f.Path,
@@ -436,7 +436,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 	}
 	idRes := identify.Analyze(fx.Prog(), identify.WithFacts(fx))
 	if !idRes.IsDeviceCloud {
-		p.pool.Release(fx)
+		fx.Release()
 		return nil, nil
 	}
 	score := 0.0

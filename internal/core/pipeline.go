@@ -22,7 +22,6 @@ import (
 	"firmres/internal/lint"
 	"firmres/internal/mft"
 	"firmres/internal/nvram"
-	"firmres/internal/parallel"
 	"firmres/internal/semantics"
 	"firmres/internal/slices"
 	"firmres/internal/strip"
@@ -132,21 +131,20 @@ type Result struct {
 	// Empty for a clean run.
 	Errors []errdefs.AnalysisError
 
-	set  *facts.Program // the executable's set: lifted program and facts, handed back by Release
-	pool *facts.Pool    // the pipeline's free list the set came from
+	set *facts.Program // the executable's set: lifted program and facts, handed back by Release
 }
 
-// Release hands the executable's set — its lifted program and the storage
-// of its facts artifacts — back to the pipeline, which recycles it for
-// later analyses. Call it once the Result has been rendered: afterwards
-// Handlers and the MFT, Tree, Slices and Infos of every message refer to
-// storage another analysis may overwrite. Every stage has returned by the
-// time the analysis does, so nothing else reads the set and Release always
-// recycles it, after a fatal error too. It is safe to call more than once,
-// and a Result that is never released just leaves its set to the garbage
-// collector.
+// Release hands the executable's set — its lifted program, the storage of
+// its facts artifacts and the semantics stage's enrichment — back to the
+// process's free list, which recycles it for later analyses. Call it once
+// the Result has been rendered: afterwards Handlers and the MFT, Tree,
+// Slices and Infos of every message refer to storage another analysis may
+// overwrite. Every stage has returned by the time the analysis does, so
+// nothing else reads the set and Release always recycles it, after a fatal
+// error too. It is safe to call more than once, and a Result that is never
+// released just leaves its set to the garbage collector.
 func (r *Result) Release() {
-	r.pool.Release(r.set)
+	r.set.Release()
 	r.set = nil
 }
 
@@ -231,28 +229,18 @@ func (o Options) Fingerprint() string {
 	return b.String()
 }
 
-// Pipeline runs the FIRMRES analysis.
+// Pipeline runs the FIRMRES analysis. It lifts every executable into a
+// set from the process's free list (facts.Lift) and hands sets back as it
+// is done with them: pinpoint's losers at once, the winner when its
+// Result is released.
 type Pipeline struct {
 	opts Options
-	// pool recycles sets, each a lifted program with the storage of its
-	// facts artifacts: pinpoint's losers at once, the winner when its
-	// Result is released. It lives as long as the configured pipeline.
-	pool *facts.Pool
 }
 
 // New builds a pipeline.
 func New(opts Options) *Pipeline {
-	// An analysis holds one set per pinpoint worker plus the device-cloud
-	// candidate pinpoint keeps until selection; the pool keeps that many
-	// for the next analysis. Sets beyond it — concurrent analyses, images
-	// with more device-cloud candidates — go to the garbage collector, so
-	// what the pool retains is set by the options, not by the largest
-	// image seen.
-	return &Pipeline{opts: opts.withDefaults(), pool: facts.NewPool(parallel.CPUWorkers(opts.Workers) + 1)}
+	return &Pipeline{opts: opts.withDefaults()}
 }
-
-// Pool returns the free list the pipeline lifts executables through.
-func (p *Pipeline) Pool() *facts.Pool { return p.pool }
 
 // ErrNoDeviceCloudExecutable is reported (wrapped) when no binary in the
 // image contains an asynchronous request handler — script-only devices.

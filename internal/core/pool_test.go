@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"firmres/internal/binfmt"
@@ -12,8 +13,8 @@ import (
 )
 
 // liftAnyBinary lifts the first binary executable of img through the
-// pipeline's pool; the pool hands out the set released last first.
-func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *facts.Program {
+// process's free list, which hands out the set released last first.
+func liftAnyBinary(t *testing.T, img *image.Image) *facts.Program {
 	t.Helper()
 	for _, f := range img.Executables() {
 		if !f.IsBinary() {
@@ -23,7 +24,7 @@ func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *facts.Program {
 		if err != nil {
 			t.Fatalf("Unmarshal(%s): %v", f.Path, err)
 		}
-		set, err := p.Pool().Lift(bin)
+		set, err := facts.Lift(bin)
 		if err != nil {
 			t.Fatalf("Lift(%s): %v", f.Path, err)
 		}
@@ -33,12 +34,31 @@ func liftAnyBinary(t *testing.T, p *Pipeline, img *image.Image) *facts.Program {
 	return nil
 }
 
+// freeListCap is the most sets the process's free list keeps.
+func freeListCap() int { return runtime.GOMAXPROCS(0) + 1 }
+
+// drainFreeList lifts as many sets as the free list can keep and returns
+// them, so the list is empty until they or others are released.
+func drainFreeList(t *testing.T, img *image.Image) []*facts.Program {
+	t.Helper()
+	var held []*facts.Program
+	for i := 0; i < freeListCap(); i++ {
+		held = append(held, liftAnyBinary(t, img))
+	}
+	return held
+}
+
+func releaseAll(sets []*facts.Program) {
+	for _, set := range sets {
+		set.Release()
+	}
+}
+
 // TestReleaseRecyclesWinner: a released Result hands its set to the next
 // lift, and releasing it twice does not hand it out twice.
 func TestReleaseRecyclesWinner(t *testing.T) {
 	img := buildImage(t, 17)
-	p := New(Options{})
-	res, err := p.AnalyzeImage(img)
+	res, err := New(Options{}).AnalyzeImage(img)
 	if err != nil {
 		t.Fatalf("AnalyzeImage: %v", err)
 	}
@@ -46,12 +66,18 @@ func TestReleaseRecyclesWinner(t *testing.T) {
 	if set == nil {
 		t.Fatal("result holds no set")
 	}
+	held := drainFreeList(t, img)
+	defer releaseAll(held)
 	res.Release()
 	res.Release()
-	if got := liftAnyBinary(t, p, img); got != set {
+	got := liftAnyBinary(t, img)
+	defer got.Release()
+	if got != set {
 		t.Fatal("released set was not recycled by the next lift")
 	}
-	if got := liftAnyBinary(t, p, img); got == set {
+	again := liftAnyBinary(t, img)
+	defer again.Release()
+	if again == set {
 		t.Fatal("a set released twice was handed out twice")
 	}
 }
@@ -76,34 +102,44 @@ func TestPanickedStageReleasesProgram(t *testing.T) {
 	if !panicked || set == nil {
 		t.Fatalf("want a panicked semantics stage over a pinpointed program; errors %v, set %v", res.Errors, set != nil)
 	}
+	held := drainFreeList(t, img)
+	defer releaseAll(held)
 	res.Release()
-	if got := liftAnyBinary(t, p, img); got != set {
+	got := liftAnyBinary(t, img)
+	defer got.Release()
+	if got != set {
 		t.Fatal("Release did not recycle the set of an analysis with a panicked stage")
 	}
 }
 
-// TestPoolKeepsWhatOneAnalysisHolds: the pipeline's pool keeps one set
-// per pinpoint worker plus one, and leaves sets released beyond that to
-// the garbage collector.
+// TestPoolKeepsWhatOneAnalysisHolds: the process's free list keeps one
+// set per processor plus one — the most one analysis holds, since
+// pinpoint lifts on at most GOMAXPROCS workers and keeps one candidate
+// until selection — and leaves sets released beyond that to the garbage
+// collector.
 func TestPoolKeepsWhatOneAnalysisHolds(t *testing.T) {
 	img := buildImage(t, 17)
-	p := New(Options{Workers: 1})
+	n := freeListCap() + 3
 	released := map[*facts.Program]bool{}
 	var sets []*facts.Program
-	for i := 0; i < 6; i++ {
-		sets = append(sets, liftAnyBinary(t, p, img))
+	for i := 0; i < n; i++ {
+		sets = append(sets, liftAnyBinary(t, img))
 	}
 	for _, set := range sets {
-		p.Pool().Release(set)
+		set.Release()
 		released[set] = true
 	}
 	recycled := 0
-	for i := 0; i < 6; i++ {
-		if released[liftAnyBinary(t, p, img)] {
+	sets = sets[:0]
+	for i := 0; i < n; i++ {
+		set := liftAnyBinary(t, img)
+		sets = append(sets, set)
+		if released[set] {
 			recycled++
 		}
 	}
-	if recycled != 2 {
-		t.Errorf("pool handed back %d of 6 released sets, want 2 (1 pinpoint worker + 1)", recycled)
+	releaseAll(sets)
+	if want := freeListCap(); recycled != want {
+		t.Errorf("free list handed back %d of %d released sets, want %d (GOMAXPROCS + 1)", recycled, n, want)
 	}
 }

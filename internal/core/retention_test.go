@@ -9,8 +9,7 @@ import (
 	"firmres/internal/image"
 )
 
-// liveHeap returns the bytes of live heap objects. Two collections flush
-// the sync.Pool victim caches, so pooled scratch does not count.
+// liveHeap returns the bytes of live heap objects after two collections.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -23,7 +22,8 @@ func liveHeap() uint64 {
 // 22 stripped twins, with lint) through one Pipeline and requires the live
 // heap to return to its pre-batch level once the results are dropped,
 // while the pipeline and its classifier stay reachable: no per-image
-// enrichment state may outlive the analysis that built it.
+// enrichment state may outlive the set that holds it, and the process's
+// free list keeps at most GOMAXPROCS+1 sets.
 func TestPipelineRetainsNoEnrichment(t *testing.T) {
 	const budget = 1 << 20
 	var imgs []*image.Image

@@ -159,19 +159,40 @@ func (du *DefUse) solve(a cfg.Alloc) {
 }
 
 // ReachingDefs returns the op indices of the definitions of location v that
-// reach the program point just before opIdx.
+// reach the program point just before opIdx, in a slice of their own.
 func (du *DefUse) ReachingDefs(opIdx int, v pcode.Varnode) []int {
+	return du.AppendReachingDefs(nil, opIdx, v)
+}
+
+// AppendReachingDefs appends the op indices ReachingDefs returns to dst
+// and returns the extended slice, so a caller that passes a buffer of its
+// own allocates nothing while the buffer has room.
+func (du *DefUse) AppendReachingDefs(dst []int, opIdx int, v pcode.Varnode) []int {
+	return du.reachingDefs(dst, opIdx, v, false)
+}
+
+// HasReachingDef reports whether any definition of location v reaches the
+// program point just before opIdx: whether ReachingDefs is non-empty,
+// without building it.
+func (du *DefUse) HasReachingDef(opIdx int, v pcode.Varnode) bool {
+	var one [1]int
+	return len(du.reachingDefs(one[:0], opIdx, v, true)) > 0
+}
+
+// reachingDefs appends the reaching definitions of v at opIdx to dst, or
+// only the first one found when first is set.
+func (du *DefUse) reachingDefs(dst []int, opIdx int, v pcode.Varnode, first bool) []int {
 	loc := du.Fn.LocID(v)
 	if loc == pcode.NoLoc {
-		return nil
+		return dst
 	}
 	candidates := du.defsOf(loc)
 	if len(candidates) == 0 {
-		return nil
+		return dst
 	}
 	blk := du.G.BlockOf(opIdx)
 	if blk == nil {
-		return nil
+		return dst
 	}
 	// Walk the block from its start to opIdx, tracking the last local def.
 	lastLocal := -1
@@ -181,17 +202,19 @@ func (du *DefUse) ReachingDefs(opIdx int, v pcode.Varnode) []int {
 		}
 	}
 	if lastLocal >= 0 {
-		return []int{lastLocal}
+		return append(dst, lastLocal)
 	}
 	// Otherwise every def of loc in the block's IN set reaches.
 	in := du.set(du.in, blk.ID)
-	var out []int
 	for _, d := range candidates {
 		if in.has(int(d)) {
-			out = append(out, int(d))
+			dst = append(dst, int(d))
+			if first {
+				break
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // DefSites returns the op indices of all definitions of location v anywhere
@@ -214,7 +237,7 @@ func (du *DefUse) DefSites(v pcode.Varnode) []int {
 // taint source is a parameter of its caller, all possible callsites of the
 // caller would be analyzed").
 func (du *DefUse) IsParamLive(opIdx int, v pcode.Varnode) bool {
-	if len(du.ReachingDefs(opIdx, v)) > 0 {
+	if du.HasReachingDef(opIdx, v) {
 		return false
 	}
 	// Entry value reaches opIdx only if the block is reachable from entry.

@@ -17,8 +17,8 @@ type Shape struct {
 // SigIndex groups the extern signature database by Shape. Within a group,
 // signatures keep Table order, which doubles as the deterministic
 // tie-breaker for behavioral matching. An index is immutable once built,
-// and its methods return copies, so one index can serve every caller in a
-// process.
+// and its methods return copies or hand out signatures by value, so one
+// index can serve every caller in a process.
 type SigIndex struct {
 	byShape map[Shape][]Sig
 	// oneArity holds, per fixed-arity shape, the candidate list of an
@@ -91,6 +91,20 @@ func (ix *SigIndex) Group(k Shape) []Sig {
 //
 // HasResult must match exactly in all cases.
 func (ix *SigIndex) Candidates(arities []int, hasResult bool) []Sig {
+	return append([]Sig(nil), ix.candidates(arities, hasResult)...)
+}
+
+// EachCandidate calls fn with every signature Candidates returns, in the
+// same order, reading the index's own list instead of copying it.
+func (ix *SigIndex) EachCandidate(arities []int, hasResult bool, fn func(Sig)) {
+	for _, s := range ix.candidates(arities, hasResult) {
+		fn(s)
+	}
+}
+
+// candidates is the index's own list behind Candidates; callers must not
+// modify it.
+func (ix *SigIndex) candidates(arities []int, hasResult bool) []Sig {
 	if len(arities) == 0 {
 		return nil
 	}
@@ -98,9 +112,8 @@ func (ix *SigIndex) Candidates(arities []int, hasResult bool) []Sig {
 	for _, a := range arities[1:] {
 		single = single && a == arities[0]
 	}
-	sigs := ix.byShape[Shape{NumParams: Variadic, HasResult: hasResult}]
 	if one, ok := ix.oneArity[Shape{NumParams: arities[0], HasResult: hasResult}]; ok && single {
-		sigs = one
+		return one
 	}
-	return append([]Sig(nil), sigs...)
+	return ix.byShape[Shape{NumParams: Variadic, HasResult: hasResult}]
 }

@@ -18,17 +18,18 @@
 //
 // Ownership rule: a store belongs to one lifted executable and lives
 // exactly as long as its program; it may be shared freely across
-// goroutines, and its artifacts are never invalidated. A Pool recycles the
-// two together, as one set: Pool.Lift lifts a binary into a set and
-// returns its store, and the set's one owner hands it back with
-// Pool.Release once nothing reads the program, the store or anything
-// taken from either. After that a store pointer, a handle or a
-// function pointer may name another program, so nothing may cache by one
-// across a release. New builds a store over a program lifted elsewhere,
-// in fresh slabs that are never recycled.
+// goroutines, and its artifacts are never invalidated. Lift and Release
+// recycle the two together, as one set, through one free list per
+// process: Lift lifts a binary into a set and returns its store, and the
+// set's one owner hands it back with Release once nothing reads the
+// program, the store or anything taken from either. After that a store
+// pointer, a handle or a function pointer may name another program, so
+// nothing may cache by one across a release. New builds a store over a
+// program lifted elsewhere, in fresh slabs that are never recycled.
 package facts
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -73,7 +74,7 @@ func WithMetrics(met *obs.Metrics) Option {
 }
 
 // Program is the artifact store for one lifted executable. Safe for
-// concurrent use; the zero value is not valid, use New or Pool.Lift.
+// concurrent use; the zero value is not valid, use New or Lift.
 type Program struct {
 	prog *pcode.Program
 
@@ -86,7 +87,10 @@ type Program struct {
 	funcs []Func // the handles, indexed by pcode.Function.Index
 	slabs slabs  // the storage every per-function artifact is carved from
 
-	lifted pcode.Program // a pooled set's program; prog points here
+	scratchOnce sync.Once
+	scratch     Scratch // a later layer's state for the program (Scratch)
+
+	lifted pcode.Program // a set's program; prog points here
 }
 
 // New builds an empty store for prog; artifacts are computed on first use.
@@ -119,17 +123,40 @@ func (p *Program) init(prog *pcode.Program, opts []Option) {
 }
 
 // recycle empties a released set for its next program: the handles and
-// metrics are dropped, the call graph keeps its arrays, and the slabs are
-// consolidated. With scrub, everything released is overwritten first.
+// metrics are dropped, the call graph and the scratch are kept for it,
+// and the slabs are consolidated. With scrub, everything released is
+// overwritten first.
 func (p *Program) recycle(scrub bool) {
 	p.prog, p.met = nil, nil
 	p.reqC, p.bldC = [numArtifacts]*obs.Counter{}, [numArtifacts]*obs.Counter{}
-	p.cgOnce = sync.Once{}
+	p.cgOnce, p.scratchOnce = sync.Once{}, sync.Once{}
 	clear(p.funcs[:cap(p.funcs)])
 	if scrub {
 		p.cg = callgraph.Graph{}
+		if p.scratch != nil {
+			p.scratch.Scrub()
+		}
 	}
 	p.slabs.recycle(scrub)
+}
+
+// Scratch is the state a layer above the store keeps for the analysis of
+// its program — the semantics stage's enrichment. The store holds it, so
+// a set keeps its scratch for its next program instead of leaving it to
+// the garbage collector.
+type Scratch interface {
+	// Scrub overwrites what the scratch holds with garbage; a release
+	// calls it while ScrubReleased is on.
+	Scrub()
+}
+
+// Scratch returns the store's scratch. The first call for each program
+// the store serves passes ready the scratch the set kept from an earlier
+// program, nil if it has none, and keeps what ready returns for the
+// program; every later call returns that. Safe for concurrent use.
+func (p *Program) Scratch(ready func(p *Program, old Scratch) Scratch) Scratch {
+	p.scratchOnce.Do(func() { p.scratch = ready(p, p.scratch) })
+	return p.scratch
 }
 
 // Prog returns the underlying lifted program.
@@ -259,76 +286,77 @@ func (f *Func) ArgString(opIdx, argIdx int) (string, bool) {
 	return f.ConstString(opIdx, pcode.Register(isa.ArgReg(argIdx)))
 }
 
-// Pool is the free list of sets. A set is one lifted program plus the
-// storage of all its facts artifacts, recycled together because they live
-// together. A set has exactly one owner, who hands it back with Release
-// once nothing reads the program, the store or anything taken from them;
-// the next Lift reuses the program's slabs, shells and index maps, the
-// store's handles, slabs and call-graph arrays instead of allocating them.
-// The list keeps at most the number of sets the pool was built for
-// (NewPool) and leaves any further release to the garbage collector, so a
-// nil or zero Pool allocates every set and drops released ones. Safe for
-// concurrent use.
-type Pool struct {
+// sets is the process's free list of sets. A set is one lifted program
+// plus the storage of all its facts artifacts and its scratch, recycled
+// together because they live together. Every analysis in the process
+// lifts through the one list, so a batch call starts with the sets its
+// predecessors released instead of growing its own. The list keeps at
+// most runtime.GOMAXPROCS(0)+1 sets: an analysis holds one per pinpoint
+// worker, which parallel.CPUWorkers clamps to GOMAXPROCS, plus the
+// candidate pinpoint keeps until selection, so the list keeps what the
+// process's analyses had in flight at once and leaves any further
+// release to the garbage collector.
+var sets struct {
 	mu    sync.Mutex
 	free  []*Program
-	max   int
 	scrub atomic.Bool // overwrite released storage (ScrubReleased)
 }
 
-// NewPool returns an empty pool that keeps at most max released sets.
-func NewPool(max int) *Pool { return &Pool{max: max} }
-
-// Lift lifts every function symbol of the binary into a set, recycled when
-// the pool holds one, and returns the set's store over it.
-func (pl *Pool) Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
-	p := pl.get()
+// Lift lifts every function symbol of the binary into a set, recycled
+// from the process's free list when it holds one, and returns the set's
+// store over it.
+func Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
+	p := takeSet()
 	if err := p.lifted.Lift(bin); err != nil {
-		pl.Release(p)
+		p.prog = &p.lifted
+		p.Release()
 		return nil, err
 	}
 	p.init(&p.lifted, opts)
 	return p, nil
 }
 
-func (pl *Pool) get() *Program {
-	if pl != nil {
-		pl.mu.Lock()
-		defer pl.mu.Unlock()
-		if n := len(pl.free); n > 0 {
-			p := pl.free[n-1]
-			pl.free[n-1] = nil
-			pl.free = pl.free[:n-1]
-			return p
-		}
+func takeSet() *Program {
+	sets.mu.Lock()
+	defer sets.mu.Unlock()
+	if n := len(sets.free); n > 0 {
+		p := sets.free[n-1]
+		sets.free[n-1] = nil
+		sets.free = sets.free[:n-1]
+		return p
 	}
 	return new(Program)
 }
 
-// Release hands the set of p, a store Lift returned, back for reuse. Only
-// the set's owner may release it, once: nothing may read p, a handle or
-// artifact taken from it, its program, or any function, op, varnode or
-// call target of the program afterwards. A store New built is not a set,
-// and Release ignores it.
-func (pl *Pool) Release(p *Program) {
-	if pl == nil || p == nil || p.prog != &p.lifted {
+// Release hands the set of p, a store Lift returned, back for reuse: the
+// next Lift reuses the program's slabs, shells and index maps, the
+// store's handles, slabs and call-graph arrays, and the scratch, instead
+// of allocating them. Only the set's owner may release it, once: nothing
+// may read p, a handle, artifact or scratch taken from it, its program,
+// or any function, op, varnode or call target of the program afterwards.
+// A store New built is not a set, and Release ignores it, as it ignores
+// nil.
+func (p *Program) Release() {
+	if p == nil || p.prog != &p.lifted {
 		return
 	}
-	scrub := pl.scrub.Load()
+	scrub := sets.scrub.Load()
 	if scrub {
 		p.lifted.Scrub()
 	}
 	p.lifted.Bin = nil
 	p.recycle(scrub)
-	pl.mu.Lock()
-	if len(pl.free) < pl.max {
-		pl.free = append(pl.free, p)
+	sets.mu.Lock()
+	if len(sets.free) < runtime.GOMAXPROCS(0)+1 {
+		sets.free = append(sets.free, p)
 	}
-	pl.mu.Unlock()
+	sets.mu.Unlock()
 }
 
-// ScrubReleased makes Release overwrite each released set's storage with
-// garbage — the program's and every facts artifact's — so a reader that
-// still holds a released set computes nonsense instead of a plausible
-// stale answer. Tests use it to prove that nothing outlives its release.
-func (pl *Pool) ScrubReleased() { pl.scrub.Store(true) }
+// ScrubReleased sets whether Release overwrites each released set's
+// storage with garbage — the program's, every facts artifact's and the
+// scratch — so a reader that still holds a released set computes
+// nonsense instead of a plausible stale answer, and returns the previous
+// setting. Tests turn it on to prove that nothing outlives its release,
+// and restore it: defer facts.ScrubReleased(facts.ScrubReleased(true)).
+func ScrubReleased(on bool) bool { return sets.scrub.Swap(on) }

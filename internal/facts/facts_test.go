@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"firmres/internal/asm"
+	"firmres/internal/binfmt"
 	"firmres/internal/isa"
 	"firmres/internal/obs"
 	"firmres/internal/pcode"
@@ -96,8 +97,7 @@ func TestFuncHandlesAreDistinctPerFunction(t *testing.T) {
 // not a set, and releasing it recycles nothing.
 func TestRelease(t *testing.T) {
 	prog := twoFuncProg(t)
-	pool := NewPool(1)
-	fx, err := pool.Lift(prog.Bin)
+	fx, err := Lift(prog.Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +105,17 @@ func TestRelease(t *testing.T) {
 	before.CFG()
 	before.Consts()
 	fx.CallGraph()
-	pool.Release(fx)
+	fx.Release()
 
 	met := obs.NewMetrics()
-	again, err := pool.Lift(prog.Bin, WithMetrics(met))
+	again, err := Lift(prog.Bin, WithMetrics(met))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != fx {
 		t.Fatal("Release did not recycle the set")
 	}
-	if other, _ := pool.Lift(prog.Bin); other == again {
+	if other, _ := Lift(prog.Bin); other == again {
 		t.Fatal("a set released once was handed out twice")
 	}
 	h := again.Func(again.Prog().Funcs[0])
@@ -136,10 +136,94 @@ func TestRelease(t *testing.T) {
 	if h.Consts() != h.Consts() {
 		t.Error("refreshed handle artifacts are not stable")
 	}
-	pool.Release(again)
-	pool.Release(fresh)
-	if next, err := pool.Lift(prog.Bin); err != nil || next != again {
+	again.Release()
+	fresh.Release()
+	if next, err := Lift(prog.Bin); err != nil || next != again {
 		t.Errorf("releasing a New store displaced the recycled set (err %v)", err)
+	}
+}
+
+// TestFailedLiftRecyclesSet: a lift that fails hands its set straight
+// back to the free list, where the next lift finds it.
+func TestFailedLiftRecyclesSet(t *testing.T) {
+	prog := twoFuncProg(t)
+	bad := *prog.Bin
+	bad.Funcs = append([]binfmt.FuncSym(nil), prog.Bin.Funcs...)
+	bad.Funcs[len(bad.Funcs)-1].Size = 1 << 20 // beyond the text section
+	set, err := Lift(prog.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Release()
+	if fx, err := Lift(&bad); err == nil {
+		t.Fatalf("Lift of a corrupt binary succeeded (%v)", fx != nil)
+	}
+	again, err := Lift(prog.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Release()
+	if again != set {
+		t.Error("the set of a failed lift was not handed back")
+	}
+}
+
+// scratch is a Scratch that counts its scrubs.
+type scratch struct{ scrubs int }
+
+func (s *scratch) Scrub() { s.scrubs++ }
+
+// TestScratchRecycledWithSet: a set keeps its scratch across a release.
+// The first request for each program readies the scratch the set kept,
+// exactly once however many goroutines ask, and a release scrubs it only
+// while ScrubReleased is on; a store New built keeps its scratch to
+// itself.
+func TestScratchRecycledWithSet(t *testing.T) {
+	prog := twoFuncProg(t)
+	var readied []Scratch
+	ready := func(p *Program, old Scratch) Scratch {
+		if old == nil {
+			old = new(scratch)
+		}
+		readied = append(readied, old)
+		return old
+	}
+	fx, err := Lift(prog.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fx.Scratch(ready)
+		}()
+	}
+	wg.Wait()
+	first := fx.Scratch(ready)
+	if len(readied) != 1 {
+		t.Fatalf("readied %d times for one program, want 1", len(readied))
+	}
+	defer ScrubReleased(ScrubReleased(true))
+	fx.Release()
+	if n := first.(*scratch).scrubs; n != 1 {
+		t.Errorf("a scrubbed release scrubbed the scratch %d times, want 1", n)
+	}
+	again, err := Lift(prog.Bin)
+	if err != nil || again != fx {
+		t.Fatalf("Release did not recycle the set (err %v)", err)
+	}
+	if got := again.Scratch(ready); got != first || len(readied) != 2 {
+		t.Errorf("the recycled set readied %d scratches, want its own kept one readied again", len(readied))
+	}
+	ScrubReleased(false)
+	again.Release()
+	if n := first.(*scratch).scrubs; n != 1 {
+		t.Errorf("an unscrubbed release scrubbed the scratch (%d scrubs)", n)
+	}
+	if New(prog).Scratch(ready) == first {
+		t.Error("a store New built shares a set's scratch")
 	}
 }
 

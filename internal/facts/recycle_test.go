@@ -117,14 +117,15 @@ func ints(s []int) []int { return append([]int{}, s...) }
 
 // compareStores requires a recycled store to answer every query of a
 // fresh one over the same binary: per function its blocks, edges, reverse
-// post-order and dominators, reaching definitions and parameter liveness
-// of every operand at every op, the constant of every op input, and over
+// post-order and dominators, reaching definitions (in each of their three
+// forms) and parameter liveness of every operand at every op, the constant of every op input, and over
 // the call graph the callers, callees, address-taken sites and import
 // callsites of every function and import, and the path between every pair
 // of functions.
 func compareStores(t *testing.T, name string, got, want *facts.Program) {
 	t.Helper()
 	gp, wp := got.Prog(), want.Prog()
+	prefix := []int{-1}
 	if len(gp.Funcs) != len(wp.Funcs) {
 		t.Fatalf("%s: %d functions, want %d", name, len(gp.Funcs), len(wp.Funcs))
 	}
@@ -145,8 +146,15 @@ func compareStores(t *testing.T, name string, got, want *facts.Program) {
 		for j := range wf.Ops {
 			op := &wf.Ops[j]
 			for k, v := range append([]pcode.Varnode{op.Output}, op.Inputs...) {
-				if g, w := gdu.ReachingDefs(j, v), wdu.ReachingDefs(j, v); !reflect.DeepEqual(g, w) {
+				w := wdu.ReachingDefs(j, v)
+				if g := gdu.ReachingDefs(j, v); !reflect.DeepEqual(g, w) {
 					t.Fatalf("%s: ReachingDefs(%d, %v) = %v, want %v", where, j, v, g, w)
+				}
+				if g := gdu.AppendReachingDefs(prefix[:1:1], j, v); g[0] != -1 || !reflect.DeepEqual(g[1:], append([]int{}, w...)) {
+					t.Fatalf("%s: AppendReachingDefs(%d, %v) = %v, want %v after the prefix", where, j, v, g, w)
+				}
+				if g := gdu.HasReachingDef(j, v); g != (len(w) > 0) {
+					t.Fatalf("%s: HasReachingDef(%d, %v) = %t, want %t", where, j, v, g, len(w) > 0)
 				}
 				if g, w := gdu.IsParamLive(j, v), wdu.IsParamLive(j, v); g != w {
 					t.Fatalf("%s: IsParamLive(%d, %v) = %t, want %t", where, j, v, g, w)
@@ -208,20 +216,19 @@ func compareStores(t *testing.T, name string, got, want *facts.Program) {
 // fresh lift builds.
 func TestRecycledFactsMatchFresh(t *testing.T) {
 	bins := crawlBinaries(t)
-	pool := facts.NewPool(1)
 	for round := 0; round < 2; round++ {
 		for _, bin := range bins {
 			prog, err := pcode.LiftProgram(bin)
 			if err != nil {
 				t.Fatalf("LiftProgram(%s): %v", bin.Name, err)
 			}
-			got, err := pool.Lift(bin)
+			got, err := facts.Lift(bin)
 			if err != nil {
-				t.Fatalf("Pool.Lift(%s): %v", bin.Name, err)
+				t.Fatalf("Lift(%s): %v", bin.Name, err)
 			}
 			buildAll(got)
 			compareStores(t, bin.Name, got, facts.New(prog))
-			pool.Release(got)
+			got.Release()
 		}
 	}
 }
@@ -245,16 +252,15 @@ func largest(bins []*binfmt.Binary) *binfmt.Binary {
 func TestRecycledStoreConcurrentArtifacts(t *testing.T) {
 	bins := crawlBinaries(t)
 	big := largest(bins)
-	pool := facts.NewPool(1)
 	for _, bin := range []*binfmt.Binary{big, bins[len(bins)-1], big} {
-		fx, err := pool.Lift(bin)
+		fx, err := facts.Lift(bin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buildAll(fx)
-		pool.Release(fx)
+		fx.Release()
 	}
-	fx, err := pool.Lift(big)
+	fx, err := facts.Lift(big)
 	if err != nil {
 		t.Fatal(err)
 	}

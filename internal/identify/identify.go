@@ -322,7 +322,8 @@ func isFoldedConstant(f *pcode.Function, du *dataflow.DefUse, useIdx int, v pcod
 	if v.Space != pcode.SpaceReg {
 		return false
 	}
-	defs := du.ReachingDefs(useIdx, v)
+	var buf [4]int
+	defs := du.AppendReachingDefs(buf[:0], useIdx, v)
 	if len(defs) == 0 {
 		return false
 	}

@@ -3,7 +3,6 @@ package semantics
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"firmres/internal/nn"
 	"firmres/internal/pcode"
@@ -14,11 +13,11 @@ import (
 // so its fast path never builds slice text. The 53 dictionary keywords fit
 // in a uint64: "which keywords appear in this token stream" becomes a
 // bitmask and scoring becomes popcount against a per-label mask. Each op a
-// slice steps through is rendered once into a pooled buffer, tokenized
-// there by nn.ByteTokenizer (the tokenizer behind nn.Tokenize), and folded
-// into an opTok summary kept in the Enricher's dense per-function array;
-// the text itself is dropped. Summaries therefore come from exactly the
-// text Slice emits.
+// slice steps through is rendered once into a render buffer the Enricher
+// keeps, tokenized there by nn.ByteTokenizer (the tokenizer behind
+// nn.Tokenize), and folded into an opTok summary kept in the Enricher's
+// one-per-op array; the text itself is dropped. Summaries therefore come
+// from exactly the text Slice emits.
 //
 // Equivalence with the reference present-set scorer (scoreInto/pickLabel,
 // kept for ClassifyTokens and as the oracle in tests) rests on two facts
@@ -150,7 +149,7 @@ type opTok struct {
 	first  uint16 // suffixID of the first token
 	last   uint16 // prefixID of the last token
 	tokens bool   // the segment has at least one token
-	done   bool   // computed: the Enricher's per-op arrays start zeroed
+	done   bool   // computed: the Enricher's per-op array starts zeroed
 }
 
 // stitch accumulates segment summaries in text order, adding the
@@ -170,14 +169,33 @@ func (st *stitch) add(t opTok) {
 }
 
 // renderBuf is the scratch a classification renders and tokenizes
-// segments in. Pooled, so summarizing an op allocates nothing once the
-// buffers have grown.
+// segments in. An Enricher keeps the ones its classifications returned,
+// so summarizing an op allocates nothing once the buffers have grown.
 type renderBuf struct {
 	text []byte
 	z    nn.ByteTokenizer
 }
 
-var renderPool = sync.Pool{New: func() any { return new(renderBuf) }}
+// takeBuf hands out a render buffer e keeps, or a new one when every kept
+// one is in use.
+func (e *Enricher) takeBuf() *renderBuf {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.bufs); n > 0 {
+		rb := e.bufs[n-1]
+		e.bufs = e.bufs[:n-1]
+		return rb
+	}
+	return new(renderBuf)
+}
+
+// putBuf hands rb back to e, which keeps it for a later classification:
+// e keeps at most as many as classified through it at once.
+func (e *Enricher) putBuf(rb *renderBuf) {
+	e.mu.Lock()
+	e.bufs = append(e.bufs, rb)
+	e.mu.Unlock()
+}
 
 // summarize folds one segment, rendered into rb.text (text is the
 // possibly grown buffer, which rb keeps), into its summary: unigram hits
@@ -206,8 +224,8 @@ func (rb *renderBuf) textMask(s string) uint64 {
 // on first use. Two goroutines missing the same op both compute the same
 // summary; the def-use request behind it is single-flight per function.
 func (e *Enricher) opTokens(rb *renderBuf, fn *pcode.Function, opIdx int) opTok {
-	e.mu.Lock()
 	fe := e.function(fn)
+	e.mu.Lock()
 	t := fe.toks[opIdx]
 	e.mu.Unlock()
 	if t.done {

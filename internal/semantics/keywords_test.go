@@ -113,16 +113,16 @@ func TestClassifyMatchesReference(t *testing.T) {
 }
 
 // TestBoundClassifyConcurrent: workers racing over the same ops of one
-// analysis get the reference labels, and the facts store sees exactly the
-// def-use requests of a sequential run, because the request is
-// single-flight per function.
+// analysis, through the Enricher bound to its facts store, get the
+// reference labels, and the store sees exactly the def-use requests of a
+// sequential run, because the request is single-flight per function.
 func TestBoundClassifyConcurrent(t *testing.T) {
 	const key = `facts_requests_total{artifact="defuse"}`
 	run := func(workers int) int64 {
 		met := obs.NewMetrics()
 		all := cryptoSlices(t, met)
 		traced := met.Snapshot()[key]
-		c := Bind(&KeywordClassifier{}, all[0].MFT.Facts)
+		c := &KeywordClassifier{}
 		got := make([][]string, workers)
 		var wg sync.WaitGroup
 		for w := range got {

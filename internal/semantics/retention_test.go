@@ -17,8 +17,7 @@ import (
 	"firmres/internal/taint"
 )
 
-// liveHeap returns the bytes of live heap objects. Two collections flush
-// the sync.Pool victim caches, so pooled scratch does not count.
+// liveHeap returns the bytes of live heap objects after two collections.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -74,9 +73,11 @@ func retainedBy(t *testing.T, imgs []*image.Image) int64 {
 }
 
 // TestKeywordClassifierRetainsOneImage: a classifier used directly, as a
-// layer replay uses it, may keep the enrichment of the image it saw last
-// but of no earlier one. Driving it across the 20 device-cloud images
-// must leave no more live heap than driving it over the last image alone.
+// layer replay uses it, keeps no enrichment of its own — each image's
+// lives with that image's facts store — so it may keep at most one
+// image's worth, never earlier images'. Driving it across the 20
+// device-cloud images must leave no more live heap than driving it over
+// the last image alone.
 func TestKeywordClassifierRetainsOneImage(t *testing.T) {
 	var imgs []*image.Image
 	for id := 1; id <= 20; id++ {

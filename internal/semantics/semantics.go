@@ -125,46 +125,112 @@ func appendVarnode(b []byte, bin *binfmt.Binary, fn *pcode.Function, v pcode.Var
 // that variable or constant, the way Ghidra's decompiler presents
 // callsites.
 //
-// An Enricher belongs to one analysis. It folds through the def-use
-// solutions of the facts store the analysis traced its MFTs through, and
-// caches only one keyword summary per rendered op (keywords.go); op text
-// is rendered on demand. Safe for concurrent use.
+// An Enricher folds through the def-use solutions of the facts store it
+// was made over, the store its MFTs were traced through, and caches one
+// keyword summary per rendered op (keywords.go); op text is rendered on
+// demand. Classification enriches through the store's own Enricher,
+// which the store keeps as its scratch: a set recycles it, per-op
+// summaries and render buffers included, with its program, so it lives
+// exactly as long as the program it renders. Safe for concurrent use.
 type Enricher struct {
 	fx *facts.Program
 
-	mu    sync.Mutex
-	funcs map[*pcode.Function]*funcEnrichment
+	funcs []funcEnrichment // indexed by pcode.Function.Index
+
+	mu   sync.Mutex
+	toks []opTok      // one summary per op of the program, function by function; guarded by mu
+	bufs []*renderBuf // render buffers no classification holds; guarded by mu
 }
 
 // funcEnrichment is an Enricher's state for one function.
 type funcEnrichment struct {
+	fn *pcode.Function
 	// duOnce makes the def-use request to the facts store single-flight,
 	// so the store's request counters do not depend on how classification
 	// was scheduled.
 	duOnce sync.Once
 	du     *dataflow.DefUse
-	toks   []opTok // per op index, guarded by Enricher.mu
+	toks   []opTok // the function's ops' summaries, carved from Enricher.toks
 }
 
-// NewEnricher builds an enricher over the facts store of one executable.
+// NewEnricher builds an enricher over the facts store of one executable,
+// in storage of its own that shares no summary with the store's Enricher.
 func NewEnricher(fx *facts.Program) *Enricher {
-	return &Enricher{fx: fx, funcs: make(map[*pcode.Function]*funcEnrichment)}
+	e := new(Enricher)
+	e.reset(fx)
+	return e
 }
 
-// function returns fn's state, creating it on first use. The caller holds
-// e.mu.
-func (e *Enricher) function(fn *pcode.Function) *funcEnrichment {
-	fe, ok := e.funcs[fn]
-	if !ok {
-		fe = &funcEnrichment{toks: make([]opTok, len(fn.Ops))}
-		e.funcs[fn] = fe
+// enricherOf returns the Enricher fx keeps as its scratch.
+func enricherOf(fx *facts.Program) *Enricher {
+	return fx.Scratch(readyEnricher).(*Enricher)
+}
+
+// readyEnricher readies the Enricher a set kept from an earlier program,
+// or a new one, for the program of fx.
+func readyEnricher(fx *facts.Program, old facts.Scratch) facts.Scratch {
+	e, _ := old.(*Enricher)
+	if e == nil {
+		e = new(Enricher)
 	}
-	return fe
+	e.reset(fx)
+	return e
 }
 
-// defUse returns fn's reaching-definitions solution from the facts store.
-func (e *Enricher) defUse(fe *funcEnrichment, fn *pcode.Function) *dataflow.DefUse {
-	fe.duOnce.Do(func() { fe.du = e.fx.Func(fn).DefUse() })
+// reset readies e for the program of fx, reusing the arrays and render
+// buffers it holds: one state per function and one empty summary per op.
+func (e *Enricher) reset(fx *facts.Program) {
+	funcs := fx.Prog().Funcs
+	ops := 0
+	for _, fn := range funcs {
+		ops += len(fn.Ops)
+	}
+	e.fx = fx
+	e.funcs = resize(e.funcs, len(funcs))
+	e.toks = resize(e.toks, ops)
+	off := 0
+	for i, fn := range funcs {
+		end := off + len(fn.Ops)
+		e.funcs[i].fn, e.funcs[i].toks = fn, e.toks[off:end:end]
+		off = end
+	}
+}
+
+// resize returns s with length n and every element zeroed, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Scrub overwrites every summary with a plausible-looking wrong one, so a
+// reader that still holds a released set's Enricher classifies wrongly;
+// a set's release calls it under facts.ScrubReleased.
+func (e *Enricher) Scrub() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.toks {
+		e.toks[i] = opTok{mask: ^uint64(0), first: 1, last: 1, tokens: true, done: true}
+	}
+}
+
+// function returns fn's state. fn must be a function of the Enricher's
+// program; any other is a bug, and function panics.
+func (e *Enricher) function(fn *pcode.Function) *funcEnrichment {
+	if i := fn.Index(); uint(i) < uint(len(e.funcs)) && e.funcs[i].fn == fn {
+		return &e.funcs[i]
+	}
+	panic("semantics: function " + fn.Name() + " is not of the enricher's program")
+}
+
+// defUse returns the reaching-definitions solution of fe's function from
+// the facts store.
+func (e *Enricher) defUse(fe *funcEnrichment) *dataflow.DefUse {
+	fe.duOnce.Do(func() { fe.du = e.fx.Func(fe.fn).DefUse() })
 	return fe.du
 }
 
@@ -175,9 +241,7 @@ func (e *Enricher) Op(fn *pcode.Function, opIdx int) string {
 
 // appendOp appends the rendering of the op at opIdx within fn to b.
 func (e *Enricher) appendOp(b []byte, fn *pcode.Function, opIdx int) []byte {
-	e.mu.Lock()
 	fe := e.function(fn)
-	e.mu.Unlock()
 	bin := e.fx.Prog().Bin
 	op := &fn.Ops[opIdx]
 	b = append(b, op.Code.String()...)
@@ -196,14 +260,15 @@ func (e *Enricher) appendOp(b []byte, fn *pcode.Function, opIdx int) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, ' ')
-		b = appendVarnode(b, bin, fn, e.foldOperand(fe, fn, opIdx, in))
+		b = appendVarnode(b, bin, fn, e.foldOperand(fe, opIdx, in))
 	}
 	return b
 }
 
 // foldOperand resolves an operand through single-copy reaching definitions
 // to its named or constant source.
-func (e *Enricher) foldOperand(fe *funcEnrichment, fn *pcode.Function, opIdx int, v pcode.Varnode) pcode.Varnode {
+func (e *Enricher) foldOperand(fe *funcEnrichment, opIdx int, v pcode.Varnode) pcode.Varnode {
+	fn := fe.fn
 	cur := v
 	for hop := 0; hop < 8; hop++ {
 		if cur.IsConst() {
@@ -214,7 +279,8 @@ func (e *Enricher) foldOperand(fe *funcEnrichment, fn *pcode.Function, opIdx int
 				break
 			}
 		}
-		defs := e.defUse(fe, fn).ReachingDefs(opIdx, cur)
+		var buf [4]int
+		defs := e.defUse(fe).AppendReachingDefs(buf[:0], opIdx, cur)
 		if len(defs) != 1 {
 			break
 		}
@@ -280,10 +346,10 @@ func (e *Enricher) Slice(s slices.Slice) string {
 	return string(b)
 }
 
-// EnrichSlice renders a slice's enriched context with a fresh enricher
-// over the facts store its MFT was traced through.
+// EnrichSlice renders a slice's enriched context through the Enricher of
+// the facts store its MFT was traced through.
 func EnrichSlice(s slices.Slice) string {
-	return NewEnricher(s.MFT.Facts).Slice(s)
+	return enricherOf(s.MFT.Facts).Slice(s)
 }
 
 // Tokens tokenizes the enriched representation of a slice.
@@ -291,56 +357,12 @@ func Tokens(s slices.Slice) []string {
 	return nn.Tokenize(EnrichSlice(s))
 }
 
-// lastEnricher is a bundled classifier's own enrichment cache: the
-// Enricher of the facts store it classified last. Slices reach a
-// classifier used directly grouped by analysis, so one slot serves them,
-// and it holds at most one analysis's enrichment. Safe for concurrent
-// use.
-type lastEnricher struct {
-	mu sync.Mutex
-	e  *Enricher
-}
-
-func (l *lastEnricher) get(s slices.Slice) *Enricher {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.e == nil || l.e.fx != s.MFT.Facts {
-		l.e = NewEnricher(s.MFT.Facts)
-	}
-	return l.e
-}
-
-// enriching is implemented by the bundled classifiers: they classify a
-// slice through an Enricher.
-type enriching interface {
-	classifyWith(e *Enricher, s slices.Slice) (string, float64)
-}
-
-// Bind returns c classifying through a fresh Enricher over fx, the facts
-// store of the analysis whose slices it will see, in place of the
-// classifier's own cache. The enrichment lives as long as the returned
-// value, so an analysis that drops it when its semantics stage ends keeps
-// nothing behind. Classifiers that do not enrich are returned unchanged.
-func Bind(c Classifier, fx *facts.Program) Classifier {
-	if ec, ok := c.(enriching); ok {
-		return bound{c: ec, e: NewEnricher(fx)}
-	}
-	return c
-}
-
-type bound struct {
-	c enriching
-	e *Enricher
-}
-
-func (b bound) Classify(s slices.Slice) (string, float64) { return b.c.classifyWith(b.e, s) }
-
 // Classifier assigns one of the seven labels to a slice. Implementations
 // must be safe for concurrent Classify calls: the pipeline's semantics
 // stage classifies messages on a worker pool. Both bundled classifiers
-// (KeywordClassifier, ModelClassifier) satisfy this — the Enricher is
-// mutex-guarded and TextCNN inference allocates its forward state per
-// call.
+// (KeywordClassifier, ModelClassifier) satisfy this — they keep no state,
+// the Enricher of a slice's facts store is safe for concurrent use, and
+// TextCNN inference allocates its forward state per call.
 type Classifier interface {
 	Classify(s slices.Slice) (label string, confidence float64)
 }
@@ -369,12 +391,9 @@ func (o observed) Classify(s slices.Slice) (string, float64) {
 
 // KeywordClassifier is the dictionary heuristic of §V-C ("we define a
 // simple dictionary for each primitive for regular matching of keywords").
-// The zero value is ready to use. Used directly, it keeps the enrichment
-// of the last facts store its slices came from; Bind gives one analysis
-// its own.
-type KeywordClassifier struct {
-	last lastEnricher
-}
+// The zero value is ready to use. It keeps nothing: every slice is
+// classified through the Enricher of the facts store it came from.
+type KeywordClassifier struct{}
 
 var _ Classifier = (*KeywordClassifier)(nil)
 
@@ -423,12 +442,13 @@ var dictPriority = []string{
 // all — which is score-for-score identical to running scoreInto over the
 // tokenized Slice text (the equivalence test pins this).
 func (c *KeywordClassifier) Classify(s slices.Slice) (string, float64) {
-	return c.classifyWith(c.last.get(s), s)
+	return classifyWith(enricherOf(s.MFT.Facts), s)
 }
 
-func (c *KeywordClassifier) classifyWith(e *Enricher, s slices.Slice) (string, float64) {
-	rb := renderPool.Get().(*renderBuf)
-	defer renderPool.Put(rb)
+// classifyWith is Classify through e, in a render buffer taken from e.
+func classifyWith(e *Enricher, s slices.Slice) (string, float64) {
+	rb := e.takeBuf()
+	defer e.putBuf(rb)
 	var scores [numDictLabels]float64
 	maskScores(scores[:], e.contextMask(rb, s), 1)
 	maskScores(scores[:], rb.textMask(s.KeyHint), 3)
@@ -512,22 +532,17 @@ func pickLabel(scores map[string]float64) (string, float64) {
 	return best, bestScore / (bestScore + 1)
 }
 
-// ModelClassifier wraps a trained TextCNN. Like KeywordClassifier, used
-// directly it keeps the enrichment of the last facts store it saw.
+// ModelClassifier wraps a trained TextCNN. Like KeywordClassifier, it
+// enriches through the Enricher of each slice's facts store.
 type ModelClassifier struct {
 	Model *nn.Model
-	last  lastEnricher
 }
 
 var _ Classifier = (*ModelClassifier)(nil)
 
 // Classify runs the model over the slice's enriched tokens.
 func (c *ModelClassifier) Classify(s slices.Slice) (string, float64) {
-	return c.classifyWith(c.last.get(s), s)
-}
-
-func (c *ModelClassifier) classifyWith(e *Enricher, s slices.Slice) (string, float64) {
-	return c.Model.PredictLabel(nn.Tokenize(e.Slice(s)))
+	return c.Model.PredictLabel(nn.Tokenize(EnrichSlice(s)))
 }
 
 // Fingerprint hashes the serialized model weights, so the analysis cache

@@ -699,17 +699,17 @@ func isAnchor(r externs.Role) bool {
 func (m *matcher) rank(ix *externs.SigIndex, ob importObs) []candScore {
 	hasResult := m.bin.Imports[ob.idx].HasResult
 	var out []candScore
-	for _, sig := range ix.Candidates(ob.arities, hasResult) {
+	ix.EachCandidate(ob.arities, hasResult, func(sig externs.Sig) {
 		avg, contra := m.scoreSig(sig, ob)
 		if isAnchor(sig.Role) {
 			if contra || avg < anchorFloor {
-				continue
+				return
 			}
 		} else if avg < 0 {
-			continue
+			return
 		}
 		out = append(out, candScore{sig: sig, score: avg})
-	}
+	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
 	return out
 }

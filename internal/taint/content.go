@@ -52,7 +52,8 @@ func (e *Engine) originsOfDepth(fn *pcode.Function, useIdx int, v pcode.Varnode,
 		return []origin{{kind: orgConst, constVal: v.Offset}}
 	}
 	du := e.du(fn)
-	defs := du.ReachingDefs(useIdx, v)
+	var buf [4]int
+	defs := du.AppendReachingDefs(buf[:0], useIdx, v)
 	if len(defs) == 0 {
 		if r, ok := v.Reg(); ok && r >= isa.R1 && int(r-isa.R1) < fn.Sym.NumParams {
 			if ctx != nil {

@@ -238,8 +238,8 @@ func (e *Engine) trace(st *traceState, fn *pcode.Function, useIdx int, v pcode.V
 	}
 	defer delete(st.visited, key)
 
-	du := e.du(fn)
-	defs := du.ReachingDefs(useIdx, v)
+	var buf [4]int
+	defs := e.du(fn).AppendReachingDefs(buf[:0], useIdx, v)
 	if len(defs) == 0 {
 		return e.traceEntryValue(st, fn, useIdx, v, ctx, depth)
 	}
@@ -468,9 +468,8 @@ func (e *Engine) argString(fn *pcode.Function, callIdx, argIdx int) string {
 			}
 		}
 	}
-	du := e.du(fn)
-	defs := du.ReachingDefs(callIdx, v)
-	for _, def := range defs {
+	var buf [4]int
+	for _, def := range e.du(fn).AppendReachingDefs(buf[:0], callIdx, v) {
 		op := &fn.Ops[def]
 		if op.Code == pcode.COPY && len(op.Inputs) == 1 && op.Inputs[0].IsConst() {
 			if s, ok := e.prog.Bin.StringAt(uint32(op.Inputs[0].Offset)); ok {

@@ -1,8 +1,8 @@
 package firmres
 
-// Tests for lifted-program recycling: every fresh analysis lifts through
-// the Analyzer's pool and hands the winning program back once its report
-// is built, so nothing a report holds may alias pool storage.
+// Tests for set recycling: every fresh analysis lifts through the
+// process's free list of sets and hands the winning set back once its
+// report is built, so nothing a report holds may alias a set's storage.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"firmres/internal/corpus"
+	"firmres/internal/facts"
 )
 
 // goldenImage is one packed image of the crawl set and its golden file.
@@ -78,17 +79,18 @@ func checkGolden(t testing.TB, g goldenImage, rep *Report, err error) {
 }
 
 // TestGoldenReportsScrubbedPool runs the crawl set through one Analyzer
-// whose pool overwrites every released program with garbage, so a report
-// built from a program after its release diverges from its golden. The
-// first image's report is kept and marshalled again once the 43 later
-// analyses have reused its program's storage.
+// with every released set overwritten with garbage — its program, its
+// facts and the semantics stage's enrichment — so a report built from a
+// set after its release diverges from its golden. The first image's
+// report is kept and marshalled again once the 43 later analyses have
+// reused its set's storage.
 func TestGoldenReportsScrubbedPool(t *testing.T) {
 	set := goldenCrawlSet(t)
 	a, err := NewAnalyzer(WithLint(), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.pl.Pool().ScrubReleased()
+	defer facts.ScrubReleased(facts.ScrubReleased(true))
 	var kept *Report
 	var keptJS []byte
 	for i, g := range set {
@@ -109,8 +111,8 @@ func TestGoldenReportsScrubbedPool(t *testing.T) {
 }
 
 // TestAnalyzerSharedUnderLoad has two goroutines walk the crawl set in
-// opposite orders through one Analyzer, so their analyses release
-// programs to and lift programs from one pool at once. Every report must
+// opposite orders through one Analyzer, so their analyses release sets
+// to and lift sets from the free list at once. Every report must
 // equal its golden; the race leg runs it with -count=10.
 func TestAnalyzerSharedUnderLoad(t *testing.T) {
 	set := goldenCrawlSet(t)
@@ -132,6 +134,48 @@ func TestAnalyzerSharedUnderLoad(t *testing.T) {
 				checkGolden(t, g, rep, err)
 			}
 		}(reverse)
+	}
+	wg.Wait()
+}
+
+// TestFreeListSharedAcrossAnalyzers has two Analyzers, on one and on two
+// workers, and a one-shot AnalyzeImages call on two workers walk the crawl
+// set at once, so that analyses of three configurations take sets from
+// and release sets to the process's one free list concurrently, with every
+// released set scrubbed. Every report must equal its golden; the race leg
+// runs it with -count=10.
+func TestFreeListSharedAcrossAnalyzers(t *testing.T) {
+	defer facts.ScrubReleased(facts.ScrubReleased(true))
+	set := goldenCrawlSet(t)
+	var wg sync.WaitGroup
+	for i, workers := range []int{1, 2} {
+		a, err := NewAnalyzer(WithLint(), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(reverse bool) {
+			defer wg.Done()
+			for k := range set {
+				g := set[k]
+				if reverse {
+					g = set[len(set)-1-k]
+				}
+				rep, _, _, err := a.Analyze(context.Background(), g.data, nil)
+				checkGolden(t, g, rep, err)
+			}
+		}(i == 1)
+	}
+	imgs := make([][]byte, len(set))
+	for i, g := range set {
+		imgs[i] = g.data
+	}
+	br, err := AnalyzeImages(context.Background(), imgs, WithLint(), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ir := range br.Images {
+		checkGolden(t, set[i], ir.Report, ir.Err)
 	}
 	wg.Wait()
 }

@@ -72,13 +72,13 @@ leg_race() {
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
 	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
 
-	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers) under -race"
-	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
+	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers, an entry that does not decode is corrupt) under -race"
+	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight|TestCacheUndecodableEntryForcesReanalysis' .
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
 	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
-	echo "== set pool: lifted programs with their facts (two goroutines on one Analyzer, goldens byte-identical; eight goroutines building one recycled store's artifacts at once) under -race"
-	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad' .
+	echo "== free list of sets: lifted programs with their facts and enrichment (two goroutines on one Analyzer; two Analyzers and a one-shot batch sharing the process's list with scrubbing on; goldens byte-identical; eight goroutines building one recycled store's artifacts at once) under -race"
+	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad|TestFreeListSharedAcrossAnalyzers' .
 	go test -race -count=10 -run 'TestRecycledStoreConcurrentArtifacts' ./internal/facts
 
 	echo "== progress lines (concurrent image ends into a slow writer stay in order) under -race"
@@ -97,16 +97,16 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, set-pool retention, a recycled set re-serving a program at 0 allocs)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound' .
+	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
-	go test -run 'TestRecycledSetZeroAllocs' ./internal/facts
+	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
 
 	echo "== lint corpus precision (seeded positives, zero false positives)"
