@@ -37,3 +37,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=$(FUZZTIME) -run='^$$' ./internal/image
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) -run='^$$' ./internal/binfmt
 	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run='^$$' .
+	$(GO) test -fuzz=FuzzCacheEntry -fuzztime=$(FUZZTIME) -run='^$$' ./internal/cache

@@ -34,7 +34,8 @@ type Analyzer struct {
 
 // NewAnalyzer builds an Analyzer from the options. A configuration error —
 // an unreadable model file, an unknown probe chaos mode, a cache directory
-// that cannot be created — fails here, not on the first analysis. Sinks
+// that cannot be created, a cache size cap that is negative or has no
+// cache — fails here, not on the first analysis. Sinks
 // attached with WithTrace, WithObserver or WithProgress see the spans of
 // every call. WithCacheStats does not apply; read CacheStats instead.
 func NewAnalyzer(opts ...Option) (*Analyzer, error) {
@@ -93,7 +94,7 @@ func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *R
 // keepJSON and gets the cache payload back as js, owned. The callers that
 // keep only the report (the batch functions, AnalyzeImage*) leave it
 // unset and get a nil js: a warm hit is then decoded straight from the
-// cache's pooled read buffer, with no copy of the entry and no pass
+// cache's recycled read buffer, with no copy of the entry and no pass
 // through single-flight, and only a miss goes on to Do.
 func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSON bool) (*Report, []byte, bool, error) {
 	rec := a.rec

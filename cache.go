@@ -14,7 +14,7 @@ package firmres
 // a run; a call whose context is live does not inherit the cancellation of
 // the call that computed for it. A warm hit costs one verified read and one
 // decode: the batch functions and AnalyzeImage* decode the entry in place
-// from a pooled read buffer (cache.View) and go through single-flight only
+// from a recycled read buffer (cache.View) and go through single-flight only
 // on a miss; Analyzer.Analyze and Analyzer.Cached hand the report bytes on,
 // so they read into a buffer of their own. Entries are written with
 // json.Marshal and decoded by the one-pass decoder in report_decode.go,
@@ -73,7 +73,8 @@ func WithCache(dir string) Option {
 
 // WithCacheMaxBytes caps the cache directory's total size; once a stored
 // report pushes it past n bytes, least-recently-used entries are evicted.
-// n <= 0 (the default) means unbounded. Only meaningful with WithCache.
+// 0 (the default) means unbounded. A negative n, or a nonzero one without
+// WithCache, is a configuration error.
 func WithCacheMaxBytes(n int64) Option {
 	return func(c *config) { c.cacheMaxBytes = n }
 }

@@ -527,6 +527,31 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 }
 
+// TestCacheCapMisconfigured: a negative cache cap, or a cap without a
+// cache, is a configuration error from NewAnalyzer and the batch
+// functions, not an unbounded cache or none at all.
+func TestCacheCapMisconfigured(t *testing.T) {
+	img := packedDevice(t, 5)
+	for name, opts := range map[string][]Option{
+		"negative":           {WithCache(t.TempDir()), WithCacheMaxBytes(-7)},
+		"no cache":           {WithCacheMaxBytes(100)},
+		"negative, no cache": {WithCacheMaxBytes(-1)},
+	} {
+		if _, err := NewAnalyzer(opts...); err == nil {
+			t.Errorf("%s: NewAnalyzer accepted the cap", name)
+		}
+		if _, err := AnalyzeImages(context.Background(), [][]byte{img}, opts...); err == nil {
+			t.Errorf("%s: AnalyzeImages accepted the cap", name)
+		}
+		if _, err := AnalyzeImage(img, opts...); err == nil {
+			t.Errorf("%s: AnalyzeImage accepted the cap", name)
+		}
+	}
+	if _, err := NewAnalyzer(WithCacheMaxBytes(0)); err != nil {
+		t.Errorf("a zero cap without a cache, the default: %v", err)
+	}
+}
+
 func TestClearCache(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := AnalyzeImage(packedDevice(t, 5), WithCache(dir)); err != nil {

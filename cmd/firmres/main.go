@@ -20,7 +20,8 @@
 // content-addressed result cache (and stores fresh results back), keyed on
 // the image bytes, the effective analysis options, and the pipeline
 // version — warm re-runs of a corpus become disk reads. -cache-max-bytes
-// caps the directory size (LRU eviction), -cache-clear empties it before
+// caps the directory size (LRU eviction; a negative cap, or one without
+// -cache, is a usage error), -cache-clear empties it before
 // the run (with no images, it just clears and exits), and -no-cache
 // disables caching even when -cache is given. Cached output is
 // byte-identical to a fresh analysis.
@@ -110,52 +111,61 @@ func (o options) cacheEnabled() bool { return o.cacheDir != "" && !o.noCache }
 // main delegates to run so the observability sinks' deferred writes happen
 // before the process exits (os.Exit skips defers).
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
 	var opts options
-	flag.StringVar(&opts.modelPath, "model", "", "trained TextCNN model file (default: keyword classifier)")
-	flag.BoolVar(&opts.asJSON, "json", false, "emit the report as JSON")
-	flag.BoolVar(&opts.lint, "lint", false,
+	fs := flag.NewFlagSet("firmres", flag.ExitOnError)
+	fs.StringVar(&opts.modelPath, "model", "", "trained TextCNN model file (default: keyword classifier)")
+	fs.BoolVar(&opts.asJSON, "json", false, "emit the report as JSON")
+	fs.BoolVar(&opts.lint, "lint", false,
 		"run the lint passes over the identified executable and print diagnostics")
-	flag.StringVar(&opts.lintRules, "lint-rules", "",
+	fs.StringVar(&opts.lintRules, "lint-rules", "",
 		"comma-separated lint rules to run (implies -lint; default: all)")
-	flag.BoolVar(&opts.lintJSON, "lint-json", false,
+	fs.BoolVar(&opts.lintJSON, "lint-json", false,
 		"emit lint diagnostics as a SARIF 2.1.0 document instead of the text report (implies -lint)")
-	flag.BoolVar(&opts.timings, "timings", false,
+	fs.BoolVar(&opts.timings, "timings", false,
 		"print the run's per-stage wall-clock totals to stderr when the run ends")
-	flag.BoolVar(&opts.probe, "probe", false,
+	fs.BoolVar(&opts.probe, "probe", false,
 		"replay reconstructed messages against a simulated cloud and report exploitability")
-	flag.StringVar(&opts.probeChaos, "probe-chaos", "",
+	fs.StringVar(&opts.probeChaos, "probe-chaos", "",
 		"comma-separated chaos fault modes injected in front of the simulated cloud (latency,reset,drop,5xx,slowloris or all; implies -probe)")
-	flag.Int64Var(&opts.probeSeed, "probe-seed", 0,
+	fs.Int64Var(&opts.probeSeed, "probe-seed", 0,
 		"seed for the chaos fault schedule; identical seeds give identical probe reports")
-	flag.IntVar(&opts.probeProbers, "probe-probers", 0,
+	fs.IntVar(&opts.probeProbers, "probe-probers", 0,
 		"concurrent probers per device (0 = default 8); output is identical at any count")
-	flag.IntVar(&opts.jobs, "j", 1,
+	fs.IntVar(&opts.jobs, "j", 1,
 		"analyze up to N images concurrently (0 = GOMAXPROCS; 1 = sequential)")
-	flag.BoolVar(&opts.trace, "trace", false,
+	fs.BoolVar(&opts.trace, "trace", false,
 		"print the hierarchical span tree of the run to stderr")
-	flag.StringVar(&opts.traceJSON, "trace-json", "",
+	fs.StringVar(&opts.traceJSON, "trace-json", "",
 		"write the run's spans as Chrome trace_event JSON to this file")
-	flag.StringVar(&opts.metricsPath, "metrics", "",
+	fs.StringVar(&opts.metricsPath, "metrics", "",
 		"write the run's aggregated work counters in Prometheus text format to this file")
-	flag.BoolVar(&opts.progress, "progress", false,
+	fs.BoolVar(&opts.progress, "progress", false,
 		"report per-image progress on stderr")
-	flag.StringVar(&opts.pprofAddr, "pprof", "",
+	fs.StringVar(&opts.pprofAddr, "pprof", "",
 		"with a ':' in the value, serve net/http/pprof on that address for the duration of the run; otherwise write <value>.cpu.pprof and <value>.heap.pprof")
-	flag.StringVar(&opts.cacheDir, "cache", "",
+	fs.StringVar(&opts.cacheDir, "cache", "",
 		"serve analyses from a persistent result cache rooted at this directory (created if missing)")
-	flag.Int64Var(&opts.cacheMax, "cache-max-bytes", 0,
-		"cap the cache directory size; least-recently-used entries are evicted (0 = unbounded)")
-	flag.BoolVar(&opts.noCache, "no-cache", false,
+	fs.Int64Var(&opts.cacheMax, "cache-max-bytes", 0,
+		"cap the -cache directory size; least-recently-used entries are evicted (0 = unbounded)")
+	fs.BoolVar(&opts.noCache, "no-cache", false,
 		"disable the result cache even when -cache is given")
-	flag.BoolVar(&opts.cacheClear, "cache-clear", false,
+	fs.BoolVar(&opts.cacheClear, "cache-clear", false,
 		"clear the -cache directory before the run (with no images: clear and exit)")
-	keepGoing := flag.Bool("keep-going", false,
+	keepGoing := fs.Bool("keep-going", false,
 		"keep analyzing remaining images after a fatal per-image failure")
-	flag.Parse()
+	fs.Parse(args)
+	switch {
+	case opts.cacheMax < 0:
+		fmt.Fprintf(os.Stderr, "firmres: -cache-max-bytes %d is negative\n", opts.cacheMax)
+		return exitUsage
+	case opts.cacheMax != 0 && opts.cacheDir == "":
+		fmt.Fprintln(os.Stderr, "firmres: -cache-max-bytes requires -cache DIR")
+		return exitUsage
+	}
 	if opts.cacheClear {
 		if opts.cacheDir == "" {
 			fmt.Fprintln(os.Stderr, "firmres: -cache-clear requires -cache DIR")
@@ -165,11 +175,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "firmres: cache-clear: %v\n", err)
 			return exitFatal
 		}
-		if flag.NArg() == 0 {
+		if fs.NArg() == 0 {
 			return exitOK
 		}
 	}
-	if flag.NArg() == 0 {
+	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
 		return exitUsage
 	}
@@ -187,10 +197,10 @@ func run() int {
 	sink := newObsSink(opts)
 	defer sink.finish(os.Stderr)
 	if opts.jobs != 1 {
-		return runBatch(os.Stdout, flag.Args(), opts, *keepGoing, sink)
+		return runBatch(os.Stdout, fs.Args(), opts, *keepGoing, sink)
 	}
 	exit := exitOK
-	paths := flag.Args()
+	paths := fs.Args()
 	for i, path := range paths {
 		start := time.Now()
 		partial, err := analyze(os.Stdout, path, opts, sink)
@@ -394,10 +404,7 @@ func apiOptions(opts options) []firmres.Option {
 		apiOpts = append(apiOpts, firmres.WithLint())
 	}
 	if opts.cacheEnabled() {
-		apiOpts = append(apiOpts, firmres.WithCache(opts.cacheDir))
-		if opts.cacheMax > 0 {
-			apiOpts = append(apiOpts, firmres.WithCacheMaxBytes(opts.cacheMax))
-		}
+		apiOpts = append(apiOpts, firmres.WithCache(opts.cacheDir), firmres.WithCacheMaxBytes(opts.cacheMax))
 	}
 	if opts.probe || opts.probeChaos != "" {
 		apiOpts = append(apiOpts, firmres.WithProbe())

@@ -268,3 +268,25 @@ func TestAnalyzePartialReportRenders(t *testing.T) {
 		t.Errorf("partial report lost the message table: %q", text)
 	}
 }
+
+// TestCacheCapUsageErrors: a negative -cache-max-bytes, or one without
+// -cache, is a usage error (exit 2), not an unbounded cache or none.
+func TestCacheCapUsageErrors(t *testing.T) {
+	path := writeImage(t, 5)
+	for _, args := range [][]string{
+		{"-cache", t.TempDir(), "-cache-max-bytes", "-7", path},
+		{"-cache-max-bytes", "-7", path},
+		{"-cache-max-bytes", "100", path},
+	} {
+		if exit := run(args); exit != exitUsage {
+			t.Errorf("firmres %s: exit %d, want %d", strings.Join(args, " "), exit, exitUsage)
+		}
+	}
+	dir := t.TempDir()
+	if exit := run([]string{"-cache", dir, "-cache-max-bytes", "100000", path}); exit != exitOK {
+		t.Errorf("a capped cache: exit %d, want %d", exit, exitOK)
+	}
+	if ents, err := filepath.Glob(filepath.Join(dir, "*.fcache")); err != nil || len(ents) != 1 {
+		t.Errorf("the capped cache holds %d entries (%v), want the report", len(ents), err)
+	}
+}

@@ -22,6 +22,7 @@ package firmres
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -228,6 +229,14 @@ func newConfig(opts []Option) *config {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.err == nil {
+		switch {
+		case cfg.cacheMaxBytes < 0:
+			cfg.err = fmt.Errorf("firmres: negative cache size cap %d", cfg.cacheMaxBytes)
+		case cfg.cacheMaxBytes != 0 && cfg.cacheDir == "":
+			cfg.err = errors.New("firmres: a cache size cap without WithCache")
+		}
+	}
 	return &cfg
 }
 
@@ -403,6 +412,9 @@ func validUTF8s(ss []string) []string {
 // reportOf converts a pipeline result to its report. Every string the
 // report holds goes through validUTF8; map keys are the code's own
 // identifiers.
+// verdictDiscarded is a discarded message's Verdict.
+const verdictDiscarded = "discarded"
+
 func reportOf(res *core.Result) *Report {
 	r := &Report{
 		Device:     validUTF8(res.Device),
@@ -499,7 +511,7 @@ func reportOf(res *core.Result) *Report {
 		}
 		if mr.Message.Discarded {
 			msg.Detail = validUTF8(mr.Message.Reason)
-			msg.Verdict = "discarded"
+			msg.Verdict = verdictDiscarded
 		}
 		msg.Fields = presized[Field](len(mr.Message.Fields))
 		for _, f := range mr.Message.Fields {

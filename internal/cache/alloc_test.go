@@ -5,6 +5,9 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -30,5 +33,94 @@ func TestVerifyZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("verify allocates %.0f times per entry, want 0", n)
+	}
+}
+
+// allocated returns the heap bytes fn allocates. A collection on either
+// side flushes every P's allocation cache into the counter, and the
+// counter is process-wide, so the least of runs runs is the one nothing
+// else added to.
+func allocated(runs int, fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// cappedPutBytes fills a directory capped at entries entries of one size,
+// then returns the heap bytes per Put over 2*entries more Puts, each of
+// which evicts one entry: two listings of the directory fall in that span
+// at any size, so it is the amortized cost.
+func cappedPutBytes(t *testing.T, entries int) float64 {
+	payload := bytes.Repeat([]byte("p"), 64)
+	c, err := Open(t.TempDir(), WithMaxBytes(int64(entries*(headerLen+len(payload)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 3*entries)
+	for i := range keys {
+		keys[i] = KeyOf([]byte(fmt.Sprint(i)), "fp")
+	}
+	for _, k := range keys[:entries] {
+		if err := c.Put(k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := allocated(1, func() {
+		for _, k := range keys[entries:] {
+			if err := c.Put(k, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got := c.Stats().Evictions; got != int64(2*entries) {
+		t.Fatalf("%d evictions over %d Puts into a full directory, want one each", got, 2*entries)
+	}
+	return float64(n) / float64(2*entries)
+}
+
+// TestCappedPutCostFlat: a capped Put costs the same at 2,000 entries as
+// at 200, within 10%, because eviction pops from the process's index and
+// lists the directory only once per MaxBytes put. Listing on every Put
+// cost 178 KB per Put at 200 entries and 1.77 MB at 2,000.
+func TestCappedPutCostFlat(t *testing.T) {
+	small, large := cappedPutBytes(t, 200), cappedPutBytes(t, 2000)
+	t.Logf("capped Put: %.0f B at 200 entries, %.0f B at 2,000", small, large)
+	if large > small*1.1 {
+		t.Errorf("a capped Put allocates %.0f B at 2,000 entries against %.0f B at 200: its cost grows with the directory", large, small)
+	}
+}
+
+// TestViewAfterCollections: View's read buffers survive collections, so a
+// warm View of a 20 KB entry after two runtime.GC calls allocates what the
+// open, stat and mtime refresh need, under 2 KB, not a new buffer. In a
+// sync.Pool it allocated 22.8 KB.
+func TestViewAfterCollections(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	if err := c.Put(key, bytes.Repeat([]byte("v"), 20<<10)); err != nil {
+		t.Fatal(err)
+	}
+	view := func() {
+		if hit, err := c.View(key, func([]byte) error { return nil }); !hit || err != nil {
+			t.Fatalf("View = (%t, %v), want a hit", hit, err)
+		}
+	}
+	view() // puts a buffer large enough on the free list
+	n := allocated(5, view)
+	t.Logf("a warm View of a 20 KB entry after two collections allocates %d B", n)
+	if n >= 2<<10 {
+		t.Errorf("a warm View after two collections allocates %d B, want under 2 KB", n)
 	}
 }

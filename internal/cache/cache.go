@@ -24,8 +24,9 @@
 //     errdefs.ErrCacheCorrupt — is surfaced as a note, never a failure.
 //   - Owned or lent: Get returns a payload the caller owns, in a fresh
 //     buffer of the entry's size. View lends the payload, in a buffer from
-//     a pool, to a callback and recycles the buffer when it returns, so the
-//     callback must not keep the payload or any slice of it.
+//     the process's free list of read buffers, to a callback and hands the
+//     buffer back when it returns, so the callback must not keep the
+//     payload or any slice of it.
 //   - Single-flight over computes: concurrent Do calls on one handle that
 //     miss compute the value once; the other callers block and share it.
 //     A warm hit read with View passes through no single-flight at all.
@@ -35,7 +36,10 @@
 //     key (a deadline, the host's load) out of the cache. Compute errors
 //     are never written.
 //   - Bounded size: with a MaxBytes budget, Put evicts least-recently-used
-//     entries (mtime order; every hit refreshes mtime) until the total fits.
+//     entries until the total fits. The process keeps one index of each
+//     capped directory (see index), so eviction lists the directory only
+//     once per MaxBytes put; every hit refreshes its entry's mtime, which
+//     orders a listing, and its place in the index.
 package cache
 
 import (
@@ -47,7 +51,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +58,7 @@ import (
 
 	"firmres/internal/atomicfile"
 	"firmres/internal/errdefs"
+	"firmres/internal/parallel"
 )
 
 // entryExt suffixes every cache entry file; everything else in the
@@ -67,9 +71,9 @@ const (
 	// headerLen is the length of that line: the magic, a space, the
 	// payload's SHA-256 in 64 lower-case hex digits, and a newline.
 	headerLen = len(headerMagic) + 1 + 2*sha256.Size + 1
-	// maxPooled caps the read buffers View returns to its pool, so one
+	// maxFreeBuf caps the read buffers View hands back to readBufs, so one
 	// outsized entry does not keep its buffer alive for the process.
-	maxPooled = 1 << 20
+	maxFreeBuf = 1 << 20
 )
 
 var (
@@ -80,9 +84,9 @@ var (
 	errComputePanicked = fmt.Errorf("cache: %w in a shared compute", errdefs.ErrStagePanic)
 )
 
-// readBufs holds View's read buffers as *[]byte, so handing one back to
-// the pool allocates nothing.
-var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+// readBufs is the process's free list of View's read buffers: at most one
+// per analysis worker, each at most maxFreeBuf, kept across collections.
+var readBufs parallel.FreeList[[]byte]
 
 // KeyOf derives the content address for one (image, configuration) pair:
 // SHA-256 over the image digest, a zero byte and the canonical options
@@ -110,7 +114,9 @@ type Stats struct {
 type Option func(*Cache)
 
 // WithMaxBytes caps the directory's total entry size; n <= 0 (the default)
-// means unbounded. Put evicts least-recently-used entries to fit.
+// means unbounded. Put evicts least-recently-used entries to fit, from the
+// process's index of the directory, which a handle without a cap neither
+// builds nor reads.
 func WithMaxBytes(n int64) Option {
 	return func(c *Cache) { c.maxBytes = n }
 }
@@ -132,6 +138,7 @@ type Cache struct {
 	dir      string
 	maxBytes int64
 	check    func(payload []byte) error // WithCheck; nil accepts every payload
+	idx      *index                     // the directory's index; nil without a cap
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -158,6 +165,9 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	for _, o := range opts {
 		o(c)
 	}
+	if c.maxBytes > 0 {
+		c.idx = indexFor(dir)
+	}
 	return c, nil
 }
 
@@ -179,30 +189,30 @@ func (c *Cache) path(key string) string {
 // returns its payload, which the caller owns. A clean miss returns (nil,
 // nil); a corrupt entry is deleted and returns (nil, err) with err
 // wrapping errdefs.ErrCacheCorrupt — still a miss, never a failure. A hit
-// refreshes the entry's mtime so eviction approximates LRU. Get counts no
-// hit or miss: Do and View own that accounting (a raw Get is a probe).
+// refreshes the entry's mtime and its place in the index, so eviction is
+// LRU. Get counts no hit or miss: Do and View own that accounting (a raw
+// Get is a probe).
 func (c *Cache) Get(key string) ([]byte, error) {
 	payload, _, err := c.read(key, nil, c.check)
 	return payload, err
 }
 
-// View reads the entry for key into a pooled buffer and, if it verifies,
-// lends the payload to fn, recycling the buffer once fn returns: fn must
-// not keep the payload or any slice of it. fn stands in for the handle's
-// check, so a payload fn rejects is corrupt. View reports whether fn
-// accepted a verified entry: a hit, which refreshes the entry's mtime and
-// counts in Stats.Hits. A miss returns (false, nil), or (false, err) for a
-// corrupt entry, which is deleted as by Get; it counts nothing, since a
-// caller that misses goes on to Do, which does.
+// View reads the entry for key into a buffer from readBufs and, if it
+// verifies, lends the payload to fn, handing the buffer back once fn
+// returns: fn must not keep the payload or any slice of it. fn stands in
+// for the handle's check, so a payload fn rejects is corrupt. View
+// reports whether fn accepted a verified entry: a hit, which refreshes the
+// entry's recency and counts in Stats.Hits. A miss returns (false, nil),
+// or (false, err) for a corrupt entry, which is deleted as by Get; it
+// counts nothing, since a caller that misses goes on to Do, which does.
 func (c *Cache) View(key string, fn func(payload []byte) error) (hit bool, err error) {
-	bp := readBufs.Get().(*[]byte)
-	payload, buf, err := c.read(key, *bp, fn)
+	buf, _ := readBufs.Get()
+	payload, buf, err := c.read(key, buf, fn)
 	if payload != nil {
 		c.hits.Add(1)
 	}
-	if cap(buf) <= maxPooled {
-		*bp = buf[:0]
-		readBufs.Put(bp)
+	if n := cap(buf); n > 0 && n <= maxFreeBuf {
+		readBufs.Put(buf[:0])
 	}
 	return payload != nil, err
 }
@@ -210,10 +220,11 @@ func (c *Cache) View(key string, fn func(payload []byte) error) (hit bool, err e
 // read is the one read path. It reads key's entry whole into buf, or into
 // a new buffer of exactly the entry's size when buf is too small, verifies
 // the frame, runs check (nil: none) on the payload and refreshes the
-// entry's mtime. It returns the payload, which aliases the buffer it also
+// entry's recency. It returns the payload, which aliases the buffer it also
 // returns. A clean miss returns a nil payload and error; an unreadable
 // entry counts in Errors, and one that fails verification or the check is
-// deleted too, each returning an error that wraps errdefs.ErrCacheCorrupt.
+// deleted and counted by the reader that deletes it, each returning an
+// error that wraps errdefs.ErrCacheCorrupt.
 func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (payload, used []byte, err error) {
 	path := c.path(key)
 	f, err := os.Open(path)
@@ -240,30 +251,48 @@ func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (
 		err = check(payload)
 	}
 	if err != nil {
-		os.Remove(path)
+		// Two readers can find one entry corrupt at once; only the one
+		// whose Remove deletes it counts it, so Errors counts each
+		// discarded entry once.
+		if os.IsNotExist(os.Remove(path)) {
+			return nil, buf, corruptErr(key, err)
+		}
+		if c.idx != nil {
+			c.idx.remove(key)
+		}
 		return nil, buf, c.corrupt(key, err)
 	}
 	now := time.Now()
-	_ = os.Chtimes(path, now, now) // best-effort LRU recency
+	_ = os.Chtimes(path, now, now) // best-effort recency for listings
+	if c.idx != nil {
+		c.idx.touch(key)
+	}
 	return payload, buf, nil
 }
 
 // corrupt counts an entry that could not be used and wraps its cause.
 func (c *Cache) corrupt(key string, err error) error {
 	c.errors.Add(1)
+	return corruptErr(key, err)
+}
+
+func corruptErr(key string, err error) error {
 	return fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
 }
 
 // Put writes the entry for key atomically (atomicfile.Write) and then
 // enforces the MaxBytes budget by evicting least-recently-used entries.
 // The header is built on the stack and written ahead of val, so the
-// payload is never copied.
+// payload is never copied. Eviction is best-effort: its failures never
+// surface.
 func (c *Cache) Put(key string, val []byte) error {
 	hdr := header(val)
 	if err := atomicfile.Write(c.path(key), hdr[:], val); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	c.evict()
+	if c.idx != nil {
+		c.evictions.Add(c.idx.put(key, int64(headerLen+len(val)), c.maxBytes))
+	}
 	return nil
 }
 
@@ -325,6 +354,9 @@ func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error
 // Clear removes every cache entry in the directory (other files are left
 // alone) and returns the first error encountered.
 func (c *Cache) Clear() error {
+	if c.idx != nil {
+		defer c.idx.reset()
+	}
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -343,7 +375,7 @@ func (c *Cache) Clear() error {
 
 // SizeBytes sums the sizes of every entry in the directory.
 func (c *Cache) SizeBytes() (int64, error) {
-	entries, err := c.list()
+	entries, err := listEntries(c.dir)
 	if err != nil {
 		return 0, err
 	}
@@ -355,67 +387,30 @@ func (c *Cache) SizeBytes() (int64, error) {
 }
 
 type entryInfo struct {
-	path  string
+	key   string
 	size  int64
 	mtime int64 // unix nanos
 }
 
-func (c *Cache) list() ([]entryInfo, error) {
-	dirents, err := os.ReadDir(c.dir)
+// listEntries lists and stats every entry in dir.
+func listEntries(dir string) ([]entryInfo, error) {
+	dirents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	var out []entryInfo
 	for _, e := range dirents {
-		if !e.Type().IsRegular() || !strings.HasSuffix(e.Name(), entryExt) {
+		key, ok := strings.CutSuffix(e.Name(), entryExt)
+		if !ok || !e.Type().IsRegular() {
 			continue
 		}
 		fi, err := e.Info()
 		if err != nil {
 			continue // raced with a concurrent eviction
 		}
-		out = append(out, entryInfo{
-			path:  filepath.Join(c.dir, e.Name()),
-			size:  fi.Size(),
-			mtime: fi.ModTime().UnixNano(),
-		})
+		out = append(out, entryInfo{key: key, size: fi.Size(), mtime: fi.ModTime().UnixNano()})
 	}
 	return out, nil
-}
-
-// evict enforces the MaxBytes budget: oldest-mtime entries go first until
-// the directory fits. Ties break on path for determinism. Best-effort —
-// eviction failures never surface to the analysis.
-func (c *Cache) evict() {
-	if c.maxBytes <= 0 {
-		return
-	}
-	entries, err := c.list()
-	if err != nil {
-		return
-	}
-	var total int64
-	for _, e := range entries {
-		total += e.size
-	}
-	if total <= c.maxBytes {
-		return
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].mtime != entries[j].mtime {
-			return entries[i].mtime < entries[j].mtime
-		}
-		return entries[i].path < entries[j].path
-	})
-	for _, e := range entries {
-		if total <= c.maxBytes {
-			break
-		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
-			c.evictions.Add(1)
-		}
-	}
 }
 
 // header renders the line that frames payload in its entry:

@@ -524,3 +524,193 @@ func TestEntryFrame(t *testing.T) {
 		}
 	}
 }
+
+// fill puts n entries of size framed bytes through c, under keys named by
+// prefix, and returns the keys.
+func fill(t *testing.T, c *Cache, prefix string, n, framed int) []string {
+	t.Helper()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = KeyOf([]byte(fmt.Sprint(prefix, i)), "fp")
+		if err := c.Put(keys[i], bytes.Repeat([]byte{'a' + byte(i%26)}, framed-headerLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestCapCountsOtherWriters: entries written behind the process's index,
+// as another process or an uncapped handle would write them, are counted
+// no later than once the process has put MaxBytes more, and then the
+// directory is back under the cap.
+func TestCapCountsOtherWriters(t *testing.T) {
+	dir := t.TempDir()
+	const framed, entries = 100, 10
+	const maxBytes = framed * entries
+	c, err := Open(dir, WithMaxBytes(maxBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, c, "mine", entries, framed)
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, other, "theirs", entries, framed)
+	if size, err := c.SizeBytes(); err != nil || size != 2*maxBytes {
+		t.Fatalf("SizeBytes after the other writer = (%d, %v), want %d", size, err, 2*maxBytes)
+	}
+	for i := 0; i < entries; i++ {
+		if err := c.Put(KeyOf([]byte(fmt.Sprint("more", i)), "fp"), bytes.Repeat([]byte("m"), framed-headerLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if size, err := c.SizeBytes(); err != nil || size > maxBytes {
+		t.Errorf("after putting MaxBytes more the directory holds %d B (%v), over its %d B cap", size, err, maxBytes)
+	}
+}
+
+// TestEvictionRelistsWhenVictimGone: an eviction that finds its victim
+// already removed by someone else lists the directory again, so entries
+// written behind the index in the meantime are counted at once.
+func TestEvictionRelistsWhenVictimGone(t *testing.T) {
+	dir := t.TempDir()
+	const framed, entries = 100, 10
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fill(t, other, "old", entries, framed)
+	base := time.Now().Add(-time.Hour)
+	for i, k := range keys { // distinct mtimes: the listing's LRU order is keys'
+		mt := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(filepath.Join(dir, k+entryExt), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir, WithMaxBytes(framed*entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first capped Put lists the full directory and evicts keys[0].
+	fill(t, c, "first", 1, framed)
+	// Behind the index: keys[1], the next victim, goes, and a large entry
+	// comes.
+	if err := os.Remove(filepath.Join(dir, keys[1]+entryExt)); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, other, "large", 1, 3*framed)
+	fill(t, c, "second", 1, framed)
+	if size, err := c.SizeBytes(); err != nil || size > framed*entries {
+		t.Errorf("directory holds %d B (%v) after the relist, over its %d B cap", size, err, framed*entries)
+	}
+	if got := c.Stats().Evictions; got != 4 {
+		t.Errorf("evictions = %d, want 4: keys[0], then three entries for the large one", got)
+	}
+}
+
+// TestCappedHandlesShareDirectory runs Views, Puts and evictions on one
+// capped directory from two handles at once. Every hit lends the payload
+// put under its key, and once they stop the directory is within its cap.
+func TestCappedHandlesShareDirectory(t *testing.T) {
+	dir := t.TempDir()
+	const framed, keys = 200, 40
+	maxBytes := int64(framed * keys / 4)
+	var handles [2]*Cache
+	for i := range handles {
+		c, err := Open(dir, WithMaxBytes(maxBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = c
+	}
+	payload := func(k int) []byte { return bytes.Repeat([]byte{byte('a' + k%26)}, framed-headerLen) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		c := handles[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g*7 + i*3) % keys
+				key := KeyOf([]byte(fmt.Sprint(k)), "fp")
+				if i%3 == 0 {
+					if err := c.Put(key, payload(k)); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				_, err := c.View(key, func(p []byte) error {
+					if !bytes.Equal(p, payload(k)) {
+						return fmt.Errorf("key %d lent %q", k, p)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if size, err := handles[0].SizeBytes(); err != nil || size > maxBytes {
+		t.Errorf("directory holds %d B (%v), over its %d B cap", size, err, maxBytes)
+	}
+	if ev := handles[0].Stats().Evictions + handles[1].Stats().Evictions; ev == 0 {
+		t.Error("no eviction ran")
+	}
+}
+
+// FuzzCacheEntry feeds raw entry bytes, as a writer to the directory could
+// store them, through verify and View: neither panics, and both accept
+// exactly the frame Put writes for the payload, lending that payload.
+// Every rejected entry is deleted.
+func FuzzCacheEntry(f *testing.F) {
+	for _, p := range []string{"", "x", `{"Device":"d"}`, fmt.Sprintf("%0300d", 7)} {
+		hdr := header([]byte(p))
+		f.Add(append(hdr[:], p...))
+	}
+	f.Add([]byte("firmcache1 deadbeef\ntampered"))
+	f.Add([]byte("firmcache1 " + strings.Repeat("0", 64) + "\n{}"))
+	dir := f.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := KeyOf([]byte("fuzzed"), "fp")
+	path := filepath.Join(dir, key+entryExt)
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		payload, verr := verify(entry)
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var lent []byte
+		hit, err := c.View(key, func(p []byte) error {
+			lent = append([]byte{}, p...)
+			return nil
+		})
+		if hit != (verr == nil) {
+			t.Fatalf("View hit = %t (%v) where verify says %v", hit, err, verr)
+		}
+		if !hit {
+			if !errors.Is(err, errdefs.ErrCacheCorrupt) {
+				t.Fatalf("rejected entry: err = %v, want ErrCacheCorrupt", err)
+			}
+			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+				t.Fatal("rejected entry not deleted")
+			}
+			return
+		}
+		if !bytes.Equal(lent, payload) {
+			t.Fatalf("View lent %q, verify returned %q", lent, payload)
+		}
+		if err := c.Put(key, lent); err != nil {
+			t.Fatal(err)
+		}
+		if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, entry) {
+			t.Fatalf("accepted %q, but Put writes %q for its payload (%v)", entry, written, err)
+		}
+	})
+}

@@ -162,6 +162,15 @@ func Kind(err error) string {
 	return "error"
 }
 
+// Kinds lists every slug Kind returns, "error" last.
+func Kinds() []string {
+	out := make([]string, 0, len(sentinels)+1)
+	for _, s := range sentinels {
+		out = append(out, s.kind)
+	}
+	return append(out, "error")
+}
+
 // Sentinel is the inverse of Kind: it maps a taxonomy slug back to its
 // sentinel error, or nil for unknown slugs. Deserialized reports (the
 // analysis cache, JSON round trips) use it to rehydrate errors.Is dispatch

@@ -29,7 +29,6 @@
 package facts
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +39,7 @@ import (
 	"firmres/internal/dataflow"
 	"firmres/internal/isa"
 	"firmres/internal/obs"
+	"firmres/internal/parallel"
 	"firmres/internal/pcode"
 )
 
@@ -290,23 +290,22 @@ func (f *Func) ArgString(opIdx, argIdx int) (string, bool) {
 // plus the storage of all its facts artifacts and its scratch, recycled
 // together because they live together. Every analysis in the process
 // lifts through the one list, so a batch call starts with the sets its
-// predecessors released instead of growing its own. The list keeps at
-// most runtime.GOMAXPROCS(0)+1 sets: an analysis holds one per pinpoint
-// worker, which parallel.CPUWorkers clamps to GOMAXPROCS, plus the
-// candidate pinpoint keeps until selection, so the list keeps what the
-// process's analyses had in flight at once and leaves any further
-// release to the garbage collector.
-var sets struct {
-	mu    sync.Mutex
-	free  []*Program
-	scrub atomic.Bool // overwrite released storage (ScrubReleased)
-}
+// predecessors released instead of growing its own; like every
+// parallel.FreeList it keeps what the process's analyses had in flight at
+// once and leaves any further release to the garbage collector.
+var sets parallel.FreeList[*Program]
+
+// scrubSets makes Release overwrite released storage (ScrubReleased).
+var scrubSets atomic.Bool
 
 // Lift lifts every function symbol of the binary into a set, recycled
 // from the process's free list when it holds one, and returns the set's
 // store over it.
 func Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
-	p := takeSet()
+	p, ok := sets.Get()
+	if !ok {
+		p = new(Program)
+	}
 	if err := p.lifted.Lift(bin); err != nil {
 		p.prog = &p.lifted
 		p.Release()
@@ -314,18 +313,6 @@ func Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
 	}
 	p.init(&p.lifted, opts)
 	return p, nil
-}
-
-func takeSet() *Program {
-	sets.mu.Lock()
-	defer sets.mu.Unlock()
-	if n := len(sets.free); n > 0 {
-		p := sets.free[n-1]
-		sets.free[n-1] = nil
-		sets.free = sets.free[:n-1]
-		return p
-	}
-	return new(Program)
 }
 
 // Release hands the set of p, a store Lift returned, back for reuse: the
@@ -340,17 +327,13 @@ func (p *Program) Release() {
 	if p == nil || p.prog != &p.lifted {
 		return
 	}
-	scrub := sets.scrub.Load()
+	scrub := scrubSets.Load()
 	if scrub {
 		p.lifted.Scrub()
 	}
 	p.lifted.Bin = nil
 	p.recycle(scrub)
-	sets.mu.Lock()
-	if len(sets.free) < runtime.GOMAXPROCS(0)+1 {
-		sets.free = append(sets.free, p)
-	}
-	sets.mu.Unlock()
+	sets.Put(p)
 }
 
 // ScrubReleased sets whether Release overwrites each released set's
@@ -359,4 +342,4 @@ func (p *Program) Release() {
 // nonsense instead of a plausible stale answer, and returns the previous
 // setting. Tests turn it on to prove that nothing outlives its release,
 // and restore it: defer facts.ScrubReleased(facts.ScrubReleased(true)).
-func ScrubReleased(on bool) bool { return sets.scrub.Swap(on) }
+func ScrubReleased(on bool) bool { return scrubSets.Swap(on) }

@@ -55,6 +55,44 @@ func CPUWorkers(n int) int {
 	return n
 }
 
+// FreeList is a process-wide free list of reusable values: Get takes the
+// value put back most recently, and Put keeps at most
+// runtime.GOMAXPROCS(0)+1 values, leaving any further one to the garbage
+// collector. The analysis pools resolve through CPUWorkers, so that is as
+// many as the process's analyses hold at once: one per worker, plus the
+// candidate set pinpoint keeps until its selection. Unlike a sync.Pool, a
+// collection never empties the list, so a warm process stays warm. The
+// zero FreeList is empty and ready to use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// Get takes the value put back most recently, or reports false when the
+// list is empty.
+func (l *FreeList[T]) Get() (x T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return x, false
+	}
+	x = l.free[n-1]
+	var zero T
+	l.free[n-1] = zero
+	l.free = l.free[:n-1]
+	return x, true
+}
+
+// Put hands x back for a later Get, unless the list is full.
+func (l *FreeList[T]) Put(x T) {
+	l.mu.Lock()
+	if len(l.free) < runtime.GOMAXPROCS(0)+1 {
+		l.free = append(l.free, x)
+	}
+	l.mu.Unlock()
+}
+
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
 // (Workers-clamped; the calling goroutine participates as one of them).
 // It returns only once every claimed index has finished, so no fn call

@@ -243,3 +243,25 @@ func TestFleetHonorsCallerCancel(t *testing.T) {
 		<-ctx.Done() // pre-cancelled caller context must flow through
 	})
 }
+
+// TestFreeListKeepsAtMostGOMAXPROCSPlusOne: Get takes the value put back
+// last, an empty list reports false, and Put keeps GOMAXPROCS+1 values at
+// most, dropping the rest.
+func TestFreeListKeepsAtMostGOMAXPROCSPlusOne(t *testing.T) {
+	var l FreeList[int]
+	if _, ok := l.Get(); ok {
+		t.Fatal("Get on an empty list reported a value")
+	}
+	max := runtime.GOMAXPROCS(0) + 1
+	for i := 0; i < max+3; i++ {
+		l.Put(i)
+	}
+	for want := max - 1; want >= 0; want-- {
+		if got, ok := l.Get(); !ok || got != want {
+			t.Fatalf("Get = (%d, %t), want (%d, true)", got, ok, want)
+		}
+	}
+	if got, ok := l.Get(); ok {
+		t.Errorf("Get after %d values = %d: the list kept more than GOMAXPROCS+1", max, got)
+	}
+}

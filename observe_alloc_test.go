@@ -36,11 +36,10 @@ func (c *stageCounter) SpanEnd(e SpanEvent) {
 // also logs what WithMetrics itself costs, from a second Analyzer without
 // it. After a warm-up pass the three runs take turns over nine passes,
 // and each figure is the median pass. Each pass of a run starts from a
-// collection and runs with the collector off, so the sync.Pool scratch a
-// collection would drop midway is not allocated again by whichever pass
-// it fell in. The counts come from runtime.ReadMemStats, which flushes
-// every P's allocation cache and so counts each small object as it is
-// allocated.
+// collection and runs with the collector off, so no collection falls
+// midway through a pass. The counts come from runtime.ReadMemStats, which
+// flushes every P's allocation cache and so counts each small object as
+// it is allocated.
 func TestObserverAllocBudget(t *testing.T) {
 	imgs := make([][]byte, 20)
 	for i := range imgs {

@@ -7,8 +7,11 @@ package firmres
 // Report in one pass, with no reflection: each struct's fields in
 // declaration order, an omitempty field optional, no whitespace, nothing
 // after the report. Every slice and map is sized from its element count,
-// up to a cap, before it is filled, and every string is copied out of the
-// payload, so a decoded report never aliases the buffer the cache lent it.
+// up to a cap, before it is filled, and no string aliases the payload, so a
+// decoded report never aliases the buffer the cache lent it: an enumerated
+// field (a semantic label, a source kind, a verdict, a lint rule, a probe
+// class, an error kind, a stage name...) gets the code's own string for its
+// value, and every other string is copied out.
 //
 // Strings and numbers follow encoding/json's grammar, escapes included. A
 // null gives a nil slice, map or pointer, and [] or {} an empty, non-nil
@@ -26,7 +29,50 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"firmres/internal/cloud"
+	"firmres/internal/errdefs"
+	"firmres/internal/externs"
+	"firmres/internal/fields"
+	"firmres/internal/formcheck"
+	"firmres/internal/lint"
+	"firmres/internal/semantics"
+	"firmres/internal/taint"
 )
+
+// enumStrings maps every value of an enumerated report field to the code's
+// own string for it, built from the code's lists, so a decoded report's
+// enumerated fields share storage with the constants they came from
+// instead of each holding a copy. They are half of a report's strings.
+var enumStrings = func() map[string]string {
+	vals := append([]string{verdictDiscarded, ProbeGranted, ProbeDenied, ProbeInvalid, ProbeFailed,
+		cloud.RespOK, cloud.RespNoPermission, cloud.RespAccessDenied,
+		cloud.RespBadRequest, cloud.RespNotSupported, cloud.RespPathNotExist},
+		semantics.Labels...)
+	for k := taint.LeafString; k <= taint.LeafUnknown; k++ {
+		vals = append(vals, k.String())
+	}
+	for f := fields.FormatRaw; f <= fields.FormatHTTP; f++ {
+		vals = append(vals, f.String())
+	}
+	for v := formcheck.FormOK; v <= formcheck.FormNoPrimitives; v++ {
+		vals = append(vals, v.String())
+	}
+	for s := lint.SevInfo; s <= lint.SevError; s++ {
+		vals = append(vals, s.String())
+	}
+	vals = append(vals, lint.Rules()...)
+	vals = append(vals, errdefs.Kinds()...)
+	vals = append(vals, StageNames()...)
+	vals = append(vals, externs.ByRole(externs.RoleDeliver)...)
+	m := make(map[string]string, len(vals))
+	for _, v := range vals {
+		if _, dup := m[v]; !dup {
+			m[v] = v
+		}
+	}
+	return m
+}()
 
 // unmarshalReport decodes the json.Marshal encoding of a Report into r.
 func unmarshalReport(b []byte, r *Report) error {
@@ -145,7 +191,13 @@ func (d *dec) count() int {
 }
 
 // str reads a string into p, copied out of the input.
-func (d *dec) str(p *string) {
+func (d *dec) str(p *string) { d.string(p, false) }
+
+// enum reads the string of an enumerated field into p: the code's own
+// string for it when enumStrings holds one, and a copy otherwise.
+func (d *dec) enum(p *string) { d.string(p, true) }
+
+func (d *dec) string(p *string, enum bool) {
 	if !d.skip('"') {
 		d.fail("expected a string")
 		return
@@ -159,11 +211,18 @@ func (d *dec) str(p *string) {
 		}
 		switch c := d.b[d.i]; {
 		case c == '"':
-			if from == start {
-				*p = string(d.b[start:d.i])
-			} else {
+			switch raw := d.b[start:d.i]; {
+			case from != start:
 				d.buf = append(buf, d.b[from:d.i]...)
 				*p = string(d.buf)
+			case enum:
+				if s, ok := enumStrings[string(raw)]; ok {
+					*p = s
+				} else {
+					*p = string(raw)
+				}
+			default:
+				*p = string(raw)
 			}
 			d.i++
 			return
@@ -299,6 +358,12 @@ func (o *obj) str(name string, p *string) {
 	}
 }
 
+func (o *obj) enum(name string, p *string) {
+	if o.key(name) {
+		o.d.enum(p)
+	}
+}
+
 func (o *obj) bool(name string, p *bool) {
 	switch {
 	case !o.key(name):
@@ -363,7 +428,7 @@ func dict[V int | int64](o *obj, name string, p *map[string]V) {
 	d.expect('{')
 	for n := 0; d.more('}', n); n++ {
 		var k string
-		d.str(&k)
+		d.enum(&k)
 		d.expect(':')
 		v := d.integer(64)
 		if int64(V(v)) != v {
@@ -400,15 +465,15 @@ func (d *dec) message(m *Message) {
 	o := d.object()
 	o.str("Function", &m.Function)
 	o.str("Context", &m.Context)
-	o.str("Deliver", &m.Deliver)
-	o.str("Format", &m.Format)
+	o.enum("Deliver", &m.Deliver)
+	o.enum("Format", &m.Format)
 	o.str("Topic", &m.Topic)
 	o.str("Path", &m.Path)
 	o.str("Body", &m.Body)
 	list(&o, "Fields", &m.Fields, (*dec).field)
 	o.bool("Discarded", &m.Discarded)
 	o.bool("Flagged", &m.Flagged)
-	o.str("Verdict", &m.Verdict)
+	o.enum("Verdict", &m.Verdict)
 	o.str("Detail", &m.Detail)
 	o.end()
 }
@@ -416,9 +481,9 @@ func (d *dec) message(m *Message) {
 func (d *dec) field(f *Field) {
 	o := d.object()
 	o.str("Key", &f.Key)
-	o.str("Semantics", &f.Semantics)
+	o.enum("Semantics", &f.Semantics)
 	o.float("Confidence", &f.Confidence)
-	o.str("Source", &f.Source)
+	o.enum("Source", &f.Source)
 	o.str("SourceKey", &f.SourceKey)
 	o.str("Value", &f.Value)
 	o.end()
@@ -426,8 +491,8 @@ func (d *dec) field(f *Field) {
 
 func (d *dec) diagnostic(g *Diagnostic) {
 	o := d.object()
-	o.str("Rule", &g.Rule)
-	o.str("Severity", &g.Severity)
+	o.enum("Rule", &g.Rule)
+	o.enum("Severity", &g.Severity)
 	o.str("Executable", &g.Executable)
 	o.str("Function", &g.Function)
 	o.uint64("Addr", &g.Addr)
@@ -438,9 +503,9 @@ func (d *dec) diagnostic(g *Diagnostic) {
 
 func (d *dec) analysisError(e *AnalysisError) {
 	o := d.object()
-	o.str("stage", &e.Stage)
+	o.enum("stage", &e.Stage)
 	o.str("path,omitempty", &e.Path)
-	o.str("kind", &e.Kind)
+	o.enum("kind", &e.Kind)
 	o.str("detail", &e.Detail)
 	o.end()
 }
@@ -458,20 +523,20 @@ func (d *dec) probeOutcome(p *ProbeOutcome) {
 	o := d.object()
 	o.str("Function", &p.Function)
 	o.str("Context,omitempty", &p.Context)
-	o.str("Transport", &p.Transport)
+	o.enum("Transport", &p.Transport)
 	o.str("Route,omitempty", &p.Route)
-	o.str("Classification", &p.Classification)
+	o.enum("Classification", &p.Classification)
 	ptr(&o, "Validity,omitempty", &p.Validity, (*dec).probeAttempt)
 	ptr(&o, "Attack,omitempty", &p.Attack, (*dec).probeAttempt)
 	o.bool("Vulnerable,omitempty", &p.Vulnerable)
 	list(&o, "Leaks,omitempty", &p.Leaks, (*dec).str)
-	o.str("ErrorKind,omitempty", &p.ErrorKind)
+	o.enum("ErrorKind,omitempty", &p.ErrorKind)
 	o.end()
 }
 
 func (d *dec) probeAttempt(a *ProbeAttempt) {
 	o := d.object()
-	o.str("Class", &a.Class)
+	o.enum("Class", &a.Class)
 	o.int("Status,omitempty", &a.Status)
 	o.bool("Valid", &a.Valid)
 	o.bool("Granted", &a.Granted)

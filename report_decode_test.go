@@ -11,8 +11,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"firmres/internal/errdefs"
+	"firmres/internal/externs"
+	"firmres/internal/fields"
+	"firmres/internal/formcheck"
+	"firmres/internal/semantics"
+	"firmres/internal/taint"
 )
 
 // payload is one input of the decoder tests: json.Marshal of a Report.
@@ -293,4 +299,75 @@ func BenchmarkDecodeReport(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestDecodeSharesEnumStrings: every enumerated field of a decoded golden
+// (symbol-full, stripped and probe) is the code's own string for its
+// value, sharing its storage, not a copy; and enumStrings holds the code's
+// constants themselves.
+func TestDecodeSharesEnumStrings(t *testing.T) {
+	shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	for _, c := range []struct{ got, want string }{
+		{enumStrings["json"], fields.FormatJSON.String()},
+		{enumStrings["missing-primitives"], formcheck.FormMissingPrimitives.String()},
+		{enumStrings["nvram"], taint.LeafNVRAM.String()},
+		{enumStrings[semantics.Labels[0]], semantics.Labels[0]},
+		{enumStrings["stage-panic"], errdefs.Kind(errdefs.ErrStagePanic)},
+		{enumStrings[ProbeGranted], ProbeGranted},
+		{enumStrings["SSL_write"], externs.ByRole(externs.RoleDeliver)[0]},
+	} {
+		if !shared(c.got, c.want) {
+			t.Errorf("enumStrings[%q] does not share the code's string", c.want)
+		}
+	}
+	check := func(name, field, v string) {
+		if s, ok := enumStrings[v]; !ok || !shared(s, v) {
+			t.Errorf("%s: %s %q is not the code's own string (known: %t)", name, field, v, ok)
+		}
+	}
+	n := 0
+	for _, p := range goldenPayloads(t) {
+		r, err := decodeReport(p.js)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for _, m := range r.Messages {
+			check(p.name, "Deliver", m.Deliver)
+			check(p.name, "Format", m.Format)
+			check(p.name, "Verdict", m.Verdict)
+			for _, f := range m.Fields {
+				check(p.name, "Semantics", f.Semantics)
+				check(p.name, "Source", f.Source)
+				n += 2
+			}
+			n += 3
+		}
+		for _, g := range r.Diagnostics {
+			check(p.name, "Rule", g.Rule)
+			check(p.name, "Severity", g.Severity)
+			n += 2
+		}
+		for _, e := range r.Errors {
+			check(p.name, "stage", e.Stage)
+			check(p.name, "kind", e.Kind)
+			n += 2
+		}
+		if r.Probe != nil {
+			for _, o := range r.Probe.Outcomes {
+				check(p.name, "Transport", o.Transport)
+				check(p.name, "Classification", o.Classification)
+				n += 2
+				if o.ErrorKind != "" {
+					check(p.name, "ErrorKind", o.ErrorKind)
+				}
+				for _, a := range []*ProbeAttempt{o.Validity, o.Attack} {
+					if a != nil {
+						check(p.name, "Class", a.Class)
+						n++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d enumerated fields checked", n)
 }

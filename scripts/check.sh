@@ -3,7 +3,8 @@
 #
 # With no argument every leg runs sequentially: static analysis, a full
 # build, the race-enabled test suite, the targeted golden/precision
-# suites, and a short fuzz pass over the three hostile-input parsers.
+# suites, and a short fuzz pass over the hostile-input parsers and the
+# cache entry check.
 # CI fans the same gate out across parallel matrix legs:
 #
 #   check.sh static   gofmt, go.mod tidy drift, vet, build, firmbench2
@@ -77,6 +78,9 @@ leg_race() {
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
 	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
+	echo "== cache eviction index (entries other writers add are counted within MaxBytes of puts; Views, Puts and evictions from two capped handles on one directory) under -race"
+	go test -race -count=10 -run 'TestCapCountsOtherWriters|TestCappedHandlesShareDirectory' ./internal/cache
+
 	echo "== free list of sets: lifted programs with their facts and enrichment (two goroutines on one Analyzer; two Analyzers and a one-shot batch sharing the process's list with scrubbing on; goldens byte-identical; eight goroutines building one recycled store's artifacts at once) under -race"
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad|TestFreeListSharedAcrossAnalyzers' .
 	go test -race -count=10 -run 'TestRecycledStoreConcurrentArtifacts' ./internal/facts
@@ -97,13 +101,13 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a capped cache Put costing the same at 2,000 entries as at 200, a warm View after two collections reusing its read buffer)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
 	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
-	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs' ./internal/cache
+	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestViewAfterCollections' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment' ./internal/core
 	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
@@ -119,8 +123,8 @@ leg_suites() {
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
 	go test -run 'TestBoundaryRecoveryF1|TestExternBindingAccuracy' ./internal/strip
 
-	echo "== report decoder (one-pass cache decode matches json.Unmarshal on goldens and generated reports; every truncation is an error)"
-	go test -run 'TestDecodeReportMatchesJSON' .
+	echo "== report decoder (one-pass cache decode matches json.Unmarshal on goldens and generated reports; every truncation is an error; enumerated fields share the code's strings)"
+	go test -run 'TestDecodeReportMatchesJSON|TestDecodeSharesEnumStrings' .
 
 	echo "== fuzz image.Unpack (${FUZZTIME})"
 	go test -fuzz=FuzzUnpack -fuzztime="${FUZZTIME}" -run='^$' ./internal/image
@@ -132,6 +136,9 @@ leg_suites() {
 	# The seeds are 18 KB reports; the default minimization budget would spend
 	# a minute shrinking each new input.
 	go test -fuzz=FuzzDecodeReport -fuzztime="${FUZZTIME}" -fuzzminimizetime=100x -run='^$' .
+
+	echo "== fuzz the cache entry check (${FUZZTIME})"
+	go test -fuzz=FuzzCacheEntry -fuzztime="${FUZZTIME}" -run='^$' ./internal/cache
 }
 
 leg="${1:-all}"
