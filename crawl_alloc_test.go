@@ -19,14 +19,15 @@ import (
 
 // crawlAllocBudget is the committed ceiling on heap bytes allocated per
 // image by a cold -j 1 sweep of the crawl set. The measured cost is about
-// 0.32 MB, each executable's lifted program and facts artifacts recycled
-// together through the process's free list of sets and each tree's paths
-// enumerated once; the headroom absorbs runtime-version drift, not regressions —
-// blowing the budget means a cold-path structure (a per-call map, a string
-// per op, a solution the facts store already holds, a set nobody releases,
-// facts built in fresh storage, a path list walked twice) is being rebuilt
-// per call.
-const crawlAllocBudget = 0.35e6
+// 0.16 MB, each executable's lifted program and facts artifacts recycled
+// together through the process's free list of sets, each tree's paths
+// enumerated once, and each analysis's message trees, slices and fields
+// carved from its set; the headroom absorbs runtime-version drift, not
+// regressions — blowing the budget means a cold-path structure (a
+// per-call map, a string per op, a solution the facts store already
+// holds, a set nobody releases, facts or trees built in fresh storage, a
+// path list walked twice) is being rebuilt per call.
+const crawlAllocBudget = 0.2e6
 
 // crawlSet packs the crawl workload's images: the 22 corpus devices and
 // their 22 stripped twins.

@@ -38,8 +38,9 @@
 //   - Bounded size: with a MaxBytes budget, Put evicts least-recently-used
 //     entries until the total fits. The process keeps one index of each
 //     capped directory (see index), so eviction lists the directory only
-//     once per MaxBytes put; every hit refreshes its entry's mtime, which
-//     orders a listing, and its place in the index.
+//     once per MaxBytes put; every put and every hit stamps its entry's
+//     mtime with time.Now, which orders a listing, and refreshes its place
+//     in the index.
 package cache
 
 import (
@@ -262,12 +263,21 @@ func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (
 		}
 		return nil, buf, c.corrupt(key, err)
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // best-effort recency for listings
+	stamp(path)
 	if c.idx != nil {
 		c.idx.touch(key)
 	}
 	return payload, buf, nil
+}
+
+// stamp sets an entry's mtime, which orders a listing, to now. Puts and
+// hits both stamp, so a listing ranks entries by one clock: the
+// filesystem's own write time is coarser than time.Now and would rank an
+// entry written just now older than one hit a moment before it. It is
+// best-effort: a failure only blurs the order.
+func stamp(path string) {
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 }
 
 // corrupt counts an entry that could not be used and wraps its cause.
@@ -280,16 +290,18 @@ func corruptErr(key string, err error) error {
 	return fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
 }
 
-// Put writes the entry for key atomically (atomicfile.Write) and then
-// enforces the MaxBytes budget by evicting least-recently-used entries.
-// The header is built on the stack and written ahead of val, so the
-// payload is never copied. Eviction is best-effort: its failures never
-// surface.
+// Put writes the entry for key atomically (atomicfile.Write), stamps its
+// mtime as a hit does, and then enforces the MaxBytes budget by evicting
+// least-recently-used entries. The header is built on the stack and
+// written ahead of val, so the payload is never copied. Eviction is
+// best-effort: its failures never surface.
 func (c *Cache) Put(key string, val []byte) error {
 	hdr := header(val)
-	if err := atomicfile.Write(c.path(key), hdr[:], val); err != nil {
+	path := c.path(key)
+	if err := atomicfile.Write(path, hdr[:], val); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
+	stamp(path)
 	if c.idx != nil {
 		c.evictions.Add(c.idx.put(key, int64(headerLen+len(val)), c.maxBytes))
 	}

@@ -2,12 +2,14 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -537,6 +539,57 @@ func fill(t *testing.T, c *Cache, prefix string, n, framed int) []string {
 		}
 	}
 	return keys
+}
+
+// TestListingFollowsWritesAndHits: a put and a hit stamp their entry by
+// one clock, so a listing, least recently modified first and ties broken
+// by key as the index orders it, ranks entries in the order they were
+// last written or hit. Entries are written and hit in a tight loop, and
+// no mtime is pinned.
+func TestListingFollowsWritesAndHits(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string // keys, least recently written or hit first
+	touch := func(key string) {
+		order = slices.DeleteFunc(order, func(k string) bool { return k == key })
+		order = append(order, key)
+	}
+	for i := 0; i < 40; i++ {
+		key := KeyOf([]byte(fmt.Sprint("entry", i)), "fp")
+		if err := c.Put(key, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		touch(key)
+		if i%2 == 1 {
+			hit := order[0]
+			if v, err := c.Get(hit); err != nil || v == nil {
+				t.Fatalf("Get(%s) = %v, %v", hit, v, err)
+			}
+			touch(hit)
+		}
+	}
+	ents, err := listEntries(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(ents, func(a, b entryInfo) int {
+		return cmp.Or(cmp.Compare(a.mtime, b.mtime), cmp.Compare(a.key, b.key))
+	})
+	listed := make([]string, len(ents))
+	for i, e := range ents {
+		listed[i] = e.key
+	}
+	if !slices.Equal(listed, order) {
+		for i := range order {
+			if i < len(listed) && listed[i] != order[i] {
+				t.Fatalf("listing diverges from the write/hit order at position %d of %d: %s, want %s", i, len(order), listed[i], order[i])
+			}
+		}
+		t.Fatalf("listing holds %d entries, want %d", len(listed), len(order))
+	}
 }
 
 // TestCapCountsOtherWriters: entries written behind the process's index,

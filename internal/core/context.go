@@ -158,22 +158,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// shared facts store; the split trees are then simplified and sliced
 		// per-message.
 		{StageFields, func() bool { return prog != nil }, func(sctx context.Context) (func(), error) {
-			engine := taint.NewEngineFacts(fx, taint.Options{})
-			var ms []*taint.MFT
-			for _, m := range engine.AnalyzeContext(sctx, workers) {
-				ms = append(ms, mft.Split(m)...)
-			}
-			met.Counter("mfts_total").Add(int64(len(ms)))
-			ts := make([]*mft.Tree, len(ms))
-			sls := make([][]slices.Slice, len(ms))
-			parallel.ForEach(sctx, workers, len(ms), func(i int) {
-				sp := obs.StartChild(sctx, "mft-simplify")
-				sp.AddString("fn", ms[i].Site.Fn.Name())
-				ts[i] = mft.Simplify(ms[i])
-				sls[i] = slices.Generate(ts[i])
-				sp.AddInt("slices", len(sls[i]))
-				sp.End()
-			})
+			ms, ts, sls := traceMessages(sctx, fx, workers, met)
 			return func() {
 				mfts, trees, allSlices = ms, ts, sls
 				// One slot per tree even if recover-semantics degrades, so
@@ -187,19 +172,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// It enriches through the winner's facts store, whose set keeps the
 		// enrichment until the Result is released.
 		{StageSemantics, nil, func(sctx context.Context) (func(), error) {
-			classify := semantics.Observed(p.opts.Classifier, met)
-			out := make([][]fields.SliceInfo, len(trees))
-			parallel.ForEach(sctx, workers, len(trees), func(i int) {
-				sp := obs.StartChild(sctx, "classify")
-				sp.AddString("fn", mfts[i].Site.Fn.Name())
-				sp.AddInt("slices", len(allSlices[i]))
-				out[i] = make([]fields.SliceInfo, 0, len(allSlices[i]))
-				for _, s := range allSlices[i] {
-					label, conf := classify.Classify(s)
-					out[i] = append(out[i], fields.SliceInfo{Slice: s, Label: label, Confidence: conf})
-				}
-				sp.End()
-			})
+			out := classifySlices(sctx, fx, semantics.Observed(p.opts.Classifier, met), mfts, allSlices, workers)
 			counts := clusterCounts(mfts)
 			return func() { infos, res.ClusterCounts = out, counts }, nil
 		}},
@@ -210,21 +183,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// recorded as degradation notes.
 		{StageConcat, nil, func(sctx context.Context) (func(), error) {
 			resolver, notes := ResolverFromImageNotes(img)
-			msgs := make([]MessageResult, len(trees))
-			parallel.ForEach(sctx, workers, len(trees), func(i int) {
-				sp := obs.StartChild(sctx, "build-message")
-				sp.AddString("fn", mfts[i].Site.Fn.Name())
-				msgs[i] = MessageResult{
-					MFT: mfts[i], Tree: trees[i], Slices: allSlices[i],
-					Infos: infos[i], Message: fields.Build(trees[i], infos[i], resolver),
-				}
-				met.Histogram("fields_per_message").Observe(int64(len(msgs[i].Message.Fields)))
-				for _, fl := range msgs[i].Message.Fields {
-					met.Counter("message_fields_total", "label", fl.Semantics).Inc()
-				}
-				sp.AddInt("fields", len(msgs[i].Message.Fields))
-				sp.End()
-			})
+			msgs := buildMessages(sctx, fx, mfts, trees, allSlices, infos, resolver, met, workers)
 			return func() {
 				res.Errors = append(res.Errors, notes...)
 				res.Messages = msgs
@@ -309,6 +268,73 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		}
 	}
 	return res, nil
+}
+
+// traceMessages is the identify-fields stage over the store fx: it traces
+// the program's delivery sites, splits the MFTs per message and
+// simplifies and slices each tree, one tree per worker. Everything it
+// returns is carved from fx's scratch, so it lives as long as fx's set.
+func traceMessages(ctx context.Context, fx *facts.Program, workers int, met *obs.Metrics) ([]*taint.MFT, []*mft.Tree, [][]slices.Slice) {
+	engine := taint.NewEngineFacts(fx, taint.Options{})
+	var ms []*taint.MFT
+	for _, m := range engine.AnalyzeContext(ctx, workers) {
+		ms = append(ms, mft.Split(m)...)
+	}
+	met.Counter("mfts_total").Add(int64(len(ms)))
+	ts := make([]*mft.Tree, len(ms))
+	sls := make([][]slices.Slice, len(ms))
+	parallel.ForEach(ctx, workers, len(ms), func(i int) {
+		sp := obs.StartChild(ctx, "mft-simplify")
+		sp.AddString("fn", ms[i].Site.Fn.Name())
+		ts[i] = mft.Simplify(ms[i])
+		sls[i] = slices.Generate(ts[i])
+		sp.AddInt("slices", len(sls[i]))
+		sp.End()
+	})
+	return ms, ts, sls
+}
+
+// classifySlices is the recover-semantics stage: it labels every slice of
+// every tree, one tree per worker, in slice-info lists carved from the
+// scratch of fx, the store the trees were traced through.
+func classifySlices(ctx context.Context, fx *facts.Program, classify semantics.Classifier, mfts []*taint.MFT, sls [][]slices.Slice, workers int) [][]fields.SliceInfo {
+	st := storeOf(fx)
+	out := make([][]fields.SliceInfo, len(sls))
+	parallel.ForEach(ctx, workers, len(sls), func(i int) {
+		sp := obs.StartChild(ctx, "classify")
+		sp.AddString("fn", mfts[i].Site.Fn.Name())
+		sp.AddInt("slices", len(sls[i]))
+		out[i] = st.infoList(len(sls[i]))
+		for j, s := range sls[i] {
+			label, conf := classify.Classify(s)
+			out[i][j] = fields.SliceInfo{Slice: s, Label: label, Confidence: conf}
+		}
+		sp.End()
+	})
+	return out
+}
+
+// buildMessages is the concatenate-fields stage: it builds the message of
+// every tree, one tree per worker, into a result list carved from the
+// scratch of fx, the store the trees were traced through.
+func buildMessages(ctx context.Context, fx *facts.Program, mfts []*taint.MFT, trees []*mft.Tree, sls [][]slices.Slice,
+	infos [][]fields.SliceInfo, resolver fields.Resolver, met *obs.Metrics, workers int) []MessageResult {
+	msgs := storeOf(fx).resultList(len(trees))
+	parallel.ForEach(ctx, workers, len(trees), func(i int) {
+		sp := obs.StartChild(ctx, "build-message")
+		sp.AddString("fn", mfts[i].Site.Fn.Name())
+		msgs[i] = MessageResult{
+			MFT: mfts[i], Tree: trees[i], Slices: sls[i],
+			Infos: infos[i], Message: fields.Build(trees[i], infos[i], resolver),
+		}
+		met.Histogram("fields_per_message").Observe(int64(len(msgs[i].Message.Fields)))
+		for _, fl := range msgs[i].Message.Fields {
+			met.Counter("message_fields_total", "label", fl.Semantics).Inc()
+		}
+		sp.AddInt("fields", len(msgs[i].Message.Fields))
+		sp.End()
+	})
+	return msgs
 }
 
 // candidate is one pinpointed device-cloud executable contender, carrying

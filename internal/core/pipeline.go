@@ -135,14 +135,16 @@ type Result struct {
 }
 
 // Release hands the executable's set — its lifted program, the storage of
-// its facts artifacts and the semantics stage's enrichment — back to the
-// process's free list, which recycles it for later analyses. Call it once
-// the Result has been rendered: afterwards Handlers and the MFT, Tree,
-// Slices and Infos of every message refer to storage another analysis may
-// overwrite. Every stage has returned by the time the analysis does, so
-// nothing else reads the set and Release always recycles it, after a fatal
-// error too. It is safe to call more than once, and a Result that is never
-// released just leaves its set to the garbage collector.
+// its facts artifacts, the semantics stage's enrichment and every message
+// tree — back to the process's free list, which recycles it for later
+// analyses. Call it once the Result has been rendered: the Messages list
+// and every message's MFT, Tree, Slices, Infos and Message, with its
+// Fields, are carved from the set, so afterwards they and Handlers refer
+// to storage another analysis may overwrite. Every stage has returned by
+// the time the analysis does, so nothing else reads the set and Release
+// always recycles it, after a fatal error too. It is safe to call more
+// than once, and a Result that is never released just leaves its set to
+// the garbage collector.
 func (r *Result) Release() {
 	r.set.Release()
 	r.set = nil

@@ -14,7 +14,10 @@
 // Handles are a slice indexed by pcode.Function.Index, filled when the
 // store is made, so looking one up takes no lock and reads no map. Every
 // per-function artifact is carved from slabs the store owns (see slabs),
-// and the call graph is rebuilt in arrays of its own.
+// and the call graph is rebuilt in arrays of its own. The layers above
+// keep what they build for the program, its message trees among it, in
+// the store too: each in a scratch slot of its own (Scratch), carved from
+// Slabs of the layer's.
 //
 // Ownership rule: a store belongs to one lifted executable and lives
 // exactly as long as its program; it may be shared freely across
@@ -85,10 +88,10 @@ type Program struct {
 	cg     callgraph.Graph
 
 	funcs []Func // the handles, indexed by pcode.Function.Index
+	ops   int    // the program's ops over all functions
 	slabs slabs  // the storage every per-function artifact is carved from
 
-	scratchOnce sync.Once
-	scratch     Scratch // a later layer's state for the program (Scratch)
+	scratch [numSlots]slot // the later layers' state for the program (Scratch)
 
 	lifted pcode.Program // a set's program; prog points here
 }
@@ -119,48 +122,82 @@ func (p *Program) init(prog *pcode.Program, opts []Option) {
 		ops += len(fn.Ops)
 		locs += fn.NumLocs()
 	}
+	p.ops = ops
 	p.slabs.reserve(ops, locs)
 }
 
 // recycle empties a released set for its next program: the handles and
-// metrics are dropped, the call graph and the scratch are kept for it,
-// and the slabs are consolidated. With scrub, everything released is
-// overwritten first.
+// metrics are dropped, the call graph and the scratches are kept for it,
+// and the slabs, the scratches' included, are consolidated. With scrub,
+// everything released is overwritten first.
 func (p *Program) recycle(scrub bool) {
 	p.prog, p.met = nil, nil
 	p.reqC, p.bldC = [numArtifacts]*obs.Counter{}, [numArtifacts]*obs.Counter{}
-	p.cgOnce, p.scratchOnce = sync.Once{}, sync.Once{}
+	p.cgOnce = sync.Once{}
 	clear(p.funcs[:cap(p.funcs)])
 	if scrub {
 		p.cg = callgraph.Graph{}
-		if p.scratch != nil {
-			p.scratch.Scrub()
+	}
+	for i := range p.scratch {
+		sl := &p.scratch[i]
+		sl.once = sync.Once{}
+		if sl.s != nil {
+			sl.s.Recycle(scrub)
 		}
 	}
 	p.slabs.recycle(scrub)
 }
 
 // Scratch is the state a layer above the store keeps for the analysis of
-// its program — the semantics stage's enrichment. The store holds it, so
-// a set keeps its scratch for its next program instead of leaving it to
-// the garbage collector.
+// its program in the layer's slot: taint's nodes, mft's simplified trees
+// and path lists, slices' slice lists, semantics' enrichment, fields'
+// field lists and core's per-message lists, each carved from Slabs of
+// the layer's own. The store holds it, so a set keeps its scratch for its
+// next program instead of leaving it to the garbage collector.
 type Scratch interface {
-	// Scrub overwrites what the scratch holds with garbage; a release
-	// calls it while ScrubReleased is on.
-	Scrub()
+	// Recycle empties the scratch once nothing reads the set's program:
+	// a release calls it, with scrub while ScrubReleased is on, in which
+	// case it overwrites what the scratch holds with garbage first.
+	Recycle(scrub bool)
 }
 
-// Scratch returns the store's scratch. The first call for each program
-// the store serves passes ready the scratch the set kept from an earlier
-// program, nil if it has none, and keeps what ready returns for the
-// program; every later call returns that. Safe for concurrent use.
-func (p *Program) Scratch(ready func(p *Program, old Scratch) Scratch) Scratch {
-	p.scratchOnce.Do(func() { p.scratch = ready(p, p.scratch) })
-	return p.scratch
+// Slot names the scratch of one layer above the store.
+type Slot int
+
+// The slots of a set, one per layer that keeps scratch in it.
+const (
+	SlotTaint     Slot = iota // taint: trace nodes, child lists and MFTs
+	SlotTrees                 // mft: simplified trees, path lists and split MFTs
+	SlotSlices                // slices: slice lists and their steps
+	SlotSemantics             // semantics: the Enricher
+	SlotFields                // fields: field lists and messages
+	SlotCore                  // core: slice-info and message-result lists
+	numSlots
+)
+
+// slot is one layer's scratch and the once that readies it per program.
+type slot struct {
+	once sync.Once
+	s    Scratch
+}
+
+// Scratch returns the scratch in slot. The first call for each program
+// the store serves passes ready the scratch the set kept in the slot from
+// an earlier program, nil if it has none, and keeps what ready returns
+// for the program; every later call returns that. Safe for concurrent
+// use.
+func (p *Program) Scratch(slot Slot, ready func(p *Program, old Scratch) Scratch) Scratch {
+	sl := &p.scratch[slot]
+	sl.once.Do(func() { sl.s = ready(p, sl.s) })
+	return sl.s
 }
 
 // Prog returns the underlying lifted program.
 func (p *Program) Prog() *pcode.Program { return p.prog }
+
+// Ops returns the number of ops of the program over all its functions,
+// by which the layers size a cold slab's first chunk.
+func (p *Program) Ops() int { return p.ops }
 
 // Metrics returns the metrics registry the store records into, or nil —
 // the handle downstream consumers (identify, taint, lint) count through,
@@ -287,7 +324,7 @@ func (f *Func) ArgString(opIdx, argIdx int) (string, bool) {
 }
 
 // sets is the process's free list of sets. A set is one lifted program
-// plus the storage of all its facts artifacts and its scratch, recycled
+// plus the storage of all its facts artifacts and its scratches, recycled
 // together because they live together. Every analysis in the process
 // lifts through the one list, so a batch call starts with the sets its
 // predecessors released instead of growing its own; like every
@@ -317,12 +354,14 @@ func Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
 
 // Release hands the set of p, a store Lift returned, back for reuse: the
 // next Lift reuses the program's slabs, shells and index maps, the
-// store's handles, slabs and call-graph arrays, and the scratch, instead
-// of allocating them. Only the set's owner may release it, once: nothing
-// may read p, a handle, artifact or scratch taken from it, its program,
-// or any function, op, varnode or call target of the program afterwards.
-// A store New built is not a set, and Release ignores it, as it ignores
-// nil.
+// store's handles, slabs and call-graph arrays, and every layer's
+// scratch, instead of allocating them. Only the set's owner may release
+// it, once: nothing may read p, a handle, artifact or scratch taken from
+// it, its program, or any function, op, varnode or call target of the
+// program afterwards, nor anything a layer carved from its scratch: an
+// MFT traced through the store, a tree, path list, slice or field list
+// built from one. A store New built is not a set, and Release ignores
+// it, as it ignores nil.
 func (p *Program) Release() {
 	if p == nil || p.prog != &p.lifted {
 		return
@@ -337,9 +376,9 @@ func (p *Program) Release() {
 }
 
 // ScrubReleased sets whether Release overwrites each released set's
-// storage with garbage — the program's, every facts artifact's and the
-// scratch — so a reader that still holds a released set computes
-// nonsense instead of a plausible stale answer, and returns the previous
-// setting. Tests turn it on to prove that nothing outlives its release,
+// storage with garbage — the program's, every facts artifact's and every
+// scratch's, message trees included — so a reader that still holds a
+// released set computes nonsense instead of a plausible stale answer, and
+// returns the previous setting. Tests turn it on to prove that nothing outlives its release,
 // and restore it: defer facts.ScrubReleased(facts.ScrubReleased(true)).
 func ScrubReleased(on bool) bool { return scrubSets.Swap(on) }

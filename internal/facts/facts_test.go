@@ -168,16 +168,21 @@ func TestFailedLiftRecyclesSet(t *testing.T) {
 	}
 }
 
-// scratch is a Scratch that counts its scrubs.
-type scratch struct{ scrubs int }
+// scratch is a Scratch that counts its recycles and scrubs.
+type scratch struct{ recycles, scrubs int }
 
-func (s *scratch) Scrub() { s.scrubs++ }
+func (s *scratch) Recycle(scrub bool) {
+	s.recycles++
+	if scrub {
+		s.scrubs++
+	}
+}
 
 // TestScratchRecycledWithSet: a set keeps its scratch across a release.
 // The first request for each program readies the scratch the set kept,
-// exactly once however many goroutines ask, and a release scrubs it only
-// while ScrubReleased is on; a store New built keeps its scratch to
-// itself.
+// exactly once however many goroutines ask, every release recycles it
+// and scrubs it only while ScrubReleased is on, a slot keeps its own
+// scratch, and a store New built keeps its scratch to itself.
 func TestScratchRecycledWithSet(t *testing.T) {
 	prog := twoFuncProg(t)
 	var readied []Scratch
@@ -197,32 +202,35 @@ func TestScratchRecycledWithSet(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fx.Scratch(ready)
+			fx.Scratch(SlotSemantics, ready)
 		}()
 	}
 	wg.Wait()
-	first := fx.Scratch(ready)
+	first := fx.Scratch(SlotSemantics, ready)
 	if len(readied) != 1 {
 		t.Fatalf("readied %d times for one program, want 1", len(readied))
 	}
+	if other := fx.Scratch(SlotTaint, ready); other == first || len(readied) != 2 {
+		t.Fatal("two slots share one scratch")
+	}
 	defer ScrubReleased(ScrubReleased(true))
 	fx.Release()
-	if n := first.(*scratch).scrubs; n != 1 {
-		t.Errorf("a scrubbed release scrubbed the scratch %d times, want 1", n)
+	if s := first.(*scratch); s.recycles != 1 || s.scrubs != 1 {
+		t.Errorf("a scrubbed release recycled the scratch %d times and scrubbed it %d times, want 1 and 1", s.recycles, s.scrubs)
 	}
 	again, err := Lift(prog.Bin)
 	if err != nil || again != fx {
 		t.Fatalf("Release did not recycle the set (err %v)", err)
 	}
-	if got := again.Scratch(ready); got != first || len(readied) != 2 {
+	if got := again.Scratch(SlotSemantics, ready); got != first || len(readied) != 3 {
 		t.Errorf("the recycled set readied %d scratches, want its own kept one readied again", len(readied))
 	}
 	ScrubReleased(false)
 	again.Release()
-	if n := first.(*scratch).scrubs; n != 1 {
-		t.Errorf("an unscrubbed release scrubbed the scratch (%d scrubs)", n)
+	if s := first.(*scratch); s.recycles != 2 || s.scrubs != 1 {
+		t.Errorf("an unscrubbed release left %d recycles and %d scrubs, want 2 and 1", s.recycles, s.scrubs)
 	}
-	if New(prog).Scratch(ready) == first {
+	if New(prog).Scratch(SlotSemantics, ready) == first {
 		t.Error("a store New built shares a set's scratch")
 	}
 }

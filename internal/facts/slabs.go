@@ -15,34 +15,34 @@ import (
 // needed, not the largest function each handle ever held.
 type slabs struct {
 	mu     sync.Mutex
-	blocks slab[cfg.Block]
-	ints   slab[int]
-	int32s slab[int32]
-	words  slab[uint64]
+	blocks Slab[cfg.Block]
+	ints   Slab[int]
+	int32s Slab[int32]
+	words  Slab[uint64]
 }
 
 func (s *slabs) Blocks(n int) []cfg.Block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.blocks.take(n)
+	return s.blocks.Take(n)
 }
 
 func (s *slabs) Ints(n int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ints.take(n)
+	return s.ints.Take(n)
 }
 
 func (s *slabs) Int32s(n int) []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.int32s.take(n)
+	return s.int32s.Take(n)
 }
 
 func (s *slabs) Words(n int) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.words.take(n)
+	return s.words.Take(n)
 }
 
 // reserve sizes the first chunk of every cold slab from the program's op
@@ -52,36 +52,44 @@ func (s *slabs) Words(n int) []uint64 {
 // 0.09 blocks, 0.33 ints and 2.4 int32s per op, and 6.2 words per
 // location.
 func (s *slabs) reserve(ops, locs int) {
-	s.blocks.reserve(ops / 10)
-	s.ints.reserve(2 * ops / 5)
-	s.int32s.reserve(5 * ops / 2)
-	s.words.reserve(13 * locs / 2)
+	s.blocks.Reserve(ops / 10)
+	s.ints.Reserve(2 * ops / 5)
+	s.int32s.Reserve(5 * ops / 2)
+	s.words.Reserve(13 * locs / 2)
 }
 
 // recycle empties every slab for the set's next program, consolidating
 // each into one chunk; with scrub, every chunk is overwritten with garbage
 // first.
 func (s *slabs) recycle(scrub bool) {
-	s.blocks.recycle(scrub, cfg.Block{ID: -1, Start: -1, End: -1})
-	s.ints.recycle(scrub, -0x21524111)
-	s.int32s.recycle(scrub, -0x21524111)
-	s.words.recycle(scrub, 0xdeadbeefdeadbeef)
+	s.blocks.Recycle(scrub, cfg.Block{ID: -1, Start: -1, End: -1})
+	s.ints.Recycle(scrub, -0x21524111)
+	s.int32s.Recycle(scrub, -0x21524111)
+	s.words.Recycle(scrub, 0xdeadbeefdeadbeef)
 }
 
-// slab is chunked storage of T. A chunk never moves: when the current one
-// is full, take starts a new one, as large as everything carved so far,
-// and keeps the full ones, which carved slices still reference, until
-// recycle consolidates them into one chunk.
-type slab[T any] struct {
+// Slab is chunked storage of T, the one allocator of everything a set
+// keeps for its program: the facts artifacts here, and the message trees,
+// slices and fields the layers above carve into their scratch (Scratch).
+// A chunk never moves: when the current one is full, Take starts a new
+// one, as large as everything carved so far, and keeps the full ones,
+// which carved slices still reference, until Recycle consolidates them
+// into one chunk. So a slab a set keeps holds about what its largest
+// program needed. A Slab is not safe for concurrent use: its owner guards
+// it with a lock, and workers that carve many small pieces concurrently
+// claim runs of elements at a time (TakeRun) and hand back what they
+// leave (Give).
+// The zero Slab is empty and ready to use.
+type Slab[T any] struct {
 	cur   []T   // the chunk being carved: its length is what is carved
 	full  [][]T // the chunks filled before cur
 	total int   // elements carved since the last recycle
 	hint  int   // the size of a cold slab's first chunk
 }
 
-// take carves n zeroed elements, capacity-clamped so nothing can append
+// Take carves n zeroed elements, capacity-clamped so nothing can append
 // through into a neighbour.
-func (s *slab[T]) take(n int) []T {
+func (s *Slab[T]) Take(n int) []T {
 	if len(s.cur)+n > cap(s.cur) {
 		if cap(s.cur) > 0 {
 			s.full = append(s.full, s.cur)
@@ -96,23 +104,46 @@ func (s *slab[T]) take(n int) []T {
 	return out
 }
 
-// reserve sets the size of the first chunk of a slab that has none yet.
-func (s *slab[T]) reserve(n int) {
+// TakeRun carves a run of at least n elements and at most max(n, run):
+// what the current chunk has left, up to that, when it is at least n, or
+// else a full run from a new chunk. Workers that carve many small pieces
+// concurrently claim runs with it, so a run starts a new chunk only once
+// the current one cannot serve the piece it is claimed for.
+func (s *Slab[T]) TakeRun(n, run int) []T {
+	want := max(n, run)
+	if left := cap(s.cur) - len(s.cur); left >= n {
+		want = min(want, left)
+	}
+	return s.Take(want)
+}
+
+// Give hands back rest, the unused end of a run Take carved, when nothing
+// has been carved after it; otherwise rest stays carved until Recycle.
+// Nothing may use rest afterwards.
+func (s *Slab[T]) Give(rest []T) {
+	n, end := len(rest), len(s.cur)
+	if n > 0 && n <= end && &rest[n-1] == &s.cur[end-1] {
+		s.cur = s.cur[:end-n]
+		s.total -= n
+	}
+}
+
+// Reserve sets the size of the first chunk of a slab that has none yet.
+func (s *Slab[T]) Reserve(n int) {
 	if cap(s.cur) == 0 {
 		s.hint = n
 	}
 }
 
-// recycle empties the slab. A slab that grew past one chunk is
-// consolidated into one chunk holding everything carved since the last
-// recycle.
-func (s *slab[T]) recycle(scrub bool, garbage T) {
-	if scrub {
-		for _, c := range s.full {
-			fill(c, garbage)
-		}
-		fill(s.cur, garbage)
+// Recycle empties the slab. What was carved is cleared, so the slab keeps
+// nothing it referenced alive, or with scrub overwritten with garbage. A
+// slab that grew past one chunk is then consolidated into one chunk
+// holding everything carved since the last recycle.
+func (s *Slab[T]) Recycle(scrub bool, garbage T) {
+	for _, c := range s.full {
+		wipe(c, scrub, garbage)
 	}
+	wipe(s.cur, scrub, garbage)
 	if len(s.full) > 0 {
 		clear(s.full)
 		s.full = s.full[:0]
@@ -122,8 +153,13 @@ func (s *slab[T]) recycle(scrub bool, garbage T) {
 	s.total, s.hint = 0, 0
 }
 
-func fill[T any](s []T, v T) {
-	for i := range s {
-		s[i] = v
+// wipe clears c, or with scrub fills it with garbage.
+func wipe[T any](c []T, scrub bool, garbage T) {
+	if !scrub {
+		clear(c)
+		return
+	}
+	for i := range c {
+		c[i] = garbage
 	}
 }

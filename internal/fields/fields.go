@@ -115,12 +115,13 @@ func (r *MapResolver) Resolve(leaf *taint.Node) (string, bool) {
 
 // Build reconstructs the message of one simplified tree. The tree is
 // inverted internally if it has not been already; infos carry the recovered
-// semantics per path hash.
+// semantics per path hash. The message and its field list are carved from
+// the store the tree's MFT was traced through (store.go), so they live as
+// long as that store's set.
 func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
-	m := &Message{
-		Deliver: tree.Source.Deliver,
-		Context: tree.Source.Context,
-	}
+	st := storeOf(tree.Source)
+	m := st.message()
+	m.Deliver, m.Context = tree.Source.Deliver, tree.Source.Context
 	if tree.Source.Site.Fn != nil {
 		m.Function = tree.Source.Site.Fn.Name()
 	}
@@ -152,11 +153,12 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 
 	// Fields in concatenation order (tree is inverted).
 	if len(paths) > 0 {
-		m.Fields = make([]Field, 0, len(paths))
+		m.Fields = st.fieldList(len(paths))
 	}
-	for _, p := range paths {
+	for i, p := range paths {
 		leaf := p.Leaf().Orig
-		f := Field{
+		f := &m.Fields[i]
+		*f = Field{
 			Source:     leaf.Kind,
 			PathHash:   p.Hash,
 			Value:      renderLeaf(leaf, resolve),
@@ -171,7 +173,6 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 		case taint.LeafNVRAM, taint.LeafConfig, taint.LeafEnv, taint.LeafFile:
 			f.SourceKey = leaf.Key
 		}
-		m.Fields = append(m.Fields, f)
 	}
 
 	m.Format = inferFormat(tree)

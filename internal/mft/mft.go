@@ -12,6 +12,11 @@ import (
 	"firmres/internal/taint"
 )
 
+// A tree's storage — the Tree, its SNodes and child lists, its path list
+// and the nodes of every path, and the MFTs Split makes — is carved from
+// the store the tree's MFT was traced through (MFT.Facts), in its trees
+// slot (store.go), so it lives as long as that store's set.
+
 // SNode is a node of the simplified tree. It references the original MFT
 // node so downstream stages keep full context.
 type SNode struct {
@@ -64,12 +69,19 @@ type Tree struct {
 // (more than one child), structural markers (delivery arguments, sprintf/
 // JSON construction steps), and leaves are kept; chains of single-child
 // bookkeeping nodes are collapsed (Fig. 5 "removing the nodes that are
-// irrelevant to field concatenation").
+// irrelevant to field concatenation"). A counting walk sizes the tree, so
+// its nodes and child lists are carved in one claim.
 func Simplify(m *taint.MFT) *Tree {
-	if m.Root == nil {
-		return &Tree{Source: m}
+	var c simpleCount
+	if m.Root != nil {
+		c.walk(m.Root)
 	}
-	return &Tree{Source: m, Root: simplifyNode(m.Root)}
+	t, b := storeOf(m).tree(c)
+	t.Source = m
+	if m.Root != nil {
+		t.Root = b.node(m.Root)
+	}
+	return t
 }
 
 // structural reports whether a node must survive simplification even with a
@@ -90,21 +102,55 @@ func structural(n *taint.Node) bool {
 	return false
 }
 
-func simplifyNode(n *taint.Node) *SNode {
-	// Collapse single-child non-structural chains.
-	cur := n
-	for !cur.Leaf() && !structural(cur) && len(cur.Children) == 1 {
-		cur = cur.Children[0]
+// collapse follows a chain of single-child non-structural nodes from n
+// to the node the simplified tree keeps for it.
+func collapse(n *taint.Node) *taint.Node {
+	for !n.Leaf() && !structural(n) && len(n.Children) == 1 {
+		n = n.Children[0]
 	}
-	out := &SNode{Orig: cur}
-	if cur.Leaf() || len(cur.Children) == 0 {
-		// A leaf, or a dead interior node (budget-truncated trace): keep
-		// as-is.
+	return n
+}
+
+// kept reports whether the simplified tree keeps the children of n, a
+// collapsed node: a leaf, or a dead interior node (budget-truncated
+// trace), is kept as-is.
+func kept(n *taint.Node) bool { return !n.Leaf() && len(n.Children) > 0 }
+
+// simpleCount sizes a simplified tree: its nodes and child-list slots.
+type simpleCount struct{ nodes, kids int }
+
+func (c *simpleCount) walk(n *taint.Node) {
+	n = collapse(n)
+	c.nodes++
+	if !kept(n) {
+		return
+	}
+	c.kids += len(n.Children)
+	for _, ch := range n.Children {
+		c.walk(ch)
+	}
+}
+
+// simplifier hands out the nodes and child-list slots a simpleCount
+// sized, in the order the build walk takes them.
+type simplifier struct {
+	nodes []SNode
+	kids  []*SNode
+}
+
+func (b *simplifier) node(n *taint.Node) *SNode {
+	n = collapse(n)
+	out := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	out.Orig = n
+	if !kept(n) {
 		return out
 	}
-	out.Children = make([]*SNode, len(cur.Children))
-	for i, c := range cur.Children {
-		out.Children[i] = simplifyNode(c)
+	k := len(n.Children)
+	out.Children = b.kids[:k:k]
+	b.kids = b.kids[k:]
+	for i, c := range n.Children {
+		out.Children[i] = b.node(c)
 	}
 	return out
 }
@@ -153,7 +199,7 @@ func (p Path) Leaf() *SNode { return p.Nodes[len(p.Nodes)-1] }
 // them. Like Invert, Paths is for one goroutine at a time.
 func (t *Tree) Paths() []Path {
 	if t.paths == nil && t.Root != nil {
-		t.paths = listPaths(t.Root)
+		t.paths = listPaths(storeOf(t.Source), t.Root)
 	}
 	return t.paths
 }
@@ -186,20 +232,23 @@ type pathLister struct {
 	buf   []byte   // one node's hashed bytes
 }
 
-// listPaths enumerates, numbers and hashes the paths under root. Every
-// path's Nodes is a capacity-clamped window of one backing array, whose
-// tail holds the walk's stack.
-func listPaths(root *SNode) []Path {
+// listPaths enumerates, numbers and hashes the paths under root, in a
+// list and one backing array carved from st. Every path's Nodes is a
+// capacity-clamped window of the backing array, whose tail holds the
+// walk's stack.
+func listPaths(st *store, root *SNode) []Path {
 	var c pathCount
 	c.walk(root, 1)
 	if c.paths == 0 {
 		return nil
 	}
-	backing := make([]*SNode, c.nodes+c.depth)
+	paths, backing := st.pathList(c.paths, c.nodes+c.depth)
+	var buf [64]byte
 	l := pathLister{
-		paths: make([]Path, 0, c.paths),
+		paths: paths[:0],
 		nodes: backing[:0:c.nodes],
 		stack: backing[c.nodes:c.nodes],
+		buf:   buf[:0],
 	}
 	l.walk(root, fnvOffset64)
 	return l.paths
@@ -239,46 +288,57 @@ func (l *pathLister) walk(n *SNode, h uint64) {
 // Split divides an MFT into one MFT per message-construction context. A
 // wrapper function called from several places produces a tree whose payload
 // argument fans out into one NodeParam subtree per caller; each fan-out arm
-// is a distinct device-cloud message.
+// is a distinct device-cloud message. The returned list, and every clone
+// with its copied root and argument nodes, is carved from the store m was
+// traced through.
 func Split(m *taint.MFT) []*taint.MFT {
+	st := storeOf(m)
 	if m.Root == nil {
-		return []*taint.MFT{m}
+		return st.one(m)
 	}
 	// Find the fan-out: an arg node whose children are all NodeParam nodes
 	// from more than one distinct caller.
 	for argIdx, arg := range m.Root.Children {
-		if arg.Kind != taint.NodeArg || len(arg.Children) < 2 {
+		if arg.Kind != taint.NodeArg || len(arg.Children) < 2 || !fansOut(arg) {
 			continue
 		}
-		callers := map[string]bool{}
-		allParams := true
-		for _, c := range arg.Children {
-			if c.Kind != taint.NodeParam || len(c.Children) == 0 {
-				allParams = false
-				break
-			}
-			callers[callerName(c)] = true
+		// Each clone gets a root and an argument node of its own, and one
+		// run of width+1 child slots: the root's children, then the
+		// argument's one.
+		width := len(m.Root.Children)
+		b := st.splitter(len(arg.Children), width)
+		for i, c := range arg.Children {
+			root, argClone := &b.nodes[2*i], &b.nodes[2*i+1]
+			*root, *argClone = *m.Root, *arg
+			kids := b.kids[i*(width+1) : (i+1)*(width+1) : (i+1)*(width+1)]
+			root.Children = kids[:width:width]
+			copy(root.Children, m.Root.Children)
+			root.Children[argIdx] = argClone
+			argClone.Children = kids[width:]
+			argClone.Children[0] = c
+			clone := &b.mfts[i]
+			*clone = *m
+			clone.Root, clone.Context = root, callerName(c)
+			b.list[i] = clone
 		}
-		if !allParams || len(callers) < 2 {
-			continue
-		}
-		var out []*taint.MFT
-		for _, c := range arg.Children {
-			clone := *m
-			root := *m.Root
-			children := make([]*taint.Node, len(m.Root.Children))
-			copy(children, m.Root.Children)
-			argClone := *arg
-			argClone.Children = []*taint.Node{c}
-			children[argIdx] = &argClone
-			root.Children = children
-			clone.Root = &root
-			clone.Context = callerName(c)
-			out = append(out, &clone)
-		}
-		return out
+		return b.list
 	}
-	return []*taint.MFT{m}
+	return st.one(m)
+}
+
+// fansOut reports whether the children of arg are all NodeParam arms with
+// a subtree, of more than one distinct caller.
+func fansOut(arg *taint.Node) bool {
+	distinct := false
+	for i, c := range arg.Children {
+		if c.Kind != taint.NodeParam || len(c.Children) == 0 {
+			return false
+		}
+		if i > 0 && callerName(c) != callerName(arg.Children[0]) {
+			distinct = true
+		}
+	}
+	return distinct
 }
 
 // callerName recovers the caller function of a NodeParam arm.

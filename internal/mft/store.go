@@ -1,0 +1,122 @@
+package mft
+
+import (
+	"sync"
+
+	"firmres/internal/facts"
+	"firmres/internal/taint"
+)
+
+// store is the storage a set keeps for the trees of the MFTs traced
+// through its store, in the store's trees slot: the Trees, their SNodes
+// and child lists, their path lists and path nodes, and the lists and
+// clones Split returns. Trees are simplified and their paths listed
+// concurrently, one worker per tree; each tree sizes what it needs first
+// and carves it in one claim under the lock.
+type store struct {
+	mu    sync.Mutex
+	trees facts.Slab[Tree]
+	nodes facts.Slab[SNode]
+	ptrs  facts.Slab[*SNode] // child lists, and the nodes of every path
+	paths facts.Slab[Path]
+
+	lists facts.Slab[*taint.MFT]
+	mfts  facts.Slab[taint.MFT]
+	tnode facts.Slab[taint.Node]
+	tptrs facts.Slab[*taint.Node]
+}
+
+// scrubbed is what a scrubbed release leaves in every simplified node and
+// in every list of them: a node standing for no taint node.
+var scrubbed = SNode{Orig: &taint.Node{Kind: taint.LeafString, OpIdx: -1, StrVal: "scrubbed"}}
+
+// storeOf returns the store m's facts store keeps in its trees slot, or
+// fresh storage of its own for an MFT traced through no store.
+func storeOf(m *taint.MFT) *store {
+	if m == nil || m.Facts == nil {
+		return new(store)
+	}
+	return m.Facts.Scratch(facts.SlotTrees, readyStore).(*store)
+}
+
+// readyStore readies the store a set kept from an earlier program, or a
+// new one, for the program of fx. A cold slab's first chunk is sized from
+// the program's ops: the crawl set's device-cloud executables build at
+// most 0.42 simplified nodes, 0.18 paths and, over the child lists and
+// paths, 1.45 node pointers per op.
+func readyStore(fx *facts.Program, old facts.Scratch) facts.Scratch {
+	st, _ := old.(*store)
+	if st == nil {
+		st = new(store)
+	}
+	ops := fx.Ops()
+	st.trees.Reserve(ops / 40)
+	st.nodes.Reserve(3 * ops / 7)
+	st.ptrs.Reserve(3 * ops / 2)
+	st.paths.Reserve(7 * ops / 40)
+	st.lists.Reserve(ops / 40)
+	return st
+}
+
+// Recycle implements facts.Scratch.
+func (st *store) Recycle(scrub bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.trees.Recycle(scrub, Tree{Root: &scrubbed, Inverted: true})
+	st.nodes.Recycle(scrub, scrubbed)
+	st.ptrs.Recycle(scrub, &scrubbed)
+	st.paths.Recycle(scrub, Path{ID: -1, Hash: 0xdeadbeefdeadbeef})
+	st.lists.Recycle(scrub, nil)
+	st.mfts.Recycle(scrub, taint.MFT{Deliver: "scrubbed", Root: scrubbed.Orig})
+	st.tnode.Recycle(scrub, *scrubbed.Orig)
+	st.tptrs.Recycle(scrub, scrubbed.Orig)
+}
+
+// tree carves a Tree and the nodes and child-list slots c counted.
+func (st *store) tree(c simpleCount) (*Tree, simplifier) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	t := &st.trees.Take(1)[0]
+	if c.nodes == 0 {
+		return t, simplifier{}
+	}
+	return t, simplifier{nodes: st.nodes.Take(c.nodes), kids: st.ptrs.Take(c.kids)}
+}
+
+// pathList carves a list of n paths and a backing array of nodes node
+// pointers.
+func (st *store) pathList(n, nodes int) ([]Path, []*SNode) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.paths.Take(n), st.ptrs.Take(nodes)
+}
+
+// one returns a list holding m alone.
+func (st *store) one(m *taint.MFT) []*taint.MFT {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := st.lists.Take(1)
+	out[0] = m
+	return out
+}
+
+// splitStorage is what Split carves for k clones of a root of width
+// children: the list, the clones, a root and an argument node per clone,
+// and width+1 child slots per clone.
+type splitStorage struct {
+	list  []*taint.MFT
+	mfts  []taint.MFT
+	nodes []taint.Node
+	kids  []*taint.Node
+}
+
+func (st *store) splitter(k, width int) splitStorage {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return splitStorage{
+		list:  st.lists.Take(k),
+		mfts:  st.mfts.Take(k),
+		nodes: st.tnode.Take(2 * k),
+		kids:  st.tptrs.Take(k * (width + 1)),
+	}
+}

@@ -163,7 +163,7 @@ func NewEnricher(fx *facts.Program) *Enricher {
 
 // enricherOf returns the Enricher fx keeps as its scratch.
 func enricherOf(fx *facts.Program) *Enricher {
-	return fx.Scratch(readyEnricher).(*Enricher)
+	return fx.Scratch(facts.SlotSemantics, readyEnricher).(*Enricher)
 }
 
 // readyEnricher readies the Enricher a set kept from an earlier program,
@@ -181,13 +181,9 @@ func readyEnricher(fx *facts.Program, old facts.Scratch) facts.Scratch {
 // buffers it holds: one state per function and one empty summary per op.
 func (e *Enricher) reset(fx *facts.Program) {
 	funcs := fx.Prog().Funcs
-	ops := 0
-	for _, fn := range funcs {
-		ops += len(fn.Ops)
-	}
 	e.fx = fx
 	e.funcs = resize(e.funcs, len(funcs))
-	e.toks = resize(e.toks, ops)
+	e.toks = resize(e.toks, fx.Ops())
 	off := 0
 	for i, fn := range funcs {
 		end := off + len(fn.Ops)
@@ -207,10 +203,14 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// Scrub overwrites every summary with a plausible-looking wrong one, so a
-// reader that still holds a released set's Enricher classifies wrongly;
-// a set's release calls it under facts.ScrubReleased.
-func (e *Enricher) Scrub() {
+// Recycle implements facts.Scratch: the next program readies the
+// Enricher afresh. With scrub it overwrites every summary with a
+// plausible-looking wrong one, so a reader that still holds a released
+// set's Enricher classifies wrongly.
+func (e *Enricher) Recycle(scrub bool) {
+	if !scrub {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.toks {

@@ -38,31 +38,69 @@ type Slice struct {
 	KeyHint  string // associated key text: JSON key, format segment, or source key
 }
 
-// Generate computes the slices of a simplified (non-inverted) tree.
+// Generate computes the slices of a simplified (non-inverted) tree. The
+// list and every slice's steps are carved, in one claim, from the store
+// the tree's MFT was traced through (store.go), so they live as long as
+// that store's set.
 func Generate(tree *mft.Tree) []Slice {
 	paths := tree.Paths()
-	out := make([]Slice, 0, len(paths))
+	if len(paths) == 0 {
+		return nil
+	}
+	n := 0
 	for _, p := range paths {
-		out = append(out, sliceOfPath(tree.Source, p))
+		n += distinctSteps(nil, p)
+	}
+	out, steps := storeOf(tree.Source).slices(len(paths), n)
+	for i, p := range paths {
+		out[i] = sliceOfPath(tree.Source, p, &steps)
 	}
 	return out
 }
 
-func sliceOfPath(m *taint.MFT, p mft.Path) Slice {
+// sliceOfPath cuts the slice of one path, carving its steps from the front
+// of *steps.
+func sliceOfPath(m *taint.MFT, p mft.Path, steps *[]Step) Slice {
 	s := Slice{MFT: m, PathID: p.ID, PathHash: p.Hash, Leaf: p.Leaf()}
-	seen := map[Step]bool{}
-	for _, n := range p.Nodes {
-		if n.Orig.Fn == nil {
-			continue
-		}
-		st := Step{Fn: n.Orig.Fn, OpIdx: n.Orig.OpIdx}
-		if !seen[st] {
-			seen[st] = true
-			s.Steps = append(s.Steps, st)
-		}
+	if n := distinctSteps(*steps, p); n > 0 {
+		s.Steps = (*steps)[:n:n]
+		*steps = (*steps)[n:]
 	}
 	s.KeyHint = keyHint(p)
 	return s
+}
+
+// distinctSteps writes the distinct steps of p's nodes, in path order, to
+// the front of dst and returns how many there are; with a nil dst it only
+// counts them.
+func distinctSteps(dst []Step, p mft.Path) int {
+	n := 0
+	for _, node := range p.Nodes {
+		if node.Orig.Fn == nil {
+			continue
+		}
+		st := Step{Fn: node.Orig.Fn, OpIdx: node.Orig.OpIdx}
+		if !hasStep(p.Nodes, node, st) {
+			if dst != nil {
+				dst[n] = st
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// hasStep reports whether a node of nodes before at steps through st.
+func hasStep(nodes []*mft.SNode, at *mft.SNode, st Step) bool {
+	for _, n := range nodes {
+		if n == at {
+			return false
+		}
+		if n.Orig.Fn == st.Fn && n.Orig.OpIdx == st.OpIdx {
+			return true
+		}
+	}
+	return false
 }
 
 // keyHint recovers the key text associated with a field path, trying, in

@@ -13,10 +13,11 @@ import (
 
 // perMFTAllocBudget is the committed ceiling on heap allocations per
 // traced MFT (engine construction amortized in). The measured cost on the
-// reference program below is ~100; the headroom absorbs runtime-version
-// drift, not regressions — blowing the budget means a hot-path structure
-// started escaping again.
-const perMFTAllocBudget = 250
+// reference program below is 20, traced through a fresh store: its nodes,
+// child lists and MFTs are carved from a few slab chunks, not allocated
+// one by one; the headroom absorbs runtime-version drift, not regressions
+// — blowing the budget means a hot-path structure started escaping again.
+const perMFTAllocBudget = 114
 
 // TestPerMFTAllocBudget pins the allocation cost of the backward-taint
 // step: one engine run over a representative two-site program, divided by

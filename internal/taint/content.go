@@ -123,23 +123,24 @@ func (e *Engine) dstOrigins(fn *pcode.Function, callIdx int, ws writeSummary, ct
 }
 
 // bufferContent reconstructs the content written into the target buffer
-// before op index fromIdx, scanning backwards. Children are returned in
-// reverse write order (backward-walk convention; inverted later).
+// before op index fromIdx, scanning backwards, and pushes it in reverse
+// write order (backward-walk convention; inverted later).
 //
 // The scan follows three channels: write-summary library calls whose
 // destination matches, raw STOREs through the buffer (the disassembly-noise
 // channel behind the paper's field false positives), and local callees that
 // received the buffer (directly or as a global).
-func (e *Engine) bufferContent(st *traceState, fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) []*Node {
-	nodes, _ := e.bufferContentScan(st, fn, fromIdx, targets, ctx, depth)
-	return nodes
+func (t *tracer) bufferContent(fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) {
+	t.bufferContentScan(fn, fromIdx, targets, ctx, depth)
 }
 
-func (e *Engine) bufferContentScan(st *traceState, fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) ([]*Node, bool) {
+// bufferContentScan is bufferContent, reporting whether the scan stopped
+// at a writer that overwrote the buffer.
+func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) bool {
+	e := t.e
 	if depth > e.opts.MaxDepth || len(targets) == 0 {
-		return nil, false
+		return false
 	}
-	var out []*Node
 	if fromIdx > len(fn.Ops) {
 		fromIdx = len(fn.Ops)
 	}
@@ -157,9 +158,9 @@ func (e *Engine) bufferContentScan(st *traceState, fn *pcode.Function, fromIdx i
 			if !originsIntersect(e.originsOf(fn, i, base, ctx), targets) {
 				continue
 			}
-			n := &Node{Kind: NodeOp, Fn: fn, OpIdx: i, Callee: "STORE"}
-			n.Children = e.trace(st, fn, i, op.Inputs[1], ctx, depth+1)
-			out = append(out, n)
+			mark := len(t.stack)
+			t.trace(fn, i, op.Inputs[1], ctx, depth+1)
+			t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: i, Callee: "STORE"})
 
 		case pcode.CALL:
 			name := op.Call.Name
@@ -168,12 +169,12 @@ func (e *Engine) bufferContentScan(st *traceState, fn *pcode.Function, fromIdx i
 				if !originsIntersect(e.originsOf(fn, i, dst, ctx), targets) {
 					continue
 				}
-				n := &Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name}
-				n.Format = e.argString(fn, i, ws.fmtArg)
-				n.Children = e.writerDeps(st, fn, i, op, ws, ctx, depth)
-				out = append(out, n)
+				format := e.argString(fn, i, ws.fmtArg)
+				mark := len(t.stack)
+				t.writerDeps(fn, i, op, ws, ctx, depth)
+				t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name, Format: format})
 				if ws.mode == writeOverwrite {
-					return out, true
+					return true
 				}
 				continue
 			}
@@ -189,43 +190,44 @@ func (e *Engine) bufferContentScan(st *traceState, fn *pcode.Function, fromIdx i
 				continue
 			}
 			sub := &traceCtx{parent: ctx, fn: fn, callIdx: i}
-			inner, overwrote := e.bufferContentScan(st, callee, len(callee.Ops), calleeTargets, sub, depth+1)
-			if len(inner) > 0 {
-				n := &Node{Kind: NodeReturn, Fn: fn, OpIdx: i, Callee: callee.Name()}
-				n.Children = inner
-				out = append(out, n)
+			mark := len(t.stack)
+			overwrote := t.bufferContentScan(callee, len(callee.Ops), calleeTargets, sub, depth+1)
+			if len(t.stack) > mark {
+				t.wrap(mark, Node{Kind: NodeReturn, Fn: fn, OpIdx: i, Callee: callee.Name()})
 			}
 			if overwrote {
-				return out, true
+				return true
 			}
 		}
 	}
-	return out, false
+	return false
 }
+
+// argLabels are the labels of writer arguments, by argument index.
+var argLabels = func() (l [isa.NumArgRegs]string) {
+	for i := range l {
+		l[i] = "arg" + strconv.Itoa(i)
+	}
+	return l
+}()
 
 // writerDeps traces the content dependencies of a write-summary call, in
 // reverse argument order. Each argument's subtree is wrapped in a NodeArg
 // labelled "arg<N>" so downstream stages can associate a traced value with
 // its position in the call (format-verb matching for sprintf separation).
-func (e *Engine) writerDeps(st *traceState, fn *pcode.Function, callIdx int, op *pcode.Op, ws writeSummary, ctx *traceCtx, depth int) []*Node {
-	var idxs []int
-	idxs = append(idxs, ws.deps...)
+func (t *tracer) writerDeps(fn *pcode.Function, callIdx int, op *pcode.Op, ws writeSummary, ctx *traceCtx, depth int) {
+	var buf [isa.NumArgRegs]int
+	idxs := append(buf[:0], ws.deps...)
 	if ws.varDep >= 0 {
 		for j := ws.varDep; j < op.Call.Arity; j++ {
 			idxs = append(idxs, j)
 		}
 	}
-	var out []*Node
 	for i := len(idxs) - 1; i >= 0; i-- {
-		arg := pcode.Register(isa.ArgReg(idxs[i]))
-		wrap := &Node{
-			Kind: NodeArg, Fn: fn, OpIdx: callIdx,
-			ArgLabel: "arg" + strconv.Itoa(idxs[i]),
-		}
-		wrap.Children = e.trace(st, fn, callIdx, arg, ctx, depth+1)
-		out = append(out, wrap)
+		mark := len(t.stack)
+		t.trace(fn, callIdx, pcode.Register(isa.ArgReg(idxs[i])), ctx, depth+1)
+		t.wrap(mark, Node{Kind: NodeArg, Fn: fn, OpIdx: callIdx, ArgLabel: argLabels[idxs[i]]})
 	}
-	return out
 }
 
 // calleeTargets translates buffer identities across a call boundary:
@@ -248,12 +250,12 @@ func (e *Engine) calleeTargets(fn *pcode.Function, callIdx int, op *pcode.Op, ta
 }
 
 // jsonContent reconstructs the key/value additions made to a cJSON object
-// before op index fromIdx, in reverse addition order.
-func (e *Engine) jsonContent(st *traceState, fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) []*Node {
+// before op index fromIdx and pushes them in reverse addition order.
+func (t *tracer) jsonContent(fn *pcode.Function, fromIdx int, targets []origin, ctx *traceCtx, depth int) {
+	e := t.e
 	if depth > e.opts.MaxDepth || len(targets) == 0 {
-		return nil
+		return
 	}
-	var out []*Node
 	if fromIdx > len(fn.Ops) {
 		fromIdx = len(fn.Ops)
 	}
@@ -268,18 +270,17 @@ func (e *Engine) jsonContent(st *traceState, fn *pcode.Function, fromIdx int, ta
 			if !originsIntersect(e.originsOf(fn, i, obj, ctx), targets) {
 				continue
 			}
-			n := &Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name}
-			n.Key = e.argString(fn, i, args[0])
+			key := e.argString(fn, i, args[0])
 			valArg := pcode.Register(isa.ArgReg(args[1]))
+			mark := len(t.stack)
 			if name == "cJSON_AddItemToObject" {
 				itemOrigins := e.originsOf(fn, i, valArg, ctx)
-				child := &Node{Kind: NodeJSON, Fn: fn, OpIdx: i, Callee: name}
-				child.Children = e.jsonContent(st, fn, i, itemOrigins, ctx, depth+1)
-				n.Children = []*Node{child}
+				t.jsonContent(fn, i, itemOrigins, ctx, depth+1)
+				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: i, Callee: name})
 			} else {
-				n.Children = e.trace(st, fn, i, valArg, ctx, depth+1)
+				t.trace(fn, i, valArg, ctx, depth+1)
 			}
-			out = append(out, n)
+			t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name, Key: key})
 			continue
 		}
 		if op.Call.Kind == pcode.CallLocal {
@@ -292,15 +293,13 @@ func (e *Engine) jsonContent(st *traceState, fn *pcode.Function, fromIdx int, ta
 				continue
 			}
 			sub := &traceCtx{parent: ctx, fn: fn, callIdx: i}
-			inner := e.jsonContent(st, callee, len(callee.Ops), calleeTargets, sub, depth+1)
-			if len(inner) > 0 {
-				n := &Node{Kind: NodeReturn, Fn: fn, OpIdx: i, Callee: callee.Name()}
-				n.Children = inner
-				out = append(out, n)
+			mark := len(t.stack)
+			t.jsonContent(callee, len(callee.Ops), calleeTargets, sub, depth+1)
+			if len(t.stack) > mark {
+				t.wrap(mark, Node{Kind: NodeReturn, Fn: fn, OpIdx: i, Callee: callee.Name()})
 			}
 		}
 	}
-	return out
 }
 
 // storeBase recovers the base pointer of a STORE's effective address.

@@ -91,38 +91,66 @@ func (e *Engine) callers(fn *pcode.Function) []callgraph.Edge {
 // MFT sequence is identical at any worker count. A cancelled ctx stops
 // claiming new callsites; a panic while tracing is re-raised on the calling
 // goroutine, preserving the stage-recovery semantics of a sequential run.
+//
+// The MFTs, their nodes and the returned list are carved from the trees
+// the store keeps in its taint slot, so they live as long as the store's
+// set: nothing may read them once the set is released.
 func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
-	type site struct {
-		cs   pcode.CallSite
-		name string
-		args []deliveryArgSpec
-	}
-	var sites []site
-	for _, cs := range e.prog.CallSites() {
-		op := cs.Op()
-		if op.Call == nil {
-			continue
+	st := treesOf(e.fx)
+	n := 0
+	for _, fn := range e.prog.Funcs {
+		for i := range fn.Ops {
+			if _, ok := deliveryArgsOf(&fn.Ops[i]); ok {
+				n++
+			}
 		}
-		if args, ok := deliveryArgs[op.Call.Name]; ok {
-			sites = append(sites, site{cs: cs, name: op.Call.Name, args: args})
+	}
+	if n == 0 {
+		return nil
+	}
+	sites := st.siteList(n)
+	k := 0
+	for _, fn := range e.prog.Funcs {
+		for i := range fn.Ops {
+			if args, ok := deliveryArgsOf(&fn.Ops[i]); ok {
+				sites[k] = site{cs: pcode.CallSite{Fn: fn, OpIdx: i}, name: fn.Ops[i].Call.Name, args: args}
+				k++
+			}
 		}
 	}
 	e.sitesC.Add(int64(len(sites)))
-	slots := make([][]*MFT, len(sites))
 	parallel.ForEach(ctx, workers, len(sites), func(i int) {
+		s := &sites[i]
 		sp := obs.StartChild(ctx, "taint-site")
-		sp.AddString("deliver", sites[i].name)
-		sp.AddString("fn", sites[i].cs.Fn.Name())
-		slots[i] = e.traceDelivery(sites[i].cs, sites[i].name, sites[i].args)
-		sp.AddInt("mfts", len(slots[i]))
+		sp.AddString("deliver", s.name)
+		sp.AddString("fn", s.cs.Fn.Name())
+		s.mfts = e.traceDelivery(st, s.cs, s.name, s.args)
+		sp.AddInt("mfts", len(s.mfts))
 		sp.End()
-		e.mftsC.Add(int64(len(slots[i])))
+		e.mftsC.Add(int64(len(s.mfts)))
 	})
-	var out []*MFT
-	for _, s := range slots {
-		out = append(out, s...)
+	total := 0
+	for i := range sites {
+		total += len(sites[i].mfts)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := st.mftList(total)[:0]
+	for i := range sites {
+		out = append(out, sites[i].mfts...)
 	}
 	return out
+}
+
+// deliveryArgsOf returns the traced arguments of op when it calls a
+// delivery function.
+func deliveryArgsOf(op *pcode.Op) ([]deliveryArgSpec, bool) {
+	if (op.Code != pcode.CALL && op.Code != pcode.CALLIND) || op.Call == nil {
+		return nil, false
+	}
+	args, ok := deliveryArgs[op.Call.Name]
+	return args, ok
 }
 
 type deliveryArgSpec = struct {
@@ -130,43 +158,116 @@ type deliveryArgSpec = struct {
 	Label string
 }
 
-// traceDelivery builds the MFT(s) for one delivery callsite.
-func (e *Engine) traceDelivery(cs pcode.CallSite, deliver string, args []deliveryArgSpec) []*MFT {
+// site is one delivery callsite and the MFTs traced from it.
+type site struct {
+	cs   pcode.CallSite
+	name string
+	args []deliveryArgSpec
+	mfts []*MFT
+}
+
+// traceDelivery builds the MFT(s) for one delivery callsite, on a tracer
+// of st.
+func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, deliver string, args []deliveryArgSpec) []*MFT {
+	t := st.tracer(e)
+	defer st.done(t)
 	// Fork per caller when the primary message argument is a pass-through
 	// parameter of a wrapper function: each caller is a distinct message.
 	primary := args[len(args)-1]
 	pv := pcode.Register(isa.ArgReg(primary.Index))
 	du := e.du(cs.Fn)
 	if primary.Index < cs.Fn.Sym.NumParams && du.IsParamLive(cs.OpIdx, pv) {
-		var out []*MFT
-		for _, edge := range e.callers(cs.Fn) {
-			ctx := &traceCtx{fn: edge.Site.Fn, callIdx: edge.Site.OpIdx}
-			m := e.buildMFT(cs, deliver, args, ctx)
-			m.Context = edge.Site.Fn.Name()
-			out = append(out, m)
-		}
-		if len(out) > 0 {
+		if callers := e.callers(cs.Fn); len(callers) > 0 {
+			out := st.mftList(len(callers))
+			for i, edge := range callers {
+				ctx := &traceCtx{fn: edge.Site.Fn, callIdx: edge.Site.OpIdx}
+				out[i] = t.buildMFT(cs, deliver, args, ctx)
+				out[i].Context = edge.Site.Fn.Name()
+			}
 			return out
 		}
 	}
-	return []*MFT{e.buildMFT(cs, deliver, args, nil)}
+	out := st.mftList(1)
+	out[0] = t.buildMFT(cs, deliver, args, nil)
+	return out
 }
 
-func (e *Engine) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgSpec, ctx *traceCtx) *MFT {
-	st := &traceState{
-		visited: make(map[traceKey]bool),
-		budget:  e.opts.MaxNodes,
+// tracer traces the MFTs of one delivery site. Every trace step pushes
+// the nodes it resolves a value to onto the tracer's stack, and a node
+// that has children takes them off it into a child list of its own, so a
+// tree is built in the storage it keeps: nodes and child lists come from
+// runs the tracer claims from its trees.
+type tracer struct {
+	e     *Engine
+	store *trees
+
+	visited    map[traceKey]bool
+	budget     int
+	maxVisited int // high-water mark of the visited frontier
+
+	stack []*Node // traced nodes not yet handed to their parent
+
+	nodes           []Node  // the run of nodes not yet handed out
+	kids            []*Node // the run of child-list slots not yet handed out
+	nodeRun, kidRun int     // the size of the next run
+}
+
+// add carves n as a node of the tree and pushes it.
+func (t *tracer) add(n Node) *Node {
+	if len(t.nodes) == 0 {
+		t.nodes = claim(&t.store.mu, &t.store.nodes, t.nodes, 1, t.nodeRun)
+		t.nodeRun = min(2*t.nodeRun, maxRun)
 	}
+	p := &t.nodes[0]
+	t.nodes = t.nodes[1:]
+	*p = n
+	t.stack = append(t.stack, p)
+	return p
+}
+
+// wrap makes n the parent of every node pushed since mark and pushes it
+// in their place.
+func (t *tracer) wrap(mark int, n Node) {
+	n.Children = t.children(mark)
+	t.add(n)
+}
+
+// children pops the nodes pushed since mark into a child list, nil when
+// there are none.
+func (t *tracer) children(mark int) []*Node {
+	n := len(t.stack) - mark
+	if n == 0 {
+		return nil
+	}
+	if len(t.kids) < n {
+		t.kids = claim(&t.store.mu, &t.store.kids, t.kids, n, t.kidRun)
+		t.kidRun = min(2*t.kidRun, maxRun)
+	}
+	out := t.kids[:n:n]
+	t.kids = t.kids[n:]
+	copy(out, t.stack[mark:])
+	t.stack = t.stack[:mark]
+	return out
+}
+
+// unknown pushes the over-taint fallback leaf.
+func (t *tracer) unknown(fn *pcode.Function, opIdx int) {
+	t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: opIdx})
+}
+
+func (t *tracer) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgSpec, ctx *traceCtx) *MFT {
+	e := t.e
+	t.budget, t.maxVisited = e.opts.MaxNodes, 0
 	defer func() {
-		spent := int64(e.opts.MaxNodes - st.budget)
+		spent := int64(e.opts.MaxNodes - t.budget)
 		e.stepsC.Add(spent)
 		e.stepsH.Observe(spent)
-		e.frontierH.Observe(int64(st.maxVisited))
-		if st.budget <= 0 {
+		e.frontierH.Observe(int64(t.maxVisited))
+		if t.budget <= 0 {
 			e.exhaustedC.Inc()
 		}
 	}()
-	root := &Node{Kind: NodeRoot, Fn: cs.Fn, OpIdx: cs.OpIdx, Callee: deliver}
+	mark := len(t.stack)
 	// Children in reverse-concatenation order: the tree records the backward
 	// walk; mft.Invert recovers message order (paper Fig. 5).
 	for i := len(args) - 1; i >= 0; i-- {
@@ -174,12 +275,15 @@ func (e *Engine) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgS
 		if spec.Index >= len(cs.Fn.Ops[cs.OpIdx].Inputs) {
 			continue
 		}
-		argNode := &Node{Kind: NodeArg, Fn: cs.Fn, OpIdx: cs.OpIdx, ArgLabel: spec.Label}
-		v := pcode.Register(isa.ArgReg(spec.Index))
-		argNode.Children = e.trace(st, cs.Fn, cs.OpIdx, v, ctx, 0)
-		root.Children = append(root.Children, argNode)
+		arg := len(t.stack)
+		t.trace(cs.Fn, cs.OpIdx, pcode.Register(isa.ArgReg(spec.Index)), ctx, 0)
+		t.wrap(arg, Node{Kind: NodeArg, Fn: cs.Fn, OpIdx: cs.OpIdx, ArgLabel: spec.Label})
 	}
-	return &MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: deliver, Root: root}
+	t.wrap(mark, Node{Kind: NodeRoot, Fn: cs.Fn, OpIdx: cs.OpIdx, Callee: deliver})
+	m := t.store.mft()
+	*m = MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: deliver, Root: t.stack[mark]}
+	t.stack = t.stack[:mark]
+	return m
 }
 
 // traceCtx links a callee analysis back to the callsite it descended from.
@@ -205,115 +309,115 @@ type traceKey struct {
 	ctxDepth int
 }
 
-type traceState struct {
-	visited    map[traceKey]bool
-	budget     int
-	maxVisited int // high-water mark of the visited frontier
-}
-
-func (st *traceState) spend() bool {
-	if st.budget <= 0 {
+func (t *tracer) spend() bool {
+	if t.budget <= 0 {
 		return false
 	}
-	st.budget--
+	t.budget--
 	return true
 }
 
-// trace resolves the value of v as used at useIdx in fn, returning the MFT
+// trace resolves the value of v as used at useIdx in fn, pushing the MFT
 // subtrees of its origins.
-func (e *Engine) trace(st *traceState, fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) []*Node {
-	if depth > e.opts.MaxDepth || !st.spend() {
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: useIdx}}
+func (t *tracer) trace(fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) {
+	e := t.e
+	if depth > e.opts.MaxDepth || !t.spend() {
+		t.unknown(fn, useIdx)
+		return
 	}
 	if v.IsConst() {
-		return []*Node{e.constLeaf(st, fn, useIdx, v.Offset, ctx, depth)}
+		t.constLeaf(fn, useIdx, v.Offset, ctx, depth)
+		return
 	}
 	key := traceKey{fn.Addr(), useIdx, v.Space, v.Offset, ctx.depth()}
-	if st.visited[key] {
-		return nil
+	if t.visited[key] {
+		return
 	}
-	st.visited[key] = true
-	if len(st.visited) > st.maxVisited {
-		st.maxVisited = len(st.visited)
+	t.visited[key] = true
+	if len(t.visited) > t.maxVisited {
+		t.maxVisited = len(t.visited)
 	}
-	defer delete(st.visited, key)
+	defer delete(t.visited, key)
 
 	var buf [4]int
 	defs := e.du(fn).AppendReachingDefs(buf[:0], useIdx, v)
 	if len(defs) == 0 {
-		return e.traceEntryValue(st, fn, useIdx, v, ctx, depth)
+		t.traceEntryValue(fn, useIdx, v, ctx, depth)
+		return
 	}
-	var out []*Node
 	for _, def := range defs {
-		out = append(out, e.traceDef(st, fn, useIdx, def, ctx, depth)...)
+		t.traceDef(fn, useIdx, def, ctx, depth)
 	}
-	return out
 }
 
 // traceEntryValue handles a varnode with no reaching definition: a function
 // parameter (cross to callers, §IV-B) or an untracked location.
-func (e *Engine) traceEntryValue(st *traceState, fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) []*Node {
+func (t *tracer) traceEntryValue(fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) {
 	r, ok := v.Reg()
 	if !ok || int(r-isa.R1) >= fn.Sym.NumParams || r < isa.R1 {
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: useIdx}}
+		t.unknown(fn, useIdx)
+		return
 	}
 	if ctx != nil {
 		// We know which callsite we descended from: resolve the argument
 		// value there.
-		n := &Node{Kind: NodeParam, Fn: fn, OpIdx: useIdx, Callee: fn.Name()}
-		n.Children = e.trace(st, ctx.fn, ctx.callIdx, v, ctx.parent, depth+1)
-		return []*Node{n}
+		mark := len(t.stack)
+		t.trace(ctx.fn, ctx.callIdx, v, ctx.parent, depth+1)
+		t.wrap(mark, Node{Kind: NodeParam, Fn: fn, OpIdx: useIdx, Callee: fn.Name()})
+		return
 	}
 	// Unknown provenance: analyze all possible callsites of the caller.
-	callers := e.callers(fn)
+	callers := t.e.callers(fn)
 	if len(callers) == 0 {
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: useIdx}}
+		t.unknown(fn, useIdx)
+		return
 	}
-	var out []*Node
 	for _, edge := range callers {
-		n := &Node{Kind: NodeParam, Fn: fn, OpIdx: useIdx, Callee: fn.Name()}
-		n.Children = e.trace(st, edge.Site.Fn, edge.Site.OpIdx, v, nil, depth+1)
-		out = append(out, n)
+		mark := len(t.stack)
+		t.trace(edge.Site.Fn, edge.Site.OpIdx, v, nil, depth+1)
+		t.wrap(mark, Node{Kind: NodeParam, Fn: fn, OpIdx: useIdx, Callee: fn.Name()})
 	}
-	return out
 }
 
 // traceDef expands the definition of a traced value at op index def.
-func (e *Engine) traceDef(st *traceState, fn *pcode.Function, useIdx, def int, ctx *traceCtx, depth int) []*Node {
+func (t *tracer) traceDef(fn *pcode.Function, useIdx, def int, ctx *traceCtx, depth int) {
 	op := &fn.Ops[def]
 	switch op.Code {
 	case pcode.COPY:
 		in0 := op.Inputs[0]
 		if in0.IsConst() {
-			return []*Node{e.constLeaf(st, fn, useIdx, in0.Offset, ctx, depth)}
+			t.constLeaf(fn, useIdx, in0.Offset, ctx, depth)
+			return
 		}
-		return e.trace(st, fn, def, in0, ctx, depth+1)
+		t.trace(fn, def, in0, ctx, depth+1)
 
 	case pcode.LOAD:
-		du := e.du(fn)
-		if slot, ok := du.Slot(def); ok {
-			return e.trace(st, fn, def, slot, ctx, depth+1)
+		if slot, ok := t.e.du(fn).Slot(def); ok {
+			t.trace(fn, def, slot, ctx, depth+1)
+			return
 		}
 		// Pointer-based load: over-taint through the base pointer.
 		if base, ok := fn.LoadBase(def); ok {
-			return e.trace(st, fn, def, base, ctx, depth+1)
+			t.trace(fn, def, base, ctx, depth+1)
+			return
 		}
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def}}
+		t.unknown(fn, def)
 
 	case pcode.CALL:
-		return e.traceCall(st, fn, useIdx, def, ctx, depth)
+		t.traceCall(fn, useIdx, def, ctx, depth)
 
 	case pcode.CALLIND:
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def}}
+		t.unknown(fn, def)
 
 	default:
-		return e.traceOp(st, fn, def, op, ctx, depth)
+		t.traceOp(fn, def, op, ctx, depth)
 	}
 }
 
 // traceOp expands an arithmetic/logic definition.
-func (e *Engine) traceOp(st *traceState, fn *pcode.Function, def int, op *pcode.Op, ctx *traceCtx, depth int) []*Node {
-	var nonConst []pcode.Varnode
+func (t *tracer) traceOp(fn *pcode.Function, def int, op *pcode.Op, ctx *traceCtx, depth int) {
+	var buf [4]pcode.Varnode
+	nonConst := buf[:0]
 	for _, in := range op.Inputs {
 		if !in.IsConst() {
 			nonConst = append(nonConst, in)
@@ -325,42 +429,46 @@ func (e *Engine) traceOp(st *traceState, fn *pcode.Function, def int, op *pcode.
 		if len(op.Inputs) > 0 {
 			val = op.Inputs[0].Offset
 		}
-		return []*Node{e.constLeaf(st, fn, def, val, ctx, depth)}
+		t.constLeaf(fn, def, val, ctx, depth)
+		return
 	case 1:
 		if op.Code == pcode.INT_ADD || op.Code == pcode.INT_SUB {
 			// Pointer arithmetic: transparent.
-			return e.trace(st, fn, def, nonConst[0], ctx, depth+1)
+			t.trace(fn, def, nonConst[0], ctx, depth+1)
+			return
 		}
 	}
-	n := &Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: op.Code.String()}
+	mark := len(t.stack)
 	// Reverse order: backward-walk convention.
 	for i := len(nonConst) - 1; i >= 0; i-- {
-		n.Children = append(n.Children, e.trace(st, fn, def, nonConst[i], ctx, depth+1)...)
+		t.trace(fn, def, nonConst[i], ctx, depth+1)
 	}
-	return []*Node{n}
+	t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: op.Code.String()})
 }
 
 // traceCall expands a value defined by a call's return.
-func (e *Engine) traceCall(st *traceState, fn *pcode.Function, useIdx, def int, ctx *traceCtx, depth int) []*Node {
+func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, depth int) {
+	e := t.e
 	op := &fn.Ops[def]
 	name := op.Call.Name
+	mark := len(t.stack)
 
 	if jsonPrintFns[name] {
 		objOrigins := e.originsOf(fn, def, pcode.Register(isa.R1), ctx)
-		n := &Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name}
-		n.Children = e.jsonContent(st, fn, def, objOrigins, ctx, depth+1)
-		return []*Node{n}
+		t.jsonContent(fn, def, objOrigins, ctx, depth+1)
+		t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name})
+		return
 	}
 
 	if ws, ok := writeSummaries[name]; ok {
 		// Return value is the destination buffer: its content is the
 		// accumulated writes, ending with this call (the backward scan
 		// starting just past def rediscovers the call as the last writer).
-		nodes := e.bufferContent(st, fn, def+1, e.dstOrigins(fn, def, ws, ctx), ctx, depth+1)
-		if len(nodes) == 0 {
-			return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name}}
+		t.bufferContent(fn, def+1, e.dstOrigins(fn, def, ws, ctx), ctx, depth+1)
+		if len(t.stack) == mark {
+			t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name})
 		}
-		return nodes
+		return
 	}
 
 	if rs, ok := returnSummaries[name]; ok {
@@ -374,80 +482,81 @@ func (e *Engine) traceCall(st *traceState, fn *pcode.Function, useIdx, def int, 
 			origins := []origin{{kind: orgAlloc, fnAddr: fn.Addr(), opIdx: def}}
 			scanEnd := len(fn.Ops)
 			if name == "cJSON_CreateObject" {
-				n := &Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name}
-				n.Children = e.jsonContent(st, fn, scanEnd, origins, ctx, depth+1)
-				return []*Node{n}
+				t.jsonContent(fn, scanEnd, origins, ctx, depth+1)
+				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name})
+				return
 			}
-			n := &Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: name}
-			n.Children = e.bufferContent(st, fn, scanEnd, origins, ctx, depth+1)
-			return []*Node{n}
+			t.bufferContent(fn, scanEnd, origins, ctx, depth+1)
+			t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: name})
 		case srcNone:
-			n := &Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name}
 			for i := len(rs.deps) - 1; i >= 0; i-- {
-				arg := pcode.Register(isa.ArgReg(rs.deps[i]))
-				n.Children = append(n.Children, e.trace(st, fn, def, arg, ctx, depth+1)...)
+				t.trace(fn, def, pcode.Register(isa.ArgReg(rs.deps[i])), ctx, depth+1)
 			}
-			return []*Node{n}
+			t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name})
 		default:
-			return []*Node{{
+			t.add(Node{
 				Kind: leafKindOf(rs.source), Fn: fn, OpIdx: def,
 				Callee: name, Key: e.argString(fn, def, rs.keyArg),
-			}}
+			})
 		}
+		return
 	}
 
 	if op.Call.Kind == pcode.CallLocal {
 		callee, ok := e.prog.FuncAt(op.Call.Addr)
 		if !ok {
-			return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def}}
+			t.unknown(fn, def)
+			return
 		}
-		n := &Node{Kind: NodeReturn, Fn: fn, OpIdx: def, Callee: callee.Name()}
 		sub := &traceCtx{parent: ctx, fn: fn, callIdx: def}
 		for i := range callee.Ops {
 			if callee.Ops[i].Code == pcode.RETURN && len(callee.Ops[i].Inputs) > 0 {
-				n.Children = append(n.Children,
-					e.trace(st, callee, i, callee.Ops[i].Inputs[0], sub, depth+1)...)
+				t.trace(callee, i, callee.Ops[i].Inputs[0], sub, depth+1)
 			}
 		}
-		return []*Node{n}
+		t.wrap(mark, Node{Kind: NodeReturn, Fn: fn, OpIdx: def, Callee: callee.Name()})
+		return
 	}
 
 	// Unsummarized import: over-taint through the arguments.
-	n := &Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name}
 	for i := op.Call.Arity - 1; i >= 0; i-- {
-		arg := pcode.Register(isa.ArgReg(i))
-		n.Children = append(n.Children, e.trace(st, fn, def, arg, ctx, depth+1)...)
+		t.trace(fn, def, pcode.Register(isa.ArgReg(i)), ctx, depth+1)
 	}
-	if len(n.Children) == 0 {
-		return []*Node{{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name}}
+	if len(t.stack) == mark {
+		t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name})
+		return
 	}
-	return []*Node{n}
+	t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name})
 }
 
 // constLeaf classifies a constant: a rodata string, a writable data buffer
 // (whose content is the accumulated writes before useIdx), or a plain
 // number.
-func (e *Engine) constLeaf(st *traceState, fn *pcode.Function, useIdx int, val uint64, ctx *traceCtx, depth int) *Node {
+func (t *tracer) constLeaf(fn *pcode.Function, useIdx int, val uint64, ctx *traceCtx, depth int) {
+	e := t.e
 	bin := e.prog.Bin
 	addr := uint32(val)
-	if bin.InData(addr) {
-		if sym, ok := bin.DataSymAt(addr); ok && sym.Kind == binfmt.DataString {
-			if s, ok := bin.StringAt(addr); ok {
-				return &Node{Kind: LeafString, Fn: fn, OpIdx: useIdx, StrVal: s}
-			}
-		}
-		// Writable buffer: resolve its content at the use point.
-		origins := []origin{{kind: orgConst, constVal: val}}
-		n := &Node{Kind: NodeOp, Fn: fn, OpIdx: useIdx, Callee: "buffer"}
-		if depth <= e.opts.MaxDepth {
-			n.Children = e.bufferContent(st, fn, useIdx, origins, ctx, depth+1)
-		}
-		if len(n.Children) == 0 {
-			return &Node{Kind: LeafUnknown, Fn: fn, OpIdx: useIdx}
-		}
-		return n
+	if !bin.InData(addr) {
+		t.add(Node{Kind: LeafNumeric, Fn: fn, OpIdx: useIdx, ConstVal: val})
+		return
 	}
-	return &Node{Kind: LeafNumeric, Fn: fn, OpIdx: useIdx, ConstVal: val}
+	if sym, ok := bin.DataSymAt(addr); ok && sym.Kind == binfmt.DataString {
+		if s, ok := bin.StringAt(addr); ok {
+			t.add(Node{Kind: LeafString, Fn: fn, OpIdx: useIdx, StrVal: s})
+			return
+		}
+	}
+	// Writable buffer: resolve its content at the use point.
+	mark := len(t.stack)
+	if depth <= e.opts.MaxDepth {
+		origins := []origin{{kind: orgConst, constVal: val}}
+		t.bufferContent(fn, useIdx, origins, ctx, depth+1)
+	}
+	if len(t.stack) == mark {
+		t.unknown(fn, useIdx)
+		return
+	}
+	t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: useIdx, Callee: "buffer"})
 }
 
 // argString resolves the constant string argument of a call, if the

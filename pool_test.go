@@ -13,8 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"firmres/internal/core"
 	"firmres/internal/corpus"
 	"firmres/internal/facts"
+	"firmres/internal/image"
 )
 
 // goldenImage is one packed image of the crawl set and its golden file.
@@ -80,10 +82,11 @@ func checkGolden(t testing.TB, g goldenImage, rep *Report, err error) {
 
 // TestGoldenReportsScrubbedPool runs the crawl set through one Analyzer
 // with every released set overwritten with garbage — its program, its
-// facts and the semantics stage's enrichment — so a report built from a
-// set after its release diverges from its golden. The first image's
-// report is kept and marshalled again once the 43 later analyses have
-// reused its set's storage.
+// facts, the semantics stage's enrichment and its message trees — so a
+// report built from a set after its release diverges from its golden. The
+// first image's report is kept and marshalled again once the 43 later
+// analyses have reused its set's storage. First, a released analysis's
+// trees must read as garbage, so the scrub reaches them.
 func TestGoldenReportsScrubbedPool(t *testing.T) {
 	set := goldenCrawlSet(t)
 	a, err := NewAnalyzer(WithLint(), WithWorkers(2))
@@ -91,6 +94,7 @@ func TestGoldenReportsScrubbedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer facts.ScrubReleased(facts.ScrubReleased(true))
+	checkTreesScrubbed(t, set[0].data)
 	var kept *Report
 	var keptJS []byte
 	for i, g := range set {
@@ -107,6 +111,45 @@ func TestGoldenReportsScrubbedPool(t *testing.T) {
 	if !bytes.Equal(again, keptJS) {
 		t.Errorf("a kept report changed after later analyses reused its storage:\nbefore: %s\nafter:  %s",
 			clip(string(keptJS)), clip(string(again)))
+	}
+}
+
+// checkTreesScrubbed analyzes img, keeps a message of the Result, releases
+// it with scrubbing on and requires every piece of the message's storage
+// the set held to read as garbage: the result list, the MFT and its root
+// node, the simplified tree, its root node and path list, the slice list
+// and its steps, the slice infos, the message and its field list.
+func checkTreesScrubbed(t *testing.T, img []byte) {
+	t.Helper()
+	unpacked, err := image.Unpack(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.New(core.Options{Lint: true, Workers: 2}).AnalyzeImage(unpacked)
+	if err != nil || len(res.Messages) == 0 || len(res.Messages[0].Slices) == 0 ||
+		len(res.Messages[0].Slices[0].Steps) == 0 || len(res.Messages[0].Message.Fields) == 0 {
+		t.Fatalf("want a message with slices, steps and fields: %v", err)
+	}
+	msgs, mr := res.Messages, res.Messages[0]
+	root, sroot, paths := mr.MFT.Root, mr.Tree.Root, mr.Tree.Paths()
+	steps, fields := mr.Slices[0].Steps, mr.Message.Fields
+	res.Release()
+	for what, scrubbed := range map[string]bool{
+		"result list":   msgs[0].MFT == nil && msgs[0].Message != nil && msgs[0].Message.Deliver == "scrubbed",
+		"MFT":           mr.MFT.Deliver == "scrubbed",
+		"MFT node":      root.StrVal == "scrubbed" && root.Children == nil,
+		"tree":          mr.Tree.Root != nil && mr.Tree.Root.Orig.StrVal == "scrubbed",
+		"tree node":     sroot.Orig != nil && sroot.Orig.StrVal == "scrubbed" && sroot.Children == nil,
+		"path list":     paths[0].ID == -1,
+		"slice list":    mr.Slices[0].KeyHint == "scrubbed",
+		"steps":         steps[0].OpIdx == -1,
+		"slice infos":   mr.Infos[0].Label == "scrubbed",
+		"message":       mr.Message.Deliver == "scrubbed",
+		"message field": fields[0].Value == "scrubbed",
+	} {
+		if !scrubbed {
+			t.Errorf("a scrubbed release left the %s of a released analysis intact", what)
+		}
 	}
 }
 

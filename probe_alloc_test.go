@@ -14,13 +14,13 @@ import (
 // probeAllocBudget is the committed ceiling on heap bytes allocated per
 // image by the probe workload's shape in process: the 22 symbol-full
 // devices with the probe stage on, 2 probers, one worker. The measured
-// cost is 0.57-0.59 MB, of which the static stages take about 0.35 MB and
-// the rest is mostly net/http's client and server work for the replay's
+// cost is 0.32 MB, of which the static stages take about 0.15 MB and the
+// rest is mostly net/http's client and server work for the replay's
 // exchanges; blowing the budget means the stage pays again for something
 // other than its exchanges (a spec rebuilt per analysis, a request parsed
 // twice, an access log copied per poll, connections re-dialed because the
 // transport cannot keep them idle).
-const probeAllocBudget = 0.62e6
+const probeAllocBudget = 0.43e6
 
 // probeAllocPerImage runs one warm-up AnalyzeImages pass of imgs with the
 // probe stage on at the given prober count and one worker, then returns
