@@ -9,6 +9,7 @@ package firmres
 // analysis path.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,7 +51,7 @@ func (c *config) analyzer(totalImages int) (*Analyzer, error) {
 	}
 	a := &Analyzer{pl: core.New(c.opts), rec: c.recorder(totalImages)}
 	if c.cacheDir != "" {
-		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes), cache.WithCheck(checkReport))
+		cc, err := cache.Open(c.cacheDir, cache.WithMaxBytes(c.cacheMaxBytes))
 		if err != nil {
 			return nil, fmt.Errorf("firmres: %w", err)
 		}
@@ -90,12 +91,14 @@ func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *R
 	return rep, js, hit, nil
 }
 
-// analyze runs one image, through the cache when enabled. Analyze sets
-// keepJSON and gets the cache payload back as js, owned. The callers that
-// keep only the report (the batch functions, AnalyzeImage*) leave it
-// unset and get a nil js: a warm hit is then decoded straight from the
-// cache's recycled read buffer, with no copy of the entry and no pass
-// through single-flight, and only a miss goes on to Do.
+// analyze runs one image, through the cache when enabled, with one
+// cache.Do for every caller: a warm hit is decoded straight from the
+// cache's recycled read buffer, and only a miss passes through
+// single-flight. A payload that does not decode is a corrupt entry, which
+// Do's owner deletes and counts before the report is computed again.
+// Analyze sets keepJSON and gets the report's bytes back as js, owned; the
+// callers that keep only the report (the batch functions, AnalyzeImage*)
+// get them only from a miss, and ignore them.
 func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSON bool) (*Report, []byte, bool, error) {
 	rec := a.rec
 	if o != nil {
@@ -108,43 +111,35 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 	key := cache.KeyOf(data, a.fp)
 	sp := rec.StartSpan(nil, "cache", obs.String("key", key[:16]))
 	defer sp.End()
-	if !keepJSON {
-		// A payload that does not decode is a corrupt entry: View deletes
-		// it, counts it and misses, and Do below computes the report again.
-		var rep *Report
-		if hit, _ := a.cache.View(key, func(js []byte) (err error) {
-			rep, err = decodeReport(js)
-			return err
-		}); hit {
-			sp.SetStatus("hit")
-			sp.AddString("device", rep.Device)
-			return rep, nil, true, nil
-		}
-	}
-	// Single-flight get-or-compute: concurrent calls handed the same image
-	// bytes block here and share one computation. The computing caller
-	// keeps its in-memory report (no round trip); everyone else decodes the
-	// serialized bytes — tests pin both renderings identical.
+	// The computing caller keeps its in-memory report (no round trip);
+	// every hit decodes the serialized bytes — tests pin both renderings
+	// identical.
 	var (
-		fresh *Report
-		js    []byte
-		hit   bool
-		err   error
+		rep *Report
+		js  []byte
+		hit bool
+		err error
 	)
+	use := func(payload []byte) (err error) {
+		if rep, err = decodeReport(payload); err == nil && keepJSON {
+			js = bytes.Clone(payload)
+		}
+		return err
+	}
 	for {
 		computed := false
-		js, hit, err = a.cache.Do(key, func() ([]byte, bool, error) {
+		hit, err = a.cache.Do(key, use, func() ([]byte, bool, error) {
 			computed = true
-			rep, err := a.analyzeFresh(ctx, rec, data)
+			fresh, err := a.analyzeFresh(ctx, rec, data)
 			if err != nil {
 				return nil, false, err
 			}
-			buf, err := json.Marshal(rep)
+			buf, err := json.Marshal(fresh)
 			if err != nil {
 				return nil, false, fmt.Errorf("firmres: cache encode: %w", err)
 			}
-			fresh = rep
-			return buf, cacheable(rep), nil
+			rep, js = fresh, buf
+			return buf, cacheable(fresh), nil
 		})
 		// Do hands every waiter the computing call's error. The end of that
 		// call's context is not this call's failure: while this call's own
@@ -155,21 +150,17 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 			break
 		}
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		sp.SetStatus("fatal: " + errdefs.Kind(err))
 		return nil, nil, false, err
-	}
-	if !hit {
+	case !hit:
 		sp.SetStatus("miss")
-		return fresh, js, false, nil
+	default:
+		sp.SetStatus("hit")
+		sp.AddString("device", rep.Device)
 	}
-	sp.SetStatus("hit")
-	rep, err := decodeReport(js)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	sp.AddString("device", rep.Device)
-	return rep, js, true, nil
+	return rep, js, hit, nil
 }
 
 // cacheable reports whether rep is a pure function of the image bytes and
@@ -210,11 +201,12 @@ func (a *Analyzer) analyzeFresh(ctx context.Context, rec *obs.Recorder, data []b
 }
 
 // Cached returns the canonical JSON of data's report when the cache holds
-// a verified entry for it, without analyzing: the fast path for a service
-// that answers a submission before spending a worker on it. An entry that
-// fails its checksum or does not decode as a report is corrupt: a miss,
-// deleted and counted in CacheStats().Errors. A probe is not an analysis,
-// so a hit is not counted. Without WithCache every probe misses.
+// an entry for it that verifies and decodes as a report, without
+// analyzing: the fast path for a service that answers a submission before
+// spending a worker on it. It is a read-only probe: it counts and deletes
+// nothing, so an entry it cannot use stays for the next analysis to
+// discard; like every read it refreshes a verified entry's recency.
+// Without WithCache every probe misses.
 func (a *Analyzer) Cached(data []byte) ([]byte, bool) {
 	if a.cache == nil {
 		return nil, false
@@ -223,13 +215,16 @@ func (a *Analyzer) Cached(data []byte) ([]byte, bool) {
 	if err != nil || js == nil {
 		return nil, false
 	}
+	if _, err := decodeReport(js); err != nil {
+		return nil, false
+	}
 	return js, true
 }
 
 // CacheStats snapshots the counters of the Analyzer's cache handle since
-// it was built: the hits and misses of Analyze calls, evictions, and the
-// corrupt entries analyses and Cached probes discarded. Zero without
-// WithCache.
+// it was built: the hits and misses of analyses, evictions, and errors —
+// the corrupt entries analyses discarded and the reports they failed to
+// store. Cached probes count nothing. Zero without WithCache.
 func (a *Analyzer) CacheStats() CacheStats {
 	if a.cache == nil {
 		return CacheStats{}

@@ -244,9 +244,9 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 
 // TestAnalyzerCachedRejectsInvalidPayload: an entry whose checksum holds
 // but whose payload is not JSON is corrupt: a miss for the probe, and
-// recomputed by an analysis that reads it, whether it reads owned bytes
-// (Analyze) or a lent payload (a batch). Each read deletes the entry and
-// counts it in CacheStats().Errors.
+// recomputed by an analysis that reads it, whether it wants the bytes
+// (Analyze) or only the report (a batch). Each analysis deletes the entry
+// and counts it in CacheStats().Errors; the probe counts nothing.
 func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	data := packedDevice(t, 5)
 	dir := t.TempDir()
@@ -268,8 +268,8 @@ func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 	if rep, _, hit, err := a.Analyze(context.Background(), data, nil); err != nil || hit || rep.Device == "" {
 		t.Errorf("Analyze over a truncated payload = (hit %t, %v), want a recomputed report", hit, err)
 	}
-	if st := a.CacheStats(); st.Errors != 2 || st.Hits != 0 {
-		t.Errorf("cache stats = %+v, want the probe's and the analysis's corrupt entries counted", st)
+	if st := a.CacheStats(); st.Errors != 1 || st.Hits != 0 {
+		t.Errorf("cache stats = %+v, want the analysis's corrupt entry counted, and not the probe's", st)
 	}
 	plant()
 	br, err := AnalyzeImages(context.Background(), [][]byte{data}, WithCache(dir))

@@ -13,10 +13,13 @@ package firmres
 // concurrent workers single-flight so one image is never computed twice in
 // a run; a call whose context is live does not inherit the cancellation of
 // the call that computed for it. A warm hit costs one verified read and one
-// decode: the batch functions and AnalyzeImage* decode the entry in place
-// from a recycled read buffer (cache.View) and go through single-flight only
-// on a miss; Analyzer.Analyze and Analyzer.Cached hand the report bytes on,
-// so they read into a buffer of their own. Entries are written with
+// decode: every analysis makes one cache.Do, which lends the entry to the
+// decoder from a recycled read buffer and goes through single-flight only
+// on a miss; Analyzer.Analyze, which hands the report bytes on, copies the
+// payload it decoded. An entry that fails its checksum or does not decode
+// is deleted only by the single-flight owner of its key, which then
+// computes it again; Analyzer.Cached, a read-only probe, reads into a
+// buffer of its own and deletes nothing. Entries are written with
 // json.Marshal and decoded by the one-pass decoder in report_decode.go,
 // which reads exactly what json.Marshal writes and copies every string, so
 // a decoded report outlives the buffer it came from.
@@ -35,7 +38,7 @@ type CacheStats struct {
 	Hits      int64 // reports served from disk or a shared in-flight compute
 	Misses    int64 // reports that had to be computed
 	Evictions int64 // entries evicted by the size cap
-	Errors    int64 // corrupt entries discarded (each also counts as a miss)
+	Errors    int64 // corrupt entries discarded (each also a miss) and reports that failed to store
 }
 
 func (s *CacheStats) add(o CacheStats) {
@@ -124,11 +127,4 @@ func decodeReport(data []byte) (*Report, error) {
 		}
 	}
 	return &r, nil
-}
-
-// checkReport is the cache's payload check: a verified entry whose payload
-// does not decode as a report is corrupt.
-func checkReport(data []byte) error {
-	_, err := decodeReport(data)
-	return err
 }

@@ -56,6 +56,51 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
+// analyzeHitAllocBudget is the committed ceiling on heap bytes allocated
+// per warm Analyzer.Analyze hit, FirmServe's worker path: the key, a
+// verified read into a recycled buffer, the report's one decode and the
+// copy of the payload Analyze hands back. The measured cost is
+// 37.8-39.4 KB; reading each hit into a fresh buffer and decoding it
+// twice, once to check the entry and once for the report, cost
+// 56.6-58.6 KB.
+const analyzeHitAllocBudget = 0.045e6
+
+// TestAnalyzeHitAllocBudget pins the allocation cost of warm
+// Analyzer.Analyze hits: devices 1-20 with lint through one Analyzer with
+// the cache. The first warm-up pass fills the cache and the second the
+// free lists; ten passes are then measured, every image a hit.
+func TestAnalyzeHitAllocBudget(t *testing.T) {
+	imgs := make([][]byte, 20)
+	for i := range imgs {
+		imgs[i] = packedDevice(t, i+1)
+	}
+	a, err := NewAnalyzer(WithLint(), WithWorkers(1), WithCache(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	analyzeAll := func(wantHit bool) {
+		for i, img := range imgs {
+			_, _, hit, err := a.Analyze(ctx, img, nil)
+			if err != nil || (wantHit && !hit) {
+				t.Fatalf("Analyze device %d = (hit %t, %v), want a hit", i+1, hit, err)
+			}
+		}
+	}
+	analyzeAll(false)
+	analyzeAll(true)
+	const passes = 10
+	before := heapAllocBytes()
+	for i := 0; i < passes; i++ {
+		analyzeAll(true)
+	}
+	perImage := float64(heapAllocBytes()-before) / float64(passes*len(imgs))
+	t.Logf("Analyze hits: %.0f B/image over %d passes (budget %.0f)", perImage, passes, analyzeHitAllocBudget)
+	if perImage > analyzeHitAllocBudget {
+		t.Errorf("warm Analyze hits allocate %.0f B/image, budget %.0f", perImage, analyzeHitAllocBudget)
+	}
+}
+
 // malformedEntryAllocBudget is the ceiling on heap bytes one decode of a
 // malformed payload may allocate before it fails. A list is presized from
 // at most maxPresize elements, 45 KB for 256 Messages, however many commas

@@ -233,10 +233,11 @@ func TestCacheCorruptEntryForcesReanalysis(t *testing.T) {
 
 // TestCacheUndecodableEntryForcesReanalysis: an entry whose checksum
 // matches but whose payload does not decode as a report is corrupt, as
-// one that fails its checksum is. On every read path — a batch hit
-// (AnalyzeImage, AnalyzeImages), FirmServe's Analyze and the Cached probe
-// — it is deleted, counted in CacheStats().Errors and never a hit, and
-// the analyses recompute the report and heal the entry.
+// one that fails its checksum is. Every analysis — a batch hit
+// (AnalyzeImage, AnalyzeImages) and FirmServe's Analyze — deletes it,
+// counts it in CacheStats().Errors and never hits it, and recomputes the
+// report and heals the entry; the Cached probe misses it and leaves it in
+// place.
 func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 	data := packedDevice(t, 5)
 	dir := t.TempDir()
@@ -302,8 +303,8 @@ func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 	if js, hit := a.Cached(data); hit {
 		t.Errorf("Cached answered an undecodable entry: %s", clip(string(js)))
 	}
-	if n := len(cacheEntries(t, dir)); n != 0 {
-		t.Errorf("Cached left the undecodable entry in place (%d entries)", n)
+	if n := len(cacheEntries(t, dir)); n != 1 {
+		t.Errorf("Cached removed the undecodable entry (%d entries), want it left in place", n)
 	}
 	plant()
 	rep, js, hit, err := a.Analyze(context.Background(), data, nil)
@@ -316,8 +317,8 @@ func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 	if cached, ok := a.Cached(data); !ok || !bytes.Equal(cached, js) {
 		t.Errorf("Cached after the recompute = %t, want the healed entry", ok)
 	}
-	if s := a.CacheStats(); s.Errors != 2 || s.Misses != 1 || s.Hits != 0 {
-		t.Errorf("Analyzer stats = %+v, want 2 errors (Cached, Analyze) + 1 miss", s)
+	if s := a.CacheStats(); s.Errors != 1 || s.Misses != 1 || s.Hits != 0 {
+		t.Errorf("Analyzer stats = %+v, want 1 error (Analyze) + 1 miss", s)
 	}
 }
 

@@ -14,7 +14,9 @@
 // With -j N (N != 1) the images are analyzed as one batch on up to N
 // concurrent workers (N <= 0 means GOMAXPROCS) and the reports print in
 // input order; -j 1 (the default) analyzes sequentially. Output is
-// identical either way.
+// identical either way, and either way the options are resolved once per
+// run: a -model file is loaded once, and one that cannot be loaded exits 2
+// before the first image, as a bad -cache-max-bytes does.
 //
 // Caching: -cache DIR serves every analysis from a persistent
 // content-addressed result cache (and stores fresh results back), keyed on
@@ -53,8 +55,9 @@
 // <value>.heap.pprof on exit. None of these change the analysis output.
 //
 // Exit codes: 0 when every image analyzed cleanly, 1 when any image failed
-// fatally, 2 on usage errors, 3 when every image produced a report but at
-// least one degraded (partial results recorded in its Errors).
+// fatally, 2 on usage errors (an unloadable -model among them), 3 when
+// every image produced a report but at least one degraded (partial results
+// recorded in its Errors).
 package main
 
 import (
@@ -199,11 +202,27 @@ func run(args []string) int {
 	if opts.jobs != 1 {
 		return runBatch(os.Stdout, fs.Args(), opts, *keepGoing, sink)
 	}
+	return runSequential(os.Stdout, fs.Args(), opts, *keepGoing, sink)
+}
+
+// runSequential analyzes the images one after another through one
+// Analyzer, rendering each report as it completes, with runBatch's
+// exit-code and -keep-going semantics. A configuration error, such as a
+// -model file that cannot be loaded, fails newAnalyzer: a usage error
+// before the first image.
+func runSequential(w io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
+	a, err := newAnalyzer(opts, sink)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "firmres: %v\n", err)
+		return exitUsage
+	}
+	if opts.cacheEnabled() {
+		defer func() { sink.merge(a.CacheStats().Snapshot()) }()
+	}
 	exit := exitOK
-	paths := fs.Args()
 	for i, path := range paths {
 		start := time.Now()
-		partial, err := analyze(os.Stdout, path, opts, sink)
+		partial, err := analyze(w, a, path, opts, sink)
 		if opts.progress {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d images (%d%%)  %s done in %v\n",
 				i+1, len(paths), (i+1)*100/len(paths), path, time.Since(start).Round(time.Millisecond))
@@ -212,7 +231,7 @@ func run(args []string) int {
 		case err != nil:
 			fmt.Fprintf(os.Stderr, "firmres: %s: %v\n", path, err)
 			exit = exitFatal
-			if !*keepGoing {
+			if !keepGoing {
 				return exit
 			}
 		case partial && exit == exitOK:
@@ -226,11 +245,10 @@ func run(args []string) int {
 // set of stage totals, and one merged metrics snapshot across every
 // analyzed image — and writes them when the run finishes.
 type obsSink struct {
-	opts       options
-	trace      *firmres.Trace
-	timer      *stageTimer // nil without -timings
-	metrics    map[string]int64
-	cacheStats firmres.CacheStats // accumulated across every Analyze call
+	opts    options
+	trace   *firmres.Trace
+	timer   *stageTimer // nil without -timings
+	metrics map[string]int64
 }
 
 func newObsSink(opts options) *obsSink {
@@ -264,8 +282,8 @@ func (t *stageTimer) SpanEnd(ev firmres.SpanEvent) {
 	}
 }
 
-// options returns the analysis options the sink needs threaded into every
-// Analyze call. The batch path attaches the progress reporter here (its
+// options returns the analysis options the sink needs threaded into the
+// run's analyses. The batch path attaches the progress reporter here (its
 // total is the whole batch); the sequential path prints progress itself.
 // Nil-safe: a nil sink configures nothing.
 func (s *obsSink) options(batch bool) []firmres.Option {
@@ -285,14 +303,12 @@ func (s *obsSink) options(batch bool) []firmres.Option {
 	if batch && s.opts.progress {
 		out = append(out, firmres.WithProgress(os.Stderr))
 	}
-	if s.opts.cacheEnabled() {
-		out = append(out, firmres.WithCacheStats(&s.cacheStats))
-	}
 	return out
 }
 
-// merge folds one report's metrics snapshot into the run aggregate.
-// Nil-safe: a nil sink discards the snapshot.
+// merge folds a metrics snapshot, one report's or the run's cache
+// counters, into the run aggregate. Nil-safe: a nil sink discards the
+// snapshot.
 func (s *obsSink) merge(m map[string]int64) {
 	if s == nil {
 		return
@@ -322,9 +338,6 @@ func (s *obsSink) finish(w io.Writer) {
 		}
 	}
 	if s.opts.metricsPath != "" {
-		if s.opts.cacheEnabled() {
-			s.metrics = firmres.MergeMetrics(s.metrics, s.cacheStats.Snapshot())
-		}
 		write := func(w io.Writer) error { return firmres.WriteMetrics(w, s.metrics) }
 		if err := writeFile(s.opts.metricsPath, write); err != nil {
 			fmt.Fprintf(os.Stderr, "firmres: metrics: %v\n", err)
@@ -348,14 +361,19 @@ func writeFile(path string, write func(io.Writer) error) error {
 // runBatch analyzes every image concurrently, then renders the results in
 // input order with the sequential path's exit-code and -keep-going
 // semantics: a fatal image stops the output there unless -keep-going.
+// AnalyzePaths fails only on a configuration error, before the first
+// image, which is a usage error as in the sequential path.
 func runBatch(w io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
 	apiOpts := append(apiOptions(opts), sink.options(true)...)
 	br, err := firmres.AnalyzePaths(context.Background(), paths, apiOpts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "firmres: %v\n", err)
-		return exitFatal
+		return exitUsage
 	}
 	sink.merge(br.Summary.Metrics)
+	if cs := br.Summary.Cache; cs != nil {
+		sink.merge(cs.Snapshot())
+	}
 	exit := exitOK
 	for _, res := range br.Images {
 		if errors.Is(res.Err, firmres.ErrNoDeviceCloudExecutable) {
@@ -427,11 +445,21 @@ func apiOptions(opts options) []firmres.Option {
 	return apiOpts
 }
 
-// analyze runs one image and renders the report. It reports whether the
-// analysis degraded (partial report) and any fatal error.
-func analyze(w io.Writer, path string, opts options, sink *obsSink) (partial bool, err error) {
-	apiOpts := append(apiOptions(opts), sink.options(false)...)
-	report, err := firmres.AnalyzeFile(path, apiOpts...)
+// newAnalyzer resolves the options of a sequential run, once, into the
+// Analyzer its images share: a -model file is loaded and fingerprinted,
+// and the cache opened, once per run, not once per image.
+func newAnalyzer(opts options, sink *obsSink) (*firmres.Analyzer, error) {
+	return firmres.NewAnalyzer(append(apiOptions(opts), sink.options(false)...)...)
+}
+
+// analyze runs one image through a and renders the report. It reports
+// whether the analysis degraded (partial report) and any fatal error.
+func analyze(w io.Writer, a *firmres.Analyzer, path string, opts options, sink *obsSink) (partial bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, err
+	}
+	report, _, _, err := a.Analyze(context.Background(), data, nil)
 	if errors.Is(err, firmres.ErrNoDeviceCloudExecutable) {
 		fmt.Fprintf(w, "%s: no device-cloud executable (script-based cloud agent?)\n", path)
 		return false, nil

@@ -12,6 +12,8 @@ import (
 
 	"firmres"
 	"firmres/internal/corpus"
+	"firmres/internal/nn"
+	"firmres/internal/semantics"
 )
 
 func writeImage(t *testing.T, id int) string {
@@ -27,9 +29,20 @@ func writeImage(t *testing.T, id int) string {
 	return path
 }
 
+// analyzeImage analyzes one image as a sequential run does, through an
+// Analyzer resolved from opts and sink.
+func analyzeImage(t *testing.T, w io.Writer, path string, opts options, sink *obsSink) (bool, error) {
+	t.Helper()
+	a, err := newAnalyzer(opts, sink)
+	if err != nil {
+		t.Fatalf("newAnalyzer: %v", err)
+	}
+	return analyze(w, a, path, opts, sink)
+}
+
 func TestAnalyzeTextOutput(t *testing.T) {
 	var out bytes.Buffer
-	partial, err := analyze(&out, writeImage(t, 5), options{}, nil)
+	partial, err := analyzeImage(t, &out, writeImage(t, 5), options{}, nil)
 	if err != nil {
 		t.Errorf("analyze: %v", err)
 	}
@@ -43,7 +56,7 @@ func TestAnalyzeTextOutput(t *testing.T) {
 
 func TestAnalyzeJSONOutput(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 5), options{asJSON: true}, nil); err != nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 5), options{asJSON: true}, nil); err != nil {
 		t.Errorf("analyze -json: %v", err)
 	}
 	var report firmres.Report
@@ -56,7 +69,7 @@ func TestAnalyzeLintTextOutput(t *testing.T) {
 	path := writeImage(t, 11)
 	render := func() string {
 		var out bytes.Buffer
-		if _, err := analyze(&out, path, options{lint: true}, nil); err != nil {
+		if _, err := analyzeImage(t, &out, path, options{lint: true}, nil); err != nil {
 			t.Fatalf("analyze -lint: %v", err)
 		}
 		return out.String()
@@ -74,7 +87,7 @@ func TestAnalyzeLintTextOutput(t *testing.T) {
 
 func TestAnalyzeLintRulesFilter(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 11), options{lintRules: "dead-store"}, nil); err != nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintRules: "dead-store"}, nil); err != nil {
 		t.Fatalf("analyze -lint-rules: %v", err)
 	}
 	text := out.String()
@@ -84,14 +97,14 @@ func TestAnalyzeLintRulesFilter(t *testing.T) {
 	if strings.Contains(text, "hardcoded-secret svc_auth_fallback") {
 		t.Errorf("rule filter leaked other rules: %q", text)
 	}
-	if _, err := analyze(&out, writeImage(t, 11), options{lintRules: "bogus"}, nil); err == nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintRules: "bogus"}, nil); err == nil {
 		t.Error("unknown rule accepted")
 	}
 }
 
 func TestAnalyzeLintCleanDevice(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 4), options{lint: true}, nil); err != nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 4), options{lint: true}, nil); err != nil {
 		t.Fatalf("analyze -lint: %v", err)
 	}
 	if !strings.Contains(out.String(), "lint: clean") {
@@ -101,7 +114,7 @@ func TestAnalyzeLintCleanDevice(t *testing.T) {
 
 func TestAnalyzeLintSARIFOutput(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 11), options{lintJSON: true}, nil); err != nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintJSON: true}, nil); err != nil {
 		t.Fatalf("analyze -lint-json: %v", err)
 	}
 	var doc struct {
@@ -169,7 +182,7 @@ func TestAnalyzeTimingsFlag(t *testing.T) {
 func TestAnalyzeTimingsWarmCache(t *testing.T) {
 	path := writeImage(t, 5)
 	analyzeOne := func(w io.Writer, opts options, sink *obsSink) {
-		if _, err := analyze(w, path, opts, sink); err != nil {
+		if _, err := analyzeImage(t, w, path, opts, sink); err != nil {
 			t.Errorf("analyze: %v", err)
 		}
 	}
@@ -192,8 +205,12 @@ func TestAnalyzeTimingsWarmCache(t *testing.T) {
 func TestAnalyzeTimingsWithTrace(t *testing.T) {
 	path, opts := writeImage(t, 5), options{trace: true, timings: true}
 	sink := newObsSink(opts)
+	a, err := newAnalyzer(opts, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
-		if _, err := analyze(io.Discard, path, opts, sink); err != nil {
+		if _, err := analyze(io.Discard, a, path, opts, sink); err != nil {
 			t.Fatalf("analyze: %v", err)
 		}
 	}
@@ -223,14 +240,14 @@ func TestAnalyzeTimingsWithTrace(t *testing.T) {
 
 func TestAnalyzeScriptOnlyIsNotAnError(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, writeImage(t, 21), options{}, nil); err != nil {
+	if _, err := analyzeImage(t, &out, writeImage(t, 21), options{}, nil); err != nil {
 		t.Errorf("script-only device treated as error: %v", err)
 	}
 }
 
 func TestAnalyzeMissingFile(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := analyze(&out, filepath.Join(t.TempDir(), "nope.img"), options{}, nil); err == nil {
+	if _, err := analyzeImage(t, &out, filepath.Join(t.TempDir(), "nope.img"), options{}, nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -250,7 +267,7 @@ func TestAnalyzePartialReportRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	partial, err := analyze(&out, path, options{}, nil)
+	partial, err := analyzeImage(t, &out, path, options{}, nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -288,5 +305,65 @@ func TestCacheCapUsageErrors(t *testing.T) {
 	}
 	if ents, err := filepath.Glob(filepath.Join(dir, "*.fcache")); err != nil || len(ents) != 1 {
 		t.Errorf("the capped cache holds %d entries (%v), want the report", len(ents), err)
+	}
+}
+
+// writeModel saves an untrained TextCNN over the semantics labels, which
+// loads and classifies like a trained one.
+func writeModel(t *testing.T) string {
+	t.Helper()
+	vocab := nn.BuildVocab([][]string{{"uid", "token", "mac"}}, 1)
+	model := nn.NewModel(nn.Config{EmbedDim: 8, Filters: 4, MaxLen: 32, Seed: 1}, vocab, semantics.Labels)
+	path := filepath.Join(t.TempDir(), "model.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestModelResolvedOncePerRun: a sequential run loads -model once, into
+// the Analyzer its images share, so no image reads the file again (here
+// it is gone once the Analyzer is built). A model that cannot be loaded is
+// a usage error (exit 2) before the first image, at -j 1 as in a batch, so
+// nothing reaches the cache.
+func TestModelResolvedOncePerRun(t *testing.T) {
+	model := writeModel(t)
+	opts := options{modelPath: model}
+	a, err := newAnalyzer(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(model); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{5, 17} {
+		if _, err := analyze(io.Discard, a, writeImage(t, id), opts, nil); err != nil {
+			t.Errorf("device %d after the model file was removed: %v", id, err)
+		}
+	}
+
+	bad := filepath.Join(t.TempDir(), "bad.gob")
+	if err := os.WriteFile(bad, []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := writeImage(t, 5)
+	for _, m := range []string{bad, model} {
+		for _, jobs := range []string{"1", "2"} {
+			dir := t.TempDir()
+			args := []string{"-model", m, "-j", jobs, "-cache", dir, path, path}
+			if exit := run(args); exit != exitUsage {
+				t.Errorf("firmres %s: exit %d, want %d", strings.Join(args, " "), exit, exitUsage)
+			}
+			if ents, err := filepath.Glob(filepath.Join(dir, "*.fcache")); err != nil || len(ents) != 0 {
+				t.Errorf("firmres %s analyzed an image: %d cache entries (%v)", strings.Join(args, " "), len(ents), err)
+			}
+		}
 	}
 }

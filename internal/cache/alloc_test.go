@@ -5,6 +5,7 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -99,11 +100,11 @@ func TestCappedPutCostFlat(t *testing.T) {
 	}
 }
 
-// TestViewAfterCollections: View's read buffers survive collections, so a
-// warm View of a 20 KB entry after two runtime.GC calls allocates what the
-// open, stat and mtime refresh need, under 2 KB, not a new buffer. In a
-// sync.Pool it allocated 22.8 KB.
-func TestViewAfterCollections(t *testing.T) {
+// TestLentHitAfterCollections: the read buffers Do lends entries from
+// survive collections, so a warm hit of a 20 KB entry after two runtime.GC
+// calls allocates what the open, stat and mtime refresh need, under 2 KB,
+// not a new buffer. In a sync.Pool it allocated 22.8 KB.
+func TestLentHitAfterCollections(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -112,15 +113,17 @@ func TestViewAfterCollections(t *testing.T) {
 	if err := c.Put(key, bytes.Repeat([]byte("v"), 20<<10)); err != nil {
 		t.Fatal(err)
 	}
-	view := func() {
-		if hit, err := c.View(key, func([]byte) error { return nil }); !hit || err != nil {
-			t.Fatalf("View = (%t, %v), want a hit", hit, err)
+	accept := func([]byte) error { return nil }
+	compute := func() ([]byte, bool, error) { return nil, false, errors.New("a warm hit computed") }
+	warmHit := func() {
+		if hit, err := c.Do(key, accept, compute); !hit || err != nil {
+			t.Fatalf("Do = (%t, %v), want a hit", hit, err)
 		}
 	}
-	view() // puts a buffer large enough on the free list
-	n := allocated(5, view)
-	t.Logf("a warm View of a 20 KB entry after two collections allocates %d B", n)
+	warmHit() // puts a buffer large enough on the free list
+	n := allocated(5, warmHit)
+	t.Logf("a warm hit of a 20 KB entry after two collections allocates %d B", n)
 	if n >= 2<<10 {
-		t.Errorf("a warm View after two collections allocates %d B, want under 2 KB", n)
+		t.Errorf("a warm hit after two collections allocates %d B, want under 2 KB", n)
 	}
 }

@@ -15,22 +15,23 @@
 //     place, so readers never observe a half-written value. The header and
 //     the payload go into that file as they are, without first being
 //     copied into one framed buffer.
-//   - One verified read path: Get, View and Do's disk check all read an
-//     entry whole into a buffer, check its header and SHA-256 without
-//     allocating, run the payload check (WithCheck; View's callback stands
-//     in for it), and refresh its mtime. A mismatch (truncation, bit rot,
-//     hostile edit) or a payload the check rejects reads as a miss, the
-//     bad entry is deleted, and the error — wrapping
-//     errdefs.ErrCacheCorrupt — is surfaced as a note, never a failure.
-//   - Owned or lent: Get returns a payload the caller owns, in a fresh
-//     buffer of the entry's size. View lends the payload, in a buffer from
-//     the process's free list of read buffers, to a callback and hands the
-//     buffer back when it returns, so the callback must not keep the
-//     payload or any slice of it.
+//   - One read per lookup: Do, the read an analysis makes, reads an entry
+//     whole into a buffer from the process's free list, checks its header
+//     and SHA-256 without allocating, and lends the payload to the
+//     caller's use, which decides whether it is an entry and must not keep
+//     it; a hit passes through no single-flight. Get, a probe, reads into a
+//     buffer the caller owns and checks only the frame. A hit through
+//     either refreshes its mtime.
+//   - Only the owner discards: an entry a read cannot use (truncation, bit
+//     rot, a hostile edit, a payload use rejects) is a miss. Only the
+//     key's single-flight owner in Do, reading it again, deletes it and
+//     counts it in Errors, so no caller deletes an entry another caller on
+//     its handle has healed; another handle or process still deletes by
+//     path.
 //   - Single-flight over computes: concurrent Do calls on one handle that
-//     miss compute the value once; the other callers block and share it.
-//     A warm hit read with View passes through no single-flight at all.
-//     Handles that share a directory share entries, not computes.
+//     miss compute the value once; the other callers block and hand the
+//     computed bytes to their use. Handles that share a directory share
+//     entries, not computes.
 //   - Stored on request: a computed value is written only when the compute
 //     asks for it, so a caller keeps results that depend on more than the
 //     key (a deadline, the host's load) out of the cache. Compute errors
@@ -72,7 +73,7 @@ const (
 	// headerLen is the length of that line: the magic, a space, the
 	// payload's SHA-256 in 64 lower-case hex digits, and a newline.
 	headerLen = len(headerMagic) + 1 + 2*sha256.Size + 1
-	// maxFreeBuf caps the read buffers View hands back to readBufs, so one
+	// maxFreeBuf caps the read buffers Do hands back to readBufs, so one
 	// outsized entry does not keep its buffer alive for the process.
 	maxFreeBuf = 1 << 20
 )
@@ -85,8 +86,9 @@ var (
 	errComputePanicked = fmt.Errorf("cache: %w in a shared compute", errdefs.ErrStagePanic)
 )
 
-// readBufs is the process's free list of View's read buffers: at most one
-// per analysis worker, each at most maxFreeBuf, kept across collections.
+// readBufs is the process's free list of the buffers Do lends entries
+// from: at most one per analysis worker, each at most maxFreeBuf, kept
+// across collections.
 var readBufs parallel.FreeList[[]byte]
 
 // KeyOf derives the content address for one (image, configuration) pair:
@@ -105,10 +107,10 @@ func KeyOf(image []byte, fingerprint string) string {
 
 // Stats is a point-in-time snapshot of one Cache's counters.
 type Stats struct {
-	Hits      int64 // values Do or View served from disk, or Do shared from an in-flight compute
+	Hits      int64 // values Do served from disk or shared from an in-flight compute
 	Misses    int64 // values that had to be computed
 	Evictions int64 // entries removed by the MaxBytes budget
-	Errors    int64 // corrupt entries discarded (each also counted a miss)
+	Errors    int64 // corrupt entries Do discarded (each also a miss) and Do's failed Puts
 }
 
 // Option configures a Cache.
@@ -122,15 +124,6 @@ func WithMaxBytes(n int64) Option {
 	return func(c *Cache) { c.maxBytes = n }
 }
 
-// WithCheck sets the check a payload read from disk must pass, beyond its
-// checksum, to be an entry: one that verifies but that the caller cannot
-// use is as corrupt as one that does not verify. Get and Do's disk check
-// run it; View's callback stands in for it. Without it every verified
-// payload is an entry.
-func WithCheck(check func(payload []byte) error) Option {
-	return func(c *Cache) { c.check = check }
-}
-
 // Cache is one handle onto an on-disk cache directory. Safe for concurrent
 // use; multiple handles (or processes) may share a directory — the atomic
 // rename write and checksummed read keep them consistent, though
@@ -138,8 +131,7 @@ func WithCheck(check func(payload []byte) error) Option {
 type Cache struct {
 	dir      string
 	maxBytes int64
-	check    func(payload []byte) error // WithCheck; nil accepts every payload
-	idx      *index                     // the directory's index; nil without a cap
+	idx      *index // the directory's index; nil without a cap
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -187,87 +179,60 @@ func (c *Cache) path(key string) string {
 }
 
 // Get reads the entry for key into a fresh buffer of the entry's size and
-// returns its payload, which the caller owns. A clean miss returns (nil,
-// nil); a corrupt entry is deleted and returns (nil, err) with err
-// wrapping errdefs.ErrCacheCorrupt — still a miss, never a failure. A hit
+// returns its payload, which the caller owns. It checks only the frame: a
+// clean miss returns (nil, nil), and an entry that cannot be read or fails
+// verification returns (nil, err) with err wrapping
+// errdefs.ErrCacheCorrupt, still a miss, never a failure. Get deletes and
+// counts nothing; Do alone discards entries and keeps Stats. A hit
 // refreshes the entry's mtime and its place in the index, so eviction is
-// LRU. Get counts no hit or miss: Do and View own that accounting (a raw
-// Get is a probe).
+// LRU.
 func (c *Cache) Get(key string) ([]byte, error) {
-	payload, _, err := c.read(key, nil, c.check)
+	path := c.path(key)
+	payload, _, err := read(path, nil)
+	if payload != nil {
+		c.touch(key, path)
+	}
 	return payload, err
 }
 
-// View reads the entry for key into a buffer from readBufs and, if it
-// verifies, lends the payload to fn, handing the buffer back once fn
-// returns: fn must not keep the payload or any slice of it. fn stands in
-// for the handle's check, so a payload fn rejects is corrupt. View
-// reports whether fn accepted a verified entry: a hit, which refreshes the
-// entry's recency and counts in Stats.Hits. A miss returns (false, nil),
-// or (false, err) for a corrupt entry, which is deleted as by Get; it
-// counts nothing, since a caller that misses goes on to Do, which does.
-func (c *Cache) View(key string, fn func(payload []byte) error) (hit bool, err error) {
-	buf, _ := readBufs.Get()
-	payload, buf, err := c.read(key, buf, fn)
-	if payload != nil {
-		c.hits.Add(1)
+// read reads the entry at path whole into buf, or into a new buffer of
+// exactly the entry's size when buf is too small, and verifies its frame.
+// It returns the payload, which aliases the buffer it also returns. A
+// clean miss returns a nil payload and error; an entry that cannot be read
+// or fails verification returns an error wrapping errdefs.ErrCacheCorrupt.
+// It deletes, counts and refreshes nothing.
+func read(path string, buf []byte) (payload, used []byte, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, buf, nil
 	}
-	if n := cap(buf); n > 0 && n <= maxFreeBuf {
-		readBufs.Put(buf[:0])
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			if n := int(fi.Size()); cap(buf) < n {
+				buf = make([]byte, n)
+			} else {
+				buf = buf[:n]
+			}
+			_, err = io.ReadFull(f, buf)
+		}
+		f.Close()
 	}
-	return payload != nil, err
+	if err == nil {
+		payload, err = verify(buf)
+	}
+	if err != nil {
+		return nil, buf, fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, path, err)
+	}
+	return payload, buf, nil
 }
 
-// read is the one read path. It reads key's entry whole into buf, or into
-// a new buffer of exactly the entry's size when buf is too small, verifies
-// the frame, runs check (nil: none) on the payload and refreshes the
-// entry's recency. It returns the payload, which aliases the buffer it also
-// returns. A clean miss returns a nil payload and error; an unreadable
-// entry counts in Errors, and one that fails verification or the check is
-// deleted and counted by the reader that deletes it, each returning an
-// error that wraps errdefs.ErrCacheCorrupt.
-func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (payload, used []byte, err error) {
-	path := c.path(key)
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, buf, nil
-		}
-		return nil, buf, c.corrupt(key, err)
-	}
-	fi, err := f.Stat()
-	if err == nil {
-		if n := int(fi.Size()); cap(buf) < n {
-			buf = make([]byte, n)
-		} else {
-			buf = buf[:n]
-		}
-		_, err = io.ReadFull(f, buf)
-	}
-	f.Close()
-	if err != nil {
-		return nil, buf, c.corrupt(key, err)
-	}
-	if payload, err = verify(buf); err == nil && check != nil {
-		err = check(payload)
-	}
-	if err != nil {
-		// Two readers can find one entry corrupt at once; only the one
-		// whose Remove deletes it counts it, so Errors counts each
-		// discarded entry once.
-		if os.IsNotExist(os.Remove(path)) {
-			return nil, buf, corruptErr(key, err)
-		}
-		if c.idx != nil {
-			c.idx.remove(key)
-		}
-		return nil, buf, c.corrupt(key, err)
-	}
+// touch refreshes a hit's recency: its mtime and its place in the index.
+func (c *Cache) touch(key, path string) {
 	stamp(path)
 	if c.idx != nil {
 		c.idx.touch(key)
 	}
-	return payload, buf, nil
 }
 
 // stamp sets an entry's mtime, which orders a listing, to now. Puts and
@@ -278,16 +243,6 @@ func (c *Cache) read(key string, buf []byte, check func(payload []byte) error) (
 func stamp(path string) {
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-}
-
-// corrupt counts an entry that could not be used and wraps its cause.
-func (c *Cache) corrupt(key string, err error) error {
-	c.errors.Add(1)
-	return corruptErr(key, err)
-}
-
-func corruptErr(key string, err error) error {
-	return fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, key, err)
 }
 
 // Put writes the entry for key atomically (atomicfile.Write), stamps its
@@ -308,27 +263,45 @@ func (c *Cache) Put(key string, val []byte) error {
 	return nil
 }
 
-// Do returns the cached value for key, computing it on a miss and storing
-// it when compute says to. Concurrent Do calls for the same key share one
-// compute: the first caller runs it, the rest block and receive the same
-// bytes (counted as hits — no work was duplicated), stored or not. compute
-// errors are returned to every waiter and nothing is stored, so failures
-// are never cached; neither is a value compute declines to store. A
-// compute that panics releases the key: its waiters get an error wrapping
-// errdefs.ErrStagePanic, the panic goes on up the computing goroutine, and
-// the next Do computes afresh. A corrupt on-disk entry degrades to a miss;
-// its error is dropped here (the Errors counter and the deleted entry
-// remain) because the recomputed value supersedes it.
-func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error)) (val []byte, hit bool, err error) {
+// Do is the one read an analysis makes: it hands key's value to use and
+// reports whether the cache had it, computing the value on a miss and
+// storing it when compute says to.
+//
+// A warm entry is lent: read into a buffer from readBufs, it goes to use
+// outside single-flight, so hits never serialize, and use must not keep
+// it. Anything else, a payload use rejects included, is a miss, which
+// enters single-flight on key. A caller that finds the key in flight waits
+// and hands the computing call's bytes to use (a hit: no work was
+// duplicated) or returns its error. The owner, the first caller, reads the
+// entry again into a buffer of its own, which its waiters may share: an
+// entry use accepts is a hit. One it cannot use it deletes and counts in
+// Errors, the only place an entry is discarded, and then it computes.
+// compute keeps what it computed for its caller; its errors, and values it
+// declines to store, are never stored. A compute that panics releases the
+// key: waiters get an error wrapping errdefs.ErrStagePanic, the panic goes
+// on up the computing goroutine, and the next Do computes afresh.
+func (c *Cache) Do(key string, use func(payload []byte) error, compute func() (val []byte, store bool, err error)) (hit bool, err error) {
+	path := c.path(key)
+	buf, _ := readBufs.Get()
+	payload, buf, _ := c.accept(key, path, buf, use)
+	if n := cap(buf); n > 0 && n <= maxFreeBuf {
+		readBufs.Put(buf[:0])
+	}
+	if payload != nil {
+		return true, nil
+	}
 	c.mu.Lock()
 	if cl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-cl.done
 		if cl.err != nil {
-			return nil, false, cl.err
+			return false, cl.err
+		}
+		if err := use(cl.val); err != nil {
+			return false, err
 		}
 		c.hits.Add(1)
-		return cl.val, true, nil
+		return true, nil
 	}
 	// cl.err stays errComputePanicked unless a return below replaces it.
 	cl := &call{done: make(chan struct{}), err: errComputePanicked}
@@ -341,26 +314,48 @@ func (c *Cache) Do(key string, compute func() (val []byte, store bool, err error
 		close(cl.done)
 	}()
 
-	if data, _ := c.Get(key); data != nil {
-		c.hits.Add(1)
-		cl.val, cl.err = data, nil
-		return data, true, nil
+	if payload, _, err = c.accept(key, path, nil, use); payload != nil {
+		cl.val, cl.err = payload, nil
+		return true, nil
+	}
+	// An entry another handle or process removed first is theirs to count.
+	if err != nil && !os.IsNotExist(os.Remove(path)) {
+		if c.idx != nil {
+			c.idx.remove(key)
+		}
+		c.errors.Add(1)
 	}
 	c.misses.Add(1)
-	data, store, err := compute()
+	val, store, err := compute()
 	if err != nil {
 		cl.err = err
-		return nil, false, err
+		return false, err
 	}
 	// A Put failure (disk full, read-only dir) must not fail the analysis:
 	// the computed value is still good, it just isn't persisted.
 	if store {
-		if perr := c.Put(key, data); perr != nil {
+		if perr := c.Put(key, val); perr != nil {
 			c.errors.Add(1)
 		}
 	}
-	cl.val, cl.err = data, nil
-	return data, false, nil
+	cl.val, cl.err = val, nil
+	return false, nil
+}
+
+// accept reads the entry at path into buf and hands a verified payload to
+// use. A payload use accepts is a hit, which counts and refreshes the
+// entry's recency; accept returns it with the buffer read into. Otherwise
+// it returns the error of the read or of use, or none for a clean miss,
+// and deletes nothing.
+func (c *Cache) accept(key, path string, buf []byte, use func(payload []byte) error) (payload, used []byte, err error) {
+	if payload, buf, err = read(path, buf); payload != nil {
+		if err = use(payload); err == nil {
+			c.touch(key, path)
+			c.hits.Add(1)
+			return payload, buf, nil
+		}
+	}
+	return nil, buf, err
 }
 
 // Clear removes every cache entry in the directory (other files are left

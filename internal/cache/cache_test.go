@@ -19,25 +19,52 @@ import (
 	"firmres/internal/errdefs"
 )
 
-// readers are the two ways to read an entry, owned and lent; the
-// corruption tests run through both. The View reader copies the lent
-// payload out before the buffer goes back to the pool.
-var readers = []struct {
-	name string
-	read func(c *Cache, key string) ([]byte, error)
-}{
-	{"Get", (*Cache).Get},
-	{"View", func(c *Cache, key string) ([]byte, error) {
+// reader is one way to read an entry.
+type reader struct {
+	name     string
+	discards bool // a corrupt entry is a miss the read deletes and counts
+	read     func(c *Cache, key string) ([]byte, error)
+}
+
+// readers are the two ways to read an entry: Get, the probe, which reads
+// a corrupt entry as an error and leaves it, and Do, the analysis read,
+// whose single-flight owner deletes and counts it. The corruption tests
+// run through both. The Do reader copies the lent payload out before the
+// buffer goes back to the pool, and its compute stores nothing.
+var readers = []reader{
+	{"Get", false, (*Cache).Get},
+	{"Do", true, func(c *Cache, key string) ([]byte, error) {
 		var got []byte
-		hit, err := c.View(key, func(payload []byte) error {
+		computed := false
+		hit, err := c.Do(key, func(payload []byte) error {
 			got = append([]byte{}, payload...)
 			return nil
+		}, func() ([]byte, bool, error) {
+			computed = true
+			return nil, false, nil
 		})
-		if hit != (got != nil) {
-			return nil, fmt.Errorf("View reported hit=%t but lent %q", hit, got)
+		if hit != (got != nil) || hit == computed {
+			return nil, fmt.Errorf("Do reported hit=%t, computed=%t, but lent %q", hit, computed, got)
 		}
 		return got, err
 	}},
+}
+
+// readCorrupt reads key's corrupt entry through r and checks r's contract:
+// Get returns an error wrapping ErrCacheCorrupt and leaves the entry in
+// place; Do misses silently and deletes it.
+func readCorrupt(t *testing.T, r reader, c *Cache, key, what string) {
+	t.Helper()
+	data, err := r.read(c, key)
+	_, statErr := os.Stat(filepath.Join(c.dir, key+entryExt))
+	switch {
+	case data != nil:
+		t.Errorf("%s via %s returned data %q", what, r.name, data)
+	case r.discards && (err != nil || !os.IsNotExist(statErr)):
+		t.Errorf("%s via %s = %v, entry stat %v; want a miss that deletes the entry", what, r.name, err, statErr)
+	case !r.discards && (!errors.Is(err, errdefs.ErrCacheCorrupt) || statErr != nil):
+		t.Errorf("%s via %s = %v, entry stat %v; want ErrCacheCorrupt and the entry left in place", what, r.name, err, statErr)
+	}
 }
 
 func TestKeyOfDiscriminates(t *testing.T) {
@@ -115,22 +142,23 @@ func TestCorruptEntryIsMissAndDeleted(t *testing.T) {
 			if err := os.WriteFile(path, []byte("firmcache1 deadbeef\ntampered"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			data, err := r.read(c, key)
-			if data != nil {
-				t.Errorf("corrupt entry returned data %q", data)
+			readCorrupt(t, r, c, key, "tampered entry")
+			if !r.discards {
+				// A probe neither deletes nor counts.
+				if s := c.Stats(); s != (Stats{}) {
+					t.Errorf("stats = %+v after Get, want none counted", s)
+				}
+				return
 			}
-			if !errors.Is(err, errdefs.ErrCacheCorrupt) {
-				t.Errorf("err = %v, want ErrCacheCorrupt", err)
-			}
-			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-				t.Errorf("corrupt entry not deleted: stat err = %v", statErr)
-			}
-			if s := c.Stats(); s.Errors != 1 || s.Hits != 0 {
-				t.Errorf("stats = %+v, want 1 error and no hit", s)
+			if s := c.Stats(); s.Errors != 1 || s.Misses != 1 || s.Hits != 0 {
+				t.Errorf("stats = %+v, want 1 error, 1 miss and no hit", s)
 			}
 			// A second read is a clean miss: the bad entry is gone.
 			if data, err := r.read(c, key); err != nil || data != nil {
 				t.Errorf("read after deletion = (%q, %v), want (nil, nil)", data, err)
+			}
+			if s := c.Stats(); s.Errors != 1 || s.Misses != 2 {
+				t.Errorf("stats = %+v, want the clean miss counted and no second error", s)
 			}
 		})
 	}
@@ -156,64 +184,70 @@ func TestTruncatedEntryIsCorrupt(t *testing.T) {
 			if err := os.WriteFile(path, full[:len(full)-5], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.read(c, key); !errors.Is(err, errdefs.ErrCacheCorrupt) {
-				t.Errorf("truncated entry err = %v, want ErrCacheCorrupt", err)
-			}
+			readCorrupt(t, r, c, key, "truncated entry")
 		})
 	}
 }
 
-// TestViewLendsPayload checks View's hit, miss and error contract and
-// its accounting: a hit counts, a miss counts nothing and calls no fn, and
-// a payload fn rejects is corrupt — a miss, deleted and counted in Errors.
-func TestViewLendsPayload(t *testing.T) {
+// TestDoLendsPayload checks Do's hit, miss and corrupt-entry contract and
+// its accounting: a lent hit counts and computes nothing; a miss computes
+// and calls no use; a payload use rejects is corrupt — a miss, deleted
+// and counted in Errors — and is computed afresh.
+func TestDoLendsPayload(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := KeyOf([]byte("img"), "fp")
+	computed := 0
+	compute := func() ([]byte, bool, error) {
+		computed++
+		return nil, false, nil
+	}
 	called := false
-	hit, err := c.View(key, func([]byte) error { called = true; return nil })
-	if hit || err != nil || called {
-		t.Fatalf("View on empty cache = (%t, %v), fn called %t; want a silent miss", hit, err, called)
+	hit, err := c.Do(key, func([]byte) error { called = true; return nil }, compute)
+	if hit || err != nil || called || computed != 1 {
+		t.Fatalf("Do on empty cache = (%t, %v), use called %t, %d computes; want a miss that calls no use", hit, err, called, computed)
 	}
 	if err := c.Put(key, []byte("value")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // later rounds read into a recycled buffer
 		var got string
-		hit, err = c.View(key, func(payload []byte) error {
+		hit, err = c.Do(key, func(payload []byte) error {
 			got = string(payload)
 			return nil
-		})
-		if !hit || err != nil || got != "value" {
-			t.Fatalf("View %d = (%t, %v) lending %q, want a hit lending \"value\"", i, hit, err, got)
+		}, compute)
+		if !hit || err != nil || got != "value" || computed != 1 {
+			t.Fatalf("Do %d = (%t, %v) lending %q after %d computes, want a hit lending \"value\"", i, hit, err, got, computed)
 		}
 	}
 	boom := errors.New("boom")
-	hit, err = c.View(key, func([]byte) error { return boom })
-	if hit || !errors.Is(err, boom) || !errors.Is(err, errdefs.ErrCacheCorrupt) {
-		t.Fatalf("View rejecting the payload = (%t, %v), want a corrupt-entry miss wrapping fn's error", hit, err)
+	hit, err = c.Do(key, func([]byte) error { return boom }, compute)
+	if hit || err != nil || computed != 2 {
+		t.Fatalf("Do rejecting the payload = (%t, %v) after %d computes, want a miss computed afresh", hit, err, computed)
 	}
 	if val, err := c.Get(key); val != nil || err != nil {
 		t.Errorf("Get after a rejected payload = (%q, %v), want the entry deleted", val, err)
 	}
-	if s := c.Stats(); s.Hits != 3 || s.Misses != 0 || s.Errors != 1 {
-		t.Errorf("stats = %+v, want 3 hits and 1 error", s)
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 2 || s.Errors != 1 {
+		t.Errorf("stats = %+v, want 3 hits, 2 misses and 1 error", s)
 	}
 }
 
-// TestCheckRejectsPayload: with WithCheck, a verified entry whose payload
-// the check rejects is corrupt on Get and on Do's disk check — a miss,
-// deleted and counted in Errors — and Do computes the value afresh.
+// TestCheckRejectsPayload: a verified entry whose payload use rejects is
+// still an entry to Get, which checks only the frame, and the probe counts
+// nothing; to Do it is corrupt — a miss, deleted and counted once — and
+// Do computes the value afresh and stores it.
 func TestCheckRejectsPayload(t *testing.T) {
 	bad := errors.New("not a value")
-	c, err := Open(t.TempDir(), WithCheck(func(payload []byte) error {
+	check := func(payload []byte) error {
 		if string(payload) == "bad" {
 			return bad
 		}
 		return nil
-	}))
+	}
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,24 +255,85 @@ func TestCheckRejectsPayload(t *testing.T) {
 	if err := c.Put(key, []byte("bad")); err != nil {
 		t.Fatal(err)
 	}
-	if val, err := c.Get(key); val != nil || !errors.Is(err, bad) || !errors.Is(err, errdefs.ErrCacheCorrupt) {
-		t.Fatalf("Get of a rejected payload = (%q, %v), want a corrupt-entry miss", val, err)
+	if val, err := c.Get(key); string(val) != "bad" || err != nil {
+		t.Fatalf("Get of a verified payload = (%q, %v), want the payload", val, err)
 	}
-	if val, err := c.Get(key); val != nil || err != nil {
-		t.Fatalf("Get after the rejection = (%q, %v), want the entry deleted", val, err)
+	if s := c.Stats(); s != (Stats{}) {
+		t.Fatalf("stats = %+v after Get, want none counted", s)
 	}
-	if err := c.Put(key, []byte("bad")); err != nil {
-		t.Fatal(err)
-	}
-	val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("good"), true, nil })
-	if string(val) != "good" || hit || err != nil {
-		t.Fatalf("Do over a rejected payload = (%q, %t, %v), want the computed value", val, hit, err)
+	hit, err := c.Do(key, check, func() ([]byte, bool, error) { return []byte("good"), true, nil })
+	if hit || err != nil {
+		t.Fatalf("Do over a rejected payload = (%t, %v), want the computed value", hit, err)
 	}
 	if val, err := c.Get(key); string(val) != "good" || err != nil {
 		t.Errorf("Get after Do = (%q, %v), want the stored value", val, err)
 	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 1 || s.Errors != 2 {
-		t.Errorf("stats = %+v, want 1 miss and 2 errors", s)
+	hit, err = c.Do(key, check, func() ([]byte, bool, error) { return nil, false, errors.New("recomputed a stored value") })
+	if !hit || err != nil {
+		t.Errorf("Do over the stored value = (%t, %v), want a hit", hit, err)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Errors != 1 {
+		t.Errorf("stats = %+v, want 1 hit, 1 miss and 1 error", s)
+	}
+}
+
+// TestOnlyOwnerDiscards forces the interleaving a batch of two workers
+// over one corrupt entry hits by chance. The entry's checksum holds but
+// use rejects its payload. The first caller's use blocks on the lent
+// read; meanwhile the second caller discards the entry, computes and puts
+// the healed value. Released, the first caller rejects the stale bytes it
+// was lent, and must neither delete nor count the healed entry: its owner
+// read finds it, a hit. A lent read that deleted what it rejected by path
+// deleted the healed entry here.
+func TestOnlyOwnerDiscards(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	if err := c.Put(key, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	check := func(payload []byte) error {
+		if string(payload) == "bad" {
+			return errors.New("not a value")
+		}
+		return nil
+	}
+	lent, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		blocked := false
+		hit, err := c.Do(key, func(payload []byte) error {
+			if !blocked {
+				blocked = true
+				close(lent)
+				<-release
+			}
+			return check(payload)
+		}, func() ([]byte, bool, error) {
+			return nil, false, errors.New("the first caller computed")
+		})
+		if err == nil && !hit {
+			err = errors.New("the first caller missed")
+		}
+		first <- err
+	}()
+	<-lent
+	hit, err := c.Do(key, check, func() ([]byte, bool, error) { return []byte("good"), true, nil })
+	if hit || err != nil {
+		t.Fatalf("second Do = (%t, %v), want a computed miss", hit, err)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if val, err := c.Get(key); string(val) != "good" || err != nil {
+		t.Errorf("entry after both calls = (%q, %v), want the healed value", val, err)
+	}
+	if s := c.Stats(); s.Errors != 1 || s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 error, 1 miss and 1 hit", s)
 	}
 }
 
@@ -257,15 +352,18 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, _, err := c.Do(key, func() ([]byte, bool, error) {
+			_, err := c.Do(key, func(payload []byte) error {
+				results[i] = append([]byte{}, payload...)
+				return nil
+			}, func() ([]byte, bool, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
-				return []byte("value"), true, nil
+				results[i] = []byte("value")
+				return results[i], true, nil
 			})
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
-			results[i] = val
 		}()
 	}
 	wg.Wait()
@@ -295,9 +393,18 @@ func TestDoPanicReleasesKey(t *testing.T) {
 	key := KeyOf([]byte("img"), "fp")
 	started := make(chan struct{})
 	waiter := make(chan error, 1)
+	accept := func([]byte) error { return nil }
 	go func() {
 		<-started
-		switch val, _, err := c.Do(key, func() ([]byte, bool, error) { return []byte("fresh"), true, nil }); {
+		var val []byte
+		_, err := c.Do(key, func(payload []byte) error {
+			val = append([]byte{}, payload...)
+			return nil
+		}, func() ([]byte, bool, error) {
+			val = []byte("fresh")
+			return val, true, nil
+		})
+		switch {
 		case err != nil && !errors.Is(err, errdefs.ErrStagePanic):
 			waiter <- fmt.Errorf("waiter error %v does not wrap ErrStagePanic", err)
 		case err == nil && string(val) != "fresh":
@@ -312,7 +419,7 @@ func TestDoPanicReleasesKey(t *testing.T) {
 				t.Errorf("recovered %v, want the compute's own panic value", r)
 			}
 		}()
-		c.Do(key, func() ([]byte, bool, error) {
+		c.Do(key, accept, func() ([]byte, bool, error) {
 			close(started)
 			time.Sleep(20 * time.Millisecond) // let the waiter join the call
 			panic("compute exploded")
@@ -328,7 +435,7 @@ func TestDoPanicReleasesKey(t *testing.T) {
 	}
 	second := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(key, func() ([]byte, bool, error) { return []byte("second"), true, nil })
+		_, err := c.Do(key, accept, func() ([]byte, bool, error) { return []byte("second"), true, nil })
 		second <- err
 	}()
 	select {
@@ -348,13 +455,15 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 	key := KeyOf([]byte("img"), "fp")
 	boom := errors.New("boom")
-	if _, _, err := c.Do(key, func() ([]byte, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
+	accept := func([]byte) error { return nil }
+	if _, err := c.Do(key, accept, func() ([]byte, bool, error) { return nil, true, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do error = %v, want boom", err)
 	}
 	// The failure was not persisted: the next Do computes again.
-	val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("ok"), true, nil })
-	if err != nil || hit || string(val) != "ok" {
-		t.Errorf("Do after failure = (%q, %t, %v), want fresh ok", val, hit, err)
+	computed := false
+	hit, err := c.Do(key, accept, func() ([]byte, bool, error) { computed = true; return []byte("ok"), true, nil })
+	if err != nil || hit || !computed {
+		t.Errorf("Do after failure = (%t, %v), computed %t; want a fresh compute", hit, err, computed)
 	}
 }
 
@@ -365,9 +474,13 @@ func TestDoValueNotStored(t *testing.T) {
 	}
 	key := KeyOf([]byte("img"), "fp")
 	for i := 0; i < 2; i++ {
-		val, hit, err := c.Do(key, func() ([]byte, bool, error) { return []byte("degraded"), false, nil })
-		if err != nil || hit || string(val) != "degraded" {
-			t.Fatalf("Do %d = (%q, %t, %v), want computed degraded", i, val, hit, err)
+		computed := false
+		hit, err := c.Do(key, func([]byte) error { return nil }, func() ([]byte, bool, error) {
+			computed = true
+			return []byte("degraded"), false, nil
+		})
+		if err != nil || hit || !computed {
+			t.Fatalf("Do %d = (%t, %v), computed %t; want computed degraded", i, hit, err, computed)
 		}
 	}
 	if got, err := c.Get(key); got != nil || err != nil {
@@ -472,7 +585,7 @@ func TestOpenCreatesDir(t *testing.T) {
 
 // TestEntryFrame checks the writer's frame byte for byte and that the
 // verifier accepts exactly that frame: every other header reads as a
-// corrupt entry, through Get and View alike.
+// corrupt entry, through Get and Do alike.
 func TestEntryFrame(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -516,13 +629,7 @@ func TestEntryFrame(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.entry), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			data, err := r.read(c, key)
-			if data != nil || !errors.Is(err, errdefs.ErrCacheCorrupt) {
-				t.Errorf("%s via %s = (%q, %v), want a corrupt miss", tc.name, r.name, data, err)
-			}
-			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-				t.Errorf("%s via %s: entry not deleted", tc.name, r.name)
-			}
+			readCorrupt(t, r, c, key, tc.name)
 		}
 	}
 }
@@ -662,7 +769,7 @@ func TestEvictionRelistsWhenVictimGone(t *testing.T) {
 	}
 }
 
-// TestCappedHandlesShareDirectory runs Views, Puts and evictions on one
+// TestCappedHandlesShareDirectory runs Do calls, Puts and evictions on one
 // capped directory from two handles at once. Every hit lends the payload
 // put under its key, and once they stop the directory is within its cap.
 func TestCappedHandlesShareDirectory(t *testing.T) {
@@ -694,12 +801,13 @@ func TestCappedHandlesShareDirectory(t *testing.T) {
 					}
 					continue
 				}
-				_, err := c.View(key, func(p []byte) error {
+				_, err := c.Do(key, func(p []byte) error {
 					if !bytes.Equal(p, payload(k)) {
-						return fmt.Errorf("key %d lent %q", k, p)
+						t.Errorf("key %d lent %q", k, p)
+						return errors.New("wrong payload")
 					}
 					return nil
-				})
+				}, func() ([]byte, bool, error) { return payload(k), true, nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -717,9 +825,10 @@ func TestCappedHandlesShareDirectory(t *testing.T) {
 }
 
 // FuzzCacheEntry feeds raw entry bytes, as a writer to the directory could
-// store them, through verify and View: neither panics, and both accept
-// exactly the frame Put writes for the payload, lending that payload.
-// Every rejected entry is deleted.
+// store them, through verify and Do: neither panics, and both accept
+// exactly the frame Put writes for the payload, Do lending that payload.
+// Do misses every rejected entry, computes, and its owner deletes the
+// entry; the compute stores nothing.
 func FuzzCacheEntry(f *testing.F) {
 	for _, p := range []string{"", "x", `{"Device":"d"}`, fmt.Sprintf("%0300d", 7)} {
 		hdr := header([]byte(p))
@@ -740,24 +849,25 @@ func FuzzCacheEntry(f *testing.F) {
 			t.Fatal(err)
 		}
 		var lent []byte
-		hit, err := c.View(key, func(p []byte) error {
+		computed := false
+		hit, err := c.Do(key, func(p []byte) error {
 			lent = append([]byte{}, p...)
 			return nil
+		}, func() ([]byte, bool, error) {
+			computed = true
+			return nil, false, nil
 		})
-		if hit != (verr == nil) {
-			t.Fatalf("View hit = %t (%v) where verify says %v", hit, err, verr)
+		if err != nil || hit != (verr == nil) || hit == computed {
+			t.Fatalf("Do = (%t, %v), computed %t, where verify says %v", hit, err, computed, verr)
 		}
 		if !hit {
-			if !errors.Is(err, errdefs.ErrCacheCorrupt) {
-				t.Fatalf("rejected entry: err = %v, want ErrCacheCorrupt", err)
-			}
 			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 				t.Fatal("rejected entry not deleted")
 			}
 			return
 		}
 		if !bytes.Equal(lent, payload) {
-			t.Fatalf("View lent %q, verify returned %q", lent, payload)
+			t.Fatalf("Do lent %q, verify returned %q", lent, payload)
 		}
 		if err := c.Put(key, lent); err != nil {
 			t.Fatal(err)

@@ -73,12 +73,14 @@ leg_race() {
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
 	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
 
-	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers, an entry that does not decode is corrupt) under -race"
-	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight|TestCacheUndecodableEntryForcesReanalysis' .
+	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers; one read per lookup, where only a key's single-flight owner discards an entry that does not decode: two batch workers over one such entry 100 times at -cpu 2,4, and the interleaving in which a caller rejects a stale lent read after another healed the entry) under -race"
+	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
+	go test -race -count=100 -cpu 2,4 -run 'TestCacheUndecodableEntryForcesReanalysis$' .
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
+	go test -race -count=10 -run 'TestOnlyOwnerDiscards' ./internal/cache
 	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
-	echo "== cache eviction index (entries other writers add are counted within MaxBytes of puts; Views, Puts and evictions from two capped handles on one directory) under -race"
+	echo "== cache eviction index (entries other writers add are counted within MaxBytes of puts; Do calls, Puts and evictions from two capped handles on one directory) under -race"
 	go test -race -count=10 -run 'TestCapCountsOtherWriters|TestCappedHandlesShareDirectory' ./internal/cache
 
 	echo "== free list of sets: lifted programs with their facts, enrichment and message trees (two goroutines on one Analyzer; two Analyzers and a one-shot batch sharing the process's list with scrubbing on; goldens byte-identical; eight goroutines building one recycled store's artifacts at once; two pipelines on two workers tracing and building trees concurrently in scrubbed recycled sets, every tree equal to a fresh build's) under -race"
@@ -102,13 +104,13 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm View after two collections reusing its read buffer)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
-	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestViewAfterCollections' ./internal/cache
+	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestAnalyzeHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
+	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestLentHitAfterCollections' ./internal/cache
 	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment|TestSetRetentionMatchesLargestTrees|TestRecycledTreesMatchFresh' ./internal/core
 	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
