@@ -114,12 +114,15 @@ func (o options) cacheEnabled() bool { return o.cacheDir != "" && !o.noCache }
 // main delegates to run so the observability sinks' deferred writes happen
 // before the process exits (os.Exit skips defers).
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+// run executes one command line, writing reports to stdout and
+// diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	var opts options
 	fs := flag.NewFlagSet("firmres", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	fs.StringVar(&opts.modelPath, "model", "", "trained TextCNN model file (default: keyword classifier)")
 	fs.BoolVar(&opts.asJSON, "json", false, "emit the report as JSON")
 	fs.BoolVar(&opts.lint, "lint", false,
@@ -163,19 +166,19 @@ func run(args []string) int {
 	fs.Parse(args)
 	switch {
 	case opts.cacheMax < 0:
-		fmt.Fprintf(os.Stderr, "firmres: -cache-max-bytes %d is negative\n", opts.cacheMax)
+		fmt.Fprintf(stderr, "firmres: -cache-max-bytes %d is negative\n", opts.cacheMax)
 		return exitUsage
 	case opts.cacheMax != 0 && opts.cacheDir == "":
-		fmt.Fprintln(os.Stderr, "firmres: -cache-max-bytes requires -cache DIR")
+		fmt.Fprintln(stderr, "firmres: -cache-max-bytes requires -cache DIR")
 		return exitUsage
 	}
 	if opts.cacheClear {
 		if opts.cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "firmres: -cache-clear requires -cache DIR")
+			fmt.Fprintln(stderr, "firmres: -cache-clear requires -cache DIR")
 			return exitUsage
 		}
 		if err := firmres.ClearCache(opts.cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: cache-clear: %v\n", err)
+			printError(stderr, "cache-clear", err)
 			return exitFatal
 		}
 		if fs.NArg() == 0 {
@@ -183,26 +186,38 @@ func run(args []string) int {
 		}
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: firmres [-model file] [-json] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
+		fmt.Fprintln(stderr, "usage: firmres [-model file] [-json] [-keep-going] [-j N] [-lint] [-lint-rules r1,r2] [-lint-json] [-timings] [-probe] [-probe-chaos modes] [-probe-seed n] [-probe-probers n] [-trace] [-trace-json file] [-metrics file] [-progress] [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear] [-pprof addr] image.img ...")
 		return exitUsage
 	}
 	if opts.pprofAddr != "" {
 		warn := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "firmres: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "firmres: "+format+"\n", args...)
 		}
 		stop, err := profio.Start(opts.pprofAddr, warn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: %v\n", err)
+			printError(stderr, "", err)
 			return exitUsage
 		}
 		defer stop()
 	}
 	sink := newObsSink(opts)
-	defer sink.finish(os.Stderr)
+	defer sink.finish(stderr)
 	if opts.jobs != 1 {
-		return runBatch(os.Stdout, fs.Args(), opts, *keepGoing, sink)
+		return runBatch(stdout, stderr, fs.Args(), opts, *keepGoing, sink)
 	}
-	return runSequential(os.Stdout, fs.Args(), opts, *keepGoing, sink)
+	return runSequential(stdout, stderr, fs.Args(), opts, *keepGoing, sink)
+}
+
+// printError writes one error line to stderr with the command's prefix,
+// naming subject (an image path, say) when it is not empty. The library's
+// errors begin with its package name, which is also "firmres: "; it is
+// dropped, so that every line carries the prefix once.
+func printError(stderr io.Writer, subject string, err error) {
+	msg := strings.TrimPrefix(err.Error(), "firmres: ")
+	if subject != "" {
+		msg = subject + ": " + msg
+	}
+	fmt.Fprintf(stderr, "firmres: %s\n", msg)
 }
 
 // runSequential analyzes the images one after another through one
@@ -210,10 +225,10 @@ func run(args []string) int {
 // exit-code and -keep-going semantics. A configuration error, such as a
 // -model file that cannot be loaded, fails newAnalyzer: a usage error
 // before the first image.
-func runSequential(w io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
+func runSequential(w, stderr io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
 	a, err := newAnalyzer(opts, sink)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "firmres: %v\n", err)
+		printError(stderr, "", err)
 		return exitUsage
 	}
 	if opts.cacheEnabled() {
@@ -224,12 +239,12 @@ func runSequential(w io.Writer, paths []string, opts options, keepGoing bool, si
 		start := time.Now()
 		partial, err := analyze(w, a, path, opts, sink)
 		if opts.progress {
-			fmt.Fprintf(os.Stderr, "progress: %d/%d images (%d%%)  %s done in %v\n",
+			fmt.Fprintf(stderr, "progress: %d/%d images (%d%%)  %s done in %v\n",
 				i+1, len(paths), (i+1)*100/len(paths), path, time.Since(start).Round(time.Millisecond))
 		}
 		switch {
 		case err != nil:
-			fmt.Fprintf(os.Stderr, "firmres: %s: %v\n", path, err)
+			printError(stderr, path, err)
 			exit = exitFatal
 			if !keepGoing {
 				return exit
@@ -283,10 +298,11 @@ func (t *stageTimer) SpanEnd(ev firmres.SpanEvent) {
 }
 
 // options returns the analysis options the sink needs threaded into the
-// run's analyses. The batch path attaches the progress reporter here (its
-// total is the whole batch); the sequential path prints progress itself.
-// Nil-safe: a nil sink configures nothing.
-func (s *obsSink) options(batch bool) []firmres.Option {
+// run's analyses. The batch path attaches the progress reporter here,
+// writing to progress (its total is the whole batch); the sequential path
+// passes nil and prints progress itself. Nil-safe: a nil sink configures
+// nothing.
+func (s *obsSink) options(progress io.Writer) []firmres.Option {
 	if s == nil {
 		return nil
 	}
@@ -300,8 +316,8 @@ func (s *obsSink) options(batch bool) []firmres.Option {
 	if s.opts.metricsPath != "" {
 		out = append(out, firmres.WithMetrics())
 	}
-	if batch && s.opts.progress {
-		out = append(out, firmres.WithProgress(os.Stderr))
+	if progress != nil && s.opts.progress {
+		out = append(out, firmres.WithProgress(progress))
 	}
 	return out
 }
@@ -317,11 +333,11 @@ func (s *obsSink) merge(m map[string]int64) {
 }
 
 // finish writes the collected trace tree and stage timings to w and the
-// file exports to their destinations.
+// file exports to their destinations, reporting a failed write on w.
 func (s *obsSink) finish(w io.Writer) {
 	if s.trace != nil && s.opts.trace {
 		if err := s.trace.WriteTree(w); err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: trace: %v\n", err)
+			printError(w, "trace", err)
 		}
 	}
 	if t := s.timer; t != nil {
@@ -334,13 +350,13 @@ func (s *obsSink) finish(w io.Writer) {
 	}
 	if s.trace != nil && s.opts.traceJSON != "" {
 		if err := writeFile(s.opts.traceJSON, s.trace.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: trace-json: %v\n", err)
+			printError(w, "trace-json", err)
 		}
 	}
 	if s.opts.metricsPath != "" {
 		write := func(w io.Writer) error { return firmres.WriteMetrics(w, s.metrics) }
 		if err := writeFile(s.opts.metricsPath, write); err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: metrics: %v\n", err)
+			printError(w, "metrics", err)
 		}
 	}
 }
@@ -363,11 +379,11 @@ func writeFile(path string, write func(io.Writer) error) error {
 // semantics: a fatal image stops the output there unless -keep-going.
 // AnalyzePaths fails only on a configuration error, before the first
 // image, which is a usage error as in the sequential path.
-func runBatch(w io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
-	apiOpts := append(apiOptions(opts), sink.options(true)...)
+func runBatch(w, stderr io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
+	apiOpts := append(apiOptions(opts), sink.options(stderr)...)
 	br, err := firmres.AnalyzePaths(context.Background(), paths, apiOpts...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "firmres: %v\n", err)
+		printError(stderr, "", err)
 		return exitUsage
 	}
 	sink.merge(br.Summary.Metrics)
@@ -381,7 +397,7 @@ func runBatch(w io.Writer, paths []string, opts options, keepGoing bool, sink *o
 			continue
 		}
 		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: %s: %v\n", res.Path, res.Err)
+			printError(stderr, res.Path, res.Err)
 			exit = exitFatal
 			if !keepGoing {
 				return exit
@@ -389,7 +405,7 @@ func runBatch(w io.Writer, paths []string, opts options, keepGoing bool, sink *o
 			continue
 		}
 		if partial, err := render(w, res.Path, res.Report, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "firmres: %s: %v\n", res.Path, err)
+			printError(stderr, res.Path, err)
 			exit = exitFatal
 			if !keepGoing {
 				return exit
@@ -449,7 +465,7 @@ func apiOptions(opts options) []firmres.Option {
 // Analyzer its images share: a -model file is loaded and fingerprinted,
 // and the cache opened, once per run, not once per image.
 func newAnalyzer(opts options, sink *obsSink) (*firmres.Analyzer, error) {
-	return firmres.NewAnalyzer(append(apiOptions(opts), sink.options(false)...)...)
+	return firmres.NewAnalyzer(append(apiOptions(opts), sink.options(nil)...)...)
 }
 
 // analyze runs one image through a and renders the report. It reports

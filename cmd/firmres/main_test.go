@@ -167,7 +167,7 @@ func timingsFooter(t *testing.T, opts options, run func(io.Writer, options, *obs
 func TestAnalyzeTimingsFlag(t *testing.T) {
 	paths := []string{writeImage(t, 5), writeImage(t, 17)}
 	got := timingsFooter(t, options{jobs: 2, lint: true}, func(w io.Writer, opts options, sink *obsSink) {
-		if exit := runBatch(w, paths, opts, false, sink); exit != exitOK {
+		if exit := runBatch(w, io.Discard, paths, opts, false, sink); exit != exitOK {
 			t.Errorf("runBatch exit = %d", exit)
 		}
 	})
@@ -295,12 +295,12 @@ func TestCacheCapUsageErrors(t *testing.T) {
 		{"-cache-max-bytes", "-7", path},
 		{"-cache-max-bytes", "100", path},
 	} {
-		if exit := run(args); exit != exitUsage {
+		if exit := run(args, io.Discard, io.Discard); exit != exitUsage {
 			t.Errorf("firmres %s: exit %d, want %d", strings.Join(args, " "), exit, exitUsage)
 		}
 	}
 	dir := t.TempDir()
-	if exit := run([]string{"-cache", dir, "-cache-max-bytes", "100000", path}); exit != exitOK {
+	if exit := run([]string{"-cache", dir, "-cache-max-bytes", "100000", path}, io.Discard, io.Discard); exit != exitOK {
 		t.Errorf("a capped cache: exit %d, want %d", exit, exitOK)
 	}
 	if ents, err := filepath.Glob(filepath.Join(dir, "*.fcache")); err != nil || len(ents) != 1 {
@@ -358,11 +358,48 @@ func TestModelResolvedOncePerRun(t *testing.T) {
 		for _, jobs := range []string{"1", "2"} {
 			dir := t.TempDir()
 			args := []string{"-model", m, "-j", jobs, "-cache", dir, path, path}
-			if exit := run(args); exit != exitUsage {
+			if exit := run(args, io.Discard, io.Discard); exit != exitUsage {
 				t.Errorf("firmres %s: exit %d, want %d", strings.Join(args, " "), exit, exitUsage)
 			}
 			if ents, err := filepath.Glob(filepath.Join(dir, "*.fcache")); err != nil || len(ents) != 0 {
 				t.Errorf("firmres %s analyzed an image: %d cache entries (%v)", strings.Join(args, " "), len(ents), err)
+			}
+		}
+	}
+}
+
+// TestErrorLinesCarryOnePrefix: the library's errors begin with its
+// package name, "firmres: ", which is also the command's prefix; each
+// error line carries it once, with the image path kept, at -j 1 as in a
+// batch, and the exit codes stay those of a usage error and a fatal image.
+func TestErrorLinesCarryOnePrefix(t *testing.T) {
+	img := writeImage(t, 5)
+	data, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trunc := filepath.Join(t.TempDir(), "trunc.img")
+	if err := os.WriteFile(trunc, data[:400], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.gob")
+	for _, jobs := range []string{"1", "2"} {
+		for _, tc := range []struct {
+			args   []string
+			exit   int
+			prefix string
+		}{
+			{[]string{"-model", missing, img}, exitUsage, "firmres: model file: open " + missing + ": "},
+			{[]string{trunc}, exitFatal, "firmres: " + trunc + ": corrupt firmware image: "},
+		} {
+			args := append([]string{"-j", jobs}, tc.args...)
+			var stdout, stderr bytes.Buffer
+			if exit := run(args, &stdout, &stderr); exit != tc.exit {
+				t.Errorf("firmres %s: exit %d, want %d", strings.Join(args, " "), exit, tc.exit)
+			}
+			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+			if len(lines) != 1 || !strings.HasPrefix(lines[0], tc.prefix) || strings.Count(lines[0], "firmres: ") != 1 {
+				t.Errorf("firmres %s wrote %q, want one line beginning %q with one prefix", strings.Join(args, " "), stderr.String(), tc.prefix)
 			}
 		}
 	}

@@ -19,15 +19,17 @@ import (
 
 // crawlAllocBudget is the committed ceiling on heap bytes allocated per
 // image by a cold -j 1 sweep of the crawl set. The measured cost is about
-// 0.16 MB, each executable's lifted program and facts artifacts recycled
+// 96 KB, each executable's lifted program and facts artifacts recycled
 // together through the process's free list of sets, each tree's paths
-// enumerated once, and each analysis's message trees, slices and fields
-// carved from its set; the headroom absorbs runtime-version drift, not
-// regressions — blowing the budget means a cold-path structure (a
-// per-call map, a string per op, a solution the facts store already
-// holds, a set nobody releases, facts or trees built in fresh storage, a
-// path list walked twice) is being rebuilt per call.
-const crawlAllocBudget = 0.2e6
+// enumerated once, each analysis's message trees, slices and fields
+// carved from its set, symbol-free recovery carving its observations from
+// one array each, and format and origin queries copying nothing; the
+// headroom absorbs runtime-version drift, not regressions — blowing the
+// budget means a cold-path structure (a per-call map, a string per op, a
+// solution the facts store already holds, a set nobody releases, facts or
+// trees built in fresh storage, a path list walked twice, a format split
+// per path) is being rebuilt per call.
+const crawlAllocBudget = 0.12e6
 
 // crawlSet packs the crawl workload's images: the 22 corpus devices and
 // their 22 stripped twins.

@@ -15,8 +15,10 @@ package binfmt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"firmres/internal/errdefs"
@@ -124,7 +126,7 @@ func (b *Binary) buildIndex() {
 		byAddr: append([]FuncSym(nil), b.Funcs...),
 		byName: make(map[string]int, len(b.Funcs)),
 	}
-	sort.SliceStable(ix.byAddr, func(i, j int) bool { return ix.byAddr[i].Addr < ix.byAddr[j].Addr })
+	slices.SortStableFunc(ix.byAddr, byAddr)
 	for i, f := range b.Funcs {
 		if _, dup := ix.byName[f.Name]; !dup {
 			ix.byName[f.Name] = i
@@ -132,6 +134,9 @@ func (b *Binary) buildIndex() {
 	}
 	b.idx = ix
 }
+
+// byAddr orders function symbols by address.
+func byAddr(a, b FuncSym) int { return cmp.Compare(a.Addr, b.Addr) }
 
 // FuncAt returns the function symbol covering the given address, if any.
 func (b *Binary) FuncAt(addr uint32) (FuncSym, bool) {
@@ -290,8 +295,8 @@ func (b *Binary) Validate() error {
 // pass) must call this afterwards so stale index entries never survive a
 // rewrite.
 func (b *Binary) SortSymbols() {
-	sort.Slice(b.Funcs, func(i, j int) bool { return b.Funcs[i].Addr < b.Funcs[j].Addr })
-	sort.Slice(b.DataSyms, func(i, j int) bool { return b.DataSyms[i].Addr < b.DataSyms[j].Addr })
+	slices.SortFunc(b.Funcs, byAddr)
+	slices.SortFunc(b.DataSyms, func(x, y DataSym) int { return cmp.Compare(x.Addr, y.Addr) })
 	b.buildIndex()
 }
 
@@ -299,8 +304,11 @@ func (b *Binary) SortSymbols() {
 // ranges overlap (or duplicate each other). Zero-size symbols cannot overlap
 // anything.
 func CheckFuncOverlap(funcs []FuncSym) error {
-	sorted := append([]FuncSym(nil), funcs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
+	sorted := funcs
+	if !slices.IsSortedFunc(funcs, byAddr) {
+		sorted = slices.Clone(funcs)
+		slices.SortStableFunc(sorted, byAddr)
+	}
 	for i := 1; i < len(sorted); i++ {
 		prev, cur := sorted[i-1], sorted[i]
 		if prev.Size == 0 || cur.Size == 0 {

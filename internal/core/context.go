@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/cloud"
@@ -364,7 +365,10 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 		}
 	}
 	met.Counter("pinpoint_candidates_total").Add(int64(len(files)))
-	hints := recoveryHints(img)
+	// The key universes only sharpen symbol-free recovery: they are built
+	// once, by the first binary that needs recovery, and never for an
+	// image whose binaries all carry their symbols.
+	hints := sync.OnceValue(func() strip.Hints { return recoveryHints(img) })
 	type slot struct {
 		cand *candidate
 		skip *errdefs.AnalysisError
@@ -416,7 +420,7 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 // binary is reported as skipped instead of crashing the whole analysis.
 // It lifts into a set from the process's free list and gives the set back
 // at once unless the executable is a device-cloud candidate.
-func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image.File, hints strip.Hints) (cand *candidate, skip *errdefs.AnalysisError) {
+func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image.File, hints func() strip.Hints) (cand *candidate, skip *errdefs.AnalysisError) {
 	defer func() {
 		if r := recover(); r != nil {
 			cand = nil
@@ -439,7 +443,7 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 	if strip.Needed(bin) {
 		sp := obs.StartChild(ctx, "strip-recover")
 		sp.AddString("path", f.Path)
-		rec = strip.Recover(bin, hints)
+		rec = strip.Recover(bin, hints())
 		if rec.FuncsRecovered == 0 && rec.StringsRecovered == 0 && rec.ExternsTotal == 0 {
 			rec = nil // the missing layer held nothing to recover
 			sp.SetStatus("noop")

@@ -95,11 +95,20 @@ func (ix *SigIndex) Candidates(arities []int, hasResult bool) []Sig {
 }
 
 // EachCandidate calls fn with every signature Candidates returns, in the
-// same order, reading the index's own list instead of copying it.
-func (ix *SigIndex) EachCandidate(arities []int, hasResult bool, fn func(Sig)) {
-	for _, s := range ix.candidates(arities, hasResult) {
-		fn(s)
+// same order, pointing into the index's own list instead of copying it:
+// the pointer stays valid for the life of the index, and fn must not
+// modify what it points to.
+func (ix *SigIndex) EachCandidate(arities []int, hasResult bool, fn func(*Sig)) {
+	list := ix.candidates(arities, hasResult)
+	for i := range list {
+		fn(&list[i])
 	}
+}
+
+// NumCandidates returns how many signatures Candidates would return,
+// without copying them.
+func (ix *SigIndex) NumCandidates(arities []int, hasResult bool) int {
+	return len(ix.candidates(arities, hasResult))
 }
 
 // candidates is the index's own list behind Candidates; callers must not

@@ -134,7 +134,9 @@ func renderFormat(n *mft.SNode, resolve Resolver) string {
 	}
 	var b strings.Builder
 	vi := 0
-	for _, part := range slices.SplitFormat(format) {
+	for i := 0; i < len(format); {
+		var part slices.Part
+		part, i = slices.NextPart(format, i)
 		if !part.Verb {
 			b.WriteString(part.Text)
 			continue

@@ -11,6 +11,7 @@
 package slices
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,7 +136,10 @@ func keyHint(p mft.Path) string {
 }
 
 // verbSegment maps a NodeArg child ("argK") of a format call to the text
-// segment preceding its conversion verb.
+// segment preceding its conversion verb: the literal part right before
+// the verb, or "" when another verb or the start of the format is. It
+// scans the format once and returns a substring of it, building a new
+// string only when that text holds a "%%" escape.
 func verbSegment(format string, arg *taint.Node) (string, bool) {
 	if arg.Kind != taint.NodeArg || !strings.HasPrefix(arg.ArgLabel, "arg") {
 		return "", false
@@ -144,31 +148,32 @@ func verbSegment(format string, arg *taint.Node) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	parts := SplitFormat(format)
 	// Value arguments follow the format argument; verb i is filled by
-	// argument fmtPos+1+i. We do not know fmtPos here, but the engine labels
-	// sprintf args starting at the format itself, so the first value arg has
-	// the lowest index among verbs. Recover by ranking.
-	verbTexts := make([]string, 0, len(parts))
-	for i, part := range parts {
-		if part.Verb {
-			text := ""
-			if i > 0 && !parts[i-1].Verb {
-				text = parts[i-1].Text
-			}
-			verbTexts = append(verbTexts, text)
-		}
-	}
-	if len(verbTexts) == 0 {
+	// argument fmtPos+1+i. We do not know fmtPos here, but the engine
+	// labels sprintf args starting at the format itself, and the smallest
+	// possible value-argument index is 2 (sprintf) or 3 (snprintf): argK
+	// fills verb K-2 when the format has one, else verb K-3.
+	want := argIdx - 2
+	if want < 0 {
 		return "", false
 	}
-	// The engine emits NodeArg labels argF+1..argF+k for k verbs; the
-	// smallest possible value-argument index is 2 (sprintf) or 3 (snprintf).
-	for base := 2; base <= 3; base++ {
-		pos := argIdx - base
-		if pos >= 0 && pos < len(verbTexts) {
-			return verbTexts[pos], true
+	verbs := 0
+	text, last := "", "" // the raw text before the current part, and before the last verb
+	for i := 0; i < len(format); {
+		end, verb := scanPart(format, i)
+		switch {
+		case !verb:
+			text = format[i:end]
+		case verbs == want:
+			return unescape(text), true
+		default:
+			last, text = text, ""
+			verbs++
 		}
+		i = end
+	}
+	if verbs > 0 && verbs == want {
+		return unescape(last), true
 	}
 	return "", false
 }
@@ -231,37 +236,65 @@ type Part struct {
 // conversion-verb parts.
 func SplitFormat(format string) []Part {
 	var parts []Part
-	var text strings.Builder
-	flush := func() {
-		if text.Len() > 0 {
-			parts = append(parts, Part{Text: text.String()})
-			text.Reset()
-		}
+	for i := 0; i < len(format); {
+		var p Part
+		p, i = NextPart(format, i)
+		parts = append(parts, p)
 	}
-	for i := 0; i < len(format); i++ {
-		if format[i] != '%' || i+1 >= len(format) {
-			text.WriteByte(format[i])
-			continue
-		}
-		if format[i+1] == '%' {
-			text.WriteByte('%')
-			i++
-			continue
-		}
-		// Scan the verb: flags, width, precision, conversion.
+	return parts
+}
+
+// NextPart returns the part of format that starts at byte i, and the
+// index at which the next part starts. A literal part runs up to the next
+// verb, and its Text is a substring of format unless it holds a "%%"
+// escape, which only then is unescaped into a new string. A '%' that ends
+// the format is literal text.
+func NextPart(format string, i int) (Part, int) {
+	end, verb := scanPart(format, i)
+	text := format[i:end]
+	if !verb {
+		text = unescape(text)
+	}
+	return Part{Text: text, Verb: verb}, end
+}
+
+// verbFlags are the bytes a conversion verb may hold between its '%' and
+// its conversion character: flags, width, precision and length.
+const verbFlags = "0123456789.+-# lh"
+
+// scanPart returns the end of the part of format that starts at byte i,
+// and whether it is a conversion verb, copying nothing.
+func scanPart(format string, i int) (end int, verb bool) {
+	if format[i] == '%' && i+1 < len(format) && format[i+1] != '%' {
 		j := i + 1
-		for j < len(format) && strings.ContainsRune("0123456789.+-# lh", rune(format[j])) {
+		for j < len(format) && strings.IndexByte(verbFlags, format[j]) >= 0 {
 			j++
 		}
 		if j < len(format) {
 			j++ // conversion character
 		}
-		flush()
-		parts = append(parts, Part{Text: format[i:j], Verb: true})
-		i = j - 1
+		return j, true
 	}
-	flush()
-	return parts
+	for i < len(format) {
+		if format[i] == '%' && i+1 < len(format) {
+			if format[i+1] != '%' {
+				break // a verb starts here
+			}
+			i++ // a "%%" escape
+		}
+		i++
+	}
+	return i, false
+}
+
+// unescape turns the "%%" escapes of a literal part into '%'. Within a
+// part every '%' but a final one pairs with the next, so replacing pairs
+// from the left reads them as scanPart does.
+func unescape(text string) string {
+	if !strings.Contains(text, "%%") {
+		return text
+	}
+	return strings.ReplaceAll(text, "%%", "%")
 }
 
 // Similarity is the clustering metric of §IV-C:
@@ -417,7 +450,6 @@ func (u unionFind) find(x int) int {
 func FormatSubstrings(mfts []*taint.MFT) ([]string, bool) {
 	var out []string
 	sawFormat := false
-	seen := map[string]bool{}
 	for _, m := range mfts {
 		if m.Root == nil {
 			continue
@@ -427,9 +459,10 @@ func FormatSubstrings(mfts []*taint.MFT) ([]string, bool) {
 				return
 			}
 			sawFormat = true
-			for _, part := range SplitFormat(n.Format) {
-				if !part.Verb && part.Text != "" && !seen[part.Text] {
-					seen[part.Text] = true
+			for i := 0; i < len(n.Format); {
+				var part Part
+				part, i = NextPart(n.Format, i)
+				if !part.Verb && !slices.Contains(out, part.Text) {
 					out = append(out, part.Text)
 				}
 			}

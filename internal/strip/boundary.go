@@ -32,25 +32,27 @@ type region struct {
 }
 
 // textScan is the decoded view of a text segment: one slot per 8-byte
-// instruction, with undecodable slots marked invalid (treated as opaque
-// terminators so hostile padding cannot derail recovery).
+// instruction, with undecodable slots left as the zero instruction, whose
+// opcode is isa.OpInvalid (treated as opaque terminators so hostile
+// padding cannot derail recovery).
 type textScan struct {
 	base   uint32
 	instrs []isa.Instruction
-	valid  []bool
 }
 
 func scanText(bin *binfmt.Binary) *textScan {
 	n := len(bin.Text) / isa.InstrSize
-	ts := &textScan{base: bin.TextBase, instrs: make([]isa.Instruction, n), valid: make([]bool, n)}
+	ts := &textScan{base: bin.TextBase, instrs: make([]isa.Instruction, n)}
 	for i := 0; i < n; i++ {
-		in, err := isa.Decode(bin.Text[i*isa.InstrSize:])
-		if err == nil {
-			ts.instrs[i], ts.valid[i] = in, true
+		if in, err := isa.Decode(bin.Text[i*isa.InstrSize:]); err == nil {
+			ts.instrs[i] = in
 		}
 	}
 	return ts
 }
+
+// valid reports whether the instruction in slot s decoded.
+func (ts *textScan) valid(s int) bool { return ts.instrs[s].Op != isa.OpInvalid }
 
 // slotOf maps an absolute text address to its instruction slot, or -1 for
 // addresses outside the segment or misaligned.
@@ -80,8 +82,7 @@ func (ts *textScan) slotOf(addr uint32) int {
 // are never called nor address-taken — is gap-filled: the first unclaimed
 // slot after the claimed regions becomes a new seed, and the whole growth
 // repeats until every slot is claimed.
-func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
-	ts := scanText(bin)
+func recoverBoundaries(bin *binfmt.Binary, ts *textScan) []binfmt.FuncSym {
 	n := len(ts.instrs)
 	if n == 0 {
 		return nil
@@ -89,11 +90,7 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 
 	seeds := make([]bool, n)
 	seeds[0] = true
-	for i := 0; i < n; i++ {
-		if !ts.valid[i] {
-			continue
-		}
-		in := ts.instrs[i]
+	for _, in := range ts.instrs {
 		switch in.Op {
 		case isa.OpCall:
 			if s := ts.slotOf(uint32(in.Imm)); s >= 0 {
@@ -110,7 +107,7 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 	}
 
 	var regions []region
-	g := &grower{ts: ts, seeds: seeds, stamp: make([]uint32, n)}
+	g := &grower{ts: ts, seeds: seeds, stamp: make([]uint8, n)}
 	for {
 		regions = g.growAll(regions[:0])
 		gap := firstUnclaimed(regions, n)
@@ -140,11 +137,12 @@ func recoverBoundaries(bin *binfmt.Binary) []binfmt.FuncSym {
 // grower grows seeds into regions. Its scratch is reused across every
 // walk of one recovery: a slot is visited in the current walk when its
 // stamp equals gen, so starting a walk is one increment, not a fresh set.
+// A stamp is one byte; when gen wraps, every stamp is cleared once.
 type grower struct {
 	ts    *textScan
 	seeds []bool // per slot: proven function entry
-	stamp []uint32
-	gen   uint32
+	stamp []uint8
+	gen   uint8
 	work  []int
 }
 
@@ -176,7 +174,10 @@ func (g *grower) nextSeed(from int) int {
 // the next seed.
 func (g *grower) grow(seed, next int) region {
 	ts := g.ts
-	g.gen++
+	if g.gen++; g.gen == 0 {
+		clear(g.stamp)
+		g.gen = 1
+	}
 	work := append(g.work[:0], seed)
 	max := seed
 	push := func(s int) {
@@ -195,7 +196,7 @@ func (g *grower) grow(seed, next int) region {
 		if s > max {
 			max = s
 		}
-		if !ts.valid[s] {
+		if !ts.valid(s) {
 			continue // undecodable: opaque terminator
 		}
 		in := ts.instrs[s]
@@ -244,7 +245,8 @@ func firstUnclaimed(regions []region, n int) int {
 // functions that forward untouched parameters straight into calls, which no
 // downstream analysis depends on.
 func inferArity(bin *binfmt.Binary, ts *textScan, r region) int {
-	defined := map[isa.Reg]bool{isa.R0: true}
+	var defined [isa.NumRegs]bool
+	defined[isa.R0] = true
 	maxArg := 0
 	readReg := func(reg isa.Reg) {
 		if defined[reg] {
@@ -257,7 +259,7 @@ func inferArity(bin *binfmt.Binary, ts *textScan, r region) int {
 		}
 	}
 	for s := r.start; s < r.end; s++ {
-		if !ts.valid[s] {
+		if !ts.valid(s) {
 			continue
 		}
 		in := ts.instrs[s]
@@ -305,13 +307,31 @@ func inferArity(bin *binfmt.Binary, ts *textScan, r region) int {
 // maximal run of printable bytes (ASCII 0x20..0x7e plus tab/newline/CR)
 // terminated by NUL is a string constant. Zero-filled writable buffers
 // produce no runs and correctly stay symbol-free — the negative space the
-// taint engine's constant-leaf gate depends on.
+// taint engine's constant-leaf gate depends on. The runs are counted
+// first, so the symbols fill one exactly sized array.
 func recoverStrings(bin *binfmt.Binary) []binfmt.DataSym {
+	n := 0
+	stringRuns(bin.Data, func(i, j int) { n++ })
+	if n == 0 {
+		return nil
+	}
+	syms := make([]binfmt.DataSym, 0, n)
+	stringRuns(bin.Data, func(i, j int) {
+		syms = append(syms, binfmt.DataSym{
+			Addr: bin.DataBase + uint32(i),
+			Size: uint32(j - i + 1), // include the NUL, matching the assembler
+			Kind: binfmt.DataString,
+		})
+	})
+	return syms
+}
+
+// stringRuns calls fn with the bounds [i, j) of every printable run of
+// data that a NUL terminates, in address order.
+func stringRuns(data []byte, fn func(i, j int)) {
 	printable := func(b byte) bool {
 		return (b >= 0x20 && b <= 0x7e) || b == '\t' || b == '\n' || b == '\r'
 	}
-	var syms []binfmt.DataSym
-	data := bin.Data
 	for i := 0; i < len(data); {
 		if !printable(data[i]) {
 			i++
@@ -322,14 +342,9 @@ func recoverStrings(bin *binfmt.Binary) []binfmt.DataSym {
 			j++
 		}
 		if j < len(data) && data[j] == 0 {
-			syms = append(syms, binfmt.DataSym{
-				Addr: bin.DataBase + uint32(i),
-				Size: uint32(j - i + 1), // include the NUL, matching the assembler
-				Kind: binfmt.DataString,
-			})
+			fn(i, j)
 			j++
 		}
 		i = j
 	}
-	return syms
 }

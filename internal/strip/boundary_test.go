@@ -109,7 +109,7 @@ func TestRecoverBoundaries(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := extents(recoverBoundaries(tt.bin))
+			got := extents(recoverBoundaries(tt.bin, scanText(tt.bin)))
 			if fmt.Sprint(got) != fmt.Sprint(tt.want) {
 				t.Errorf("boundaries = %v, want %v", got, tt.want)
 			}
@@ -118,7 +118,8 @@ func TestRecoverBoundaries(t *testing.T) {
 }
 
 func TestRecoverBoundariesEmptyText(t *testing.T) {
-	if got := recoverBoundaries(binWith(nil, nil)); got != nil {
+	bin := binWith(nil, nil)
+	if got := recoverBoundaries(bin, scanText(bin)); got != nil {
 		t.Errorf("recoverBoundaries(empty) = %v, want nil", got)
 	}
 }
@@ -178,7 +179,7 @@ func TestInferArity(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			syms := recoverBoundaries(tt.bin)
+			syms := recoverBoundaries(tt.bin, scanText(tt.bin))
 			if len(syms) != 1 {
 				t.Fatalf("expected one function, got %v", extents(syms))
 			}
@@ -270,5 +271,24 @@ func TestNeeded(t *testing.T) {
 	}
 	if Needed(partial) {
 		t.Error("Needed after Recover = true")
+	}
+}
+
+// TestRecoverBoundariesManyWalks: 300 functions no call reaches are
+// recovered by gap-filling, which re-walks every seed each round — 45,150
+// walks, so the grower's one-byte stamps wrap many times, and in the
+// rounds with 255 seeds a slot's stamp from the round before equals the
+// new walk's. Every function must still come back whole.
+func TestRecoverBoundariesManyWalks(t *testing.T) {
+	const n = 300
+	var ins []isa.Instruction
+	want := make([]string, n)
+	for i := range want {
+		ins = append(ins, isa.Instruction{Op: isa.OpNop}, isa.Instruction{Op: isa.OpRet})
+		want[i] = fmt.Sprintf("%d+2", 2*i)
+	}
+	bin := binWith(nil, nil, ins...)
+	if got := extents(recoverBoundaries(bin, scanText(bin))); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("boundaries = %v, want %d two-slot functions", got, n)
 	}
 }

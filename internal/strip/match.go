@@ -1,9 +1,11 @@
 package strip
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"firmres/internal/binfmt"
@@ -38,25 +40,46 @@ const (
 // argObs is one classified argument.
 type argObs struct {
 	kind argKind
-	ival int32  // argInt: the constant
-	str  string // argStr: the string contents
-	res  int    // argRes: import index that produced it, -1 for a local call
+	ival int32 // argInt: the constant; argStr, argBuf, argFn: the address
+	// ref is, for argStr, the string's length at ival in bin.Data
+	// (matcher.str); for argRes, the import index that produced the value,
+	// -1 for a local call.
+	ref int32
 }
 
-// siteObs is one classified callsite of an import.
+// siteObs is one classified callsite of an import: its arguments are
+// matcher.args[at : at+arity] (matcher.argsOf).
 type siteObs struct {
-	args []argObs
-	// firstWriter is set when args[0] is a constant buffer no earlier
-	// import callsite in the same function used as a destination — the
-	// signal separating overwrite externs (strcpy) from appenders (strcat).
+	at    int32
+	arity uint8
+	// firstWriter is set when the first argument is a constant buffer no
+	// earlier import callsite in the same function used as a destination —
+	// the signal separating overwrite externs (strcpy) from appenders
+	// (strcat).
 	firstWriter bool
 }
 
 // importObs aggregates every callsite of one import across the binary.
+// Its sites are carved from one array the matcher allocates for all
+// imports, as their arguments are.
 type importObs struct {
-	idx     int
-	sites   []siteObs
-	arities []int
+	idx   int
+	sites []siteObs
+}
+
+// arities returns what the signature index needs of ob's callsite
+// arities, in buf: none without callsites, the one arity every site
+// passes, or the first two that differ.
+func (ob *importObs) arities(buf *[2]int) []int {
+	out := buf[:0]
+	for _, s := range ob.sites {
+		if a := int(s.arity); len(out) == 0 || a != out[0] {
+			if out = append(out, a); len(out) == 2 {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // matcher holds the cross-import context the per-signature scoring rules
@@ -65,14 +88,17 @@ type matcher struct {
 	bin   *binfmt.Binary
 	hints Hints
 	obs   []importObs
-	// strAt maps data addresses to recovered string contents.
-	strAt map[uint32]string
+	args  []argObs // every callsite's arguments, in gather's order
+	// symsSorted reports whether bin.DataSyms is in strictly ascending
+	// address order, so stringAt can search it by bisection.
+	symsSorted bool
 	// writtenBufs holds data addresses used as the destination (arg0) of
 	// any multi-argument import call — buffers some callee populates.
 	writtenBufs map[uint32]bool
-	// zeroArity marks imports only ever called with zero arguments
-	// (allocator/constructor shape, the cJSON_CreateObject fingerprint).
-	zeroArity map[int]bool
+	// zeroArity marks, by import index, imports only ever called with zero
+	// arguments (allocator/constructor shape, the cJSON_CreateObject
+	// fingerprint).
+	zeroArity []bool
 }
 
 // Scoring weights. A contradiction is weighted so that one type-impossible
@@ -237,31 +263,82 @@ var specs = map[string]sigSpec{
 }
 
 // gather decodes every known function body and classifies every import
-// callsite in it.
+// callsite in it. A first walk counts each import's callsites and their
+// arguments, so the second carves every site and every argument list from
+// one array each.
 func gather(bin *binfmt.Binary, ts *textScan) *matcher {
 	m := &matcher{
 		bin:         bin,
-		strAt:       map[uint32]string{},
+		symsSorted:  ascendingAddrs(bin.DataSyms, func(d binfmt.DataSym) uint32 { return d.Addr }),
 		writtenBufs: map[uint32]bool{},
-		zeroArity:   map[int]bool{},
+		zeroArity:   make([]bool, len(bin.Imports)),
 		obs:         make([]importObs, len(bin.Imports)),
 	}
-	for i := range m.obs {
-		m.obs[i].idx = i
-	}
-	for _, ds := range bin.DataSyms {
-		if ds.Kind != binfmt.DataString || ds.Size == 0 {
-			continue
-		}
-		off := ds.Addr - bin.DataBase
-		if int(off)+int(ds.Size) <= len(bin.Data) {
-			m.strAt[ds.Addr] = string(bin.Data[off : off+ds.Size-1])
-		}
+	funcs := bin.Funcs
+	if !ascendingAddrs(funcs, func(f binfmt.FuncSym) uint32 { return f.Addr }) {
+		funcs = append([]binfmt.FuncSym(nil), funcs...)
+		sort.Slice(funcs, func(i, j int) bool { return funcs[i].Addr < funcs[j].Addr })
 	}
 
-	funcs := append([]binfmt.FuncSym(nil), bin.Funcs...)
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i].Addr < funcs[j].Addr })
-	for _, f := range funcs {
+	counts := make([]int, len(bin.Imports))
+	nSites, nArgs := 0, 0
+	eachCallsite(bin, ts, funcs, func(_, _, _, imp, arity int) {
+		counts[imp]++
+		nSites++
+		nArgs += arity
+	})
+	sites := make([]siteObs, nSites)
+	m.args = make([]argObs, nArgs)
+	for i, n := range counts {
+		m.obs[i] = importObs{idx: i, sites: sites[:0:n]}
+		sites = sites[n:]
+	}
+
+	written := map[uint32]bool{}
+	lastFn, at := -1, 0
+	eachCallsite(bin, ts, funcs, func(fn, start, s, imp, arity int) {
+		if fn != lastFn {
+			clear(written)
+			lastFn = fn
+		}
+		site := siteObs{at: int32(at), arity: uint8(arity), firstWriter: true}
+		args := m.args[at : at+arity]
+		at += arity
+		for a := range args {
+			args[a] = m.classify(ts, start, s, isa.ArgReg(a))
+		}
+		if arity >= 2 && args[0].kind == argBuf {
+			addr := uint32(args[0].ival)
+			site.firstWriter = !written[addr]
+			written[addr] = true
+			m.writtenBufs[addr] = true
+		}
+		m.obs[imp].sites = append(m.obs[imp].sites, site)
+	})
+	for i := range m.obs {
+		var buf [2]int
+		a := m.obs[i].arities(&buf)
+		m.zeroArity[i] = len(a) == 1 && a[0] == 0
+	}
+	return m
+}
+
+// ascendingAddrs reports whether addr is strictly increasing over syms.
+func ascendingAddrs[S any](syms []S, addr func(S) uint32) bool {
+	for i := 1; i < len(syms); i++ {
+		if addr(syms[i]) <= addr(syms[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachCallsite calls fn for every import callsite in the body of each of
+// funcs, in address order within each body, with the function's position
+// in funcs, its body's first slot, the callsite's slot, the import index
+// and the arity the site passes.
+func eachCallsite(bin *binfmt.Binary, ts *textScan, funcs []binfmt.FuncSym, fn func(f, start, site, imp, arity int)) {
+	for fi, f := range funcs {
 		start, end := ts.slotOf(f.Addr), ts.slotOf(f.Addr+f.Size-isa.InstrSize)
 		if start < 0 {
 			continue
@@ -269,9 +346,8 @@ func gather(bin *binfmt.Binary, ts *textScan) *matcher {
 		if end < 0 {
 			end = len(ts.instrs) - 1
 		}
-		written := map[uint32]bool{}
 		for s := start; s <= end; s++ {
-			if !ts.valid[s] || ts.instrs[s].Op != isa.OpCallI {
+			if ts.instrs[s].Op != isa.OpCallI {
 				continue
 			}
 			in := ts.instrs[s]
@@ -286,30 +362,46 @@ func gather(bin *binfmt.Binary, ts *textScan) *matcher {
 			if arity > isa.NumArgRegs {
 				arity = isa.NumArgRegs
 			}
-			site := siteObs{args: make([]argObs, arity), firstWriter: true}
-			for a := 0; a < arity; a++ {
-				site.args[a] = m.classify(ts, start, s, isa.ArgReg(a))
-			}
-			if arity >= 2 && site.args[0].kind == argBuf {
-				addr := uint32(site.args[0].ival)
-				site.firstWriter = !written[addr]
-				written[addr] = true
-				m.writtenBufs[addr] = true
-			}
-			m.obs[imp].sites = append(m.obs[imp].sites, site)
-			m.obs[imp].arities = append(m.obs[imp].arities, arity)
+			fn(fi, start, s, imp, arity)
 		}
 	}
-	for i := range m.obs {
-		all0 := len(m.obs[i].sites) > 0
-		for _, a := range m.obs[i].arities {
-			if a != 0 {
-				all0 = false
-			}
-		}
-		m.zeroArity[i] = all0
+}
+
+// stringAt returns the length of the recovered string constant that
+// starts at the data address addr: the last string symbol at addr, in
+// DataSyms order, that lies inside the data segment.
+func (m *matcher) stringAt(addr uint32) (uint32, bool) {
+	syms := m.bin.DataSyms
+	lo := 0
+	if m.symsSorted {
+		lo = sort.Search(len(syms), func(i int) bool { return syms[i].Addr >= addr })
 	}
-	return m
+	n, found := uint32(0), false
+	for _, ds := range syms[lo:] {
+		if ds.Addr != addr {
+			if m.symsSorted {
+				break
+			}
+			continue
+		}
+		off := ds.Addr - m.bin.DataBase
+		if ds.Kind == binfmt.DataString && ds.Size != 0 && int(off)+int(ds.Size) <= len(m.bin.Data) {
+			n, found = ds.Size-1, true
+		}
+	}
+	return n, found
+}
+
+// argsOf returns the arguments of one callsite.
+func (m *matcher) argsOf(s siteObs) []argObs {
+	return m.args[s.at : s.at+int32(s.arity)]
+}
+
+// str returns the contents of a string argument, read in place from the
+// data segment.
+func (m *matcher) str(a argObs) []byte {
+	off := uint32(a.ival) - m.bin.DataBase
+	return m.bin.Data[off : off+uint32(a.ref)]
 }
 
 // classify resolves what a callsite passes in reg by scanning backwards for
@@ -322,7 +414,7 @@ func (m *matcher) classify(ts *textScan, start, site int, reg isa.Reg) argObs {
 		return argObs{kind: argInt, ival: 0}
 	}
 	for s := site - 1; s >= start; s-- {
-		if !ts.valid[s] {
+		if !ts.valid(s) {
 			return argObs{kind: argDyn}
 		}
 		in := ts.instrs[s]
@@ -348,11 +440,11 @@ func (m *matcher) classify(ts *textScan, start, site int, reg isa.Reg) argObs {
 			imp := int(in.Imm)
 			hasRes := imp >= 0 && imp < len(m.bin.Imports) && m.bin.Imports[imp].HasResult
 			if hasRes && reg == isa.R1 {
-				return argObs{kind: argRes, res: imp}
+				return argObs{kind: argRes, ref: int32(imp)}
 			}
 		case isa.OpCall, isa.OpCallR:
 			if reg == isa.R1 {
-				return argObs{kind: argRes, res: -1}
+				return argObs{kind: argRes, ref: -1}
 			}
 		}
 	}
@@ -367,8 +459,8 @@ func (m *matcher) classifyConst(imm int32) argObs {
 		return argObs{kind: argFn, ival: imm}
 	}
 	if addr >= b.DataBase && addr < b.DataBase+uint32(len(b.Data)) {
-		if s, ok := m.strAt[addr]; ok {
-			return argObs{kind: argStr, ival: imm, str: s}
+		if n, ok := m.stringAt(addr); ok {
+			return argObs{kind: argStr, ival: imm, ref: int32(n)}
 		}
 		return argObs{kind: argBuf, ival: imm}
 	}
@@ -397,52 +489,52 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 			return scWeak
 		})
 	case xStr:
-		return constStr(a, func(s string) int { return scStrong })
+		return m.constStr(a, func(s []byte) int { return scStrong })
 	case xRoute:
-		return constStr(a, func(s string) int {
-			if strings.HasPrefix(s, "/") || strings.HasPrefix(s, "?") {
+		return m.constStr(a, func(s []byte) int {
+			if startsWith(s, '/') || startsWith(s, '?') {
 				return scStrong
 			}
 			return scContra
 		})
 	case xFmt:
-		return constStr(a, func(s string) int {
-			if strings.Contains(s, "%") {
+		return m.constStr(a, func(s []byte) int {
+			if bytes.IndexByte(s, '%') >= 0 {
 				return scStrong
 			}
 			return scWeak
 		})
 	case xHost:
-		return constStr(a, func(s string) int {
-			if strings.Contains(s, ".") && !strings.Contains(s, "/") {
+		return m.constStr(a, func(s []byte) int {
+			if bytes.IndexByte(s, '.') >= 0 && bytes.IndexByte(s, '/') < 0 {
 				return scStrong + scGood
 			}
 			return scWeak
 		})
 	case xKeyNVRAM:
-		return constStr(a, func(s string) int {
-			if m.hints.NVRAMKeys[s] {
+		return m.constStr(a, func(s []byte) int {
+			if m.hints.NVRAMKeys[string(s)] {
 				return scKey
 			}
 			return scGood
 		})
 	case xKeyConfig:
-		return constStr(a, func(s string) int {
-			if m.hints.ConfigKeys[s] {
+		return m.constStr(a, func(s []byte) int {
+			if m.hints.ConfigKeys[string(s)] {
 				return scKey
 			}
 			return scGood
 		})
 	case xKeyEnv:
-		return constStr(a, func(s string) int {
-			if m.hints.NVRAMKeys[s] || m.hints.ConfigKeys[s] || strings.HasPrefix(s, "/") {
+		return m.constStr(a, func(s []byte) int {
+			if m.hints.NVRAMKeys[string(s)] || m.hints.ConfigKeys[string(s)] || startsWith(s, '/') {
 				return 0
 			}
 			return scStrong
 		})
 	case xKeyPath:
-		return constStr(a, func(s string) int {
-			if strings.HasPrefix(s, "/") {
+		return m.constStr(a, func(s []byte) int {
+			if startsWith(s, '/') {
 				return scKey
 			}
 			return 0
@@ -495,7 +587,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 	case xResJSON:
 		switch a.kind {
 		case argRes:
-			if a.res >= 0 && m.zeroArity[a.res] {
+			if a.ref >= 0 && m.zeroArity[a.ref] {
 				return scStrong + scGood
 			}
 			return 0
@@ -530,10 +622,10 @@ func constInt(a argObs, f func(int32) int) int {
 
 // constStr scores an expectation that demands a constant string: integers
 // and code pointers contradict, writable buffers and unknowns are neutral.
-func constStr(a argObs, f func(string) int) int {
+func (m *matcher) constStr(a argObs, f func([]byte) int) int {
 	switch a.kind {
 	case argStr:
-		return f(a.str)
+		return f(m.str(a))
 	case argInt, argFn:
 		return scContra
 	case argBuf:
@@ -543,18 +635,22 @@ func constStr(a argObs, f func(string) int) int {
 	}
 }
 
+// startsWith reports whether s begins with the byte c.
+func startsWith(s []byte, c byte) bool { return len(s) > 0 && s[0] == c }
+
 // scoreSig scores one candidate signature against every observed callsite
 // of an import, returning the average per-site score (plus cross-site
 // bonuses) and whether any site contradicted the signature.
-func (m *matcher) scoreSig(sig externs.Sig, ob importObs) (float64, bool) {
+func (m *matcher) scoreSig(sig *externs.Sig, ob *importObs) (float64, bool) {
 	spec := specs[sig.Name]
 	total, contra := 0, false
 	for _, site := range ob.sites {
+		args := m.argsOf(site)
 		for i, e := range spec.args {
-			if i >= len(site.args) {
+			if i >= len(args) {
 				break
 			}
-			s := m.scoreArg(e, site.args[i])
+			s := m.scoreArg(e, args[i])
 			if s <= scContra {
 				contra = true
 			}
@@ -568,7 +664,7 @@ func (m *matcher) scoreSig(sig externs.Sig, ob importObs) (float64, bool) {
 
 // bonus applies cross-site behavioral evidence that single-argument shapes
 // cannot express.
-func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
+func (m *matcher) bonus(sig *externs.Sig, ob *importObs) float64 {
 	n := float64(len(ob.sites))
 	switch sig.Name {
 	case "SSL_write", "CyaSSL_write":
@@ -576,7 +672,7 @@ func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
 		// a receive buffer is not.
 		hits := 0.0
 		for _, s := range ob.sites {
-			if len(s.args) > 1 && s.args[1].kind == argBuf && m.writtenBufs[uint32(s.args[1].ival)] {
+			if args := m.argsOf(s); len(args) > 1 && args[1].kind == argBuf && m.writtenBufs[uint32(args[1].ival)] {
 				hits++
 			}
 		}
@@ -584,7 +680,7 @@ func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
 	case "recv", "recvfrom", "recvmsg", "SSL_read", "mqtt_recv":
 		hits := 0.0
 		for _, s := range ob.sites {
-			if len(s.args) > 1 && s.args[1].kind == argBuf && m.writtenBufs[uint32(s.args[1].ival)] {
+			if args := m.argsOf(s); len(args) > 1 && args[1].kind == argBuf && m.writtenBufs[uint32(args[1].ival)] {
 				hits++
 			}
 		}
@@ -592,10 +688,10 @@ func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
 	case "http_post":
 		hits := 0.0
 		for _, s := range ob.sites {
-			if len(s.args) > 1 && s.args[1].kind == argStr {
-				r := s.args[1].str
-				if strings.Contains(r, "api") || strings.Contains(r, "?") ||
-					strings.Contains(r, "=") || strings.Contains(r, "cgi") {
+			if args := m.argsOf(s); len(args) > 1 && args[1].kind == argStr {
+				r := m.str(args[1])
+				if bytes.Contains(r, []byte("api")) || bytes.IndexByte(r, '?') >= 0 ||
+					bytes.IndexByte(r, '=') >= 0 || bytes.Contains(r, []byte("cgi")) {
 					hits++
 				}
 			}
@@ -604,33 +700,33 @@ func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
 	case "mqtt_publish":
 		hits := 0.0
 		for _, s := range ob.sites {
-			if len(s.args) > 1 && s.args[1].kind == argStr &&
-				strings.Count(s.args[1].str, "/") >= 3 && !strings.Contains(s.args[1].str, "?") {
-				hits++
+			if args := m.argsOf(s); len(args) > 1 && args[1].kind == argStr {
+				if r := m.str(args[1]); bytes.Count(r, []byte("/")) >= 3 && bytes.IndexByte(r, '?') < 0 {
+					hits++
+				}
 			}
 		}
 		return 2 * hits / n
 	case "cJSON_CreateObject":
 		// The constructor's handle flows into (handle, "key", value) adds
-		// or single-argument renders — count its consumers.
-		for _, cons := range m.consumersOf(ob.idx) {
-			if (cons.argIdx == 0 && len(cons.site.args) >= 2 && cons.site.args[1].kind == argStr) ||
-				len(cons.site.args) == 1 {
-				return 3
-			}
+		// or single-argument renders.
+		if m.anyConsumer(ob.idx, func(argIdx int, args []argObs) bool {
+			return (argIdx == 0 && len(args) >= 2 && args[1].kind == argStr) || len(args) == 1
+		}) {
+			return 3
 		}
 		return 0
 	case "curl_easy_init":
-		for _, cons := range m.consumersOf(ob.idx) {
-			if cons.argIdx == 0 && len(cons.site.args) == 3 && cons.site.args[1].kind == argInt {
-				return 3
-			}
+		if m.anyConsumer(ob.idx, func(argIdx int, args []argObs) bool {
+			return argIdx == 0 && len(args) == 3 && args[1].kind == argInt
+		}) {
+			return 3
 		}
 		return 0
 	case "strcpy", "strncpy":
-		return writerBonus(ob, true)
+		return m.writerBonus(ob, true)
 	case "strcat", "strncat":
-		return writerBonus(ob, false)
+		return m.writerBonus(ob, false)
 	}
 	return 0
 }
@@ -638,11 +734,11 @@ func (m *matcher) bonus(sig externs.Sig, ob importObs) float64 {
 // writerBonus rewards overwrite signatures whose destination is always the
 // first write to its buffer, and appender signatures whose destination has
 // been written before.
-func writerBonus(ob importObs, wantFirst bool) float64 {
+func (m *matcher) writerBonus(ob *importObs, wantFirst bool) float64 {
 	seen := false
 	allFirst := true
 	for _, s := range ob.sites {
-		if len(s.args) >= 2 && s.args[0].kind == argBuf {
+		if args := m.argsOf(s); len(args) >= 2 && args[0].kind == argBuf {
 			seen = true
 			if !s.firstWriter {
 				allFirst = false
@@ -658,25 +754,21 @@ func writerBonus(ob importObs, wantFirst bool) float64 {
 	return -2
 }
 
-type consumer struct {
-	imp    int
-	argIdx int
-	site   siteObs
-}
-
-// consumersOf lists every callsite argument fed by the result of import idx.
-func (m *matcher) consumersOf(idx int) []consumer {
-	var out []consumer
-	for _, ob := range m.obs {
-		for _, site := range ob.sites {
-			for k, a := range site.args {
-				if a.kind == argRes && a.res == idx {
-					out = append(out, consumer{imp: ob.idx, argIdx: k, site: site})
+// anyConsumer reports whether a callsite argument fed by the result of
+// import idx satisfies ok, visiting them in callsite order and stopping
+// at the first that does.
+func (m *matcher) anyConsumer(idx int, ok func(argIdx int, args []argObs) bool) bool {
+	for i := range m.obs {
+		for _, site := range m.obs[i].sites {
+			args := m.argsOf(site)
+			for k, a := range args {
+				if a.kind == argRes && int(a.ref) == idx && ok(k, args) {
+					return true
 				}
 			}
 		}
 	}
-	return out
+	return false
 }
 
 // scored is one import's ranked candidate list.
@@ -685,21 +777,28 @@ type scored struct {
 	candidates []candScore // descending score, Table-order stable
 }
 
+// candScore is one surviving candidate: a signature of the process's
+// signature index and its score.
 type candScore struct {
-	sig   externs.Sig
+	sig   *externs.Sig
 	score float64
 }
+
+// byScore orders candidates by descending score; a stable sort keeps
+// equal scores in Table order.
+func byScore(a, b candScore) int { return cmp.Compare(b.score, a.score) }
 
 func isAnchor(r externs.Role) bool {
 	return r == externs.RoleRecv || r == externs.RoleSend || r == externs.RoleDeliver
 }
 
-// rank scores every compatible signature for one import and returns the
-// survivors in descending score order (Table order on ties).
-func (m *matcher) rank(ix *externs.SigIndex, ob importObs) []candScore {
-	hasResult := m.bin.Imports[ob.idx].HasResult
-	var out []candScore
-	ix.EachCandidate(ob.arities, hasResult, func(sig externs.Sig) {
+// rank scores every compatible signature for one import, appends the
+// survivors to cands and sorts what it appended in descending score order
+// (Table order on ties).
+func (m *matcher) rank(cands []candScore, ix *externs.SigIndex, ob *importObs) []candScore {
+	var buf [2]int
+	lo := len(cands)
+	ix.EachCandidate(ob.arities(&buf), m.bin.Imports[ob.idx].HasResult, func(sig *externs.Sig) {
 		avg, contra := m.scoreSig(sig, ob)
 		if isAnchor(sig.Role) {
 			if contra || avg < anchorFloor {
@@ -708,10 +807,10 @@ func (m *matcher) rank(ix *externs.SigIndex, ob importObs) []candScore {
 		} else if avg < 0 {
 			return
 		}
-		out = append(out, candScore{sig: sig, score: avg})
+		cands = append(cands, candScore{sig: sig, score: avg})
 	})
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
-	return out
+	slices.SortStableFunc(cands[lo:], byScore)
+	return cands
 }
 
 // sigIndex is the name-blind signature index, built on first use and
@@ -731,35 +830,51 @@ func matchExterns(bin *binfmt.Binary, ts *textScan, h Hints, st *Stats) {
 	m.hints = h
 	ix := sigIndex()
 
+	// Every import's candidates are ranked into one buffer, sized for all
+	// the signatures the index offers them, and each import keeps its range.
+	n := 0
+	for i := range bin.Imports {
+		if bin.Imports[i].Name == "" {
+			var buf [2]int
+			n += ix.NumCandidates(m.obs[i].arities(&buf), bin.Imports[i].HasResult)
+		}
+	}
+	cands := make([]candScore, 0, n)
 	ranked := make([]scored, 0, len(bin.Imports))
 	for i := range bin.Imports {
 		if bin.Imports[i].Name != "" {
 			continue // partial strip: keep surviving names authoritative
 		}
 		st.ExternsTotal++
-		ranked = append(ranked, scored{imp: i, candidates: m.rank(ix, m.obs[i])})
+		lo := len(cands)
+		cands = m.rank(cands, ix, &m.obs[i])
+		ranked = append(ranked, scored{imp: i, candidates: cands[lo:]})
 	}
 
 	// Greedy order: largest top-two margin first, import index as the
 	// deterministic tie-break.
-	sort.SliceStable(ranked, func(i, j int) bool {
-		return margin(ranked[i].candidates) > margin(ranked[j].candidates)
+	slices.SortStableFunc(ranked, func(a, b scored) int {
+		return cmp.Compare(margin(b.candidates), margin(a.candidates))
 	})
 
-	taken := map[string]bool{}
+	var takenBuf [16]string
+	taken := takenBuf[:0]
+	if len(ranked) > len(takenBuf) {
+		taken = make([]string, 0, len(ranked))
+	}
+	st.Bindings = make([]Binding, 0, len(ranked))
 	for _, r := range ranked {
 		b := Binding{Import: r.imp, Sites: len(m.obs[r.imp].sites)}
-		if len(m.obs[r.imp].arities) > 0 {
-			b.Arity = m.obs[r.imp].arities[0]
+		if sites := m.obs[r.imp].sites; len(sites) > 0 {
+			b.Arity = int(sites[0].arity)
 		}
-		var win *candScore
-		var runnerUp string
+		var win, runnerUp *candScore
 		for ci := range r.candidates {
-			if !taken[r.candidates[ci].sig.Name] {
+			if !slices.Contains(taken, r.candidates[ci].sig.Name) {
 				win = &r.candidates[ci]
-				for _, alt := range r.candidates[ci+1:] {
-					if !taken[alt.sig.Name] {
-						runnerUp = fmt.Sprintf("%s(%.1f)", alt.sig.Name, alt.score)
+				for ai := ci + 1; ai < len(r.candidates); ai++ {
+					if !slices.Contains(taken, r.candidates[ai].sig.Name) {
+						runnerUp = &r.candidates[ai]
 						break
 					}
 				}
@@ -771,19 +886,20 @@ func matchExterns(bin *binfmt.Binary, ts *textScan, h Hints, st *Stats) {
 			st.Bindings = append(st.Bindings, b)
 			continue
 		}
-		taken[win.sig.Name] = true
+		taken = append(taken, win.sig.Name)
 		bin.Imports[r.imp].Name = win.sig.Name
 		bin.Imports[r.imp].NumParams = win.sig.NumParams
 		b.Name = win.sig.Name
-		b.Confidence = confidence(win.score, runnerUp, r.candidates)
-		b.Evidence = fmt.Sprintf("score=%.1f sites=%d", win.score, b.Sites)
-		if runnerUp != "" {
-			b.Evidence += " runner-up=" + runnerUp
+		b.Confidence = confidence(win.score, runnerUp != nil, r.candidates)
+		if runnerUp != nil {
+			b.Evidence = fmt.Sprintf("score=%.1f sites=%d runner-up=%s(%.1f)", win.score, b.Sites, runnerUp.sig.Name, runnerUp.score)
+		} else {
+			b.Evidence = fmt.Sprintf("score=%.1f sites=%d", win.score, b.Sites)
 		}
 		st.ExternsBound++
 		st.Bindings = append(st.Bindings, b)
 	}
-	sort.Slice(st.Bindings, func(i, j int) bool { return st.Bindings[i].Import < st.Bindings[j].Import })
+	slices.SortFunc(st.Bindings, func(a, b Binding) int { return cmp.Compare(a.Import, b.Import) })
 }
 
 // margin is the score gap between an import's best and second-best
@@ -801,12 +917,12 @@ func margin(cands []candScore) float64 {
 
 // confidence normalizes the winning margin into [0,1]: 1 when no live
 // alternative existed, shrinking toward 0 as the runner-up closes in.
-func confidence(winScore float64, runnerUp string, cands []candScore) float64 {
+func confidence(winScore float64, runnerUp bool, cands []candScore) float64 {
 	if winScore <= 0 {
 		return 0
 	}
 	mg := winScore
-	if runnerUp != "" && len(cands) > 1 {
+	if runnerUp && len(cands) > 1 {
 		mg = winScore - cands[1].score
 	}
 	c := mg / winScore

@@ -67,16 +67,21 @@ func histBucket(c float64) string {
 func Recover(bin *binfmt.Binary, h Hints) *Stats {
 	st := &Stats{Binary: bin.Name}
 
-	if missingFuncs(bin) {
-		bin.Funcs = recoverBoundaries(bin)
+	// Boundary recovery and extern matching read the same decoded text.
+	needFuncs, needNames := missingFuncs(bin), anyUnnamed(bin.Imports)
+	var ts *textScan
+	if needFuncs || needNames {
+		ts = scanText(bin)
+	}
+	if needFuncs {
+		bin.Funcs = recoverBoundaries(bin, ts)
 		st.FuncsRecovered = len(bin.Funcs)
 	}
 	if missingStrings(bin) {
 		bin.DataSyms = recoverStrings(bin)
 		st.StringsRecovered = len(bin.DataSyms)
 	}
-	if anyUnnamed(bin.Imports) {
-		ts := scanText(bin)
+	if needNames {
 		matchExterns(bin, ts, h, st)
 	}
 

@@ -21,12 +21,17 @@ const (
 )
 
 type origin struct {
-	kind     originKind
 	constVal uint64 // orgConst
-	fnAddr   uint32 // orgAlloc/orgParam/orgOp
 	opIdx    int    // orgAlloc/orgOp
 	param    int    // orgParam: parameter index
+	fnAddr   uint32 // orgAlloc/orgParam/orgOp
+	kind     originKind
 }
+
+// originBuf is the stack storage a caller passes appendOrigins: the
+// corpus's pointer queries resolve to a handful of origins, and a query
+// that finds more spills to the heap.
+type originBuf [4]origin
 
 func originsIntersect(a, b []origin) bool {
 	for _, x := range a {
@@ -39,17 +44,20 @@ func originsIntersect(a, b []origin) bool {
 	return false
 }
 
-// originsOf resolves the identity of the pointer value v as used at useIdx.
-func (e *Engine) originsOf(fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx) []origin {
-	return e.originsOfDepth(fn, useIdx, v, ctx, 0)
+// appendOrigins appends the identities of the pointer value v as used at
+// useIdx to dst and returns the extended slice, as
+// dataflow.DefUse.AppendReachingDefs appends definitions: a caller that
+// passes a stack buffer (originBuf) makes the query allocate nothing.
+func (e *Engine) appendOrigins(dst []origin, fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx) []origin {
+	return e.appendOriginsDepth(dst, fn, useIdx, v, ctx, 0)
 }
 
-func (e *Engine) originsOfDepth(fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) []origin {
+func (e *Engine) appendOriginsDepth(dst []origin, fn *pcode.Function, useIdx int, v pcode.Varnode, ctx *traceCtx, depth int) []origin {
 	if depth > 24 {
-		return nil
+		return dst
 	}
 	if v.IsConst() {
-		return []origin{{kind: orgConst, constVal: v.Offset}}
+		return append(dst, origin{kind: orgConst, constVal: v.Offset})
 	}
 	du := e.du(fn)
 	var buf [4]int
@@ -57,21 +65,20 @@ func (e *Engine) originsOfDepth(fn *pcode.Function, useIdx int, v pcode.Varnode,
 	if len(defs) == 0 {
 		if r, ok := v.Reg(); ok && r >= isa.R1 && int(r-isa.R1) < fn.Sym.NumParams {
 			if ctx != nil {
-				return e.originsOfDepth(ctx.fn, ctx.callIdx, v, ctx.parent, depth+1)
+				return e.appendOriginsDepth(dst, ctx.fn, ctx.callIdx, v, ctx.parent, depth+1)
 			}
-			return []origin{{kind: orgParam, fnAddr: fn.Addr(), param: int(r - isa.R1)}}
+			return append(dst, origin{kind: orgParam, fnAddr: fn.Addr(), param: int(r - isa.R1)})
 		}
-		return nil
+		return dst
 	}
-	var out []origin
 	for _, def := range defs {
 		op := &fn.Ops[def]
 		switch op.Code {
 		case pcode.COPY:
 			if op.Inputs[0].IsConst() {
-				out = append(out, origin{kind: orgConst, constVal: op.Inputs[0].Offset})
+				dst = append(dst, origin{kind: orgConst, constVal: op.Inputs[0].Offset})
 			} else {
-				out = append(out, e.originsOfDepth(fn, def, op.Inputs[0], ctx, depth+1)...)
+				dst = e.appendOriginsDepth(dst, fn, def, op.Inputs[0], ctx, depth+1)
 			}
 		case pcode.INT_ADD, pcode.INT_SUB:
 			// Pointer arithmetic preserves identity through the base.
@@ -86,40 +93,33 @@ func (e *Engine) originsOfDepth(fn *pcode.Function, useIdx int, v pcode.Varnode,
 				}
 			}
 			if base != nil {
-				out = append(out, e.originsOfDepth(fn, def, *base, ctx, depth+1)...)
+				dst = e.appendOriginsDepth(dst, fn, def, *base, ctx, depth+1)
 			} else {
-				out = append(out, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
+				dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 			}
 		case pcode.LOAD:
 			if slot, ok := du.Slot(def); ok {
-				out = append(out, e.originsOfDepth(fn, def, slot, ctx, depth+1)...)
+				dst = e.appendOriginsDepth(dst, fn, def, slot, ctx, depth+1)
 			} else {
-				out = append(out, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
+				dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 			}
 		case pcode.CALL:
 			name := op.Call.Name
 			if rs, ok := returnSummaries[name]; ok && rs.source == srcAlloc {
-				out = append(out, origin{kind: orgAlloc, fnAddr: fn.Addr(), opIdx: def})
+				dst = append(dst, origin{kind: orgAlloc, fnAddr: fn.Addr(), opIdx: def})
 				continue
 			}
 			if ws, ok := writeSummaries[name]; ok {
 				// strcpy/strcat-family return their destination.
-				dst := pcode.Register(isa.ArgReg(ws.dst))
-				out = append(out, e.originsOfDepth(fn, def, dst, ctx, depth+1)...)
+				dst = e.appendOriginsDepth(dst, fn, def, pcode.Register(isa.ArgReg(ws.dst)), ctx, depth+1)
 				continue
 			}
-			out = append(out, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
+			dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 		default:
-			out = append(out, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
+			dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 		}
 	}
-	return out
-}
-
-// dstOrigins resolves the destination-buffer identity of a write-summary
-// call at callIdx.
-func (e *Engine) dstOrigins(fn *pcode.Function, callIdx int, ws writeSummary, ctx *traceCtx) []origin {
-	return e.originsOf(fn, callIdx, pcode.Register(isa.ArgReg(ws.dst)), ctx)
+	return dst
 }
 
 // bufferContent reconstructs the content written into the target buffer
@@ -144,6 +144,7 @@ func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []or
 	if fromIdx > len(fn.Ops) {
 		fromIdx = len(fn.Ops)
 	}
+	var obuf, tbuf originBuf
 	for i := fromIdx - 1; i >= 0; i-- {
 		op := &fn.Ops[i]
 		switch op.Code {
@@ -155,7 +156,7 @@ func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []or
 			if !ok {
 				continue
 			}
-			if !originsIntersect(e.originsOf(fn, i, base, ctx), targets) {
+			if !originsIntersect(e.appendOrigins(obuf[:0], fn, i, base, ctx), targets) {
 				continue
 			}
 			mark := len(t.stack)
@@ -166,7 +167,7 @@ func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []or
 			name := op.Call.Name
 			if ws, ok := writeSummaries[name]; ok {
 				dst := pcode.Register(isa.ArgReg(ws.dst))
-				if !originsIntersect(e.originsOf(fn, i, dst, ctx), targets) {
+				if !originsIntersect(e.appendOrigins(obuf[:0], fn, i, dst, ctx), targets) {
 					continue
 				}
 				format := e.argString(fn, i, ws.fmtArg)
@@ -185,7 +186,7 @@ func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []or
 			if !ok {
 				continue
 			}
-			calleeTargets := e.calleeTargets(fn, i, op, targets, ctx, callee)
+			calleeTargets := e.appendCalleeTargets(tbuf[:0], fn, i, op, targets, ctx, callee)
 			if len(calleeTargets) == 0 {
 				continue
 			}
@@ -230,23 +231,24 @@ func (t *tracer) writerDeps(fn *pcode.Function, callIdx int, op *pcode.Op, ws wr
 	}
 }
 
-// calleeTargets translates buffer identities across a call boundary:
-// constant (global) targets pass through unchanged; targets matching an
-// argument become parameter origins inside the callee.
-func (e *Engine) calleeTargets(fn *pcode.Function, callIdx int, op *pcode.Op, targets []origin, ctx *traceCtx, callee *pcode.Function) []origin {
-	var out []origin
+// appendCalleeTargets translates buffer identities across a call
+// boundary, appending them to dst: constant (global) targets pass through
+// unchanged; targets matching an argument become parameter origins inside
+// the callee.
+func (e *Engine) appendCalleeTargets(dst []origin, fn *pcode.Function, callIdx int, op *pcode.Op, targets []origin, ctx *traceCtx, callee *pcode.Function) []origin {
 	for _, t := range targets {
 		if t.kind == orgConst {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
+	var obuf originBuf
 	for argIdx := 0; argIdx < op.Call.Arity && argIdx < callee.Sym.NumParams; argIdx++ {
-		argOrigins := e.originsOf(fn, callIdx, pcode.Register(isa.ArgReg(argIdx)), ctx)
+		argOrigins := e.appendOrigins(obuf[:0], fn, callIdx, pcode.Register(isa.ArgReg(argIdx)), ctx)
 		if originsIntersect(argOrigins, targets) {
-			out = append(out, origin{kind: orgParam, fnAddr: callee.Addr(), param: argIdx})
+			dst = append(dst, origin{kind: orgParam, fnAddr: callee.Addr(), param: argIdx})
 		}
 	}
-	return out
+	return dst
 }
 
 // jsonContent reconstructs the key/value additions made to a cJSON object
@@ -259,6 +261,7 @@ func (t *tracer) jsonContent(fn *pcode.Function, fromIdx int, targets []origin, 
 	if fromIdx > len(fn.Ops) {
 		fromIdx = len(fn.Ops)
 	}
+	var obuf, tbuf originBuf
 	for i := fromIdx - 1; i >= 0; i-- {
 		op := &fn.Ops[i]
 		if op.Code != pcode.CALL {
@@ -267,14 +270,14 @@ func (t *tracer) jsonContent(fn *pcode.Function, fromIdx int, targets []origin, 
 		name := op.Call.Name
 		if args, ok := jsonAddFns[name]; ok {
 			obj := pcode.Register(isa.ArgReg(0))
-			if !originsIntersect(e.originsOf(fn, i, obj, ctx), targets) {
+			if !originsIntersect(e.appendOrigins(obuf[:0], fn, i, obj, ctx), targets) {
 				continue
 			}
 			key := e.argString(fn, i, args[0])
 			valArg := pcode.Register(isa.ArgReg(args[1]))
 			mark := len(t.stack)
 			if name == "cJSON_AddItemToObject" {
-				itemOrigins := e.originsOf(fn, i, valArg, ctx)
+				itemOrigins := e.appendOrigins(tbuf[:0], fn, i, valArg, ctx)
 				t.jsonContent(fn, i, itemOrigins, ctx, depth+1)
 				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: i, Callee: name})
 			} else {
@@ -288,7 +291,7 @@ func (t *tracer) jsonContent(fn *pcode.Function, fromIdx int, targets []origin, 
 			if !ok {
 				continue
 			}
-			calleeTargets := e.calleeTargets(fn, i, op, targets, ctx, callee)
+			calleeTargets := e.appendCalleeTargets(tbuf[:0], fn, i, op, targets, ctx, callee)
 			if len(calleeTargets) == 0 {
 				continue
 			}

@@ -453,8 +453,9 @@ func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, d
 	name := op.Call.Name
 	mark := len(t.stack)
 
+	var obuf originBuf
 	if jsonPrintFns[name] {
-		objOrigins := e.originsOf(fn, def, pcode.Register(isa.R1), ctx)
+		objOrigins := e.appendOrigins(obuf[:0], fn, def, pcode.Register(isa.R1), ctx)
 		t.jsonContent(fn, def, objOrigins, ctx, depth+1)
 		t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name})
 		return
@@ -464,7 +465,8 @@ func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, d
 		// Return value is the destination buffer: its content is the
 		// accumulated writes, ending with this call (the backward scan
 		// starting just past def rediscovers the call as the last writer).
-		t.bufferContent(fn, def+1, e.dstOrigins(fn, def, ws, ctx), ctx, depth+1)
+		dstOrigins := e.appendOrigins(obuf[:0], fn, def, pcode.Register(isa.ArgReg(ws.dst)), ctx)
+		t.bufferContent(fn, def+1, dstOrigins, ctx, depth+1)
 		if len(t.stack) == mark {
 			t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name})
 		}

@@ -3,8 +3,8 @@
 #
 # With no argument every leg runs sequentially: static analysis, a full
 # build, the race-enabled test suite, the targeted golden/precision
-# suites, and a short fuzz pass over the hostile-input parsers and the
-# cache entry check.
+# suites, and a short fuzz pass over the hostile-input parsers, the
+# cache entry check and the format-part scanner.
 # CI fans the same gate out across parallel matrix legs:
 #
 #   check.sh static   gofmt, go.mod tidy drift, vet, build, firmbench2
@@ -104,7 +104,7 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
@@ -115,6 +115,8 @@ leg_suites() {
 	go test -run 'TestPipelineRetainsNoEnrichment|TestSetRetentionMatchesLargestTrees|TestRecycledTreesMatchFresh' ./internal/core
 	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
+	go test -run 'TestRecoverAllocBudget' ./internal/strip
+	go test -run 'TestFormatPartsCopyNothing' ./internal/slices
 
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
@@ -142,6 +144,9 @@ leg_suites() {
 
 	echo "== fuzz the cache entry check (${FUZZTIME})"
 	go test -fuzz=FuzzCacheEntry -fuzztime="${FUZZTIME}" -run='^$' ./internal/cache
+
+	echo "== fuzz the format-part scanner against the reference split (${FUZZTIME})"
+	go test -fuzz=FuzzFormatParts -fuzztime="${FUZZTIME}" -run='^$' ./internal/slices
 }
 
 leg="${1:-all}"
