@@ -20,6 +20,7 @@ import (
 	"firmres/internal/errdefs"
 	"firmres/internal/image"
 	"firmres/internal/obs"
+	"firmres/internal/parallel"
 )
 
 // Analyzer analyzes packed firmware images under one fixed set of
@@ -78,17 +79,37 @@ func (c *config) finish(a *Analyzer) *CacheStats {
 // is json.Marshal of the report and under WithCache byte for byte the cache
 // entry's payload, so a caller that stores or serves the report never
 // encodes it again; and whether the cache answered, from disk or from a
-// concurrent call's computation. A non-nil o also receives this call's
-// root and stage spans, as an Observer given to NewAnalyzer does.
-func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *Report, js []byte, hit bool, err error) {
-	rep, js, hit, err = a.analyze(ctx, data, o, true)
+// concurrent call's computation. The JSON is appended to dst[:0], so a
+// caller that passes the js of its previous call back as dst encodes into
+// storage it already owns; a nil dst allocates. A non-nil o also receives
+// this call's root and stage spans, as an Observer given to NewAnalyzer
+// does.
+func (a *Analyzer) Analyze(ctx context.Context, dst, data []byte, o Observer) (rep *Report, js []byte, hit bool, err error) {
+	rep, js, hit, err = a.analyze(ctx, data, o, dst, true)
 	if err != nil || js != nil {
 		return rep, js, hit, err
 	}
-	if js, err = json.Marshal(rep); err != nil {
+	if js, err = appendReport(dst, rep); err != nil {
 		return nil, nil, false, fmt.Errorf("firmres: report encode: %w", err)
 	}
 	return rep, js, hit, nil
+}
+
+// encodeBufs is the process's free list of the buffers a cache miss of
+// the batch functions encodes its entry into: at most one per analysis
+// worker, each at most parallel.MaxKeptBuf, kept across collections.
+var encodeBufs parallel.FreeList[[]byte]
+
+// appendReport appends rep's canonical JSON, the bytes json.Marshal
+// renders, to dst[:0]: an Encoder with json.Marshal's HTML escaping, into
+// dst's storage, less the newline Encode ends its value with.
+func appendReport(dst []byte, rep *Report) ([]byte, error) {
+	b := bytes.NewBuffer(dst[:0])
+	if err := json.NewEncoder(b).Encode(rep); err != nil {
+		return nil, err
+	}
+	js := b.Bytes()
+	return js[:len(js)-1], nil
 }
 
 // analyze runs one image, through the cache when enabled, with one
@@ -96,10 +117,11 @@ func (a *Analyzer) Analyze(ctx context.Context, data []byte, o Observer) (rep *R
 // cache's recycled read buffer, and only a miss passes through
 // single-flight. A payload that does not decode is a corrupt entry, which
 // Do's owner deletes and counts before the report is computed again.
-// Analyze sets keepJSON and gets the report's bytes back as js, owned; the
-// callers that keep only the report (the batch functions, AnalyzeImage*)
-// get them only from a miss, and ignore them.
-func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSON bool) (*Report, []byte, bool, error) {
+// Analyze sets keepJSON and gets the report's bytes back as js, appended to
+// dst[:0]; a miss encodes its entry there. The callers that keep only the
+// report (the batch functions, AnalyzeImage*) pass no dst: a miss encodes
+// into a buffer from encodeBufs, which goes back once Do returns.
+func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, dst []byte, keepJSON bool) (*Report, []byte, bool, error) {
 	rec := a.rec
 	if o != nil {
 		rec = obs.Tee(rec, observerAdapter{o: o})
@@ -120,9 +142,14 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 		hit bool
 		err error
 	)
+	enc := dst
+	if !keepJSON {
+		enc, _ = encodeBufs.Get()
+		defer func() { parallel.PutBuf(&encodeBufs, enc) }()
+	}
 	use := func(payload []byte) (err error) {
 		if rep, err = decodeReport(payload); err == nil && keepJSON {
-			js = bytes.Clone(payload)
+			js = append(dst[:0], payload...)
 		}
 		return err
 	}
@@ -134,11 +161,14 @@ func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, keepJSO
 			if err != nil {
 				return nil, false, err
 			}
-			buf, err := json.Marshal(fresh)
+			buf, err := appendReport(enc, fresh)
 			if err != nil {
 				return nil, false, fmt.Errorf("firmres: cache encode: %w", err)
 			}
-			rep, js = fresh, buf
+			enc, rep = buf, fresh
+			if keepJSON {
+				js = buf
+			}
 			return buf, cacheable(fresh), nil
 		})
 		// Do hands every waiter the computing call's error. The end of that

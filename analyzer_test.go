@@ -72,7 +72,7 @@ func TestAnalyzerSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, js, hit, err := a.Analyze(context.Background(), data, o)
+			_, js, hit, err := a.Analyze(context.Background(), nil, data, o)
 			results[i] = result{js, hit, err}
 		}(i)
 	}
@@ -158,7 +158,7 @@ func TestAnalyzerLeaderCancelSparesFollower(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, js, hit, err := a.Analyze(ctx, data, o)
+			_, js, hit, err := a.Analyze(ctx, nil, data, o)
 			results[i] = result{js, hit, err}
 		}(i)
 	}
@@ -219,7 +219,7 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 		{"cold", cached, false},
 		{"warm", cached, true},
 	} {
-		rep, js, hit, err := tc.a.Analyze(context.Background(), data, nil)
+		rep, js, hit, err := tc.a.Analyze(context.Background(), nil, data, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -239,6 +239,56 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 	}
 	if st := cached.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %+v, want probes uncounted: 1 miss + 1 hit", st)
+	}
+}
+
+// TestAnalyzeAppendsIntoDst: for every golden image that has a report,
+// the js Analyze returns is json.Marshal of the report, whatever dst it is
+// handed — nil, one too short to hold it, one large enough — on a cache
+// miss and on a hit, and a dst large enough holds it in place.
+func TestAnalyzeAppendsIntoDst(t *testing.T) {
+	dsts := []struct {
+		name string
+		dst  func() []byte
+	}{
+		{"nil", func() []byte { return nil }},
+		{"short", func() []byte { return []byte("stale bytes") }},
+		{"large", func() []byte { return append(make([]byte, 0, 1<<16), "stale bytes"...) }},
+	}
+	analyzers := make([]*Analyzer, len(dsts))
+	for i := range dsts {
+		a, err := NewAnalyzer(WithLint(), WithMetrics(), WithCache(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyzers[i] = a
+	}
+	for _, g := range goldenCrawlSet(t) {
+		for _, pass := range []string{"miss", "hit"} {
+			for i, d := range dsts {
+				dst := d.dst()
+				rep, js, hit, err := analyzers[i].Analyze(context.Background(), dst, g.data, nil)
+				if errors.Is(err, ErrNoDeviceCloudExecutable) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s, %s dst, %s: %v", g.path, d.name, pass, err)
+				}
+				if hit != (pass == "hit") {
+					t.Errorf("%s, %s dst: hit = %v on the %s pass", g.path, d.name, hit, pass)
+				}
+				want, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(js, want) {
+					t.Errorf("%s, %s dst, %s: js differs from json.Marshal of the report", g.path, d.name, pass)
+				}
+				if d.name == "large" && &js[:1][0] != &dst[:1][0] {
+					t.Errorf("%s, %s: js is not in the large dst's storage", g.path, pass)
+				}
+			}
+		}
 	}
 }
 
@@ -265,7 +315,7 @@ func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 		t.Errorf("probe accepted a truncated payload: %q", js)
 	}
 	plant()
-	if rep, _, hit, err := a.Analyze(context.Background(), data, nil); err != nil || hit || rep.Device == "" {
+	if rep, _, hit, err := a.Analyze(context.Background(), nil, data, nil); err != nil || hit || rep.Device == "" {
 		t.Errorf("Analyze over a truncated payload = (hit %t, %v), want a recomputed report", hit, err)
 	}
 	if st := a.CacheStats(); st.Errors != 1 || st.Hits != 0 {
@@ -306,7 +356,7 @@ func TestObserverOnlyAnalyzerKeepsNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := a.Analyze(context.Background(), packedDevice(t, 5), nil); err != nil {
+		if _, _, _, err := a.Analyze(context.Background(), nil, packedDevice(t, 5), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,10 +377,10 @@ func TestAnalyzerCallObserverAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := a.Analyze(context.Background(), packedDevice(t, 5), &own); err != nil {
+	if _, _, _, err := a.Analyze(context.Background(), nil, packedDevice(t, 5), &own); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := a.Analyze(context.Background(), packedDevice(t, 6), nil); err != nil {
+	if _, _, _, err := a.Analyze(context.Background(), nil, packedDevice(t, 6), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := own.names()["image"]; n != 1 {

@@ -97,3 +97,28 @@ func TestReportFlaggedDetailSurfaces(t *testing.T) {
 	}
 	_ = corpus.Device(11)
 }
+
+// TestWithModelForeignClasses: a model whose classes are not the semantics
+// labels is a configuration error, from memory and from a file, not a
+// classifier whose labels nothing downstream knows.
+func TestWithModelForeignClasses(t *testing.T) {
+	vocab := nn.BuildVocab([][]string{{"uid", "token"}}, 1)
+	model := nn.NewModel(nn.Config{EmbedDim: 8, Filters: 4, MaxLen: 16, Seed: 1}, vocab, []string{"Dev-Secret", "Password"})
+	if _, err := NewAnalyzer(WithModel(model)); err == nil {
+		t.Error("WithModel accepted a model with a foreign class")
+	}
+	path := filepath.Join(t.TempDir(), "model.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAnalyzer(WithModelFile(path)); err == nil {
+		t.Error("WithModelFile accepted a model with a foreign class")
+	}
+}

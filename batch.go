@@ -144,7 +144,7 @@ func AnalyzeDir(ctx context.Context, dir string, opts ...Option) (*BatchReport, 
 // the result slot.
 func analyzeBatchImage(ctx context.Context, a *Analyzer, path string, data []byte) ImageResult {
 	out := ImageResult{Path: path}
-	rep, _, _, err := a.analyze(ctx, data, nil, false)
+	rep, _, _, err := a.analyze(ctx, data, nil, nil, false)
 	if err != nil {
 		out.Kind, out.Error, out.Err = errdefs.Kind(err), err.Error(), err
 		return out

@@ -81,7 +81,7 @@ func TestAnalyzeHitAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	analyzeAll := func(wantHit bool) {
 		for i, img := range imgs {
-			_, _, hit, err := a.Analyze(ctx, img, nil)
+			_, _, hit, err := a.Analyze(ctx, nil, img, nil)
 			if err != nil || (wantHit && !hit) {
 				t.Fatalf("Analyze device %d = (hit %t, %v), want a hit", i+1, hit, err)
 			}

@@ -307,7 +307,7 @@ func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 		t.Errorf("Cached removed the undecodable entry (%d entries), want it left in place", n)
 	}
 	plant()
-	rep, js, hit, err := a.Analyze(context.Background(), data, nil)
+	rep, js, hit, err := a.Analyze(context.Background(), nil, data, nil)
 	if err != nil || hit {
 		t.Fatalf("Analyze over an undecodable entry = hit %t, %v; want a recomputed miss", hit, err)
 	}
@@ -588,7 +588,7 @@ func TestAnalyzerCachedProbe(t *testing.T) {
 		t.Fatalf("probe created %d cache entries", got)
 	}
 
-	if _, _, _, err := a.Analyze(context.Background(), data, nil); err != nil {
+	if _, _, _, err := a.Analyze(context.Background(), nil, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, hit := a.Cached(data); !hit {

@@ -61,6 +61,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -235,9 +236,10 @@ func runSequential(w, stderr io.Writer, paths []string, opts options, keepGoing 
 		defer func() { sink.merge(a.CacheStats().Snapshot()) }()
 	}
 	exit := exitOK
+	var report []byte // the run's report JSON buffer, reused image after image
 	for i, path := range paths {
 		start := time.Now()
-		partial, err := analyze(w, a, path, opts, sink)
+		partial, err := analyze(w, a, path, opts, sink, &report)
 		if opts.progress {
 			fmt.Fprintf(stderr, "progress: %d/%d images (%d%%)  %s done in %v\n",
 				i+1, len(paths), (i+1)*100/len(paths), path, time.Since(start).Round(time.Millisecond))
@@ -404,7 +406,7 @@ func runBatch(w, stderr io.Writer, paths []string, opts options, keepGoing bool,
 			}
 			continue
 		}
-		if partial, err := render(w, res.Path, res.Report, opts); err != nil {
+		if partial, err := render(w, res.Path, res.Report, nil, opts); err != nil {
 			printError(stderr, res.Path, err)
 			exit = exitFatal
 			if !keepGoing {
@@ -468,14 +470,16 @@ func newAnalyzer(opts options, sink *obsSink) (*firmres.Analyzer, error) {
 	return firmres.NewAnalyzer(append(apiOptions(opts), sink.options(nil)...)...)
 }
 
-// analyze runs one image through a and renders the report. It reports
-// whether the analysis degraded (partial report) and any fatal error.
-func analyze(w io.Writer, a *firmres.Analyzer, path string, opts options, sink *obsSink) (partial bool, err error) {
+// analyze runs one image through a and renders the report. Analyze
+// encodes the report's JSON into *buf, which keeps the grown storage for
+// the next image. It reports whether the analysis degraded (partial
+// report) and any fatal error.
+func analyze(w io.Writer, a *firmres.Analyzer, path string, opts options, sink *obsSink, buf *[]byte) (partial bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
 	}
-	report, _, _, err := a.Analyze(context.Background(), data, nil)
+	report, js, _, err := a.Analyze(context.Background(), *buf, data, nil)
 	if errors.Is(err, firmres.ErrNoDeviceCloudExecutable) {
 		fmt.Fprintf(w, "%s: no device-cloud executable (script-based cloud agent?)\n", path)
 		return false, nil
@@ -483,22 +487,42 @@ func analyze(w io.Writer, a *firmres.Analyzer, path string, opts options, sink *
 	if err != nil {
 		return false, err
 	}
+	*buf = js
 	sink.merge(report.Metrics)
-	return render(w, path, report, opts)
+	return render(w, path, report, js, opts)
 }
 
-// render prints one report in the selected output format.
-func render(w io.Writer, path string, report *firmres.Report, opts options) (partial bool, err error) {
+// render prints one report in the selected output format. js is the
+// report's canonical JSON (json.Marshal's bytes) when the caller has it,
+// or nil, and -json then encodes the report here.
+func render(w io.Writer, path string, report *firmres.Report, js []byte, opts options) (partial bool, err error) {
 	if opts.lintJSON {
 		return report.Partial(), firmres.WriteSARIF(w, report.Diagnostics)
 	}
 	if opts.asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return report.Partial(), enc.Encode(report)
+		return report.Partial(), writeIndented(w, report, js)
 	}
 	printReport(w, path, report, opts)
 	return report.Partial(), nil
+}
+
+// writeIndented writes the report's JSON indented by two spaces and
+// followed by a newline: the bytes an Encoder with SetIndent("", "  ")
+// writes, indented from js instead of encoded again when js is not nil.
+func writeIndented(w io.Writer, report *firmres.Report, js []byte) error {
+	if js == nil {
+		var err error
+		if js, err = json.Marshal(report); err != nil {
+			return err
+		}
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, js, "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	_, err := w.Write(out.Bytes())
+	return err
 }
 
 func printReport(w io.Writer, path string, r *firmres.Report, opts options) {

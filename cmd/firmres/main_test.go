@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,7 +39,8 @@ func analyzeImage(t *testing.T, w io.Writer, path string, opts options, sink *ob
 	if err != nil {
 		t.Fatalf("newAnalyzer: %v", err)
 	}
-	return analyze(w, a, path, opts, sink)
+	var buf []byte
+	return analyze(w, a, path, opts, sink, &buf)
 }
 
 func TestAnalyzeTextOutput(t *testing.T) {
@@ -209,8 +212,9 @@ func TestAnalyzeTimingsWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf []byte
 	for i := 0; i < 3; i++ {
-		if _, err := analyze(io.Discard, a, path, opts, sink); err != nil {
+		if _, err := analyze(io.Discard, a, path, opts, sink, &buf); err != nil {
 			t.Fatalf("analyze: %v", err)
 		}
 	}
@@ -343,8 +347,9 @@ func TestModelResolvedOncePerRun(t *testing.T) {
 	if err := os.Remove(model); err != nil {
 		t.Fatal(err)
 	}
+	var buf []byte
 	for _, id := range []int{5, 17} {
-		if _, err := analyze(io.Discard, a, writeImage(t, id), opts, nil); err != nil {
+		if _, err := analyze(io.Discard, a, writeImage(t, id), opts, nil, &buf); err != nil {
 			t.Errorf("device %d after the model file was removed: %v", id, err)
 		}
 	}
@@ -401,6 +406,49 @@ func TestErrorLinesCarryOnePrefix(t *testing.T) {
 			if len(lines) != 1 || !strings.HasPrefix(lines[0], tc.prefix) || strings.Count(lines[0], "firmres: ") != 1 {
 				t.Errorf("firmres %s wrote %q, want one line beginning %q with one prefix", strings.Join(args, " "), stderr.String(), tc.prefix)
 			}
+		}
+	}
+}
+
+// TestJSONOutputUnchanged runs -json over devices 1-22 at -j 1, where each
+// report is indented from the JSON Analyze returns, and at -j 2, where it
+// is encoded again: both must print what an Encoder with SetIndent("",
+// "  ") prints for the report, device after device.
+func TestJSONOutputUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	for id := 1; id <= 22; id++ {
+		img, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("device%02d.img", id))
+		if err := os.WriteFile(path, img.Pack(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+		rep, err := firmres.AnalyzeImage(img.Pack())
+		if errors.Is(err, firmres.ErrNoDeviceCloudExecutable) {
+			fmt.Fprintf(&want, "%s: no device-cloud executable (script-based cloud agent?)\n", path)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, jobs := range []string{"1", "2"} {
+		var stdout, stderr bytes.Buffer
+		if exit := run(append([]string{"-json", "-j", jobs}, paths...), &stdout, &stderr); exit != exitOK {
+			t.Fatalf("firmres -json -j %s: exit %d: %s", jobs, exit, stderr.String())
+		}
+		if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+			t.Errorf("firmres -json -j %s printed %d bytes that differ from the Encoder's %d", jobs, stdout.Len(), want.Len())
 		}
 	}
 }

@@ -242,7 +242,8 @@ func newConfig(opts []Option) *config {
 
 // WithModelFile selects a trained TextCNN semantics classifier loaded from
 // a model file produced by the training harness. A model file that cannot
-// be opened or decoded fails the analysis with a configuration error.
+// be opened or decoded, or whose classes are not the semantics labels,
+// fails the analysis with a configuration error.
 func WithModelFile(path string) Option {
 	return func(c *config) {
 		f, err := os.Open(path)
@@ -252,6 +253,9 @@ func WithModelFile(path string) Option {
 		}
 		defer f.Close()
 		model, err := nn.Load(f)
+		if err == nil {
+			err = semantics.CheckLabels(model.Labels)
+		}
 		if err != nil {
 			c.err = fmt.Errorf("firmres: model file %s: %w", path, err)
 			return
@@ -260,9 +264,16 @@ func WithModelFile(path string) Option {
 	}
 }
 
-// WithModel selects an in-memory trained TextCNN classifier.
+// WithModel selects an in-memory trained TextCNN classifier. A model whose
+// classes are not the semantics labels is a configuration error.
 func WithModel(model *nn.Model) Option {
-	return func(c *config) { c.opts.Classifier = &semantics.ModelClassifier{Model: model} }
+	return func(c *config) {
+		if err := semantics.CheckLabels(model.Labels); err != nil {
+			c.err = fmt.Errorf("firmres: model: %w", err)
+			return
+		}
+		c.opts.Classifier = &semantics.ModelClassifier{Model: model}
+	}
 }
 
 // WithWorkers bounds the analysis worker pools: batch functions
@@ -350,7 +361,7 @@ func AnalyzeImageContext(ctx context.Context, data []byte, opts ...Option) (*Rep
 		return nil, err
 	}
 	defer cfg.finish(a)
-	rep, _, _, err := a.analyze(ctx, data, nil, false)
+	rep, _, _, err := a.analyze(ctx, data, nil, nil, false)
 	return rep, err
 }
 

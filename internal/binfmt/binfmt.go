@@ -107,30 +107,26 @@ type Binary struct {
 	DataSyms []DataSym
 	Vars     []LocalVar
 
-	// idx accelerates FuncAt/FuncByName. It is built eagerly by Unmarshal
-	// and SortSymbols (never lazily, so concurrent readers see a fixed
+	// idx accelerates FuncAt. It is built eagerly by Unmarshal and
+	// SortSymbols (never lazily, so concurrent readers see a fixed
 	// pointer); code that mutates Funcs afterwards must call SortSymbols to
-	// rebuild it. A nil idx falls back to the original linear scans.
+	// rebuild it. A nil idx falls back to the original linear scan.
 	idx *symIndex
 }
 
 // symIndex is the derived lookup structure over the function symbol table.
 type symIndex struct {
-	byAddr []FuncSym      // address-sorted copy for binary search
-	byName map[string]int // name -> first index in Funcs
+	byAddr []FuncSym // address-sorted symbols for binary search
 }
 
 // buildIndex (re)derives the lookup index from the current symbol table.
+// A table already in address order, as SortSymbols and the assembler
+// leave it, is searched in place; only an unsorted one is copied.
 func (b *Binary) buildIndex() {
-	ix := &symIndex{
-		byAddr: append([]FuncSym(nil), b.Funcs...),
-		byName: make(map[string]int, len(b.Funcs)),
-	}
-	slices.SortStableFunc(ix.byAddr, byAddr)
-	for i, f := range b.Funcs {
-		if _, dup := ix.byName[f.Name]; !dup {
-			ix.byName[f.Name] = i
-		}
+	ix := &symIndex{byAddr: b.Funcs}
+	if !slices.IsSortedFunc(b.Funcs, byAddr) {
+		ix.byAddr = slices.Clone(b.Funcs)
+		slices.SortStableFunc(ix.byAddr, byAddr)
 	}
 	b.idx = ix
 }
@@ -159,14 +155,9 @@ func (b *Binary) FuncAt(addr uint32) (FuncSym, bool) {
 	return FuncSym{}, false
 }
 
-// FuncByName returns the function symbol with the given name, if any.
+// FuncByName returns the first function symbol with the given name, if
+// any. It scans the table: no analysis looks symbols up by name.
 func (b *Binary) FuncByName(name string) (FuncSym, bool) {
-	if ix := b.idx; ix != nil {
-		if i, ok := ix.byName[name]; ok {
-			return b.Funcs[i], true
-		}
-		return FuncSym{}, false
-	}
 	for _, f := range b.Funcs {
 		if f.Name == name {
 			return f, true

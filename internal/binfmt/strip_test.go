@@ -3,6 +3,7 @@ package binfmt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"firmres/internal/errdefs"
@@ -116,26 +117,27 @@ func benchBinary(n int) *Binary {
 	return b
 }
 
-// TestIndexedLookupsMatchLinear cross-checks the binary-search/map fast
-// paths against the brute-force fallback used when no index is built.
+// TestIndexedLookupsMatchLinear cross-checks the binary-search fast path
+// against the brute-force fallback used when no index is built, over a
+// table indexed in place (sorted) and one indexed through a sorted copy.
 func TestIndexedLookupsMatchLinear(t *testing.T) {
 	indexed := benchBinary(257)
 	indexed.SortSymbols()
-	linear := benchBinary(257) // idx nil: exercises the fallback paths
+	unsorted := benchBinary(257)
+	slices.Reverse(unsorted.Funcs)
+	unsorted.buildIndex()
+	if unsorted.Funcs[0].Name != "fn_0256" {
+		t.Fatal("indexing an unsorted table reordered Funcs")
+	}
+	linear := benchBinary(257) // idx nil: exercises the fallback path
 
 	end := DefaultTextBase + uint32(len(indexed.Text))
 	for addr := DefaultTextBase - 16; addr < end+16; addr += 4 {
-		fi, oki := indexed.FuncAt(addr)
 		fl, okl := linear.FuncAt(addr)
-		if oki != okl || fi != fl {
-			t.Fatalf("FuncAt(%#x): indexed (%v,%v) != linear (%v,%v)", addr, fi, oki, fl, okl)
-		}
-	}
-	for _, name := range []string{"fn_0000", "fn_0128", "fn_0256", "missing"} {
-		fi, oki := indexed.FuncByName(name)
-		fl, okl := linear.FuncByName(name)
-		if oki != okl || fi != fl {
-			t.Fatalf("FuncByName(%q): indexed (%v,%v) != linear (%v,%v)", name, fi, oki, fl, okl)
+		for _, b := range []*Binary{indexed, unsorted} {
+			if fi, oki := b.FuncAt(addr); oki != okl || fi != fl {
+				t.Fatalf("FuncAt(%#x): indexed (%v,%v) != linear (%v,%v)", addr, fi, oki, fl, okl)
+			}
 		}
 	}
 }
@@ -164,17 +166,6 @@ func BenchmarkFuncAtLinear(b *testing.B) {
 }
 
 func BenchmarkFuncByName(b *testing.B) {
-	bin := benchBinary(1024)
-	bin.SortSymbols()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := bin.FuncByName("fn_1023"); !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
-func BenchmarkFuncByNameLinear(b *testing.B) {
 	bin := benchBinary(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,9 +29,10 @@
 //     its handle has healed; another handle or process still deletes by
 //     path.
 //   - Single-flight over computes: concurrent Do calls on one handle that
-//     miss compute the value once; the other callers block and hand the
-//     computed bytes to their use. Handles that share a directory share
-//     entries, not computes.
+//     miss compute the value once; the other callers block and hand a copy
+//     of the computed bytes to their use, so the computing caller may reuse
+//     its storage as soon as its Do returns. Handles that share a directory
+//     share entries, not computes.
 //   - Stored on request: a computed value is written only when the compute
 //     asks for it, so a caller keeps results that depend on more than the
 //     key (a deadline, the host's load) out of the cache. Compute errors
@@ -73,9 +74,6 @@ const (
 	// headerLen is the length of that line: the magic, a space, the
 	// payload's SHA-256 in 64 lower-case hex digits, and a newline.
 	headerLen = len(headerMagic) + 1 + 2*sha256.Size + 1
-	// maxFreeBuf caps the read buffers Do hands back to readBufs, so one
-	// outsized entry does not keep its buffer alive for the process.
-	maxFreeBuf = 1 << 20
 )
 
 var (
@@ -87,8 +85,8 @@ var (
 )
 
 // readBufs is the process's free list of the buffers Do lends entries
-// from: at most one per analysis worker, each at most maxFreeBuf, kept
-// across collections.
+// from: at most one per analysis worker, each at most
+// parallel.MaxKeptBuf, kept across collections.
 var readBufs parallel.FreeList[[]byte]
 
 // KeyOf derives the content address for one (image, configuration) pair:
@@ -144,9 +142,10 @@ type Cache struct {
 
 // call is one in-flight compute other goroutines can wait on.
 type call struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int // callers parked on done; counted under Cache.mu
 }
 
 // Open returns a handle on the cache directory, creating it if needed.
@@ -273,25 +272,25 @@ func (c *Cache) Put(key string, val []byte) error {
 // enters single-flight on key. A caller that finds the key in flight waits
 // and hands the computing call's bytes to use (a hit: no work was
 // duplicated) or returns its error. The owner, the first caller, reads the
-// entry again into a buffer of its own, which its waiters may share: an
-// entry use accepts is a hit. One it cannot use it deletes and counts in
-// Errors, the only place an entry is discarded, and then it computes.
-// compute keeps what it computed for its caller; its errors, and values it
-// declines to store, are never stored. A compute that panics releases the
+// entry again into a buffer of its own: an entry use accepts is a hit. One
+// it cannot use it deletes and counts in Errors, the only place an entry is
+// discarded, and then it computes. compute may return storage its caller
+// reuses as soon as Do returns: the owner hands its waiters one copy of the
+// value, made only when a waiter is parked. compute's errors, and values
+// it declines to store, are never stored. A compute that panics releases the
 // key: waiters get an error wrapping errdefs.ErrStagePanic, the panic goes
 // on up the computing goroutine, and the next Do computes afresh.
 func (c *Cache) Do(key string, use func(payload []byte) error, compute func() (val []byte, store bool, err error)) (hit bool, err error) {
 	path := c.path(key)
 	buf, _ := readBufs.Get()
 	payload, buf, _ := c.accept(key, path, buf, use)
-	if n := cap(buf); n > 0 && n <= maxFreeBuf {
-		readBufs.Put(buf[:0])
-	}
+	parallel.PutBuf(&readBufs, buf)
 	if payload != nil {
 		return true, nil
 	}
 	c.mu.Lock()
 	if cl, ok := c.inflight[key]; ok {
+		cl.waiters++
 		c.mu.Unlock()
 		<-cl.done
 		if cl.err != nil {
@@ -310,6 +309,12 @@ func (c *Cache) Do(key string, use func(payload []byte) error, compute func() (v
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
+		// val may be the caller's storage, which it reuses once Do
+		// returns: waiters, whose count is final once the key is gone,
+		// get a copy of their own.
+		if cl.waiters > 0 {
+			cl.val = bytes.Clone(cl.val)
+		}
 		c.mu.Unlock()
 		close(cl.done)
 	}()

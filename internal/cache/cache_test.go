@@ -381,6 +381,61 @@ func TestDoSingleFlight(t *testing.T) {
 	}
 }
 
+// TestWaitersOutliveOwnerStorage parks waiters on one compute whose value
+// is the owner's reused storage, which the owner overwrites as soon as its
+// Do returns: every waiter's use must still see the computed bytes.
+func TestWaitersOutliveOwnerStorage(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	const waiters = 8
+	want := []byte("the computed report")
+	storage := make([]byte, 0, 64)
+	computing := make(chan struct{})
+	got := make([][]byte, waiters)
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-computing
+			hit, err := c.Do(key, func(payload []byte) error {
+				got[i] = append([]byte(nil), payload...)
+				return nil
+			}, func() ([]byte, bool, error) {
+				return nil, false, errors.New("a waiter computed")
+			})
+			if err != nil || !hit {
+				t.Errorf("waiter %d: hit=%v err=%v", i, hit, err)
+			}
+		}()
+	}
+	hit, err := c.Do(key, func([]byte) error { return nil }, func() ([]byte, bool, error) {
+		close(computing)
+		for parked := 0; parked < waiters; {
+			time.Sleep(time.Millisecond)
+			c.mu.Lock()
+			parked = c.inflight[key].waiters
+			c.mu.Unlock()
+		}
+		storage = append(storage[:0], want...)
+		return storage, false, nil
+	})
+	if err != nil || hit {
+		t.Fatalf("owner: hit=%v err=%v", hit, err)
+	}
+	copy(storage[:cap(storage)], bytes.Repeat([]byte("X"), cap(storage)))
+	wg.Wait()
+	for i, g := range got {
+		if !bytes.Equal(g, want) {
+			t.Errorf("waiter %d saw %q, want %q", i, g, want)
+		}
+	}
+}
+
 // TestDoPanicReleasesKey makes a compute panic while another Do waits on
 // it: the panic must reach the computing goroutine with its own value,
 // the waiter must come back with an error wrapping ErrStagePanic or a

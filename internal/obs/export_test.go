@@ -140,7 +140,7 @@ func TestWriteTree(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("mfts_total").Add(4)
-	m.Counter("fields_classified_total", "label", "Dev-Secret").Add(2)
+	m.Counter("message_fields_total", "label", "Dev-Secret").Add(2)
 	m.Histogram("taint_steps_per_mft").Observe(10)
 	m.Histogram("taint_steps_per_mft").Observe(30)
 	var buf strings.Builder
@@ -148,7 +148,7 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := buf.String()
-	want := `firmres_fields_classified_total{label="Dev-Secret"} 2
+	want := `firmres_message_fields_total{label="Dev-Secret"} 2
 firmres_mfts_total 4
 firmres_taint_steps_per_mft_count 2
 firmres_taint_steps_per_mft_max 30

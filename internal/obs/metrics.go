@@ -1,63 +1,42 @@
 package obs
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Metrics is a registry of named counters and histograms. Safe for
-// concurrent use; a nil *Metrics hands out nil instruments, which are
-// no-ops, so disabled runs pay only a nil check.
+// Metrics is a registry of the counters and histograms the metric table
+// (table.go) declares: one slot per counter and four per histogram,
+// indexed from the identity's dense ID, and a bit per identity marking
+// those looked up, which are the ones a snapshot holds. Safe for
+// concurrent use without a lock; a nil *Metrics hands out nil instruments,
+// which are no-ops, so disabled runs pay only a nil check.
 //
 // Determinism contract: the pipeline only feeds metrics with work-derived
 // values (items processed, trees built, diagnostics emitted) — never with
 // wall-clock durations or schedule-dependent observations — so a snapshot
 // is byte-identical at any worker count.
 type Metrics struct {
-	mu       sync.Mutex
-	counters map[instKey]*Counter
-	hists    map[instKey]*Histogram
-}
-
-// maxKeyPairs is how many label pairs an instKey holds inline: the most any
-// instrument in this repository carries is two.
-const maxKeyPairs = 3
-
-// instKey identifies an instrument without rendering it: the name and the
-// label pairs sorted by label key, so looking up an existing instrument
-// allocates nothing. Identities with more than maxKeyPairs pairs key by
-// their rendered text in name instead.
-type instKey struct {
-	name   string
-	labels [2 * maxKeyPairs]string
-}
-
-// keyOf builds the lookup key for one identity (see Key for the labels).
-func keyOf(name string, labels []string) instKey {
-	n := len(labels) / 2
-	if n > maxKeyPairs {
-		return instKey{name: Key(name, labels...)}
-	}
-	k := instKey{name: name}
-	copy(k.labels[:], labels[:2*n])
-	// Insertion sort by label key: a handful of pairs, no allocation.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && k.labels[2*j] < k.labels[2*j-2]; j-- {
-			k.labels[2*j], k.labels[2*j-2] = k.labels[2*j-2], k.labels[2*j]
-			k.labels[2*j+1], k.labels[2*j-1] = k.labels[2*j-1], k.labels[2*j+1]
-		}
-	}
-	return k
+	slots   []atomic.Int64
+	touched []atomic.Uint64 // bit id%64 of word id/64: identity id was looked up
 }
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		counters: map[instKey]*Counter{},
-		hists:    map[instKey]*Histogram{},
+	m := &Metrics{
+		slots:   make([]atomic.Int64, numSlots),
+		touched: make([]atomic.Uint64, (len(identities)+63)/64),
 	}
+	for i := range identities {
+		if id := &identities[i]; id.hist {
+			m.slots[id.slot+2].Store(math.MaxInt64) // min
+			m.slots[id.slot+3].Store(math.MinInt64) // max
+		}
+	}
+	return m
 }
 
 // Key renders a metric identity as Prometheus-style text:
@@ -89,65 +68,77 @@ func Key(name string, labels ...string) string {
 	return b.String()
 }
 
-// Counter returns the named counter, creating it on first use; only the
-// creating call renders its key. Nil-safe: a nil registry returns a nil
-// (no-op) counter.
+// Counter returns the declared counter for name and its labels, passed as
+// alternating key, value pairs in any key order. It allocates nothing. An
+// identity the metric table does not declare as a counter panics.
+// Nil-safe: a nil registry returns a nil (no-op) counter.
 func (m *Metrics) Counter(name string, labels ...string) *Counter {
 	if m == nil {
 		return nil
 	}
-	k := keyOf(name, labels)
-	m.mu.Lock()
-	c, ok := m.counters[k]
-	if !ok {
-		c = &Counter{key: Key(name, labels...)}
-		m.counters[k] = c
-	}
-	m.mu.Unlock()
-	return c
+	id := lookup(counterKind, name, labels)
+	m.touch(id)
+	return (*Counter)(&m.slots[identities[id].slot])
 }
 
-// Histogram returns the named histogram, creating it on first use.
-// Nil-safe, like Counter.
+// Histogram returns the declared histogram for name and its labels, as
+// Counter does.
 func (m *Metrics) Histogram(name string, labels ...string) *Histogram {
 	if m == nil {
 		return nil
 	}
-	k := keyOf(name, labels)
-	m.mu.Lock()
-	h, ok := m.hists[k]
-	if !ok {
-		h = &Histogram{key: Key(name, labels...)}
-		m.hists[k] = h
-	}
-	m.mu.Unlock()
-	return h
+	id := lookup(histogramKind, name, labels)
+	m.touch(id)
+	s := identities[id].slot
+	return (*Histogram)(m.slots[s : s+4])
 }
 
-// Snapshot flattens the registry into key → value. Histograms expand into
-// <name>_count, <name>_sum, <name>_min, and <name>_max (labels preserved).
-// Nil-safe: a nil registry snapshots to nil.
+// touch marks identity id looked up.
+func (m *Metrics) touch(id int) {
+	w, bit := &m.touched[id/64], uint64(1)<<(id%64)
+	for old := w.Load(); old&bit == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// Snapshot flattens the registry into key → value, one entry per counter
+// looked up and, per histogram looked up, <name>_count plus, once it has
+// observed a value, <name>_sum, <name>_min and <name>_max (labels
+// preserved). The keys are the table's, rendered at init. Nil-safe: a nil
+// registry snapshots to nil.
 func (m *Metrics) Snapshot() map[string]int64 {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.counters)+4*len(m.hists))
-	for _, c := range m.counters {
-		out[c.key] = c.v.Load()
+	n := 0
+	m.eachTouched(func(id *identity) { n += m.entries(id) })
+	out := make(map[string]int64, n)
+	m.eachTouched(func(id *identity) {
+		for c := range m.entries(id) {
+			out[id.keys[c]] = m.slots[id.slot+c].Load()
+		}
+	})
+	return out
+}
+
+// entries is how many snapshot entries an identity has now: a counter's
+// one, a histogram's count alone until it observes a value, then all four.
+func (m *Metrics) entries(id *identity) int {
+	if id.hist && m.slots[id.slot].Load() > 0 {
+		return 4
 	}
-	for _, h := range m.hists {
-		name, labels := splitKey(h.key)
-		count, sum, min, max := h.stats()
-		out[name+"_count"+labels] = count
-		if count > 0 {
-			out[name+"_sum"+labels] = sum
-			out[name+"_min"+labels] = min
-			out[name+"_max"+labels] = max
+	return 1
+}
+
+// eachTouched calls fn with every identity looked up, in ID order.
+func (m *Metrics) eachTouched(fn func(id *identity)) {
+	for w := range m.touched {
+		for word := m.touched[w].Load(); word != 0; word &= word - 1 {
+			fn(&identities[64*w+bits.TrailingZeros64(word)])
 		}
 	}
-	return out
 }
 
 // splitKey separates a rendered key into its name and "{...}" label part.
@@ -197,16 +188,14 @@ func histComponent(key, suffix string) bool {
 	return strings.HasSuffix(name, suffix)
 }
 
-// Counter is a monotonically increasing integer. Nil-safe methods.
-type Counter struct {
-	v   atomic.Int64
-	key string // rendered identity (Key)
-}
+// Counter is a monotonically increasing integer: one registry slot.
+// Nil-safe methods.
+type Counter atomic.Int64
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		(*atomic.Int64)(c).Add(n)
 	}
 }
 
@@ -218,39 +207,33 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return (*atomic.Int64)(c).Load()
 }
 
 // Histogram tracks the count, sum, minimum, and maximum of observed
 // integer values — all order-independent, hence deterministic at any
-// worker count. Nil-safe methods.
-type Histogram struct {
-	key      string // rendered identity (Key)
-	mu       sync.Mutex
-	count    int64
-	sum      int64
-	min, max int64
-}
+// worker count — in four registry slots, in that order. The minimum and
+// maximum start at the extremes of int64, so each observation only ever
+// lowers or raises them. Nil-safe methods.
+type Histogram [4]atomic.Int64
 
-// Observe records one value.
+// Observe records one value. The count goes last, so a snapshot that sees
+// an observation counted sees its minimum and maximum too.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
+	swapWhile(&h[2], v, func(old int64) bool { return v < old })
+	swapWhile(&h[3], v, func(old int64) bool { return v > old })
+	h[1].Add(v)
+	h[0].Add(1)
 }
 
-func (h *Histogram) stats() (count, sum, min, max int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count, h.sum, h.min, h.max
+// swapWhile stores v in a for as long as better says v beats what a holds.
+func swapWhile(a *atomic.Int64, v int64, better func(old int64) bool) {
+	for old := a.Load(); better(old); old = a.Load() {
+		if a.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }

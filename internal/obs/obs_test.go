@@ -130,8 +130,8 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) map[string]int64 {
 		m := NewMetrics()
 		parallel.ForEach(context.Background(), workers, 100, func(i int) {
-			m.Counter("work_total", "kind", []string{"a", "b"}[i%2]).Inc()
-			m.Histogram("size").Observe(int64(i * i % 17))
+			m.Counter("probe_results_total", "class", []string{"granted", "denied"}[i%2]).Inc()
+			m.Histogram("fields_per_message").Observe(int64(i * i % 17))
 		})
 		return m.Snapshot()
 	}
@@ -144,11 +144,11 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("%s: -j1 %d, -j8 %d", k, v, par[k])
 		}
 	}
-	if seq[`work_total{kind="a"}`] != 50 || seq[`work_total{kind="b"}`] != 50 {
+	if seq[`probe_results_total{class="granted"}`] != 50 || seq[`probe_results_total{class="denied"}`] != 50 {
 		t.Errorf("counters wrong: %v", seq)
 	}
-	if seq["size_count"] != 100 {
-		t.Errorf("histogram count = %d, want 100", seq["size_count"])
+	if seq["fields_per_message_count"] != 100 || seq["fields_per_message_min"] != 0 || seq["fields_per_message_max"] != 16 {
+		t.Errorf("histogram = %v, want 100 values from 0 to 16", seq)
 	}
 }
 
@@ -161,34 +161,103 @@ func TestKeySortsLabels(t *testing.T) {
 	}
 }
 
-// TestLabelOrderSharesInstrument: the registry keys instruments by their
-// sorted labels, so any label order reaches one instrument, rendered as Key
-// renders it — with more pairs than an inline key holds too.
+// TestLabelOrderSharesInstrument: an identity's labels may come in any key
+// order and reach one instrument, whose snapshot keys are rendered as Key
+// renders them, labels sorted by key. A histogram's components are
+// counted once it observes a value, and its count alone before.
 func TestLabelOrderSharesInstrument(t *testing.T) {
 	m := NewMetrics()
-	m.Counter("c", "b", "2", "a", "1").Inc()
-	m.Counter("c", "a", "1", "b", "2").Add(2)
-	m.Histogram("h", "y", "1", "x", "0").Observe(4)
-	m.Histogram("h", "x", "0", "y", "1").Observe(6)
-	wide := []string{"d", "4", "c", "3", "b", "2", "a", "1"}
-	m.Counter("w", wide...).Inc()
-	m.Counter("w", "a", "1", "b", "2", "c", "3", "d", "4").Inc()
+	m.Counter("errors_total", "stage", "lint-passes", "kind", "stage-panic").Inc()
+	m.Counter("errors_total", "kind", "stage-panic", "stage", "lint-passes").Add(2)
+	m.Histogram("taint_steps_per_mft").Observe(4)
+	m.Histogram("taint_steps_per_mft").Observe(6)
+	m.Histogram("taint_frontier_per_mft")
+	m.Counter("mfts_total")
 	want := map[string]int64{
-		`c{a="1",b="2"}`:             3,
-		`h_count{x="0",y="1"}`:       2,
-		`h_sum{x="0",y="1"}`:         10,
-		`h_min{x="0",y="1"}`:         4,
-		`h_max{x="0",y="1"}`:         6,
-		`w{a="1",b="2",c="3",d="4"}`: 2,
+		Key("errors_total", "kind", "stage-panic", "stage", "lint-passes"): 3,
+		"taint_steps_per_mft_count":                                        2,
+		"taint_steps_per_mft_sum":                                          10,
+		"taint_steps_per_mft_min":                                          4,
+		"taint_steps_per_mft_max":                                          6,
+		"taint_frontier_per_mft_count":                                     0,
+		"mfts_total":                                                       0,
 	}
 	got := m.Snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("snapshot = %v, want %v", got, want)
 	}
 	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s = %d, want %d", k, got[k], v)
+		if n, ok := got[k]; !ok || n != v {
+			t.Errorf("%s = %d (present %v), want %d", k, n, ok, v)
 		}
+	}
+}
+
+// TestUndeclaredIdentityPanics: an identity the metric table does not
+// declare, whatever part of it is missing, fails the lookup loudly.
+func TestUndeclaredIdentityPanics(t *testing.T) {
+	m := NewMetrics()
+	for _, tc := range []struct {
+		name   string
+		lookup func()
+	}{
+		{"unknown name", func() { m.Counter("work_total") }},
+		{"unknown label value", func() { m.Counter("lint_diags_total", "rule", "no-such-rule") }},
+		{"unknown label key", func() { m.Counter("lint_diags_total", "check", "dead-store") }},
+		{"missing label", func() { m.Counter("errors_total", "kind", "stage-panic") }},
+		{"extra label", func() { m.Counter("mfts_total", "kind", "stage-panic") }},
+		{"histogram as counter", func() { m.Counter("fields_per_message") }},
+		{"counter as histogram", func() { m.Histogram("mfts_total") }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: lookup did not panic", tc.name)
+				} else if !strings.Contains(fmt.Sprint(r), "not declared") {
+					t.Errorf("%s: panic %v does not say the identity is not declared", tc.name, r)
+				}
+			}()
+			tc.lookup()
+		}()
+	}
+	if snap := m.Snapshot(); len(snap) != 0 {
+		t.Errorf("failed lookups left %v in the snapshot", snap)
+	}
+}
+
+// TestEveryIdentityRendersAsKey: every declared identity's snapshot key is
+// the one Key renders for it, and no two identities share one.
+func TestEveryIdentityRendersAsKey(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range table {
+		var walk func(pairs []string)
+		walk = func(pairs []string) {
+			if j := len(pairs) / 2; j < len(d.labels) {
+				for _, v := range d.labels[j].values {
+					walk(append(append([]string(nil), pairs...), d.labels[j].key, v))
+				}
+				return
+			}
+			m := NewMetrics()
+			if d.kind == histogramKind {
+				m.Histogram(d.name, pairs...).Observe(1)
+			} else {
+				m.Counter(d.name, pairs...).Inc()
+			}
+			for k := range m.Snapshot() {
+				if seen[k] {
+					t.Errorf("key %s rendered twice", k)
+				}
+				seen[k] = true
+			}
+			if key := Key(d.name, pairs...); d.kind == counterKind && m.Snapshot()[key] != 1 {
+				t.Errorf("counter %s not under its Key: %v", key, m.Snapshot())
+			}
+		}
+		walk(nil)
+	}
+	if want := numSlots; len(seen) != want {
+		t.Errorf("%d keys rendered, want one per slot, %d", len(seen), want)
 	}
 }
 

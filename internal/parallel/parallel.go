@@ -93,6 +93,28 @@ func (l *FreeList[T]) Put(x T) {
 	l.mu.Unlock()
 }
 
+// MaxKeptBuf caps every byte buffer the process keeps for reuse, on a free
+// list or in a long-lived worker, so one outsized input does not keep its
+// buffer alive for the process.
+const MaxKeptBuf = 1 << 20
+
+// KeepBuf returns b emptied for reuse, or nil when it has more than
+// MaxKeptBuf bytes of storage.
+func KeepBuf(b []byte) []byte {
+	if cap(b) > MaxKeptBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// PutBuf hands b back to l, emptied, unless KeepBuf would drop it or it
+// has no storage.
+func PutBuf(l *FreeList[[]byte], b []byte) {
+	if b = KeepBuf(b); cap(b) > 0 {
+		l.Put(b)
+	}
+}
+
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
 // (Workers-clamped; the calling goroutine participates as one of them).
 // It returns only once every claimed index has finished, so no fn call

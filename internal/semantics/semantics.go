@@ -44,6 +44,17 @@ var Labels = []string{
 	LabelBindToken, LabelSignature, LabelAddress, LabelNone,
 }
 
+// CheckLabels reports the first of a model's class names that is not one
+// of Labels: the pipeline and its metrics know no other class.
+func CheckLabels(classes []string) error {
+	for _, c := range classes {
+		if LabelIndex(c) < 0 {
+			return fmt.Errorf("semantics: class %q is not a semantics label (have %v)", c, Labels)
+		}
+	}
+	return nil
+}
+
 // LabelIndex returns a label's position in Labels, or -1.
 func LabelIndex(label string) int {
 	for i, l := range Labels {

@@ -4,21 +4,26 @@
 
 package serve
 
-// Handler allocation gates: serving a done job copies its stored report
-// into the response once, and a submission's body costs about its own size
-// whatever its Content-Length claims.
+// Handler allocation gates: a fresh job costs little more than its
+// analysis, serving a done job copies its stored report into a reused
+// buffer and allocates a constant besides, and a submission's body costs
+// about its own size whatever its Content-Length claims.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"firmres"
+	"firmres/internal/corpus"
+	"firmres/internal/image"
 )
 
 // allocBytesPerOp runs op once to warm up, then n times, and returns the
@@ -49,6 +54,90 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// freshJobAllocBudget bounds the heap bytes of one fresh job, from its
+// submission to the fetch of its report: about 113 KB, most of it the
+// analysis with lint and metrics. When the service read each body and
+// blob into fresh buffers, marshalled every report, built a metrics
+// registry per analysis and read the result file whole for the fetch, a
+// job cost about 208 KB.
+const freshJobAllocBudget = 125 << 10
+
+// doneJobFetchAllocBudget bounds the heap bytes of one GET of a done job,
+// whatever the size of its report: the job's copy, the result file's open
+// and the encoder that renders the job into a reused buffer.
+const doneJobFetchAllocBudget = 4 << 10
+
+// TestServeFreshJobAllocBudget runs fresh jobs through one worker with
+// lint and the cache, as firmserve runs them: fresh variants of devices
+// 1-20, each with a nonce file of its own, as the benchmark generates
+// them, so every job misses the cache and is analyzed. Each job is
+// submitted through Handler(), polled to done and fetched through it. The
+// figure is the process's heap bytes per job after a warm-up round, on
+// one P, so encoding/json's per-P pool serves each encode the state the
+// last one grew.
+func TestServeFreshJobAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestServer(t, Config{MaxInflight: 1, CacheDir: t.TempDir(),
+		AnalysisOptions: []firmres.Option{firmres.WithLint()}})
+	s.Start()
+	defer s.Queue().Close()
+	rng := rand.New(rand.NewSource(1))
+	const rounds = 4 // one to warm up, three measured
+	var imgs [][]byte
+	for r := 0; r < rounds; r++ {
+		for id := 1; id <= 20; id++ {
+			base, err := corpus.BuildImage(corpus.Device(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonce := make([]byte, 16)
+			rng.Read(nonce)
+			base.Files = append(base.Files, image.File{Path: "/var/bench/nonce", Data: []byte(fmt.Sprintf("%x\n", nonce))})
+			imgs = append(imgs, base.Pack())
+		}
+	}
+	w := &discardResponse{header: http.Header{}}
+	job := func(img []byte) {
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/images", bytes.NewReader(img)))
+		if w.code != http.StatusAccepted {
+			t.Fatalf("fresh submission = %d, want 202", w.code)
+		}
+		j, ok := s.q.ByDigest(digestOf(img))
+		for ok && !j.State.Terminal() {
+			time.Sleep(100 * time.Microsecond)
+			j, _ = s.q.Get(j.ID)
+		}
+		if j.State != StateDone || j.CacheHit {
+			t.Fatalf("job %s = %s cache_hit=%v, want done by analysis", j.ID, j.State, j.CacheHit)
+		}
+		w.n = 0
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/"+j.ID, nil))
+		if w.code != http.StatusOK || w.n < 1000 {
+			t.Fatalf("GET done job = %d with %d body bytes, want 200 carrying the report", w.code, w.n)
+		}
+	}
+	warm := len(imgs) / rounds
+	for _, img := range imgs[:warm] {
+		job(img)
+	}
+	before := totalAlloc()
+	for _, img := range imgs[warm:] {
+		job(img)
+	}
+	per := float64(totalAlloc()-before) / float64(len(imgs)-warm)
+	t.Logf("fresh job: %.0f B per job over %d jobs (budget %d)", per, len(imgs)-warm, freshJobAllocBudget)
+	if per > freshJobAllocBudget {
+		t.Errorf("a fresh job allocates %.0f B, budget %d", per, freshJobAllocBudget)
+	}
+}
+
+// totalAlloc reads the cumulative bytes allocated to heap objects.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
 func TestDoneJobFetchAllocBound(t *testing.T) {
 	s := newTestServer(t, Config{})
 	img := deviceImage(t, 1)
@@ -74,8 +163,8 @@ func TestDoneJobFetchAllocBound(t *testing.T) {
 		t.Fatalf("GET done job = %d with %d body bytes, want 200 carrying the %d-byte report", w.code, w.n, len(report))
 	}
 	t.Logf("GET done job: %.0f bytes allocated for a %d-byte report", per, len(report))
-	if limit := 2 * float64(len(report)); per > limit {
-		t.Errorf("GET of a done job allocates %.0f bytes for a %d-byte report, want at most %.0f", per, len(report), limit)
+	if per > doneJobFetchAllocBudget {
+		t.Errorf("GET of a done job allocates %.0f bytes for a %d-byte report, want at most %d", per, len(report), doneJobFetchAllocBudget)
 	}
 }
 

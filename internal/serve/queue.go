@@ -30,8 +30,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -572,26 +574,49 @@ func (q *Queue) Counts() QueueCounts {
 	return c
 }
 
-// Blob reads the submitted image bytes for a digest.
-func (q *Queue) Blob(digest string) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(q.dir, "blobs", digest))
+// Blob reads the submitted image bytes for a digest into dst's storage,
+// growing it only when the image does not fit, and returns them.
+func (q *Queue) Blob(digest string, dst []byte) ([]byte, error) {
+	data, err := readFileInto(dst[:0], filepath.Join(q.dir, "blobs", digest))
 	if err != nil {
 		return nil, fmt.Errorf("serve: blob %s: %w", digest, err)
 	}
 	return data, nil
 }
 
-// Result reads the serialized report of a done job; nil with no error when
-// the job has none (not terminal, or failed).
-func (q *Queue) Result(id string) ([]byte, error) {
-	data, err := os.ReadFile(q.resultPath(id))
-	if os.IsNotExist(err) {
+// AppendResult appends the serialized report of a done job to dst and
+// returns the extended slice, growing dst only when the report does not
+// fit; nil with no error when the job has none (not terminal, failed, or
+// pruned).
+func (q *Queue) AppendResult(dst []byte, id string) ([]byte, error) {
+	out, err := readFileInto(dst, q.resultPath(id))
+	if os.IsNotExist(err) || (err == nil && len(out) == len(dst)) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: result %s: %w", id, err)
 	}
-	return data, nil
+	return out, nil
+}
+
+// readFileInto appends the file at path to dst, sized from the file's
+// length, as os.ReadFile reads it into a fresh buffer.
+func readFileInto(dst []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, int(fi.Size()))[:n+int(fi.Size())]
+	if _, err := io.ReadFull(f, dst[n:]); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 func (q *Queue) resultPath(id string) string {

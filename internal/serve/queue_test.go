@@ -207,7 +207,7 @@ func TestQueueCompleteAndResultRoundTrip(t *testing.T) {
 	if j.State != StateDone {
 		t.Fatalf("state = %s, want done", j.State)
 	}
-	res, err := q.Result(id)
+	res, err := q.AppendResult(nil, id)
 	if err != nil || string(res) != `{"ok":true}` {
 		t.Errorf("result = %q, %v", res, err)
 	}
@@ -481,7 +481,7 @@ func TestQueueEnqueueDoneWritesResultBeforeJournal(t *testing.T) {
 	if j.State != StateDone || !j.CacheHit {
 		t.Fatalf("job = %s cache_hit=%v, want done/true", j.State, j.CacheHit)
 	}
-	res, err := q.Result(j.ID)
+	res, err := q.AppendResult(nil, j.ID)
 	if err != nil || string(res) != `{"warm":true}` {
 		t.Fatalf("result = %q, %v", res, err)
 	}
@@ -531,7 +531,7 @@ func TestQueueTerminalRetentionPrunes(t *testing.T) {
 		if err != nil || j.State != StateDone {
 			t.Errorf("retained job %s: state=%s err=%v", id, j.State, err)
 		}
-		if res, err := q.Result(id); err != nil || len(res) == 0 {
+		if res, err := q.AppendResult(nil, id); err != nil || len(res) == 0 {
 			t.Errorf("retained job %s has no result: %v", id, err)
 		}
 	}

@@ -152,12 +152,14 @@ func (s *Server) Start() {
 		go func() {
 			defer close(s.workersDone)
 			parallel.Fleet(ctx, s.workerCount, func(ctx context.Context, _ int) {
+				var blob, report []byte // this worker's buffers, reused job after job
 				for {
 					job, ok := s.q.Dequeue(ctx)
 					if !ok {
 						return
 					}
-					s.process(ctx, job)
+					blob, report = s.process(ctx, job, blob, report)
+					blob, report = parallel.KeepBuf(blob), parallel.KeepBuf(report)
 				}
 			})
 		}()
@@ -212,22 +214,26 @@ func (s *Server) onTransition(j Job) {
 }
 
 // process runs one claimed job to a terminal state (or a journaled retry).
-func (s *Server) process(ctx context.Context, job Job) {
+// The image is read into blob's storage and the report encoded into
+// report's; it returns both buffers, grown as needed, for the worker's
+// next job.
+func (s *Server) process(ctx context.Context, job Job, blob, report []byte) ([]byte, []byte) {
 	start := time.Now()
-	data, err := s.q.Blob(job.Digest)
+	data, err := s.q.Blob(job.Digest, blob)
 	if err != nil {
 		// A missing blob cannot heal: terminal. (Not transient, so Fail
 		// will not retry it.)
 		_, _ = s.q.Fail(job.ID, err)
-		return
+		return blob, report
 	}
-	rep, js, hit, err := s.an.Analyze(ctx, data, &stageObserver{s: s, jobID: job.ID})
+	blob = data
+	rep, js, hit, err := s.an.Analyze(ctx, report, data, &stageObserver{s: s, jobID: job.ID})
 	s.latency.Observe(time.Since(start).Milliseconds())
 	if err != nil {
 		if retrying, _ := s.q.Fail(job.ID, err); retrying {
 			s.metrics.Counter("serve_retries_total").Inc()
 		}
-		return
+		return blob, report
 	}
 	s.aggMu.Lock()
 	s.reportAgg = firmres.MergeMetrics(s.reportAgg, rep.Metrics)
@@ -235,6 +241,7 @@ func (s *Server) process(ctx context.Context, job Job) {
 	// A failed result write leaves the job running, as a crash would; the
 	// next boot's resume scan re-runs it.
 	_ = s.q.Complete(job.ID, js, hit)
+	return blob, js
 }
 
 // stageObserver forwards finished pipeline-stage spans of one job as SSE
@@ -351,8 +358,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, errdefs.ErrRateLimited)
 		return
 	}
+	// Nothing keeps data past this handler: admission writes it to the
+	// blob store, and the digest and the cache key only hash it.
+	buf, _ := handlerBufs.Get()
 	data, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxImageBytes),
-		min(r.ContentLength, s.cfg.MaxImageBytes, bodyPresize))
+		min(r.ContentLength, s.cfg.MaxImageBytes, bodyPresize), buf)
+	defer parallel.PutBuf(&handlerBufs, data)
 	if err != nil {
 		s.countSubmission("invalid")
 		var tooBig *http.MaxBytesError
@@ -435,13 +446,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, submitResponse{Job: job})
 }
 
-// readBody reads a request body into a buffer presized to size bytes, plus
-// room for the read that sees EOF; the buffer grows past that only as
-// data arrives.
-func readBody(body io.Reader, size int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
-	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
+// handlerBufs is the process's free list of the buffers handlers read
+// submissions into and render done jobs in: at most GOMAXPROCS+1, each at
+// most parallel.MaxKeptBuf, kept across collections.
+var handlerBufs parallel.FreeList[[]byte]
+
+// readBody reads a request body into buf's storage, presized to size
+// bytes plus room for the read that sees EOF; the buffer grows past that
+// only as data arrives. The bytes come back even with an error, so the
+// caller can hand their storage back.
+func readBody(body io.Reader, size int64, buf []byte) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
+	b.Grow(int(max(size, 0)) + bytes.MinRead)
+	_, err := b.ReadFrom(body)
+	return b.Bytes(), err
 }
 
 // jobResponse is a job plus its report once done.
@@ -450,19 +468,50 @@ type jobResponse struct {
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
+// handleJob answers a job's status. A done job's body is rendered from a
+// handler buffer by appendDoneJob, its report copied from the result file;
+// any other job, and a done one whose result was pruned since Get, is
+// writeJSON of the job alone.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, err := s.q.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	resp := jobResponse{Job: job}
 	if job.State == StateDone {
-		if result, err := s.q.Result(job.ID); err == nil {
-			resp.Report = result
+		buf, _ := handlerBufs.Get()
+		body, ok := s.appendDoneJob(buf, job)
+		defer parallel.PutBuf(&handlerBufs, body)
+		if ok {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(body)
+			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, jobResponse{Job: job})
+}
+
+// appendDoneJob renders a done job's response body into dst[:0]: the job's
+// JSON with the stored report spliced in as its "report" member, then a
+// newline. Those are the bytes writeJSON renders for the job's
+// jobResponse, because a stored report is compact json.Marshal output,
+// which json.RawMessage copies through unchanged; but the report goes from
+// its file into dst once, and is never encoded again. ok is false when the
+// job has no result to splice; the returned storage is dst's, grown, in
+// either case.
+func (s *Server) appendDoneJob(dst []byte, job Job) (body []byte, ok bool) {
+	b := bytes.NewBuffer(dst[:0])
+	if err := json.NewEncoder(b).Encode(job); err != nil {
+		return b.Bytes(), false
+	}
+	head := b.Bytes()
+	head = append(head[:len(head)-len("}\n")], `,"report":`...)
+	body, err := s.q.AppendResult(head, job.ID)
+	if err != nil || body == nil {
+		return head, false
+	}
+	return append(body, "}\n"...), true
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {

@@ -438,7 +438,7 @@ func TestJobReportVerbatim(t *testing.T) {
 		if err := json.Unmarshal(fetchJob(t, c.s, c.id), &got); err != nil {
 			t.Fatal(err)
 		}
-		result, err := c.s.Queue().Result(c.id)
+		result, err := c.s.Queue().AppendResult(nil, c.id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,6 +448,65 @@ func TestJobReportVerbatim(t *testing.T) {
 		if !bytes.Equal(got.Report, result) {
 			t.Errorf("%s: fetched report differs from the result file:\n%s", c.name, clipBytes(got.Report))
 		}
+	}
+}
+
+// TestDoneJobBodyMatchesWriteJSON: the body a done job's GET streams from
+// its result file is, byte for byte, writeJSON of the job with its report,
+// for a job a worker computed and one the cache answered; and a done job
+// whose result file is gone answers 200 with the job alone.
+func TestDoneJobBodyMatchesWriteJSON(t *testing.T) {
+	cacheDir := t.TempDir()
+	cfg := Config{MaxInflight: 1, CacheDir: cacheDir, AnalysisOptions: []firmres.Option{firmres.WithLint()}}
+	img := deviceImage(t, 9)
+	fresh := newTestServer(t, cfg)
+	fresh.Start()
+	defer fresh.Queue().Close()
+	_, first := submit(t, fresh, img, nil)
+	awaitTerminal(t, fresh, first.ID)
+	prehit := newTestServer(t, cfg)
+	if rec, _ := submit(t, prehit, img, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("warm-cache submit = %d, want 201", rec.Code)
+	}
+	second, _ := prehit.Queue().ByDigest(digestOf(img))
+	for _, c := range []struct {
+		name string
+		s    *Server
+		id   string
+	}{{"fresh", fresh, first.ID}, {"prehit", prehit, second.ID}} {
+		job, err := c.s.Queue().Get(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result, err := c.s.Queue().AppendResult(nil, c.id)
+		if err != nil || result == nil {
+			t.Fatalf("%s: result = %v, %v", c.name, result, err)
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, jobResponse{Job: job, Report: result})
+		got := httptest.NewRecorder()
+		c.s.Handler().ServeHTTP(got, httptest.NewRequest("GET", "/v1/jobs/"+c.id, nil))
+		if got.Code != http.StatusOK || got.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: GET = %d %q, want 200 application/json", c.name, got.Code, got.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: streamed body differs from writeJSON:\n%s\nwant\n%s", c.name, clipBytes(got.Body.Bytes()), clipBytes(want.Body.Bytes()))
+		}
+	}
+
+	if err := os.Remove(prehit.Queue().resultPath(second.ID)); err != nil {
+		t.Fatal(err)
+	}
+	job, _ := prehit.Queue().Get(second.ID)
+	want := httptest.NewRecorder()
+	writeJSON(want, http.StatusOK, jobResponse{Job: job})
+	got := httptest.NewRecorder()
+	prehit.Handler().ServeHTTP(got, httptest.NewRequest("GET", "/v1/jobs/"+second.ID, nil))
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("done job without its result file: GET = %d %s, want 200 %s", got.Code, got.Body.String(), want.Body.String())
+	}
+	if bytes.Contains(got.Body.Bytes(), []byte(`"report"`)) {
+		t.Errorf("done job without its result file still answers with a report: %s", got.Body.String())
 	}
 }
 
@@ -472,7 +531,7 @@ func TestServerWorkerCacheHitTerminalEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := an.Analyze(context.Background(), img, nil); err != nil {
+	if _, _, _, err := an.Analyze(context.Background(), nil, img, nil); err != nil {
 		t.Fatal(err)
 	}
 

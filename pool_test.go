@@ -98,7 +98,7 @@ func TestGoldenReportsScrubbedPool(t *testing.T) {
 	var kept *Report
 	var keptJS []byte
 	for i, g := range set {
-		rep, js, _, err := a.Analyze(context.Background(), g.data, nil)
+		rep, js, _, err := a.Analyze(context.Background(), nil, g.data, nil)
 		checkGolden(t, g, rep, err)
 		if i == 0 {
 			kept, keptJS = rep, js
@@ -173,7 +173,7 @@ func TestAnalyzerSharedUnderLoad(t *testing.T) {
 				if reverse {
 					g = set[len(set)-1-k]
 				}
-				rep, _, _, err := a.Analyze(context.Background(), g.data, nil)
+				rep, _, _, err := a.Analyze(context.Background(), nil, g.data, nil)
 				checkGolden(t, g, rep, err)
 			}
 		}(reverse)
@@ -204,7 +204,7 @@ func TestFreeListSharedAcrossAnalyzers(t *testing.T) {
 				if reverse {
 					g = set[len(set)-1-k]
 				}
-				rep, _, _, err := a.Analyze(context.Background(), g.data, nil)
+				rep, _, _, err := a.Analyze(context.Background(), nil, g.data, nil)
 				checkGolden(t, g, rep, err)
 			}
 		}(i == 1)

@@ -73,11 +73,11 @@ leg_race() {
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
 	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
 
-	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers; one read per lookup, where only a key's single-flight owner discards an entry that does not decode: two batch workers over one such entry 100 times at -cpu 2,4, and the interleaving in which a caller rejects a stale lent read after another healed the entry) under -race"
+	echo "== persistent cache (cold/warm goldens byte-identical, single-flight, a panicking compute releases its key, waiters keep the computed bytes when the owner reuses its storage, warm hits from pooled buffers at -j 8, decoded reports outlive their read buffers; one read per lookup, where only a key's single-flight owner discards an entry that does not decode: two batch workers over one such entry 100 times at -cpu 2,4, and the interleaving in which a caller rejects a stale lent read after another healed the entry) under -race"
 	go test -race -run 'TestGoldenReportsCached|TestCacheBatchSingleFlight|TestAnalyzerSingleFlight' .
 	go test -race -count=100 -cpu 2,4 -run 'TestCacheUndecodableEntryForcesReanalysis$' .
 	go test -race -run 'TestDoPanicReleasesKey' ./internal/cache
-	go test -race -count=10 -run 'TestOnlyOwnerDiscards' ./internal/cache
+	go test -race -count=10 -run 'TestOnlyOwnerDiscards|TestWaitersOutliveOwnerStorage' ./internal/cache
 	go test -race -count=10 -run 'TestCacheWarmBatchConcurrent|TestCachedReportsOutliveReadBuffer' .
 
 	echo "== cache eviction index (entries other writers add are counted within MaxBytes of puts; Do calls, Puts and evictions from two capped handles on one directory) under -race"
@@ -104,14 +104,14 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, firmserve handler bytes, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
 	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestAnalyzeHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestLentHitAfterCollections' ./internal/cache
-	go test -run 'TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
+	go test -run 'TestServeFreshJobAllocBudget|TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment|TestSetRetentionMatchesLargestTrees|TestRecycledTreesMatchFresh' ./internal/core
 	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
@@ -121,8 +121,8 @@ leg_suites() {
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
 
-	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, progress counts cache hits and corrupt images)"
-	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestProgressCountsCacheHits|TestProgressCountsCorruptImages' .
+	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, every emitted metric declared in the metric table, progress counts cache hits and corrupt images)"
+	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestEveryMetricDeclared|TestProgressCountsCacheHits|TestProgressCountsCorruptImages' .
 
 	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
