@@ -38,3 +38,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) -run='^$$' ./internal/binfmt
 	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run='^$$' .
 	$(GO) test -fuzz=FuzzCacheEntry -fuzztime=$(FUZZTIME) -run='^$$' ./internal/cache
+	$(GO) test -fuzz=FuzzFormatParts -fuzztime=$(FUZZTIME) -run='^$$' ./internal/slices

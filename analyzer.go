@@ -124,7 +124,7 @@ func appendReport(dst []byte, rep *Report) ([]byte, error) {
 func (a *Analyzer) analyze(ctx context.Context, data []byte, o Observer, dst []byte, keepJSON bool) (*Report, []byte, bool, error) {
 	rec := a.rec
 	if o != nil {
-		rec = obs.Tee(rec, observerAdapter{o: o})
+		rec = obs.Tee(rec, o)
 	}
 	if a.cache == nil {
 		rep, err := a.analyzeFresh(ctx, rec, data)

@@ -12,8 +12,8 @@
 // -chaos injects seeded deterministic faults in front of every simulated
 // cloud ("latency", "reset", "drop", "5xx", "slowloris", comma-separated,
 // or "all"); -seed pins the fault schedule. Two runs with the same flags
-// produce byte-identical output (wall-clock timings are excluded), which
-// is what CI's chaos smoke diff checks.
+// produce byte-identical output, text or -json: the command reads no
+// clock. CI's chaos smoke diffs the -json output.
 //
 // Exit codes: 0 when every probed message reached a terminal
 // classification (granted / denied / invalid / probe-failed with a typed
@@ -32,7 +32,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"firmres"
 	"firmres/internal/corpus"
@@ -114,7 +113,6 @@ func run(w, ew io.Writer, args []string) int {
 		opts = append(opts, firmres.WithProbeTimeout(*timeout))
 	}
 
-	start := time.Now()
 	br, err := firmres.AnalyzeImages(context.Background(), imgs, opts...)
 	if err != nil {
 		fmt.Fprintf(ew, "firmprobe: %v\n", err)
@@ -165,7 +163,7 @@ func run(w, ew io.Writer, args []string) int {
 		}
 		return exit
 	}
-	render(w, fleet, time.Since(start))
+	render(w, fleet)
 	return exit
 }
 
@@ -188,7 +186,7 @@ func nonTerminal(p *firmres.ProbeReport) int {
 	return n
 }
 
-func render(w io.Writer, fleet *fleetReport, elapsed time.Duration) {
+func render(w io.Writer, fleet *fleetReport) {
 	if fleet.Chaos != "" {
 		fmt.Fprintf(w, "== firmprobe: chaos=%s seed=%d\n", fleet.Chaos, fleet.Seed)
 	}
@@ -216,9 +214,8 @@ func render(w io.Writer, fleet *fleetReport, elapsed time.Duration) {
 		}
 	}
 	if s := fleet.Summary; s != nil {
-		fmt.Fprintf(w, "== fleet: %d probed, %d granted, %d denied, %d invalid, %d failed — %d exploitable (%v)\n",
-			s.Probed, s.Granted, s.Denied, s.Invalid, s.Failed, s.Vulnerable,
-			elapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "== fleet: %d probed, %d granted, %d denied, %d invalid, %d failed — %d exploitable\n",
+			s.Probed, s.Granted, s.Denied, s.Invalid, s.Failed, s.Vulnerable)
 	}
 }
 

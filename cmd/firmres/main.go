@@ -11,12 +11,17 @@
 //	        [-cache dir] [-cache-max-bytes n] [-no-cache] [-cache-clear]
 //	        [-pprof addr] image.img [image2.img ...]
 //
-// With -j N (N != 1) the images are analyzed as one batch on up to N
-// concurrent workers (N <= 0 means GOMAXPROCS) and the reports print in
-// input order; -j 1 (the default) analyzes sequentially. Output is
-// identical either way, and either way the options are resolved once per
-// run: a -model file is loaded once, and one that cannot be loaded exits 2
-// before the first image, as a bad -cache-max-bytes does.
+// One Analyzer analyzes the images of a run on up to -j N concurrent
+// workers (N <= 0 means GOMAXPROCS; the default, 1, takes one image at a
+// time), so the options are resolved once per run: a -model file is loaded
+// once, and one that cannot be loaded exits 2 before the first image, as a
+// bad -cache-max-bytes does. Each image's report prints in input order as
+// soon as it and every image before it are done, so the output is
+// identical at any -j, and the run holds only the reports that finished
+// ahead of the first unfinished image. A fatal image (one that is
+// unreadable or corrupt, say) prints its error to stderr and ends the run
+// there, unless -keep-going: no later image starts once that error is
+// printed, and -metrics counts only the reports printed before it.
 //
 // Caching: -cache DIR serves every analysis from a persistent
 // content-addressed result cache (and stores fresh results back), keyed on
@@ -48,10 +53,12 @@
 // report served from -cache ran no stage and adds nothing); -trace-json
 // writes the same spans as Chrome trace_event JSON
 // (chrome://tracing, Perfetto); -metrics writes the aggregated work
-// counters in Prometheus text format; -progress reports per-image progress
-// on stderr; -pprof with a ':' in its value serves net/http/pprof on that
-// address for the duration of the run, and with any other value writes a
-// CPU profile to <value>.cpu.pprof during the run plus a heap profile to
+// counters in Prometheus text format; -progress prints a line to stderr as
+// each image's analysis ends (images done of the run's total, duration,
+// ETA and the stages of the images in flight), at every -j; -pprof with a
+// ':' in its value serves net/http/pprof on that address for the duration
+// of the run, and with any other value writes a CPU profile to
+// <value>.cpu.pprof during the run plus a heap profile to
 // <value>.heap.pprof on exit. None of these change the analysis output.
 //
 // Exit codes: 0 when every image analyzed cleanly, 1 when any image failed
@@ -74,6 +81,8 @@ import (
 	"time"
 
 	"firmres"
+	"firmres/internal/obs"
+	"firmres/internal/parallel"
 	"firmres/internal/profio"
 )
 
@@ -201,12 +210,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer stop()
 	}
+	// The progress reporter writes its lines from the workers while the
+	// driver writes error lines: one lock orders their writes.
+	stderr = &lockedWriter{w: stderr}
 	sink := newObsSink(opts)
 	defer sink.finish(stderr)
-	if opts.jobs != 1 {
-		return runBatch(stdout, stderr, fs.Args(), opts, *keepGoing, sink)
+	// A configuration error, such as a -model file that cannot be loaded,
+	// fails here: a usage error before the first image.
+	a, err := firmres.NewAnalyzer(append(apiOptions(opts), sink.options(stderr, fs.NArg())...)...)
+	if err != nil {
+		printError(stderr, "", err)
+		return exitUsage
 	}
-	return runSequential(stdout, stderr, fs.Args(), opts, *keepGoing, sink)
+	return analyzeAll(stdout, stderr, a, fs.Args(), opts, *keepGoing, sink)
 }
 
 // printError writes one error line to stderr with the command's prefix,
@@ -219,43 +235,6 @@ func printError(stderr io.Writer, subject string, err error) {
 		msg = subject + ": " + msg
 	}
 	fmt.Fprintf(stderr, "firmres: %s\n", msg)
-}
-
-// runSequential analyzes the images one after another through one
-// Analyzer, rendering each report as it completes, with runBatch's
-// exit-code and -keep-going semantics. A configuration error, such as a
-// -model file that cannot be loaded, fails newAnalyzer: a usage error
-// before the first image.
-func runSequential(w, stderr io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
-	a, err := newAnalyzer(opts, sink)
-	if err != nil {
-		printError(stderr, "", err)
-		return exitUsage
-	}
-	if opts.cacheEnabled() {
-		defer func() { sink.merge(a.CacheStats().Snapshot()) }()
-	}
-	exit := exitOK
-	var report []byte // the run's report JSON buffer, reused image after image
-	for i, path := range paths {
-		start := time.Now()
-		partial, err := analyze(w, a, path, opts, sink, &report)
-		if opts.progress {
-			fmt.Fprintf(stderr, "progress: %d/%d images (%d%%)  %s done in %v\n",
-				i+1, len(paths), (i+1)*100/len(paths), path, time.Since(start).Round(time.Millisecond))
-		}
-		switch {
-		case err != nil:
-			printError(stderr, path, err)
-			exit = exitFatal
-			if !keepGoing {
-				return exit
-			}
-		case partial && exit == exitOK:
-			exit = exitPartial
-		}
-	}
-	return exit
 }
 
 // obsSink accumulates the run's observability outputs — one trace, one
@@ -300,14 +279,9 @@ func (t *stageTimer) SpanEnd(ev firmres.SpanEvent) {
 }
 
 // options returns the analysis options the sink needs threaded into the
-// run's analyses. The batch path attaches the progress reporter here,
-// writing to progress (its total is the whole batch); the sequential path
-// passes nil and prints progress itself. Nil-safe: a nil sink configures
-// nothing.
-func (s *obsSink) options(progress io.Writer) []firmres.Option {
-	if s == nil {
-		return nil
-	}
+// run's analyses; the progress reporter writes to stderr, and its total is
+// the run's image count.
+func (s *obsSink) options(stderr io.Writer, total int) []firmres.Option {
 	var out []firmres.Option
 	if s.trace != nil {
 		out = append(out, firmres.WithTrace(s.trace))
@@ -318,19 +292,15 @@ func (s *obsSink) options(progress io.Writer) []firmres.Option {
 	if s.opts.metricsPath != "" {
 		out = append(out, firmres.WithMetrics())
 	}
-	if progress != nil && s.opts.progress {
-		out = append(out, firmres.WithProgress(progress))
+	if s.opts.progress {
+		out = append(out, firmres.WithObserver(obs.NewProgress(stderr, total)))
 	}
 	return out
 }
 
 // merge folds a metrics snapshot, one report's or the run's cache
-// counters, into the run aggregate. Nil-safe: a nil sink discards the
-// snapshot.
+// counters, into the run aggregate.
 func (s *obsSink) merge(m map[string]int64) {
-	if s == nil {
-		return
-	}
 	s.metrics = firmres.MergeMetrics(s.metrics, m)
 }
 
@@ -376,45 +346,66 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// runBatch analyzes every image concurrently, then renders the results in
-// input order with the sequential path's exit-code and -keep-going
-// semantics: a fatal image stops the output there unless -keep-going.
-// AnalyzePaths fails only on a configuration error, before the first
-// image, which is a usage error as in the sequential path.
-func runBatch(w, stderr io.Writer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
-	apiOpts := append(apiOptions(opts), sink.options(stderr)...)
-	br, err := firmres.AnalyzePaths(context.Background(), paths, apiOpts...)
-	if err != nil {
-		printError(stderr, "", err)
-		return exitUsage
-	}
-	sink.merge(br.Summary.Metrics)
-	if cs := br.Summary.Cache; cs != nil {
-		sink.merge(cs.Snapshot())
-	}
-	exit := exitOK
-	for _, res := range br.Images {
-		if errors.Is(res.Err, firmres.ErrNoDeviceCloudExecutable) {
-			fmt.Fprintf(w, "%s: no device-cloud executable (script-based cloud agent?)\n", res.Path)
-			continue
-		}
-		if res.Err != nil {
-			printError(stderr, res.Path, res.Err)
-			exit = exitFatal
-			if !keepGoing {
-				return exit
+// outcome is one image's turn at the output: what it prints on stdout, or
+// the fatal error its stderr line reports.
+type outcome struct {
+	out     []byte // a buffer of the run's, returned once printed
+	err     error
+	partial bool
+	metrics map[string]int64
+}
+
+// analyzeAll analyzes the images through a on up to -j workers and prints
+// each image's output in input order as soon as it and every image before
+// it are done, so the run holds only the outcomes of images that finished
+// ahead of the first unfinished one. A fatal image ends the run there
+// unless keepGoing: no later image starts once its error is printed, the
+// images already under way are cancelled and dropped, and -metrics merges
+// only the reports printed before it.
+func analyzeAll(stdout, stderr io.Writer, a *firmres.Analyzer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var (
+		bufs parallel.FreeList[[]byte] // report and output buffers, reused image after image
+		mu   sync.Mutex                // guards held, next and exit, and orders the writes
+		held = map[int]outcome{}
+		next int
+		exit = exitOK
+	)
+	parallel.ForEach(ctx, parallel.CPUWorkers(opts.jobs), len(paths), func(i int) {
+		js, _ := bufs.Get()
+		out, _ := bufs.Get()
+		o, js := analyze(ctx, a, paths[i], opts, js, out)
+		parallel.PutBuf(&bufs, js)
+		mu.Lock()
+		defer mu.Unlock()
+		held[i] = o
+		for ; ctx.Err() == nil; next++ {
+			o, ok := held[next]
+			if !ok {
+				return
 			}
-			continue
-		}
-		if partial, err := render(w, res.Path, res.Report, nil, opts); err != nil {
-			printError(stderr, res.Path, err)
-			exit = exitFatal
-			if !keepGoing {
-				return exit
+			delete(held, next)
+			err := o.err
+			if err == nil {
+				sink.merge(o.metrics)
+				_, err = stdout.Write(o.out)
 			}
-		} else if partial && exit == exitOK {
-			exit = exitPartial
+			parallel.PutBuf(&bufs, o.out)
+			switch {
+			case err != nil:
+				printError(stderr, paths[next], err)
+				exit = exitFatal
+				if !keepGoing {
+					stop()
+				}
+			case o.partial && exit == exitOK:
+				exit = exitPartial
+			}
 		}
+	})
+	if opts.cacheEnabled() {
+		sink.merge(a.CacheStats().Snapshot())
 	}
 	return exit
 }
@@ -463,66 +454,58 @@ func apiOptions(opts options) []firmres.Option {
 	return apiOpts
 }
 
-// newAnalyzer resolves the options of a sequential run, once, into the
-// Analyzer its images share: a -model file is loaded and fingerprinted,
-// and the cache opened, once per run, not once per image.
-func newAnalyzer(opts options, sink *obsSink) (*firmres.Analyzer, error) {
-	return firmres.NewAnalyzer(append(apiOptions(opts), sink.options(nil)...)...)
-}
-
-// analyze runs one image through a and renders the report. Analyze
-// encodes the report's JSON into *buf, which keeps the grown storage for
-// the next image. It reports whether the analysis degraded (partial
-// report) and any fatal error.
-func analyze(w io.Writer, a *firmres.Analyzer, path string, opts options, sink *obsSink, buf *[]byte) (partial bool, err error) {
+// analyze runs one image through a, which appends the report's JSON to js,
+// and renders the image's output into out[:0]. It returns the outcome and
+// js, grown, for the worker's next image.
+func analyze(ctx context.Context, a *firmres.Analyzer, path string, opts options, js, out []byte) (outcome, []byte) {
+	o := outcome{out: out[:0]}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, err
+		o.err = err
+		return o, js
 	}
-	report, js, _, err := a.Analyze(context.Background(), *buf, data, nil)
-	if errors.Is(err, firmres.ErrNoDeviceCloudExecutable) {
-		fmt.Fprintf(w, "%s: no device-cloud executable (script-based cloud agent?)\n", path)
-		return false, nil
+	report, rjs, _, err := a.Analyze(ctx, js, data, nil)
+	switch {
+	case errors.Is(err, firmres.ErrNoDeviceCloudExecutable):
+		o.out = fmt.Appendf(o.out, "%s: no device-cloud executable (script-based cloud agent?)\n", path)
+		return o, js
+	case err != nil:
+		o.err = err
+		return o, js
 	}
-	if err != nil {
-		return false, err
-	}
-	*buf = js
-	sink.merge(report.Metrics)
-	return render(w, path, report, js, opts)
+	b := bytes.NewBuffer(o.out)
+	o.err = render(b, path, report, rjs, opts)
+	o.out, o.partial, o.metrics = b.Bytes(), report.Partial(), report.Metrics
+	return o, rjs
 }
 
-// render prints one report in the selected output format. js is the
-// report's canonical JSON (json.Marshal's bytes) when the caller has it,
-// or nil, and -json then encodes the report here.
-func render(w io.Writer, path string, report *firmres.Report, js []byte, opts options) (partial bool, err error) {
-	if opts.lintJSON {
-		return report.Partial(), firmres.WriteSARIF(w, report.Diagnostics)
-	}
-	if opts.asJSON {
-		return report.Partial(), writeIndented(w, report, js)
-	}
-	printReport(w, path, report, opts)
-	return report.Partial(), nil
-}
-
-// writeIndented writes the report's JSON indented by two spaces and
-// followed by a newline: the bytes an Encoder with SetIndent("", "  ")
-// writes, indented from js instead of encoded again when js is not nil.
-func writeIndented(w io.Writer, report *firmres.Report, js []byte) error {
-	if js == nil {
-		var err error
-		if js, err = json.Marshal(report); err != nil {
+// render writes one report in the selected output format; js is its
+// canonical JSON, which -json indents by two spaces and ends with a
+// newline: the bytes an Encoder with SetIndent("", "  ") writes.
+func render(b *bytes.Buffer, path string, report *firmres.Report, js []byte, opts options) error {
+	switch {
+	case opts.lintJSON:
+		return firmres.WriteSARIF(b, report.Diagnostics)
+	case opts.asJSON:
+		if err := json.Indent(b, js, "", "  "); err != nil {
 			return err
 		}
+		return b.WriteByte('\n')
 	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, js, "", "  "); err != nil {
-		return err
-	}
-	out.WriteByte('\n')
-	_, err := w.Write(out.Bytes())
-	return err
+	printReport(b, path, report, opts)
+	return nil
+}
+
+// lockedWriter serializes the writes of concurrent callers to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 func printReport(w io.Writer, path string, r *firmres.Report, opts options) {

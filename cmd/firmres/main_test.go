@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,39 +32,34 @@ func writeImage(t *testing.T, id int) string {
 	return path
 }
 
-// analyzeImage analyzes one image as a sequential run does, through an
-// Analyzer resolved from opts and sink.
-func analyzeImage(t *testing.T, w io.Writer, path string, opts options, sink *obsSink) (bool, error) {
-	t.Helper()
-	a, err := newAnalyzer(opts, sink)
-	if err != nil {
-		t.Fatalf("newAnalyzer: %v", err)
-	}
-	var buf []byte
-	return analyze(w, a, path, opts, sink, &buf)
+// runCLI runs one command line and returns its exit code, stdout and
+// stderr.
+func runCLI(args ...string) (exit int, stdout, stderr string) {
+	var out, errs bytes.Buffer
+	exit = run(args, &out, &errs)
+	return exit, out.String(), errs.String()
 }
 
 func TestAnalyzeTextOutput(t *testing.T) {
-	var out bytes.Buffer
-	partial, err := analyzeImage(t, &out, writeImage(t, 5), options{}, nil)
-	if err != nil {
-		t.Errorf("analyze: %v", err)
+	exit, out, stderr := runCLI(writeImage(t, 5))
+	if exit == exitFatal {
+		t.Errorf("analyze: %s", stderr)
 	}
-	if partial {
+	if exit == exitPartial {
 		t.Error("clean image reported partial")
 	}
-	if !strings.Contains(out.String(), "messages reconstructed") {
-		t.Errorf("unexpected output: %q", out.String())
+	if !strings.Contains(out, "messages reconstructed") {
+		t.Errorf("unexpected output: %q", out)
 	}
 }
 
 func TestAnalyzeJSONOutput(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, writeImage(t, 5), options{asJSON: true}, nil); err != nil {
-		t.Errorf("analyze -json: %v", err)
+	exit, out, stderr := runCLI("-json", writeImage(t, 5))
+	if exit == exitFatal {
+		t.Errorf("analyze -json: %s", stderr)
 	}
 	var report firmres.Report
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
+	if err := json.Unmarshal([]byte(out), &report); err != nil {
 		t.Errorf("output is not valid JSON: %v", err)
 	}
 }
@@ -71,11 +67,11 @@ func TestAnalyzeJSONOutput(t *testing.T) {
 func TestAnalyzeLintTextOutput(t *testing.T) {
 	path := writeImage(t, 11)
 	render := func() string {
-		var out bytes.Buffer
-		if _, err := analyzeImage(t, &out, path, options{lint: true}, nil); err != nil {
-			t.Fatalf("analyze -lint: %v", err)
+		exit, out, stderr := runCLI("-lint", path)
+		if exit == exitFatal {
+			t.Fatalf("analyze -lint: %s", stderr)
 		}
-		return out.String()
+		return out
 	}
 	text := render()
 	for _, want := range []string{"lint: 2 finding(s)", "hardcoded-secret", "svc_auth_fallback", "dead-store", "svc_stats_tick"} {
@@ -89,36 +85,35 @@ func TestAnalyzeLintTextOutput(t *testing.T) {
 }
 
 func TestAnalyzeLintRulesFilter(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintRules: "dead-store"}, nil); err != nil {
-		t.Fatalf("analyze -lint-rules: %v", err)
+	exit, text, stderr := runCLI("-lint-rules", "dead-store", writeImage(t, 11))
+	if exit == exitFatal {
+		t.Fatalf("analyze -lint-rules: %s", stderr)
 	}
-	text := out.String()
 	if !strings.Contains(text, "dead-store") {
 		t.Errorf("selected rule missing: %q", text)
 	}
 	if strings.Contains(text, "hardcoded-secret svc_auth_fallback") {
 		t.Errorf("rule filter leaked other rules: %q", text)
 	}
-	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintRules: "bogus"}, nil); err == nil {
-		t.Error("unknown rule accepted")
+	if exit, _, _ := runCLI("-lint-rules", "bogus", writeImage(t, 11)); exit != exitFatal {
+		t.Errorf("unknown rule accepted: exit %d", exit)
 	}
 }
 
 func TestAnalyzeLintCleanDevice(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, writeImage(t, 4), options{lint: true}, nil); err != nil {
-		t.Fatalf("analyze -lint: %v", err)
+	exit, out, stderr := runCLI("-lint", writeImage(t, 4))
+	if exit == exitFatal {
+		t.Fatalf("analyze -lint: %s", stderr)
 	}
-	if !strings.Contains(out.String(), "lint: clean") {
-		t.Errorf("clean device not reported clean: %q", out.String())
+	if !strings.Contains(out, "lint: clean") {
+		t.Errorf("clean device not reported clean: %q", out)
 	}
 }
 
 func TestAnalyzeLintSARIFOutput(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, writeImage(t, 11), options{lintJSON: true}, nil); err != nil {
-		t.Fatalf("analyze -lint-json: %v", err)
+	exit, out, stderr := runCLI("-lint-json", writeImage(t, 11))
+	if exit == exitFatal {
+		t.Fatalf("analyze -lint-json: %s", stderr)
 	}
 	var doc struct {
 		Version string `json:"version"`
@@ -133,7 +128,7 @@ func TestAnalyzeLintSARIFOutput(t *testing.T) {
 			} `json:"results"`
 		} `json:"runs"`
 	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("SARIF output is not valid JSON: %v", err)
 	}
 	if doc.Version != "2.1.0" || len(doc.Runs) != 1 || doc.Runs[0].Tool.Driver.Name != "firmres-lint" {
@@ -144,20 +139,19 @@ func TestAnalyzeLintSARIFOutput(t *testing.T) {
 	}
 }
 
-// timingsFooter runs analyses through one -timings sink and returns the
-// footer's duration for each stage.
-func timingsFooter(t *testing.T, opts options, run func(io.Writer, options, *obsSink)) map[string]string {
+// timingsFooter runs a -timings command line, which must exit cleanly, and
+// returns the footer's duration for each stage.
+func timingsFooter(t *testing.T, args ...string) map[string]string {
 	t.Helper()
-	opts.timings = true
-	sink := newObsSink(opts)
-	var out, footer bytes.Buffer
-	run(&out, opts, sink)
-	if strings.Contains(out.String(), "stage timings") {
-		t.Errorf("wall-clock leaked into the report: %q", out.String())
+	exit, out, stderr := runCLI(append([]string{"-timings"}, args...)...)
+	if exit != exitOK {
+		t.Errorf("firmres -timings %s: exit %d: %s", strings.Join(args, " "), exit, stderr)
 	}
-	sink.finish(&footer)
+	if strings.Contains(out, "stage timings") {
+		t.Errorf("wall-clock leaked into the report: %q", out)
+	}
 	got := map[string]string{}
-	for _, line := range strings.Split(footer.String(), "\n") {
+	for _, line := range strings.Split(stderr, "\n") {
 		if f := strings.Fields(line); len(f) == 2 {
 			got[f[0]] = f[1]
 		}
@@ -165,15 +159,10 @@ func timingsFooter(t *testing.T, opts options, run func(io.Writer, options, *obs
 	return got
 }
 
-// TestAnalyzeTimingsFlag runs a -j 2 batch, whose stage spans end on many
-// goroutines at once.
+// TestAnalyzeTimingsFlag runs two images at -j 2, whose stage spans end on
+// many goroutines at once.
 func TestAnalyzeTimingsFlag(t *testing.T) {
-	paths := []string{writeImage(t, 5), writeImage(t, 17)}
-	got := timingsFooter(t, options{jobs: 2, lint: true}, func(w io.Writer, opts options, sink *obsSink) {
-		if exit := runBatch(w, io.Discard, paths, opts, false, sink); exit != exitOK {
-			t.Errorf("runBatch exit = %d", exit)
-		}
-	})
+	got := timingsFooter(t, "-j", "2", "-lint", writeImage(t, 5), writeImage(t, 17))
 	if len(got) != len(firmres.StageNames()) || got["lint-passes"] == "0s" || got["probe-replay"] != "0s" {
 		t.Errorf("footer = %v, want every stage, lint timed, probe not run", got)
 	}
@@ -183,17 +172,11 @@ func TestAnalyzeTimingsFlag(t *testing.T) {
 // so a run served from the cache reports no stage time instead of
 // replaying the durations of the run that filled the cache.
 func TestAnalyzeTimingsWarmCache(t *testing.T) {
-	path := writeImage(t, 5)
-	analyzeOne := func(w io.Writer, opts options, sink *obsSink) {
-		if _, err := analyzeImage(t, w, path, opts, sink); err != nil {
-			t.Errorf("analyze: %v", err)
-		}
-	}
-	opts := options{cacheDir: t.TempDir()}
-	if cold := timingsFooter(t, opts, analyzeOne); cold["pinpoint-executables"] == "0s" {
+	path, dir := writeImage(t, 5), t.TempDir()
+	if cold := timingsFooter(t, "-cache", dir, path); cold["pinpoint-executables"] == "0s" {
 		t.Errorf("cold run timed no pinpoint: %v", cold)
 	}
-	warm := timingsFooter(t, opts, analyzeOne)
+	warm := timingsFooter(t, "-cache", dir, path)
 	for _, name := range firmres.StageNames() {
 		if warm[name] != "0s" {
 			t.Errorf("warm run reports %q for %s, but no stage ran", warm[name], name)
@@ -201,27 +184,18 @@ func TestAnalyzeTimingsWarmCache(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTimingsWithTrace: with -trace, every Analyze call records into
-// one shared trace while the -timings observer rides along on each call;
-// the footer must count each image's stage spans exactly once, so it
-// agrees with the sum the trace tree shows.
+// TestAnalyzeTimingsWithTrace: with -trace, every image records into one
+// shared trace while the -timings observer rides along; the footer must
+// count each image's stage spans exactly once, so it agrees with the sum
+// the trace tree shows.
 func TestAnalyzeTimingsWithTrace(t *testing.T) {
-	path, opts := writeImage(t, 5), options{trace: true, timings: true}
-	sink := newObsSink(opts)
-	a, err := newAnalyzer(opts, sink)
-	if err != nil {
-		t.Fatal(err)
+	path := writeImage(t, 5)
+	exit, _, stderr := runCLI("-trace", "-timings", path, path, path)
+	if exit != exitOK {
+		t.Fatalf("analyze: exit %d: %s", exit, stderr)
 	}
-	var buf []byte
-	for i := 0; i < 3; i++ {
-		if _, err := analyze(io.Discard, a, path, opts, sink, &buf); err != nil {
-			t.Fatalf("analyze: %v", err)
-		}
-	}
-	var out bytes.Buffer
-	sink.finish(&out)
 	var traced, footer time.Duration // tree lines read "name (1.2ms)"
-	for _, line := range strings.Split(out.String(), "\n") {
+	for _, line := range strings.Split(stderr, "\n") {
 		f := strings.Fields(line)
 		if len(f) != 2 || f[0] != "pinpoint-executables" {
 			continue
@@ -243,22 +217,20 @@ func TestAnalyzeTimingsWithTrace(t *testing.T) {
 }
 
 func TestAnalyzeScriptOnlyIsNotAnError(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, writeImage(t, 21), options{}, nil); err != nil {
-		t.Errorf("script-only device treated as error: %v", err)
+	if exit, _, stderr := runCLI(writeImage(t, 21)); exit != exitOK {
+		t.Errorf("script-only device treated as error: exit %d: %s", exit, stderr)
 	}
 }
 
 func TestAnalyzeMissingFile(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := analyzeImage(t, &out, filepath.Join(t.TempDir(), "nope.img"), options{}, nil); err == nil {
-		t.Error("missing file accepted")
+	if exit, _, _ := runCLI(filepath.Join(t.TempDir(), "nope.img")); exit != exitFatal {
+		t.Errorf("missing file accepted: exit %d", exit)
 	}
 }
 
 // TestAnalyzePartialReportRenders: an image with one rotten executable must
 // still produce a rendered report, marked PARTIAL with the skipped work
-// named, and analyze must signal partial rather than fatal.
+// named, and the run must exit partial rather than fatal.
 func TestAnalyzePartialReportRenders(t *testing.T) {
 	img, err := corpus.BuildImage(corpus.Device(5))
 	if err != nil {
@@ -270,15 +242,13 @@ func TestAnalyzePartialReportRenders(t *testing.T) {
 	if err := os.WriteFile(path, img.Pack(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	partial, err := analyzeImage(t, &out, path, options{}, nil)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
+	exit, text, stderr := runCLI(path)
+	if exit == exitFatal {
+		t.Fatalf("analyze: %s", stderr)
 	}
-	if !partial {
+	if exit != exitPartial {
 		t.Fatal("degraded analysis not reported as partial")
 	}
-	text := out.String()
 	if !strings.Contains(text, "PARTIAL") {
 		t.Errorf("partial report not marked: %q", text)
 	}
@@ -332,25 +302,27 @@ func writeModel(t *testing.T) string {
 	return path
 }
 
-// TestModelResolvedOncePerRun: a sequential run loads -model once, into
-// the Analyzer its images share, so no image reads the file again (here
-// it is gone once the Analyzer is built). A model that cannot be loaded is
-// a usage error (exit 2) before the first image, at -j 1 as in a batch, so
-// nothing reaches the cache.
+// TestModelResolvedOncePerRun: a run loads -model once, into the Analyzer
+// its images share, so no image reads the file again (here it is gone once
+// the Analyzer is built), at -j 1 as at -j 2. A model that cannot be
+// loaded is a usage error (exit 2) before the first image, so nothing
+// reaches the cache.
 func TestModelResolvedOncePerRun(t *testing.T) {
-	model := writeModel(t)
-	opts := options{modelPath: model}
-	a, err := newAnalyzer(opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(model); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for _, id := range []int{5, 17} {
-		if _, err := analyze(io.Discard, a, writeImage(t, id), opts, nil, &buf); err != nil {
-			t.Errorf("device %d after the model file was removed: %v", id, err)
+	var model string
+	paths := []string{writeImage(t, 5), writeImage(t, 17)}
+	for _, jobs := range []int{1, 2} {
+		model = writeModel(t)
+		opts := options{modelPath: model, jobs: jobs}
+		a, err := firmres.NewAnalyzer(apiOptions(opts)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(model); err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		if exit := analyzeAll(io.Discard, &stderr, a, paths, opts, true, newObsSink(opts)); exit != exitOK {
+			t.Errorf("-j %d after the model file was removed: exit %d: %s", jobs, exit, stderr.String())
 		}
 	}
 
@@ -410,10 +382,10 @@ func TestErrorLinesCarryOnePrefix(t *testing.T) {
 	}
 }
 
-// TestJSONOutputUnchanged runs -json over devices 1-22 at -j 1, where each
-// report is indented from the JSON Analyze returns, and at -j 2, where it
-// is encoded again: both must print what an Encoder with SetIndent("",
-// "  ") prints for the report, device after device.
+// TestJSONOutputUnchanged runs -json over devices 1-22 at -j 1 and at
+// -j 2, where each report is indented from the JSON Analyze returns: both
+// must print what an Encoder with SetIndent("", "  ") prints for the
+// report, device after device.
 func TestJSONOutputUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
@@ -450,5 +422,81 @@ func TestJSONOutputUnchanged(t *testing.T) {
 		if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
 			t.Errorf("firmres -json -j %s printed %d bytes that differ from the Encoder's %d", jobs, stdout.Len(), want.Len())
 		}
+	}
+}
+
+// TestJobsAgree: one driver at every -j. Over device 1, a 200-byte
+// truncation of it, device 2 and device 3, a run prints the same reports,
+// the same error lines and the same exit code, and writes the same
+// -metrics file, at -j 1 as at -j 2, with and without -keep-going. Without
+// it the truncated image ends the run, so -metrics counts device 1 alone.
+func TestJobsAgree(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	write := func(name string, data []byte) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, id := range []int{1, 2, 3} {
+		img, err := corpus.BuildImage(corpus.Device(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(fmt.Sprintf("device%02d.img", id), img.Pack())
+		if id == 1 {
+			write("trunc.img", img.Pack()[:200])
+		}
+	}
+	type result struct {
+		exit           int
+		stdout, errors string
+		metrics        []byte
+	}
+	runJobs := func(jobs string, extra ...string) result {
+		metrics := filepath.Join(t.TempDir(), "metrics.prom")
+		args := append([]string{"-j", jobs, "-progress", "-metrics", metrics}, extra...)
+		exit, stdout, stderr := runCLI(append(args, paths...)...)
+		var errLines []string // stderr less the progress lines, whose order is the schedule's
+		for _, line := range strings.SplitAfter(stderr, "\n") {
+			if strings.HasPrefix(line, "firmres: ") {
+				errLines = append(errLines, line)
+			}
+		}
+		m, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{exit, stdout, strings.Join(errLines, ""), m}
+	}
+	var stopped, kept result
+	for _, keep := range [][]string{nil, {"-keep-going"}} {
+		want := runJobs("1", keep...)
+		if got := runJobs("2", keep...); !reflect.DeepEqual(got, want) {
+			t.Errorf("flags %q: -j 2 printed exit %d, %d bytes of reports, errors %q and %d bytes of metrics; -j 1 exit %d, %d bytes, errors %q and %d bytes",
+				keep, got.exit, len(got.stdout), got.errors, len(got.metrics),
+				want.exit, len(want.stdout), want.errors, len(want.metrics))
+		}
+		if keep == nil {
+			stopped = want
+		} else {
+			kept = want
+		}
+	}
+	for _, r := range []result{stopped, kept} {
+		if r.exit != exitFatal || strings.Count(r.errors, "\n") != 1 || !strings.Contains(r.errors, "trunc.img: corrupt firmware image") {
+			t.Errorf("exit %d, errors %q: want exit %d and one error line for trunc.img", r.exit, r.errors, exitFatal)
+		}
+	}
+	if n := strings.Count(stopped.stdout, "messages reconstructed"); n != 1 {
+		t.Errorf("without -keep-going the run printed %d reports, want device 1's alone", n)
+	}
+	if n := strings.Count(kept.stdout, "messages reconstructed"); n != 3 {
+		t.Errorf("with -keep-going the run printed %d reports, want 3", n)
+	}
+	if bytes.Equal(stopped.metrics, kept.metrics) {
+		t.Error("-metrics counts the same reports with and without -keep-going")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"firmres/internal/binfmt"
@@ -18,7 +17,6 @@ import (
 	"firmres/internal/image"
 	"firmres/internal/lint"
 	"firmres/internal/mft"
-	"firmres/internal/nvram"
 	"firmres/internal/obs"
 	"firmres/internal/parallel"
 	"firmres/internal/pcode"
@@ -121,6 +119,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		return res, fmt.Errorf("core: %w: %w", errdefs.ErrStageTimeout, err)
 	}
 	workers := parallel.CPUWorkers(p.opts.Workers)
+	resolve := imageResolver(img)
 
 	// What each stage hands to the later ones. Only stage commits write
 	// these, so a stage that panicked leaves them as the last committed
@@ -142,7 +141,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// panicking candidates are skipped per-executable; only a complete
 		// sweep that finds nothing is fatal.
 		{StagePinpoint, nil, func(sctx context.Context) (func(), error) {
-			cand, skips, err := p.pinpoint(sctx, met, img)
+			cand, skips, err := p.pinpoint(sctx, met, img, resolve)
 			return func() {
 				res.Errors = append(res.Errors, skips...)
 				if cand != nil {
@@ -183,7 +182,7 @@ func (p *Pipeline) AnalyzeImageContext(ctx context.Context, img *image.Image) (r
 		// resolver is read-only. Config files the resolver had to skip are
 		// recorded as degradation notes.
 		{StageConcat, nil, func(sctx context.Context) (func(), error) {
-			resolver, notes := ResolverFromImageNotes(img)
+			resolver, notes := resolve()
 			msgs := buildMessages(sctx, fx, mfts, trees, allSlices, infos, resolver, met, workers)
 			return func() {
 				res.Errors = append(res.Errors, notes...)
@@ -357,7 +356,7 @@ type candidate struct {
 // reported, not fatal: on a hostile corpus one rotten binary must not sink
 // the image. Candidates land in per-file slots and the winner is reduced in
 // file order, so the selection matches a sequential sweep exactly.
-func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Image) (*candidate, []errdefs.AnalysisError, error) {
+func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Image, resolve func() (*fields.MapResolver, []errdefs.AnalysisError)) (*candidate, []errdefs.AnalysisError, error) {
 	var files []*image.File
 	for _, f := range img.Executables() {
 		if f.IsBinary() {
@@ -366,9 +365,13 @@ func (p *Pipeline) pinpoint(ctx context.Context, met *obs.Metrics, img *image.Im
 	}
 	met.Counter("pinpoint_candidates_total").Add(int64(len(files)))
 	// The key universes only sharpen symbol-free recovery: they are built
-	// once, by the first binary that needs recovery, and never for an
-	// image whose binaries all carry their symbols.
-	hints := sync.OnceValue(func() strip.Hints { return recoveryHints(img) })
+	// once, by the first binary that needs recovery, from the image's
+	// resolver, and never for an image whose binaries all carry their
+	// symbols.
+	hints := sync.OnceValue(func() strip.Hints {
+		r, _ := resolve()
+		return recoveryHints(r)
+	})
 	type slot struct {
 		cand *candidate
 		skip *errdefs.AnalysisError
@@ -478,24 +481,28 @@ func (p *Pipeline) liftCandidate(ctx context.Context, met *obs.Metrics, f *image
 	return &candidate{fx: fx, path: f.Path, handlers: idRes.Handlers, score: score, rec: rec}, nil
 }
 
-// recoveryHints extracts the image-level key universes that sharpen extern
-// identification on stripped binaries: NVRAM keys from nvram-shaped config
-// files, configuration keys from the rest. The same path split
-// ResolverFromImageNotes uses for message rendering.
-func recoveryHints(img *image.Image) strip.Hints {
-	h := strip.Hints{NVRAMKeys: map[string]bool{}, ConfigKeys: map[string]bool{}}
-	for _, f := range img.ConfigFiles() {
-		store, err := nvram.Parse(f.Data)
-		if err != nil {
-			continue
-		}
-		target := h.ConfigKeys
-		if strings.Contains(f.Path, "nvram") {
-			target = h.NVRAMKeys
-		}
-		for _, k := range store.Keys() {
-			target[k] = true
-		}
+// imageResolver returns the reader of img's resolver (see
+// ResolverFromImageNotes), which parses the image's configuration files on
+// its first call, so symbol-free recovery and the concat stage share one
+// parse.
+func imageResolver(img *image.Image) func() (*fields.MapResolver, []errdefs.AnalysisError) {
+	return sync.OnceValues(func() (*fields.MapResolver, []errdefs.AnalysisError) {
+		return ResolverFromImageNotes(img)
+	})
+}
+
+// recoveryHints takes the key universes that sharpen extern identification
+// on stripped binaries from the resolver's NVRAM and configuration values.
+func recoveryHints(r *fields.MapResolver) strip.Hints {
+	h := strip.Hints{
+		NVRAMKeys:  make(map[string]bool, len(r.NVRAM)),
+		ConfigKeys: make(map[string]bool, len(r.Config)),
+	}
+	for k := range r.NVRAM {
+		h.NVRAMKeys[k] = true
+	}
+	for k := range r.Config {
+		h.ConfigKeys[k] = true
 	}
 	return h
 }

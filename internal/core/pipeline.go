@@ -280,13 +280,14 @@ func clusterCounts(mfts []*taint.MFT) map[float64]int {
 }
 
 // ResolverFromImageNotes builds the field-source resolver for message
-// rendering — NVRAM values from /etc/nvram.defaults, configuration values
-// from every other /etc key=value file, and file contents from the image
-// tree — plus a degradation note for every config-shaped file that failed
-// nvram.Parse. Files with no key=value line at all (certificates, hosts,
-// shell fragments) are not configuration stores and are skipped without a
-// note; a file that does carry key=value lines but fails to parse loses
-// real resolver values, and the analysis must say so instead of silently
+// rendering — NVRAM values from the key=value files whose path names nvram
+// (/etc/nvram.defaults), configuration values from every other /etc
+// key=value file, and file contents from the image tree — plus a
+// degradation note for every config-shaped file that failed nvram.Parse.
+// Files with no key=value line at all (certificates, hosts, shell
+// fragments) are not configuration stores and are skipped without a note;
+// a file that does carry key=value lines but fails to parse loses real
+// resolver values, and the analysis must say so instead of silently
 // rendering fields as dynamic.
 func ResolverFromImageNotes(img *image.Image) (*fields.MapResolver, []errdefs.AnalysisError) {
 	r := &fields.MapResolver{

@@ -31,7 +31,7 @@ func crawlWinners(t *testing.T) []winner {
 	t.Helper()
 	var ws []winner
 	for _, img := range crawlImages(t) {
-		cand, _, err := New(Options{Workers: 1}).pinpoint(context.Background(), nil, img)
+		cand, _, err := New(Options{Workers: 1}).pinpoint(context.Background(), nil, img, imageResolver(img))
 		if err != nil {
 			continue
 		}

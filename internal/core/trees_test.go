@@ -59,7 +59,7 @@ func messagesOf(fx *facts.Program, img *image.Image, workers int) []MessageResul
 // fresh store over a fresh lift, nil for a script-only image.
 func freshMessages(t testing.TB, img *image.Image, workers int) []MessageResult {
 	t.Helper()
-	cand, _, err := New(Options{Workers: workers}).pinpoint(context.Background(), nil, img)
+	cand, _, err := New(Options{Workers: workers}).pinpoint(context.Background(), nil, img, imageResolver(img))
 	if err != nil {
 		return nil
 	}
@@ -139,7 +139,7 @@ func TestRecycledTreesMatchFresh(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for _, img := range imgs {
 				want := renderMessages(freshMessages(t, img, workers))
-				cand, _, err := p.pinpoint(ctx, nil, img)
+				cand, _, err := p.pinpoint(ctx, nil, img, imageResolver(img))
 				if err != nil {
 					if want != "" {
 						t.Fatalf("%s: pinpoint failed (%v) where a fresh lift found messages", img.Device, err)

@@ -84,7 +84,7 @@ func (c *formatArityChecker) Check(fc *FuncContext) []Diagnostic {
 		if !ok {
 			continue
 		}
-		want := countVerbs(format)
+		want := formatVerbs(format, nil)
 		got := op.Call.Arity - spec.varStart
 		if got < 0 {
 			got = 0

@@ -6,6 +6,7 @@ import (
 
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
+	"firmres/internal/slices"
 )
 
 // plant is one message-field placement recovered from an assembling
@@ -66,13 +67,13 @@ func (fc *FuncContext) collectPlants() []plant {
 			if !ok {
 				continue
 			}
-			for j, key := range formatKeys(format) {
-				argIdx := spec.varStart + j
-				if key == "" || argIdx >= op.Call.Arity || argIdx >= isa.NumArgRegs {
-					continue
+			argIdx := spec.varStart
+			formatVerbs(format, func(key string) {
+				if key != "" && argIdx < op.Call.Arity && argIdx < isa.NumArgRegs {
+					out = append(out, fc.newPlant(key, i, pcode.Register(isa.ArgReg(argIdx)), name))
 				}
-				out = append(out, fc.newPlant(key, i, pcode.Register(isa.ArgReg(argIdx)), name))
-			}
+				argIdx++
+			})
 
 		case "strcpy", "strcat":
 			dst, ok := fc.Consts().ValueAt(i, pcode.Register(isa.ArgReg(0)))
@@ -123,26 +124,26 @@ func (fc *FuncContext) newPlant(key string, opIdx int, val pcode.Varnode, via st
 	return p
 }
 
-// formatKeys maps each %-verb of a printf format to the field key named
-// immediately before it ("sn=%s&mac=%s" -> ["sn", "mac"]); verbs with no
-// key= prefix yield "".
-func formatKeys(format string) []string {
-	var keys []string
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] != '%' {
+// formatVerbs reads a printf format part by part, as the slices stage
+// does, and calls verb for each conversion verb in order with the field
+// key the literal text before it names ("sn=%s&mac=%s" -> "sn", "mac"; ""
+// when that text does not end in "key="). verb may be nil. It returns the
+// number of verbs.
+func formatVerbs(format string, verb func(key string)) int {
+	n, text := 0, ""
+	for i := 0; i < len(format); {
+		var part slices.Part
+		part, i = slices.NextPart(format, i)
+		if !part.Verb {
+			text = part.Text
 			continue
 		}
-		if format[i+1] == '%' {
-			i++
-			continue
+		if verb != nil {
+			verb(trailingKey(text))
 		}
-		key := ""
-		if i > 0 && format[i-1] == '=' {
-			key = trailingKey(format[:i])
-		}
-		keys = append(keys, key)
+		n, text = n+1, ""
 	}
-	return keys
+	return n
 }
 
 // trailingKey extracts the identifier ending a "...key=" segment.
@@ -161,20 +162,4 @@ func trailingKey(seg string) string {
 
 func isKeyChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-'
-}
-
-// countVerbs counts the %-directives of a printf format, skipping %%.
-func countVerbs(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] != '%' {
-			continue
-		}
-		if format[i+1] == '%' {
-			i++
-			continue
-		}
-		n++
-	}
-	return n
 }

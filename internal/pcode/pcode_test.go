@@ -337,3 +337,26 @@ func TestLoadBase(t *testing.T) {
 		}
 	}
 }
+
+// TestFuncByNameLastInSymbolOrder: of two function symbols that share a
+// name, FuncByName returns the one later in symbol order.
+func TestFuncByNameLastInSymbolOrder(t *testing.T) {
+	bin := buildProgram(t).Bin
+	if len(bin.Funcs) < 2 {
+		t.Fatalf("%d function symbols, want two", len(bin.Funcs))
+	}
+	bin.Funcs[0].Name = bin.Funcs[1].Name
+	p, err := LiftProgram(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch f, ok := p.FuncByName(bin.Funcs[1].Name); {
+	case !ok:
+		t.Errorf("FuncByName(%q) found nothing", bin.Funcs[1].Name)
+	case f.Addr() != bin.Funcs[1].Addr:
+		t.Errorf("FuncByName(%q) = the function at %#x, want the symbol at %#x", bin.Funcs[1].Name, f.Addr(), bin.Funcs[1].Addr)
+	}
+	if _, ok := p.FuncByName("absent"); ok {
+		t.Error("FuncByName found an absent name")
+	}
+}

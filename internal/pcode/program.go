@@ -16,7 +16,6 @@ type Program struct {
 	Bin    *binfmt.Binary
 	Funcs  []*Function // in address order; Function.Index is the position here
 	byAddr map[uint32]*Function
-	byName map[string]*Function
 
 	fns     []Function // the function shells, in symbol order; Funcs points into it
 	slabs              // the storage every function's arrays are carved from
@@ -34,7 +33,7 @@ func LiftProgram(bin *binfmt.Binary) (*Program, error) {
 }
 
 // Lift lifts every function symbol of the binary into p, reusing the slabs,
-// function shells, index maps and decode scratch an earlier Lift left in
+// function shells, address index and decode scratch an earlier Lift left in
 // p; lifting the same binary again allocates nothing. p's owner calls it
 // only once nothing reads p, its functions, or any op, varnode or call
 // target taken from them any more.
@@ -46,7 +45,7 @@ func (p *Program) Lift(bin *binfmt.Binary) error {
 }
 
 // lift fills p with the P-Code of every function of bin, reusing the
-// slabs, shells, index maps and decode buffer a recycled p kept.
+// slabs, shells, address index and decode buffer a recycled p kept.
 func (p *Program) lift(bin *binfmt.Binary) error {
 	sc := &p.scratch
 	sc.sizes = sc.sizes[:0]
@@ -80,10 +79,8 @@ func (p *Program) lift(bin *binfmt.Binary) error {
 	p.Funcs = p.Funcs[:0]
 	if p.byAddr == nil {
 		p.byAddr = make(map[uint32]*Function, len(bin.Funcs))
-		p.byName = make(map[string]*Function, len(bin.Funcs))
 	} else {
 		clear(p.byAddr)
-		clear(p.byName)
 	}
 	for i, n := range sc.sizes {
 		sym, f := bin.Funcs[i], &p.fns[i]
@@ -93,7 +90,6 @@ func (p *Program) lift(bin *binfmt.Binary) error {
 		}
 		p.Funcs = append(p.Funcs, f)
 		p.byAddr[sym.Addr] = f
-		p.byName[sym.Name] = f
 	}
 	if decodeErr != nil {
 		return decodeErr
@@ -142,7 +138,6 @@ func (p *Program) Scrub() {
 		clear(f.locIdx)
 	}
 	clear(p.byAddr)
-	clear(p.byName)
 }
 
 // FuncAt returns the lifted function whose entry is addr.
@@ -151,10 +146,16 @@ func (p *Program) FuncAt(addr uint32) (*Function, bool) {
 	return f, ok
 }
 
-// FuncByName returns the lifted function with the given symbol name.
+// FuncByName returns the lifted function with the given symbol name, the
+// last in symbol order when several share it. It scans the functions: no
+// analysis looks functions up by name.
 func (p *Program) FuncByName(name string) (*Function, bool) {
-	f, ok := p.byName[name]
-	return f, ok
+	for i := len(p.fns) - 1; i >= 0; i-- {
+		if f := &p.fns[i]; f.Sym.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }
 
 // CallSite is one CALL/CALLIND op located within a function.

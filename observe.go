@@ -7,30 +7,18 @@ package firmres
 
 import (
 	"io"
-	"time"
 
 	"firmres/internal/obs"
 )
 
-// SpanEvent is one span notification delivered to an Observer. Parent is 0
-// for the per-image root spans; End is zero in SpanStart notifications.
-type SpanEvent struct {
-	ID     int64
-	Parent int64
-	Name   string // "image", "cache", or a stage name
-	Status string // "" = ok; "partial", "panic", "skipped", ...
-	Start  time.Time
-	End    time.Time
-	Attrs  map[string]string // device, path, fn, ... (nil when none)
-}
-
-// Duration is the span's wall-clock extent (zero before End).
-func (e SpanEvent) Duration() time.Duration {
-	if e.End.IsZero() {
-		return 0
-	}
-	return e.End.Sub(e.Start)
-}
+// SpanEvent is one span notification delivered to an Observer: the
+// pipeline's own span record, handed over as it is. Parent is 0 for the
+// per-image root spans; End is zero in SpanStart notifications; Status is
+// "" for ok, else "partial", "panic", "skipped", "fatal: <kind>", ...
+// Attributes (device, version, path, fn, ...) are read with Attr(key),
+// which returns "" for one the span does not carry, and Duration is the
+// span's wall-clock extent (zero before End).
+type SpanEvent = obs.SpanData
 
 // Observer is a sink notified as analysis spans start and end — the hook
 // for custom dashboards or log streams. It sees the stage-level tree: the
@@ -40,10 +28,7 @@ func (e SpanEvent) Duration() time.Duration {
 // image span per stage that ran. The inner-loop spans below the stages are
 // built only for a Trace. Implementations must be safe for concurrent
 // calls: spans start and end on many goroutines at once.
-type Observer interface {
-	SpanStart(SpanEvent)
-	SpanEnd(SpanEvent)
-}
+type Observer = obs.Observer
 
 // Trace collects the hierarchical spans of an analysis run: one root span
 // per image, a child span per pipeline stage, and grandchildren for the hot
@@ -130,28 +115,6 @@ func MergeMetrics(dst, src map[string]int64) map[string]int64 {
 	return obs.MergeSnapshots(dst, src)
 }
 
-// observerAdapter bridges the public Observer to the internal span sink.
-type observerAdapter struct {
-	o Observer
-}
-
-func eventOf(d obs.SpanData) SpanEvent {
-	ev := SpanEvent{
-		ID: d.ID, Parent: d.Parent, Name: d.Name,
-		Status: d.Status, Start: d.Start, End: d.End,
-	}
-	if len(d.Attrs) > 0 {
-		ev.Attrs = make(map[string]string, len(d.Attrs))
-		for _, a := range d.Attrs {
-			ev.Attrs[a.Key] = a.Value
-		}
-	}
-	return ev
-}
-
-func (a observerAdapter) SpanStart(d obs.SpanData) { a.o.SpanStart(eventOf(d)) }
-func (a observerAdapter) SpanEnd(d obs.SpanData)   { a.o.SpanEnd(eventOf(d)) }
-
 // recorder assembles the span recorder the options ask for: the trace's,
 // teed to the observers and the progress reporter when there are any; an
 // observer-only recorder, which keeps no spans and starts none below the
@@ -162,10 +125,7 @@ func (c *config) recorder(totalImages int) *obs.Recorder {
 	if c.trace != nil {
 		up = c.trace.rec
 	}
-	var sinks []obs.Observer
-	for _, o := range c.observers {
-		sinks = append(sinks, observerAdapter{o: o})
-	}
+	sinks := c.observers
 	if c.progressW != nil {
 		sinks = append(sinks, obs.NewProgress(c.progressW, totalImages))
 	}

@@ -361,11 +361,11 @@ func TestProgressCountsCorruptImages(t *testing.T) {
 	}
 	for id, e := range images {
 		if e.Status == "fatal: corrupt-image" {
-			if e.Attrs["device"] != "" || stages[id] != 0 {
-				t.Errorf("corrupt image span names %q and has %d stages, want neither", e.Attrs["device"], stages[id])
+			if e.Attr("device") != "" || stages[id] != 0 {
+				t.Errorf("corrupt image span names %q and has %d stages, want neither", e.Attr("device"), stages[id])
 			}
-		} else if e.Attrs["device"] == "" || stages[id] == 0 {
-			t.Errorf("image span [%s] names %q and has %d stages, want its device and its stages", e.Status, e.Attrs["device"], stages[id])
+		} else if e.Attr("device") == "" || stages[id] == 0 {
+			t.Errorf("image span [%s] names %q and has %d stages, want its device and its stages", e.Status, e.Attr("device"), stages[id])
 		}
 	}
 }

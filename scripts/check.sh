@@ -69,6 +69,9 @@ leg_race() {
 	echo "== scheduler (atomic index claiming: determinism, stranded index, panic, cancellation) under -race"
 	go test -race ./internal/parallel
 
+	echo "== firmres driver (outputs printed in input order from every worker, a fatal image cancelling the run, progress and error lines on one stderr) under -race"
+	go test -race -count=10 -run 'TestJobsAgree$' ./cmd/firmres
+
 	echo "== stage runner (inline stages: a cancelled stage commits nothing and leaves no work running, a panicked stage still releases its program, a call's cancellation spares its single-flight waiters) under -race"
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
 	go test -race -count=10 -run 'TestAnalyzerLeaderCancelSparesFollower' .
