@@ -96,8 +96,9 @@ func (a *Analyzer) Analyze(ctx context.Context, dst, data []byte, o Observer) (r
 }
 
 // encodeBufs is the process's free list of the buffers a cache miss of
-// the batch functions encodes its entry into: at most one per analysis
-// worker, each at most parallel.MaxKeptBuf, kept across collections.
+// the batch functions encodes its entry into: at most
+// parallel.FreeListCap, each at most parallel.MaxKeptBuf, kept across
+// collections.
 var encodeBufs parallel.FreeList[[]byte]
 
 // appendReport appends rep's canonical JSON, the bytes json.Marshal

@@ -21,7 +21,8 @@
 // ahead of the first unfinished image. A fatal image (one that is
 // unreadable or corrupt, say) prints its error to stderr and ends the run
 // there, unless -keep-going: no later image starts once that error is
-// printed, and -metrics counts only the reports printed before it.
+// printed, and -metrics counts only the reports printed before it (and
+// under -cache only the cache lookups of the images up to it).
 //
 // Caching: -cache DIR serves every analysis from a persistent
 // content-addressed result cache (and stores fresh results back), keyed on
@@ -241,10 +242,11 @@ func printError(stderr io.Writer, subject string, err error) {
 // set of stage totals, and one merged metrics snapshot across every
 // analyzed image — and writes them when the run finishes.
 type obsSink struct {
-	opts    options
-	trace   *firmres.Trace
-	timer   *stageTimer // nil without -timings
-	metrics map[string]int64
+	opts     options
+	trace    *firmres.Trace
+	timer    *stageTimer   // nil without -timings
+	progress *obs.Progress // nil without -progress
+	metrics  map[string]int64
 }
 
 func newObsSink(opts options) *obsSink {
@@ -293,9 +295,18 @@ func (s *obsSink) options(stderr io.Writer, total int) []firmres.Option {
 		out = append(out, firmres.WithMetrics())
 	}
 	if s.opts.progress {
-		out = append(out, firmres.WithObserver(obs.NewProgress(stderr, total)))
+		s.progress = obs.NewProgress(stderr, total)
+		out = append(out, firmres.WithObserver(s.progress))
 	}
 	return out
+}
+
+// unreadable counts an image the run could not read, which reaches no
+// analysis and so opens no span, in the progress reporter.
+func (s *obsSink) unreadable(path string) {
+	if s.progress != nil {
+		s.progress.Skip(path, "fatal: unreadable")
+	}
 }
 
 // merge folds a metrics snapshot, one report's or the run's cache
@@ -349,10 +360,12 @@ func writeFile(path string, write func(io.Writer) error) error {
 // outcome is one image's turn at the output: what it prints on stdout, or
 // the fatal error its stderr line reports.
 type outcome struct {
-	out     []byte // a buffer of the run's, returned once printed
-	err     error
-	partial bool
-	metrics map[string]int64
+	out      []byte // a buffer of the run's, returned once printed
+	err      error
+	partial  bool
+	analyzed bool // the image was read and analyzed, through the cache when on
+	hit      bool // the cache answered it
+	metrics  map[string]int64
 }
 
 // analyzeAll analyzes the images through a on up to -j workers and prints
@@ -361,22 +374,28 @@ type outcome struct {
 // ahead of the first unfinished one. A fatal image ends the run there
 // unless keepGoing: no later image starts once its error is printed, the
 // images already under way are cancelled and dropped, and -metrics merges
-// only the reports printed before it.
+// only the reports printed before it, and under -cache only the lookups
+// of the images up to it: the cache's hits and misses are counted from
+// the outcomes taken in input order, so the file is the same at every -j.
 func analyzeAll(stdout, stderr io.Writer, a *firmres.Analyzer, paths []string, opts options, keepGoing bool, sink *obsSink) int {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	var (
-		bufs parallel.FreeList[[]byte] // report and output buffers, reused image after image
-		mu   sync.Mutex                // guards held, next and exit, and orders the writes
-		held = map[int]outcome{}
-		next int
-		exit = exitOK
+		bufs         parallel.FreeList[[]byte] // report and output buffers, reused image after image
+		mu           sync.Mutex                // guards held, next, exit and the counts, and orders the writes
+		held         = map[int]outcome{}
+		next         int
+		exit         = exitOK
+		hits, misses int64
 	)
 	parallel.ForEach(ctx, parallel.CPUWorkers(opts.jobs), len(paths), func(i int) {
 		js, _ := bufs.Get()
 		out, _ := bufs.Get()
 		o, js := analyze(ctx, a, paths[i], opts, js, out)
 		parallel.PutBuf(&bufs, js)
+		if !o.analyzed {
+			sink.unreadable(paths[i])
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		held[i] = o
@@ -386,6 +405,12 @@ func analyzeAll(stdout, stderr io.Writer, a *firmres.Analyzer, paths []string, o
 				return
 			}
 			delete(held, next)
+			switch {
+			case o.hit:
+				hits++
+			case o.analyzed:
+				misses++
+			}
 			err := o.err
 			if err == nil {
 				sink.merge(o.metrics)
@@ -405,7 +430,9 @@ func analyzeAll(stdout, stderr io.Writer, a *firmres.Analyzer, paths []string, o
 		}
 	})
 	if opts.cacheEnabled() {
-		sink.merge(a.CacheStats().Snapshot())
+		cs := a.CacheStats()
+		cs.Hits, cs.Misses = hits, misses
+		sink.merge(cs.Snapshot())
 	}
 	return exit
 }
@@ -464,7 +491,8 @@ func analyze(ctx context.Context, a *firmres.Analyzer, path string, opts options
 		o.err = err
 		return o, js
 	}
-	report, rjs, _, err := a.Analyze(ctx, js, data, nil)
+	report, rjs, hit, err := a.Analyze(ctx, js, data, nil)
+	o.analyzed, o.hit = true, hit
 	switch {
 	case errors.Is(err, firmres.ErrNoDeviceCloudExecutable):
 		o.out = fmt.Appendf(o.out, "%s: no device-cloud executable (script-based cloud agent?)\n", path)

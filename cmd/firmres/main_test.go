@@ -425,12 +425,10 @@ func TestJSONOutputUnchanged(t *testing.T) {
 	}
 }
 
-// TestJobsAgree: one driver at every -j. Over device 1, a 200-byte
-// truncation of it, device 2 and device 3, a run prints the same reports,
-// the same error lines and the same exit code, and writes the same
-// -metrics file, at -j 1 as at -j 2, with and without -keep-going. Without
-// it the truncated image ends the run, so -metrics counts device 1 alone.
-func TestJobsAgree(t *testing.T) {
+// jobsImages writes device 1, a 200-byte truncation of it, device 2 and
+// device 3, and returns their paths in that order.
+func jobsImages(t *testing.T) []string {
+	t.Helper()
 	dir := t.TempDir()
 	var paths []string
 	write := func(name string, data []byte) {
@@ -450,31 +448,48 @@ func TestJobsAgree(t *testing.T) {
 			write("trunc.img", img.Pack()[:200])
 		}
 	}
-	type result struct {
-		exit           int
-		stdout, errors string
-		metrics        []byte
-	}
-	runJobs := func(jobs string, extra ...string) result {
-		metrics := filepath.Join(t.TempDir(), "metrics.prom")
-		args := append([]string{"-j", jobs, "-progress", "-metrics", metrics}, extra...)
-		exit, stdout, stderr := runCLI(append(args, paths...)...)
-		var errLines []string // stderr less the progress lines, whose order is the schedule's
-		for _, line := range strings.SplitAfter(stderr, "\n") {
-			if strings.HasPrefix(line, "firmres: ") {
-				errLines = append(errLines, line)
-			}
+	return paths
+}
+
+// jobsResult is what one run printed and wrote: its exit code, reports,
+// error lines and -metrics file.
+type jobsResult struct {
+	exit           int
+	stdout, errors string
+	metrics        []byte
+}
+
+// runJobs runs paths at -j jobs with -progress, -metrics and the extra
+// flags.
+func runJobs(t *testing.T, paths []string, jobs string, extra ...string) jobsResult {
+	t.Helper()
+	metrics := filepath.Join(t.TempDir(), "metrics.prom")
+	args := append([]string{"-j", jobs, "-progress", "-metrics", metrics}, extra...)
+	exit, stdout, stderr := runCLI(append(args, paths...)...)
+	var errLines []string // stderr less the progress lines, whose order is the schedule's
+	for _, line := range strings.SplitAfter(stderr, "\n") {
+		if strings.HasPrefix(line, "firmres: ") {
+			errLines = append(errLines, line)
 		}
-		m, err := os.ReadFile(metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return result{exit, stdout, strings.Join(errLines, ""), m}
 	}
-	var stopped, kept result
+	m, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobsResult{exit, stdout, strings.Join(errLines, ""), m}
+}
+
+// TestJobsAgree: one driver at every -j. Over device 1, a 200-byte
+// truncation of it, device 2 and device 3, a run prints the same reports,
+// the same error lines and the same exit code, and writes the same
+// -metrics file, at -j 1 as at -j 2, with and without -keep-going. Without
+// it the truncated image ends the run, so -metrics counts device 1 alone.
+func TestJobsAgree(t *testing.T) {
+	paths := jobsImages(t)
+	var stopped, kept jobsResult
 	for _, keep := range [][]string{nil, {"-keep-going"}} {
-		want := runJobs("1", keep...)
-		if got := runJobs("2", keep...); !reflect.DeepEqual(got, want) {
+		want := runJobs(t, paths, "1", keep...)
+		if got := runJobs(t, paths, "2", keep...); !reflect.DeepEqual(got, want) {
 			t.Errorf("flags %q: -j 2 printed exit %d, %d bytes of reports, errors %q and %d bytes of metrics; -j 1 exit %d, %d bytes, errors %q and %d bytes",
 				keep, got.exit, len(got.stdout), got.errors, len(got.metrics),
 				want.exit, len(want.stdout), want.errors, len(want.metrics))
@@ -485,7 +500,7 @@ func TestJobsAgree(t *testing.T) {
 			kept = want
 		}
 	}
-	for _, r := range []result{stopped, kept} {
+	for _, r := range []jobsResult{stopped, kept} {
 		if r.exit != exitFatal || strings.Count(r.errors, "\n") != 1 || !strings.Contains(r.errors, "trunc.img: corrupt firmware image") {
 			t.Errorf("exit %d, errors %q: want exit %d and one error line for trunc.img", r.exit, r.errors, exitFatal)
 		}
@@ -498,5 +513,39 @@ func TestJobsAgree(t *testing.T) {
 	}
 	if bytes.Equal(stopped.metrics, kept.metrics) {
 		t.Error("-metrics counts the same reports with and without -keep-going")
+	}
+}
+
+// TestCacheMetricsAgreeAcrossJobs: under -cache, -metrics counts the cache
+// lookups of the images up to the fatal one that ends the run, not those
+// of images already under way beside it. Over device 1, a 200-byte
+// truncation of it, device 2 and device 3, with a fresh cache and no
+// -keep-going, a run writes the same file at -j 2, three times, as at
+// -j 1: two misses, device 1's and the truncation's.
+func TestCacheMetricsAgreeAcrossJobs(t *testing.T) {
+	paths := jobsImages(t)
+	want := runJobs(t, paths, "1", "-cache", t.TempDir())
+	if !bytes.Contains(want.metrics, []byte("firmres_cache_misses_total 2\n")) ||
+		!bytes.Contains(want.metrics, []byte("firmres_cache_hits_total 0\n")) {
+		t.Fatalf("-j 1 wrote\n%s\nwant 2 cache misses and no hit", want.metrics)
+	}
+	for i := 0; i < 3; i++ {
+		if got := runJobs(t, paths, "2", "-cache", t.TempDir()); !bytes.Equal(got.metrics, want.metrics) {
+			t.Fatalf("-j 2 wrote\n%s\nwant what -j 1 wrote:\n%s", got.metrics, want.metrics)
+		}
+	}
+}
+
+// TestProgressCountsUnreadableImages: an image the run cannot read counts
+// in -progress like every other, so a -keep-going run over a missing file
+// and two devices ends at 3/3, at every -j.
+func TestProgressCountsUnreadableImages(t *testing.T) {
+	paths := []string{filepath.Join(t.TempDir(), "nope.img"), writeImage(t, 1), writeImage(t, 2)}
+	for _, jobs := range []string{"1", "2"} {
+		exit, _, stderr := runCLI(append([]string{"-j", jobs, "-progress", "-keep-going"}, paths...)...)
+		if exit != exitFatal || !strings.Contains(stderr, "nope.img done in 0s [fatal: unreadable]") ||
+			!strings.Contains(stderr, "progress: 3/3 images (100%)") {
+			t.Errorf("-j %s: exit %d, stderr:\n%s\nwant exit %d, nope.img counted as unreadable and progress at 3/3", jobs, exit, stderr, exitFatal)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package firmres
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"runtime/metrics"
 	"sort"
@@ -100,7 +101,7 @@ func emptyFreeList(t testing.TB, img []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+		for i := 0; i < parallel.FreeListCap(); i++ {
 			if _, err := facts.Lift(bin); err != nil {
 				t.Fatal(err)
 			}
@@ -114,9 +115,10 @@ func emptyFreeList(t testing.TB, img []byte) {
 // two workers and requires the live heap, once the process's free list of
 // sets is emptied, to stay within 64 KB of its level before the run while
 // the Analyzer stays reachable: the free list keeps the storage of at
-// most GOMAXPROCS+1 sets, and nothing else of the analyses survives them,
-// in the Analyzer or anywhere else. A warm-up pass first builds what the
-// process builds once (the extern signature index, the sets' storage).
+// most parallel.FreeListCap sets, and nothing else of the analyses
+// survives them, in the Analyzer or anywhere else. A warm-up pass first
+// builds what the process builds once (the extern signature index, the
+// sets' storage).
 func TestAnalyzerRetentionBound(t *testing.T) {
 	const budget = 64 << 10
 	imgs := crawlSet(t)
@@ -145,6 +147,47 @@ func TestAnalyzerRetentionBound(t *testing.T) {
 		grown, len(imgs), int64(kept)-int64(after), budget)
 	if grown > budget {
 		t.Errorf("live heap grew %d B after the crawl set beyond the free list of sets, budget %d", grown, budget)
+	}
+}
+
+// TestConcurrentAnalysesStayWarm: the free list keeps what the process's
+// workers hold at once, so analyses two at a time start as warm as one at
+// a time. The crawl set with lint through one Analyzer must allocate, per
+// image, within 5% at two image workers of what it allocates at one. A
+// list that keeps only what one analysis holds drops a set whenever two
+// run, and each dropped set is regrown. GOMAXPROCS is pinned at 2, so the
+// list's cap is the same on every host; each figure is the median of five
+// passes, the two shapes alternating after a warm-up pass of each.
+func TestConcurrentAnalysesStayWarm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	imgs := crawlSet(t)
+	a, err := NewAnalyzer(WithLint(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pass := func(workers int) float64 {
+		before := totalAlloc()
+		parallel.ForEach(ctx, workers, len(imgs), func(i int) {
+			if r := analyzeBatchImage(ctx, a, "", imgs[i]); r.Err != nil && !errors.Is(r.Err, ErrNoDeviceCloudExecutable) {
+				t.Error(r.Err)
+			}
+		})
+		return float64(totalAlloc()-before) / float64(len(imgs))
+	}
+	pass(1)
+	pass(2)
+	const passes = 5
+	var one, two []float64
+	for i := 0; i < passes; i++ {
+		one = append(one, pass(1))
+		two = append(two, pass(2))
+	}
+	o, w := medianOf(one), medianOf(two)
+	t.Logf("per image: %.0f B at one image worker, %.0f B at two (%+.1f%%)", o, w, 100*(w-o)/o)
+	if w > 1.05*o {
+		t.Errorf("two image workers allocate %.0f B per image, %.1f%% above one worker's %.0f B: the free list drops sets that concurrent analyses release",
+			w, 100*(w-o)/o, o)
 	}
 }
 

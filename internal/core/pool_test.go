@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 
 	"firmres/internal/binfmt"
 	"firmres/internal/errdefs"
 	"firmres/internal/facts"
 	"firmres/internal/image"
+	"firmres/internal/parallel"
 )
 
 // liftAnyBinary lifts the first binary executable of img through the
@@ -34,15 +34,12 @@ func liftAnyBinary(t *testing.T, img *image.Image) *facts.Program {
 	return nil
 }
 
-// freeListCap is the most sets the process's free list keeps.
-func freeListCap() int { return runtime.GOMAXPROCS(0) + 1 }
-
 // drainFreeList lifts as many sets as the free list can keep and returns
 // them, so the list is empty until they or others are released.
 func drainFreeList(t *testing.T, img *image.Image) []*facts.Program {
 	t.Helper()
 	var held []*facts.Program
-	for i := 0; i < freeListCap(); i++ {
+	for i := 0; i < parallel.FreeListCap(); i++ {
 		held = append(held, liftAnyBinary(t, img))
 	}
 	return held
@@ -112,14 +109,14 @@ func TestPanickedStageReleasesProgram(t *testing.T) {
 	}
 }
 
-// TestPoolKeepsWhatOneAnalysisHolds: the process's free list keeps one
-// set per processor plus one — the most one analysis holds, since
-// pinpoint lifts on at most GOMAXPROCS workers and keeps one candidate
-// until selection — and leaves sets released beyond that to the garbage
-// collector.
+// TestPoolKeepsWhatOneAnalysisHolds: the process's free list keeps two
+// sets per processor — what the workers of one analysis, or of one
+// analysis each, hold at once, since a worker holds the set it lifts into
+// and the candidate pinpoint keeps until selection — and leaves sets
+// released beyond that to the garbage collector.
 func TestPoolKeepsWhatOneAnalysisHolds(t *testing.T) {
 	img := buildImage(t, 17)
-	n := freeListCap() + 3
+	n := parallel.FreeListCap() + 3
 	released := map[*facts.Program]bool{}
 	var sets []*facts.Program
 	for i := 0; i < n; i++ {
@@ -139,7 +136,7 @@ func TestPoolKeepsWhatOneAnalysisHolds(t *testing.T) {
 		}
 	}
 	releaseAll(sets)
-	if want := freeListCap(); recycled != want {
-		t.Errorf("free list handed back %d of %d released sets, want %d (GOMAXPROCS + 1)", recycled, n, want)
+	if want := parallel.FreeListCap(); recycled != want {
+		t.Errorf("free list handed back %d of %d released sets, want %d (two per processor)", recycled, n, want)
 	}
 }

@@ -23,7 +23,7 @@ func liveHeap() uint64 {
 // heap to return to its pre-batch level once the results are dropped,
 // while the pipeline and its classifier stay reachable: no per-image
 // enrichment state may outlive the set that holds it, and the process's
-// free list keeps at most GOMAXPROCS+1 sets.
+// free list keeps at most two sets per processor.
 func TestPipelineRetainsNoEnrichment(t *testing.T) {
 	const budget = 1 << 20
 	var imgs []*image.Image

@@ -5,6 +5,7 @@ import (
 
 	"firmres/internal/facts"
 	"firmres/internal/fields"
+	"firmres/internal/slab"
 )
 
 // store is the storage a set keeps for the per-message lists the pipeline
@@ -14,8 +15,8 @@ import (
 // claim under the lock.
 type store struct {
 	mu      sync.Mutex
-	infos   facts.Slab[fields.SliceInfo]
-	results facts.Slab[MessageResult]
+	infos   slab.Slab[fields.SliceInfo]
+	results slab.Slab[MessageResult]
 }
 
 // storeOf returns the store fx keeps in its core slot, or fresh storage
@@ -27,19 +28,13 @@ func storeOf(fx *facts.Program) *store {
 	return fx.Scratch(facts.SlotCore, readyStore).(*store)
 }
 
-// readyStore readies the store a set kept from an earlier program, or a
-// new one, for the program of fx. A cold slab's first chunk is sized from
-// the program's ops: the crawl set's device-cloud executables classify at
-// most 0.18 slices and 0.023 messages per op.
-func readyStore(fx *facts.Program, old facts.Scratch) facts.Scratch {
-	st, _ := old.(*store)
-	if st == nil {
-		st = new(store)
+// readyStore returns the store a set kept from an earlier program, or a
+// new one.
+func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
+	if st, ok := old.(*store); ok {
+		return st
 	}
-	ops := fx.Ops()
-	st.infos.Reserve(7 * ops / 40)
-	st.results.Reserve(ops / 40)
-	return st
+	return new(store)
 }
 
 // Recycle implements facts.Scratch.

@@ -13,6 +13,7 @@ import (
 	"firmres/internal/binfmt"
 	"firmres/internal/facts"
 	"firmres/internal/image"
+	"firmres/internal/parallel"
 	"firmres/internal/taint"
 )
 
@@ -62,7 +63,7 @@ func setRetainsTrees(t *testing.T, ws []winner) int64 {
 	t.Helper()
 	small := ws[len(ws)-1].bin
 	var held []*facts.Program
-	for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+	for i := 0; i < parallel.FreeListCap(); i++ {
 		fx, err := facts.Lift(small)
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"firmres/internal/binfmt"
 	"firmres/internal/facts"
+	"firmres/internal/parallel"
 )
 
 // TestRecycledSetZeroAllocs: a set that serves a program it has served
@@ -49,7 +50,7 @@ func setRetains(t *testing.T, bins []*binfmt.Binary) int64 {
 	t.Helper()
 	small := bins[len(bins)-1]
 	var held []*facts.Program
-	for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+	for i := 0; i < parallel.FreeListCap(); i++ {
 		fx, err := facts.Lift(small)
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,9 @@
 // and the call graph is rebuilt in arrays of its own. The layers above
 // keep what they build for the program, its message trees among it, in
 // the store too: each in a scratch slot of its own (Scratch), carved from
-// Slabs of the layer's.
+// slabs of the layer's. One allocator serves all of it and the lifted
+// program: slab.Slab, sized by what the set served, with no guess at a
+// cold program's needs.
 //
 // Ownership rule: a store belongs to one lifted executable and lives
 // exactly as long as its program; it may be shared freely across
@@ -104,8 +106,8 @@ func New(prog *pcode.Program, opts ...Option) *Program {
 	return p
 }
 
-// init readies p for prog: options applied, one fresh handle per function,
-// and cold slabs sized for the program.
+// init readies p for prog: options applied and one fresh handle per
+// function.
 func (p *Program) init(prog *pcode.Program, opts []Option) {
 	p.prog = prog
 	for _, o := range opts {
@@ -116,21 +118,20 @@ func (p *Program) init(prog *pcode.Program, opts []Option) {
 		p.funcs = make([]Func, n)
 	}
 	p.funcs = p.funcs[:n]
-	ops, locs := 0, 0
+	p.ops = 0
 	for i, fn := range prog.Funcs {
 		p.funcs[i] = Func{Prog: prog, Fn: fn, store: p}
-		ops += len(fn.Ops)
-		locs += fn.NumLocs()
+		p.ops += len(fn.Ops)
 	}
-	p.ops = ops
-	p.slabs.reserve(ops, locs)
 }
 
 // recycle empties a released set for its next program: the handles and
 // metrics are dropped, the call graph and the scratches are kept for it,
-// and the slabs, the scratches' included, are consolidated. With scrub,
-// everything released is overwritten first.
+// and the slabs, the program's and the scratches' included, are cleared
+// and consolidated. With scrub, everything released is overwritten
+// instead.
 func (p *Program) recycle(scrub bool) {
+	p.lifted.Recycle(scrub)
 	p.prog, p.met = nil, nil
 	p.reqC, p.bldC = [numArtifacts]*obs.Counter{}, [numArtifacts]*obs.Counter{}
 	p.cgOnce = sync.Once{}
@@ -151,7 +152,7 @@ func (p *Program) recycle(scrub bool) {
 // Scratch is the state a layer above the store keeps for the analysis of
 // its program in the layer's slot: taint's nodes, mft's simplified trees
 // and path lists, slices' slice lists, semantics' enrichment, fields'
-// field lists and core's per-message lists, each carved from Slabs of
+// field lists and core's per-message lists, each carved from slabs of
 // the layer's own. The store holds it, so a set keeps its scratch for its
 // next program instead of leaving it to the garbage collector.
 type Scratch interface {
@@ -195,8 +196,7 @@ func (p *Program) Scratch(slot Slot, ready func(p *Program, old Scratch) Scratch
 // Prog returns the underlying lifted program.
 func (p *Program) Prog() *pcode.Program { return p.prog }
 
-// Ops returns the number of ops of the program over all its functions,
-// by which the layers size a cold slab's first chunk.
+// Ops returns the number of ops of the program over all its functions.
 func (p *Program) Ops() int { return p.ops }
 
 // Metrics returns the metrics registry the store records into, or nil —
@@ -328,8 +328,10 @@ func (f *Func) ArgString(opIdx, argIdx int) (string, bool) {
 // together because they live together. Every analysis in the process
 // lifts through the one list, so a batch call starts with the sets its
 // predecessors released instead of growing its own; like every
-// parallel.FreeList it keeps what the process's analyses had in flight at
-// once and leaves any further release to the garbage collector.
+// parallel.FreeList it keeps two sets per processor, what a worker holds
+// at once (the set it lifts into and the candidate pinpoint keeps), so a
+// warm process stays warm at every worker count, and it leaves any
+// further release to the garbage collector.
 var sets parallel.FreeList[*Program]
 
 // scrubSets makes Release overwrite released storage (ScrubReleased).
@@ -355,7 +357,9 @@ func Lift(bin *binfmt.Binary, opts ...Option) (*Program, error) {
 // Release hands the set of p, a store Lift returned, back for reuse: the
 // next Lift reuses the program's slabs, shells and index maps, the
 // store's handles, slabs and call-graph arrays, and every layer's
-// scratch, instead of allocating them. Only the set's owner may release
+// scratch, instead of allocating them. Every slab of the set is cleared
+// on the way (scrubbed while ScrubReleased is on), so an idle set pins
+// nothing of its last program. Only the set's owner may release
 // it, once: nothing may read p, a handle, artifact or scratch taken from
 // it, its program, or any function, op, varnode or call target of the
 // program afterwards, nor anything a layer carved from its scratch: an
@@ -366,12 +370,7 @@ func (p *Program) Release() {
 	if p == nil || p.prog != &p.lifted {
 		return
 	}
-	scrub := scrubSets.Load()
-	if scrub {
-		p.lifted.Scrub()
-	}
-	p.lifted.Bin = nil
-	p.recycle(scrub)
+	p.recycle(scrubSets.Load())
 	sets.Put(p)
 }
 

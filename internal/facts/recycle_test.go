@@ -244,6 +244,67 @@ func largest(bins []*binfmt.Binary) *binfmt.Binary {
 	return best
 }
 
+// TestReleasedSetPinsNoProgram: with scrubbing off, a release clears the
+// set's pcode storage like every other slab of the set, so an idle set
+// holds no op, input or call target of the binary it lifted, and no
+// function symbol or binary.
+func TestReleasedSetPinsNoProgram(t *testing.T) {
+	defer facts.ScrubReleased(facts.ScrubReleased(false))
+	bin := largest(crawlBinaries(t))
+	fx, err := facts.Lift(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildAll(fx)
+	prog := fx.Prog()
+	fns := append([]*pcode.Function(nil), prog.Funcs...)
+	var ops [][]pcode.Op
+	var ins [][]pcode.Varnode
+	var calls []*pcode.CallTarget
+	for _, fn := range fns {
+		ops = append(ops, fn.Ops)
+		for i := range fn.Ops {
+			if op := &fn.Ops[i]; op.Call != nil {
+				calls = append(calls, op.Call)
+			}
+			ins = append(ins, fn.Ops[i].Inputs)
+		}
+	}
+	fx.Release()
+
+	if prog.Bin != nil {
+		t.Error("a released program still names its binary")
+	}
+	kept := map[string]int{}
+	for _, fn := range fns {
+		if fn.Sym != (binfmt.FuncSym{}) || fn.Ops != nil {
+			kept["function shell"]++
+		}
+	}
+	for _, list := range ops {
+		for i := range list {
+			if !reflect.ValueOf(list[i]).IsZero() {
+				kept["op"]++
+			}
+		}
+	}
+	for _, list := range ins {
+		for _, v := range list {
+			if v != (pcode.Varnode{}) {
+				kept["input"]++
+			}
+		}
+	}
+	for _, c := range calls {
+		if *c != (pcode.CallTarget{}) {
+			kept["call target"]++
+		}
+	}
+	if len(kept) > 0 {
+		t.Errorf("a released set still holds of %s (%d functions, %d call targets): %v", bin.Name, len(fns), len(calls), kept)
+	}
+}
+
 // TestRecycledStoreConcurrentArtifacts has eight goroutines request every
 // artifact of a recycled store at once, each walking the functions from a
 // different start, so that they carve from the store's slabs concurrently;

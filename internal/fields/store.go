@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"firmres/internal/facts"
+	"firmres/internal/slab"
 	"firmres/internal/taint"
 )
 
@@ -13,8 +14,8 @@ import (
 // each takes the lock once for its message and once for its fields.
 type store struct {
 	mu     sync.Mutex
-	msgs   facts.Slab[Message]
-	fields facts.Slab[Field]
+	msgs   slab.Slab[Message]
+	fields slab.Slab[Field]
 }
 
 // storeOf returns the store m's facts store keeps in its fields slot, or
@@ -26,19 +27,13 @@ func storeOf(m *taint.MFT) *store {
 	return m.Facts.Scratch(facts.SlotFields, readyStore).(*store)
 }
 
-// readyStore readies the store a set kept from an earlier program, or a
-// new one, for the program of fx. A cold slab's first chunk is sized from
-// the program's ops: the crawl set's device-cloud executables build at
-// most 0.023 messages and 0.18 fields per op.
-func readyStore(fx *facts.Program, old facts.Scratch) facts.Scratch {
-	st, _ := old.(*store)
-	if st == nil {
-		st = new(store)
+// readyStore returns the store a set kept from an earlier program, or a
+// new one.
+func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
+	if st, ok := old.(*store); ok {
+		return st
 	}
-	ops := fx.Ops()
-	st.msgs.Reserve(ops / 40)
-	st.fields.Reserve(7 * ops / 40)
-	return st
+	return new(store)
 }
 
 // Recycle implements facts.Scratch.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"firmres/internal/facts"
+	"firmres/internal/slab"
 	"firmres/internal/taint"
 )
 
@@ -15,15 +16,15 @@ import (
 // and carves it in one claim under the lock.
 type store struct {
 	mu    sync.Mutex
-	trees facts.Slab[Tree]
-	nodes facts.Slab[SNode]
-	ptrs  facts.Slab[*SNode] // child lists, and the nodes of every path
-	paths facts.Slab[Path]
+	trees slab.Slab[Tree]
+	nodes slab.Slab[SNode]
+	ptrs  slab.Slab[*SNode] // child lists, and the nodes of every path
+	paths slab.Slab[Path]
 
-	lists facts.Slab[*taint.MFT]
-	mfts  facts.Slab[taint.MFT]
-	tnode facts.Slab[taint.Node]
-	tptrs facts.Slab[*taint.Node]
+	lists slab.Slab[*taint.MFT]
+	mfts  slab.Slab[taint.MFT]
+	tnode slab.Slab[taint.Node]
+	tptrs slab.Slab[*taint.Node]
 }
 
 // scrubbed is what a scrubbed release leaves in every simplified node and
@@ -39,23 +40,13 @@ func storeOf(m *taint.MFT) *store {
 	return m.Facts.Scratch(facts.SlotTrees, readyStore).(*store)
 }
 
-// readyStore readies the store a set kept from an earlier program, or a
-// new one, for the program of fx. A cold slab's first chunk is sized from
-// the program's ops: the crawl set's device-cloud executables build at
-// most 0.42 simplified nodes, 0.18 paths and, over the child lists and
-// paths, 1.45 node pointers per op.
-func readyStore(fx *facts.Program, old facts.Scratch) facts.Scratch {
-	st, _ := old.(*store)
-	if st == nil {
-		st = new(store)
+// readyStore returns the store a set kept from an earlier program, or a
+// new one.
+func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
+	if st, ok := old.(*store); ok {
+		return st
 	}
-	ops := fx.Ops()
-	st.trees.Reserve(ops / 40)
-	st.nodes.Reserve(3 * ops / 7)
-	st.ptrs.Reserve(3 * ops / 2)
-	st.paths.Reserve(7 * ops / 40)
-	st.lists.Reserve(ops / 40)
-	return st
+	return new(store)
 }
 
 // Recycle implements facts.Scratch.

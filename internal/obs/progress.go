@@ -69,6 +69,21 @@ func (p *Progress) SpanEnd(d SpanData) {
 		p.mu.Unlock()
 		return
 	}
+	p.doneLocked(d)
+}
+
+// Skip counts an image that ended without opening a span, such as a file
+// its caller could not read, as done: its line names it name and carries
+// status.
+func (p *Progress) Skip(name, status string) {
+	now := time.Now()
+	p.mu.Lock()
+	p.doneLocked(SpanData{Attrs: []Attr{String("device", name)}, Status: status, Start: now, End: now})
+}
+
+// doneLocked counts the image whose root span d ended and writes its
+// line; p.mu must be held, and it is released.
+func (p *Progress) doneLocked(d SpanData) {
 	p.done++
 	p.pending = append(p.pending, p.lineLocked(d))
 	if p.writing {

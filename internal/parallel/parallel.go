@@ -15,6 +15,11 @@
 // worker can always take whatever is left. Which worker runs which index
 // is irrelevant to callers: results land in input-indexed slots, so
 // output is byte-identical at any worker count.
+//
+// FreeList is the one free list of reusable values in the module (sets,
+// read, encode and output buffers). It keeps two values per processor,
+// what a worker holds at once, so a warm process stays warm whether its
+// workers share one analysis or run one each.
 package parallel
 
 import (
@@ -56,11 +61,8 @@ func CPUWorkers(n int) int {
 }
 
 // FreeList is a process-wide free list of reusable values: Get takes the
-// value put back most recently, and Put keeps at most
-// runtime.GOMAXPROCS(0)+1 values, leaving any further one to the garbage
-// collector. The analysis pools resolve through CPUWorkers, so that is as
-// many as the process's analyses hold at once: one per worker, plus the
-// candidate set pinpoint keeps until its selection. Unlike a sync.Pool, a
+// value put back most recently, and Put keeps at most FreeListCap values,
+// leaving any further one to the garbage collector. Unlike a sync.Pool, a
 // collection never empties the list, so a warm process stays warm. The
 // zero FreeList is empty and ready to use.
 type FreeList[T any] struct {
@@ -87,11 +89,19 @@ func (l *FreeList[T]) Get() (x T, ok bool) {
 // Put hands x back for a later Get, unless the list is full.
 func (l *FreeList[T]) Put(x T) {
 	l.mu.Lock()
-	if len(l.free) < runtime.GOMAXPROCS(0)+1 {
+	if len(l.free) < FreeListCap() {
 		l.free = append(l.free, x)
 	}
 	l.mu.Unlock()
 }
+
+// FreeListCap is the most values a FreeList keeps: two per processor,
+// what a worker holds at once. The analysis pools resolve through
+// CPUWorkers, and a worker holds the set it lifts into and the candidate
+// pinpoint keeps until its selection, or a report buffer and an output
+// buffer; so a list keeps what the process's workers hold at once,
+// whether they share one analysis or run one each.
+func FreeListCap() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // MaxKeptBuf caps every byte buffer the process keeps for reuse, on a free
 // list or in a long-lived worker, so one outsized input does not keep its

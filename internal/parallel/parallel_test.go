@@ -244,15 +244,18 @@ func TestFleetHonorsCallerCancel(t *testing.T) {
 	})
 }
 
-// TestFreeListKeepsAtMostGOMAXPROCSPlusOne: Get takes the value put back
-// last, an empty list reports false, and Put keeps GOMAXPROCS+1 values at
+// TestFreeListKeepsTwoPerProcessor: Get takes the value put back last, an
+// empty list reports false, and Put keeps two values per processor at
 // most, dropping the rest.
-func TestFreeListKeepsAtMostGOMAXPROCSPlusOne(t *testing.T) {
+func TestFreeListKeepsTwoPerProcessor(t *testing.T) {
 	var l FreeList[int]
 	if _, ok := l.Get(); ok {
 		t.Fatal("Get on an empty list reported a value")
 	}
-	max := runtime.GOMAXPROCS(0) + 1
+	max := 2 * runtime.GOMAXPROCS(0)
+	if got := FreeListCap(); got != max {
+		t.Fatalf("FreeListCap() = %d, want %d, two per processor", got, max)
+	}
 	for i := 0; i < max+3; i++ {
 		l.Put(i)
 	}
@@ -262,6 +265,6 @@ func TestFreeListKeepsAtMostGOMAXPROCSPlusOne(t *testing.T) {
 		}
 	}
 	if got, ok := l.Get(); ok {
-		t.Errorf("Get after %d values = %d: the list kept more than GOMAXPROCS+1", max, got)
+		t.Errorf("Get after %d values = %d: the list kept more than two per processor", max, got)
 	}
 }

@@ -12,12 +12,13 @@ import (
 //
 // Memory discipline: a function owns no arrays of its own. Its ops, their
 // inputs and call targets, and its op-index and slot tables are carved out
-// of its program's slabs, which lifting sizes exactly before the first
-// function is lifted; so a whole program costs a handful of allocations,
-// and none when Program.Lift recycles it. The interning tables (locIdx/locs/
-// ramIDs, see intern.go) belong to the function and are kept across reuse.
-// Everything is written only during lifting; afterwards the struct is
-// immutable, so analysis workers may read it concurrently without locks.
+// of its program's slabs, sized exactly from the function's decoded code
+// before it is lifted; so a whole program costs a handful of allocations,
+// and none when Program.Lift recycles one that served as large a program.
+// The interning tables (locIdx/locs/ramIDs, see intern.go) belong to the
+// function and are kept across reuse. Everything is written only during
+// lifting; afterwards the struct is immutable, so analysis workers may
+// read it concurrently without locks.
 type Function struct {
 	Sym   binfmt.FuncSym
 	Ops   []Op
@@ -79,15 +80,8 @@ func (f *Function) LoadBase(loadIdx int) (Varnode, bool) {
 }
 
 // size counts the P-Code expansion of a stretch of decoded code: ops, op
-// inputs, instruction slots and call targets.
-type size struct{ instrs, ops, ins, calls int }
-
-func (s *size) add(t size) {
-	s.instrs += t.instrs
-	s.ops += t.ops
-	s.ins += t.ins
-	s.calls += t.calls
-}
+// inputs and call targets.
+type size struct{ ops, ins, calls int }
 
 // sizeOf returns the ops, inputs and call targets of one instruction's
 // P-Code expansion, letting lifting carve exact slab shares instead of
@@ -142,59 +136,17 @@ func importArity(imp binfmt.Import, in isa.Instruction) int {
 // argRegs returns the argument registers a call of the given arity reads.
 func argRegs(arity int) int { return max(0, min(arity, isa.NumArgRegs)) }
 
-// slabs is the storage a program's functions are carved from. Lifting
-// sizes every slab once, before the first function is carved, so a slab
-// never moves while slices into it are live; a recycled program reuses
-// each array that is large enough.
-type slabs struct {
-	ops   []Op
-	ins   []Varnode
-	opAt  []int32
-	slots []LocID
-	calls []CallTarget
-}
-
-// reset empties the slabs for a program of size n.
-func (s *slabs) reset(n size) {
-	s.ops = fit(s.ops, n.ops)
-	s.ins = fit(s.ins, n.ins)
-	s.opAt = fit(s.opAt, n.instrs)
-	s.slots = fit(s.slots, n.ops)
-	s.calls = fit(s.calls, n.calls)
-}
-
-func fit[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
-// take carves the next n elements off a slab, capacity-clamped so nothing
-// can append through into a neighbour.
-func take[T any](s *[]T, n int) []T {
-	i := len(*s)
-	*s = (*s)[:i+n]
-	return (*s)[i : i+n : i+n]
-}
-
-// scratch is the decode buffer of one lift: a function's instructions are
-// consumed while emitting its ops and nothing retains them, so one buffer,
-// as large as the largest function, serves every function and travels
-// with a recycled program to its next lift.
-type scratch struct {
-	instrs []isa.Instruction
-	sizes  []size // per function
-}
-
-// decode decodes the instructions of fn's body into the buffer, replacing
-// what it held.
-func (sc *scratch) decode(bin *binfmt.Binary, fn binfmt.FuncSym) ([]isa.Instruction, error) {
+// decode decodes the instructions of fn's body into p's decode buffer,
+// replacing what it held: a function's instructions are consumed while
+// emitting its ops and nothing retains them, so one buffer, grown to the
+// largest function, serves every function and travels with a recycled
+// program to its next lift.
+func (p *Program) decode(bin *binfmt.Binary, fn binfmt.FuncSym) ([]isa.Instruction, error) {
 	if fn.Size == 0 || fn.End() > bin.TextBase+uint32(len(bin.Text)) {
 		return nil, fmt.Errorf("pcode: function %q out of range", fn.Name)
 	}
-	instrs, err := isa.DecodeAppend(sc.instrs[:0], bin.Text[fn.Addr-bin.TextBase:fn.End()-bin.TextBase])
-	sc.instrs = instrs[:0] // keep the grown buffer either way
+	instrs, err := isa.DecodeAppend(p.instrs[:0], bin.Text[fn.Addr-bin.TextBase:fn.End()-bin.TextBase])
+	p.instrs = instrs[:0] // keep the grown buffer either way
 	if err != nil {
 		return nil, fmt.Errorf("pcode: lifting %q: %w", fn.Name, err)
 	}
@@ -203,10 +155,10 @@ func (sc *scratch) decode(bin *binfmt.Binary, fn binfmt.FuncSym) ([]isa.Instruct
 
 // sizeOfCode returns the size of the P-Code expansion of a function's
 // decoded instructions.
-func sizeOfCode(bin *binfmt.Binary, instrs []isa.Instruction) size {
-	n := size{instrs: len(instrs)}
+func sizeOfCode(bin *binfmt.Binary, instrs []isa.Instruction) (n size) {
 	for _, in := range instrs {
-		n.add(sizeOf(bin, in))
+		s := sizeOf(bin, in)
+		n.ops, n.ins, n.calls = n.ops+s.ops, n.ins+s.ins, n.calls+s.calls
 	}
 	return n
 }
@@ -214,29 +166,27 @@ func sizeOfCode(bin *binfmt.Binary, instrs []isa.Instruction) size {
 // Lift translates the machine code of fn into P-Code, in storage of its
 // own.
 func Lift(bin *binfmt.Binary, fn binfmt.FuncSym) (*Function, error) {
-	var sc scratch
-	instrs, err := sc.decode(bin, fn)
+	p := new(Program)
+	instrs, err := p.decode(bin, fn)
 	if err != nil {
 		return nil, err
 	}
-	n := sizeOfCode(bin, instrs)
-	var s slabs
-	s.reset(n)
 	f := new(Function)
-	if err := f.lift(bin, fn, instrs, n, &s); err != nil {
+	if err := f.lift(bin, fn, instrs, p); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// lift fills f with the P-Code of fn, whose decoded instructions and size
-// are given, carving its arrays off s. A recycled f keeps its interning
-// tables' storage.
-func (f *Function) lift(bin *binfmt.Binary, fn binfmt.FuncSym, instrs []isa.Instruction, n size, s *slabs) error {
+// lift fills f with the P-Code of fn, whose decoded instructions are
+// given, carving its arrays, sized from them, off p's slabs. A recycled f
+// keeps its interning tables' storage.
+func (f *Function) lift(bin *binfmt.Binary, fn binfmt.FuncSym, instrs []isa.Instruction, p *Program) error {
+	n := sizeOfCode(bin, instrs)
 	f.Sym = fn
-	f.Ops = take(&s.ops, n.ops)[:0]
-	f.opAt = take(&s.opAt, n.instrs)
-	f.slotLoc = take(&s.slots, n.ops)
+	f.Ops = p.ops.Take(n.ops)[:0]
+	f.opAt = p.opAt.Take(len(instrs))
+	f.slotLoc = p.slots.Take(n.ops)
 	f.locs, f.ramIDs = f.locs[:0], f.ramIDs[:0]
 	if f.locIdx == nil {
 		// A function interns about one location per four ops, plus the
@@ -245,7 +195,7 @@ func (f *Function) lift(bin *binfmt.Binary, fn binfmt.FuncSym, instrs []isa.Inst
 	} else {
 		clear(f.locIdx)
 	}
-	l := lifter{f: f, bin: bin, ins: take(&s.ins, n.ins)[:0], calls: take(&s.calls, n.calls)[:0]}
+	l := lifter{f: f, bin: bin, ins: p.ins.Take(n.ins)[:0], calls: p.calls.Take(n.calls)[:0]}
 	for i, in := range instrs {
 		addr := fn.Addr + uint32(i*isa.InstrSize)
 		f.opAt[i] = int32(len(f.Ops))

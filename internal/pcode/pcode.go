@@ -6,6 +6,15 @@
 // form <Address: Output OP Input1, Input2, ...>, where operands are
 // Varnodes — typed references into one of four address spaces (constants,
 // registers, temporaries, RAM).
+//
+// A lift decodes each function once, sizes its P-Code expansion from the
+// decoded code, carves the function's ops, inputs, call targets and
+// tables from the program's slabs (slab.Slab, the one allocator of a
+// set) and lifts it. A Program recycled for another binary (Recycle,
+// Lift) keeps its slabs, consolidated to what it last carved, its
+// function shells and their interning tables, and its decode buffer;
+// a release clears the slabs, so an idle program pins nothing of its
+// binary.
 package pcode
 
 import (

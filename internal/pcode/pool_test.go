@@ -16,7 +16,7 @@ import (
 // corpusBinaries returns every binary executable of the 22 corpus images
 // and their 22 stripped twins, the stripped ones recovered as the pipeline
 // recovers them before lifting.
-func corpusBinaries(t *testing.T) []*binfmt.Binary {
+func corpusBinaries(t testing.TB) []*binfmt.Binary {
 	t.Helper()
 	var bins []*binfmt.Binary
 	for id := 1; id <= 22; id++ {
@@ -153,4 +153,26 @@ func TestPoolLiftErrorMatchesFresh(t *testing.T) {
 		t.Fatalf("LiftProgram: %v", err)
 	}
 	comparePrograms(t, good.Name, got, want)
+}
+
+// BenchmarkRecycledLift lifts every corpus binary into one Program,
+// recycled between lifts as a set's release recycles it: the CPU a warm
+// set spends lifting, per pass over the 172 binaries.
+func BenchmarkRecycledLift(b *testing.B) {
+	bins := corpusBinaries(b)
+	p := new(pcode.Program)
+	pass := func() {
+		for _, bin := range bins {
+			if err := p.Lift(bin); err != nil {
+				b.Fatal(err)
+			}
+			p.Recycle(false)
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 }

@@ -7,19 +7,29 @@ import (
 
 	"firmres/internal/binfmt"
 	"firmres/internal/isa"
+	"firmres/internal/slab"
 )
 
 // Program is the fully-lifted P-Code view of one binary: every function's
 // listing plus whole-program callsite indexes. It is the unit of analysis
 // for the call graph, the handler identification, and the taint engine.
+//
+// Every function's arrays are carved from the program's slabs (slab.Slab,
+// the one allocator of a set), sized from each function's own code as it
+// is lifted; the function shells, their interning tables and the decode
+// buffer are the only storage the program keeps of its own.
 type Program struct {
 	Bin    *binfmt.Binary
 	Funcs  []*Function // in address order; Function.Index is the position here
 	byAddr map[uint32]*Function
 
-	fns     []Function // the function shells, in symbol order; Funcs points into it
-	slabs              // the storage every function's arrays are carved from
-	scratch scratch    // the decode buffers, kept for the next Lift
+	fns    []Function // the function shells, in symbol order; Funcs points into it
+	ops    slab.Slab[Op]
+	ins    slab.Slab[Varnode]
+	calls  slab.Slab[CallTarget]
+	opAt   slab.Slab[int32]
+	slots  slab.Slab[LocID]
+	instrs []isa.Instruction // the decode buffer, kept for the next Lift
 }
 
 // LiftProgram lifts every function symbol of the binary into storage of
@@ -32,11 +42,12 @@ func LiftProgram(bin *binfmt.Binary) (*Program, error) {
 	return p, nil
 }
 
-// Lift lifts every function symbol of the binary into p, reusing the slabs,
-// function shells, address index and decode scratch an earlier Lift left in
-// p; lifting the same binary again allocates nothing. p's owner calls it
-// only once nothing reads p, its functions, or any op, varnode or call
-// target taken from them any more.
+// Lift lifts every function symbol of the binary into p, recycling first
+// the slabs, function shells, address index and decode buffer an earlier
+// Lift left in p; lifting the same binary again allocates nothing once a
+// recycle has consolidated its slabs. p's owner calls it only once
+// nothing reads p, its functions, or any op, varnode or call target taken
+// from them any more.
 func (p *Program) Lift(bin *binfmt.Binary) error {
 	if err := p.lift(bin); err != nil {
 		return fmt.Errorf("pcode: program %q: %w", bin.Name, err)
@@ -44,55 +55,33 @@ func (p *Program) Lift(bin *binfmt.Binary) error {
 	return nil
 }
 
-// lift fills p with the P-Code of every function of bin, reusing the
-// slabs, shells, address index and decode buffer a recycled p kept.
+// lift fills p with the P-Code of every function of bin, decoding,
+// sizing, carving and lifting one function at a time. The first function
+// in symbol order that fails to decode or lift ends it.
 func (p *Program) lift(bin *binfmt.Binary) error {
-	sc := &p.scratch
-	sc.sizes = sc.sizes[:0]
-	if n := maxInstrs(bin); cap(sc.instrs) < n {
-		sc.instrs = make([]isa.Instruction, 0, n)
-	}
-	// Size every function first, so each slab is sized once, exactly; the
-	// lift below decodes each function again. A function that fails to
-	// decode ends the pass, but the functions before it still lift first,
-	// so the error reported is the first in symbol order.
-	var total size
-	var decodeErr error
-	for _, sym := range bin.Funcs {
-		instrs, err := sc.decode(bin, sym)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		n := sizeOfCode(bin, instrs)
-		sc.sizes = append(sc.sizes, n)
-		total.add(n)
-	}
+	p.Recycle(false)
 	p.Bin = bin
-	p.slabs.reset(total)
-	if n := len(sc.sizes); cap(p.fns) < n {
+	if n := len(bin.Funcs); cap(p.fns) < n {
 		fns := make([]Function, n)
 		copy(fns, p.fns[:cap(p.fns)]) // the old shells' interning tables are reused too
 		p.fns = fns
 	}
-	p.fns = p.fns[:len(sc.sizes)]
-	p.Funcs = p.Funcs[:0]
+	p.fns, p.Funcs = p.fns[:0], p.Funcs[:0]
 	if p.byAddr == nil {
 		p.byAddr = make(map[uint32]*Function, len(bin.Funcs))
-	} else {
-		clear(p.byAddr)
 	}
-	for i, n := range sc.sizes {
-		sym, f := bin.Funcs[i], &p.fns[i]
-		instrs, _ := sc.decode(bin, sym) // it decoded once already
-		if err := f.lift(bin, sym, instrs, n, &p.slabs); err != nil {
+	for _, sym := range bin.Funcs {
+		instrs, err := p.decode(bin, sym)
+		if err != nil {
+			return err
+		}
+		p.fns = p.fns[:len(p.fns)+1]
+		f := &p.fns[len(p.fns)-1]
+		if err := f.lift(bin, sym, instrs, p); err != nil {
 			return err
 		}
 		p.Funcs = append(p.Funcs, f)
 		p.byAddr[sym.Addr] = f
-	}
-	if decodeErr != nil {
-		return decodeErr
 	}
 	slices.SortFunc(p.Funcs, func(a, b *Function) int { return cmp.Compare(a.Addr(), b.Addr()) })
 	for i, f := range p.Funcs {
@@ -101,38 +90,30 @@ func (p *Program) lift(bin *binfmt.Binary) error {
 	return nil
 }
 
-// maxInstrs returns the instruction count of bin's largest function
-// symbol, capped at the text section's: symbol sizes come from the binary
-// and are not trusted.
-func maxInstrs(bin *binfmt.Binary) int {
-	n := 0
-	for _, sym := range bin.Funcs {
-		n = max(n, int(sym.Size/isa.InstrSize))
-	}
-	return min(n, len(bin.Text)/isa.InstrSize)
-}
-
-// Scrub overwrites p's ops, inputs, call targets and tables with garbage
-// and drops its binary, so a reader that still holds p after its owner
-// gave it up computes nonsense instead of a plausible stale answer. Tests
-// use it to prove that nothing outlives a release.
-func (p *Program) Scrub() {
+// Recycle empties p once nothing reads it, its functions, or any op,
+// varnode or call target taken from them: its binary is dropped and every
+// slab cleared, so p pins nothing of the binary, or with scrub overwritten
+// with garbage, so a reader that still holds p computes nonsense instead
+// of a plausible stale answer (tests use that to prove that nothing
+// outlives a release). The slabs are consolidated for the next Lift,
+// which recycles p itself when its owner has not.
+func (p *Program) Recycle(scrub bool) {
 	p.Bin = nil
-	for i := range p.ops {
-		p.ops[i] = Op{Seq: -1, Addr: 0xdeadbeef, Code: 0xee}
-	}
-	for i := range p.ins {
-		p.ins[i] = Varnode{Offset: 0xdeadbeef, Space: 0xee}
-	}
-	for i := range p.calls {
-		p.calls[i] = CallTarget{Name: "scrubbed", Arity: -1}
-	}
-	clear(p.opAt)
-	clear(p.slots)
-	for i := range p.fns {
-		f := &p.fns[i]
-		f.Sym.Name = "scrubbed"
-		f.index = -1
+	p.ops.Recycle(scrub, Op{Seq: -1, Addr: 0xdeadbeef, Code: 0xee})
+	p.ins.Recycle(scrub, Varnode{Offset: 0xdeadbeef, Space: 0xee})
+	p.calls.Recycle(scrub, CallTarget{Name: "scrubbed", Arity: -1})
+	p.opAt.Recycle(scrub, 0)
+	p.slots.Recycle(scrub, 0)
+	fns := p.fns[:cap(p.fns)]
+	for i := range fns {
+		f := &fns[i]
+		if !scrub {
+			// A shell that kept its arrays would keep a chunk the
+			// recycle consolidated away alive.
+			f.Sym, f.Ops, f.opAt, f.slotLoc = binfmt.FuncSym{}, nil, nil, nil
+			continue
+		}
+		f.Sym.Name, f.index = "scrubbed", -1
 		clear(f.locs)
 		clear(f.ramIDs)
 		clear(f.locIdx)

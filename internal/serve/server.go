@@ -447,8 +447,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlerBufs is the process's free list of the buffers handlers read
-// submissions into and render done jobs in: at most GOMAXPROCS+1, each at
-// most parallel.MaxKeptBuf, kept across collections.
+// submissions into and render done jobs in: at most parallel.FreeListCap,
+// each at most parallel.MaxKeptBuf, kept across collections.
 var handlerBufs parallel.FreeList[[]byte]
 
 // readBody reads a request body into buf's storage, presized to size

@@ -1,23 +1,28 @@
-package facts
+package slab
 
 import "testing"
 
-// TestSlabRunsAndRecycle: a run takes what the chunk has left before it
-// starts a new chunk, handing back a run's unused end works only while
-// nothing was carved after it, and a recycle consolidates the chunks into
-// one holding everything carved, scrubbed or cleared.
+// TestSlabRunsAndRecycle: a cold slab's first chunk is what its first
+// piece asked for, a run takes what the chunk has left before it starts a
+// new chunk, handing back a run's unused end works only while nothing was
+// carved after it, and a recycle consolidates the chunks into one holding
+// everything carved, scrubbed or cleared.
 func TestSlabRunsAndRecycle(t *testing.T) {
 	var s Slab[int]
-	s.Reserve(10)
-	a := s.TakeRun(1, 8)
-	if len(a) != 8 || cap(s.cur) != 10 {
-		t.Fatalf("first run has %d elements in a chunk of %d, want 8 in the reserved 10", len(a), cap(s.cur))
+	first := s.Take(10)
+	if cap(s.cur) != 10 {
+		t.Fatalf("a cold slab's first chunk holds %d elements, want the 10 asked for", cap(s.cur))
+	}
+	s.Give(first[2:])
+	a := s.TakeRun(1, 6)
+	if len(a) != 6 || len(s.full) != 0 {
+		t.Fatalf("a run has %d elements over %d full chunks, want 6 from the chunk's 8 left", len(a), len(s.full))
 	}
 	b := s.TakeRun(1, 8)
 	if len(b) != 2 {
 		t.Fatalf("a run at the chunk's end has %d elements, want the 2 left", len(b))
 	}
-	s.Give(a[6:]) // carved before b: stays carved
+	s.Give(a[4:]) // carved before b: stays carved
 	if s.total != 10 {
 		t.Fatalf("handing back a run that is not the last carved left %d carved, want 10", s.total)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"firmres/internal/facts"
+	"firmres/internal/slab"
 	"firmres/internal/taint"
 )
 
@@ -13,8 +14,8 @@ import (
 // tree carves what it needs in one claim under the lock.
 type store struct {
 	mu    sync.Mutex
-	lists facts.Slab[Slice]
-	steps facts.Slab[Step]
+	lists slab.Slab[Slice]
+	steps slab.Slab[Step]
 }
 
 // storeOf returns the store m's facts store keeps in its slices slot, or
@@ -26,19 +27,13 @@ func storeOf(m *taint.MFT) *store {
 	return m.Facts.Scratch(facts.SlotSlices, readyStore).(*store)
 }
 
-// readyStore readies the store a set kept from an earlier program, or a
-// new one, for the program of fx. A cold slab's first chunk is sized from
-// the program's ops: the crawl set's device-cloud executables cut at most
-// 0.18 slices and 0.54 steps per op.
-func readyStore(fx *facts.Program, old facts.Scratch) facts.Scratch {
-	st, _ := old.(*store)
-	if st == nil {
-		st = new(store)
+// readyStore returns the store a set kept from an earlier program, or a
+// new one.
+func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
+	if st, ok := old.(*store); ok {
+		return st
 	}
-	ops := fx.Ops()
-	st.lists.Reserve(7 * ops / 40)
-	st.steps.Reserve(11 * ops / 20)
-	return st
+	return new(store)
 }
 
 // Recycle implements facts.Scratch.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"firmres/internal/facts"
+	"firmres/internal/slab"
 )
 
 // trees is the storage a set keeps for the MFTs traced through its store,
@@ -15,11 +16,11 @@ import (
 // of them when its site is done; one worker wastes nothing.
 type trees struct {
 	mu    sync.Mutex
-	nodes facts.Slab[Node]
-	kids  facts.Slab[*Node]
-	mfts  facts.Slab[MFT]
-	lists facts.Slab[*MFT] // each site's MFTs, and all of them in program order
-	sites facts.Slab[site]
+	nodes slab.Slab[Node]
+	kids  slab.Slab[*Node]
+	mfts  slab.Slab[MFT]
+	lists slab.Slab[*MFT] // each site's MFTs, and all of them in program order
+	sites slab.Slab[site]
 	idle  []*tracer
 }
 
@@ -40,23 +41,13 @@ func treesOf(fx *facts.Program) *trees {
 	return fx.Scratch(facts.SlotTaint, readyTrees).(*trees)
 }
 
-// readyTrees readies the trees a set kept from an earlier program, or
-// new ones, for the program of fx. A cold slab's first chunk is sized
-// from the program's ops: the crawl set's device-cloud executables trace
-// at most 0.48 nodes, 0.46 child slots and 0.023 MFTs per op, from no
-// more delivery sites than MFTs.
-func readyTrees(fx *facts.Program, old facts.Scratch) facts.Scratch {
-	t, _ := old.(*trees)
-	if t == nil {
-		t = new(trees)
+// readyTrees returns the trees a set kept from an earlier program, or
+// new ones.
+func readyTrees(_ *facts.Program, old facts.Scratch) facts.Scratch {
+	if t, ok := old.(*trees); ok {
+		return t
 	}
-	ops := fx.Ops()
-	t.nodes.Reserve(ops / 2)
-	t.kids.Reserve(ops / 2)
-	t.mfts.Reserve(ops / 40)
-	t.lists.Reserve(ops / 20)
-	t.sites.Reserve(ops / 40)
-	return t
+	return new(trees)
 }
 
 // Recycle implements facts.Scratch.
@@ -127,7 +118,7 @@ func (t *trees) done(tr *tracer) {
 
 // claim hands back rest, what is left of a run, and claims a run of at
 // least n elements and at most max(n, run).
-func claim[T any](mu *sync.Mutex, s *facts.Slab[T], rest []T, n, run int) []T {
+func claim[T any](mu *sync.Mutex, s *slab.Slab[T], rest []T, n, run int) []T {
 	mu.Lock()
 	defer mu.Unlock()
 	s.Give(rest)

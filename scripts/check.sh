@@ -69,8 +69,8 @@ leg_race() {
 	echo "== scheduler (atomic index claiming: determinism, stranded index, panic, cancellation) under -race"
 	go test -race ./internal/parallel
 
-	echo "== firmres driver (outputs printed in input order from every worker, a fatal image cancelling the run, progress and error lines on one stderr) under -race"
-	go test -race -count=10 -run 'TestJobsAgree$' ./cmd/firmres
+	echo "== firmres driver (outputs printed in input order from every worker, a fatal image cancelling the run, cache hits and misses counted in input order, unreadable images counted in progress, progress and error lines on one stderr) under -race"
+	go test -race -count=10 -run 'TestJobsAgree$|TestCacheMetricsAgreeAcrossJobs$|TestProgressCountsUnreadableImages$' ./cmd/firmres
 
 	echo "== stage runner (inline stages: a cancelled stage commits nothing and leaves no work running, a panicked stage still releases its program, a call's cancellation spares its single-flight waiters) under -race"
 	go test -race -count=10 -run 'TestCancelledStageLeavesNoWork|TestPanickedStageReleasesProgram' ./internal/core
@@ -107,16 +107,16 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, two image workers as warm as one, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a released set pinning nothing of its program, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
-	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestAnalyzeHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestWarmAnalysisIgnoresGC' .
+	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestAnalyzeHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestConcurrentAnalysesStayWarm|TestWarmAnalysisIgnoresGC' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestLentHitAfterCollections' ./internal/cache
 	go test -run 'TestServeFreshJobAllocBudget|TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment|TestSetRetentionMatchesLargestTrees|TestRecycledTreesMatchFresh' ./internal/core
-	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram' ./internal/facts
+	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram|TestReleasedSetPinsNoProgram' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
 	go test -run 'TestRecoverAllocBudget' ./internal/strip
 	go test -run 'TestFormatPartsCopyNothing' ./internal/slices
