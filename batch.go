@@ -96,7 +96,8 @@ func AnalyzeImages(ctx context.Context, imgs [][]byte, opts ...Option) (*BatchRe
 }
 
 // AnalyzePaths analyzes firmware image files on disk as one batch, with the
-// same contract as AnalyzeImages; unreadable files fail per-image.
+// same contract as AnalyzeImages; unreadable files fail per-image, and
+// WithProgress counts each as done, "fatal: unreadable".
 func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchReport, error) {
 	cfg := newConfig(opts)
 	a, err := cfg.analyzer(len(paths))
@@ -110,6 +111,9 @@ func AnalyzePaths(ctx context.Context, paths []string, opts ...Option) (*BatchRe
 			results[i] = ImageResult{
 				Path: paths[i], Kind: errdefs.Kind(err),
 				Error: err.Error(), Err: err,
+			}
+			if cfg.progress != nil {
+				cfg.progress.Skip(paths[i], "fatal: unreadable")
 			}
 			return
 		}

@@ -89,26 +89,57 @@ func liveHeap() uint64 {
 // empty and the sets it held are garbage.
 func emptyFreeList(t testing.TB, img []byte) {
 	t.Helper()
+	takeSets(t, firstBinary(t, img))
+}
+
+// firstBinary unmarshals the first binary executable of img.
+func firstBinary(t testing.TB, img []byte) *binfmt.Binary {
+	t.Helper()
 	unpacked, err := image.Unpack(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range unpacked.Executables() {
-		if !f.IsBinary() {
-			continue
+		if f.IsBinary() {
+			bin, err := binfmt.Unmarshal(f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bin
 		}
-		bin, err := binfmt.Unmarshal(f.Data)
+	}
+	t.Fatal("image has no binary executable")
+	return nil
+}
+
+// takeSets takes as many sets from the process's free list as it keeps,
+// lifting bin into each; what the list lacks is made new.
+func takeSets(t testing.TB, bin *binfmt.Binary) []*facts.Program {
+	t.Helper()
+	sets := make([]*facts.Program, parallel.FreeListCap())
+	for i := range sets {
+		fx, err := facts.Lift(bin)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < parallel.FreeListCap(); i++ {
-			if _, err := facts.Lift(bin); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return
+		sets[i] = fx
 	}
-	t.Fatal("image has no binary executable")
+	return sets
+}
+
+// sameSets reports whether got and want hold the same sets, in any order.
+func sameSets(got, want []*facts.Program) bool {
+	left := make(map[*facts.Program]bool, len(want))
+	for _, s := range want {
+		left[s] = true
+	}
+	for _, s := range got {
+		if !left[s] {
+			return false
+		}
+		delete(left, s)
+	}
+	return len(left) == 0
 }
 
 // TestAnalyzerRetentionBound runs the crawl set through one Analyzer on
@@ -152,20 +183,34 @@ func TestAnalyzerRetentionBound(t *testing.T) {
 
 // TestConcurrentAnalysesStayWarm: the free list keeps what the process's
 // workers hold at once, so analyses two at a time start as warm as one at
-// a time. The crawl set with lint through one Analyzer must allocate, per
-// image, within 5% at two image workers of what it allocates at one. A
-// list that keeps only what one analysis holds drops a set whenever two
-// run, and each dropped set is regrown. GOMAXPROCS is pinned at 2, so the
-// list's cap is the same on every host; each figure is the median of five
-// passes, the two shapes alternating after a warm-up pass of each.
+// a time. An analysis holds the set of its device-cloud candidate and the
+// one it lifts the next executable into, and no crawl image has more than
+// one candidate, so two image workers hold at most four sets: with
+// GOMAXPROCS pinned at 2, the list's cap on every host. The crawl set with
+// lint through one Analyzer must then drop no set of the list over ten
+// passes at two image workers, and allocate, per image, within 5% at two
+// image workers of what it allocates at one, each figure the median of
+// five passes, the two shapes alternating. A list that keeps only what
+// one analysis holds drops a set whenever two analyses hold four, and
+// each dropped set is regrown.
+//
+// The passes measure the steady state. A set grows to the largest program
+// it serves, and two workers draw on every set of the list in an order
+// nothing fixes, so the warm-up makes each set serve the whole crawl set
+// once from the top of the list, where one worker lifts every candidate
+// and every executable before one, and once from under it, where the
+// executables after the candidate go; five passes at two workers then
+// warm what two analyses hold beside their sets.
 func TestConcurrentAnalysesStayWarm(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	imgs := crawlSet(t)
+	emptyFreeList(t, imgs[0]) // at the process's own cap: nothing stays under the sets below
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	a, err := NewAnalyzer(WithLint(), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	const passes = 5
 	pass := func(workers int) float64 {
 		before := totalAlloc()
 		parallel.ForEach(ctx, workers, len(imgs), func(i int) {
@@ -175,13 +220,34 @@ func TestConcurrentAnalysesStayWarm(t *testing.T) {
 		})
 		return float64(totalAlloc()-before) / float64(len(imgs))
 	}
-	pass(1)
-	pass(2)
-	const passes = 5
+	bin := firstBinary(t, imgs[0])
+	sets := takeSets(t, bin)
+	for r := range sets {
+		for i := len(sets) - 1; i >= 0; i-- { // sets[r] goes back last, on top
+			sets[(r+i)%len(sets)].Release()
+		}
+		pass(1)
+		if !sameSets(takeSets(t, bin), sets) {
+			t.Fatal("one image worker made the free list drop a set")
+		}
+	}
+	for _, s := range sets {
+		s.Release()
+	}
+	for range passes {
+		pass(2)
+	}
 	var one, two []float64
 	for i := 0; i < passes; i++ {
 		one = append(one, pass(1))
 		two = append(two, pass(2))
+	}
+	kept := takeSets(t, bin)
+	for _, s := range kept {
+		s.Release()
+	}
+	if !sameSets(kept, sets) {
+		t.Error("two image workers made the free list drop a set")
 	}
 	o, w := medianOf(one), medianOf(two)
 	t.Logf("per image: %.0f B at one image worker, %.0f B at two (%+.1f%%)", o, w, 100*(w-o)/o)

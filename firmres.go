@@ -34,7 +34,9 @@ import (
 	"firmres/internal/errdefs"
 	"firmres/internal/lint"
 	"firmres/internal/nn"
+	"firmres/internal/obs"
 	"firmres/internal/semantics"
+	"firmres/internal/strip"
 )
 
 // Field is one reconstructed message field.
@@ -141,31 +143,16 @@ type Report struct {
 }
 
 // RecoveryBinding records how one stripped import was identified — or why
-// it was left unbound.
-type RecoveryBinding struct {
-	Import     int     `json:"import"`             // import-table index
-	Name       string  `json:"name,omitempty"`     // bound extern name, "" when unbound
-	Arity      int     `json:"arity"`              // observed callsite arity
-	Sites      int     `json:"sites"`              // callsites observed
-	Confidence float64 `json:"confidence"`         // 0..1, margin-normalized
-	Evidence   string  `json:"evidence,omitempty"` // human-readable rationale
-}
+// it was left unbound: its import-table index, the bound extern name (""
+// when unbound), the observed callsite arity and count, a 0..1
+// margin-normalized confidence and a human-readable rationale.
+type RecoveryBinding = strip.Binding
 
 // RecoveryReport summarizes the symbol-free recovery pass over the
 // identified executable. The pass runs on every binary missing function
-// symbols, data symbols or import names.
-type RecoveryReport struct {
-	Binary           string            `json:"binary"`
-	FuncsRecovered   int               `json:"funcs_recovered"`
-	StringsRecovered int               `json:"strings_recovered"`
-	ExternsTotal     int               `json:"externs_total"`
-	ExternsBound     int               `json:"externs_bound"`
-	Bindings         []RecoveryBinding `json:"bindings,omitempty"`
-	// Confidence is the binding-confidence histogram, bucket label
-	// ("0.8-1.0", ...) to count.
-	Confidence map[string]int `json:"confidence,omitempty"`
-	Notes      []string       `json:"notes,omitempty"`
-}
+// symbols, data symbols or import names. Confidence is the
+// binding-confidence histogram, bucket label ("0.8-1.0", ...) to count.
+type RecoveryReport = strip.Stats
 
 // Partial reports whether the analysis degraded — some executables or
 // stages were skipped and recorded in Errors.
@@ -219,6 +206,7 @@ type config struct {
 	trace         *Trace
 	observers     []Observer
 	progressW     io.Writer
+	progress      *obs.Progress // the reporter recorder built for progressW
 	cacheDir      string
 	cacheMaxBytes int64
 	cacheStats    *CacheStats
@@ -434,28 +422,13 @@ func reportOf(res *core.Result) *Report {
 		Metrics:    res.Metrics,
 	}
 	if res.Probe != nil {
-		r.Probe = probeReportOf(res.Probe)
+		r.Probe = validProbeReport(res.Probe)
 	}
-	if res.Recovery != nil {
-		rec := &RecoveryReport{
-			Binary:           validUTF8(res.Recovery.Binary),
-			FuncsRecovered:   res.Recovery.FuncsRecovered,
-			StringsRecovered: res.Recovery.StringsRecovered,
-			ExternsTotal:     res.Recovery.ExternsTotal,
-			ExternsBound:     res.Recovery.ExternsBound,
-			Confidence:       res.Recovery.Confidence,
-			Notes:            validUTF8s(res.Recovery.Notes),
-		}
-		rec.Bindings = presized[RecoveryBinding](len(res.Recovery.Bindings))
-		for _, b := range res.Recovery.Bindings {
-			rec.Bindings = append(rec.Bindings, RecoveryBinding{
-				Import:     b.Import,
-				Name:       validUTF8(b.Name),
-				Arity:      b.Arity,
-				Sites:      b.Sites,
-				Confidence: b.Confidence,
-				Evidence:   validUTF8(b.Evidence),
-			})
+	if rec := res.Recovery; rec != nil {
+		rec.Binary, rec.Notes = validUTF8(rec.Binary), validUTF8s(rec.Notes)
+		for i := range rec.Bindings {
+			b := &rec.Bindings[i]
+			b.Name, b.Evidence = validUTF8(b.Name), validUTF8(b.Evidence)
 		}
 		r.Recovery = rec
 	}

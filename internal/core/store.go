@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"firmres/internal/facts"
 	"firmres/internal/fields"
 	"firmres/internal/slab"
@@ -12,9 +10,8 @@ import (
 // builds over its program, in the store's core slot: every tree's
 // slice-info list and the message results. Trees are classified
 // concurrently, one worker per tree, and each tree carves its list in one
-// claim under the lock.
+// piece.
 type store struct {
-	mu      sync.Mutex
 	infos   slab.Slab[fields.SliceInfo]
 	results slab.Slab[MessageResult]
 }
@@ -25,22 +22,11 @@ func storeOf(fx *facts.Program) *store {
 	if fx == nil {
 		return new(store)
 	}
-	return fx.Scratch(facts.SlotCore, readyStore).(*store)
-}
-
-// readyStore returns the store a set kept from an earlier program, or a
-// new one.
-func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
-	if st, ok := old.(*store); ok {
-		return st
-	}
-	return new(store)
+	return fx.Scratch(facts.SlotCore, facts.Reuse[store]).(*store)
 }
 
 // Recycle implements facts.Scratch.
 func (st *store) Recycle(scrub bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.infos.Recycle(scrub, fields.SliceInfo{Label: "scrubbed", Confidence: -1})
 	st.results.Recycle(scrub, MessageResult{Message: &scrubbedMessage})
 }
@@ -54,8 +40,6 @@ func (st *store) infoList(n int) []fields.SliceInfo {
 	if n == 0 {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.infos.Take(n)
 }
 
@@ -64,7 +48,5 @@ func (st *store) resultList(n int) []MessageResult {
 	if n == 0 {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.results.Take(n)
 }

@@ -193,6 +193,19 @@ func (p *Program) Scratch(slot Slot, ready func(p *Program, old Scratch) Scratch
 	return sl.s
 }
 
+// Reuse is the ready function of a scratch that needs no readying for a
+// program: it hands back the *S the set kept from an earlier program, or
+// a new one.
+func Reuse[S any, PS interface {
+	*S
+	Scratch
+}](_ *Program, old Scratch) Scratch {
+	if s, ok := old.(PS); ok {
+		return s
+	}
+	return PS(new(S))
+}
+
 // Prog returns the underlying lifted program.
 func (p *Program) Prog() *pcode.Program { return p.prog }
 

@@ -120,7 +120,7 @@ func (r *MapResolver) Resolve(leaf *taint.Node) (string, bool) {
 // long as that store's set.
 func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 	st := storeOf(tree.Source)
-	m := st.message()
+	m := &st.msgs.Take(1)[0]
 	m.Deliver, m.Context = tree.Source.Deliver, tree.Source.Context
 	if tree.Source.Site.Fn != nil {
 		m.Function = tree.Source.Site.Fn.Name()
@@ -153,7 +153,7 @@ func Build(tree *mft.Tree, infos []SliceInfo, resolve Resolver) *Message {
 
 	// Fields in concatenation order (tree is inverted).
 	if len(paths) > 0 {
-		m.Fields = st.fieldList(len(paths))
+		m.Fields = st.fields.Take(len(paths))
 	}
 	for i, p := range paths {
 		leaf := p.Leaf().Orig

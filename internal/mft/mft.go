@@ -70,7 +70,7 @@ type Tree struct {
 // JSON construction steps), and leaves are kept; chains of single-child
 // bookkeeping nodes are collapsed (Fig. 5 "removing the nodes that are
 // irrelevant to field concatenation"). A counting walk sizes the tree, so
-// its nodes and child lists are carved in one claim.
+// its nodes and its child lists are carved in one piece each.
 func Simplify(m *taint.MFT) *Tree {
 	var c simpleCount
 	if m.Root != nil {
@@ -242,7 +242,7 @@ func listPaths(st *store, root *SNode) []Path {
 	if c.paths == 0 {
 		return nil
 	}
-	paths, backing := st.pathList(c.paths, c.nodes+c.depth)
+	paths, backing := st.paths.Take(c.paths), st.ptrs.Take(c.nodes+c.depth)
 	var buf [64]byte
 	l := pathLister{
 		paths: paths[:0],
@@ -305,23 +305,24 @@ func Split(m *taint.MFT) []*taint.MFT {
 		// Each clone gets a root and an argument node of its own, and one
 		// run of width+1 child slots: the root's children, then the
 		// argument's one.
-		width := len(m.Root.Children)
-		b := st.splitter(len(arg.Children), width)
+		k, width := len(arg.Children), len(m.Root.Children)
+		list, clones := st.lists.Take(k), st.mfts.Take(k)
+		nodes, slots := st.tnode.Take(2*k), st.tptrs.Take(k*(width+1))
 		for i, c := range arg.Children {
-			root, argClone := &b.nodes[2*i], &b.nodes[2*i+1]
+			root, argClone := &nodes[2*i], &nodes[2*i+1]
 			*root, *argClone = *m.Root, *arg
-			kids := b.kids[i*(width+1) : (i+1)*(width+1) : (i+1)*(width+1)]
+			kids := slots[i*(width+1) : (i+1)*(width+1) : (i+1)*(width+1)]
 			root.Children = kids[:width:width]
 			copy(root.Children, m.Root.Children)
 			root.Children[argIdx] = argClone
 			argClone.Children = kids[width:]
 			argClone.Children[0] = c
-			clone := &b.mfts[i]
+			clone := &clones[i]
 			*clone = *m
 			clone.Root, clone.Context = root, callerName(c)
-			b.list[i] = clone
+			list[i] = clone
 		}
-		return b.list
+		return list
 	}
 	return st.one(m)
 }

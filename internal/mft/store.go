@@ -1,8 +1,6 @@
 package mft
 
 import (
-	"sync"
-
 	"firmres/internal/facts"
 	"firmres/internal/slab"
 	"firmres/internal/taint"
@@ -13,9 +11,8 @@ import (
 // and child lists, their path lists and path nodes, and the lists and
 // clones Split returns. Trees are simplified and their paths listed
 // concurrently, one worker per tree; each tree sizes what it needs first
-// and carves it in one claim under the lock.
+// and carves it in one piece per slab.
 type store struct {
-	mu    sync.Mutex
 	trees slab.Slab[Tree]
 	nodes slab.Slab[SNode]
 	ptrs  slab.Slab[*SNode] // child lists, and the nodes of every path
@@ -37,22 +34,11 @@ func storeOf(m *taint.MFT) *store {
 	if m == nil || m.Facts == nil {
 		return new(store)
 	}
-	return m.Facts.Scratch(facts.SlotTrees, readyStore).(*store)
-}
-
-// readyStore returns the store a set kept from an earlier program, or a
-// new one.
-func readyStore(_ *facts.Program, old facts.Scratch) facts.Scratch {
-	if st, ok := old.(*store); ok {
-		return st
-	}
-	return new(store)
+	return m.Facts.Scratch(facts.SlotTrees, facts.Reuse[store]).(*store)
 }
 
 // Recycle implements facts.Scratch.
 func (st *store) Recycle(scrub bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.trees.Recycle(scrub, Tree{Root: &scrubbed, Inverted: true})
 	st.nodes.Recycle(scrub, scrubbed)
 	st.ptrs.Recycle(scrub, &scrubbed)
@@ -65,8 +51,6 @@ func (st *store) Recycle(scrub bool) {
 
 // tree carves a Tree and the nodes and child-list slots c counted.
 func (st *store) tree(c simpleCount) (*Tree, simplifier) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	t := &st.trees.Take(1)[0]
 	if c.nodes == 0 {
 		return t, simplifier{}
@@ -74,40 +58,9 @@ func (st *store) tree(c simpleCount) (*Tree, simplifier) {
 	return t, simplifier{nodes: st.nodes.Take(c.nodes), kids: st.ptrs.Take(c.kids)}
 }
 
-// pathList carves a list of n paths and a backing array of nodes node
-// pointers.
-func (st *store) pathList(n, nodes int) ([]Path, []*SNode) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.paths.Take(n), st.ptrs.Take(nodes)
-}
-
 // one returns a list holding m alone.
 func (st *store) one(m *taint.MFT) []*taint.MFT {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := st.lists.Take(1)
 	out[0] = m
 	return out
-}
-
-// splitStorage is what Split carves for k clones of a root of width
-// children: the list, the clones, a root and an argument node per clone,
-// and width+1 child slots per clone.
-type splitStorage struct {
-	list  []*taint.MFT
-	mfts  []taint.MFT
-	nodes []taint.Node
-	kids  []*taint.Node
-}
-
-func (st *store) splitter(k, width int) splitStorage {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return splitStorage{
-		list:  st.lists.Take(k),
-		mfts:  st.mfts.Take(k),
-		nodes: st.tnode.Take(2 * k),
-		kids:  st.tptrs.Take(k * (width + 1)),
-	}
 }

@@ -16,10 +16,11 @@
 // is irrelevant to callers: results land in input-indexed slots, so
 // output is byte-identical at any worker count.
 //
-// FreeList is the one free list of reusable values in the module (sets,
-// read, encode and output buffers). It keeps two values per processor,
-// what a worker holds at once, so a warm process stays warm whether its
-// workers share one analysis or run one each.
+// FreeList is the one free list of reusable values in the module: the
+// process's sets and its read, encode and output buffers, and within a
+// set, taint's idle tracers and semantics' render buffers. It keeps two
+// values per processor, what a worker holds at once, so a warm process
+// stays warm whether its workers share one analysis or run one each.
 package parallel
 
 import (
@@ -60,11 +61,12 @@ func CPUWorkers(n int) int {
 	return n
 }
 
-// FreeList is a process-wide free list of reusable values: Get takes the
-// value put back most recently, and Put keeps at most FreeListCap values,
-// leaving any further one to the garbage collector. Unlike a sync.Pool, a
+// FreeList is a free list of reusable values: Get takes the value put
+// back most recently, and Put keeps at most FreeListCap values, leaving
+// any further one to the garbage collector. Unlike a sync.Pool, a
 // collection never empties the list, so a warm process stays warm. The
-// zero FreeList is empty and ready to use.
+// zero FreeList is empty and ready to use; it is safe for concurrent use
+// and must not be copied after first use.
 type FreeList[T any] struct {
 	mu   sync.Mutex
 	free []T

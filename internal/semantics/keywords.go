@@ -169,32 +169,12 @@ func (st *stitch) add(t opTok) {
 }
 
 // renderBuf is the scratch a classification renders and tokenizes
-// segments in. An Enricher keeps the ones its classifications returned,
-// so summarizing an op allocates nothing once the buffers have grown.
+// segments in. An Enricher keeps the ones its classifications returned on
+// a free list, so summarizing an op allocates nothing once the buffers
+// have grown.
 type renderBuf struct {
 	text []byte
 	z    nn.ByteTokenizer
-}
-
-// takeBuf hands out a render buffer e keeps, or a new one when every kept
-// one is in use.
-func (e *Enricher) takeBuf() *renderBuf {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.bufs); n > 0 {
-		rb := e.bufs[n-1]
-		e.bufs = e.bufs[:n-1]
-		return rb
-	}
-	return new(renderBuf)
-}
-
-// putBuf hands rb back to e, which keeps it for a later classification:
-// e keeps at most as many as classified through it at once.
-func (e *Enricher) putBuf(rb *renderBuf) {
-	e.mu.Lock()
-	e.bufs = append(e.bufs, rb)
-	e.mu.Unlock()
 }
 
 // summarize folds one segment, rendered into rb.text (text is the

@@ -22,6 +22,7 @@ import (
 	"firmres/internal/facts"
 	"firmres/internal/nn"
 	"firmres/internal/obs"
+	"firmres/internal/parallel"
 	"firmres/internal/pcode"
 	"firmres/internal/slices"
 	"firmres/internal/taint"
@@ -149,8 +150,8 @@ type Enricher struct {
 	funcs []funcEnrichment // indexed by pcode.Function.Index
 
 	mu   sync.Mutex
-	toks []opTok      // one summary per op of the program, function by function; guarded by mu
-	bufs []*renderBuf // render buffers no classification holds; guarded by mu
+	toks []opTok                       // one summary per op of the program, function by function; guarded by mu
+	bufs parallel.FreeList[*renderBuf] // render buffers no classification holds
 }
 
 // funcEnrichment is an Enricher's state for one function.
@@ -458,8 +459,11 @@ func (c *KeywordClassifier) Classify(s slices.Slice) (string, float64) {
 
 // classifyWith is Classify through e, in a render buffer taken from e.
 func classifyWith(e *Enricher, s slices.Slice) (string, float64) {
-	rb := e.takeBuf()
-	defer e.putBuf(rb)
+	rb, ok := e.bufs.Get()
+	if !ok {
+		rb = new(renderBuf)
+	}
+	defer e.bufs.Put(rb)
 	var scores [numDictLabels]float64
 	maskScores(scores[:], e.contextMask(rb, s), 1)
 	maskScores(scores[:], rb.textMask(s.KeyHint), 3)

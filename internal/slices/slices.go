@@ -40,9 +40,9 @@ type Slice struct {
 }
 
 // Generate computes the slices of a simplified (non-inverted) tree. The
-// list and every slice's steps are carved, in one claim, from the store
-// the tree's MFT was traced through (store.go), so they live as long as
-// that store's set.
+// list and every slice's steps are carved, in one piece each, from the
+// store the tree's MFT was traced through (store.go), so they live as
+// long as that store's set.
 func Generate(tree *mft.Tree) []Slice {
 	paths := tree.Paths()
 	if len(paths) == 0 {
@@ -52,7 +52,8 @@ func Generate(tree *mft.Tree) []Slice {
 	for _, p := range paths {
 		n += distinctSteps(nil, p)
 	}
-	out, steps := storeOf(tree.Source).slices(len(paths), n)
+	st := storeOf(tree.Source)
+	out, steps := st.lists.Take(len(paths)), st.steps.Take(n)
 	for i, p := range paths {
 		out[i] = sliceOfPath(tree.Source, p, &steps)
 	}

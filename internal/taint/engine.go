@@ -108,7 +108,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	if n == 0 {
 		return nil
 	}
-	sites := st.siteList(n)
+	sites := st.sites.Take(n)
 	k := 0
 	for _, fn := range e.prog.Funcs {
 		for i := range fn.Ops {
@@ -136,7 +136,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	if total == 0 {
 		return nil
 	}
-	out := st.mftList(total)[:0]
+	out := st.lists.Take(total)[:0]
 	for i := range sites {
 		out = append(out, sites[i].mfts...)
 	}
@@ -178,7 +178,7 @@ func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, deliver string, arg
 	du := e.du(cs.Fn)
 	if primary.Index < cs.Fn.Sym.NumParams && du.IsParamLive(cs.OpIdx, pv) {
 		if callers := e.callers(cs.Fn); len(callers) > 0 {
-			out := st.mftList(len(callers))
+			out := st.lists.Take(len(callers))
 			for i, edge := range callers {
 				ctx := &traceCtx{fn: edge.Site.Fn, callIdx: edge.Site.OpIdx}
 				out[i] = t.buildMFT(cs, deliver, args, ctx)
@@ -187,7 +187,7 @@ func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, deliver string, arg
 			return out
 		}
 	}
-	out := st.mftList(1)
+	out := st.lists.Take(1)
 	out[0] = t.buildMFT(cs, deliver, args, nil)
 	return out
 }
@@ -215,7 +215,7 @@ type tracer struct {
 // add carves n as a node of the tree and pushes it.
 func (t *tracer) add(n Node) *Node {
 	if len(t.nodes) == 0 {
-		t.nodes = claim(&t.store.mu, &t.store.nodes, t.nodes, 1, t.nodeRun)
+		t.nodes = t.store.nodes.Claim(t.nodes, 1, t.nodeRun)
 		t.nodeRun = min(2*t.nodeRun, maxRun)
 	}
 	p := &t.nodes[0]
@@ -240,7 +240,7 @@ func (t *tracer) children(mark int) []*Node {
 		return nil
 	}
 	if len(t.kids) < n {
-		t.kids = claim(&t.store.mu, &t.store.kids, t.kids, n, t.kidRun)
+		t.kids = t.store.kids.Claim(t.kids, n, t.kidRun)
 		t.kidRun = min(2*t.kidRun, maxRun)
 	}
 	out := t.kids[:n:n]
@@ -280,7 +280,7 @@ func (t *tracer) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgS
 		t.wrap(arg, Node{Kind: NodeArg, Fn: cs.Fn, OpIdx: cs.OpIdx, ArgLabel: spec.Label})
 	}
 	t.wrap(mark, Node{Kind: NodeRoot, Fn: cs.Fn, OpIdx: cs.OpIdx, Callee: deliver})
-	m := t.store.mft()
+	m := &t.store.mfts.Take(1)[0]
 	*m = MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: deliver, Root: t.stack[mark]}
 	t.stack = t.stack[:mark]
 	return m

@@ -1,9 +1,8 @@
 package taint
 
 import (
-	"sync"
-
 	"firmres/internal/facts"
+	"firmres/internal/parallel"
 	"firmres/internal/slab"
 )
 
@@ -12,16 +11,15 @@ import (
 // the lists that hold them, carved from slabs and recycled with the set,
 // and the idle tracers whose visited maps and stacks the next trace
 // reuses. Sites are traced concurrently, so a tracer claims nodes and
-// child-list slots in runs under the lock and hands back what it leaves
-// of them when its site is done; one worker wastes nothing.
+// child-list slots in runs and hands back what it leaves of them when its
+// site is done; one worker wastes nothing.
 type trees struct {
-	mu    sync.Mutex
 	nodes slab.Slab[Node]
 	kids  slab.Slab[*Node]
 	mfts  slab.Slab[MFT]
 	lists slab.Slab[*MFT] // each site's MFTs, and all of them in program order
 	sites slab.Slab[site]
-	idle  []*tracer
+	idle  parallel.FreeList[*tracer]
 }
 
 // Run sizes: a tracer's first claim of nodes or child-list slots is
@@ -38,63 +36,22 @@ var scrubbed = Node{Kind: LeafString, OpIdx: -1, StrVal: "scrubbed"}
 
 // treesOf returns the trees the store fx keeps in its taint slot.
 func treesOf(fx *facts.Program) *trees {
-	return fx.Scratch(facts.SlotTaint, readyTrees).(*trees)
-}
-
-// readyTrees returns the trees a set kept from an earlier program, or
-// new ones.
-func readyTrees(_ *facts.Program, old facts.Scratch) facts.Scratch {
-	if t, ok := old.(*trees); ok {
-		return t
-	}
-	return new(trees)
+	return fx.Scratch(facts.SlotTaint, facts.Reuse[trees]).(*trees)
 }
 
 // Recycle implements facts.Scratch.
 func (t *trees) Recycle(scrub bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.nodes.Recycle(scrub, scrubbed)
 	t.kids.Recycle(scrub, &scrubbed)
 	t.mfts.Recycle(scrub, MFT{Deliver: "scrubbed", Root: &scrubbed})
 	t.lists.Recycle(scrub, nil)
 	t.sites.Recycle(scrub, site{})
-	for _, tr := range t.idle {
-		clear(tr.stack[:cap(tr.stack)])
-	}
-}
-
-// mftList carves a list of n MFT pointers.
-func (t *trees) mftList(n int) []*MFT {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lists.Take(n)
-}
-
-// mft carves one MFT.
-func (t *trees) mft() *MFT {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return &t.mfts.Take(1)[0]
-}
-
-// siteList carves a list of n delivery sites.
-func (t *trees) siteList(n int) []site {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sites.Take(n)
 }
 
 // tracer returns an idle tracer, or a new one, to trace one site with e.
 func (t *trees) tracer(e *Engine) *tracer {
-	t.mu.Lock()
-	var tr *tracer
-	if n := len(t.idle); n > 0 {
-		tr = t.idle[n-1]
-		t.idle = t.idle[:n-1]
-	}
-	t.mu.Unlock()
-	if tr == nil {
+	tr, ok := t.idle.Get()
+	if !ok {
 		tr = &tracer{store: t, visited: make(map[traceKey]bool)}
 	}
 	tr.e = e
@@ -103,24 +60,14 @@ func (t *trees) tracer(e *Engine) *tracer {
 }
 
 // done takes back a tracer whose site is traced, with what is left of
-// its runs.
+// its runs. Its stack is cleared, so an idle tracer pins no node.
 func (t *trees) done(tr *tracer) {
 	tr.e = nil
+	clear(tr.stack[:cap(tr.stack)])
 	tr.stack = tr.stack[:0]
 	clear(tr.visited)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.nodes.Give(tr.nodes)
 	t.kids.Give(tr.kids)
 	tr.nodes, tr.kids = nil, nil
-	t.idle = append(t.idle, tr)
-}
-
-// claim hands back rest, what is left of a run, and claims a run of at
-// least n elements and at most max(n, run).
-func claim[T any](mu *sync.Mutex, s *slab.Slab[T], rest []T, n, run int) []T {
-	mu.Lock()
-	defer mu.Unlock()
-	s.Give(rest)
-	return s.TakeRun(n, run)
+	t.idle.Put(tr)
 }

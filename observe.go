@@ -119,7 +119,8 @@ func MergeMetrics(dst, src map[string]int64) map[string]int64 {
 // teed to the observers and the progress reporter when there are any; an
 // observer-only recorder, which keeps no spans and starts none below the
 // stages, when there is no trace; nil when there is no sink. totalImages
-// sizes the progress reporter's ETA.
+// sizes the progress reporter's ETA, which c keeps for the images that
+// open no span.
 func (c *config) recorder(totalImages int) *obs.Recorder {
 	var up *obs.Recorder
 	if c.trace != nil {
@@ -127,7 +128,8 @@ func (c *config) recorder(totalImages int) *obs.Recorder {
 	}
 	sinks := c.observers
 	if c.progressW != nil {
-		sinks = append(sinks, obs.NewProgress(c.progressW, totalImages))
+		c.progress = obs.NewProgress(c.progressW, totalImages)
+		sinks = append(sinks, c.progress)
 	}
 	if len(sinks) == 0 {
 		return up

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -306,6 +307,33 @@ func TestProgressCountsCacheHits(t *testing.T) {
 		if !strings.Contains(l, "[hit]") || strings.Contains(l, "image#") {
 			t.Errorf("progress line %q: want a hit that names its device", l)
 		}
+	}
+}
+
+// TestProgressCountsUnreadablePaths: a path AnalyzePaths cannot read
+// opens no span, and the progress reporter still counts it, fatal and
+// unreadable, so the batch reaches N/N as the CLI's does.
+func TestProgressCountsUnreadablePaths(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "device01.img")
+	if err := os.WriteFile(good, packedDevice(t, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "nope.img")
+	var out strings.Builder
+	br, err := AnalyzePaths(context.Background(), []string{missing, good}, WithWorkers(1), WithProgress(&out))
+	if err != nil {
+		t.Fatalf("AnalyzePaths: %v", err)
+	}
+	if br.Summary.Failed != 1 {
+		t.Fatalf("summary = %+v, want the missing path fatal", br.Summary)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "progress: 2/2 images (100%)") {
+		t.Fatalf("progress printed:\n%s\nwant 2 lines, the last at 2/2", out.String())
+	}
+	if !strings.Contains(lines[0], missing) || !strings.Contains(lines[0], "[fatal: unreadable]") {
+		t.Errorf("progress line %q: want the missing path, fatal and unreadable", lines[0])
 	}
 }
 

@@ -30,65 +30,39 @@ const (
 	ProbeFailed  = probe.ClassFailed  // probe failed after retries (typed ErrorKind)
 )
 
-// ProbeAttempt is one replay outcome (device-identity or attacker variant).
-type ProbeAttempt struct {
-	Class   string // response class ("Request OK", "Access Denied", ...)
-	Status  int    `json:",omitempty"` // HTTP status, 0 for MQTT
-	Valid   bool   // the cloud understood the message (§V-C)
-	Granted bool   // access was granted
-}
+// ProbeAttempt is one replay outcome (device-identity or attacker
+// variant): the response class ("Request OK", "Access Denied", ...), the
+// HTTP status (0 for MQTT), whether the cloud understood the message
+// (§V-C) and whether it granted access.
+type ProbeAttempt = probe.Attempt
 
-// ProbeOutcome is the terminal result for one reconstructed message.
-type ProbeOutcome struct {
-	Function       string
-	Context        string        `json:",omitempty"`
-	Transport      string        // "http" or "mqtt"
-	Route          string        `json:",omitempty"` // path, query route, or topic
-	Classification string        // ProbeGranted / ProbeDenied / ProbeInvalid / ProbeFailed
-	Validity       *ProbeAttempt `json:",omitempty"`
-	Attack         *ProbeAttempt `json:",omitempty"`
-	Vulnerable     bool          `json:",omitempty"` // §V-D confirmation
-	Leaks          []string      `json:",omitempty"` // credentials leaked by the granted response
-	ErrorKind      string        `json:",omitempty"` // taxonomy slug of a failed probe
-}
+// ProbeOutcome is the terminal result for one reconstructed message; its
+// Classification is one of ProbeGranted, ProbeDenied, ProbeInvalid and
+// ProbeFailed.
+type ProbeOutcome = probe.Outcome
 
 // ProbeReport is the per-device exploitability report of the probe stage.
-type ProbeReport struct {
-	Probed     int            // messages probed (always all of them)
-	Vulnerable int            // messages confirmed exploitable
-	Counts     map[string]int // terminal class -> count
-	Outcomes   []ProbeOutcome
-}
+type ProbeReport = probe.Report
 
-func probeReportOf(rep *probe.Report) *ProbeReport {
-	out := &ProbeReport{
-		Probed:     rep.Probed,
-		Vulnerable: rep.Vulnerable,
-		Counts:     rep.Counts,
+// validProbeReport makes every string rep holds valid UTF-8, in place, and
+// returns it; an empty outcome list becomes nil.
+func validProbeReport(rep *ProbeReport) *ProbeReport {
+	if len(rep.Outcomes) == 0 {
+		rep.Outcomes = nil
 	}
-	for _, o := range rep.Outcomes {
-		po := ProbeOutcome{
-			Function:       validUTF8(o.Function),
-			Context:        validUTF8(o.Context),
-			Transport:      validUTF8(o.Transport),
-			Route:          validUTF8(o.Route),
-			Classification: validUTF8(o.Classification),
-			Vulnerable:     o.Vulnerable,
-			Leaks:          validUTF8s(o.Leaks),
-			ErrorKind:      validUTF8(o.ErrorKind),
+	for i := range rep.Outcomes {
+		o := &rep.Outcomes[i]
+		o.Function, o.Context = validUTF8(o.Function), validUTF8(o.Context)
+		o.Transport, o.Route = validUTF8(o.Transport), validUTF8(o.Route)
+		o.Classification, o.ErrorKind = validUTF8(o.Classification), validUTF8(o.ErrorKind)
+		o.Leaks = validUTF8s(o.Leaks)
+		for _, a := range [2]*ProbeAttempt{o.Validity, o.Attack} {
+			if a != nil {
+				a.Class = validUTF8(a.Class)
+			}
 		}
-		po.Validity = probeAttemptOf(o.Validity)
-		po.Attack = probeAttemptOf(o.Attack)
-		out.Outcomes = append(out.Outcomes, po)
 	}
-	return out
-}
-
-func probeAttemptOf(a *probe.Attempt) *ProbeAttempt {
-	if a == nil {
-		return nil
-	}
-	return &ProbeAttempt{Class: validUTF8(a.Class), Status: a.Status, Valid: a.Valid, Granted: a.Granted}
+	return rep
 }
 
 // ensureProbe lazily installs the probe stage configuration with the corpus

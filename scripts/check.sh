@@ -86,7 +86,8 @@ leg_race() {
 	echo "== cache eviction index (entries other writers add are counted within MaxBytes of puts; Do calls, Puts and evictions from two capped handles on one directory) under -race"
 	go test -race -count=10 -run 'TestCapCountsOtherWriters|TestCappedHandlesShareDirectory' ./internal/cache
 
-	echo "== free list of sets: lifted programs with their facts, enrichment and message trees (two goroutines on one Analyzer; two Analyzers and a one-shot batch sharing the process's list with scrubbing on; goldens byte-identical; eight goroutines building one recycled store's artifacts at once; two pipelines on two workers tracing and building trees concurrently in scrubbed recycled sets, every tree equal to a fresh build's) under -race"
+	echo "== free list of sets and the self-locking slabs they carve from: lifted programs with their facts, enrichment and message trees (eight goroutines carving one slab by Take, Claim and Give at once, every piece disjoint and a recycle consolidating exactly what was carved; two goroutines on one Analyzer; two Analyzers and a one-shot batch sharing the process's list with scrubbing on; goldens byte-identical; eight goroutines building one recycled store's artifacts at once from its slabs, with no lock of the store's; two pipelines on two workers tracing, claiming node runs and building trees concurrently in scrubbed recycled sets, every tree equal to a fresh build's) under -race"
+	go test -race -count=10 -run 'TestSlabConcurrentCarving' ./internal/slab
 	go test -race -count=10 -run 'TestAnalyzerSharedUnderLoad|TestFreeListSharedAcrossAnalyzers' .
 	go test -race -count=10 -run 'TestRecycledStoreConcurrentArtifacts' ./internal/facts
 	go test -race -count=10 -run 'TestRecycledTreesConcurrent' ./internal/core
@@ -107,7 +108,7 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, two image workers as warm as one, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a released set pinning nothing of its program, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, two image workers as warm as one once every set has served the crawl set and with no set dropped, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a released set pinning nothing of its program, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
@@ -124,8 +125,8 @@ leg_suites() {
 	echo "== lint corpus precision (seeded positives, zero false positives)"
 	go test -run 'TestCorpusSeededFindings|TestCorpusNegativesClean' ./internal/lint
 
-	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, every emitted metric declared in the metric table, progress counts cache hits and corrupt images)"
-	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestEveryMetricDeclared|TestProgressCountsCacheHits|TestProgressCountsCorruptImages' .
+	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, every emitted metric declared in the metric table, progress counts cache hits, corrupt images and unreadable paths)"
+	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestEveryMetricDeclared|TestProgressCountsCacheHits|TestProgressCountsCorruptImages|TestProgressCountsUnreadablePaths' .
 
 	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
