@@ -207,7 +207,7 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cached.Cached(data); ok {
+	if _, ok := cached.Cached(nil, data); ok {
 		t.Fatal("cold cache probe hit")
 	}
 	for _, tc := range []struct {
@@ -233,7 +233,7 @@ func TestAnalyzerBytesAreCanonical(t *testing.T) {
 			t.Errorf("%s: report diverged:\n%s", tc.name, clip(got))
 		}
 	}
-	js, ok := cached.Cached(data)
+	js, ok := cached.Cached(nil, data)
 	if !ok || !bytes.Equal(js, wantJS) {
 		t.Errorf("warm probe = (%d bytes, %v), want the analyzed bytes", len(js), ok)
 	}
@@ -311,7 +311,7 @@ func TestAnalyzerCachedRejectsInvalidPayload(t *testing.T) {
 		}
 	}
 	plant()
-	if js, ok := a.Cached(data); ok {
+	if js, ok := a.Cached(nil, data); ok {
 		t.Errorf("probe accepted a truncated payload: %q", js)
 	}
 	plant()

@@ -300,7 +300,7 @@ func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	plant()
-	if js, hit := a.Cached(data); hit {
+	if js, hit := a.Cached(nil, data); hit {
 		t.Errorf("Cached answered an undecodable entry: %s", clip(string(js)))
 	}
 	if n := len(cacheEntries(t, dir)); n != 1 {
@@ -314,7 +314,7 @@ func TestCacheUndecodableEntryForcesReanalysis(t *testing.T) {
 	if got := marshalReport(t, rep); got != want {
 		t.Errorf("Analyze over an undecodable entry diverged")
 	}
-	if cached, ok := a.Cached(data); !ok || !bytes.Equal(cached, js) {
+	if cached, ok := a.Cached(nil, data); !ok || !bytes.Equal(cached, js) {
 		t.Errorf("Cached after the recompute = %t, want the healed entry", ok)
 	}
 	if s := a.CacheStats(); s.Errors != 1 || s.Misses != 1 || s.Hits != 0 {
@@ -581,7 +581,7 @@ func TestAnalyzerCachedProbe(t *testing.T) {
 	}
 
 	// Cold cache: the probe misses without creating an entry.
-	if js, hit := a.Cached(data); js != nil || hit {
+	if js, hit := a.Cached(nil, data); js != nil || hit {
 		t.Fatalf("cold probe = (%d bytes, %v), want a miss", len(js), hit)
 	}
 	if got := len(cacheEntries(t, dir)); got != 0 {
@@ -591,7 +591,7 @@ func TestAnalyzerCachedProbe(t *testing.T) {
 	if _, _, _, err := a.Analyze(context.Background(), nil, data, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := a.Cached(data); !hit {
+	if _, hit := a.Cached(nil, data); !hit {
 		t.Fatal("warm probe missed")
 	}
 
@@ -600,7 +600,7 @@ func TestAnalyzerCachedProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := linted.Cached(data); hit {
+	if _, hit := linted.Cached(nil, data); hit {
 		t.Error("probe hit across an option-fingerprint change")
 	}
 	// No cache configured: the probe is inert.
@@ -608,7 +608,7 @@ func TestAnalyzerCachedProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if js, hit := bare.Cached(data); js != nil || hit {
+	if js, hit := bare.Cached(nil, data); js != nil || hit {
 		t.Errorf("cacheless probe = (%d bytes, %v), want a miss", len(js), hit)
 	}
 }

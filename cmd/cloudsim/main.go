@@ -39,11 +39,11 @@ type host struct {
 // startFleet starts one cloud per device: every device that has one when
 // all is set, device alone otherwise. On error it closes what it started.
 func startFleet(device int, all bool) ([]host, error) {
-	var specs []*cloud.Spec
+	var clouds []*cloud.Spec
 	if all {
 		for _, d := range corpus.Devices() {
 			if !d.ScriptOnly {
-				specs = append(specs, corpus.CloudSpec(d))
+				clouds = append(clouds, corpus.CloudSpec(d))
 			}
 		}
 	} else {
@@ -54,10 +54,10 @@ func startFleet(device int, all bool) ([]host, error) {
 		if d.ScriptOnly {
 			return nil, fmt.Errorf("device %d is script-only and hosts no simulated cloud", device)
 		}
-		specs = append(specs, corpus.CloudSpec(d))
+		clouds = append(clouds, corpus.CloudSpec(d))
 	}
-	fleet := make([]host, 0, len(specs))
-	for _, s := range specs {
+	fleet := make([]host, 0, len(clouds))
+	for _, s := range clouds {
 		c := cloud.New(s)
 		if _, _, err := c.Start(); err != nil {
 			closeFleet(fleet)

@@ -97,7 +97,7 @@ func (a *Assembler) Import(name string) int {
 	sig, ok := externs.Lookup(name)
 	if !ok {
 		a.setErr(fmt.Errorf("asm: unknown external function %q", name))
-		sig = externs.Sig{Name: name}
+		sig = &externs.Sig{Name: name}
 	}
 	idx := len(a.imports)
 	a.imports = append(a.imports, binfmt.Import{

@@ -105,13 +105,13 @@ type Result struct {
 // RunLeakScope counts the interfaces testable with credentials embedded in
 // the apps: every token-guarded endpoint of a device whose app leaks the
 // binding token.
-func RunLeakScope(apps []*App, specs map[int]*corpus.DeviceSpec) Result {
+func RunLeakScope(apps []*App, devices map[int]*corpus.DeviceSpec) Result {
 	var res Result
 	for _, app := range apps {
 		if len(app.EmbeddedKeys) == 0 {
 			continue
 		}
-		spec := specs[app.DeviceID]
+		spec := devices[app.DeviceID]
 		if spec == nil {
 			continue
 		}
@@ -131,10 +131,10 @@ func RunLeakScope(apps []*App, specs map[int]*corpus.DeviceSpec) Result {
 // RunAPIScanner replays each app's documented complete messages against a
 // simulated cloud built from its device's spec, one cloud at a time, and
 // counts the interfaces it can test.
-func RunAPIScanner(apps []*App, specs map[int]*corpus.DeviceSpec) (Result, error) {
+func RunAPIScanner(apps []*App, devices map[int]*corpus.DeviceSpec) (Result, error) {
 	var res Result
 	for _, app := range apps {
-		if spec := specs[app.DeviceID]; spec != nil && len(app.Documented) > 0 {
+		if spec := devices[app.DeviceID]; spec != nil && len(app.Documented) > 0 {
 			if err := replayDocumented(app, spec, &res); err != nil {
 				return res, err
 			}

@@ -178,20 +178,26 @@ func (c *Cache) path(key string) string {
 }
 
 // Get reads the entry for key into a fresh buffer of the entry's size and
-// returns its payload, which the caller owns. It checks only the frame: a
-// clean miss returns (nil, nil), and an entry that cannot be read or fails
+// returns its payload, which the caller owns: GetInto with no buffer.
+func (c *Cache) Get(key string) ([]byte, error) { return c.GetInto(nil, key) }
+
+// GetInto reads the entry for key into dst's storage, or into a fresh
+// buffer of the entry's size when dst has too little room, and returns its
+// payload at the start of that storage. It checks only the frame: a clean
+// miss returns (nil, nil), and an entry that cannot be read or fails
 // verification returns (nil, err) with err wrapping
-// errdefs.ErrCacheCorrupt, still a miss, never a failure. Get deletes and
+// errdefs.ErrCacheCorrupt, still a miss, never a failure. It deletes and
 // counts nothing; Do alone discards entries and keeps Stats. A hit
 // refreshes the entry's mtime and its place in the index, so eviction is
 // LRU.
-func (c *Cache) Get(key string) ([]byte, error) {
+func (c *Cache) GetInto(dst []byte, key string) ([]byte, error) {
 	path := c.path(key)
-	payload, _, err := read(path, nil)
-	if payload != nil {
-		c.touch(key, path)
+	payload, buf, err := read(path, dst)
+	if payload == nil {
+		return nil, err
 	}
-	return payload, err
+	c.touch(key, path)
+	return buf[:copy(buf, payload)], nil
 }
 
 // read reads the entry at path whole into buf, or into a new buffer of

@@ -126,6 +126,36 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetIntoReadsIntoBuffer: GetInto returns the payload at the start of
+// the buffer it is given when the whole entry fits there, and in a fresh
+// buffer of the entry's size when it does not.
+func TestGetIntoReadsIntoBuffer(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("img"), "fp")
+	want := []byte(`{"Device":"d"}`)
+	if err := c.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	roomy := make([]byte, 3, 4096)
+	got, err := c.GetInto(roomy, key)
+	if err != nil || string(got) != string(want) {
+		t.Fatalf("GetInto = (%q, %v), want (%q, nil)", got, err, want)
+	}
+	if &got[0] != &roomy[:1][0] {
+		t.Error("GetInto did not return the payload at the start of the given buffer")
+	}
+	small := make([]byte, 0, 8)
+	if got, err = c.GetInto(small, key); err != nil || string(got) != string(want) {
+		t.Fatalf("GetInto(small buffer) = (%q, %v), want (%q, nil)", got, err, want)
+	}
+	if cap(got) != headerLen+len(want) {
+		t.Errorf("GetInto(small buffer) read into %d bytes of storage, want a fresh buffer of the entry's %d", cap(got), headerLen+len(want))
+	}
+}
+
 func TestCorruptEntryIsMissAndDeleted(t *testing.T) {
 	for _, r := range readers {
 		t.Run(r.name, func(t *testing.T) {

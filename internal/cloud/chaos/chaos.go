@@ -59,7 +59,7 @@ type Config struct {
 	// that completes would be misread as a real answer.
 	SlowLorisRate  float64
 	SlowChunkDelay time.Duration // default 25ms
-	SlowHold       time.Duration // default 2×DefaultHTTPTimeout; probe layers override
+	SlowHold       time.Duration // default 10s, twice cloud.NewProber's attempt timeout; probe layers override
 
 	// MQTT sessions reuse the rates above: ResetRate+Err5xxRate reject the
 	// CONNECT (severed before CONNACK), DropRate+SlowLorisRate sever the
@@ -143,7 +143,7 @@ func (c Config) withDefaults() Config {
 		c.SlowChunkDelay = 25 * time.Millisecond
 	}
 	if c.SlowHold <= 0 {
-		c.SlowHold = 2 * cloud.DefaultHTTPTimeout
+		c.SlowHold = 10 * time.Second
 	}
 	return c
 }

@@ -140,7 +140,7 @@ func startDroppingCloud(t *testing.T, timeout time.Duration) *Prober {
 	}
 	t.Cleanup(func() { c.Close() })
 	p := NewProber(c)
-	p.Client.Timeout = timeout
+	p.AttemptTimeout = timeout
 	return p
 }
 

@@ -19,10 +19,6 @@ import (
 	"firmres/internal/taint"
 )
 
-// DefaultHTTPTimeout is the Client.Timeout NewProber gives a prober, and
-// bounds an MQTT attempt of a prober whose Client.Timeout is 0.
-const DefaultHTTPTimeout = 5 * time.Second
-
 // ProbeIDHeader carries the probe's unique identity on HTTP attempts so the
 // chaos layer can key its fault decisions on the probe, not on arrival
 // order or request bytes (two probes may send identical bytes).
@@ -64,10 +60,15 @@ type ProbeResult struct {
 type Prober struct {
 	HTTPAddr string
 	Cloud    *Cloud // for MQTT feedback and in-process experiments
-	// Client sends HTTP attempts. Its Timeout bounds one attempt on either
-	// transport: an HTTP exchange, or an MQTT dial, publish and wait for
-	// the broker's decision (0 means DefaultHTTPTimeout there).
+	// Client sends HTTP attempts. It sets no timeout of its own: an
+	// attempt's one bound is AttemptTimeout.
 	Client *http.Client
+	// AttemptTimeout bounds one attempt on either transport, as the
+	// deadline of the context it runs under: an HTTP exchange, body
+	// included, or an MQTT dial, publish and wait for the broker's
+	// decision. Zero leaves an attempt bounded by its caller's context
+	// alone.
+	AttemptTimeout time.Duration
 	// Retry is the per-probe retry policy; the zero value applies the
 	// defaults. Its Budget caps the total time one Probe call may spend
 	// across attempts.
@@ -80,14 +81,24 @@ type Prober struct {
 	Metrics *obs.Metrics
 }
 
-// NewProber targets a started cloud with the default per-attempt timeout
-// and retry policy; set the fields to change them.
+// NewProber targets a started cloud, with a five-second AttemptTimeout
+// and the default retry policy; set the fields to change them.
 func NewProber(c *Cloud) *Prober {
 	return &Prober{
-		HTTPAddr: c.Addr(),
-		Cloud:    c,
-		Client:   &http.Client{Timeout: DefaultHTTPTimeout},
+		HTTPAddr:       c.Addr(),
+		Cloud:          c,
+		Client:         new(http.Client),
+		AttemptTimeout: 5 * time.Second,
 	}
+}
+
+// attempt returns ctx bounded by the prober's AttemptTimeout, the one
+// deadline an attempt runs under.
+func (p *Prober) attempt(ctx context.Context) (context.Context, context.CancelFunc) {
+	if p.AttemptTimeout <= 0 {
+		return context.WithCancel(ctx)
+	}
+	return context.WithTimeout(ctx, p.AttemptTimeout)
 }
 
 // Probe sends a reconstructed message over the transport its delivery
@@ -133,6 +144,8 @@ func (p *Prober) ProbeContext(ctx context.Context, msg *fields.Message) (*ProbeR
 }
 
 func (p *Prober) probeHTTP(ctx context.Context, msg *fields.Message) (*ProbeResult, error) {
+	ctx, cancel := p.attempt(ctx)
+	defer cancel()
 	path, body := msg.Path, msg.Body
 	// Raw SSL/TCP messages embed the route at the front of the body; a
 	// query-style body ("?m=camera&a=login&...") is itself the route.
@@ -233,23 +246,20 @@ func classify(status int, body string) string {
 
 // probeMQTT connects as the device (client ID = first identifier-looking
 // field), publishes, and reads the broker's authorization decision from the
-// cloud's access log. One attempt is bounded by Client.Timeout and the
-// context's deadline, whichever is tighter.
+// cloud's access log. The attempt's deadline bounds the dial, the publish
+// and the wait.
 func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResult, error) {
 	if p.Cloud == nil {
 		return nil, Permanent(fmt.Errorf("cloud: MQTT probe needs an in-process cloud"))
 	}
-	timeout := p.Client.Timeout
-	if timeout <= 0 {
-		timeout = DefaultHTTPTimeout
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if until := time.Until(dl); until < timeout {
-			timeout = until
+	actx, cancel := p.attempt(ctx)
+	defer cancel()
+	deadline, _ := actx.Deadline() // the zero time, no deadline, when unbounded
+	var timeout time.Duration
+	if !deadline.IsZero() {
+		if timeout = time.Until(deadline); timeout <= 0 {
+			return nil, fmt.Errorf("cloud: mqtt probe: %w", context.DeadlineExceeded)
 		}
-	}
-	if timeout <= 0 {
-		return nil, fmt.Errorf("cloud: mqtt probe: %w", ctx.Err())
 	}
 	clientID := mqttClientID(msg)
 	secret := mqttPassword(msg)
@@ -262,7 +272,6 @@ func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResu
 		return nil, err
 	}
 	defer client.Close()
-	deadline := time.Now().Add(timeout)
 	_ = client.SetDeadline(deadline)
 	before := p.Cloud.accessCount()
 	if err := client.Publish(msg.Topic, []byte(msg.Body)); err != nil {
@@ -272,9 +281,7 @@ func (p *Prober) probeMQTT(ctx context.Context, msg *fields.Message) (*ProbeResu
 	// decision for every publish it processes — known topic or not — so a
 	// silent deadline here means the publish was lost in transit (a severed
 	// session, a draining broker): transport weather, retry.
-	wctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	a, err := p.Cloud.awaitAccess(wctx, before, "mqtt:"+msg.Topic)
+	a, err := p.Cloud.awaitAccess(actx, before, "mqtt:"+msg.Topic)
 	if err != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cloud: mqtt probe: %w", err)

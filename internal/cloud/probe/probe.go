@@ -187,7 +187,7 @@ func Device(ctx context.Context, spec *cloud.Spec, msgs []*fields.Message, img *
 	}
 	defer tr.CloseIdleConnections()
 	prober := cloud.NewProber(c)
-	prober.Client.Timeout = o.AttemptTimeout
+	prober.AttemptTimeout = o.AttemptTimeout
 	prober.Client.Transport = tr
 	prober.Retry = o.Retry
 	prober.Metrics = o.Metrics

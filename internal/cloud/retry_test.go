@@ -120,9 +120,10 @@ func TestBackoffBudgetCapsTotalTime(t *testing.T) {
 
 func TestProbeRetriesUnreachableCloud(t *testing.T) {
 	p := &Prober{
-		HTTPAddr: "127.0.0.1:1", // reserved port: connection refused
-		Client:   &http.Client{Timeout: 200 * time.Millisecond},
-		Retry:    fastBackoff(2),
+		HTTPAddr:       "127.0.0.1:1", // reserved port: connection refused
+		Client:         new(http.Client),
+		AttemptTimeout: 200 * time.Millisecond,
+		Retry:          fastBackoff(2),
 	}
 	msg := &fields.Message{Format: fields.FormatHTTP, Path: "/ping"}
 	_, err := p.ProbeContext(context.Background(), msg)

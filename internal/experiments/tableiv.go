@@ -20,10 +20,10 @@ type TableIVRow struct {
 // recovery.
 func TableIV(run *Run) ([]TableIVRow, error) {
 	msgs := TableII(run)
-	specs := map[int]*corpus.DeviceSpec{}
+	devices := map[int]*corpus.DeviceSpec{}
 	var apps []*baselines.App
 	for _, dr := range run.Devices {
-		specs[dr.Spec.ID] = dr.Spec
+		devices[dr.Spec.ID] = dr.Spec
 		apps = append(apps, baselines.AppFor(dr.Spec))
 	}
 	firmres := TableIVRow{
@@ -36,8 +36,8 @@ func TableIV(run *Run) ([]TableIVRow, error) {
 		firmres.Accuracy = float64(msgs.TotalValid) / float64(msgs.TotalIdentified)
 	}
 
-	leak := baselines.RunLeakScope(apps, specs)
-	scanner, err := baselines.RunAPIScanner(apps, specs)
+	leak := baselines.RunLeakScope(apps, devices)
+	scanner, err := baselines.RunAPIScanner(apps, devices)
 	if err != nil {
 		return nil, err
 	}

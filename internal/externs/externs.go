@@ -1,15 +1,24 @@
-// Package externs is the shared signature database for the external
-// (libc-like) functions that synthetic firmware programs import.
+// Package externs is the model of the external (libc-like) functions that
+// synthetic firmware programs import: one Table row per extern holds every
+// fact an analysis knows about it, and no analysis keeps a table of its own
+// keyed by extern name.
 //
-// It is consumed by four subsystems that must agree on calling conventions
-// and roles:
+// A row's facets, and who reads them:
 //
-//   - the assembler (internal/asm) auto-registers imports and validates arity;
-//   - the P-Code lifter (internal/pcode) derives CALL inputs/outputs;
-//   - executable identification (internal/identify) needs the sets of
-//     request-incoming (recv*) and response-outgoing (send*) functions;
-//   - the taint engine (internal/taint) attaches dataflow summaries keyed by
-//     function name.
+//   - name, arity and result use: the assembler (internal/asm) registers
+//     imports and validates arity; the P-Code lifter (internal/pcode)
+//     derives CALL inputs and outputs, and resolves each imported call's
+//     row once, onto its pcode.CallTarget, where every later analysis
+//     reads it;
+//   - Role: executable identification's anchors (internal/identify),
+//     lint's unchecked-source check, the report decoder's shared strings,
+//     and semantics' signing-step evidence (RoleCrypto);
+//   - Deliver, Write, Return and JSON: the taint engine's function
+//     summaries for library calls (internal/taint, §IV-B);
+//   - Format: lint's printf checks, and for a writer the taint engine's
+//     variadic dependencies and the format it records on the MFT node;
+//   - Expect: symbol recovery's behavioural callsite matching
+//     (internal/strip), through the name-blind SigIndex.
 //
 // This plays the role of the libc function-signature models that real
 // binary-analysis frameworks ship.
@@ -29,8 +38,8 @@ const (
 	RoleNone    Role = iota // no special meaning
 	RoleRecv                // request-incoming function (fun_in anchors)
 	RoleSend                // response-outgoing function (fun_out anchors)
-	RoleDeliver             // device-cloud message delivery (taint source callsites)
-	RoleString              // string/formatting helper with a dataflow summary
+	RoleDeliver             // device-cloud message delivery (SSL, HTTP and MQTT publishers)
+	RoleString              // string/formatting helper
 	RoleJSON                // cJSON-style message assembly
 	RoleNVRAM               // NVRAM read (taint sink origin: NVRAM)
 	RoleConfig              // configuration-file read (taint sink origin: config)
@@ -42,136 +51,130 @@ const (
 	RoleMisc                // allocation, time, logging, sockets, ...
 )
 
-// Sig describes one external function.
+// Arg names one argument of a call by position: At(i) is argument i, and
+// the zero Arg, NoArg, names none.
+type Arg uint8
+
+// NoArg names no argument.
+const NoArg Arg = 0
+
+// At returns the Arg of the zero-based argument i.
+func At(i int) Arg { return Arg(i + 1) }
+
+// Index returns the zero-based position a names, -1 for NoArg.
+func (a Arg) Index() int { return int(a) - 1 }
+
+// Traced is one argument of a delivery call that carries message content:
+// a taint source of §IV-B, and the label its MFT branch carries.
+type Traced struct {
+	Index int
+	Label string
+}
+
+// Write summarises a call that writes message content through a
+// destination pointer argument (the sprintf family, strcpy and strcat,
+// crypto into a buffer). Such a call also returns its destination. The
+// written content derives from Deps and, for a printf-style writer, from
+// its Format argument and every argument after it.
+type Write struct {
+	Dst    int   // the destination pointer's argument
+	Deps   []int // the arguments the written content derives from
+	Append bool  // the call appends to the buffer's content instead of replacing it
+}
+
+// Source classifies a return value that is a message-field source itself.
+type Source uint8
+
+// Return-value sources.
+const (
+	SrcNone    Source = iota // derived from the summary's Deps
+	SrcNVRAM                 // a value read from NVRAM
+	SrcConfig                // a value read from a configuration store
+	SrcEnv                   // environment or front-end input
+	SrcFile                  // content read from a file
+	SrcDynamic               // a runtime-generated value (time, rand)
+	SrcAlloc                 // a fresh allocation, whose content later calls write
+)
+
+// Return summarises what a call's return value is.
+type Return struct {
+	Deps   []int  // the arguments a derived value derives from
+	Source Source // the source the value is; SrcNone when it derives from Deps
+	Key    Arg    // the argument holding a source's key or path
+}
+
+// JSONKind classifies the calls of cJSON-style message assembly.
+type JSONKind uint8
+
+// cJSON kinds. JSONAdd and JSONAddItem calls take (object, key, value),
+// JSONPrint calls take the object alone.
+const (
+	JSONNone    JSONKind = iota
+	JSONNew              // returns a fresh object
+	JSONAdd              // adds a key whose value is the third argument
+	JSONAddItem          // adds a key whose value is a nested object
+	JSONPrint            // renders the object as text
+)
+
+// Expect is what a callsite is expected to pass in one argument of an
+// extern: symbol recovery scores the argument shapes it observes in a
+// stripped binary against a row's expectations.
+type Expect uint8
+
+// Callsite expectations.
+const (
+	ExpAny       Expect = iota
+	ExpInt              // constant integer
+	ExpZero             // constant zero (flags-style trailing argument)
+	ExpPosInt           // constant positive integer (length/size argument)
+	ExpStr              // constant string
+	ExpRoute            // constant string shaped like a wire route: starts '/' or '?'
+	ExpFmt              // constant format string (contains '%')
+	ExpHost             // constant hostname: contains '.', no '/'
+	ExpKeyNVRAM         // constant string matched against the NVRAM key universe
+	ExpKeyConfig        // constant string matched against the config key universe
+	ExpKeyEnv           // constant string outside both key universes (front-end param)
+	ExpKeyPath          // constant string shaped like a filesystem path
+	ExpBuf              // pointer to a writable data object
+	ExpFn               // pointer into the text segment (callback)
+	ExpDyn              // computed value or call result (payload-style)
+	ExpHandle           // connection-style value: parameter or call result
+	ExpRes              // result of a preceding call
+	ExpResJSON          // result of a zero-arity constructor (cJSON object handle)
+	ExpStrOrDyn         // string constant or computed value
+)
+
+// Sig is the model of one external function: its Table row.
 type Sig struct {
 	Name      string
 	NumParams int // Variadic for printf-style functions
 	HasResult bool
 	Role      Role
+	JSON      JSONKind
+	// Format is the argument holding a printf-style format; the variadic
+	// arguments its directives consume follow it.
+	Format Arg
+	// Deliver lists, in argument order, the arguments a call sends to the
+	// cloud; the last is the message itself.
+	Deliver []Traced
+	Write   *Write  // nil unless the call writes through a pointer
+	Return  *Return // nil when the return value is not summarized
+	// Expect lists what each leading argument of a callsite is expected to
+	// look like; a variadic row constrains only the arguments it lists.
+	Expect []Expect
 }
 
-// Table lists every external function the corpus may import. Order is
-// stable; import indices are assigned per binary by the assembler.
-var Table = []Sig{
-	// Request-incoming anchors (fun_in).
-	{Name: "recv", NumParams: 4, HasResult: true, Role: RoleRecv},
-	{Name: "recvfrom", NumParams: 6, HasResult: true, Role: RoleRecv},
-	{Name: "recvmsg", NumParams: 3, HasResult: true, Role: RoleRecv},
-	{Name: "SSL_read", NumParams: 3, HasResult: true, Role: RoleRecv},
-	{Name: "mqtt_recv", NumParams: 2, HasResult: true, Role: RoleRecv},
-
-	// Response-outgoing anchors (fun_out).
-	{Name: "send", NumParams: 4, HasResult: true, Role: RoleSend},
-	{Name: "sendto", NumParams: 6, HasResult: true, Role: RoleSend},
-	{Name: "sendmsg", NumParams: 3, HasResult: true, Role: RoleSend},
-
-	// Device-cloud message delivery (taint sources). The first argument is
-	// the connection/handle; the second carries the message buffer, except
-	// curl_easy_perform and http_post where noted below in ArgOfMessage.
-	{Name: "SSL_write", NumParams: 3, HasResult: true, Role: RoleDeliver},
-	{Name: "CyaSSL_write", NumParams: 3, HasResult: true, Role: RoleDeliver},
-	{Name: "curl_easy_perform", NumParams: 1, HasResult: true, Role: RoleDeliver},
-	{Name: "http_post", NumParams: 3, HasResult: true, Role: RoleDeliver},
-	{Name: "mosquitto_publish", NumParams: 4, HasResult: true, Role: RoleDeliver},
-	{Name: "mqtt_publish", NumParams: 3, HasResult: true, Role: RoleDeliver},
-
-	// String construction and formatting.
-	{Name: "sprintf", NumParams: Variadic, HasResult: true, Role: RoleString},
-	{Name: "snprintf", NumParams: Variadic, HasResult: true, Role: RoleString},
-	{Name: "strcpy", NumParams: 2, HasResult: true, Role: RoleString},
-	{Name: "strncpy", NumParams: 3, HasResult: true, Role: RoleString},
-	{Name: "strcat", NumParams: 2, HasResult: true, Role: RoleString},
-	{Name: "strncat", NumParams: 3, HasResult: true, Role: RoleString},
-	{Name: "memcpy", NumParams: 3, HasResult: true, Role: RoleString},
-	{Name: "strdup", NumParams: 1, HasResult: true, Role: RoleString},
-	{Name: "strlen", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "strcmp", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "strncmp", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "strstr", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "strchr", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "atoi", NumParams: 1, HasResult: true, Role: RoleString},
-	{Name: "itoa", NumParams: 2, HasResult: true, Role: RoleString},
-	{Name: "base64_encode", NumParams: 2, HasResult: true, Role: RoleString},
-	{Name: "urlencode", NumParams: 1, HasResult: true, Role: RoleString},
-
-	// cJSON-style assembly.
-	{Name: "curl_easy_init", NumParams: 0, HasResult: true, Role: RoleString},
-	{Name: "curl_setopt", NumParams: 3, HasResult: true, Role: RoleString},
-
-	{Name: "cJSON_CreateObject", NumParams: 0, HasResult: true, Role: RoleJSON},
-	{Name: "cJSON_AddStringToObject", NumParams: 3, HasResult: true, Role: RoleJSON},
-	{Name: "cJSON_AddNumberToObject", NumParams: 3, HasResult: true, Role: RoleJSON},
-	{Name: "cJSON_AddItemToObject", NumParams: 3, HasResult: false, Role: RoleJSON},
-	{Name: "cJSON_Print", NumParams: 1, HasResult: true, Role: RoleJSON},
-	{Name: "cJSON_PrintUnformatted", NumParams: 1, HasResult: true, Role: RoleJSON},
-	{Name: "cJSON_Delete", NumParams: 1, HasResult: false, Role: RoleJSON},
-
-	// Field-source origins (taint sinks).
-	{Name: "nvram_get", NumParams: 1, HasResult: true, Role: RoleNVRAM},
-	{Name: "nvram_safe_get", NumParams: 1, HasResult: true, Role: RoleNVRAM},
-	{Name: "config_read", NumParams: 1, HasResult: true, Role: RoleConfig},
-	{Name: "uci_get", NumParams: 1, HasResult: true, Role: RoleConfig},
-	{Name: "getenv", NumParams: 1, HasResult: true, Role: RoleEnv},
-	{Name: "web_get_param", NumParams: 1, HasResult: true, Role: RoleEnv},
-
-	// File I/O (hard-coded Dev-Secret pattern: Variable = Function(Constant)).
-	{Name: "fopen", NumParams: 2, HasResult: true, Role: RoleFile},
-	{Name: "fread", NumParams: 4, HasResult: true, Role: RoleFile},
-	{Name: "fclose", NumParams: 1, HasResult: false, Role: RoleFile},
-	{Name: "read_file", NumParams: 1, HasResult: true, Role: RoleFile},
-
-	// Event-loop / async registration.
-	{Name: "event_register", NumParams: 2, HasResult: false, Role: RoleEvent},
-	{Name: "uloop_fd_add", NumParams: 2, HasResult: false, Role: RoleEvent},
-	{Name: "task_spawn", NumParams: 1, HasResult: false, Role: RoleEvent},
-
-	// Crypto / derivation.
-	{Name: "md5", NumParams: 2, HasResult: true, Role: RoleCrypto},
-	{Name: "sha256", NumParams: 2, HasResult: true, Role: RoleCrypto},
-	{Name: "hmac_sha256", NumParams: 3, HasResult: true, Role: RoleCrypto},
-	{Name: "aes_encrypt", NumParams: 3, HasResult: true, Role: RoleCrypto},
-
-	// IPC (negative anchors for handler identification).
-	{Name: "ipc_recv", NumParams: 2, HasResult: true, Role: RoleIPC},
-	{Name: "ipc_send", NumParams: 2, HasResult: true, Role: RoleIPC},
-	{Name: "ubus_invoke", NumParams: 3, HasResult: true, Role: RoleIPC},
-
-	// Miscellaneous runtime.
-	{Name: "malloc", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "calloc", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "free", NumParams: 1, HasResult: false, Role: RoleMisc},
-	{Name: "printf", NumParams: Variadic, HasResult: true, Role: RoleMisc},
-	{Name: "fprintf", NumParams: Variadic, HasResult: true, Role: RoleMisc},
-	{Name: "syslog", NumParams: 2, HasResult: false, Role: RoleMisc},
-	{Name: "socket", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "connect", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "bind", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "listen", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "accept", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "close", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "select", NumParams: 5, HasResult: true, Role: RoleMisc},
-	{Name: "epoll_wait", NumParams: 4, HasResult: true, Role: RoleMisc},
-	{Name: "usleep", NumParams: 1, HasResult: false, Role: RoleMisc},
-	{Name: "time", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "rand", NumParams: 0, HasResult: true, Role: RoleMisc},
-	{Name: "gethostbyname", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "ssl_connect", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "mqtt_connect", NumParams: 3, HasResult: true, Role: RoleMisc},
-	{Name: "mqtt_subscribe", NumParams: 2, HasResult: true, Role: RoleMisc},
-	{Name: "SSL_new", NumParams: 1, HasResult: true, Role: RoleMisc},
-	{Name: "exit", NumParams: 1, HasResult: false, Role: RoleMisc},
-}
-
-var byName = func() map[string]Sig {
-	m := make(map[string]Sig, len(Table))
-	for _, s := range Table {
-		m[s.Name] = s
+var byName = func() map[string]*Sig {
+	m := make(map[string]*Sig, len(Table))
+	for i := range Table {
+		m[Table[i].Name] = &Table[i]
 	}
 	return m
 }()
 
-// Lookup returns the signature for an external function name.
-func Lookup(name string) (Sig, bool) {
+// Lookup returns the Table row of an external function name, which the
+// caller must not modify.
+func Lookup(name string) (*Sig, bool) {
 	s, ok := byName[name]
 	return s, ok
 }
@@ -188,27 +191,6 @@ func ByRole(role Role) []string {
 	return out
 }
 
-// MessageArg returns the zero-based argument index that carries the outgoing
-// device-cloud message for a delivery function, and whether name is a
-// delivery function at all. This is the taint-source map of §IV-B.
-func MessageArg(name string) (int, bool) {
-	switch name {
-	case "SSL_write", "CyaSSL_write":
-		return 1, true // SSL_write(ssl, buf, len)
-	case "http_post":
-		return 2, true // http_post(conn, path, body)
-	case "curl_easy_perform":
-		return 0, true // curl handle aggregates the request
-	case "mosquitto_publish":
-		return 3, true // mosquitto_publish(mosq, mid, topic, payload)
-	case "mqtt_publish":
-		return 2, true // mqtt_publish(conn, topic, payload)
-	case "send", "sendto", "sendmsg":
-		return 1, true // send(fd, buf, len, flags)
-	}
-	return 0, false
-}
-
 // IsRecv reports whether name is a request-incoming anchor function.
 func IsRecv(name string) bool {
 	s, ok := byName[name]
@@ -220,11 +202,4 @@ func IsRecv(name string) bool {
 func IsSend(name string) bool {
 	s, ok := byName[name]
 	return ok && (s.Role == RoleSend || s.Role == RoleDeliver)
-}
-
-// IsDeliver reports whether name is a device-cloud message delivery function
-// whose callsite arguments are taint sources.
-func IsDeliver(name string) bool {
-	s, ok := byName[name]
-	return ok && s.Role == RoleDeliver
 }

@@ -73,19 +73,16 @@ func (c *formatArityChecker) Check(fc *FuncContext) []Diagnostic {
 	var out []Diagnostic
 	for i := range fc.Fn.Ops {
 		op := &fc.Fn.Ops[i]
-		if op.Code != pcode.CALL || op.Call == nil {
+		fmtArg := formatArg(op)
+		if fmtArg < 0 {
 			continue
 		}
-		spec, ok := fmtSpecs[op.Call.Name]
-		if !ok {
-			continue
-		}
-		format, ok := fc.ArgString(i, spec.fmtArg)
+		format, ok := fc.ArgString(i, fmtArg)
 		if !ok {
 			continue
 		}
 		want := formatVerbs(format, nil)
-		got := op.Call.Arity - spec.varStart
+		got := op.Call.Arity - (fmtArg + 1)
 		if got < 0 {
 			got = 0
 		}
@@ -264,7 +261,7 @@ func (c *uncheckedSourceChecker) checkSource(fc *FuncContext, srcIdx int, srcNam
 			}
 			delete(taint, op.Output)
 		case pcode.CALL, pcode.CALLIND:
-			if op.Call != nil && externs.IsDeliver(op.Call.Name) {
+			if op.Call != nil && op.Call.Sig != nil && op.Call.Sig.Role == externs.RoleDeliver {
 				for a := 0; a < op.Call.Arity && a < isa.NumArgRegs; a++ {
 					if taint[pcode.Register(isa.ArgReg(a))] {
 						uses = append(uses, riskyUse{j, "passed to " + op.Call.Name})

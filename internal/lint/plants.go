@@ -22,17 +22,6 @@ type plant struct {
 	constVal string        // rendered constant (rodata string or decimal)
 }
 
-// fmtSpec locates the format string and first variadic argument of a
-// printf-style callee.
-type fmtSpec struct{ fmtArg, varStart int }
-
-var fmtSpecs = map[string]fmtSpec{
-	"sprintf":  {fmtArg: 1, varStart: 2},
-	"snprintf": {fmtArg: 2, varStart: 3},
-	"printf":   {fmtArg: 0, varStart: 1},
-	"fprintf":  {fmtArg: 1, varStart: 2},
-}
-
 // Plants extracts the function's field plants, memoized per context.
 func (fc *FuncContext) Plants() []plant {
 	if !fc.plantsSet {
@@ -62,12 +51,12 @@ func (fc *FuncContext) collectPlants() []plant {
 			out = append(out, fc.newPlant(key, i, pcode.Register(isa.ArgReg(2)), name))
 
 		case "sprintf", "snprintf", "printf", "fprintf":
-			spec := fmtSpecs[name]
-			format, ok := fc.ArgString(i, spec.fmtArg)
+			fmtArg := formatArg(op)
+			format, ok := fc.ArgString(i, fmtArg)
 			if !ok {
 				continue
 			}
-			argIdx := spec.varStart
+			argIdx := fmtArg + 1
 			formatVerbs(format, func(key string) {
 				if key != "" && argIdx < op.Call.Arity && argIdx < isa.NumArgRegs {
 					out = append(out, fc.newPlant(key, i, pcode.Register(isa.ArgReg(argIdx)), name))
@@ -122,6 +111,15 @@ func (fc *FuncContext) newPlant(key string, opIdx int, val pcode.Varnode, via st
 		p.isConst, p.constVal = true, strconv.FormatUint(v, 10)
 	}
 	return p
+}
+
+// formatArg returns the argument holding a printf-style call's format,
+// which its variadic arguments follow, and -1 for any other call.
+func formatArg(op *pcode.Op) int {
+	if op.Call == nil || op.Call.Sig == nil {
+		return -1
+	}
+	return op.Call.Sig.Format.Index()
 }
 
 // formatVerbs reads a printf format part by part, as the slices stage

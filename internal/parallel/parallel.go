@@ -195,55 +195,36 @@ func ForEach(ctx context.Context, workers, n int, fn func(int)) {
 	}
 }
 
-// Fleet runs workers long-lived copies of body concurrently and blocks
-// until every one returns — the streaming counterpart to ForEach for
-// workloads with no pre-sized input range (a service's job queue, a
-// network accept loop). Each body receives its worker index and is
-// expected to loop pulling work from a shared source until that source
-// closes or ctx is cancelled; Fleet itself imposes no work distribution.
+// Fleet runs workers long-lived copies of body concurrently, as ForEach
+// over the worker indices, and blocks until every one returns: the
+// streaming counterpart to ForEach for workloads with no pre-sized input
+// range (a service's job queue, a network accept loop). Each body receives
+// its worker index and a stop context derived from ctx, and is expected to
+// loop pulling work from a shared source until that source closes or the
+// stop context is cancelled, which it must treat as "drain and return";
+// Fleet itself imposes no work distribution.
 //
-// The panic discipline matches ForEach: a panic in any body is recovered,
-// the shared ctx-derived stop context is cancelled so sibling workers can
-// wind down, and the first panic value is re-raised on the calling
-// goroutine once every worker has returned. The stop context is passed to
-// body; bodies must treat its cancellation as "drain and return".
+// A panicking body cancels the stop context, so its siblings wind down,
+// and every body still runs: the first panic value is re-raised on the
+// calling goroutine once all of them have returned.
 func Fleet(ctx context.Context, workers int, body func(ctx context.Context, worker int)) {
-	if workers < 1 {
-		workers = 1
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	stop, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	run := func(self int) {
+	var first sync.Once
+	var panicVal any
+	n := max(workers, 1)
+	ForEach(nil, n, n, func(worker int) {
 		defer func() {
 			if r := recover(); r != nil {
-				panicMu.Lock()
-				if panicVal == nil {
-					panicVal = r
-				}
-				panicMu.Unlock()
-				cancel() // wind the siblings down
+				first.Do(func() { panicVal = r })
+				cancel()
 			}
 		}()
-		body(stop, self)
-	}
-	for g := 1; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(g)
-		}()
-	}
-	run(0) // the calling goroutine is worker 0
-	wg.Wait()
+		body(stop, worker)
+	})
 	if panicVal != nil {
 		panic(panicVal)
 	}

@@ -365,8 +365,9 @@ func (l *lifter) liftInstr(addr uint32, in isa.Instruction) error {
 			return fmt.Errorf("import index %d out of range", idx)
 		}
 		imp := l.bin.Imports[idx]
+		sig, _ := externs.Lookup(imp.Name)
 		l.emitCall(addr, l.call(CallTarget{
-			Kind: CallImported, Import: idx, Name: imp.Name,
+			Kind: CallImported, Import: idx, Name: imp.Name, Sig: sig,
 			Arity: importArity(imp, in), HasResult: imp.HasResult,
 		}))
 

@@ -20,6 +20,7 @@ package pcode
 import (
 	"fmt"
 
+	"firmres/internal/externs"
 	"firmres/internal/isa"
 )
 
@@ -158,9 +159,13 @@ const (
 )
 
 // CallTarget carries call metadata for CALL/CALLIND operations. Fields
-// are ordered so that the small ones share a word (40 bytes instead of 48).
+// are ordered so that the small ones share a word (48 bytes).
 type CallTarget struct {
-	Name      string // resolved callee name ("" for indirect)
+	Name string // resolved callee name ("" for indirect)
+	// Sig is the externs.Table row of an imported callee, resolved once at
+	// lift time by name: nil for local and indirect calls and for imports
+	// the table does not model.
+	Sig       *externs.Sig
 	Import    int    // import index for CallImported
 	Arity     int    // argument count at this callsite
 	Addr      uint32 // callee address for CallLocal

@@ -7,6 +7,7 @@ import (
 
 	"firmres/internal/binfmt"
 	"firmres/internal/corpus"
+	"firmres/internal/externs"
 	"firmres/internal/image"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
@@ -127,6 +128,50 @@ func comparePrograms(t *testing.T, name string, got, want *pcode.Program) {
 				}
 			}
 		}
+	}
+}
+
+// TestImportedCallsCarryTheirRow lifts every corpus binary and every
+// stripped twin, whose imports strip.Recover has bound (corpusBinaries):
+// each imported call carries the externs row of its callee's name, every
+// corpus import is modelled, and no local or indirect call carries a row.
+// A scrubbed release leaves no row in any call target it kept.
+func TestImportedCallsCarryTheirRow(t *testing.T) {
+	p := new(pcode.Program)
+	imported := 0
+	for _, bin := range corpusBinaries(t) {
+		if err := p.Lift(bin); err != nil {
+			t.Fatalf("Program.Lift(%s): %v", bin.Name, err)
+		}
+		var calls []*pcode.CallTarget
+		for _, fn := range p.Funcs {
+			for i := range fn.Ops {
+				c := fn.Ops[i].Call
+				if c == nil {
+					continue
+				}
+				calls = append(calls, c)
+				var want *externs.Sig
+				if c.Kind == pcode.CallImported {
+					imported++
+					if want, _ = externs.Lookup(c.Name); want == nil {
+						t.Errorf("%s/%s: import %q has no extern row", bin.Name, fn.Name(), c.Name)
+					}
+				}
+				if c.Sig != want {
+					t.Errorf("%s/%s: call of %q (kind %d) carries row %p, want %p", bin.Name, fn.Name(), c.Name, c.Kind, c.Sig, want)
+				}
+			}
+		}
+		p.Recycle(true)
+		for _, c := range calls {
+			if c.Sig != nil {
+				t.Fatalf("%s: a scrubbed call target still carries the row of %q", bin.Name, c.Sig.Name)
+			}
+		}
+	}
+	if imported == 0 {
+		t.Fatal("the corpus lifted no imported call")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"firmres/internal/binfmt"
 	"firmres/internal/dataflow"
+	"firmres/internal/externs"
 	"firmres/internal/facts"
 	"firmres/internal/nn"
 	"firmres/internal/obs"
@@ -490,12 +491,7 @@ func sliceHasCryptoStep(s slices.Slice) bool {
 		if step.OpIdx < 0 || step.OpIdx >= len(step.Fn.Ops) {
 			continue
 		}
-		op := &step.Fn.Ops[step.OpIdx]
-		if op.Call == nil {
-			continue
-		}
-		switch op.Call.Name {
-		case "hmac_sha256", "sha256", "md5", "aes_encrypt":
+		if c := step.Fn.Ops[step.OpIdx].Call; c != nil && c.Sig != nil && c.Sig.Role == externs.RoleCrypto {
 			return true
 		}
 	}

@@ -5,12 +5,14 @@
 package serve
 
 // Handler allocation gates: a fresh job costs little more than its
-// analysis, serving a done job copies its stored report into a reused
-// buffer and allocates a constant besides, and a submission's body costs
-// about its own size whatever its Content-Length claims.
+// analysis, a prehit little more than the decode that checks its entry,
+// serving a done job copies its stored report into a reused buffer and
+// allocates a constant besides, and a submission's body costs about its
+// own size whatever its Content-Length claims.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,6 +130,63 @@ func TestServeFreshJobAllocBudget(t *testing.T) {
 	t.Logf("fresh job: %.0f B per job over %d jobs (budget %d)", per, len(imgs)-warm, freshJobAllocBudget)
 	if per > freshJobAllocBudget {
 		t.Errorf("a fresh job allocates %.0f B, budget %d", per, freshJobAllocBudget)
+	}
+}
+
+// prehitAllocBudget bounds the heap bytes of one submission a warm cache
+// answers, the serve workload's prehit: about 33.9 KB, most of it the
+// decode that checks the entry read from disk.
+const prehitAllocBudget = 40 << 10
+
+// TestPrehitAllocBound submits fresh variants of devices 1-20, whose
+// reports a separate Analyzer with the server's options has cached, to a
+// server that has not seen them: every submission is a prehit, answered
+// from the cache into a handler buffer.
+func TestPrehitAllocBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cacheDir := t.TempDir()
+	an, err := firmres.NewAnalyzer(firmres.WithLint(), firmres.WithMetrics(), firmres.WithCache(cacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var imgs [][]byte
+	for r := 0; r < 3; r++ {
+		for id := 1; id <= 20; id++ {
+			base, err := corpus.BuildImage(corpus.Device(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonce := make([]byte, 16)
+			rng.Read(nonce)
+			base.Files = append(base.Files, image.File{Path: "/var/bench/nonce", Data: []byte(fmt.Sprintf("%x\n", nonce))})
+			img := base.Pack()
+			if _, _, _, err := an.Analyze(context.Background(), nil, img, nil); err != nil {
+				t.Fatal(err)
+			}
+			imgs = append(imgs, img)
+		}
+	}
+	s := newTestServer(t, Config{CacheDir: cacheDir, AnalysisOptions: []firmres.Option{firmres.WithLint()}})
+	w := &discardResponse{header: http.Header{}}
+	prehit := func(img []byte) {
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/images", bytes.NewReader(img)))
+		if w.code != http.StatusCreated {
+			t.Fatalf("warm-cache submission = %d, want 201", w.code)
+		}
+	}
+	warm := 20
+	for _, img := range imgs[:warm] {
+		prehit(img)
+	}
+	before := totalAlloc()
+	for _, img := range imgs[warm:] {
+		prehit(img)
+	}
+	per := float64(totalAlloc()-before) / float64(len(imgs)-warm)
+	t.Logf("prehit: %.0f B per submission over %d (budget %d)", per, len(imgs)-warm, prehitAllocBudget)
+	if per > prehitAllocBudget {
+		t.Errorf("a prehit allocates %.0f B, budget %d", per, prehitAllocBudget)
 	}
 }
 

@@ -403,9 +403,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache prehit: a warm FirmCache answers without spending a queue slot
-	// or a worker. The probe is a pure disk read, and the verified payload
-	// is stored as the job's result unchanged.
-	if js, hit := s.an.Cached(data); hit {
+	// or a worker. The probe is a pure disk read into a handler buffer, and
+	// the verified payload is stored as the job's result unchanged.
+	res, _ := handlerBufs.Get()
+	js, hit := s.an.Cached(res, data)
+	if hit {
+		res = js // an entry larger than the buffer was read into a new one
+	}
+	defer parallel.PutBuf(&handlerBufs, res)
+	if hit {
 		job, deduped, err := s.q.EnqueueDone(digest, data, tenant, priority, js)
 		if err == nil {
 			if deduped {
@@ -447,8 +453,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlerBufs is the process's free list of the buffers handlers read
-// submissions into and render done jobs in: at most parallel.FreeListCap,
-// each at most parallel.MaxKeptBuf, kept across collections.
+// submissions and prehit entries into and render done jobs in: at most
+// parallel.FreeListCap, each at most parallel.MaxKeptBuf, kept across
+// collections.
 var handlerBufs parallel.FreeList[[]byte]
 
 // readBody reads a request body into buf's storage, presized to size

@@ -420,7 +420,7 @@ func TestJobReportVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, ok := an.Cached(img)
+	payload, ok := an.Cached(nil, img)
 	if !ok {
 		t.Fatal("no cache entry for the analyzed image")
 	}

@@ -116,152 +116,6 @@ const (
 	anchorFloor = 3.0
 )
 
-// exp is a per-argument behavioral expectation of a signature.
-type exp uint8
-
-const (
-	xAny       exp = iota
-	xInt           // constant integer
-	xZero          // constant zero (flags-style trailing argument)
-	xPosInt        // constant positive integer (length/size argument)
-	xStr           // constant string
-	xRoute         // constant string shaped like a wire route: starts '/' or '?'
-	xFmt           // constant format string (contains '%')
-	xHost          // constant hostname: contains '.', no '/'
-	xKeyNVRAM      // constant string matched against the NVRAM key universe
-	xKeyConfig     // constant string matched against the config key universe
-	xKeyEnv        // constant string outside both key universes (front-end param)
-	xKeyPath       // constant string shaped like a filesystem path
-	xBuf           // pointer to a writable data object
-	xFn            // pointer into the text segment (callback)
-	xDyn           // computed value or call result (payload-style)
-	xHandle        // connection-style value: parameter or call result
-	xRes           // result of a preceding call
-	xResJSON       // result of a zero-arity constructor (cJSON object handle)
-	xStrOrDyn      // string constant or computed value
-)
-
-// sigSpec is the behavioral expectation list of one extern signature. For
-// variadic signatures the expectations cover the leading arguments; extra
-// arguments are unconstrained.
-type sigSpec struct{ args []exp }
-
-// specs maps extern names to their callsite expectations. Signatures absent
-// here score neutral on every argument and win only by Table-order
-// tie-break, which is exactly the behavior wanted for interchangeable
-// helpers (strdup vs. urlencode share the dataflow summary that matters).
-var specs = map[string]sigSpec{
-	// Receive anchors: (handle, writable buffer, length, flags).
-	"recv":      {[]exp{xHandle, xBuf, xPosInt, xZero}},
-	"recvfrom":  {[]exp{xHandle, xBuf, xPosInt, xZero, xAny, xAny}},
-	"recvmsg":   {[]exp{xHandle, xBuf, xInt}},
-	"SSL_read":  {[]exp{xHandle, xBuf, xPosInt}},
-	"mqtt_recv": {[]exp{xHandle, xBuf}},
-
-	// Send anchors.
-	"send":    {[]exp{xHandle, xStrOrDyn, xPosInt, xZero}},
-	"sendto":  {[]exp{xHandle, xStrOrDyn, xPosInt, xZero, xAny, xAny}},
-	"sendmsg": {[]exp{xHandle, xDyn, xInt}},
-
-	// Delivery anchors. The route expectation is the discriminator that
-	// keeps JSON-assembly calls (object, "key", value) from masquerading
-	// as http_post(conn, path, body).
-	"SSL_write":         {[]exp{xHandle, xBuf, xPosInt}},
-	"CyaSSL_write":      {[]exp{xHandle, xBuf, xPosInt}},
-	"curl_easy_perform": {[]exp{xRes}},
-	"http_post":         {[]exp{xHandle, xRoute, xDyn}},
-	"mosquitto_publish": {[]exp{xHandle, xInt, xRoute, xDyn}},
-	"mqtt_publish":      {[]exp{xHandle, xRoute, xDyn}},
-
-	// String/formatting helpers with dataflow summaries.
-	"sprintf":       {[]exp{xBuf, xFmt}},
-	"snprintf":      {[]exp{xBuf, xPosInt, xFmt}},
-	"strcpy":        {[]exp{xBuf, xStrOrDyn}},
-	"strncpy":       {[]exp{xBuf, xStrOrDyn, xPosInt}},
-	"strcat":        {[]exp{xBuf, xStrOrDyn}},
-	"strncat":       {[]exp{xBuf, xStrOrDyn, xPosInt}},
-	"memcpy":        {[]exp{xBuf, xAny, xPosInt}},
-	"strdup":        {[]exp{xStrOrDyn}},
-	"strlen":        {[]exp{xStrOrDyn}},
-	"strcmp":        {[]exp{xStrOrDyn, xStrOrDyn}},
-	"strncmp":       {[]exp{xStrOrDyn, xStrOrDyn, xPosInt}},
-	"strstr":        {[]exp{xStrOrDyn, xStrOrDyn}},
-	"strchr":        {[]exp{xStrOrDyn, xInt}},
-	"atoi":          {[]exp{xStrOrDyn}},
-	"itoa":          {[]exp{xDyn, xBuf}},
-	"base64_encode": {[]exp{xStrOrDyn, xBuf}},
-	"urlencode":     {[]exp{xStrOrDyn}},
-
-	// HTTP client helpers.
-	"curl_easy_init": {nil},
-	"curl_setopt":    {[]exp{xRes, xInt, xAny}},
-
-	// JSON assembly: every call dereferences the zero-arity constructor's
-	// handle, the key is a bare string constant.
-	"cJSON_CreateObject":      {nil},
-	"cJSON_AddStringToObject": {[]exp{xResJSON, xStr, xStrOrDyn}},
-	"cJSON_AddNumberToObject": {[]exp{xResJSON, xStr, xDyn}},
-	"cJSON_AddItemToObject":   {[]exp{xResJSON, xStr, xDyn}},
-	"cJSON_Print":             {[]exp{xResJSON}},
-	"cJSON_PrintUnformatted":  {[]exp{xResJSON}},
-	"cJSON_Delete":            {[]exp{xResJSON}},
-
-	// Field sources, disambiguated by the image's key universes.
-	"nvram_get":      {[]exp{xKeyNVRAM}},
-	"nvram_safe_get": {[]exp{xKeyNVRAM}},
-	"config_read":    {[]exp{xKeyConfig}},
-	"uci_get":        {[]exp{xKeyConfig}},
-	"getenv":         {[]exp{xKeyEnv}},
-	"web_get_param":  {[]exp{xKeyEnv}},
-
-	// File I/O.
-	"fopen":     {[]exp{xKeyPath, xStr}},
-	"fread":     {[]exp{xAny, xPosInt, xPosInt, xHandle}},
-	"fclose":    {[]exp{xHandle}},
-	"read_file": {[]exp{xKeyPath}},
-
-	// Event-loop registration: a text-segment constant is the fingerprint.
-	"event_register": {[]exp{xFn, xAny}},
-	"uloop_fd_add":   {[]exp{xFn, xAny}},
-	"task_spawn":     {[]exp{xFn}},
-
-	// Crypto/signing.
-	"md5":         {[]exp{xStrOrDyn, xBuf}},
-	"sha256":      {[]exp{xStrOrDyn, xBuf}},
-	"hmac_sha256": {[]exp{xDyn, xDyn, xBuf}},
-	"aes_encrypt": {[]exp{xDyn, xDyn, xBuf}},
-
-	// Local IPC (negative anchors).
-	"ipc_recv":    {[]exp{xInt, xBuf}},
-	"ipc_send":    {[]exp{xInt, xStrOrDyn}},
-	"ubus_invoke": {[]exp{xHandle, xStr, xAny}},
-
-	// Misc libc/network shapes that share arities with anchors and need
-	// enough of a profile not to steal (or be stolen by) them.
-	"malloc":         {[]exp{xPosInt}},
-	"calloc":         {[]exp{xPosInt, xPosInt}},
-	"free":           {[]exp{xAny}},
-	"printf":         {[]exp{xStrOrDyn}},
-	"fprintf":        {[]exp{xHandle, xFmt}},
-	"syslog":         {[]exp{xInt, xStrOrDyn}},
-	"socket":         {[]exp{xInt, xInt, xInt}},
-	"connect":        {[]exp{xHandle, xAny, xAny}},
-	"bind":           {[]exp{xHandle, xAny, xAny}},
-	"listen":         {[]exp{xHandle, xInt}},
-	"accept":         {[]exp{xHandle, xZero, xZero}},
-	"close":          {[]exp{xHandle}},
-	"select":         {[]exp{xPosInt, xAny, xAny, xAny, xAny}},
-	"epoll_wait":     {[]exp{xAny, xAny, xPosInt, xPosInt}},
-	"usleep":         {[]exp{xPosInt}},
-	"time":           {[]exp{xZero}},
-	"gethostbyname":  {[]exp{xHost}},
-	"ssl_connect":    {[]exp{xHandle, xHost}},
-	"mqtt_connect":   {[]exp{xHandle, xHost, xInt}},
-	"mqtt_subscribe": {[]exp{xHandle, xStr}},
-	"SSL_new":        {[]exp{xHandle}},
-	"exit":           {[]exp{xInt}},
-}
-
 // gather decodes every known function body and classifies every import
 // callsite in it. A first walk counts each import's callsites and their
 // arguments, so the second carves every site and every argument list from
@@ -468,78 +322,78 @@ func (m *matcher) classifyConst(imm int32) argObs {
 }
 
 // scoreArg scores one observed argument against one expectation.
-func (m *matcher) scoreArg(e exp, a argObs) int {
+func (m *matcher) scoreArg(e externs.Expect, a argObs) int {
 	switch e {
-	case xAny:
+	case externs.ExpAny:
 		return 0
-	case xInt:
+	case externs.ExpInt:
 		return constInt(a, func(v int32) int { return scStrong })
-	case xZero:
+	case externs.ExpZero:
 		return constInt(a, func(v int32) int {
 			if v == 0 {
 				return scStrong
 			}
 			return scWeak
 		})
-	case xPosInt:
+	case externs.ExpPosInt:
 		return constInt(a, func(v int32) int {
 			if v > 0 {
 				return scStrong
 			}
 			return scWeak
 		})
-	case xStr:
+	case externs.ExpStr:
 		return m.constStr(a, func(s []byte) int { return scStrong })
-	case xRoute:
+	case externs.ExpRoute:
 		return m.constStr(a, func(s []byte) int {
 			if startsWith(s, '/') || startsWith(s, '?') {
 				return scStrong
 			}
 			return scContra
 		})
-	case xFmt:
+	case externs.ExpFmt:
 		return m.constStr(a, func(s []byte) int {
 			if bytes.IndexByte(s, '%') >= 0 {
 				return scStrong
 			}
 			return scWeak
 		})
-	case xHost:
+	case externs.ExpHost:
 		return m.constStr(a, func(s []byte) int {
 			if bytes.IndexByte(s, '.') >= 0 && bytes.IndexByte(s, '/') < 0 {
 				return scStrong + scGood
 			}
 			return scWeak
 		})
-	case xKeyNVRAM:
+	case externs.ExpKeyNVRAM:
 		return m.constStr(a, func(s []byte) int {
 			if m.hints.NVRAMKeys[string(s)] {
 				return scKey
 			}
 			return scGood
 		})
-	case xKeyConfig:
+	case externs.ExpKeyConfig:
 		return m.constStr(a, func(s []byte) int {
 			if m.hints.ConfigKeys[string(s)] {
 				return scKey
 			}
 			return scGood
 		})
-	case xKeyEnv:
+	case externs.ExpKeyEnv:
 		return m.constStr(a, func(s []byte) int {
 			if m.hints.NVRAMKeys[string(s)] || m.hints.ConfigKeys[string(s)] || startsWith(s, '/') {
 				return 0
 			}
 			return scStrong
 		})
-	case xKeyPath:
+	case externs.ExpKeyPath:
 		return m.constStr(a, func(s []byte) int {
 			if startsWith(s, '/') {
 				return scKey
 			}
 			return 0
 		})
-	case xBuf:
+	case externs.ExpBuf:
 		switch a.kind {
 		case argBuf:
 			return scStrong
@@ -548,7 +402,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return 0
 		}
-	case xFn:
+	case externs.ExpFn:
 		switch a.kind {
 		case argFn:
 			return scStrong
@@ -557,7 +411,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return 0
 		}
-	case xDyn:
+	case externs.ExpDyn:
 		switch a.kind {
 		case argDyn, argRes, argParam, argBuf:
 			return scGood
@@ -566,7 +420,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return scContra
 		}
-	case xHandle:
+	case externs.ExpHandle:
 		switch a.kind {
 		case argParam, argRes:
 			return scStrong
@@ -575,7 +429,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return scContra
 		}
-	case xRes:
+	case externs.ExpRes:
 		switch a.kind {
 		case argRes:
 			return scStrong
@@ -584,7 +438,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return scContra
 		}
-	case xResJSON:
+	case externs.ExpResJSON:
 		switch a.kind {
 		case argRes:
 			if a.ref >= 0 && m.zeroArity[a.ref] {
@@ -596,7 +450,7 @@ func (m *matcher) scoreArg(e exp, a argObs) int {
 		default:
 			return scContra
 		}
-	case xStrOrDyn:
+	case externs.ExpStrOrDyn:
 		switch a.kind {
 		case argStr, argBuf, argDyn, argParam, argRes:
 			return scGood
@@ -640,13 +494,16 @@ func startsWith(s []byte, c byte) bool { return len(s) > 0 && s[0] == c }
 
 // scoreSig scores one candidate signature against every observed callsite
 // of an import, returning the average per-site score (plus cross-site
-// bonuses) and whether any site contradicted the signature.
+// bonuses) and whether any site contradicted the signature. Each site's
+// arguments are scored against the row's expectations (externs.Sig.Expect);
+// arguments past them are unconstrained, and a row that lists none scores
+// neutral and wins only by Table-order tie-break, which is the behavior
+// wanted for interchangeable helpers.
 func (m *matcher) scoreSig(sig *externs.Sig, ob *importObs) (float64, bool) {
-	spec := specs[sig.Name]
 	total, contra := 0, false
 	for _, site := range ob.sites {
 		args := m.argsOf(site)
-		for i, e := range spec.args {
+		for i, e := range sig.Expect {
 			if i >= len(args) {
 				break
 			}

@@ -3,6 +3,7 @@ package taint
 import (
 	"strconv"
 
+	"firmres/internal/externs"
 	"firmres/internal/isa"
 	"firmres/internal/pcode"
 )
@@ -104,17 +105,15 @@ func (e *Engine) appendOriginsDepth(dst []origin, fn *pcode.Function, useIdx int
 				dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 			}
 		case pcode.CALL:
-			name := op.Call.Name
-			if rs, ok := returnSummaries[name]; ok && rs.source == srcAlloc {
+			switch sig := op.Call.Sig; {
+			case sig != nil && sig.Return != nil && sig.Return.Source == externs.SrcAlloc:
 				dst = append(dst, origin{kind: orgAlloc, fnAddr: fn.Addr(), opIdx: def})
-				continue
-			}
-			if ws, ok := writeSummaries[name]; ok {
+			case sig != nil && sig.Write != nil:
 				// strcpy/strcat-family return their destination.
-				dst = e.appendOriginsDepth(dst, fn, def, pcode.Register(isa.ArgReg(ws.dst)), ctx, depth+1)
-				continue
+				dst = e.appendOriginsDepth(dst, fn, def, pcode.Register(isa.ArgReg(sig.Write.Dst)), ctx, depth+1)
+			default:
+				dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 			}
-			dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 		default:
 			dst = append(dst, origin{kind: orgOp, fnAddr: fn.Addr(), opIdx: def})
 		}
@@ -164,17 +163,16 @@ func (t *tracer) bufferContentScan(fn *pcode.Function, fromIdx int, targets []or
 			t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: i, Callee: "STORE"})
 
 		case pcode.CALL:
-			name := op.Call.Name
-			if ws, ok := writeSummaries[name]; ok {
-				dst := pcode.Register(isa.ArgReg(ws.dst))
+			if sig := op.Call.Sig; sig != nil && sig.Write != nil {
+				dst := pcode.Register(isa.ArgReg(sig.Write.Dst))
 				if !originsIntersect(e.appendOrigins(obuf[:0], fn, i, dst, ctx), targets) {
 					continue
 				}
-				format := e.argString(fn, i, ws.fmtArg)
+				format := e.argString(fn, i, sig.Format.Index())
 				mark := len(t.stack)
-				t.writerDeps(fn, i, op, ws, ctx, depth)
-				t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name, Format: format})
-				if ws.mode == writeOverwrite {
+				t.writerDeps(fn, i, op, sig, ctx, depth)
+				t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: sig.Name, Format: format})
+				if !sig.Write.Append {
 					return true
 				}
 				continue
@@ -213,14 +211,16 @@ var argLabels = func() (l [isa.NumArgRegs]string) {
 }()
 
 // writerDeps traces the content dependencies of a write-summary call, in
-// reverse argument order. Each argument's subtree is wrapped in a NodeArg
-// labelled "arg<N>" so downstream stages can associate a traced value with
-// its position in the call (format-verb matching for sprintf separation).
-func (t *tracer) writerDeps(fn *pcode.Function, callIdx int, op *pcode.Op, ws writeSummary, ctx *traceCtx, depth int) {
+// reverse argument order: its Write.Deps, then a printf-style writer's
+// format and the arguments after it. Each argument's subtree is wrapped in
+// a NodeArg labelled "arg<N>" so downstream stages can associate a traced
+// value with its position in the call (format-verb matching for sprintf
+// separation).
+func (t *tracer) writerDeps(fn *pcode.Function, callIdx int, op *pcode.Op, sig *externs.Sig, ctx *traceCtx, depth int) {
 	var buf [isa.NumArgRegs]int
-	idxs := append(buf[:0], ws.deps...)
-	if ws.varDep >= 0 {
-		for j := ws.varDep; j < op.Call.Arity; j++ {
+	idxs := append(buf[:0], sig.Write.Deps...)
+	if format := sig.Format.Index(); format >= 0 {
+		for j := format; j < op.Call.Arity; j++ {
 			idxs = append(idxs, j)
 		}
 	}
@@ -267,23 +267,23 @@ func (t *tracer) jsonContent(fn *pcode.Function, fromIdx int, targets []origin, 
 		if op.Code != pcode.CALL {
 			continue
 		}
-		name := op.Call.Name
-		if args, ok := jsonAddFns[name]; ok {
+		if sig := op.Call.Sig; sig != nil && (sig.JSON == externs.JSONAdd || sig.JSON == externs.JSONAddItem) {
+			// (object, key, value)
 			obj := pcode.Register(isa.ArgReg(0))
 			if !originsIntersect(e.appendOrigins(obuf[:0], fn, i, obj, ctx), targets) {
 				continue
 			}
-			key := e.argString(fn, i, args[0])
-			valArg := pcode.Register(isa.ArgReg(args[1]))
+			key := e.argString(fn, i, 1)
+			valArg := pcode.Register(isa.ArgReg(2))
 			mark := len(t.stack)
-			if name == "cJSON_AddItemToObject" {
+			if sig.JSON == externs.JSONAddItem {
 				itemOrigins := e.appendOrigins(tbuf[:0], fn, i, valArg, ctx)
 				t.jsonContent(fn, i, itemOrigins, ctx, depth+1)
-				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: i, Callee: name})
+				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: i, Callee: sig.Name})
 			} else {
 				t.trace(fn, i, valArg, ctx, depth+1)
 			}
-			t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: name, Key: key})
+			t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: i, Callee: sig.Name, Key: key})
 			continue
 		}
 		if op.Call.Kind == pcode.CallLocal {

@@ -7,6 +7,7 @@ import (
 	"firmres/internal/callgraph"
 	"firmres/internal/constprop"
 	"firmres/internal/dataflow"
+	"firmres/internal/externs"
 	"firmres/internal/facts"
 	"firmres/internal/isa"
 	"firmres/internal/obs"
@@ -100,7 +101,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	n := 0
 	for _, fn := range e.prog.Funcs {
 		for i := range fn.Ops {
-			if _, ok := deliveryArgsOf(&fn.Ops[i]); ok {
+			if deliverySig(&fn.Ops[i]) != nil {
 				n++
 			}
 		}
@@ -112,8 +113,8 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	k := 0
 	for _, fn := range e.prog.Funcs {
 		for i := range fn.Ops {
-			if args, ok := deliveryArgsOf(&fn.Ops[i]); ok {
-				sites[k] = site{cs: pcode.CallSite{Fn: fn, OpIdx: i}, name: fn.Ops[i].Call.Name, args: args}
+			if sig := deliverySig(&fn.Ops[i]); sig != nil {
+				sites[k] = site{cs: pcode.CallSite{Fn: fn, OpIdx: i}, sig: sig}
 				k++
 			}
 		}
@@ -122,9 +123,9 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	parallel.ForEach(ctx, workers, len(sites), func(i int) {
 		s := &sites[i]
 		sp := obs.StartChild(ctx, "taint-site")
-		sp.AddString("deliver", s.name)
+		sp.AddString("deliver", s.sig.Name)
 		sp.AddString("fn", s.cs.Fn.Name())
-		s.mfts = e.traceDelivery(st, s.cs, s.name, s.args)
+		s.mfts = e.traceDelivery(st, s.cs, s.sig)
 		sp.AddInt("mfts", len(s.mfts))
 		sp.End()
 		e.mftsC.Add(int64(len(s.mfts)))
@@ -143,37 +144,30 @@ func (e *Engine) AnalyzeContext(ctx context.Context, workers int) []*MFT {
 	return out
 }
 
-// deliveryArgsOf returns the traced arguments of op when it calls a
-// delivery function.
-func deliveryArgsOf(op *pcode.Op) ([]deliveryArgSpec, bool) {
-	if (op.Code != pcode.CALL && op.Code != pcode.CALLIND) || op.Call == nil {
-		return nil, false
+// deliverySig returns the extern row of op's callee when op calls a
+// function whose arguments carry a message to the cloud, nil otherwise.
+func deliverySig(op *pcode.Op) *externs.Sig {
+	if op.Call == nil || op.Call.Sig == nil || len(op.Call.Sig.Deliver) == 0 {
+		return nil
 	}
-	args, ok := deliveryArgs[op.Call.Name]
-	return args, ok
-}
-
-type deliveryArgSpec = struct {
-	Index int
-	Label string
+	return op.Call.Sig
 }
 
 // site is one delivery callsite and the MFTs traced from it.
 type site struct {
 	cs   pcode.CallSite
-	name string
-	args []deliveryArgSpec
+	sig  *externs.Sig
 	mfts []*MFT
 }
 
 // traceDelivery builds the MFT(s) for one delivery callsite, on a tracer
 // of st.
-func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, deliver string, args []deliveryArgSpec) []*MFT {
+func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, sig *externs.Sig) []*MFT {
 	t := st.tracer(e)
 	defer st.done(t)
 	// Fork per caller when the primary message argument is a pass-through
 	// parameter of a wrapper function: each caller is a distinct message.
-	primary := args[len(args)-1]
+	primary := sig.Deliver[len(sig.Deliver)-1]
 	pv := pcode.Register(isa.ArgReg(primary.Index))
 	du := e.du(cs.Fn)
 	if primary.Index < cs.Fn.Sym.NumParams && du.IsParamLive(cs.OpIdx, pv) {
@@ -181,14 +175,14 @@ func (e *Engine) traceDelivery(st *trees, cs pcode.CallSite, deliver string, arg
 			out := st.lists.Take(len(callers))
 			for i, edge := range callers {
 				ctx := &traceCtx{fn: edge.Site.Fn, callIdx: edge.Site.OpIdx}
-				out[i] = t.buildMFT(cs, deliver, args, ctx)
+				out[i] = t.buildMFT(cs, sig, ctx)
 				out[i].Context = edge.Site.Fn.Name()
 			}
 			return out
 		}
 	}
 	out := st.lists.Take(1)
-	out[0] = t.buildMFT(cs, deliver, args, nil)
+	out[0] = t.buildMFT(cs, sig, nil)
 	return out
 }
 
@@ -255,7 +249,7 @@ func (t *tracer) unknown(fn *pcode.Function, opIdx int) {
 	t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: opIdx})
 }
 
-func (t *tracer) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgSpec, ctx *traceCtx) *MFT {
+func (t *tracer) buildMFT(cs pcode.CallSite, sig *externs.Sig, ctx *traceCtx) *MFT {
 	e := t.e
 	t.budget, t.maxVisited = e.opts.MaxNodes, 0
 	defer func() {
@@ -270,8 +264,8 @@ func (t *tracer) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgS
 	mark := len(t.stack)
 	// Children in reverse-concatenation order: the tree records the backward
 	// walk; mft.Invert recovers message order (paper Fig. 5).
-	for i := len(args) - 1; i >= 0; i-- {
-		spec := args[i]
+	for i := len(sig.Deliver) - 1; i >= 0; i-- {
+		spec := sig.Deliver[i]
 		if spec.Index >= len(cs.Fn.Ops[cs.OpIdx].Inputs) {
 			continue
 		}
@@ -279,9 +273,9 @@ func (t *tracer) buildMFT(cs pcode.CallSite, deliver string, args []deliveryArgS
 		t.trace(cs.Fn, cs.OpIdx, pcode.Register(isa.ArgReg(spec.Index)), ctx, 0)
 		t.wrap(arg, Node{Kind: NodeArg, Fn: cs.Fn, OpIdx: cs.OpIdx, ArgLabel: spec.Label})
 	}
-	t.wrap(mark, Node{Kind: NodeRoot, Fn: cs.Fn, OpIdx: cs.OpIdx, Callee: deliver})
+	t.wrap(mark, Node{Kind: NodeRoot, Fn: cs.Fn, OpIdx: cs.OpIdx, Callee: sig.Name})
 	m := &t.store.mfts.Take(1)[0]
-	*m = MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: deliver, Root: t.stack[mark]}
+	*m = MFT{Prog: e.prog, Facts: e.fx, Site: cs, Deliver: sig.Name, Root: t.stack[mark]}
 	t.stack = t.stack[:mark]
 	return m
 }
@@ -446,36 +440,39 @@ func (t *tracer) traceOp(fn *pcode.Function, def int, op *pcode.Op, ctx *traceCt
 	t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: op.Code.String()})
 }
 
-// traceCall expands a value defined by a call's return.
+// traceCall expands a value defined by a call's return, applying the
+// callee's function summary (§IV-B) when its extern row has one.
 func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, depth int) {
 	e := t.e
 	op := &fn.Ops[def]
-	name := op.Call.Name
+	name, sig := op.Call.Name, op.Call.Sig
 	mark := len(t.stack)
 
 	var obuf originBuf
-	if jsonPrintFns[name] {
+	switch {
+	case sig == nil:
+		// A local, indirect or unmodelled callee: no summary.
+	case sig.JSON == externs.JSONPrint:
+		// The rendered text is the object's accumulated key/value additions.
 		objOrigins := e.appendOrigins(obuf[:0], fn, def, pcode.Register(isa.R1), ctx)
 		t.jsonContent(fn, def, objOrigins, ctx, depth+1)
 		t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name})
 		return
-	}
 
-	if ws, ok := writeSummaries[name]; ok {
+	case sig.Write != nil:
 		// Return value is the destination buffer: its content is the
 		// accumulated writes, ending with this call (the backward scan
 		// starting just past def rediscovers the call as the last writer).
-		dstOrigins := e.appendOrigins(obuf[:0], fn, def, pcode.Register(isa.ArgReg(ws.dst)), ctx)
+		dstOrigins := e.appendOrigins(obuf[:0], fn, def, pcode.Register(isa.ArgReg(sig.Write.Dst)), ctx)
 		t.bufferContent(fn, def+1, dstOrigins, ctx, depth+1)
 		if len(t.stack) == mark {
 			t.add(Node{Kind: LeafUnknown, Fn: fn, OpIdx: def, Callee: name})
 		}
 		return
-	}
 
-	if rs, ok := returnSummaries[name]; ok {
-		switch rs.source {
-		case srcAlloc:
+	case sig.Return != nil:
+		switch rs := sig.Return; rs.Source {
+		case externs.SrcAlloc:
 			// Fresh allocation: the value's content is what was written into
 			// it after allocation. The use point may have shrunk while
 			// walking copy chains, so scan the whole containing function —
@@ -483,22 +480,22 @@ func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, d
 			// one message in practice).
 			origins := []origin{{kind: orgAlloc, fnAddr: fn.Addr(), opIdx: def}}
 			scanEnd := len(fn.Ops)
-			if name == "cJSON_CreateObject" {
+			if sig.JSON == externs.JSONNew {
 				t.jsonContent(fn, scanEnd, origins, ctx, depth+1)
 				t.wrap(mark, Node{Kind: NodeJSON, Fn: fn, OpIdx: def, Callee: name})
 				return
 			}
 			t.bufferContent(fn, scanEnd, origins, ctx, depth+1)
 			t.wrap(mark, Node{Kind: NodeOp, Fn: fn, OpIdx: def, Callee: name})
-		case srcNone:
-			for i := len(rs.deps) - 1; i >= 0; i-- {
-				t.trace(fn, def, pcode.Register(isa.ArgReg(rs.deps[i])), ctx, depth+1)
+		case externs.SrcNone:
+			for i := len(rs.Deps) - 1; i >= 0; i-- {
+				t.trace(fn, def, pcode.Register(isa.ArgReg(rs.Deps[i])), ctx, depth+1)
 			}
 			t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name})
 		default:
 			t.add(Node{
-				Kind: leafKindOf(rs.source), Fn: fn, OpIdx: def,
-				Callee: name, Key: e.argString(fn, def, rs.keyArg),
+				Kind: leafKinds[rs.Source], Fn: fn, OpIdx: def,
+				Callee: name, Key: e.argString(fn, def, rs.Key.Index()),
 			})
 		}
 		return
@@ -529,6 +526,16 @@ func (t *tracer) traceCall(fn *pcode.Function, useIdx, def int, ctx *traceCtx, d
 		return
 	}
 	t.wrap(mark, Node{Kind: NodeCall, Fn: fn, OpIdx: def, Callee: name})
+}
+
+// leafKinds maps the source a summarized return value is to its MFT leaf
+// kind.
+var leafKinds = [...]NodeKind{
+	externs.SrcNVRAM:   LeafNVRAM,
+	externs.SrcConfig:  LeafConfig,
+	externs.SrcEnv:     LeafEnv,
+	externs.SrcFile:    LeafFile,
+	externs.SrcDynamic: LeafDynamic,
 }
 
 // constLeaf classifies a constant: a rodata string, a writable data buffer

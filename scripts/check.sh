@@ -9,8 +9,8 @@
 #
 #   check.sh static   gofmt, go.mod tidy drift, vet, build, firmbench2
 #   check.sh race     -race suite + targeted concurrency gates
-#   check.sh suites   goldens, alloc/precision gates, stripped F1, report
-#                     decoder, fuzz
+#   check.sh suites   goldens, alloc/precision gates, stripped F1 and the
+#                     extern model, report decoder, fuzz
 #
 # Pre-merge checks should invoke this (or `make check`, which delegates
 # here); a leg name runs just that slice.
@@ -108,14 +108,14 @@ leg_race() {
 }
 
 leg_suites() {
-	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, two image workers as warm as one once every set has served the crawl set and with no set dropped, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a released set pinning nothing of its program, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
+	echo "== allocation gates (obs disabled path, inner-loop spans under an observer-only tee and metric lookups at 0 allocs, per-MFT taint budget, crawl bytes per image, probe-stage bytes per image, a per-call observer's and WithMetrics' bytes per analysis, warm cache-hit bytes per image, warm Analyzer.Analyze-hit bytes per image, a malformed cache entry's decode bytes, the report UTF-8 check at 0 allocs on valid input, cache key at 1 alloc and frame check at 0, a repeat probe spec lookup at 1 alloc at most, a fresh firmserve job's bytes from submission to fetch, a warm-cache prehit's bytes read into a handler buffer, firmserve handler bytes with a done job's fetch constant in its report's size, no per-image retention, nothing retained beyond the free list of sets, a one-shot batch as warm as a long-lived Analyzer, two image workers as warm as one once every set has served the crawl set and with no set dropped, an analysis's bytes independent of collections, a recycled set re-serving a program at 0 allocs, a set retaining what its largest program needed, a released set pinning nothing of its program, a set retaining what its largest trees needed, trees built in a recycled set equal to a fresh store's at one and two workers, a capped cache Put costing the same at 2,000 entries as at 200, a warm lent hit after two collections reusing its read buffer, symbol-free recovery bytes per stripped binary, format parts read without copies)"
 	# Run without -race: AllocsPerRun counts are only meaningful uninstrumented
 	# (the gate files are //go:build !race for the same reason).
 	go test -run 'TestDisabledSpanZeroAllocs|TestDisabledCounterZeroAllocs|TestDisabledRecorderZeroAllocs|TestObserverOnlyInnerSpanZeroAllocs|TestCounterLookupZeroAllocs' ./internal/obs
 	go test -run 'TestPerMFTAllocBudget' ./internal/taint
 	go test -run 'TestCrawlAllocBudget|TestProbeAllocBudget|TestObserverAllocBudget|TestCacheHitAllocBudget|TestAnalyzeHitAllocBudget|TestMalformedEntryAllocBound|TestValidUTF8KeepsValidInput|TestCorpusSpecForAllocBound|TestAnalyzerRetentionBound|TestOneShotBatchStartsWarm|TestConcurrentAnalysesStayWarm|TestWarmAnalysisIgnoresGC' .
 	go test -run 'TestKeyOfOneAlloc|TestVerifyZeroAllocs|TestCappedPutCostFlat|TestLentHitAfterCollections' ./internal/cache
-	go test -run 'TestServeFreshJobAllocBudget|TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
+	go test -run 'TestServeFreshJobAllocBudget|TestPrehitAllocBound|TestDoneJobFetchAllocBound|TestSubmitBodyAllocBound|TestSubmitLyingContentLength' ./internal/serve
 	go test -run 'TestPipelineRetainsNoEnrichment|TestSetRetentionMatchesLargestTrees|TestRecycledTreesMatchFresh' ./internal/core
 	go test -run 'TestRecycledSetZeroAllocs|TestSetRetentionMatchesLargestProgram|TestReleasedSetPinsNoProgram' ./internal/facts
 	go test -run 'TestKeywordClassifierRetainsOneImage' ./internal/semantics
@@ -128,9 +128,11 @@ leg_suites() {
 	echo "== observability (traced goldens byte-identical, traces keep inner-loop spans and observers see stages, metrics deterministic, every emitted metric declared in the metric table, progress counts cache hits, corrupt images and unreadable paths)"
 	go test -run 'TestGoldenReportsTraced|TestTraceSpansCoverEveryStage|TestBatchMetricsDeterministicAcrossWorkers|TestEveryMetricDeclared|TestProgressCountsCacheHits|TestProgressCountsCorruptImages|TestProgressCountsUnreadablePaths' .
 
-	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate)"
+	echo "== symbol recovery (stripped goldens, verdict parity, derived mode, boundary F1 gate, extern binding accuracy; the extern model every binding and traced delivery reads: each row's facets within its arity, behavior-equivalent pairs with identical rows, every imported call of the corpus and of its recovered stripped twins carrying its row)"
 	go test -run 'TestStrippedGoldenReports|TestStrippedVerdictParity|TestStrippedModeDerived' .
 	go test -run 'TestBoundaryRecoveryF1|TestExternBindingAccuracy' ./internal/strip
+	go test -run 'TestTableModel|TestMessageArg|TestEveryDeliveryHasMessageArg' ./internal/externs
+	go test -run 'TestImportedCallsCarryTheirRow' ./internal/pcode
 
 	echo "== report decoder (one-pass cache decode matches json.Unmarshal on goldens and generated reports; every truncation is an error; enumerated fields share the code's strings)"
 	go test -run 'TestDecodeReportMatchesJSON|TestDecodeSharesEnumStrings' .
