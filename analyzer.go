@@ -234,25 +234,26 @@ func (a *Analyzer) analyzeFresh(ctx context.Context, rec *obs.Recorder, data []b
 // Cached returns the canonical JSON of data's report when the cache holds
 // an entry for it that verifies and decodes as a report, without
 // analyzing: the fast path for a service that answers a submission before
-// spending a worker on it. The JSON is read into dst[:0], as Analyze
-// appends it, so a caller that passes a buffer it reuses reads into
-// storage it already owns; a nil dst, or one with too little room, reads
-// into a fresh buffer of the entry's size. It is a read-only probe: it
-// counts and deletes nothing, so an entry it cannot use stays for the next
-// analysis to discard; like every read it refreshes a verified entry's
-// recency. Without WithCache every probe misses.
+// spending a worker on it. The JSON is appended to dst, in dst's storage
+// when the whole entry fits after dst's bytes, so a caller that passes a
+// buffer it reuses reads into storage it already owns; otherwise, a nil
+// dst included, into a new buffer of exactly dst's bytes and the entry.
+// It is a read-only probe: it counts and deletes nothing, so an entry it
+// cannot use stays for the next analysis to discard; like every read it
+// refreshes a verified entry's recency. Without WithCache every probe
+// misses.
 func (a *Analyzer) Cached(dst, data []byte) ([]byte, bool) {
 	if a.cache == nil {
 		return nil, false
 	}
-	js, err := a.cache.GetInto(dst, cache.KeyOf(data, a.fp))
-	if err != nil || js == nil {
+	out, err := a.cache.GetInto(dst, cache.KeyOf(data, a.fp))
+	if err != nil || out == nil {
 		return nil, false
 	}
-	if _, err := decodeReport(js); err != nil {
+	if _, err := decodeReport(out[len(dst):]); err != nil {
 		return nil, false
 	}
-	return js, true
+	return out, true
 }
 
 // CacheStats snapshots the counters of the Analyzer's cache handle since

@@ -18,7 +18,7 @@ package firmres
 // on a miss; Analyzer.Analyze, which hands the report bytes on, copies the
 // payload it decoded. An entry that fails its checksum or does not decode
 // is deleted only by the single-flight owner of its key, which then
-// computes it again; Analyzer.Cached, a read-only probe, reads into the
+// computes it again; Analyzer.Cached, a read-only probe, appends to the
 // buffer its caller passes and deletes nothing. Entries are written with
 // json.Marshal and decoded by the one-pass decoder in report_decode.go,
 // which reads exactly what json.Marshal writes and copies every string, so

@@ -181,50 +181,52 @@ func (c *Cache) path(key string) string {
 // returns its payload, which the caller owns: GetInto with no buffer.
 func (c *Cache) Get(key string) ([]byte, error) { return c.GetInto(nil, key) }
 
-// GetInto reads the entry for key into dst's storage, or into a fresh
-// buffer of the entry's size when dst has too little room, and returns its
-// payload at the start of that storage. It checks only the frame: a clean
-// miss returns (nil, nil), and an entry that cannot be read or fails
-// verification returns (nil, err) with err wrapping
-// errdefs.ErrCacheCorrupt, still a miss, never a failure. It deletes and
-// counts nothing; Do alone discards entries and keeps Stats. A hit
-// refreshes the entry's mtime and its place in the index, so eviction is
-// LRU.
+// GetInto appends the payload of the entry for key to dst and returns the
+// extended slice: in dst's storage when the whole entry fits after dst's
+// bytes, else in a new buffer of exactly dst's bytes and the entry. It
+// checks only the frame: a clean miss returns (nil, nil), and an entry
+// that cannot be read or fails verification returns (nil, err) with err
+// wrapping errdefs.ErrCacheCorrupt, still a miss, never a failure. It
+// deletes and counts nothing; Do alone discards entries and keeps Stats. A
+// hit refreshes the entry's mtime and its place in the index, so eviction
+// is LRU.
 func (c *Cache) GetInto(dst []byte, key string) ([]byte, error) {
 	path := c.path(key)
-	payload, buf, err := read(path, dst)
+	payload, dst, err := read(path, dst)
 	if payload == nil {
 		return nil, err
 	}
 	c.touch(key, path)
-	return buf[:copy(buf, payload)], nil
+	return append(dst, payload...), nil
 }
 
-// read reads the entry at path whole into buf, or into a new buffer of
-// exactly the entry's size when buf is too small, and verifies its frame.
-// It returns the payload, which aliases the buffer it also returns. A
-// clean miss returns a nil payload and error; an entry that cannot be read
-// or fails verification returns an error wrapping errdefs.ErrCacheCorrupt.
-// It deletes, counts and refreshes nothing.
+// read reads the entry at path whole into the room after buf's bytes, or,
+// when that room is too small, into a new buffer of exactly buf's bytes
+// and the entry, and verifies its frame. It returns the payload, which
+// aliases that room, and buf over the storage it used. A clean miss
+// returns a nil payload and error; an entry that cannot be read or fails
+// verification returns an error wrapping errdefs.ErrCacheCorrupt. It
+// deletes, counts and refreshes nothing.
 func read(path string, buf []byte) (payload, used []byte, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, buf, nil
 	}
+	var entry []byte
 	if err == nil {
 		var fi os.FileInfo
 		if fi, err = f.Stat(); err == nil {
-			if n := int(fi.Size()); cap(buf) < n {
-				buf = make([]byte, n)
-			} else {
-				buf = buf[:n]
+			n := int(fi.Size())
+			if cap(buf)-len(buf) < n {
+				buf = append(make([]byte, 0, len(buf)+n), buf...)
 			}
-			_, err = io.ReadFull(f, buf)
+			entry = buf[len(buf) : len(buf)+n]
+			_, err = io.ReadFull(f, entry)
 		}
 		f.Close()
 	}
 	if err == nil {
-		payload, err = verify(buf)
+		payload, err = verify(entry)
 	}
 	if err != nil {
 		return nil, buf, fmt.Errorf("cache: %w: %s: %w", errdefs.ErrCacheCorrupt, path, err)

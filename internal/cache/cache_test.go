@@ -126,9 +126,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGetIntoReadsIntoBuffer: GetInto returns the payload at the start of
-// the buffer it is given when the whole entry fits there, and in a fresh
-// buffer of the entry's size when it does not.
+// TestGetIntoReadsIntoBuffer: GetInto appends the payload to the buffer it
+// is given, in that buffer's storage when the whole entry fits after its
+// bytes, and in a new buffer of exactly its bytes and the entry when it
+// does not.
 func TestGetIntoReadsIntoBuffer(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -139,20 +140,20 @@ func TestGetIntoReadsIntoBuffer(t *testing.T) {
 	if err := c.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	roomy := make([]byte, 3, 4096)
+	roomy := append(make([]byte, 0, 4096), "img"...)
 	got, err := c.GetInto(roomy, key)
-	if err != nil || string(got) != string(want) {
-		t.Fatalf("GetInto = (%q, %v), want (%q, nil)", got, err, want)
+	if err != nil || string(got) != "img"+string(want) {
+		t.Fatalf("GetInto = (%q, %v), want (%q, nil)", got, err, "img"+string(want))
 	}
-	if &got[0] != &roomy[:1][0] {
-		t.Error("GetInto did not return the payload at the start of the given buffer")
+	if &got[0] != &roomy[0] {
+		t.Error("GetInto did not append the payload in the given buffer's storage")
 	}
-	small := make([]byte, 0, 8)
-	if got, err = c.GetInto(small, key); err != nil || string(got) != string(want) {
-		t.Fatalf("GetInto(small buffer) = (%q, %v), want (%q, nil)", got, err, want)
+	small := append(make([]byte, 0, 8), "img"...)
+	if got, err = c.GetInto(small, key); err != nil || string(got) != "img"+string(want) {
+		t.Fatalf("GetInto(small buffer) = (%q, %v), want (%q, nil)", got, err, "img"+string(want))
 	}
-	if cap(got) != headerLen+len(want) {
-		t.Errorf("GetInto(small buffer) read into %d bytes of storage, want a fresh buffer of the entry's %d", cap(got), headerLen+len(want))
+	if cap(got) != len(small)+headerLen+len(want) {
+		t.Errorf("GetInto(small buffer) read into %d bytes of storage, want a new buffer of the %d bytes and the entry's %d", cap(got), len(small), headerLen+len(want))
 	}
 }
 

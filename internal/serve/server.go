@@ -363,7 +363,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	buf, _ := handlerBufs.Get()
 	data, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxImageBytes),
 		min(r.ContentLength, s.cfg.MaxImageBytes, bodyPresize), buf)
-	defer parallel.PutBuf(&handlerBufs, data)
+	defer func() { parallel.PutBuf(&handlerBufs, data) }() // the storage a prehit may grow
 	if err != nil {
 		s.countSubmission("invalid")
 		var tooBig *http.MaxBytesError
@@ -403,15 +403,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache prehit: a warm FirmCache answers without spending a queue slot
-	// or a worker. The probe is a pure disk read into a handler buffer, and
-	// the verified payload is stored as the job's result unchanged.
-	res, _ := handlerBufs.Get()
-	js, hit := s.an.Cached(res, data)
-	if hit {
-		res = js // an entry larger than the buffer was read into a new one
-	}
-	defer parallel.PutBuf(&handlerBufs, res)
-	if hit {
+	// or a worker. The probe is a pure disk read, appended after the image
+	// in its handler buffer, so a submission holds one buffer whether or
+	// not it hits; the verified payload is stored as the job's result
+	// unchanged.
+	if both, hit := s.an.Cached(data, data); hit {
+		js := both[len(data):]
+		data = both[:len(data)] // the image moved with the buffer if it grew
 		job, deduped, err := s.q.EnqueueDone(digest, data, tenant, priority, js)
 		if err == nil {
 			if deduped {
@@ -453,9 +451,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlerBufs is the process's free list of the buffers handlers read
-// submissions and prehit entries into and render done jobs in: at most
-// parallel.FreeListCap, each at most parallel.MaxKeptBuf, kept across
-// collections.
+// submissions, and after them prehit entries, into and render done jobs
+// in: at most parallel.FreeListCap, each at most parallel.MaxKeptBuf, kept
+// across collections.
 var handlerBufs parallel.FreeList[[]byte]
 
 // readBody reads a request body into buf's storage, presized to size
